@@ -1,24 +1,25 @@
-"""Ablation X2: instance indexing and partitioned execution.
+"""Ablation X2: partitioned execution.
 
 The paper's future work points to runtime optimizations, including
-indexing techniques for automaton instances [11].  This bench compares
+indexing techniques for automaton instances [11].  The state-indexed
+trick (event-only conditions decided once per (state, event)) is part
+of the one executor, so this bench compares
 
-* the plain Algorithm 1 executor,
-* the state-indexed executor (constant conditions evaluated once per
-  state group per event), and
+* the Algorithm 1 executor and
 * partitioned execution on the patient attribute,
 
-on the group-variable pattern P3.  Expected shape: indexing pays off
-when the pre-filter is off (it subsumes most of the filter's savings);
-partitioning wins by a large margin because per-patient instance
-populations are small.  Note partitioned execution accepts a *superset*
-of Algorithm 1's buffers (it is immune to cross-partition greedy
-hijacking; see repro.automaton.optimizations).
+on the group-variable pattern P3, with and without the pre-filter.
+Expected shape: the pre-filter still pays (it skips the whole instance
+loop for irrelevant events, where hoisting only skips their condition
+checks); partitioning wins by a large margin because per-patient
+instance populations are small.  Note partitioned execution accepts a
+*superset* of Algorithm 1's buffers (it is immune to cross-partition
+greedy hijacking; see repro.automaton.optimizations).
 """
 
 import pytest
 
-from repro.automaton import IndexedExecutor, PartitionedMatcher
+from repro.automaton import PartitionedMatcher
 from repro.automaton.builder import build_automaton
 from repro.automaton.executor import SESExecutor
 from repro.automaton.filtering import EventFilter
@@ -39,15 +40,6 @@ class TestExecutorVariants:
         benchmark.extra_info["max_instances"] = (
             result.stats.max_simultaneous_instances)
 
-    def test_indexed(self, benchmark, exp23_base, filtered):
-        automaton = build_automaton(pattern_p3())
-        executor = IndexedExecutor(automaton, event_filter=self._filter(filtered),
-                                   selection="accepted")
-        result = benchmark.pedantic(executor.run, args=(exp23_base,),
-                                    rounds=1, iterations=1)
-        benchmark.extra_info["max_instances"] = (
-            result.stats.max_simultaneous_instances)
-
     def test_partitioned(self, benchmark, exp23_base, filtered):
         matcher = PartitionedMatcher(pattern_p3(), use_filter=filtered,
                                      selection="accepted")
@@ -58,13 +50,11 @@ class TestExecutorVariants:
 
 
 def test_equivalences(exp23_base):
-    """Indexed execution is exact; partitioned execution is a superset."""
+    """Partitioned execution accepts a superset on a smaller Ω."""
     automaton = build_automaton(pattern_p3())
     plain = SESExecutor(automaton, selection="accepted").run(exp23_base)
-    indexed = IndexedExecutor(automaton, selection="accepted").run(exp23_base)
     partitioned = PartitionedMatcher(pattern_p3(),
                                      selection="accepted").run(exp23_base)
-    assert sorted(map(hash, plain.accepted)) == sorted(map(hash, indexed.accepted))
     assert set(plain.accepted) <= set(partitioned.accepted)
     assert (partitioned.stats.max_simultaneous_instances
             < plain.stats.max_simultaneous_instances)

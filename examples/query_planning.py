@@ -1,9 +1,8 @@
 """Cost-informed planning: let the library choose how to run a query.
 
 Different SES patterns want different execution configurations — the
-event filter pays off when most events are irrelevant, state indexing
-when it is not, and partitioned execution when the pattern equi-joins
-all variables on one attribute.  ``repro.planner`` measures the data,
+event filter pays off when most events are irrelevant, and partitioned
+execution when the pattern equi-joins all variables on one attribute.  ``repro.planner`` measures the data,
 applies the paper's complexity analysis (Theorems 1–3), and explains its
 choice like a database EXPLAIN.
 

@@ -8,7 +8,7 @@ from .filtering import EventFilter
 from .instance import AutomatonInstance
 from .metrics import ExecutionStats, sparkline
 from .minimize import TrimReport, trim
-from .optimizations import IndexedExecutor, PartitionedMatcher, partition_attribute
+from .optimizations import PartitionedMatcher, partition_attribute
 from .pruning import DeadlineTable, PruningExecutor
 from .states import State, make_state, state_label
 from .trace import TraceStep, Tracer, format_trace
@@ -16,7 +16,7 @@ from .transitions import Transition
 
 __all__ = [
     "AutomatonError", "AutomatonInstance", "EventFilter", "ExecutionStats",
-    "DeadlineTable", "IndexedExecutor", "MatchBuffer", "MatchResult",
+    "DeadlineTable", "MatchBuffer", "MatchResult",
     "PartitionedMatcher", "PruningExecutor",
     "SESAutomaton", "SESExecutor", "State", "TrimReport",
     "partition_attribute", "sparkline", "trim",

@@ -32,16 +32,18 @@ import copy
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..core.events import Event
-from ..core.semantics import select_matches
+from ..core.semantics import SELECTIONS, select
 from ..core.substitution import Substitution
 from .automaton import SESAutomaton
 from .buffer import EMPTY_BUFFER
 from .filtering import EventFilter
 from .instance import AutomatonInstance
 from .metrics import ExecutionStats
+from .states import State
+from .transitions import Transition
 
 __all__ = ["SESExecutor", "MatchResult", "execute"]
 
@@ -60,12 +62,6 @@ _STAT_COUNTERS = (
     ("accepted_buffers", "ses_accepted_buffers_total"),
     ("matches", "ses_matches_total"),
 )
-
-#: Valid result-selection policies: ``"paper"`` applies Definition 2's
-#: conditions 4–5 plus greedy non-overlap (the paper's intended results),
-#: ``"all-starts"`` keeps one match per start position (overlaps allowed),
-#: ``"accepted"`` returns the raw accepted buffers.
-SELECTIONS = ("paper", "all-starts", "accepted")
 
 #: Event-consumption modes.  ``"greedy"`` is Algorithm 2 as published
 #: (skip-till-next-match: an instance whose transitions fire is replaced
@@ -126,25 +122,6 @@ class MatchResult:
         return (f"MatchResult({len(self.matches)} matches, "
                 f"{len(self.accepted)} accepted, "
                 f"maxΩ={self.stats.max_simultaneous_instances})")
-
-
-class _TeeTracer:
-    """Fans one stream of trace records out to two recorders.
-
-    Lets a full :class:`~repro.automaton.trace.Tracer` and a
-    :class:`~repro.obs.flight.FlightRecorder` share the executor's
-    single tracer hook, so attaching both costs no extra branches.
-    """
-
-    __slots__ = ("first", "second")
-
-    def __init__(self, first, second):
-        self.first = first
-        self.second = second
-
-    def record(self, kind, event, instance, transition=None, successor=None):
-        self.first.record(kind, event, instance, transition, successor)
-        self.second.record(kind, event, instance, transition, successor)
 
 
 class SESExecutor:
@@ -218,21 +195,20 @@ class SESExecutor:
         #: instance lifetimes; :meth:`run` additionally times result
         #: selection and publishes the :class:`ExecutionStats` counters.
         #: ``None`` (the default) keeps the hot path instrumentation-free
-        #: — a single ``is None`` check per event.
+        #: behind plain ``is None`` tests.
         self.obs = obs
         #: Optional :class:`repro.obs.flight.FlightRecorder`.  Attached,
-        #: it rides the existing tracer hooks (teed when a full tracer
-        #: is also present) plus one |Ω| sample per processed event, so
-        #: the tail of execution survives a crash; detached (the
-        #: default) the hot path is unchanged.
+        #: it records every execution step next to any full tracer,
+        #: plus one |Ω| sample per processed event, so the tail of
+        #: execution survives a crash.
         self.flight = flight
         #: Optional :class:`repro.resilience.guards.ResourceGuard` (or a
         #: bare :class:`~repro.resilience.guards.GuardConfig`, wrapped
         #: here) enforcing ceilings on |Ω|, buffer bytes and per-event
-        #: time after every :meth:`feed`.  ``None`` (the default) keeps
-        #: the hot path to a single ``is None`` check, like ``obs``.
+        #: time after every :meth:`feed`.  ``None`` (the default) costs
+        #: a single ``is None`` check per event, like ``obs``.
         self.guard = guard
-        if guard is not None and not hasattr(guard, "guarded_feed"):
+        if guard is not None and not hasattr(guard, "check"):
             from ..resilience.guards import ResourceGuard
             self.guard = ResourceGuard(
                 guard, registry=None if obs is None else obs.registry)
@@ -251,30 +227,16 @@ class SESExecutor:
             self.selection = "accepted"
             self._agg = AggregationEngine(
                 automaton, aggregate, consume_mode=consume_mode)
-            # Shadow the instance loop with the group-fold twins; every
-            # shared entry point (feed/expire/run) then aggregates.
-            self._step = self._agg_step
-            self._expire_only = self._agg_expire_only
-        if self.guard is None:
-            # Branch-free disabled path: shadow the class method with
-            # the unguarded implementation, skipping even the dispatch.
-            self.feed = self._feed
-        if flight is not None:
-            self.tracer = (flight if tracer is None
-                           else _TeeTracer(tracer, flight))
         #: Optional :class:`~repro.obs.lineage.LineageRecorder`, taken
-        #: from the observability bundle.  Attached, it rides the tracer
-        #: hooks (teed with any existing tracer) and the feed entry
-        #: point is re-bound to a thin ingest-stamping wrapper; absent,
-        #: the hot path keeps the exact un-instrumented binding — the
-        #: same zero-dispatch idiom as the disabled resource guard.
+        #: from the observability bundle; :meth:`feed` stamps every
+        #: event's ingest time on it.
         self.lineage = (None if obs is None
                         else getattr(obs, "lineage", None))
-        if self.lineage is not None:
-            self.tracer = (self.lineage if self.tracer is None
-                           else _TeeTracer(self.tracer, self.lineage))
-            self._inner_feed = self.feed
-            self.feed = self._traced_feed
+        #: Step recorders, in call order; every execution step goes to
+        #: all of them through :meth:`_emit`.  Empty (the default) costs
+        #: one truthiness test per step.
+        self._hooks = tuple(hook for hook in (tracer, flight, self.lineage)
+                            if hook is not None)
         if obs is not None and event_filter is not None:
             event_filter.bind_metrics(obs.registry)
         self.reset()
@@ -284,6 +246,7 @@ class SESExecutor:
         self._omega: List[AutomatonInstance] = []
         self._accepted: List[Substitution] = []
         self._accepted_during_consume: List[Substitution] = []
+        self._enabled: Dict[State, List[Transition]] = {}
         self._last_ts = None
         self._published_stats = {}
         self.stats = ExecutionStats()
@@ -313,8 +276,7 @@ class SESExecutor:
         """Consume one event; return buffers accepted by window expiry.
 
         With a resource guard attached, the guard's ceilings are checked
-        (and its breach policy applied) after the event is processed;
-        without one this is a single extra ``is None`` test.
+        (and its breach policy applied) after the event is processed.
 
         ``allow_start=False`` skips creating the fresh start-state
         instance for this event.  A caller may only pass it when it has
@@ -323,57 +285,46 @@ class SESExecutor:
         then be dropped inside the consume loop anyway, so the match set
         is unchanged.
         """
-        if self.guard is None:
-            return self._feed(event, allow_start)
-        return self.guard.guarded_feed(self, event, allow_start)
+        obs = self.obs
+        guard = self.guard
+        if self.lineage is not None:
+            self.lineage.note_ingest(event)
+        self._advance_clock(event)
+        timed = obs is not None or (guard is not None and guard.time_limited)
+        if timed:
+            start = time.perf_counter()
+        event_filter = self.event_filter
+        admitted = event_filter is None or event_filter.admits(event)
+        if obs is not None:
+            filtered_at = time.perf_counter()
+            obs.spans.add("filter", filtered_at - start)
+        if admitted:
+            self.stats.events_processed += 1
+            accepted = self._step(event, allow_start)
+            if obs is not None:
+                obs.spans.add("consume", time.perf_counter() - filtered_at)
+        else:
+            self.stats.events_filtered += 1
+            accepted = (self._step(event, consume=False)
+                        if self.expire_on_filtered else [])
+        elapsed = time.perf_counter() - start if timed else None
+        if obs is not None:
+            obs.omega(self.active_instances)
+            obs.event_seconds(elapsed)
+        if guard is not None:
+            guard.check(self, event, elapsed)
+        return accepted
 
-    def _traced_feed(self, event: Event,
-                     allow_start: bool = True) -> List[Substitution]:
-        """Ingest-stamping wrapper bound over :meth:`feed` when a
-        lineage recorder is attached (guarded or not — it captures
-        whichever binding the guard setup left in place)."""
-        self.lineage.note_ingest(event)
-        return self._inner_feed(event, allow_start)
-
-    def _feed(self, event: Event,
-              allow_start: bool = True) -> List[Substitution]:
-        stats = self.stats
-        stats.events_read += 1
+    def _advance_clock(self, event: Event) -> None:
+        """Shared prologue of :meth:`feed` and :meth:`expire`: count the
+        event as read and enforce chronological arrival."""
+        self.stats.events_read += 1
         if self._last_ts is not None and event.ts < self._last_ts:
             raise ValueError(
                 f"events must arrive in chronological order; got T={event.ts} "
                 f"after T={self._last_ts}"
             )
         self._last_ts = event.ts
-
-        obs = self.obs
-        if obs is None:
-            if (self.event_filter is not None
-                    and not self.event_filter.admits(event)):
-                stats.events_filtered += 1
-                if self.expire_on_filtered:
-                    return self._expire_only(event)
-                return []
-            stats.events_processed += 1
-            return self._step(event, allow_start)
-
-        start = time.perf_counter()
-        with obs.span("filter"):
-            admitted = (self.event_filter is None
-                        or self.event_filter.admits(event))
-        if not admitted:
-            stats.events_filtered += 1
-            if self.expire_on_filtered:
-                accepted = self._expire_only(event)
-            else:
-                accepted = []
-        else:
-            stats.events_processed += 1
-            with obs.span("consume"):
-                accepted = self._step(event, allow_start)
-        obs.omega(self.active_instances)
-        obs.event_seconds(time.perf_counter() - start)
-        return accepted
 
     @property
     def next_expiry_ts(self):
@@ -405,39 +356,56 @@ class SESExecutor:
         admission outside the executor — the registry's shared admission
         pass calls this for events its merged prefilter rejected.
         """
-        stats = self.stats
-        stats.events_read += 1
-        if self._last_ts is not None and event.ts < self._last_ts:
-            raise ValueError(
-                f"events must arrive in chronological order; got T={event.ts} "
-                f"after T={self._last_ts}"
-            )
-        self._last_ts = event.ts
-        stats.events_filtered += 1
-        return self._expire_only(event)
+        self._advance_clock(event)
+        self.stats.events_filtered += 1
+        return self._step(event, consume=False)
 
-    def _step(self, event: Event,
-              allow_start: bool = True) -> List[Substitution]:
-        """Algorithm 1's per-event instance loop (post-filter)."""
+    def _emit(self, kind: str, event: Optional[Event],
+              instance: AutomatonInstance, transition=None,
+              successor=None) -> None:
+        """Report one execution step to every attached recorder (tracer,
+        flight recorder, lineage).  Callers test ``self._hooks`` first."""
+        for hook in self._hooks:
+            hook.record(kind, event, instance, transition, successor)
+
+    def _step(self, event: Event, allow_start: bool = True,
+              consume: bool = True) -> List[Substitution]:
+        """Algorithm 1's per-event instance loop (post-filter).
+
+        ``consume=False`` is the expiry-only sweep run for events the
+        filter rejected: windows expire and accepting buffers are
+        emitted, but no instance is created and none sees the event.
+        """
         stats = self.stats
+        if self._agg is not None:
+            if consume:
+                self._agg.step(event, allow_start, stats)
+                if self.lineage is not None:
+                    self.lineage.note_fold(event, self._agg.matches_folded)
+                if self.flight is not None:
+                    self.flight.sample_omega(event.ts, self._agg.group_count)
+            else:
+                self._agg.expire_only(event, stats)
+            return []
         obs = self.obs
+        hooks = self._hooks
         automaton = self.automaton
         tau = automaton.tau
         accepting = automaton.accepting
-        start = automaton.start
 
         omega = self._omega
-        if allow_start:
-            fresh = AutomatonInstance(start, EMPTY_BUFFER)
-            omega.append(fresh)
-            stats.instances_created += 1
-        stats.observe_event(event.ts)
-        stats.observe_omega(len(omega))
-        if obs is not None:
-            obs.omega(len(omega))
-        tracer = self.tracer
-        if tracer is not None and allow_start:
-            tracer.record("start", event, fresh)
+        if consume:
+            if allow_start:
+                fresh = AutomatonInstance(automaton.start, EMPTY_BUFFER)
+                omega.append(fresh)
+                stats.instances_created += 1
+            stats.observe_event(event.ts)
+            stats.observe_omega(len(omega))
+            if obs is not None:
+                obs.omega(len(omega))
+            if hooks and allow_start:
+                self._emit("start", event, fresh)
+            self._enabled = {}
 
         accepted_now: List[Substitution] = []
         self._accepted_during_consume = accepted_now
@@ -447,49 +415,22 @@ class SESExecutor:
                 stats.expired_instances += 1
                 if obs is not None:
                     obs.lifetime(event.ts - instance.buffer.min_ts)
-                if tracer is not None:
-                    tracer.record("expire", event, instance)
+                if hooks:
+                    self._emit("expire", event, instance)
                 if instance.state == accepting:
                     accepted_now.append(instance.buffer.to_substitution())
                     stats.accepted_buffers += 1
-                    if tracer is not None:
-                        tracer.record("accept", event, instance)
-                continue
-            self._consume(instance, event, next_omega)
-        self._omega = next_omega
-        stats.observe_omega(len(next_omega))
-        flight = self.flight
-        if flight is not None:
-            flight.sample_omega(event.ts, len(next_omega))
-        self._accepted.extend(accepted_now)
-        return accepted_now
-
-    def _expire_only(self, event: Event) -> List[Substitution]:
-        """Expiry sweep without consumption (filtered events, streaming)."""
-        stats = self.stats
-        tau = self.automaton.tau
-        accepting = self.automaton.accepting
-        accepted_now: List[Substitution] = []
-        survivors: List[AutomatonInstance] = []
-        obs = self.obs
-        for instance in self._omega:
-            if instance.expired(event, tau):
-                stats.expired_instances += 1
-                if obs is not None:
-                    obs.lifetime(event.ts - instance.buffer.min_ts)
-                if instance.state == accepting:
-                    accepted_now.append(instance.buffer.to_substitution())
-                    stats.accepted_buffers += 1
-                    # This sweep bypasses the tracer (flight contents
-                    # must not change with streaming expiry), but
-                    # lineage needs every acceptance.
-                    if self.lineage is not None:
-                        self.lineage.record("accept", event, instance)
-                elif self.lineage is not None:
-                    self.lineage.record("expire", event, instance)
+                    if hooks:
+                        self._emit("accept", event, instance)
+            elif consume:
+                self._consume(instance, event, next_omega)
             else:
-                survivors.append(instance)
-        self._omega = survivors
+                next_omega.append(instance)
+        self._omega = next_omega
+        if consume:
+            stats.observe_omega(len(next_omega))
+            if self.flight is not None:
+                self.flight.sample_omega(event.ts, len(next_omega))
         self._accepted.extend(accepted_now)
         return accepted_now
 
@@ -497,68 +438,61 @@ class SESExecutor:
                  out: List[AutomatonInstance]) -> None:
         """Algorithm 2 (ConsumeEvent), appending survivors to ``out``.
 
+        Conditions on the event alone are the same for every instance in
+        a state, so the outgoing transitions passing them are worked out
+        once per (state, event) — :meth:`_step` clears the memo — and
+        only the binding-dependent conditions run per instance.
+
         In ``"exhaustive"`` mode the original instance also survives when
         transitions fire, so the run may *skip* a consumable event — the
         skip-till-any-match behaviour needed for Definition-2 exactness.
         """
         stats = self.stats
-        tracer = self.tracer
+        hooks = self._hooks
+        state = instance.state
+        enabled = self._enabled.get(state)
+        if enabled is None:
+            enabled = self._enabled[state] = [
+                transition for transition in self.automaton.outgoing(state)
+                if transition.admits_event(event)]
+        buffer = instance.buffer
         fired = 0
-        for transition in self.automaton.outgoing(instance.state):
-            if transition.admits(event, instance.buffer):
+        for transition in enabled:
+            if transition.admits_bindings(event, buffer):
                 successor = instance.advance(
                     transition.target, transition.variable, event)
                 out.append(successor)
                 fired += 1
-                if tracer is not None:
-                    tracer.record("transition", event, instance,
-                                  transition, successor)
+                if hooks:
+                    self._emit("transition", event, instance,
+                               transition, successor)
         if fired:
             stats.transitions_fired += fired
             if fired > 1:
                 stats.branchings += fired - 1
                 stats.instances_created += fired - 1
             if (self.consume_mode == "exhaustive"
-                    and instance.state != self.automaton.start):
+                    and state != self.automaton.start):
                 out.append(instance)
                 stats.instances_created += 1
-        elif instance.state != self.automaton.start:
+        elif state != self.automaton.start:
             if self.consume_mode == "contiguous":
                 # Strict contiguity: a non-consumable event ends the run;
                 # a run already in the accepting state is complete.
-                if instance.state == self.automaton.accepting:
+                if state == self.automaton.accepting:
                     self._accepted_during_consume.append(
-                        instance.buffer.to_substitution())
+                        buffer.to_substitution())
                     stats.accepted_buffers += 1
-                    if tracer is not None:
-                        tracer.record("accept", event, instance)
-                elif tracer is not None:
-                    tracer.record("drop", event, instance)
+                    if hooks:
+                        self._emit("accept", event, instance)
+                elif hooks:
+                    self._emit("drop", event, instance)
                 return
             out.append(instance)
-            if tracer is not None:
-                tracer.record("skip", event, instance)
-        elif tracer is not None:
-            tracer.record("drop", event, instance)
-
-    # ------------------------------------------------------------------
-    # Aggregate mode (no match materialisation)
-    # ------------------------------------------------------------------
-    def _agg_step(self, event: Event,
-                  allow_start: bool = True) -> List[Substitution]:
-        """Group-fold twin of :meth:`_step`; never emits substitutions."""
-        self._agg.step(event, allow_start, self.stats)
-        if self.lineage is not None:
-            self.lineage.note_fold(event, self._agg.matches_folded)
-        flight = self.flight
-        if flight is not None:
-            flight.sample_omega(event.ts, self._agg.group_count)
-        return []
-
-    def _agg_expire_only(self, event: Event) -> List[Substitution]:
-        """Group-fold twin of :meth:`_expire_only`."""
-        self._agg.expire_only(event, self.stats)
-        return []
+            if hooks:
+                self._emit("skip", event, instance)
+        elif hooks:
+            self._emit("drop", event, instance)
 
     @property
     def matches_folded(self) -> int:
@@ -589,8 +523,8 @@ class SESExecutor:
             if instance.state == self.automaton.accepting:
                 accepted_now.append(instance.buffer.to_substitution())
                 self.stats.accepted_buffers += 1
-                if self.tracer is not None:
-                    self.tracer.record("flush", None, instance)
+                if self._hooks:
+                    self._emit("flush", None, instance)
         self._omega = []
         self._accepted.extend(accepted_now)
         return accepted_now
@@ -681,17 +615,10 @@ class SESExecutor:
 
     def select(self, accepted: Sequence[Substitution]) -> List[Substitution]:
         """Apply the configured result selection to accepted buffers."""
-        obs = self.obs
-        if obs is None:
-            return self._select(accepted)
-        with obs.span("select"):
-            return self._select(accepted)
-
-    def _select(self, accepted: Sequence[Substitution]) -> List[Substitution]:
-        if self.selection == "accepted":
-            return list(accepted)
-        overlap = "suppress" if self.selection == "paper" else "allow"
-        return select_matches(accepted, overlap=overlap)
+        if self.obs is None:
+            return select(accepted, self.selection)
+        with self.obs.span("select"):
+            return select(accepted, self.selection)
 
     def publish_stats(self) -> None:
         """Mirror the :class:`ExecutionStats` counters into the registry.

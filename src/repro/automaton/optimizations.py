@@ -1,28 +1,24 @@
 """Runtime optimizations beyond the paper's algorithm.
 
 The paper's future work names "space and runtime optimizations …
-including indexing techniques for automaton instances [11]".  This module
-implements two such techniques and benchmarks them as ablations (see
-benchmarks/bench_ablation_optimizations.py).  :class:`IndexedExecutor`
-accepts exactly the buffers Algorithm 1 accepts;
-:class:`PartitionedMatcher` accepts a superset (see below).
+including indexing techniques for automaton instances [11]".  The
+state-indexed trick — evaluate a transition's event-only conditions once
+per (state, event) instead of once per instance — lives inside
+:meth:`SESExecutor._consume <repro.automaton.executor.SESExecutor._consume>`;
+this module holds the other technique, benchmarked as an ablation in
+benchmarks/bench_ablation_optimizations.py.
 
-* :class:`IndexedExecutor` groups the instance population Ω by current
-  state.  Constant transition conditions depend only on the input event,
-  so they are evaluated **once per (state, transition) per event** instead
-  of once per instance; a state whose outgoing transitions all fail their
-  constant conditions lets all its instances skip the event wholesale.
-* :class:`PartitionedMatcher` splits the relation on an attribute that the
-  pattern equi-joins across *all* variables (e.g. the patient ``ID`` of
-  Query Q1) and runs one executor per partition.  Cross-partition
-  combinations are provably condition-violating, so pruning them is safe
-  and the per-partition instance populations are much smaller.  Note the
-  recall subtlety: under skip-till-next-match an unpartitioned run can be
-  *hijacked* — a greedy instance binds a cross-partition event on a
-  transition whose join conditions are not yet checkable and dies in a
-  dead end.  Partitioned execution never sees such events, so it accepts
-  a **superset** of the buffers Algorithm 1 accepts (closer to the
-  declarative Definition 2); it never loses a match.
+:class:`PartitionedMatcher` splits the relation on an attribute that the
+pattern equi-joins across *all* variables (e.g. the patient ``ID`` of
+Query Q1) and runs one executor per partition.  Cross-partition
+combinations are provably condition-violating, so pruning them is safe
+and the per-partition instance populations are much smaller.  Note the
+recall subtlety: under skip-till-next-match an unpartitioned run can be
+*hijacked* — a greedy instance binds a cross-partition event on a
+transition whose join conditions are not yet checkable and dies in a
+dead end.  Partitioned execution never sees such events, so it accepts
+a **superset** of the buffers Algorithm 1 accepts (closer to the
+declarative Definition 2); it never loses a match.
 """
 
 from __future__ import annotations
@@ -32,176 +28,13 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from ..core.events import Event
 from ..core.pattern import SESPattern
 from ..core.relation import EventRelation
-from ..core.semantics import select_matches
+from ..core.semantics import select
 from ..core.substitution import Substitution
 from ..core.variables import Variable
-from .automaton import SESAutomaton
-from .buffer import EMPTY_BUFFER
-from .executor import SELECTIONS, MatchResult
-from .filtering import EventFilter
-from .instance import AutomatonInstance
+from .executor import MatchResult
 from .metrics import ExecutionStats
-from .states import State
 
-__all__ = ["IndexedExecutor", "PartitionedMatcher", "partition_attribute"]
-
-
-class IndexedExecutor:
-    """Algorithm 1 with the instance population indexed by state.
-
-    Exposes the same ``feed`` / ``finish`` / ``run`` interface as
-    :class:`~repro.automaton.executor.SESExecutor`.  Only the greedy
-    (skip-till-next-match) consumption mode is implemented — for the
-    exhaustive or contiguous modes, tracing, or Ω-history recording, use
-    the plain executor.
-    """
-
-    def __init__(self, automaton: SESAutomaton,
-                 event_filter: Optional[EventFilter] = None,
-                 selection: str = "paper"):
-        if selection not in SELECTIONS:
-            raise ValueError(f"unknown selection {selection!r}")
-        self.automaton = automaton
-        self.event_filter = event_filter
-        self.selection = selection
-        # Per transition: event-only checks (anchored conditions evaluated
-        # once per state group) and binding-dependent checks as
-        # (partner variable, anchored condition) pairs.
-        self._split_checks: Dict[int, Tuple[tuple, tuple]] = {}
-        for state in automaton.states:
-            for transition in automaton.outgoing(state):
-                event_only = []
-                dependent = []
-                for condition in transition.conditions:
-                    anchored = condition.normalised_for(transition.variable)
-                    other = condition.other_variable(transition.variable)
-                    if other is None or other == transition.variable:
-                        event_only.append(anchored)
-                    else:
-                        dependent.append((other, anchored))
-                self._split_checks[id(transition)] = (tuple(event_only),
-                                                      tuple(dependent))
-        self.reset()
-
-    def reset(self) -> None:
-        """Clear all execution state."""
-        self._by_state: Dict[State, List[AutomatonInstance]] = {}
-        self._accepted: List[Substitution] = []
-        self._population = 0
-        self._last_ts = None
-        self.stats = ExecutionStats()
-
-    @property
-    def active_instances(self) -> int:
-        """Current size of Ω."""
-        return self._population
-
-    @property
-    def accepted_buffers(self) -> List[Substitution]:
-        """Buffers accepted so far."""
-        return list(self._accepted)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def feed(self, event: Event) -> List[Substitution]:
-        """Consume one event (same contract as SESExecutor.feed)."""
-        stats = self.stats
-        stats.events_read += 1
-        if self._last_ts is not None and event.ts < self._last_ts:
-            raise ValueError("events must arrive in chronological order")
-        self._last_ts = event.ts
-        if self.event_filter is not None and not self.event_filter.admits(event):
-            stats.events_filtered += 1
-            return []
-        stats.events_processed += 1
-
-        automaton = self.automaton
-        tau = automaton.tau
-        accepting = automaton.accepting
-
-        by_state = self._by_state
-        by_state.setdefault(automaton.start, []).append(
-            AutomatonInstance(automaton.start, EMPTY_BUFFER))
-        stats.instances_created += 1
-        self._population += 1
-        stats.observe_omega(self._population)
-
-        accepted_now: List[Substitution] = []
-        next_by_state: Dict[State, List[AutomatonInstance]] = {}
-        population = 0
-
-        for state, instances in by_state.items():
-            # Evaluate event-only conditions once for the whole group.
-            enabled = []
-            for transition in automaton.outgoing(state):
-                event_only, dependent = self._split_checks[id(transition)]
-                if all(a.evaluate_events(event, event) for a in event_only):
-                    enabled.append((transition, dependent))
-            survivors = next_by_state
-            for instance in instances:
-                if instance.expired(event, tau):
-                    stats.expired_instances += 1
-                    if state == accepting:
-                        accepted_now.append(instance.buffer.to_substitution())
-                        stats.accepted_buffers += 1
-                    continue
-                buffer = instance.buffer
-                fired = 0
-                for transition, dependent in enabled:
-                    admitted = True
-                    for other, anchored in dependent:
-                        for partner in buffer.events_of(other):
-                            if not anchored.evaluate_events(event, partner):
-                                admitted = False
-                                break
-                        if not admitted:
-                            break
-                    if admitted:
-                        successor = instance.advance(
-                            transition.target, transition.variable, event)
-                        survivors.setdefault(transition.target, []).append(successor)
-                        population += 1
-                        fired += 1
-                if fired:
-                    stats.transitions_fired += fired
-                    if fired > 1:
-                        stats.branchings += fired - 1
-                        stats.instances_created += fired - 1
-                elif state != automaton.start:
-                    survivors.setdefault(state, []).append(instance)
-                    population += 1
-        self._by_state = next_by_state
-        self._population = population
-        stats.observe_omega(population)
-        self._accepted.extend(accepted_now)
-        return accepted_now
-
-    def finish(self) -> List[Substitution]:
-        """Flush accepting instances at end of input."""
-        accepted_now: List[Substitution] = []
-        for instance in self._by_state.get(self.automaton.accepting, ()):
-            accepted_now.append(instance.buffer.to_substitution())
-            self.stats.accepted_buffers += 1
-        self._by_state = {}
-        self._population = 0
-        self._accepted.extend(accepted_now)
-        return accepted_now
-
-    def run(self, events: Iterable[Event]) -> MatchResult:
-        """Batch execution with result selection."""
-        self.reset()
-        for event in events:
-            self.feed(event)
-        self.finish()
-        if self.selection == "accepted":
-            matches = list(self._accepted)
-        else:
-            overlap = "suppress" if self.selection == "paper" else "allow"
-            matches = select_matches(self._accepted, overlap=overlap)
-        self.stats.matches = len(matches)
-        return MatchResult(matches=matches, accepted=list(self._accepted),
-                           stats=self.stats)
+__all__ = ["PartitionedMatcher", "partition_attribute"]
 
 
 def partition_attribute(pattern: SESPattern) -> Optional[str]:
@@ -288,10 +121,6 @@ class PartitionedMatcher:
             result = executor.run(part)
             accepted.extend(result.accepted)
             stats.merge(result.stats)
-        if self.selection == "accepted":
-            matches = list(accepted)
-        else:
-            overlap = "suppress" if self.selection == "paper" else "allow"
-            matches = select_matches(accepted, overlap=overlap)
+        matches = select(accepted, self.selection)
         stats.matches = len(matches)
         return MatchResult(matches=matches, accepted=accepted, stats=stats)

@@ -33,7 +33,8 @@ class Transition:
         The transition condition set ``Θδ``.
     """
 
-    __slots__ = ("source", "variable", "conditions", "_target", "_checks")
+    __slots__ = ("source", "variable", "conditions", "_target", "_checks",
+                 "_event_checks", "_binding_checks")
 
     def __init__(self, source: State, variable: Variable,
                  conditions: Iterable[Condition] = ()):
@@ -41,7 +42,7 @@ class Transition:
         self.variable = variable
         self.conditions: Tuple[Condition, ...] = tuple(conditions)
         self._target: State = self.source | {variable}
-        # Precompile the condition checks so admits() does no per-event
+        # Precompile the condition checks so admission does no per-event
         # normalisation: each entry is (partner_variable_or_None, anchored
         # condition with `variable` on the left).
         checks = []
@@ -53,6 +54,13 @@ class Transition:
             else:
                 checks.append((other, anchored))
         self._checks: Tuple = tuple(checks)
+        # The two halves of admits(): checks on the new event alone
+        # (shared by every instance in the source state) and checks
+        # against an instance's bindings.
+        self._event_checks: Tuple = tuple(
+            anchored for other, anchored in checks if other is None)
+        self._binding_checks: Tuple = tuple(
+            check for check in checks if check[0] is not None)
 
     @property
     def target(self) -> State:
@@ -88,20 +96,31 @@ class Transition:
         were validated when they were added, so re-checking pairs that do
         not involve the new event is unnecessary.
         """
-        for other, anchored in self._checks:
-            if other is None:
-                # Constant condition, or a self-condition v.A φ v.A': both
-                # evaluate on the new event alone (a decomposed substitution
-                # binds one event per variable).
-                if not anchored.evaluate_events(event, event):
-                    return False
-                continue
-            partner_events = buffer.events_of(other)
+        return (self.admits_event(event)
+                and self.admits_bindings(event, buffer))
+
+    def admits_event(self, event: Event) -> bool:
+        """The half of :meth:`admits` that depends on ``event`` alone.
+
+        Constant conditions and self-conditions ``v.A φ v.A'`` evaluate on
+        the new event (a decomposed substitution binds one event per
+        variable), so the executor asks once per (state, event) instead of
+        once per instance.
+        """
+        for anchored in self._event_checks:
+            if not anchored.evaluate_events(event, event):
+                return False
+        return True
+
+    def admits_bindings(self, event: Event, buffer: Substitution) -> bool:
+        """The half of :meth:`admits` that depends on the bindings in
+        ``buffer``: ``event`` against every bound partner event."""
+        for other, anchored in self._binding_checks:
             # An unbound partner cannot be checked on this transition; the
             # builder only routes conditions whose partner is guaranteed
             # bound, so this only happens for custom automata — treat as
             # satisfied (checked later).
-            for partner in partner_events:
+            for partner in buffer.events_of(other):
                 if not anchored.evaluate_events(event, partner):
                     return False
         return True

@@ -24,7 +24,7 @@ from ..automaton.metrics import ExecutionStats
 from ..core.events import Event
 from ..core.pattern import PatternError, SESPattern
 from ..core.relation import EventRelation
-from ..core.semantics import select_matches
+from ..core.semantics import select
 from ..core.substitution import Substitution
 from .sequences import enumerate_sequences, sequence_pattern
 
@@ -97,11 +97,7 @@ class BruteForceMatcher:
             stats.expired_instances += executor.stats.expired_instances
             stats.accepted_buffers += executor.stats.accepted_buffers
 
-        if self.selection == "accepted":
-            matches = list(accepted)
-        else:
-            overlap = "suppress" if self.selection == "paper" else "allow"
-            matches = select_matches(accepted, overlap=overlap)
+        matches = select(accepted, self.selection)
         stats.matches = len(matches)
         return MatchResult(matches=matches, accepted=accepted, stats=stats)
 

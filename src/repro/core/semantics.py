@@ -41,8 +41,16 @@ __all__ = [
     "satisfies_next_match",
     "satisfies_maximality",
     "select_matches",
+    "select",
+    "SELECTIONS",
     "matching_substitutions",
 ]
+
+#: Valid result-selection policies: ``"paper"`` applies Definition 2's
+#: conditions 4–5 plus greedy non-overlap (the paper's intended results),
+#: ``"all-starts"`` keeps one match per start position (overlaps allowed),
+#: ``"accepted"`` returns the raw accepted buffers.
+SELECTIONS = ("paper", "all-starts", "accepted")
 
 
 # ----------------------------------------------------------------------
@@ -257,6 +265,18 @@ def select_matches(candidates: Sequence[Substitution],
         used |= events
         reported.append(gamma)
     return reported
+
+
+def select(accepted: Sequence[Substitution],
+           selection: str = "paper") -> List[Substitution]:
+    """Apply one of the :data:`SELECTIONS` policies to accepted buffers."""
+    if selection not in SELECTIONS:
+        raise ValueError(
+            f"unknown selection {selection!r}; expected one of {SELECTIONS}")
+    if selection == "accepted":
+        return list(accepted)
+    return select_matches(
+        accepted, overlap="suppress" if selection == "paper" else "allow")
 
 
 def matching_substitutions(pattern: SESPattern,

@@ -2,17 +2,18 @@
 
 The analyzed run executes a *shadow automaton* whose transitions are
 :class:`CountingTransition` instances — same states, same conditions,
-same semantics, but every :meth:`~CountingTransition.admits` call tallies
-per-transition and per-condition evaluations, passes and wall time.  The
-production :class:`~repro.automaton.transitions.Transition` and
-:class:`~repro.automaton.executor.SESExecutor` are untouched, so the
-analyze-off hot path stays branch-free by construction (gated by
-``tests/test_explain.py::test_analyze_off_overhead``).
+same semantics, but both halves of admission
+(:meth:`~CountingTransition.admits_event`, asked once per (state, event),
+and :meth:`~CountingTransition.admits_bindings`, asked per instance)
+tally per-transition and per-condition evaluations, passes and wall
+time.  The production :class:`~repro.automaton.transitions.Transition`
+and :class:`~repro.automaton.executor.SESExecutor` are untouched, so a
+plan that was never analyzed carries no counting code at all.
 
 Counters reconcile exactly with the executor's own accounting: the sum
 of per-transition passes equals ``stats.transitions_fired`` (and hence
 the ``ses_transitions_fired_total`` counter), because the executor fires
-precisely the transitions whose ``admits`` returned ``True``.
+precisely the transitions whose ``admits_bindings`` returned ``True``.
 """
 
 from __future__ import annotations
@@ -42,13 +43,16 @@ def transition_label(transition: Transition) -> str:
 
 
 class CountingTransition(Transition):
-    """A :class:`Transition` whose ``admits`` tallies evaluations, passes
-    and wall time, per transition and per condition (in check order).
+    """A :class:`Transition` whose two admission halves tally evaluations,
+    passes and wall time, per transition and per condition.
 
-    Semantics are identical to the base class: conditions are evaluated
-    in declaration order with short-circuiting, constant conditions on
-    the new event alone, variable conditions against every bound partner
-    event (an unbound partner is vacuously satisfied).
+    Semantics are identical to the base class.  ``evaluations`` counts
+    admission decisions: one per :meth:`admits_event` that fails (it
+    rules the transition out for every instance in the state at once)
+    plus one per :meth:`admits_bindings` call; ``passes`` counts the
+    decisions that fired.  Per-condition tallies count actual
+    evaluations, so an event-only condition is charged once per
+    (state, event) however many instances sit in the state.
     """
 
     __slots__ = ("evaluations", "passes", "seconds",
@@ -62,18 +66,32 @@ class CountingTransition(Transition):
         self.condition_evaluations: List[int] = [0] * len(self.conditions)
         self.condition_passes: List[int] = [0] * len(self.conditions)
 
-    def admits(self, event, buffer) -> bool:
+    def admits_event(self, event) -> bool:
+        started = time.perf_counter()
+        admitted = True
+        for index, (other, anchored) in enumerate(self._checks):
+            if other is not None:
+                continue  # admits_bindings' half
+            self.condition_evaluations[index] += 1
+            if anchored.evaluate_events(event, event):
+                self.condition_passes[index] += 1
+            else:
+                admitted = False
+                self.evaluations += 1
+                break
+        self.seconds += time.perf_counter() - started
+        return admitted
+
+    def admits_bindings(self, event, buffer) -> bool:
         started = time.perf_counter()
         self.evaluations += 1
         admitted = True
         for index, (other, anchored) in enumerate(self._checks):
-            self.condition_evaluations[index] += 1
             if other is None:
-                passed = anchored.evaluate_events(event, event)
-            else:
-                passed = all(anchored.evaluate_events(event, partner)
-                             for partner in buffer.events_of(other))
-            if passed:
+                continue  # admits_event's half
+            self.condition_evaluations[index] += 1
+            if all(anchored.evaluate_events(event, partner)
+                   for partner in buffer.events_of(other)):
                 self.condition_passes[index] += 1
             else:
                 admitted = False

@@ -11,9 +11,11 @@ delivery.  Matchers publish every reported match exactly once; the hub
 * keeps a bounded in-memory **replay ring** for fast resume, spilling
   to the delivery log for older cursors — a subscriber reconnecting
   with ``Last-Event-ID: <cursor>`` is backfilled gap-free;
-* suppresses **duplicate publications** by content-derived
-  :func:`~repro.obs.lineage.match_id` (supervisor restarts and WAL
-  replays re-report matches; subscribers must not see them twice);
+* suppresses **duplicate publications** by pattern id plus the
+  content-derived :func:`~repro.obs.lineage.match_id` (supervisor
+  restarts and WAL replays re-report matches; subscribers must not see
+  them twice — while two patterns binding the same events under the
+  same variable names are two matches);
 * applies a per-subscriber **slow-consumer policy** when a bounded
   queue overflows — ``disconnect`` (drop the connection; the client
   resumes from its cursor), ``shed`` (drop oldest queued matches and
@@ -202,7 +204,7 @@ class SubscriptionHub:
         Optional :class:`~repro.resilience.delivery.DeliveryLog`.  When
         given, every publish is persisted before delivery, cursors
         resume across restarts, and previously delivered matches are
-        deduplicated by match id on re-publication.
+        deduplicated by (pattern id, match id) on re-publication.
     observability:
         Optional :class:`~repro.obs.Observability` bundle for the
         ``ses_subscribers`` / ``ses_sub_*`` metrics and per-subscriber
@@ -231,7 +233,8 @@ class SubscriptionHub:
         self._wal = wal
         self._subscribers: Dict[str, Subscriber] = {}
         self._ids = itertools.count(1)
-        self._seen: "deque[str]" = deque(maxlen=DEDUP_CAPACITY)
+        self._seen: "deque[Tuple[Optional[str], str]]" = deque(
+            maxlen=DEDUP_CAPACITY)
         self._seen_set: set = set()
         self._next_seq = 0
         self._draining = False
@@ -283,16 +286,16 @@ class SubscriptionHub:
             except KeyError:
                 continue
             self._next_seq = max(self._next_seq, entry.seq + 1)
-            self._remember(entry.match_id)
+            self._remember((entry.pattern_id, entry.match_id))
             self._ring.append(entry)
 
-    def _remember(self, mid: str) -> None:
-        if mid in self._seen_set:
+    def _remember(self, key: Tuple[Optional[str], str]) -> None:
+        if key in self._seen_set:
             return
         if len(self._seen) == self._seen.maxlen:
             self._seen_set.discard(self._seen[0])
-        self._seen.append(mid)
-        self._seen_set.add(mid)
+        self._seen.append(key)
+        self._seen_set.add(key)
 
     # ------------------------------------------------------------------
     # Publication (matcher side)
@@ -314,7 +317,7 @@ class SubscriptionHub:
         with self._lock:
             if self._draining:
                 return None
-            if mid in self._seen_set:
+            if (pattern_id, mid) in self._seen_set:
                 if self._c_duplicates is not None:
                     self._c_duplicates.inc()
                 return None
@@ -328,7 +331,7 @@ class SubscriptionHub:
             if self._wal is not None:
                 # Persist before any delivery: delivered-or-persisted.
                 self._wal.append(entry.to_record())
-            self._remember(mid)
+            self._remember((pattern_id, mid))
             self._ring.append(entry)
             if self._c_published is not None:
                 self._c_published.inc()

@@ -20,7 +20,7 @@ which is what the per-event hot path needs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 __all__ = ["Span", "StageStats", "SpanTracer"]
@@ -75,19 +75,8 @@ class _SpanContext:
     def __exit__(self, exc_type, exc, tb) -> None:
         tracer = self._tracer
         duration = tracer._clock() - self._start
-        stack = tracer._stack
-        stack.pop()
-        stats = tracer._stages.get(self._name)
-        if stats is None:
-            stats = tracer._stages[self._name] = StageStats(self._name)
-        stats.count += 1
-        stats.total_seconds += duration
-        stats.self_seconds += duration - self._child_seconds
-        if stack:
-            stack[-1]._child_seconds += duration
-        if tracer._records is not None:
-            tracer._records.append(
-                Span(self._name, self._start, duration, depth=len(stack)))
+        tracer._stack.pop()
+        tracer.add(self._name, duration, self._child_seconds, self._start)
 
 
 class SpanTracer:
@@ -112,6 +101,25 @@ class SpanTracer:
     def span(self, name: str) -> _SpanContext:
         """Context manager timing one occurrence of stage ``name``."""
         return _SpanContext(self, name)
+
+    def add(self, name: str, duration: float, child_seconds: float = 0.0,
+            start: Optional[float] = None) -> None:
+        """Record one finished occurrence of stage ``name``, nested in
+        whatever span is currently open.  For hot paths that read the
+        clock themselves instead of entering a context manager."""
+        stats = self._stages.get(name)
+        if stats is None:
+            stats = self._stages[name] = StageStats(name)
+        stats.count += 1
+        stats.total_seconds += duration
+        stats.self_seconds += duration - child_seconds
+        stack = self._stack
+        if stack:
+            stack[-1]._child_seconds += duration
+        if self._records is not None:
+            if start is None:
+                start = self._clock() - duration
+            self._records.append(Span(name, start, duration, depth=len(stack)))
 
     @property
     def records(self) -> List[Span]:

@@ -44,13 +44,13 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..automaton.executor import SELECTIONS, MatchResult
+from ..automaton.executor import MatchResult
 from ..automaton.metrics import ExecutionStats
 from ..automaton.optimizations import partition_attribute
 from ..core.events import Event
 from ..core.options import resolve_option
 from ..core.relation import EventRelation
-from ..core.semantics import select_matches
+from ..core.semantics import SELECTIONS, select
 from ..core.substitution import Substitution
 from .codec import (EventWire, SubstitutionWire, decode_events,
                     decode_substitution, encode_events, encode_substitution)
@@ -336,11 +336,7 @@ class ParallelPartitionedMatcher:
                                      stats=stats)
             return MatchResult(matches=[], accepted=[], stats=stats,
                                aggregates=series)
-        if self.selection == "accepted":
-            matches = list(accepted)
-        else:
-            overlap = "suppress" if self.selection == "paper" else "allow"
-            matches = select_matches(accepted, overlap=overlap)
+        matches = select(accepted, self.selection)
         stats.matches = len(matches)
         if self.obs is not None:
             # Workers shipped per-partition event/filter cardinalities;

@@ -2,11 +2,10 @@
 
 The paper's evaluation shows that the best execution configuration
 depends on measurable properties of the query and the data: the event
-filter pays off when many events are irrelevant (Experiment 3), state
-indexing captures the same savings when the filter cannot be applied
-(ablation X2), partitioned execution dominates when the pattern
-equi-joins all variables on one attribute, and Theorems 1–3 predict the
-instance population from the window size.  :func:`plan_query` encodes
+filter pays off when many events are irrelevant (Experiment 3),
+partitioned execution dominates when the pattern equi-joins all
+variables on one attribute, and Theorems 1–3 predict the instance
+population from the window size.  :func:`plan_query` encodes
 those findings, in the spirit of cost-based CEP processors like ZStream
 (related work):
 
@@ -24,8 +23,7 @@ from typing import Iterable, List, Optional, Union
 
 from ..automaton.executor import MatchResult
 from ..automaton.filtering import EventFilter
-from ..automaton.optimizations import (IndexedExecutor, PartitionedMatcher,
-                                       partition_attribute)
+from ..automaton.optimizations import PartitionedMatcher, partition_attribute
 from ..complexity import ComplexityReport, analyze
 from ..core.events import Event
 from ..core.pattern import SESPattern
@@ -34,7 +32,7 @@ from ..core.relation import EventRelation
 __all__ = ["DataProfile", "QueryPlan", "profile_relation", "plan_query"]
 
 #: Executor choices a plan can make.
-EXECUTORS = ("plain", "indexed", "partitioned")
+EXECUTORS = ("plain", "partitioned")
 
 #: Sample size used when profiling a relation.
 _SAMPLE = 2000
@@ -114,9 +112,9 @@ class QueryPlan:
                 ) -> MatchResult:
         """Run the plan over ``relation`` (compiled via the plan cache)."""
         if self.aggregate is not None:
-            # Aggregation folds inside the executor, so the indexed /
-            # partitioned choices collapse onto the unified plan.match
-            # dispatch (which merges per-partition partials losslessly).
+            # Aggregation folds inside the executor, so the partitioned
+            # choice collapses onto the unified plan.match dispatch
+            # (which merges per-partition partials losslessly).
             from ..plan.cache import compile as compile_plan
             plan = compile_plan(self.pattern, aggregate=self.aggregate)
             return plan.match(
@@ -135,13 +133,6 @@ class QueryPlan:
                                          use_filter=self.use_filter,
                                          selection=self.selection)
             return matcher.run(relation)
-        if self.executor == "indexed":
-            event_filter = (plan.filter_handle() if self.use_filter
-                            else None)
-            runner = IndexedExecutor(plan.automaton,
-                                     event_filter=event_filter,
-                                     selection=self.selection)
-            return runner.run(relation)
         return plan.match(relation, use_filter=self.use_filter,
                           selection=self.selection)
 
@@ -234,13 +225,8 @@ def plan_query(pattern: SESPattern,
             f"partitionable on {partition_on!r} but exact Algorithm 1 "
             "semantics requested -> partitioning skipped")
 
-    if executor == "plain" and not use_filter:
-        executor = "indexed"
-        rationale.append(
-            "no effective pre-filter -> state-indexed instances recover "
-            "the constant-condition savings (ablation X2)")
     if executor == "plain":
-        rationale.append("filtered plain Algorithm 1 is the best exact choice")
+        rationale.append("plain Algorithm 1 is the best exact choice")
 
     if aggregate is not None:
         rationale.append(

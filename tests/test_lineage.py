@@ -10,7 +10,6 @@ rendering/export surfaces (text/json/dot, Chrome trace, OTLP spans,
 """
 
 import json
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +17,8 @@ from hypothesis import strategies as st
 
 import repro
 from repro import Event, EventRelation, SESPattern
-from repro.obs import (LineageRecorder, Observability, Provenance,
-                       TraceConfig, TraceContext, match_id, sampled,
+from repro.obs import (LineageRecorder, Observability, TraceConfig,
+                       TraceContext, match_id, sampled,
                        to_chrome_trace, to_otel_spans, to_prometheus,
                        trace_id_for, TRACE_MAX_ENV, TRACE_SAMPLE_ENV,
                        TRACE_SLOW_MS_ENV)
@@ -245,56 +244,19 @@ class TestSerialLineage:
 
 
 # ----------------------------------------------------------------------
-# Zero-cost disabled path
+# Disabled path
 # ----------------------------------------------------------------------
 class TestDisabledPath:
-    def test_disabled_executor_binds_the_uninstrumented_feed(self,
-                                                            monkeypatch):
+    """What tracing costs when off is measured end to end by all four
+    ledger workloads (``python3 -m ledger``; ``trace.overhead_ratio`` for
+    the on/off delta), not by a wall-clock assertion here."""
+
+    def test_executor_carries_a_recorder_only_when_sampling(self,
+                                                           monkeypatch):
         monkeypatch.delenv(TRACE_SAMPLE_ENV, raising=False)
         plan = repro.compile(AB)
-        probe = plan.executor(observability=Observability())
-        assert probe.lineage is None
-        assert probe.feed == probe._feed
-
-    def test_enabled_executor_wraps_the_feed(self):
-        plan = repro.compile(AB)
-        probe = plan.executor(observability=traced_obs())
-        assert probe.lineage is not None
-        assert probe.feed == probe._traced_feed
-
-    def test_disabled_overhead_is_bounded(self, capsys):
-        """Tracing off must cost < 5 % against the direct feed path
-        (same bar and same min-of-rounds idiom as the disabled guard)."""
-        from repro.data import generate_chemo, experiment1_pattern
-        relation = list(generate_chemo(patients=25, cycles=4, seed=7))
-        plan = repro.compile(experiment1_pattern(4, exclusive=True))
-
-        def run_direct():
-            executor = plan.executor(selection="accepted")
-            start = time.perf_counter()
-            for event in relation:
-                executor._feed(event)
-            executor.finish()
-            return time.perf_counter() - start
-
-        def run_wrapped():
-            executor = plan.executor(selection="accepted")
-            assert executor.lineage is None
-            start = time.perf_counter()
-            for event in relation:
-                executor.feed(event)
-            executor.finish()
-            return time.perf_counter() - start
-
-        direct = wrapped = float("inf")
-        for _ in range(9):
-            direct = min(direct, run_direct())
-            wrapped = min(wrapped, run_wrapped())
-        factor = wrapped / direct
-        with capsys.disabled():
-            print(f"\ndisabled-lineage overhead: direct {direct:.4f}s, "
-                  f"wrapped {wrapped:.4f}s ({factor:.3f}x)")
-        assert factor < 1.05
+        assert plan.executor(observability=Observability()).lineage is None
+        assert plan.executor(observability=traced_obs()).lineage is not None
 
 
 # ----------------------------------------------------------------------

@@ -216,6 +216,47 @@ class TestHubPublish:
         assert entry.seq == 2  # cursors continue, never reused
 
 
+    def test_same_events_under_two_patterns_are_two_matches(self, tmp_path):
+        """Two τ-variants of one pattern bind the same events under the
+        same variable names: equal match ids, distinct publications."""
+        events = make_events(6)
+        hub = SubscriptionHub(wal=DeliveryLog(tmp_path / "wal.jsonl"))
+        registry = PatternRegistry()
+        expected = {}
+        for pattern_id, tau in (("tau10", 10), ("tau20", 20)):
+            pattern, _ = parse_query_spec(QUERY.replace("WITHIN 10",
+                                                        f"WITHIN {tau}"))
+            registry.register(compile_plan(pattern), pattern_id=pattern_id)
+            solo = PatternRegistry()
+            solo.register(compile_plan(pattern))
+            expected[pattern_id] = sorted(
+                match_id(m.substitution)
+                for m in solo.push_many(events) + solo.close())
+        assert expected["tau10"] and expected["tau10"] == expected["tau20"]
+        published = {"tau10": [], "tau20": []}
+
+        def publish(pid, match):
+            entry = hub.publish(match, pattern_id=pid)
+            assert entry is not None, "lost as a cross-pattern duplicate"
+            published[pid].append(entry.match_id)
+
+        registry.on_match(publish)
+        registry.push_many(events)
+        registry.close()
+        assert {pid: sorted(mids) for pid, mids in published.items()} \
+            == expected
+
+    def test_recovery_dedups_per_pattern(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        hub = SubscriptionHub(wal=DeliveryLog(path))
+        hub.publish(make_sub(0), pattern_id="p1")
+        # Crash; restart from the same WAL.
+        reborn = SubscriptionHub(wal=DeliveryLog(path))
+        assert reborn.publish(make_sub(0), pattern_id="p1") is None
+        assert reborn.publish(make_sub(0), pattern_id="p2").seq == 1
+        assert reborn.publish(make_sub(0), pattern_id="p2") is None
+
+
 class TestHubResume:
     def test_resume_from_ring(self):
         hub = SubscriptionHub(ring_size=16)

@@ -183,15 +183,14 @@ class TestKillResumeChaos:
         assert transcript.exists() and transcript.stat().st_size > 0
 
 
-class TestDisabledSubscriptionOverhead:
-    def test_zero_subscriber_overhead_is_bounded(self, capsys):
-        """A hub with no subscribers must cost < 5 % on the serve path
-        (same bar and min-of-rounds idiom as the lineage/guard gates)."""
-        # A realistic serve workload: every event is a join candidate the
-        # matcher must evaluate, but only one aligned pair per hundred
-        # events joins — publish cost stays tiny next to matching cost.
+class TestDisabledSubscription:
+    def test_zero_subscriber_hub_only_records(self):
+        """A hub nobody subscribed to takes every match into its ring and
+        delivers nothing, leaving the matcher's output as it was.  (What
+        that costs on the serve path is measured end to end by the ledger's
+        ``serve-*`` workloads, not by a wall-clock assertion here.)"""
         events = []
-        for i in range(4000):
+        for i in range(400):
             if i % 100 == 0:
                 events.append(Event(ts=i, attrs={"L": "B", "ID": i},
                                     eid=f"b{i}"))
@@ -206,33 +205,17 @@ class TestDisabledSubscriptionOverhead:
         pattern, aggregate = parse_query_spec(QUERY)
         plan = compile_plan(pattern, aggregate=aggregate)
 
-        def run_plain():
-            registry = PatternRegistry()
-            registry.register(plan)
-            start = time.perf_counter()
-            registry.push_many(events)
-            registry.close()
-            return time.perf_counter() - start
+        plain = PatternRegistry()
+        plain.register(plan)
+        expected = plain.push_many(events) + plain.close()
 
-        def run_with_hub():
-            registry = PatternRegistry()
-            registry.register(plan)
-            hub = SubscriptionHub(ring_size=256)
-            registry.on_match(
-                lambda pid, match: hub.publish(match, pattern_id=pid))
-            start = time.perf_counter()
-            registry.push_many(events)
-            registry.close()
-            elapsed = time.perf_counter() - start
-            assert hub.last_seq >= 0          # the hub really ran
-            return elapsed
-
-        plain = with_hub = float("inf")
-        for _ in range(9):
-            plain = min(plain, run_plain())
-            with_hub = min(with_hub, run_with_hub())
-        factor = with_hub / plain
-        with capsys.disabled():
-            print(f"\nzero-subscriber hub overhead: plain {plain:.4f}s, "
-                  f"with hub {with_hub:.4f}s ({factor:.3f}x)")
-        assert factor < 1.05
+        registry = PatternRegistry()
+        registry.register(plan)
+        hub = SubscriptionHub(ring_size=256)
+        registry.on_match(
+            lambda pid, match: hub.publish(match, pattern_id=pid))
+        matches = registry.push_many(events) + registry.close()
+        assert len(matches) == len(expected) > 0
+        assert hub.last_seq == len(expected) - 1
+        assert hub.stats()["subscribers"] == 0
+        assert hub.stats()["queues"] == {}

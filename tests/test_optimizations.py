@@ -1,13 +1,15 @@
-"""Tests for the runtime optimizations (state indexing, partitioning)."""
+"""Tests for the runtime optimizations (hoisted event conditions,
+partitioning)."""
 
 import pytest
 
 from repro import SESPattern, match
-from repro.automaton import (IndexedExecutor, PartitionedMatcher,
+from repro.automaton import (MatchBuffer, PartitionedMatcher, SESExecutor,
                              partition_attribute)
 from repro.automaton.builder import build_automaton
-from repro.automaton.filtering import EventFilter
-from repro.data import base_dataset, figure1_relation, query_q1
+from repro.core.variables import var
+from repro.data import base_dataset
+from repro.explain import counting_automaton
 
 from conftest import ev
 
@@ -49,52 +51,45 @@ class TestPartitionAttribute:
         assert partition_attribute(pattern) in ("host", "ID")
 
 
-class TestIndexedExecutor:
-    def test_identical_matches(self, q1, figure1):
-        indexed = IndexedExecutor(build_automaton(q1)).run(figure1)
-        assert indexed.matches == match(q1, figure1).matches
+class TestHoistedEventConditions:
+    """The state-indexed trick inside ``SESExecutor._consume``: conditions
+    on the event alone are decided once per (state, event)."""
 
-    def test_identical_stats_shape(self, q1, figure1):
-        plain = match(q1, figure1, use_filter=False)
-        indexed = IndexedExecutor(build_automaton(q1)).run(figure1)
-        assert indexed.stats.accepted_buffers == plain.stats.accepted_buffers
-        assert indexed.stats.transitions_fired == plain.stats.transitions_fired
-        assert (indexed.stats.max_simultaneous_instances
-                == plain.stats.max_simultaneous_instances)
+    PATTERN = SESPattern(sets=[["a"], ["b"]],
+                         conditions=["a.kind = 'A'", "b.kind = 'B'"], tau=100)
 
-    def test_filter_supported(self, q1):
-        relation = base_dataset(patients=3, cycles=1)  # contains lab noise
-        executor = IndexedExecutor(build_automaton(q1),
-                                   event_filter=EventFilter(q1))
-        result = executor.run(relation)
-        assert result.matches == match(q1, relation).matches
-        assert result.stats.events_filtered > 0
+    def test_constant_condition_evaluated_once_per_state(self):
+        shadow, transitions = counting_automaton(build_automaton(self.PATTERN))
+        executor = SESExecutor(shadow)
+        n = 5
+        for ts in range(n):
+            executor.feed(ev(ts, "A"))
+        assert executor.active_instances == n  # all waiting in state {a}
+        (to_b,) = [t for t in transitions if t.variable.name == "b"]
+        before = to_b.condition_evaluations[0]
+        executor.feed(ev(n, "X"))
+        assert to_b.condition_evaluations[0] == before + 1
+        executor.feed(ev(n + 1, "B"))
+        assert to_b.condition_evaluations[0] == before + 2
+        assert to_b.passes == n  # ... yet every instance fired
+        assert (sum(t.passes for t in transitions)
+                == executor.stats.transitions_fired)
 
-    def test_incremental_interface(self, q1, figure1):
-        executor = IndexedExecutor(build_automaton(q1))
-        for event in figure1:
-            executor.feed(event)
-        assert executor.active_instances > 0
-        executor.finish()
-        assert executor.active_instances == 0
-        assert len(executor.accepted_buffers) == 3
-
-    def test_out_of_order_rejected(self, q1):
-        executor = IndexedExecutor(build_automaton(q1))
-        executor.feed(ev(5, "C", ID=1, L="C", V=1.0, U="mg"))
-        with pytest.raises(ValueError):
-            executor.feed(ev(1, "C", ID=1, L="C", V=1.0, U="mg"))
-
-    def test_invalid_selection(self, q1):
-        with pytest.raises(ValueError):
-            IndexedExecutor(build_automaton(q1), selection="bogus")
-
-    def test_reset(self, q1, figure1):
-        executor = IndexedExecutor(build_automaton(q1))
-        executor.run(figure1)
-        executor.reset()
-        assert executor.active_instances == 0
-        assert executor.stats.events_read == 0
+    def test_each_half_owns_its_conditions(self):
+        pattern = SESPattern(sets=[["a", "b"]],
+                             conditions=["b.kind = 'B'", "a.ID = b.ID"],
+                             tau=10)
+        (transition,) = [t for t in build_automaton(pattern).transitions
+                         if t.variable.name == "b" and len(t.source) == 1]
+        buffer = MatchBuffer().extend(var("a"), ev(1, "A", ID=1))
+        wrong_kind, wrong_id = ev(2, "X", ID=1), ev(2, "B", ID=2)
+        assert not transition.admits_event(wrong_kind)
+        assert transition.admits_bindings(wrong_kind, buffer)
+        assert transition.admits_event(wrong_id)
+        assert not transition.admits_bindings(wrong_id, buffer)
+        assert not transition.admits(wrong_kind, buffer)
+        assert not transition.admits(wrong_id, buffer)
+        assert transition.admits(ev(2, "B", ID=1), buffer)
 
 
 class TestPartitionedMatcher:

@@ -3,10 +3,8 @@
 import pytest
 
 from repro import SESPattern, match
-from repro.data import base_dataset, pattern_p3, query_q1
-from repro.planner import DataProfile, QueryPlan, plan_query, profile_relation
-
-from conftest import ev
+from repro.data import base_dataset, pattern_p3
+from repro.planner import plan_query, profile_relation
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +40,10 @@ class TestPlanDecisions:
         pattern = SESPattern(sets=[["a", "b"]], tau=10)
         plan = plan_query(pattern, relation)
         assert not plan.use_filter
-        assert plan.executor == "indexed", \
-            "no filter -> state indexing recovers the savings"
+        assert plan.executor == "plain", \
+            "the executor hoists event-only conditions itself"
+        assert plan.execute(relation).matches == \
+            match(pattern, relation, use_filter=False).matches
 
     def test_exact_mode_never_partitions(self, relation):
         plan = plan_query(pattern_p3(), relation, exact=True)
@@ -76,7 +76,8 @@ class TestPlanExecution:
         plan = plan_query(q1, relation)
         assert plan.execute(relation).matches == match(q1, relation).matches
 
-    def test_indexed_plan_matches_direct_match(self, relation):
+    def test_plan_matches_direct_match_under_its_filter_choice(self,
+                                                               relation):
         pattern = SESPattern(
             sets=[["c", "d"], ["b"]],
             conditions=["c.L = 'C'", "d.L = 'D'", "b.L = 'B'"],

@@ -4,6 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import Event, EventRelation, SESPattern, Substitution, match
+from repro.automaton import SESAutomaton, SESExecutor, Transition
+from repro.automaton.builder import build_automaton
+from repro.automaton.executor import CONSUME_MODES
 from repro.baseline import BruteForceMatcher, naive_match
 from repro.core.semantics import (satisfies_conditions, satisfies_order,
                                   satisfies_window)
@@ -170,6 +173,96 @@ class TestEngineAgreement:
         ses = match(pattern, relation).matches
         bf = BruteForceMatcher(pattern).run(relation).matches
         assert ses == bf
+
+
+# ----------------------------------------------------------------------
+# The no-filter cell: hoisted event-only conditions do the filter's work
+# ----------------------------------------------------------------------
+class _LateTransition(Transition):
+    """Reference transition: the whole condition set is decided per
+    instance, nothing once per (state, event)."""
+
+    __slots__ = ()
+
+    def admits_event(self, event):
+        return True
+
+    def admits_bindings(self, event, buffer):
+        return (Transition.admits_event(self, event)
+                and Transition.admits_bindings(self, event, buffer))
+
+
+def _run_unfiltered(pattern, relation, mode, late=False):
+    automaton = build_automaton(pattern)
+    if late:
+        automaton = SESAutomaton(
+            automaton.states,
+            [_LateTransition(t.source, t.variable, t.conditions)
+             for t in automaton.transitions],
+            automaton.start, automaton.accepting, automaton.tau)
+    return SESExecutor(automaton, consume_mode=mode).run(relation)
+
+
+@st.composite
+def keyed_relations(draw, max_events: int = 9):
+    """:func:`typed_relations` plus a two-valued join attribute."""
+    return EventRelation([
+        Event(ts=e.ts, eid=e.eid, kind=e.get("kind"),
+              ID=draw(st.integers(min_value=1, max_value=2)))
+        for e in draw(typed_relations(max_events=max_events))])
+
+
+@st.composite
+def joined_patterns(draw):
+    """:func:`simple_patterns`, possibly equi-joined on ``ID`` between the
+    first two variables (a binding-dependent condition next to the
+    event-only ones)."""
+    pattern = draw(simple_patterns())
+    names = sorted(v.name for v in pattern.variables)
+    if len(names) < 2 or not draw(st.booleans()):
+        return pattern
+    return SESPattern(
+        sets=[[repr(v) for v in sorted(s, key=repr)] for s in pattern.sets],
+        conditions=[repr(c) for c in pattern.conditions]
+        + [f"{names[0]}.ID = {names[1]}.ID"],
+        tau=pattern.tau)
+
+
+class TestUnfilteredExecutor:
+    @given(pattern=joined_patterns(), relation=keyed_relations())
+    @settings(max_examples=80, deadline=None)
+    def test_hoisting_changes_nothing_in_any_consume_mode(self, pattern,
+                                                          relation):
+        for mode in CONSUME_MODES:
+            hoisted = _run_unfiltered(pattern, relation, mode)
+            late = _run_unfiltered(pattern, relation, mode, late=True)
+            assert hoisted.accepted == late.accepted, mode
+            assert hoisted.matches == late.matches, mode
+            assert hoisted.stats == late.stats, mode
+
+    @given(pattern=simple_patterns(), relation=typed_relations(max_events=8))
+    @settings(max_examples=60, deadline=None)
+    def test_exhaustive_equals_definition_2(self, pattern, relation):
+        assert (_run_unfiltered(pattern, relation, "exhaustive").matches
+                == naive_match(pattern, relation))
+
+    @given(pattern=simple_patterns(allow_groups=False),
+           relation=typed_relations(max_events=9, unique_ts=True))
+    @settings(max_examples=60, deadline=None)
+    def test_greedy_equals_definition_2_where_they_coincide(self, pattern,
+                                                            relation):
+        assert (_run_unfiltered(pattern, relation, "greedy").matches
+                == naive_match(pattern, relation))
+
+    @given(pattern=simple_patterns(allow_groups=False),
+           relation=typed_relations(max_events=9, unique_ts=True))
+    @settings(max_examples=60, deadline=None)
+    def test_contiguous_is_a_subset_of_definition_2_candidates(self, pattern,
+                                                               relation):
+        from repro.core.semantics import is_candidate
+        for substitution in _run_unfiltered(pattern, relation,
+                                            "contiguous").accepted:
+            assert is_candidate(substitution, pattern)
 
 
 # ----------------------------------------------------------------------

@@ -386,52 +386,6 @@ class TestResourceGuards:
         assert report["guard"]["shed"] > 0
         assert obs.snapshot()["ses_shed_instances"]["value"] > 0
 
-    def test_disabled_guard_overhead(self, capsys):
-        """The guard hook must be free when no guard is configured.
-
-        ``feed`` dispatches on a single precomputed ``is None`` check —
-        the same idiom as the obs/flight hooks — so a guard-less
-        executor must run within 5 % of one driven through ``_feed``
-        directly (min-of-rounds to shrug off scheduler noise).
-        """
-        from repro.data import generate_chemo
-        from repro.data import experiment1_pattern
-        relation = list(generate_chemo(patients=25, cycles=4, seed=7))
-        plan = repro.compile(experiment1_pattern(4, exclusive=True))
-
-        # Structural half of the claim: with no guard the public entry
-        # point *is* the unguarded implementation — no wrapper frame.
-        probe = plan.executor()
-        assert probe.guard is None
-        assert probe.feed == probe._feed
-
-        def run_direct():
-            executor = plan.executor(selection="accepted")
-            start = time.perf_counter()
-            for event in relation:
-                executor._feed(event)
-            executor.finish()
-            return time.perf_counter() - start
-
-        def run_wrapped():
-            executor = plan.executor(selection="accepted")
-            assert executor.guard is None
-            start = time.perf_counter()
-            for event in relation:
-                executor.feed(event)
-            executor.finish()
-            return time.perf_counter() - start
-
-        direct = wrapped = float("inf")
-        for _ in range(9):  # interleave; min cancels thermal/cache drift
-            direct = min(direct, run_direct())
-            wrapped = min(wrapped, run_wrapped())
-        factor = wrapped / direct
-        with capsys.disabled():
-            print(f"\ndisabled-guard overhead: direct {direct:.4f}s, "
-                  f"wrapped {wrapped:.4f}s ({factor:.3f}x)")
-        assert factor < 1.05
-
 
 # ----------------------------------------------------------------------
 # Chaos harness unit behaviour
