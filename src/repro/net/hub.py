@@ -4,10 +4,15 @@
 delivery.  Matchers publish every reported match exactly once; the hub
 
 * assigns a **monotonic cursor** (``seq``) per published match and
-  appends the entry to a durable
+  appends the entries to a durable
   :class:`~repro.resilience.delivery.DeliveryLog` *before* any
-  subscriber sees it (delivered-or-persisted: a crash after publish
-  loses nothing);
+  subscriber sees them (delivered-or-persisted: a crash after the
+  commit loses nothing).  The unit of durability is the **batch**:
+  publishes made inside a :meth:`SubscriptionHub.batch` scope — the
+  push server opens one around every ingest batch — are committed on
+  scope exit with one log append (one ``write()``, one ``fsync()``) and
+  only then remembered, added to the ring and offered to subscribers; a
+  publish outside any scope is a batch of one through the same commit;
 * keeps a bounded in-memory **replay ring** for fast resume, spilling
   to the delivery log for older cursors — a subscriber reconnecting
   with ``Last-Event-ID: <cursor>`` is backfilled gap-free;
@@ -39,7 +44,9 @@ import itertools
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 from ..obs.lineage import match_id as compute_match_id
 
@@ -202,9 +209,12 @@ class SubscriptionHub:
         Replay-ring capacity (in-memory resume window).
     wal:
         Optional :class:`~repro.resilience.delivery.DeliveryLog`.  When
-        given, every publish is persisted before delivery, cursors
-        resume across restarts, and previously delivered matches are
-        deduplicated by (pattern id, match id) on re-publication.
+        given, every batch of publishes is persisted before delivery,
+        cursors resume across restarts, and previously delivered
+        matches are deduplicated by (pattern id, match id) on
+        re-publication.  A log object without ``append_many`` (only
+        ``append`` / ``__iter__`` / ``entries_after`` / ``path``) is
+        committed record by record.
     observability:
         Optional :class:`~repro.obs.Observability` bundle for the
         ``ses_subscribers`` / ``ses_sub_*`` metrics and per-subscriber
@@ -236,7 +246,12 @@ class SubscriptionHub:
         self._seen: "deque[Tuple[Optional[str], str]]" = deque(
             maxlen=DEDUP_CAPACITY)
         self._seen_set: set = set()
+        # First cursor not yet durable; pending entries count up from it.
         self._next_seq = 0
+        # Open batch scope: published-but-uncommitted entries by dedup
+        # key, in publish order (None outside a scope).
+        self._pending: Optional[Dict[Tuple[Optional[str], str],
+                                     DeliveredEntry]] = None
         self._draining = False
         self.default_queue = default_queue
         self.default_policy = default_policy
@@ -308,38 +323,88 @@ class SubscriptionHub:
         :class:`~repro.agg.result.Match` or a bare substitution).
         Returns the assigned entry, or ``None`` when the match was a
         duplicate (already delivered, e.g. re-reported by a supervisor
-        replay) or the hub is draining.
+        replay, or already pending in the open batch) or the hub is
+        draining.  Inside a :meth:`batch` scope the entry is durable and
+        delivered only once the scope exits.
         """
         substitution = getattr(match, "substitution", match)
         if pattern_id is None:
             pattern_id = getattr(match, "pattern_id", None)
         mid = compute_match_id(substitution)
+        key = (pattern_id, mid)
         with self._lock:
             if self._draining:
                 return None
-            if (pattern_id, mid) in self._seen_set:
+            pending = self._pending
+            if key in self._seen_set or (pending is not None
+                                         and key in pending):
                 if self._c_duplicates is not None:
                     self._c_duplicates.inc()
                 return None
-            seq = self._next_seq
-            self._next_seq += 1
+            seq = self._next_seq + len(pending or ())
             payload = self._payload(substitution, mid, seq, pattern_id,
                                     tenant)
             entry = DeliveredEntry(seq=seq, match_id=mid,
                                    pattern_id=pattern_id, tenant=tenant,
                                    payload=payload, published=time.time())
-            if self._wal is not None:
-                # Persist before any delivery: delivered-or-persisted.
-                self._wal.append(entry.to_record())
-            self._remember((pattern_id, mid))
-            self._ring.append(entry)
-            if self._c_published is not None:
-                self._c_published.inc()
-            for subscriber in list(self._subscribers.values()):
-                if subscriber.wants(entry):
-                    self._offer(subscriber, entry)
-            self._publish_gauges()
+            if pending is None:
+                self._commit([entry])
+            else:
+                pending[key] = entry
             return entry
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Scope making the publishes inside it one unit of durability.
+
+        On exit — also when the body raises — everything published in
+        the scope is committed together: one log append, then delivery.
+        A scope opened inside another joins the outer one.
+        """
+        with self._lock:
+            outermost = self._pending is None
+            if outermost:
+                self._pending = {}
+        try:
+            yield
+        finally:
+            if outermost:
+                with self._lock:
+                    entries = list(self._pending.values())
+                    self._pending = None
+                    self._commit(entries)
+
+    def _commit(self, entries: List[DeliveredEntry]) -> None:
+        """Persist ``entries``, then deliver them (under the lock).
+
+        Nothing of the batch is remembered, added to the ring or
+        offered before its fsync returned.  If the append raises, the
+        batch is dropped whole: its cursors were never durable and are
+        assigned again to the next publishes.
+        """
+        if not entries:
+            return
+        if self._wal is not None:
+            append_many = getattr(self._wal, "append_many", None)
+            if append_many is not None:
+                append_many([entry.to_record() for entry in entries])
+            elif len(entries) == 1:
+                self._wal.append(entries[0].to_record())
+            else:  # append-only log: each record is its own commit
+                for entry in entries:
+                    self._commit([entry])
+                return
+        self._next_seq = entries[-1].seq + 1
+        subscribers = list(self._subscribers.values())
+        for entry in entries:
+            self._remember((entry.pattern_id, entry.match_id))
+            self._ring.append(entry)
+            for subscriber in subscribers:
+                if not subscriber.closed and subscriber.wants(entry):
+                    self._offer(subscriber, entry)
+        if self._c_published is not None:
+            self._c_published.inc(len(entries))
+        self._publish_gauges()
 
     @staticmethod
     def _payload(substitution, mid: str, seq: int,
@@ -363,6 +428,15 @@ class SubscriptionHub:
 
     def _offer(self, subscriber: Subscriber, entry: DeliveredEntry) -> None:
         """Enqueue under the lock, applying the slow-consumer policy."""
+        full = (subscriber._degraded is None
+                and len(subscriber._queue) >= subscriber.max_queue)
+        if full and subscriber.policy == "disconnect":
+            # The cursor stays on the last entry queued: it is the
+            # resume token of the disconnect notice.
+            if self._c_disconnected is not None:
+                self._c_disconnected.inc()
+            self._detach_locked(subscriber, reason="slow-consumer")
+            return
         subscriber.cursor = entry.seq
         if subscriber._degraded is not None:
             subscriber._degraded[entry.pattern_id] = (
@@ -371,14 +445,8 @@ class SubscriptionHub:
                 self._c_degraded.inc()
             self._wake(subscriber)
             return
-        if len(subscriber._queue) >= subscriber.max_queue:
-            policy = subscriber.policy
-            if policy == "disconnect":
-                if self._c_disconnected is not None:
-                    self._c_disconnected.inc()
-                self._detach_locked(subscriber, reason="slow-consumer")
-                return
-            if policy == "shed":
+        if full:
+            if subscriber.policy == "shed":
                 shed = 0
                 while (len(subscriber._queue) >= subscriber.max_queue
                        and subscriber._queue):
@@ -528,14 +596,15 @@ class SubscriptionHub:
                     return True
             time.sleep(0.01)
         with self._lock:
-            return all(not s._queue for s in self._subscribers.values())
+            return all(not s._queue and s._degraded is None
+                       for s in self._subscribers.values())
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def last_seq(self) -> int:
-        """Highest assigned cursor (``-1`` before the first publish)."""
+        """Highest committed cursor (``-1`` before the first commit)."""
         return self._next_seq - 1
 
     @property

@@ -21,7 +21,14 @@ accept.  Ingested batches flow::
 
     conn -> bounded asyncio.Queue -> match worker -> matcher.push_many
          -> (on_match callback wired by the caller) -> hub.publish
+         -> [end of batch: one WAL append + fsync for its matches]
          -> subscriber queues -> SSE/WS writers
+
+The ingest batch is the unit of durability: each batch, each
+``submit_call`` barrier and the end-of-stream flush runs inside one
+:meth:`SubscriptionHub.batch` scope, so all matches a batch reports are
+committed to the delivery log together, before any subscriber sees one
+and before the next batch is matched.
 
 Graceful drain (``shutdown()``, SIGTERM via the CLI, or ``POST
 /quitquitquit``): stop admitting batches (``draining`` frames / 503),
@@ -222,7 +229,8 @@ class PushServer:
             logger.exception("ingest drain failed; flushing anyway")
         try:
             if self._flush is not None:
-                self._flush()
+                with self.hub.batch():
+                    self._flush()
         except Exception:
             logger.exception("matcher flush failed during drain")
         self.hub.drain()
@@ -275,8 +283,9 @@ class PushServer:
         """Run ``fn`` on the matcher worker, after everything queued.
 
         Matchers are not thread-safe; barriers like ``flush()`` must
-        run where the batches do.  Blocks until ``fn`` returns (its
-        exception propagates here, not into the worker).
+        run where the batches do.  ``fn`` runs as one hub batch; blocks
+        until it returned and the matches it published are committed
+        (an exception from either propagates here, not into the worker).
         """
         if self._loop is None:
             raise RuntimeError("push server is not running")
@@ -285,7 +294,9 @@ class PushServer:
 
         def call() -> None:
             try:
-                box.append(("ok", fn()))
+                with self.hub.batch():
+                    value = fn()
+                box.append(("ok", value))
             except BaseException as exc:  # noqa: BLE001 - relayed below
                 box.append(("err", exc))
             finally:
@@ -322,7 +333,7 @@ class PushServer:
                     await loop.run_in_executor(self._matcher_pool, batch)
                 else:
                     await loop.run_in_executor(self._matcher_pool,
-                                               self._submit, batch)
+                                               self._run_batch, batch)
             except Exception:
                 # A poisoned batch must not kill delivery for everyone;
                 # supervised serves quarantine poison upstream of here.
@@ -332,6 +343,13 @@ class PushServer:
                     len(batch) if isinstance(batch, list) else "?")
             finally:
                 self._queue.task_done()
+
+    def _run_batch(self, events: List) -> None:
+        """Match one ingest batch as one hub batch: the matches it
+        reports share a WAL append + fsync, and are delivered before
+        the next batch is matched."""
+        with self.hub.batch():
+            self._submit(events)
 
     def _admit(self, events: List) -> bool:
         """Try to enqueue a decoded batch; False means backpressure."""

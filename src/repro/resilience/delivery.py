@@ -4,10 +4,11 @@ The subscription hub (:mod:`repro.net.hub`) assigns every published
 match a monotonic cursor and keeps a bounded in-memory replay ring.  The
 ring alone cannot survive a process restart, and it cannot serve a
 subscriber that reconnects after more matches than the ring holds — the
-:class:`DeliveryLog` is the spill: every published entry is appended
-here *line-atomically* (via
-:func:`~repro.resilience.quarantine.atomic_append_jsonl` — single
-``write()``, ``flush()`` + ``fsync()``) before delivery, so
+:class:`DeliveryLog` is the spill: the hub appends every batch of
+published entries here (:meth:`DeliveryLog.append_many`, via
+:func:`~repro.resilience.quarantine.atomic_append_jsonl_many` — all the
+batch's lines in a single ``write()``, one ``flush()`` + ``fsync()``)
+before delivering any of them, so
 
 * a subscriber resuming from any cursor can be backfilled from disk
   (``entries_after``), however long it was away;
@@ -17,20 +18,28 @@ here *line-atomically* (via
   matches the pre-restart process already delivered (exactly-once
   across restarts).
 
+A crash mid-append leaves a prefix of the batch's lines, the last one
+possibly torn.  Readers skip the torn line, the complete ones count as
+published (none of them reached a subscriber, and the restarted hub
+replays them on resume and suppresses their re-publication), and the
+next append starts on a fresh line, so the fragment never swallows a
+later record.
+
 Growth is bounded the same way the dead-letter queue is: past
 ``max_bytes`` (or the ``REPRO_DLQ_MAX_BYTES`` environment knob) the
-file rotates to ``<path>.1``; readers walk the rotation first, so a
-resume spanning the rotation boundary still sees a gap-free sequence as
-long as the cursor lies within the retained window.
+file rotates to ``<path>.1`` — checked once per batch, so a batch never
+straddles the two files; readers walk the rotation first, so a resume
+spanning the rotation boundary still sees a gap-free sequence as long
+as the cursor lies within the retained window.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
-from .quarantine import atomic_append_jsonl, rotated_path
+from .quarantine import atomic_append_jsonl_many, rotated_path
 
 __all__ = ["DeliveryLog"]
 
@@ -52,11 +61,21 @@ class DeliveryLog:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
+    def append_many(self, records: Sequence[Dict]) -> None:
+        """Durably append a batch of published-match records.
+
+        One ``write()`` of all the lines, one ``flush()`` + ``fsync()``,
+        one rotation check: when this returns, every record is on disk.
+        """
+        for record in records:
+            if "seq" not in record:
+                raise ValueError("delivery log records must carry a 'seq'")
+        atomic_append_jsonl_many(self.path, records,
+                                 max_bytes=self.max_bytes)
+
     def append(self, record: Dict) -> None:
-        """Durably append one published-match record."""
-        if "seq" not in record:
-            raise ValueError("delivery log records must carry a 'seq'")
-        atomic_append_jsonl(self.path, record, max_bytes=self.max_bytes)
+        """Durably append one record (a batch of one)."""
+        self.append_many([record])
 
     # ------------------------------------------------------------------
     # Reading
@@ -73,8 +92,9 @@ class DeliveryLog:
     def __iter__(self) -> Iterator[Dict]:
         """All retained records in cursor order (rotation first).
 
-        A torn final line — the signature of a crash mid-append — is
-        skipped rather than raised: everything before it was fsynced.
+        A torn line — the signature of a crash mid-append — is skipped
+        rather than raised: everything before it was fsynced, and
+        appends made after the restart start on the line below it.
         """
         for path in self._files():
             with open(path, "r", encoding="utf-8") as handle:

@@ -15,12 +15,15 @@ so poison events can be inspected, fixed and re-ingested offline.
 Durability
 ----------
 Dead-letter files are evidence — they must survive the very crashes
-they document.  All writes go through :func:`atomic_append_jsonl`:
+they document.  All appends go through :func:`atomic_append_jsonl_many`
+(:func:`atomic_append_jsonl` is the one-record spelling):
 
-* **line-atomic** — each record is a single ``write()`` of one complete
-  line followed by ``flush()`` + ``fsync()``, so a crash mid-write can
-  truncate at most the line being written, never interleave two records
-  or leave earlier lines unflushed in a userspace buffer;
+* **line-atomic** — the records of one call are a single ``write()`` of
+  complete lines followed by one ``flush()`` + ``fsync()``, so a crash
+  mid-write can truncate at most the line being written, never
+  interleave two records or leave earlier lines unflushed in a userspace
+  buffer; an append that finds such a truncated tail starts on a fresh
+  line, so the fragment costs no later record;
 * **bounded** — when the file would grow past a byte cap (the
   ``REPRO_DLQ_MAX_BYTES`` environment knob, or an explicit
   ``max_bytes=``), it is rotated to ``<path>.1`` (replacing any
@@ -33,12 +36,12 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterator, List, Optional, Union
+from typing import Iterable, Iterator, List, Optional, Union
 
 from ..core.events import Event
 
 __all__ = ["QuarantinedEvent", "DeadLetterQueue", "atomic_append_jsonl",
-           "rotated_path", "DLQ_MAX_BYTES_ENV"]
+           "atomic_append_jsonl_many", "rotated_path", "DLQ_MAX_BYTES_ENV"]
 
 #: Environment knob capping dead-letter (and other jsonl-log) growth in
 #: bytes; unset or empty means unbounded.
@@ -64,17 +67,25 @@ def rotated_path(path: Union[str, Path]) -> Path:
     return path.with_name(path.name + ".1")
 
 
-def atomic_append_jsonl(path: Union[str, Path], record: dict,
-                        max_bytes: Optional[int] = None) -> Path:
-    """Append ``record`` to a JSON-lines file, line-atomically.
+def atomic_append_jsonl_many(path: Union[str, Path], records: Iterable[dict],
+                             max_bytes: Optional[int] = None) -> Path:
+    """Append ``records`` to a JSON-lines file as one durable write.
 
-    The serialised line is written with a single ``write()`` call and
-    made durable with ``flush()`` + ``fsync()`` before the handle
-    closes.  When ``max_bytes`` (default: the ``REPRO_DLQ_MAX_BYTES``
-    environment knob) is set and the append would push the file past the
-    cap, the current file is first renamed to ``<path>.1`` — replacing
-    any previous rotation — so the log pair never holds more than
-    roughly ``2 * max_bytes``.  Returns the path written to.
+    All lines go out in a single ``write()`` call and are made durable
+    with one ``flush()`` + ``fsync()`` before the handle closes — N
+    records cost one sync, and a crash mid-write leaves a prefix of
+    complete lines plus at most one torn one.  Every append starts on a
+    line boundary: when the file ends in such a torn fragment (no
+    trailing newline), the same write leads with ``"\\n"``, so the
+    fragment stays one undecodable line of its own instead of swallowing
+    the first new record.
+
+    When ``max_bytes`` (default: the ``REPRO_DLQ_MAX_BYTES`` environment
+    knob) is set and the append would push the file past the cap, the
+    current file is first renamed to ``<path>.1`` — replacing any
+    previous rotation — so the log pair never holds more than roughly
+    ``2 * max_bytes``; the check is made once, so the records of one
+    call always share a file.  Returns the path written to.
 
     Non-JSON attribute values are stringified (``default=str``): these
     logs are for inspection and re-ingestion, not lossless pickling.
@@ -82,8 +93,10 @@ def atomic_append_jsonl(path: Union[str, Path], record: dict,
     path = Path(path)
     if max_bytes is None:
         max_bytes = _env_max_bytes()
-    line = json.dumps(record, default=str) + "\n"
-    data = line.encode("utf-8")
+    data = "".join(json.dumps(record, default=str) + "\n"
+                   for record in records).encode("utf-8")
+    if not data:
+        return path
     if max_bytes is not None:
         try:
             size = path.stat().st_size
@@ -91,11 +104,22 @@ def atomic_append_jsonl(path: Union[str, Path], record: dict,
             size = 0
         if size and size + len(data) > max_bytes:
             os.replace(path, rotated_path(path))
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(line)
+    with open(path, "a+b") as handle:
+        size = handle.seek(0, os.SEEK_END)
+        if size:
+            handle.seek(size - 1)
+            if handle.read(1) != b"\n":
+                data = b"\n" + data
+        handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
     return path
+
+
+def atomic_append_jsonl(path: Union[str, Path], record: dict,
+                        max_bytes: Optional[int] = None) -> Path:
+    """Append one ``record``: :func:`atomic_append_jsonl_many` of one."""
+    return atomic_append_jsonl_many(path, [record], max_bytes=max_bytes)
 
 
 class QuarantinedEvent:

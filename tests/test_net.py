@@ -22,7 +22,7 @@ from repro.obs import Observability
 from repro.obs.lineage import match_id
 from repro.plan.cache import compile as compile_plan
 from repro.registry import PatternRegistry
-from repro.resilience import DeliveryLog
+from repro.resilience import DeliveryLog, rotated_path
 
 A, B = var("a"), var("b")
 
@@ -151,6 +151,44 @@ class TestDeliveryLog:
         with open(path, "a") as handle:
             handle.write('{"seq": 1, "match_')  # crash mid-write
         assert [r["seq"] for r in DeliveryLog(path)] == [0]
+        # The restarted writer starts on a fresh line: the fragment
+        # stays one skipped line and swallows nothing appended after it.
+        log = DeliveryLog(path)
+        log.append({"seq": 1, "match_id": "m1"})
+        log.append_many([{"seq": 2, "match_id": "m2"},
+                         {"seq": 3, "match_id": "m3"}])
+        assert [r["seq"] for r in DeliveryLog(path)] == [0, 1, 2, 3]
+        assert path.read_text().count("\n") == 5  # 4 records + fragment
+
+    def test_append_many_is_one_fsync(self, tmp_path, monkeypatch):
+        from repro.resilience import quarantine
+        syncs = []
+        real_fsync = quarantine.os.fsync
+        monkeypatch.setattr(quarantine.os, "fsync",
+                            lambda fd: (syncs.append(fd), real_fsync(fd)))
+        log = DeliveryLog(tmp_path / "wal.jsonl")
+        log.append_many([{"seq": seq} for seq in range(9)])
+        assert len(syncs) == 1
+        log.append({"seq": 9})
+        assert len(syncs) == 2
+        log.append_many([])  # nothing to make durable
+        assert len(syncs) == 2
+        assert [r["seq"] for r in log] == list(range(10))
+        with pytest.raises(ValueError):
+            log.append_many([{"seq": 10}, {"match_id": "x"}])
+        assert log.last_seq() == 9  # validated before anything is written
+
+    def test_batch_rotates_whole(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        log = DeliveryLog(path, max_bytes=200)
+        log.append_many([{"seq": seq, "match_id": f"m{seq}"}
+                         for seq in range(5)])
+        log.append_many([{"seq": seq, "match_id": f"m{seq}"}
+                         for seq in range(5, 10)])
+        assert [json.loads(line)["seq"] for line in
+                rotated_path(path).read_text().splitlines()] == [0, 1, 2, 3, 4]
+        assert [r["seq"] for r in log.entries_after(2)] == [3, 4, 5, 6, 7,
+                                                             8, 9]
 
     def test_rotation_read_order(self, tmp_path):
         path = tmp_path / "wal.jsonl"
@@ -257,6 +295,143 @@ class TestHubPublish:
         assert reborn.publish(make_sub(0), pattern_id="p2") is None
 
 
+class FlakyLog(DeliveryLog):
+    """A delivery log whose next ``fail`` appends raise before writing."""
+
+    def __init__(self, path, fail=1):
+        super().__init__(path)
+        self.fail = fail
+        self.batches = []
+
+    def append_many(self, records):
+        if self.fail:
+            self.fail -= 1
+            raise OSError("disk on fire")
+        self.batches.append([record["seq"] for record in records])
+        super().append_many(records)
+
+
+class AppendOnlyLog:
+    """The minimal log surface the hub accepts (no ``append_many``)."""
+
+    def __init__(self, path):
+        self._inner = DeliveryLog(path)
+        self.path = self._inner.path
+        self.appended = []
+
+    def append(self, record):
+        self._inner.append(record)
+        self.appended.append(record["seq"])
+
+    def __iter__(self):
+        return iter(self._inner)
+
+    def entries_after(self, cursor):
+        return self._inner.entries_after(cursor)
+
+
+class TestHubBatch:
+    def test_scope_commits_once_then_delivers(self, tmp_path):
+        wal = FlakyLog(tmp_path / "wal.jsonl", fail=0)
+        hub = SubscriptionHub(wal=wal)
+        sub = hub.attach()
+        with hub.batch():
+            entries = [hub.publish(make_sub(i), pattern_id="p1")
+                       for i in range(5)]
+            assert [e.seq for e in entries] == [0, 1, 2, 3, 4]
+            # Nothing is visible before the batch's fsync returned.
+            assert sub.queue_depth == 0 and hub.last_seq == -1
+            assert wal.batches == [] and hub.attach(resume_after=-1).idle
+        assert wal.batches == [[0, 1, 2, 3, 4]]
+        assert hub.last_seq == 4
+        assert [p.seq for k, p in sub.drain_items()] == [0, 1, 2, 3, 4]
+        # Outside a scope a publish is a batch of one, same commit.
+        assert hub.publish(make_sub(5), pattern_id="p1").seq == 5
+        assert wal.batches[-1] == [5]
+
+    def test_scope_commits_when_the_body_raises(self, tmp_path):
+        wal = DeliveryLog(tmp_path / "wal.jsonl")
+        hub = SubscriptionHub(wal=wal)
+        sub = hub.attach()
+        with pytest.raises(RuntimeError):
+            with hub.batch():
+                hub.publish(make_sub(0))
+                raise RuntimeError("matcher died mid-batch")
+        assert wal.last_seq() == 0
+        assert [p.seq for k, p in sub.drain_items()] == [0]
+
+    def test_nested_scope_joins_the_outer_one(self, tmp_path):
+        wal = FlakyLog(tmp_path / "wal.jsonl", fail=0)
+        hub = SubscriptionHub(wal=wal)
+        with hub.batch():
+            hub.publish(make_sub(0))
+            with hub.batch():
+                hub.publish(make_sub(1))
+            assert wal.batches == []
+        assert wal.batches == [[0, 1]]
+
+    def test_dedup_sees_pending_entries(self):
+        obs = Observability()
+        hub = SubscriptionHub(observability=obs)
+        sub = hub.attach()
+        with hub.batch():
+            assert hub.publish(make_sub(0), pattern_id="p1") is not None
+            assert hub.publish(make_sub(0), pattern_id="p1") is None
+            assert hub.publish(make_sub(0), pattern_id="p2").seq == 1
+        assert [p.seq for k, p in sub.drain_items()] == [0, 1]
+        snapshot = obs.snapshot()
+        assert snapshot["ses_push_duplicates_suppressed_total"]["value"] == 1
+        assert snapshot["ses_push_published_total"]["value"] == 2
+
+    def test_failed_commit_drops_the_batch_whole(self, tmp_path):
+        wal = FlakyLog(tmp_path / "wal.jsonl", fail=1)
+        hub = SubscriptionHub(wal=wal)
+        sub = hub.attach()
+        with pytest.raises(OSError, match="disk on fire"):
+            with hub.batch():
+                for i in range(3):
+                    hub.publish(make_sub(i))
+        # Nothing delivered, remembered, ringed or left assigned.
+        assert sub.idle and hub.last_seq == -1
+        assert hub.attach(resume_after=-1).idle
+        assert list(wal) == []
+        # The re-reported batch is not a duplicate and reuses no
+        # durable cursor: it gets the same, never-persisted ones.
+        with hub.batch():
+            again = [hub.publish(make_sub(i)) for i in range(3)]
+        assert [e.seq for e in again] == [0, 1, 2]
+        assert [p.seq for k, p in sub.drain_items()] == [0, 1, 2]
+        assert [r["seq"] for r in wal] == [0, 1, 2]
+        # Same for a failing batch of one outside any scope.
+        wal.fail = 1
+        with pytest.raises(OSError):
+            hub.publish(make_sub(3))
+        assert hub.last_seq == 2 and sub.idle
+        assert hub.publish(make_sub(3)).seq == 3
+
+    def test_append_only_log_commits_record_by_record(self, tmp_path):
+        wal = AppendOnlyLog(tmp_path / "wal.jsonl")
+        hub = SubscriptionHub(wal=wal, ring_size=2)
+        sub = hub.attach()
+        with hub.batch():
+            for i in range(4):
+                hub.publish(make_sub(i))
+            assert wal.appended == []
+        assert wal.appended == [0, 1, 2, 3]
+        assert [p.seq for k, p in sub.drain_items()] == [0, 1, 2, 3]
+        # Resume beyond the ring still spills to the log.
+        late = hub.attach(resume_after=-1)
+        assert [p.seq for k, p in late.drain_items()] == [0, 1, 2, 3]
+
+    def test_live_attach_inside_a_scope_gets_the_batch(self):
+        hub = SubscriptionHub()
+        with hub.batch():
+            hub.publish(make_sub(0))
+            sub = hub.attach()  # live tail: last *committed* cursor
+            assert sub.cursor == -1
+        assert [p.seq for k, p in sub.drain_items()] == [0]
+
+
 class TestHubResume:
     def test_resume_from_ring(self):
         hub = SubscriptionHub(ring_size=16)
@@ -332,6 +507,49 @@ class TestSlowConsumerPolicies:
         with pytest.raises(ValueError, match="policy"):
             hub.attach(policy="explode")
 
+    # One commit offers a whole batch back to back: more entries than
+    # the queue holds, with no pop in between.
+    @staticmethod
+    def _burst(hub, n, pattern_ids=("p1",)):
+        with hub.batch():
+            for i in range(n):
+                hub.publish(make_sub(i),
+                            pattern_id=pattern_ids[i % len(pattern_ids)])
+
+    def test_burst_disconnect_resumes_gap_free(self, tmp_path):
+        hub = SubscriptionHub(ring_size=4,
+                              wal=DeliveryLog(tmp_path / "wal.jsonl"))
+        sub = hub.attach(queue_size=3, policy="disconnect")
+        self._burst(hub, 10)
+        assert sub.closed and sub.close_reason == "slow-consumer"
+        got = [p.seq for k, p in sub.drain_items() if k == "match"]
+        assert got == [0, 1, 2]
+        # The disconnect notice's resume token is the last cursor
+        # queued, not the entry that overflowed.
+        assert sub.cursor == got[-1]
+        resumed = hub.attach(resume_after=sub.cursor)
+        assert [p.seq for k, p in resumed.drain_items()] == list(range(3, 10))
+
+    def test_burst_shed_emits_one_coalesced_gap(self):
+        hub = SubscriptionHub()
+        sub = hub.attach(queue_size=3, policy="shed")
+        self._burst(hub, 10)
+        items = sub.drain_items()
+        assert [k for k, _ in items] == ["gap", "match", "match", "match"]
+        assert items[0][1] == {"shed": 7, "cursor": 9}
+        assert [p.seq for k, p in items[1:]] == [7, 8, 9]
+        assert sub.sheds == 7
+
+    def test_burst_degrade_counts_per_pattern(self):
+        hub = SubscriptionHub()
+        sub = hub.attach(queue_size=3, policy="degrade")
+        self._burst(hub, 10, pattern_ids=("p1", "p2"))
+        items = sub.drain_items()
+        assert [k for k, _ in items] == ["aggregates"]
+        assert items[0][1] == {"counts": {"p1": 5, "p2": 5}, "cursor": 9}
+        hub.publish(make_sub(10), pattern_id="p1")
+        assert [k for k, _ in sub.drain_items()] == ["match"]
+
 
 class TestHubDrain:
     def test_drain_queues_terminal_notice_with_resume_token(self):
@@ -360,6 +578,18 @@ class TestHubDrain:
         hub.publish(make_sub(0))
         hub.drain()
         assert not hub.wait_drained(timeout=0.05)  # backlog unconsumed
+        sub.drain_items()
+        assert hub.wait_drained(timeout=0.5)
+
+    def test_wait_drained_counts_an_undelivered_aggregates_notice(self):
+        hub = SubscriptionHub()
+        sub = hub.attach(queue_size=1, policy="degrade")
+        for i in range(3):
+            hub.publish(make_sub(i))
+        # Degraded: the queue is empty but the per-pattern counts are
+        # still owed to the subscriber.
+        assert sub.queue_depth == 0
+        assert not hub.wait_drained(timeout=0.05)
         sub.drain_items()
         assert hub.wait_drained(timeout=0.5)
 
@@ -488,6 +718,89 @@ class TestPushServerIngest:
         assert response["accepted"] == 4
 
 
+class TestPushServerGroupCommit:
+    """The ingest batch is the unit of durability (docs/serving.md)."""
+
+    @staticmethod
+    def _serve(wal):
+        pattern, aggregate = parse_query_spec(QUERY)
+        registry = PatternRegistry()
+        registry.register(compile_plan(pattern, aggregate=aggregate),
+                          pattern_id="p1")
+        hub = SubscriptionHub(ring_size=64, wal=wal)
+        registry.on_match(lambda pid, m: hub.publish(m, pattern_id=pid))
+        server = PushServer(hub, submit=registry.push_many,
+                            flush=registry.close, ingest_queue=8).start()
+        return server, hub, registry
+
+    def test_one_append_per_ingest_batch_and_for_the_flush(self, tmp_path):
+        wal = FlakyLog(tmp_path / "wal.jsonl", fail=0)
+        server, hub, registry = self._serve(wal)
+        try:
+            push_events(server.host, server.port, make_events(48),
+                        batch_size=16)
+            server.wait_idle(timeout=5)
+            live = list(wal.batches)
+            # Three ingest batches: at most one append (one fsync) each,
+            # and the matches an event clump releases share it.
+            assert 1 <= len(live) <= 3
+            assert max(len(batch) for batch in live) > 1
+        finally:
+            server.shutdown(grace=2.0)
+        # The end-of-stream flush is one more batch.
+        assert len(wal.batches) == len(live) + 1
+        seqs = [seq for batch in wal.batches for seq in batch]
+        assert seqs == list(range(len(registry.matches)))
+        assert [r["seq"] for r in wal] == seqs
+
+    def test_failed_commit_is_an_ingest_error_not_a_server_death(
+            self, tmp_path):
+        wal = FlakyLog(tmp_path / "wal.jsonl", fail=1)
+        server, hub, registry = self._serve(wal)
+        try:
+            got = []
+            collect_sse(server, got)
+            time.sleep(0.2)
+            push_events(server.host, server.port, make_events(24))
+            server.wait_idle(timeout=5)
+            lost = len(registry.matches)
+            assert lost and server._ingest_errors == 1
+            assert hub.last_seq == -1 and list(wal) == []
+            push_events(server.host, server.port,
+                        make_events(24, start_ts=24))
+            server.wait_idle(timeout=5)
+            assert server._ingest_errors == 1
+            fresh = len(registry.matches) - lost
+            assert fresh and hub.last_seq == fresh - 1
+            deadline = time.monotonic() + 5
+            while (sum(1 for g in got if g["event"] == "match") < fresh
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            # Only committed matches were delivered; cursors start at 0.
+            assert [int(g["id"]) for g in got
+                    if g["event"] == "match"] == list(range(fresh))
+        finally:
+            server.shutdown(grace=2.0)
+
+    def test_barrier_returns_after_its_matches_are_committed(self, tmp_path):
+        wal = FlakyLog(tmp_path / "wal.jsonl", fail=0)
+        server, hub, registry = self._serve(wal)
+        try:
+            push_events(server.host, server.port, make_events(24))
+            closed = server.submit_call(registry.close, timeout=5)
+            assert closed  # end-of-stream matches, published in the call
+            assert hub.last_seq == len(registry.matches) - 1
+            assert wal.last_seq() == hub.last_seq
+            wal.fail = 1
+            with pytest.raises(OSError, match="disk on fire"):
+                server.submit_call(
+                    lambda: hub.publish(make_sub(1000), pattern_id="p1"),
+                    timeout=5)
+            assert server._ingest_errors == 0  # relayed to the caller
+        finally:
+            server.shutdown(grace=2.0)
+
+
 class TestPushServerSubscriptions:
     def test_sse_resume_via_last_event_id_no_gap_no_dup(self, stack):
         server, hub, registry = stack
@@ -611,6 +924,89 @@ class TestDrainProperty:
         replayed = [p.match_id for k, p in resumed.drain_items()
                     if k == "match"]
         assert replayed == accepted
+
+
+# ----------------------------------------------------------------------
+# Crash consistency of batched appends
+# ----------------------------------------------------------------------
+class TestBatchCrashConsistency:
+    """A crash mid-commit tears the WAL anywhere inside the batch's one
+    write.  Whatever prefix survives, a restarted hub that is handed the
+    whole batch again (at-least-once ingest re-reports it) ends up with
+    every match exactly once under strictly increasing cursors."""
+
+    K = 4
+
+    @staticmethod
+    def _publish(hub, indices):
+        with hub.batch():
+            return [hub.publish(make_sub(i), pattern_id="p1")
+                    for i in indices]
+
+    def _check_every_cut(self, path, start, max_bytes, first, second,
+                         ring_size):
+        """Tear the file at every offset from ``start``, where
+        ``second``'s write begins; restart; re-publish ``second``.
+        ``first`` is the already durable history."""
+        data = path.read_bytes()
+        expected = [match_id(make_sub(i)) for i in first + second]
+        for cut in range(start, len(data) + 1):
+            path.write_bytes(data[:cut])
+            wal = DeliveryLog(path, max_bytes=max_bytes)
+            recovered = [(r["seq"], r["match_id"]) for r in wal]
+            hub = SubscriptionHub(ring_size=ring_size, wal=wal)
+            tail = hub.attach(queue_size=1000)
+            entries = self._publish(hub, second)
+            committed = [(e.seq, e.match_id) for e in entries
+                         if e is not None]
+            union = recovered + committed
+            assert sorted(mid for _, mid in union) == sorted(expected), cut
+            seqs = [seq for seq, _ in union]
+            assert seqs == sorted(set(seqs)), cut  # increasing, none reused
+            # Live subscribers get exactly the newly committed part ...
+            assert [(p.seq, p.match_id)
+                    for _, p in tail.drain_items()] == committed, cut
+            # ... a resume from inside the old history is gap-free
+            # across ring, rotation and tear, and so is the next restart.
+            resumed = hub.attach(resume_after=first[0], queue_size=1000)
+            assert [(p.seq, p.match_id)
+                    for _, p in resumed.drain_items()] == union[1:], cut
+            assert [(r["seq"], r["match_id"])
+                    for r in DeliveryLog(path, max_bytes=max_bytes)
+                    ] == union, cut
+
+    def test_truncation_at_every_byte_offset(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        first = list(range(2))
+        second = list(range(2, 2 + self.K))
+        hub = SubscriptionHub(wal=DeliveryLog(path))
+        self._publish(hub, first)
+        start = path.stat().st_size
+        self._publish(hub, second)
+        assert path.read_bytes().count(b"\n") == 2 + self.K
+        self._check_every_cut(path, start, None, first, second,
+                              ring_size=1024)
+
+    def test_truncation_with_a_rotation_between_the_batches(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        first = list(range(2 * self.K))
+        second = list(range(2 * self.K, 3 * self.K))
+        probe = SubscriptionHub(wal=DeliveryLog(tmp_path / "probe.jsonl"))
+        self._publish(probe, first)
+        # A cap of 2.5 second-batches: committing the second batch on
+        # top of the (twice as long) first rotates that to <path>.1,
+        # while a torn second batch plus its re-publication still fit
+        # one generation — the first batch stays in the retained window.
+        max_bytes = (tmp_path / "probe.jsonl").stat().st_size * 5 // 4
+        hub = SubscriptionHub(wal=DeliveryLog(path, max_bytes=max_bytes))
+        self._publish(hub, first)
+        self._publish(hub, second)
+        assert rotated_path(path).read_bytes().count(b"\n") == 2 * self.K
+        assert path.read_bytes().count(b"\n") == self.K
+        # The second batch is the whole current file; ring_size=2: the
+        # resume must spill to both files.
+        self._check_every_cut(path, 0, max_bytes, first, second,
+                              ring_size=2)
 
 
 # ----------------------------------------------------------------------

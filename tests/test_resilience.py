@@ -667,6 +667,20 @@ class TestDeadLetterDurability:
                    for line in path.read_text().splitlines()]
         assert [r["seq"] for r in records] == [0, 1, 2, 3, 4]
 
+    def test_append_after_a_torn_tail_starts_a_new_line(self, tmp_path):
+        path = tmp_path / "dlq.jsonl"
+        queue = DeadLetterQueue()
+        queue.append_jsonl(path, self._entry(0))
+        with open(path, "a") as handle:
+            handle.write('{"shard": 0, "seq": 1, "ev')  # crash mid-write
+        queue.append_jsonl(path, self._entry(2))
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3
+        assert [json.loads(line)["seq"] for line in (lines[0], lines[2])] \
+            == [0, 2]
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(lines[1])
+
     def test_append_rotates_at_the_byte_cap(self, tmp_path):
         from repro.resilience import atomic_append_jsonl, rotated_path
         path = tmp_path / "dlq.jsonl"
