@@ -106,18 +106,26 @@ def empty_snapshot(spec: AggregateSpec) -> dict:
     return {"version": SNAPSHOT_VERSION, "matches": 0, "totals": totals}
 
 
+def _extremum_key(value):
+    """The one order ``min``/``max`` fold by: numbers, then text, then
+    anything else (by type name, then ``repr``); natural order within
+    numbers and within text.  Total, so the fold commutes and associates
+    whatever mix of types an attribute carries."""
+    if isinstance(value, (int, float)):
+        return (0, value)
+    if isinstance(value, str):
+        return (1, value)
+    return (2, type(value).__name__, repr(value))
+
+
 def _combine_extremum(func: str, a, b):
     """min/max of two partials, either possibly absent (None)."""
     if a is None:
         return b
     if b is None:
         return a
-    try:
-        return min(a, b) if func == "min" else max(a, b)
-    except TypeError:
-        # Incomparable partials (mixed types): keep the first — the
-        # same skip rule the fold applies to incomparable raw values.
-        return a
+    pick = min if func == "min" else max
+    return pick(a, b, key=_extremum_key)
 
 
 def merge_snapshots(spec: AggregateSpec, left: Optional[dict],

@@ -18,9 +18,11 @@ Semantics (documented in ``docs/aggregation.md``):
   bound to ``v`` carrying attribute ``A``, summed across matches;
 * ``sum``/``avg`` fold numeric values only (non-numeric and missing
   values are skipped, mirroring the permissive condition semantics);
-* ``min``/``max`` fold any mutually comparable values (incomparable
-  values are skipped); ``avg`` finalises as sum/count over all folded
-  values, ``None`` when no value was folded.
+* ``min``/``max`` fold every present value under one total order —
+  numbers before text, natural order within each (anything else sorts
+  last, by type name then ``repr``) — so a mixed-type attribute has the
+  same extremum in any fold or merge order; ``avg`` finalises as
+  sum/count over all folded values, ``None`` when no value was folded.
 """
 
 from __future__ import annotations

@@ -24,12 +24,13 @@ engine so that all engines report results under one semantics.
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import (Any, Dict, FrozenSet, Iterable, List, Sequence, Set,
+                    Tuple)
 
 from .events import Event
 from .pattern import SESPattern
 from .relation import EventRelation
-from .substitution import Substitution
+from .substitution import Binding, Substitution
 from .variables import Variable
 
 __all__ = [
@@ -156,6 +157,61 @@ def enumerate_candidates(pattern: SESPattern,
 # ----------------------------------------------------------------------
 # Conditions 4–5
 # ----------------------------------------------------------------------
+class _PoolIndex:
+    """Conditions 4–5 of Definition 2 over one candidate pool.
+
+    Built in one pass over the pool, then asked once per candidate:
+
+    * ``_bound[v/e][v']`` — the distinct events that any candidate holding
+      the binding ``v/e`` binds to ``v'`` (condition 4's witnesses, merged);
+    * ``_holders[v/e]`` — ``(start, candidate)`` for every candidate
+      holding ``v/e``, the start timestamp computed once (condition 5).
+    """
+
+    __slots__ = ("_bound", "_holders")
+
+    def __init__(self, pool: Iterable[Substitution]):
+        bound: Dict[Binding, Dict[Variable, Set[Event]]] = {}
+        holders: Dict[Binding, List[Tuple[Any, Substitution]]] = {}
+        for candidate in pool:
+            entry = (candidate.min_ts(), candidate)
+            by_var = [(v, candidate.events_of(v)) for v in candidate.variables]
+            for binding in candidate.bindings:
+                holders.setdefault(binding, []).append(entry)
+                per_var = bound.setdefault(binding, {})
+                for variable, events in by_var:
+                    per_var.setdefault(variable, set()).update(events)
+        self._bound = bound
+        self._holders = holders
+
+    def next_match(self, gamma: Substitution) -> bool:
+        """Condition 4: no holder of an earlier binding of ``gamma`` binds
+        the later variable of a pair to an event ``gamma`` skipped."""
+        latest = [(v, gamma.events_of(v)[-1].ts) for v in gamma.variables]
+        consumed = {e for _, e in gamma.bindings}
+        for binding in gamma.bindings:
+            per_var = self._bound.get(binding)
+            if per_var is None:
+                continue
+            ts = binding[1].ts
+            for variable, last in latest:
+                if not ts < last:
+                    continue
+                for between in per_var.get(variable, ()):
+                    if ts < between.ts < last and between not in consumed:
+                        return False
+        return True
+
+    def maximal(self, gamma: Substitution) -> bool:
+        """Condition 5: no same-start holder of ``gamma``'s rarest binding
+        strictly contains ``gamma``."""
+        start = gamma.min_ts()
+        rarest = min((self._holders.get(b, ()) for b in gamma.bindings),
+                     key=len)
+        return not any(other_start == start and gamma < other
+                       for other_start, other in rarest)
+
+
 def satisfies_next_match(gamma: Substitution,
                          candidates: Sequence[Substitution]) -> bool:
     """Condition 4 (skip-till-next-match) of Definition 2.
@@ -165,6 +221,11 @@ def satisfies_next_match(gamma: Substitution,
     v/e* and binds ``v'`` to an event strictly between ``e`` and ``e'``
     that ``gamma`` left *unconsumed* — i.e. the match skipped an event it
     could have used for ``v'``.
+
+    An in-between event lies before *some* ``e'`` that ``gamma`` binds to
+    ``v'`` iff it lies before the latest one, so the pairs collapse to one
+    check per binding and variable against the distinct events the
+    holders of ``v/e`` bind to ``v'`` (:class:`_PoolIndex`).
 
     .. note::
        Definition 2 as printed quantifies over *any* ``γ' ∈ Γ`` and only
@@ -183,20 +244,7 @@ def satisfies_next_match(gamma: Substitution,
        ``gamma`` — skip-till-next-match is about skipped events, not
        about alternative role assignments.
     """
-    bindings = list(gamma.bindings)
-    consumed = {e for _, e in bindings}
-    for v, e in bindings:
-        for v_prime, e_prime in bindings:
-            if not e.ts < e_prime.ts:
-                continue
-            for witness in candidates:
-                if (v, e) not in witness:
-                    continue
-                for e_between in witness.events_of(v_prime):
-                    if (e.ts < e_between.ts < e_prime.ts
-                            and e_between not in consumed):
-                        return False
-    return True
+    return _PoolIndex(candidates).next_match(gamma)
 
 
 def satisfies_maximality(gamma: Substitution,
@@ -206,13 +254,7 @@ def satisfies_maximality(gamma: Substitution,
     ``gamma`` must not be a strict subset of a candidate with the same
     minimal timestamp.
     """
-    start = gamma.min_ts()
-    for other in candidates:
-        if other is gamma or other == gamma:
-            continue
-        if other.min_ts() == start and gamma < other:
-            return False
-    return True
+    return _PoolIndex(candidates).maximal(gamma)
 
 
 def _sort_key(gamma: Substitution):
@@ -250,9 +292,13 @@ def select_matches(candidates: Sequence[Substitution],
         if gamma not in seen:
             seen.add(gamma)
             unique.append(gamma)
-    survivors = [g for g in unique
-                 if satisfies_next_match(g, unique)
-                 and satisfies_maximality(g, unique)]
+    survivors = unique
+    if len(unique) > 1:
+        # A pool of one survives by construction: its only witness is
+        # itself, whose every in-between event it consumes.
+        index = _PoolIndex(unique)
+        survivors = [g for g in unique
+                     if index.next_match(g) and index.maximal(g)]
     survivors.sort(key=_sort_key)
     if overlap == "allow":
         return survivors

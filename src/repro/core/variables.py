@@ -19,7 +19,7 @@ class Variable:
     quantifier; a pattern must not reuse a name across variables.
     """
 
-    __slots__ = ("name", "is_group")
+    __slots__ = ("name", "is_group", "_hash")
 
     def __init__(self, name: str, is_group: bool = False):
         if not name or not isinstance(name, str):
@@ -31,6 +31,7 @@ class Variable:
             )
         self.name = name
         self.is_group = bool(is_group)
+        self._hash = hash((self.name, self.is_group))
 
     @property
     def is_singleton(self) -> bool:
@@ -43,7 +44,12 @@ class Variable:
         return self.name == other.name and self.is_group == other.is_group
 
     def __hash__(self) -> int:
-        return hash((self.name, self.is_group))
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild rather than copy slots: string hashes are per-process, so
+        # the memoised hash must be recomputed wherever the pickle lands.
+        return (Variable, (self.name, self.is_group))
 
     def __lt__(self, other: "Variable") -> bool:
         # Deterministic ordering for display and canonical iteration.

@@ -12,8 +12,10 @@ checkpoint/restore, plan-cache fingerprinting, and the typed result
 surfaces of :func:`repro.query`.
 """
 
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -157,16 +159,21 @@ class TestSnapshots:
         assert merged["matches"] == 0
         assert merge_snapshots(SPEC_ALL, None, snap)["matches"] == 0
 
-    def test_merge_associative_on_engine_partials(self):
+    @pytest.mark.parametrize("xs, min_a, max_b", [
+        ((1.0, 2.0, 3.0, -1.0, 0.5, 9.0), 0.5, 9.0),
+        # Mixed types fold under one total order: numbers before text.
+        ((1.0, 2.0, "hi", -1.0, 0.5, "lo"), 0.5, "lo"),
+    ])
+    def test_merge_associative_on_engine_partials(self, xs, min_a, max_b):
         pattern = SESPattern(sets=[["a"], ["b"]],
                              conditions=["a.kind = 'A'", "b.kind = 'B'"],
                              tau=10)
         spec = SPEC_ALL
         plan = compile_plan(pattern, aggregate=spec)
         chunks = [
-            [ev(1, "A", x=1.0), ev(2, "B", x=2.0)],
-            [ev(20, "A", x=3.0), ev(21, "B", x=-1.0)],
-            [ev(40, "A", x=0.5), ev(41, "B", x=9.0)],
+            [ev(1, "A", x=xs[0]), ev(2, "B", x=xs[1])],
+            [ev(20, "A", x=xs[2]), ev(21, "B", x=xs[3])],
+            [ev(40, "A", x=xs[4]), ev(41, "B", x=xs[5])],
         ]
         snaps = []
         for chunk in chunks:
@@ -177,8 +184,12 @@ class TestSnapshots:
             spec, merge_snapshots(spec, snaps[0], snaps[1]), snaps[2])
         right = merge_snapshots(
             spec, snaps[0], merge_snapshots(spec, snaps[1], snaps[2]))
-        assert_same_values(spec, finalize_snapshot(spec, left),
-                           finalize_snapshot(spec, right))
+        swapped = merge_snapshots(
+            spec, snaps[2], merge_snapshots(spec, snaps[1], snaps[0]))
+        values = finalize_snapshot(spec, left)
+        assert_same_values(spec, values, finalize_snapshot(spec, right))
+        assert_same_values(spec, values, finalize_snapshot(spec, swapped))
+        assert (values["min(a.x)"], values["max(b.x)"]) == (min_a, max_b)
         assert left["matches"] == right["matches"] == 3
 
 
@@ -244,11 +255,31 @@ def agg_specs(draw):
     return AggregateSpec(aggregates=tuple(terms))
 
 
+# The falsifying case of the old "keep the first on TypeError" min/max:
+# PERMUTE(a, b) over x = 0, 'hi', 1.5 folded to 0 in the engine and 1.5
+# in fold_reference.
+MIXED_PATTERN = SESPattern(sets=[["a", "b"]],
+                           conditions=["a.kind = 'A'", "b.kind = 'A'"],
+                           tau=10)
+MIXED_SPEC = AggregateSpec(aggregates=(
+    Aggregate("count", alias="n"),
+    Aggregate("max", "a", "x", alias="max_a"),
+    Aggregate("min", "a", "x", alias="min_a"),
+))
+
+
+def mixed_relation(*xs) -> EventRelation:
+    return EventRelation([Event(ts=i, eid=f"e{i}", kind="A", x=x)
+                          for i, x in enumerate(xs)])
+
+
 class TestEnumerateThenFoldEquivalence:
     @given(pattern=agg_patterns(), relation=agg_relations(),
            spec=agg_specs(),
            use_filter=st.booleans(),
            consume=st.sampled_from(("greedy", "exhaustive")))
+    @example(pattern=MIXED_PATTERN, relation=mixed_relation(0, "hi", 1.5),
+             spec=MIXED_SPEC, use_filter=True, consume="greedy")
     @settings(max_examples=150, deadline=None)
     def test_incremental_equals_reference(self, pattern, relation, spec,
                                           use_filter, consume):
@@ -262,6 +293,30 @@ class TestEnumerateThenFoldEquivalence:
             pattern, spec, relation, use_filter=use_filter, consume=consume)
         assert series.matches_folded == ref_snapshot["matches"]
         assert_same_values(spec, series.values, expected)
+
+    @pytest.mark.parametrize(
+        "xs", list(itertools.permutations((0, "hi", 1.5))))
+    def test_mixed_type_extremum_is_order_independent(self, xs):
+        """numbers < text: max is 'hi' and min is 0 in every arrival
+        order, from the engine, the reference and any merge bracketing."""
+        relation = mixed_relation(*xs)
+        expected, _ = reference_values(
+            MIXED_PATTERN, MIXED_SPEC, relation)
+        series = incremental_series(MIXED_PATTERN, MIXED_SPEC, relation)
+        assert series.values == expected
+        assert (expected["max_a"], expected["min_a"]) == ("hi", 0)
+        plan = compile_plan(MIXED_PATTERN)
+        parts = [fold_reference(MIXED_SPEC, [m])
+                 for m in plan.match(relation, selection="accepted")]
+        assert len(parts) >= 3
+        for order in itertools.permutations(parts, 3):
+            left = merge_snapshots(
+                MIXED_SPEC, merge_snapshots(MIXED_SPEC, order[0], order[1]),
+                order[2])
+            right = merge_snapshots(
+                MIXED_SPEC, order[0],
+                merge_snapshots(MIXED_SPEC, order[1], order[2]))
+            assert left == right
 
     @given(relation=agg_relations(max_events=20))
     @settings(max_examples=60, deadline=None)

@@ -1,13 +1,15 @@
 """Unit tests for repro.core.semantics (Definition 2)."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import Event, EventRelation, SESPattern, Substitution
-from repro.core.semantics import (enumerate_candidates, is_candidate,
-                                  matching_substitutions, satisfies_conditions,
-                                  satisfies_maximality, satisfies_next_match,
-                                  satisfies_order, satisfies_window,
-                                  select_matches)
+from repro.core.semantics import (_sort_key, enumerate_candidates,
+                                  is_candidate, matching_substitutions,
+                                  satisfies_conditions, satisfies_maximality,
+                                  satisfies_next_match, satisfies_order,
+                                  satisfies_window, select_matches)
 from repro.core.variables import group, var
 
 from conftest import eids, ev
@@ -165,3 +167,150 @@ class TestSelection:
 
     def test_empty_candidates(self):
         assert select_matches([]) == []
+
+
+# ----------------------------------------------------------------------
+# The oracle: conditions 4-5 as literal scans over the whole pool (the
+# implementation until the pool index replaced it), kept here verbatim.
+# ----------------------------------------------------------------------
+def scan_next_match(gamma, candidates):
+    bindings = list(gamma.bindings)
+    consumed = {e for _, e in bindings}
+    for v, e in bindings:
+        for v_prime, e_prime in bindings:
+            if not e.ts < e_prime.ts:
+                continue
+            for witness in candidates:
+                if (v, e) not in witness:
+                    continue
+                for e_between in witness.events_of(v_prime):
+                    if (e.ts < e_between.ts < e_prime.ts
+                            and e_between not in consumed):
+                        return False
+    return True
+
+
+def scan_maximality(gamma, candidates):
+    start = gamma.min_ts()
+    for other in candidates:
+        if other is gamma or other == gamma:
+            continue
+        if other.min_ts() == start and gamma < other:
+            return False
+    return True
+
+
+def scan_select(candidates, overlap):
+    unique, seen = [], set()
+    for gamma in candidates:
+        if gamma not in seen:
+            seen.add(gamma)
+            unique.append(gamma)
+    survivors = [g for g in unique
+                 if scan_next_match(g, unique) and scan_maximality(g, unique)]
+    survivors.sort(key=_sort_key)
+    if overlap == "allow":
+        return survivors
+    reported, used = [], set()
+    for gamma in survivors:
+        events = set(gamma.events())
+        if events & used:
+            continue
+        used |= events
+        reported.append(gamma)
+    return reported
+
+
+D = var("d")
+
+#: Two patients, D2-style: every (patient, slot) event exists twice at
+#: the same timestamp under different ids.
+UNIVERSE = [Event(ts=slot, eid=f"s{slot}{copy}-{pid}", pid=pid)
+            for pid in (1, 2) for slot in range(6) for copy in "xy"]
+
+
+@st.composite
+def pools(draw):
+    """Candidate pools over {c, d, p+} then {b}: shared bindings, group
+    subsets, equal timestamps, role-swapped twins, a second patient and
+    repeated candidates are all likely."""
+    events = st.sampled_from(UNIVERSE)
+    pool = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        pairs = [(v, draw(events))
+                 for v in draw(st.sets(st.sampled_from((C, D, B)),
+                                       min_size=1))]
+        pairs += [(P, e) for e in draw(st.lists(events, max_size=3))]
+        gamma = Substitution(pairs)
+        pool.append(gamma)
+        if draw(st.booleans()) and D in gamma.variables and P in gamma.variables:
+            ps = gamma.events_of(P)
+            pool.append(Substitution(
+                [(v, e) for v, e in gamma.bindings if v not in (D, P)]
+                + [(D, ps[-1]), (P, gamma.events_of(D)[0])]
+                + [(P, e) for e in ps[:-1]]))
+    if pool:
+        pool += draw(st.lists(st.sampled_from(pool), max_size=2))
+    return draw(st.permutations(pool))
+
+
+def twins():
+    s3, s8, s9 = ev(3, "S"), ev(8, "S"), ev(9, "S")
+    return [sub((C, s3), (D, s8), (P, s9)), sub((C, s3), (P, s8), (D, s9))]
+
+
+class TestPoolIndex:
+    @given(pool=pools())
+    @example(pool=twins())
+    @settings(max_examples=300, deadline=None)
+    def test_selection_equals_the_literal_scan(self, pool):
+        for overlap in ("suppress", "allow"):
+            assert select_matches(pool, overlap) == scan_select(pool, overlap)
+        for gamma in pool:
+            rest = [g for g in pool if g != gamma]
+            for candidates in (pool, rest):
+                assert (satisfies_next_match(gamma, candidates)
+                        == scan_next_match(gamma, candidates))
+                assert (satisfies_maximality(gamma, candidates)
+                        == scan_maximality(gamma, candidates))
+
+    def test_example4_pool_equals_the_literal_scan(self, q1, figure1):
+        cands = enumerate_candidates(q1, figure1.events)
+        for overlap in ("suppress", "allow"):
+            assert select_matches(cands, overlap) == scan_select(
+                cands, overlap)
+
+    def test_cost_is_linear_in_disjoint_cohorts(self, monkeypatch):
+        """No wall clock: count Substitution comparisons.  A second,
+        disjoint cohort doubles the work; a scan of every candidate for
+        every pair of bindings would quadruple it."""
+        calls = {"n": 0}
+
+        def counted(name):
+            plain = getattr(Substitution, name)
+
+            def wrapper(self, other):
+                calls["n"] += 1
+                return plain(self, other)
+            monkeypatch.setattr(Substitution, name, wrapper)
+
+        counted("__contains__")
+        counted("__lt__")
+
+        def cohort(pid):
+            es = [Event(ts=t, eid=f"e{t}-{pid}", pid=pid) for t in range(8)]
+            return [sub((C, es[0]), (D, es[d]), *[(P, e) for e in ps],
+                        (B, es[7]))
+                    for d in (1, 2)
+                    for ps in ([es[3]], [es[3], es[4]], [es[4], es[5]],
+                               [es[3], es[4], es[5]])]
+
+        def cost(select, pool):
+            calls["n"] = 0
+            select(pool, "suppress")
+            return calls["n"]
+
+        one, two = cohort(1), cohort(1) + cohort(2)
+        assert 0 < cost(select_matches, two) <= 2 * cost(select_matches, one)
+        # The counter does see a scan when there is one.
+        assert cost(scan_select, two) > 3 * cost(scan_select, one)
