@@ -38,10 +38,18 @@ stands for) and one *fold register* per aggregate:
 When a group reaches the accepting state (window expiry, contiguous
 cut-off, or end-of-input flush — the same three accept points as the
 executor), its registers fold into the running totals and the group is
-dropped.  No buffer, substitution, or match object is ever built: the
-cost per event is ``O(groups × transitions)``, with the group count
-bounded by ``|Q| × |distinct projection sets| × W`` — polynomial where
-enumeration is exponential.
+dropped.  No buffer, substitution, or match object is ever built, and
+the group count is bounded by ``|Q| × |distinct projection sets| × W`` —
+polynomial where enumeration is exponential.
+
+Groups are bucketed by automaton state, so an event costs ``occupied
+states × their outgoing transitions`` event-only condition checks
+(``Transition.admits_event``, once per state, not per group) plus
+``groups in enabled states × their enabled transitions`` projection
+checks; a state the event enables no transition of keeps its bucket
+untouched.  Expiry is one comparison per event against the oldest
+group's window, and one pass over the groups when that window closes
+(docs/aggregation.md, "Cost per event").
 
 Counter semantics in aggregate mode: ``accepted_buffers`` and
 ``expired`` virtual-instance style numbers would overflow usefulness, so
@@ -241,25 +249,23 @@ class AggregationEngine:
         # tuple holds one value-frozenset per pair.
         pairs: List[Tuple[Any, str]] = []
         pair_index: Dict[Tuple[Any, str], int] = {}
-        compiled: Dict[int, list] = {}
+        compiled: Dict[int, tuple] = {}
         for transition in automaton.transitions:
             checks = []
             for other, anchored in transition.checks:
                 if other is None:
-                    checks.append((None, anchored, None, None))
-                else:
-                    pair = (other, anchored.right.attribute)
-                    if pair not in pair_index:
-                        pair_index[pair] = len(pairs)
-                        pairs.append(pair)
-                    checks.append((pair_index[pair], anchored,
-                                   OPERATORS[anchored.op],
-                                   anchored.left.attribute))
-            compiled[id(transition)] = checks
+                    continue  # event-only: Transition.admits_event's half
+                pair = (other, anchored.right.attribute)
+                if pair not in pair_index:
+                    pair_index[pair] = len(pairs)
+                    pairs.append(pair)
+                checks.append((pair_index[pair], OPERATORS[anchored.op],
+                               anchored.left.attribute))
+            compiled[id(transition)] = tuple(checks)
         self._pairs = tuple(pairs)
         self._empty_proj = tuple(frozenset() for _ in pairs)
 
-        # Per state: (transition, compiled checks, projection updates,
+        # Per state: (transition, projection checks, projection updates,
         # register-binding aggregate indices).
         self._by_state = {}
         for state in automaton.states:
@@ -295,8 +301,14 @@ class AggregationEngine:
 
     def reset(self) -> None:
         """Clear groups and totals for a fresh run."""
-        #: key (state, min_ts, projections) → [multiplicity, registers]
-        self._groups: Dict[tuple, list] = {}
+        #: state → {(min_ts, projections): [multiplicity, registers]};
+        #: only occupied states have a bucket.
+        self._buckets: Dict[Any, Dict[tuple, list]] = {}
+        self._count = 0
+        #: Lower bound on the oldest ``min_ts`` of any group (``None``:
+        #: no group).  May be stale-early after groups are dropped — that
+        #: costs one no-op sweep — but never late.
+        self._oldest = None
         self._totals = empty_snapshot(self.spec)["totals"]
         self.matches_folded = 0
         self.max_groups = 0
@@ -305,104 +317,133 @@ class AggregationEngine:
     @property
     def group_count(self) -> int:
         """Active coalesced groups (the aggregate-mode |Ω|)."""
-        return len(self._groups)
+        return self._count
 
     @property
     def next_expiry_ts(self):
-        """Latest timestamp the current groups survive unchanged."""
-        oldest = None
-        for (state, min_ts, proj) in self._groups:
-            if min_ts is not None and (oldest is None or min_ts < oldest):
-                oldest = min_ts
-        return None if oldest is None else oldest + self._tau
+        """Latest timestamp the current groups survive unchanged (a
+        lower bound: an event beyond it may still expire nothing)."""
+        return None if self._oldest is None else self._oldest + self._tau
 
     # -- the per-event loop --------------------------------------------
     def step(self, event, allow_start, stats) -> None:
-        """Aggregate-mode twin of the executor's ``_step``."""
-        ts = event.ts
-        tau = self._tau
-        accepting = self._accepting
+        """Aggregate-mode twin of the executor's ``_step``.
+
+        Event-only conditions are asked once per occupied state
+        (``Transition.admits_event``); a state none of whose transitions
+        the event enables is carried as a whole bucket, its groups
+        unvisited (contiguous mode cuts them off instead).
+        """
         if allow_start:
             stats.instances_created += 1
-        stats.observe_event(ts)
-        stats.observe_omega(len(self._groups) + (1 if allow_start else 0))
-        next_groups: Dict[tuple, list] = {}
-        for key, (n, regs) in self._groups.items():
-            min_ts = key[1]
-            if min_ts is not None and ts - min_ts > tau:
-                stats.expired_instances += 1
-                if key[0] == accepting:
-                    self._fold(n, regs, stats)
-                continue
-            self._consume(key, n, regs, event, next_groups, stats)
+        stats.observe_event(event.ts)
+        stats.observe_omega(self._count + (1 if allow_start else 0))
+        self.expire_only(event, stats)
+        start = self._start
+        contiguous = self.consume_mode == "contiguous"
+        occupied = list(self._buckets.items())
         if allow_start:
-            self._consume((self._start, None, self._empty_proj), 1,
-                          self._init_regs, event, next_groups, stats)
-        self._groups = next_groups
-        count = len(next_groups)
+            occupied.append(
+                (start, {(None, self._empty_proj): [1, self._init_regs]}))
+        busy = []
+        out: Dict[Any, Dict[tuple, list]] = {}
+        for state, bucket in occupied:
+            enabled = [entry for entry in self._by_state[state]
+                       if entry[0].admits_event(event)]
+            if enabled or contiguous:  # contiguous cuts idle groups off
+                busy.append((state, bucket, enabled))
+            elif state != start:
+                out[state] = bucket
+        # Idle buckets are in ``out`` before any group is consumed into
+        # them: a carried bucket is extended in place, never copied.
+        for state, bucket, enabled in busy:
+            self._consume(state, bucket, enabled, event, out, stats)
+        self._buckets = out
+        self._count = count = sum(map(len, out.values()))
+        if self._oldest is None and count:
+            self._oldest = event.ts  # every group was started by this event
         stats.observe_omega(count)
         if count > self.max_groups:
             self.max_groups = count
 
     def expire_only(self, event, stats) -> None:
-        """Expiry sweep without consumption (filtered events, ticks)."""
+        """Expiry sweep without consumption (filtered events, ticks): a
+        single comparison until ``event`` passes the oldest group's
+        window, then one pass over the groups."""
         ts = event.ts
         tau = self._tau
-        accepting = self._accepting
-        survivors: Dict[tuple, list] = {}
-        for key, (n, regs) in self._groups.items():
-            min_ts = key[1]
-            if min_ts is not None and ts - min_ts > tau:
-                stats.expired_instances += 1
-                if key[0] == accepting:
-                    self._fold(n, regs, stats)
-            else:
-                survivors[key] = [n, regs]
-        self._groups = survivors
+        if self._oldest is None or not ts - self._oldest > tau:
+            return
+        oldest = None
+        for state, bucket in list(self._buckets.items()):
+            for key in list(bucket):
+                min_ts = key[0]
+                if min_ts is None:
+                    continue
+                if ts - min_ts > tau:
+                    n, regs = bucket.pop(key)
+                    stats.expired_instances += 1
+                    if state == self._accepting:
+                        self._fold(n, regs, stats)
+                elif oldest is None or min_ts < oldest:
+                    oldest = min_ts
+            if not bucket:
+                del self._buckets[state]
+        self._oldest = oldest
+        self._count = sum(map(len, self._buckets.values()))
 
-    def _consume(self, key, n, regs, event, out, stats) -> None:
-        """Aggregate-mode twin of the executor's ``_consume``."""
-        state, min_ts, proj = key
-        fired = 0
-        for transition, checks, proj_updates, reg_updates in \
-                self._by_state[state]:
-            if not self._admits(checks, proj, event):
-                continue
-            fired += 1
-            new_key = (transition.target,
-                       event.ts if min_ts is None else min_ts,
-                       self._extend_proj(proj, proj_updates, event))
-            new_regs = (self._bind(regs, reg_updates, event, n)
-                        if reg_updates else regs)
-            self._merge_into(out, new_key, n, new_regs)
-        if fired:
-            stats.transitions_fired += fired
-            if fired > 1:
-                stats.branchings += fired - 1
-                stats.instances_created += fired - 1
-            if self.consume_mode == "exhaustive" and state != self._start:
-                self._merge_into(out, key, n, regs)
-                stats.instances_created += 1
-        elif state != self._start:
-            if self.consume_mode == "contiguous":
-                if state == self._accepting:
+    def _consume(self, state, bucket, enabled, event, out, stats) -> None:
+        """Aggregate-mode twin of the executor's ``_consume`` for the
+        groups of one state, ``enabled`` being its outgoing transitions
+        whose event-only conditions ``event`` satisfies."""
+        ts = event.ts
+        rests = state != self._start  # start-state groups never rest
+        exhaustive = rests and self.consume_mode == "exhaustive"
+        contiguous = self.consume_mode == "contiguous"
+        # ``state`` is not idle, so this is never the bucket iterated.
+        keep = out.setdefault(state, {})
+        for key, group in bucket.items():
+            min_ts, proj = key
+            n, regs = group
+            fired = 0
+            for transition, checks, proj_updates, reg_updates in enabled:
+                if checks and not self._admits(checks, proj, event):
+                    continue
+                fired += 1
+                target = out.get(transition.target)
+                if target is None:
+                    target = out[transition.target] = {}
+                self._merge_into(
+                    target,
+                    (ts if min_ts is None else min_ts,
+                     self._extend_proj(proj, proj_updates, event)),
+                    [n, (self._bind(regs, reg_updates, event, n)
+                         if reg_updates else regs)])
+            if fired:
+                stats.transitions_fired += fired
+                if fired > 1:
+                    stats.branchings += fired - 1
+                    stats.instances_created += fired - 1
+                if exhaustive:
+                    self._merge_into(keep, key, group)
+                    stats.instances_created += 1
+            elif rests:
+                if not contiguous:
+                    self._merge_into(keep, key, group)
+                elif state == self._accepting:
                     self._fold(n, regs, stats)
-                return
-            self._merge_into(out, key, n, regs)
+        if not keep:
+            del out[state]
 
     def _admits(self, checks, proj, event) -> bool:
-        """Value-space ``Transition.admits`` over a projection tuple.
+        """Value-space ``admits_bindings`` over a projection tuple.
 
         Mirrors ``Condition.evaluate_events`` exactly: a missing
         attribute on either side fails the check, an incomparable pair
         fails it, and a check against a variable with no bound events
         is vacuously true.
         """
-        for pair_idx, anchored, op, left_attr in checks:
-            if pair_idx is None:
-                if not anchored.evaluate_events(event, event):
-                    return False
-                continue
+        for pair_idx, op, left_attr in checks:
             values = proj[pair_idx]
             if not values:
                 continue
@@ -454,14 +495,12 @@ class AggregationEngine:
                           else _combine_extremum(func, out[i], value))
         return tuple(out)
 
-    def _merge_into(self, out, key, n, regs) -> None:
-        """Add a group contribution, coalescing with an equal key."""
-        existing = out.get(key)
-        if existing is None:
-            out[key] = [n, regs]
-            return
-        existing[0] += n
-        existing[1] = self._merge_registers(existing[1], regs)
+    def _merge_into(self, bucket, key, group) -> None:
+        """Add a ``[n, registers]`` group, coalescing with an equal key."""
+        existing = bucket.setdefault(key, group)
+        if existing is not group:
+            existing[0] += group[0]
+            existing[1] = self._merge_registers(existing[1], group[1])
 
     def _merge_registers(self, a, b) -> tuple:
         out = list(a)
@@ -496,10 +535,11 @@ class AggregationEngine:
 
     def finish(self, stats) -> None:
         """End-of-input flush: fold groups resting in the accepting state."""
-        for key, (n, regs) in self._groups.items():
-            if key[0] == self._accepting:
-                self._fold(n, regs, stats)
-        self._groups = {}
+        for n, regs in self._buckets.get(self._accepting, {}).values():
+            self._fold(n, regs, stats)
+        self._buckets = {}
+        self._count = 0
+        self._oldest = None
 
     # -- results -------------------------------------------------------
     def snapshot(self) -> dict:
@@ -515,18 +555,25 @@ class AggregationEngine:
     # -- checkpointing -------------------------------------------------
     def state_dict(self) -> dict:
         """Picklable snapshot of groups and totals (values only — no
-        events, buffers, or compiled conditions)."""
+        events, buffers, or compiled conditions).  ``groups`` is the flat
+        ``[((state, min_ts, projections), n, registers), …]`` list, in
+        bucket order."""
         return {
-            "groups": [(key, n, regs)
-                       for key, (n, regs) in self._groups.items()],
+            "groups": [((state,) + key, n, regs)
+                       for state, bucket in self._buckets.items()
+                       for key, (n, regs) in bucket.items()],
             "snapshot": self.snapshot(),
             "max_groups": self.max_groups,
         }
 
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot."""
-        self._groups = {key: [n, regs]
-                        for key, n, regs in state["groups"]}
+        self._buckets = {}
+        for (q, min_ts, proj), n, regs in state["groups"]:
+            self._buckets.setdefault(q, {})[(min_ts, proj)] = [n, regs]
+        self._count = len(state["groups"])
+        self._oldest = min((key[1] for key, n, regs in state["groups"]
+                            if key[1] is not None), default=None)
         snapshot = state["snapshot"]
         self.matches_folded = snapshot["matches"]
         self._totals = [list(t) if isinstance(t, list) else t
@@ -534,5 +581,5 @@ class AggregationEngine:
         self.max_groups = state["max_groups"]
 
     def __repr__(self) -> str:
-        return (f"AggregationEngine({self.spec!r}, groups={len(self._groups)}, "
+        return (f"AggregationEngine({self.spec!r}, groups={self._count}, "
                 f"folded={self.matches_folded})")

@@ -21,9 +21,13 @@ from hypothesis import strategies as st
 import repro
 from repro import Event, EventRelation, Observability, SESPattern
 from repro.agg import AggregateSeries, Match, MatchSet
-from repro.agg.engine import (empty_snapshot, finalize_snapshot,
-                              fold_reference, merge_snapshots)
+from repro.agg.engine import (MISSING, AggregationEngine, empty_snapshot,
+                              finalize_snapshot, fold_reference,
+                              merge_snapshots)
 from repro.agg.spec import Aggregate, AggregateSpec
+from repro.automaton.metrics import ExecutionStats
+from repro.core.conditions import OPERATORS
+from repro.core.variables import Variable
 from repro.lang import (QueryError, parse_query_spec, render_query)
 from repro.plan.cache import compile as compile_plan
 
@@ -198,11 +202,14 @@ class TestSnapshots:
 # ----------------------------------------------------------------------
 
 KINDS = ("A", "B", "C")
+CONSUME_MODES = ("greedy", "exhaustive", "contiguous")
 
 
 @st.composite
-def agg_relations(draw, max_events: int = 14):
-    """Typed events with a numeric/missing/non-numeric ``x`` attribute."""
+def agg_relations(draw, max_events: int = 14, exact: bool = False):
+    """Typed events with a numeric/missing/non-numeric ``x`` attribute and
+    a small-domain (sometimes missing) join attribute ``g``.  ``exact``
+    keeps floats to quarters, so sums are the same in any order."""
     n = draw(st.integers(min_value=0, max_value=max_events))
     timestamps = sorted(draw(st.lists(
         st.integers(min_value=0, max_value=40), min_size=n, max_size=n)))
@@ -213,18 +220,24 @@ def agg_relations(draw, max_events: int = 14):
         attrs = {}
         if shape == "int":
             attrs["x"] = draw(st.integers(min_value=-5, max_value=5))
+        elif shape == "float" and exact:
+            attrs["x"] = draw(st.integers(min_value=-16, max_value=16)) / 4
         elif shape == "float":
             attrs["x"] = draw(st.floats(min_value=-4, max_value=4,
                                         allow_nan=False, width=32))
         elif shape == "text":
             attrs["x"] = draw(st.sampled_from(("hi", "lo")))
+        g = draw(st.sampled_from((0, 1, 2, None)))
+        if g is not None:
+            attrs["g"] = g
         events.append(Event(ts=ts, eid=f"e{i}", kind=kind, **attrs))
     return EventRelation(events)
 
 
 @st.composite
 def agg_patterns(draw):
-    """One- or two-set patterns, optionally with a group variable."""
+    """One- or two-set patterns, optionally with a group variable and
+    an equality join between two of the variables."""
     shapes = (
         [["a"], ["b"]],
         [["a", "b"]],
@@ -232,6 +245,7 @@ def agg_patterns(draw):
         [["a", "b+"]],
         [["a"]],
         [["a+"]],
+        [["a", "b+"], ["c"]],
     )
     sets = draw(st.sampled_from(shapes))
     conditions = []
@@ -239,6 +253,9 @@ def agg_patterns(draw):
     for name in names:
         kind = draw(st.sampled_from(KINDS))
         conditions.append(f"{name}.kind = '{kind}'")
+    if len(names) > 1 and draw(st.booleans()):
+        left, right = draw(st.permutations(names))[:2]
+        conditions.append(f"{left}.g = {right}.g")
     tau = draw(st.integers(min_value=0, max_value=50))
     return SESPattern(sets=sets, conditions=conditions, tau=tau)
 
@@ -277,7 +294,7 @@ class TestEnumerateThenFoldEquivalence:
     @given(pattern=agg_patterns(), relation=agg_relations(),
            spec=agg_specs(),
            use_filter=st.booleans(),
-           consume=st.sampled_from(("greedy", "exhaustive")))
+           consume=st.sampled_from(CONSUME_MODES))
     @example(pattern=MIXED_PATTERN, relation=mixed_relation(0, "hi", 1.5),
              spec=MIXED_SPEC, use_filter=True, consume="greedy")
     @settings(max_examples=150, deadline=None)
@@ -332,6 +349,253 @@ class TestEnumerateThenFoldEquivalence:
         expected, _ = reference_values(pattern, spec, relation)
         series = incremental_series(pattern, spec, relation)
         assert_same_values(spec, series.values, expected)
+
+
+# ----------------------------------------------------------------------
+# Oracle: the flat per-group loop the state buckets replaced
+# ----------------------------------------------------------------------
+
+class FlatAggregationEngine(AggregationEngine):
+    """The engine as it was before groups were bucketed by state, kept
+    verbatim as the oracle: one ``(state, min_ts, projections)`` dict,
+    every group visited and every event-only condition re-evaluated per
+    group on every event."""
+
+    def __init__(self, automaton, spec, consume_mode="greedy"):
+        super().__init__(automaton, spec, consume_mode)
+        pair_index = {pair: i for i, pair in enumerate(self._pairs)}
+        self._by_state = {
+            state: tuple(
+                (transition,
+                 [(None, anchored, None, None) if other is None else
+                  (pair_index[(other, anchored.right.attribute)], anchored,
+                   OPERATORS[anchored.op], anchored.left.attribute)
+                  for other, anchored in transition.checks],
+                 proj_updates, reg_updates)
+                for transition, _, proj_updates, reg_updates in entries)
+            for state, entries in self._by_state.items()}
+
+    def reset(self) -> None:
+        #: key (state, min_ts, projections) → [multiplicity, registers]
+        self._groups = {}
+        self._totals = empty_snapshot(self.spec)["totals"]
+        self.matches_folded = 0
+        self.max_groups = 0
+
+    @property
+    def group_count(self) -> int:
+        return len(self._groups)
+
+    @property
+    def next_expiry_ts(self):
+        oldest = None
+        for (state, min_ts, proj) in self._groups:
+            if min_ts is not None and (oldest is None or min_ts < oldest):
+                oldest = min_ts
+        return None if oldest is None else oldest + self._tau
+
+    def step(self, event, allow_start, stats) -> None:
+        ts = event.ts
+        tau = self._tau
+        accepting = self._accepting
+        if allow_start:
+            stats.instances_created += 1
+        stats.observe_event(ts)
+        stats.observe_omega(len(self._groups) + (1 if allow_start else 0))
+        next_groups = {}
+        for key, (n, regs) in self._groups.items():
+            min_ts = key[1]
+            if min_ts is not None and ts - min_ts > tau:
+                stats.expired_instances += 1
+                if key[0] == accepting:
+                    self._fold(n, regs, stats)
+                continue
+            self._consume(key, n, regs, event, next_groups, stats)
+        if allow_start:
+            self._consume((self._start, None, self._empty_proj), 1,
+                          self._init_regs, event, next_groups, stats)
+        self._groups = next_groups
+        count = len(next_groups)
+        stats.observe_omega(count)
+        if count > self.max_groups:
+            self.max_groups = count
+
+    def expire_only(self, event, stats) -> None:
+        ts = event.ts
+        tau = self._tau
+        accepting = self._accepting
+        survivors = {}
+        for key, (n, regs) in self._groups.items():
+            min_ts = key[1]
+            if min_ts is not None and ts - min_ts > tau:
+                stats.expired_instances += 1
+                if key[0] == accepting:
+                    self._fold(n, regs, stats)
+            else:
+                survivors[key] = [n, regs]
+        self._groups = survivors
+
+    def _consume(self, key, n, regs, event, out, stats) -> None:
+        state, min_ts, proj = key
+        fired = 0
+        for transition, checks, proj_updates, reg_updates in \
+                self._by_state[state]:
+            if not self._admits(checks, proj, event):
+                continue
+            fired += 1
+            new_key = (transition.target,
+                       event.ts if min_ts is None else min_ts,
+                       self._extend_proj(proj, proj_updates, event))
+            new_regs = (self._bind(regs, reg_updates, event, n)
+                        if reg_updates else regs)
+            self._merge_into(out, new_key, n, new_regs)
+        if fired:
+            stats.transitions_fired += fired
+            if fired > 1:
+                stats.branchings += fired - 1
+                stats.instances_created += fired - 1
+            if self.consume_mode == "exhaustive" and state != self._start:
+                self._merge_into(out, key, n, regs)
+                stats.instances_created += 1
+        elif state != self._start:
+            if self.consume_mode == "contiguous":
+                if state == self._accepting:
+                    self._fold(n, regs, stats)
+                return
+            self._merge_into(out, key, n, regs)
+
+    def _admits(self, checks, proj, event) -> bool:
+        for pair_idx, anchored, op, left_attr in checks:
+            if pair_idx is None:
+                if not anchored.evaluate_events(event, event):
+                    return False
+                continue
+            values = proj[pair_idx]
+            if not values:
+                continue
+            left = event.get(left_attr, MISSING)
+            if left is MISSING:
+                return False
+            for value in values:
+                if value is MISSING:
+                    return False
+                try:
+                    if not op(left, value):
+                        return False
+                except TypeError:
+                    return False
+        return True
+
+    def _merge_into(self, out, key, n, regs) -> None:
+        existing = out.get(key)
+        if existing is None:
+            out[key] = [n, regs]
+            return
+        existing[0] += n
+        existing[1] = self._merge_registers(existing[1], regs)
+
+    def finish(self, stats) -> None:
+        for key, (n, regs) in self._groups.items():
+            if key[0] == self._accepting:
+                self._fold(n, regs, stats)
+        self._groups = {}
+
+    def state_dict(self) -> dict:
+        return {
+            "groups": [(key, n, regs)
+                       for key, (n, regs) in self._groups.items()],
+            "snapshot": self.snapshot(),
+            "max_groups": self.max_groups,
+        }
+
+
+def grouped(engine) -> dict:
+    """``state_dict()['groups']`` as ``{key: (n, registers)}`` — the two
+    engines hold the same groups, in different orders."""
+    groups = engine.state_dict()["groups"]
+    out = {key: (n, regs) for key, n, regs in groups}
+    assert len(out) == len(groups) == engine.group_count
+    return out
+
+
+def assert_lockstep(automaton, spec, consume, ops):
+    """Drive the flat oracle and the bucketed engine through the same
+    ``(event, action)`` sequence — ``True``/``False`` is ``step`` with
+    that ``allow_start``, ``None`` is ``expire_only`` — comparing
+    everything observable after *every* event."""
+    flat = FlatAggregationEngine(automaton, spec, consume)
+    bucketed = AggregationEngine(automaton, spec, consume)
+    flat_stats, stats = ExecutionStats(), ExecutionStats()
+    flat_stats.enable_history()
+    stats.enable_history()
+    tau = automaton.tau
+    for event, action in ops:
+        for engine, counters in ((flat, flat_stats), (bucketed, stats)):
+            if action is None:
+                engine.expire_only(event, counters)
+            else:
+                engine.step(event, action, counters)
+        assert bucketed.snapshot() == flat.snapshot()
+        assert bucketed.matches_folded == flat.matches_folded
+        assert bucketed.max_groups == flat.max_groups
+        assert stats == flat_stats
+        groups = grouped(bucketed)
+        assert groups == grouped(flat)
+        # The O(1) deadline is conservative: never later than the scan's,
+        # and nothing older than τ outlives a step or a sweep.
+        scanned = flat.next_expiry_ts
+        if scanned is None:
+            assert not groups
+        else:
+            assert bucketed.next_expiry_ts <= scanned
+        assert all(event.ts - min_ts <= tau for _, min_ts, _ in groups)
+    flat.finish(flat_stats)
+    bucketed.finish(stats)
+    assert bucketed.snapshot() == flat.snapshot()
+    assert stats == flat_stats
+    assert bucketed.group_count == 0 and bucketed.next_expiry_ts is None
+    return bucketed
+
+
+class TestBucketedEqualsFlat:
+    @given(pattern=agg_patterns(),
+           relation=agg_relations(max_events=18, exact=True),
+           spec=agg_specs(), consume=st.sampled_from(CONSUME_MODES),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_lockstep_on_random_streams(self, pattern, relation, spec,
+                                        consume, data):
+        try:
+            spec.validate(pattern)
+        except ValueError:
+            return
+        actions = data.draw(st.lists(
+            st.sampled_from((True, True, False, None)),
+            min_size=len(relation), max_size=len(relation)))
+        assert_lockstep(compile_plan(pattern).automaton, spec, consume,
+                        list(zip(relation, actions)))
+
+    @pytest.mark.parametrize("consume", CONSUME_MODES)
+    @pytest.mark.parametrize("start_every", (1, 3))
+    def test_lockstep_on_the_ledger_smoke_slices(self, consume, start_every):
+        """The four ``batch-agg-fold`` smoke slices: events no variable's
+        constant condition admits are expiry-only, as under the filter.
+        Exhaustive groups double with every Prednisone dose of Q1, so
+        that mode stops while they still number in the thousands."""
+        workloads = pytest.importorskip("ledger.workloads")
+        from repro.net.protocol import event_from_json
+        pattern, spec = parse_query_spec(workloads.AGG)
+        automaton = compile_plan(pattern).automaton
+        size = 160 if consume == "exhaustive" else None
+        folded = 0
+        for _, rows in workloads._agg_units(1, True):
+            events = [event_from_json(row) for row in rows[:size]]
+            ops = [(event,
+                    (i % start_every == 0) if event["L"] in "CDPB" else None)
+                   for i, event in enumerate(events)]
+            folded += assert_lockstep(
+                automaton, spec, consume, ops).matches_folded
+        assert folded > 0 or consume != "greedy"
 
 
 # ----------------------------------------------------------------------
@@ -504,6 +768,82 @@ class TestStateRoundtrip:
         assert second.matches_folded == straight.matches_folded
         assert_same_values(JOIN_SPEC, second.aggregates().values,
                            straight.aggregates().values)
+
+
+    # A ``state_dict()`` written by the flat engine (before groups were
+    # bucketed by state) after the first eight CHECKPOINT_ROWS: four
+    # states interleaved, one match already folded, no start-state entry.
+    CHECKPOINT_PATTERN = SESPattern(
+        sets=[["a", "b+"], ["c"]],
+        conditions=["a.kind = 'A'", "b.kind = 'B'", "c.kind = 'C'",
+                    "a.pid = b.pid", "a.pid = c.pid"], tau=6)
+    CHECKPOINT_SPEC = AggregateSpec(aggregates=(
+        Aggregate("count", alias="n"), Aggregate("sum", "b", "x"),
+        Aggregate("max", "c", "x"), Aggregate("avg", "a", "x")))
+    CHECKPOINT_ROWS = (
+        (1, "A", 0, 2), (2, "A", 1, 3), (3, "B", 0, 5), (4, "B", 1, 7),
+        (5, "C", 0, 1), (6, "B", 0, 4), (7, "C", 1, 9), (8, "A", 0, 6),
+        (9, "B", 0, 1), (12, "C", 0, 2), (20, "A", 1, 1), (21, "B", 1, 2),
+        (22, "C", 1, 5), (40, "A", 0, 0))
+    _A, _B, _C = Variable("a"), Variable("b", True), Variable("c")
+    _f = frozenset
+    # Projections: (a.pid, b+.pid, a.T, b+.T) value sets.
+    FLAT_CHECKPOINT = {
+        "groups": [
+            ((_f({_A, _B, _C}), 2, (_f({1}), _f({1}), _f({2}), _f({4}))),
+             1, (None, 7, 9, (3, 1))),
+            ((_f({_B}), 3, (_f(), _f({0, 1}), _f(), _f({3, 4, 6}))),
+             1, (None, 16, None, (0, 0))),
+            ((_f({_B}), 4, (_f(), _f({0, 1}), _f(), _f({4, 6}))),
+             1, (None, 11, None, (0, 0))),
+            ((_f({_A, _B}), 6, (_f({0}), _f({0}), _f({8}), _f({6}))),
+             1, (None, 4, None, (6, 1))),
+            ((_f({_A}), 8, (_f({0}), _f(), _f({8}), _f())),
+             1, (None, 0, None, (6, 1))),
+        ],
+        "snapshot": {"version": 1, "matches": 1,
+                     "totals": [None, 5, 1, [2, 1]]},
+        "max_groups": 5,
+    }
+
+    def _checkpoint_engine(self, rows):
+        engine = compile_plan(
+            self.CHECKPOINT_PATTERN,
+            aggregate=self.CHECKPOINT_SPEC).executor()._agg
+        stats = ExecutionStats()
+        for ts, kind, pid, x in rows:
+            engine.step(ev(ts, kind, pid=pid, x=x), True, stats)
+        return engine, stats
+
+    def test_flat_checkpoint_loads_and_resumes(self):
+        straight, stats = self._checkpoint_engine(self.CHECKPOINT_ROWS)
+        straight.finish(stats)
+        resumed, stats = self._checkpoint_engine(())
+        resumed.load_state(self.FLAT_CHECKPOINT)
+        assert resumed.group_count == 5
+        assert resumed.next_expiry_ts == 2 + 6
+        for ts, kind, pid, x in self.CHECKPOINT_ROWS[8:]:
+            resumed.step(ev(ts, kind, pid=pid, x=x), True, stats)
+        resumed.finish(stats)
+        assert resumed.snapshot() == straight.snapshot()
+        assert resumed.matches_folded == straight.matches_folded == 5
+        assert resumed.max_groups == straight.max_groups
+        assert resumed.values() == {"n": 5, "sum(b.x)": 20, "max(c.x)": 9,
+                                    "avg(a.x)": 3.6}
+
+    def test_state_dict_keeps_the_flat_layout(self):
+        engine, _ = self._checkpoint_engine(self.CHECKPOINT_ROWS[:8])
+        state = engine.state_dict()
+        flat = self.FLAT_CHECKPOINT
+        assert {k: v for k, v in state.items() if k != "groups"} == \
+            {k: v for k, v in flat.items() if k != "groups"}
+        # Same (key, n, registers) triples; buckets only reorder them.
+        assert sorted(state["groups"], key=lambda g: g[0][1]) == flat["groups"]
+        # ... deterministically, and a reload writes the same list back.
+        again, _ = self._checkpoint_engine(self.CHECKPOINT_ROWS[:8])
+        assert again.state_dict() == state
+        again.load_state(state)
+        assert again.state_dict() == state
 
 
 # ----------------------------------------------------------------------
