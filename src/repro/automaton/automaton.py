@@ -9,17 +9,46 @@ buffer β collecting variable bindings (see :mod:`repro.automaton.instance`).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..core.variables import Variable
 from .states import State, state_label, state_sort_key
 from .transitions import Transition
 
-__all__ = ["SESAutomaton", "AutomatonError"]
+__all__ = ["SESAutomaton", "AutomatonError", "StateProbe"]
 
 
 class AutomatonError(ValueError):
     """Raised when an automaton is structurally invalid."""
+
+
+class StateProbe:
+    """The equality lookup every outgoing transition of one state shares.
+
+    Each transition leaving the state carries a check ``v.A = u.B``
+    against the same bound ``u.B`` (:attr:`partner`, :attr:`attribute`),
+    so an instance resting there can only fire on an event whose ``A``
+    equals the one value its ``u`` events carry in ``B`` — the executor
+    files the state's instances under that value and offers an event
+    only to those filed under the event's own.  :attr:`lookups` pairs
+    each outgoing transition with the event attribute ``A`` it compares.
+    """
+
+    __slots__ = ("partner", "attribute", "lookups")
+
+    def __init__(self, partner: Variable, attribute: str,
+                 lookups: Tuple[Tuple[Transition, str], ...]):
+        self.partner = partner
+        self.attribute = attribute
+        self.lookups = lookups
+
+    @property
+    def label(self) -> str:
+        """``u.B`` as conditions print it."""
+        return f"{self.partner}.{self.attribute}"
+
+    def __repr__(self) -> str:
+        return f"StateProbe({self.label})"
 
 
 class SESAutomaton:
@@ -53,6 +82,35 @@ class SESAutomaton:
             by_source.setdefault(t.source, []).append(t)
         for state in self.states:
             self._outgoing[state] = tuple(by_source.get(state, ()))
+        self._probes: Dict[State, StateProbe] = {}
+        self._probe_gaps: Dict[State, str] = {}
+        for state, outgoing in self._outgoing.items():
+            self._find_probe(state, outgoing)
+        self._rank: Optional[Dict[State, int]] = None
+
+    def _find_probe(self, state: State,
+                    outgoing: Tuple[Transition, ...]) -> None:
+        """Work out the state's :class:`StateProbe`, or why it has none."""
+        if not outgoing:
+            return
+        common = set.intersection(
+            *(set(transition.equality_probes) for transition in outgoing))
+        if common:
+            # Any common key is sound; a singleton partner never holds
+            # two values, so prefer it, then break ties by name.
+            key = min(common, key=lambda k: (k[0].is_group, k[0].name, k[1]))
+            self._probes[state] = StateProbe(key[0], key[1], tuple(
+                (t, t.equality_probes[key]) for t in outgoing))
+            return
+        bare = [t for t in outgoing if not t.equality_probes]
+        if bare:
+            self._probe_gaps[state] = (
+                f"transition `{bare[0].variable!r}` has no equality check "
+                f"against a bound variable")
+        else:
+            self._probe_gaps[state] = (
+                "its transitions share no equality check against one "
+                "bound attribute")
 
     def _validate(self) -> None:
         if self.start not in self.states:
@@ -72,6 +130,28 @@ class SESAutomaton:
         """Transitions whose source is ``state``."""
         try:
             return self._outgoing[state]
+        except KeyError:
+            raise AutomatonError(f"unknown state {state_label(state)}") from None
+
+    def probe(self, state: State) -> Optional[StateProbe]:
+        """The equality lookup shared by every transition leaving
+        ``state``; ``None`` when there is none (see :meth:`probe_gap`).
+        Worked out once, at construction, from
+        :attr:`Transition.equality_probes`."""
+        return self._probes.get(state)
+
+    def probe_gap(self, state: State) -> Optional[str]:
+        """Why ``state`` has no :meth:`probe` — ``None`` when it has one,
+        or has no outgoing transition to look anything up for."""
+        return self._probe_gaps.get(state)
+
+    def state_rank(self, state: State) -> int:
+        """Position of ``state`` in :meth:`sorted_states` — the fixed
+        order in which an executor visits its occupied states."""
+        if self._rank is None:
+            self._rank = {q: i for i, q in enumerate(self.sorted_states())}
+        try:
+            return self._rank[state]
         except KeyError:
             raise AutomatonError(f"unknown state {state_label(state)}") from None
 

@@ -11,6 +11,38 @@ For every input event it
    transitions branch nondeterministically; an instance with no enabled
    transition survives unchanged unless it still sits in the start state.
 
+Ω is not one list.  Algorithm 1 as printed tests and offers the event to
+*every* instance; here Ω is **one bucket per occupied automaton state,
+each in start order** (an instance's start is its earliest buffered
+timestamp; a successor inherits its parent's), and a state all of whose
+outgoing transitions check ``v.A = u.B`` against one bound ``u.B``
+(:meth:`SESAutomaton.probe <repro.automaton.automaton.SESAutomaton.probe>`)
+also files its instances under the value their ``u`` events carry.  So
+per event:
+
+* expiry is a cut of each bucket's expired prefix — one comparison with
+  the head of every occupied bucket when nothing expires, and
+  ``next_expiry_ts`` is the minimum over the heads;
+* the conditions on the event alone are asked once per occupied state,
+  and a state none of whose transitions passes them is not touched;
+* an indexed state offers the event only to the instances filed under
+  the event's own value(s) — plus the few no lookup can rule out —
+  while any other state walks its bucket;
+* successors are merged into their target buckets, in start order, after
+  every source has been consumed.
+
+The lookup only chooses whom to ask: Algorithm 2 (``_consume``) still
+decides every firing, so the accepted buffers and every counter are
+those of the flat loop (kept as the oracle in
+``tests/test_omega_index.py``).  What an emission point returns is in
+start order; buffers sharing a start come in the order their instances
+arrived in the accepting state.  Every instance is visited on every
+event only where something depends on it: with a
+:class:`~repro.automaton.trace.Tracer` attached (Figure 6 records the
+instances an event leaves alone), in ``"contiguous"`` mode (leaving an
+instance alone ends it) and in a subclass that sets
+``visits_every_instance``.
+
 For finite relations the executor additionally *flushes* accepting
 instances at end of input — Algorithm 1 as printed only reports a match
 once the window expires, which would silently drop matches completing in
@@ -32,12 +64,13 @@ import copy
 import logging
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..core.events import Event
 from ..core.semantics import SELECTIONS, select
 from ..core.substitution import Substitution
-from .automaton import SESAutomaton
+from .automaton import SESAutomaton, StateProbe
 from .buffer import EMPTY_BUFFER
 from .filtering import EventFilter
 from .instance import AutomatonInstance
@@ -75,6 +108,78 @@ _STAT_COUNTERS = (
 #: emitting its buffer if it already sits in the accepting state —
 #: so matched events must be adjacent in the (filtered) input.
 CONSUME_MODES = ("greedy", "exhaustive", "contiguous")
+
+#: An instance's start: the timestamp its window is anchored at.  Every
+#: instance outside the start state has one (a transition binds an event).
+_start = attrgetter("buffer.min_ts")
+
+#: Index key of the instances an equality lookup cannot rule out: no
+#: partner event bound, or partner events that lack the attribute or
+#: disagree on it.
+_WILD = object()
+
+#: Default of ``event.get``: nothing is ever filed under it.
+_ABSENT = object()
+
+
+def _start_last_if_empty(instance: AutomatonInstance):
+    """Sort key for start order that tolerates empty buffers (last)."""
+    min_ts = instance.buffer.min_ts
+    return (min_ts is None, min_ts)
+
+
+class _Bucket:
+    """The instances resting in one automaton state, in start order.
+
+    ``by_value`` (indexed states only) files the same instances under
+    the one value their :attr:`probe` partner carries, each list in
+    bucket order; the rest sit under :data:`_WILD`.
+    """
+
+    __slots__ = ("state", "instances", "outgoing", "probe", "by_value",
+                 "is_start")
+
+    def __init__(self, state: State, automaton: SESAutomaton,
+                 probe: Optional[StateProbe]):
+        self.state = state
+        self.instances: List[AutomatonInstance] = []
+        self.outgoing = automaton.outgoing(state)
+        self.probe = probe
+        self.by_value: Optional[dict] = None if probe is None else {}
+        self.is_start = state == automaton.start
+
+    def key_of(self, instance: AutomatonInstance):
+        """The value ``instance`` is filed under."""
+        probe = self.probe
+        partners = instance.buffer.events_of(probe.partner)
+        if not partners:
+            return _WILD
+        value = partners[0].get(probe.attribute, _ABSENT)
+        if value is _ABSENT:
+            return _WILD
+        for partner in partners[1:]:
+            if not partner.get(probe.attribute, _ABSENT) == value:
+                return _WILD
+        return value
+
+    def file(self, instance: AutomatonInstance) -> None:
+        """Add ``instance`` (already in :attr:`instances`) to the index,
+        keeping its list in bucket order."""
+        filed = self.by_value.setdefault(self.key_of(instance), [])
+        at = len(filed)
+        start = instance.buffer.min_ts
+        while at and filed[at - 1].buffer.min_ts > start:
+            at -= 1
+        filed.insert(at, instance)
+
+    def unfile(self, instance: AutomatonInstance) -> None:
+        """Drop ``instance`` from the index."""
+        key = self.key_of(instance)
+        filed = self.by_value[key]
+        if len(filed) == 1:
+            del self.by_value[key]
+        else:
+            filed.remove(instance)
 
 
 @dataclass
@@ -145,6 +250,10 @@ class SESExecutor:
     flushes end-of-input acceptances.  :meth:`run` wraps both for batch
     use.  A single executor may be reused after :meth:`reset`.
     """
+
+    #: Set by a subclass whose :meth:`_consume` must run for every
+    #: instance on every event, not only for those an event can move.
+    visits_every_instance = False
 
     def __init__(self, automaton: SESAutomaton,
                  event_filter: Optional[EventFilter] = None,
@@ -237,13 +346,21 @@ class SESExecutor:
         #: one truthiness test per step.
         self._hooks = tuple(hook for hook in (tracer, flight, self.lineage)
                             if hook is not None)
+        #: Offer every event to every instance instead of looking the
+        #: candidates up: a tracer records the instances an event leaves
+        #: alone, strict contiguity ends them, and a subclass may say it
+        #: has to see them all.
+        self._walks_all = (tracer is not None
+                           or consume_mode == "contiguous"
+                           or self.visits_every_instance)
         if obs is not None and event_filter is not None:
             event_filter.bind_metrics(obs.registry)
         self.reset()
 
     def reset(self) -> None:
         """Clear all execution state for a fresh run."""
-        self._omega: List[AutomatonInstance] = []
+        self._buckets: Dict[State, _Bucket] = {}
+        self._count = 0
         self._accepted: List[Substitution] = []
         self._accepted_during_consume: List[Substitution] = []
         self._enabled: Dict[State, List[Transition]] = {}
@@ -261,7 +378,71 @@ class SESExecutor:
         """Current size of Ω (coalesced groups in aggregate mode)."""
         if self._agg is not None:
             return self._agg.group_count
-        return len(self._omega)
+        return self._count
+
+    # ------------------------------------------------------------------
+    # Ω: one bucket per occupied state
+    # ------------------------------------------------------------------
+    def instances(self) -> List[AutomatonInstance]:
+        """Ω as one list in start order (oldest first, empty buffers
+        last); instances sharing a start come state by state, in the
+        order they arrived in their state."""
+        merged = [instance for bucket in self._buckets.values()
+                  for instance in bucket.instances]
+        merged.sort(key=_start_last_if_empty)
+        return merged
+
+    def replace_instances(self,
+                          instances: Iterable[AutomatonInstance]) -> None:
+        """Make ``instances`` (in any order) the new Ω."""
+        by_state: Dict[State, List[AutomatonInstance]] = {}
+        for instance in sorted(instances, key=_start_last_if_empty):
+            by_state.setdefault(instance.state, []).append(instance)
+        self._buckets = {}
+        self._count = 0
+        for state in sorted(by_state, key=self.automaton.state_rank):
+            self._arrive(state, by_state[state])
+
+    def _open(self, state: State) -> _Bucket:
+        """The bucket of a state occupied for the first time.
+
+        Buckets are kept in :meth:`SESAutomaton.state_rank` order (and
+        never removed, only emptied), so a step visits the occupied
+        states in an order that depends on Ω alone, not on how it came
+        about — a restored snapshot continues exactly like the run that
+        wrote it.
+        """
+        automaton = self.automaton
+        buckets = self._buckets
+        rank = automaton.state_rank
+        last = next(reversed(buckets), None)
+        buckets[state] = bucket = _Bucket(
+            state, automaton,
+            None if self._walks_all else automaton.probe(state))
+        if last is not None and rank(state) < rank(last):
+            self._buckets = dict(sorted(buckets.items(),
+                                        key=lambda item: rank(item[0])))
+        return bucket
+
+    def _arrive(self, state: State,
+                arrivals: List[AutomatonInstance]) -> None:
+        """Merge ``arrivals`` (in start order) into the bucket of
+        ``state``, after the residents that share their start."""
+        bucket = self._buckets.get(state)
+        if bucket is None:
+            bucket = self._open(state)
+        self._count += len(arrivals)
+        residents = bucket.instances
+        if not residents:
+            bucket.instances = arrivals
+        else:
+            late = _start(arrivals[0]) >= _start(residents[-1])
+            residents.extend(arrivals)
+            if not late:
+                residents.sort(key=_start)
+        if bucket.probe is not None:
+            for instance in arrivals:
+                bucket.file(instance)
 
     @property
     def accepted_buffers(self) -> List[Substitution]:
@@ -340,10 +521,11 @@ class SESExecutor:
         if self._agg is not None:
             return self._agg.next_expiry_ts
         oldest = None
-        for instance in self._omega:
-            min_ts = instance.buffer.min_ts
-            if min_ts is not None and (oldest is None or min_ts < oldest):
-                oldest = min_ts
+        for bucket in self._buckets.values():
+            if bucket.instances:
+                min_ts = bucket.instances[0].buffer.min_ts
+                if min_ts is not None and (oldest is None or min_ts < oldest):
+                    oldest = min_ts
         return None if oldest is None else oldest + self.automaton.tau
 
     def expire(self, event: Event) -> List[Substitution]:
@@ -391,30 +573,42 @@ class SESExecutor:
         hooks = self._hooks
         automaton = self.automaton
         tau = automaton.tau
-        accepting = automaton.accepting
+        ts = event.ts
 
-        omega = self._omega
         if consume:
             if allow_start:
                 fresh = AutomatonInstance(automaton.start, EMPTY_BUFFER)
-                omega.append(fresh)
+                bucket = self._buckets.get(automaton.start)
+                if bucket is None:
+                    bucket = self._open(automaton.start)
+                bucket.instances.append(fresh)
+                self._count += 1
                 stats.instances_created += 1
-            stats.observe_event(event.ts)
-            stats.observe_omega(len(omega))
+            stats.observe_event(ts)
+            stats.observe_omega(self._count)
             if obs is not None:
-                obs.omega(len(omega))
+                obs.omega(self._count)
             if hooks and allow_start:
                 self._emit("start", event, fresh)
-            self._enabled = {}
 
         accepted_now: List[Substitution] = []
         self._accepted_during_consume = accepted_now
-        next_omega: List[AutomatonInstance] = []
-        for instance in omega:
-            if instance.expired(event, tau):
-                stats.expired_instances += 1
+        expired: List[AutomatonInstance] = []
+        for bucket in self._buckets.values():
+            residents = bucket.instances
+            if residents:
+                min_ts = residents[0].buffer.min_ts
+                if min_ts is not None and ts - min_ts > tau:
+                    mixed = bool(expired)
+                    expired += self._cut_expired(bucket, ts)
+                    if mixed:
+                        expired.sort(key=_start)
+        if expired:
+            accepting = automaton.accepting
+            stats.expired_instances += len(expired)
+            for instance in expired:
                 if obs is not None:
-                    obs.lifetime(event.ts - instance.buffer.min_ts)
+                    obs.lifetime(ts - instance.buffer.min_ts)
                 if hooks:
                     self._emit("expire", event, instance)
                 if instance.state == accepting:
@@ -422,26 +616,137 @@ class SESExecutor:
                     stats.accepted_buffers += 1
                     if hooks:
                         self._emit("accept", event, instance)
-            elif consume:
-                self._consume(instance, event, next_omega)
-            else:
-                next_omega.append(instance)
-        self._omega = next_omega
         if consume:
-            stats.observe_omega(len(next_omega))
+            self._offer(event)
+            stats.observe_omega(self._count)
             if self.flight is not None:
-                self.flight.sample_omega(event.ts, len(next_omega))
+                self.flight.sample_omega(ts, self._count)
         self._accepted.extend(accepted_now)
         return accepted_now
+
+    def _cut_expired(self, bucket: _Bucket, ts) -> List[AutomatonInstance]:
+        """Remove and return the instances of ``bucket`` whose window
+        ``ts`` overruns (Algorithm 1, line 7): a prefix, the head being
+        one of them."""
+        tau = self.automaton.tau
+        residents = bucket.instances
+        cut = 1
+        while cut < len(residents):
+            min_ts = residents[cut].buffer.min_ts
+            if min_ts is None or not ts - min_ts > tau:
+                break
+            cut += 1
+        expired = residents[:cut]
+        del residents[:cut]
+        self._count -= cut
+        if bucket.by_value is not None:
+            for instance in expired:
+                bucket.unfile(instance)
+        return expired
+
+    def _offer(self, event: Event) -> None:
+        """Offer ``event`` to Ω, state by state (Algorithm 2 per instance).
+
+        Conditions on the event alone are asked once per occupied state.
+        A state none of whose transitions passes them is left as it is;
+        an indexed state offers the event only to the instances filed
+        under the event's value(s) (and the unfiled ones); any other
+        state walks its bucket.  Successors are held back per target
+        state until every source has been consumed, so none is offered
+        the event that made it.
+        """
+        walks_all = self._walks_all
+        consume = self._consume
+        enabled_of = self._enabled = {}
+        arrivals: Dict[State, List[AutomatonInstance]] = {}
+        unordered = set()
+        for bucket in self._buckets.values():
+            residents = bucket.instances
+            if not residents:
+                continue
+            by_value = bucket.by_value
+            if by_value is None:
+                enabled_of[bucket.state] = enabled = [
+                    transition for transition in bucket.outgoing
+                    if transition.admits_event(event)]
+                if not (enabled or walks_all or bucket.is_start):
+                    continue
+                offered = (residents,)
+            else:
+                enabled_of[bucket.state] = enabled = []
+                keys = []
+                for transition, attribute in bucket.probe.lookups:
+                    if transition.admits_event(event):
+                        enabled.append(transition)
+                        key = event.get(attribute, _ABSENT)
+                        if key in by_value and key not in keys:
+                            keys.append(key)
+                if not enabled:
+                    continue
+                if _WILD in by_value:
+                    keys.append(_WILD)
+                offered = [by_value[key] for key in keys]
+            # An instance the event leaves in place comes back as the
+            # last survivor; anything else in ``out`` is a successor.
+            out: List[AutomatonInstance] = []
+            gone = []
+            for candidates in offered:
+                for instance in candidates:
+                    consume(instance, event, out)
+                    if out and out[-1] is instance:
+                        out.pop()
+                    else:
+                        gone.append(instance)
+            if gone:
+                self._count -= len(gone)
+                if len(gone) == len(residents):
+                    bucket.instances = []
+                    if by_value:
+                        by_value.clear()
+                else:
+                    left = set(gone)
+                    bucket.instances = [instance for instance in residents
+                                        if instance not in left]
+                    if by_value is not None:
+                        for key, filed in zip(keys, offered):
+                            kept = [instance for instance in filed
+                                    if instance not in left]
+                            if not kept:
+                                del by_value[key]
+                            elif len(kept) < len(filed):
+                                by_value[key] = kept
+            if not out:
+                continue
+            # Survivors of one list come out in its (start) order.
+            ordered = len(offered) == 1
+            moved_to: Dict[State, List[AutomatonInstance]] = {}
+            for instance in out:
+                target = instance.state
+                if target in moved_to:
+                    moved_to[target].append(instance)
+                else:
+                    moved_to[target] = [instance]
+            for target, moved in moved_to.items():
+                if target in arrivals:
+                    arrivals[target] += moved
+                    unordered.add(target)
+                else:
+                    arrivals[target] = moved
+                    if not ordered:
+                        unordered.add(target)
+        for target, moved in arrivals.items():
+            if target in unordered:
+                moved.sort(key=_start)
+            self._arrive(target, moved)
 
     def _consume(self, instance: AutomatonInstance, event: Event,
                  out: List[AutomatonInstance]) -> None:
         """Algorithm 2 (ConsumeEvent), appending survivors to ``out``.
 
         Conditions on the event alone are the same for every instance in
-        a state, so the outgoing transitions passing them are worked out
-        once per (state, event) — :meth:`_step` clears the memo — and
-        only the binding-dependent conditions run per instance.
+        a state, so :meth:`_offer` works out the outgoing transitions
+        passing them once per (state, event) and only the
+        binding-dependent conditions run per instance.
 
         In ``"exhaustive"`` mode the original instance also survives when
         transitions fire, so the run may *skip* a consumable event — the
@@ -450,14 +755,9 @@ class SESExecutor:
         stats = self.stats
         hooks = self._hooks
         state = instance.state
-        enabled = self._enabled.get(state)
-        if enabled is None:
-            enabled = self._enabled[state] = [
-                transition for transition in self.automaton.outgoing(state)
-                if transition.admits_event(event)]
         buffer = instance.buffer
         fired = 0
-        for transition in enabled:
+        for transition in self._enabled[state]:
             if transition.admits_bindings(event, buffer):
                 successor = instance.advance(
                     transition.target, transition.variable, event)
@@ -489,8 +789,11 @@ class SESExecutor:
                     self._emit("drop", event, instance)
                 return
             out.append(instance)
-            if hooks:
-                self._emit("skip", event, instance)
+            if self.tracer is not None:
+                # Figure 6's "ignored by instance at ..." line: only a
+                # tracer wants it, and only a walk of every instance
+                # (which a tracer forces) can produce it.
+                self.tracer.record("skip", event, instance)
         elif hooks:
             self._emit("drop", event, instance)
 
@@ -516,16 +819,16 @@ class SESExecutor:
         """Flush: accept buffers of instances resting in the accepting state."""
         if self._agg is not None:
             self._agg.finish(self.stats)
-            self._omega = []
             return []
         accepted_now: List[Substitution] = []
-        for instance in self._omega:
-            if instance.state == self.automaton.accepting:
+        bucket = self._buckets.get(self.automaton.accepting)
+        if bucket is not None:
+            for instance in bucket.instances:
                 accepted_now.append(instance.buffer.to_substitution())
                 self.stats.accepted_buffers += 1
                 if self._hooks:
                     self._emit("flush", None, instance)
-        self._omega = []
+        self.replace_instances(())
         self._accepted.extend(accepted_now)
         return accepted_now
 
@@ -535,8 +838,8 @@ class SESExecutor:
     def state_dict(self) -> dict:
         """Snapshot the execution state for checkpoint/restore.
 
-        Captures Ω (as ``(state, buffer)`` pairs — both immutable),
-        the accepted buffers, the last-processed timestamp and a deep
+        Captures Ω (as ``(state, buffer)`` pairs — both immutable — in
+        the order of :meth:`instances`), the accepted buffers, the last-processed timestamp and a deep
         copy of the counters.  Restoring the snapshot into a fresh
         executor over the same automaton and then feeding the same
         suffix of events reproduces the run exactly (execution is
@@ -544,7 +847,7 @@ class SESExecutor:
         """
         snapshot = {
             "omega": [(instance.state, instance.buffer)
-                      for instance in self._omega],
+                      for instance in self.instances()],
             "accepted": list(self._accepted),
             "last_ts": self._last_ts,
             "stats": copy.deepcopy(self.stats),
@@ -555,8 +858,8 @@ class SESExecutor:
 
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (inverse of it)."""
-        self._omega = [AutomatonInstance(q, beta)
-                       for q, beta in state["omega"]]
+        self.replace_instances(AutomatonInstance(q, beta)
+                               for q, beta in state["omega"])
         self._accepted = list(state["accepted"])
         self._accepted_during_consume = []
         self._last_ts = state["last_ts"]

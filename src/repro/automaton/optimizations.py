@@ -1,11 +1,14 @@
 """Runtime optimizations beyond the paper's algorithm.
 
 The paper's future work names "space and runtime optimizations …
-including indexing techniques for automaton instances [11]".  The
-state-indexed trick — evaluate a transition's event-only conditions once
-per (state, event) instead of once per instance — lives inside
-:meth:`SESExecutor._consume <repro.automaton.executor.SESExecutor._consume>`;
-this module holds the other technique, benchmarked as an ablation in
+including indexing techniques for automaton instances [11]".  Indexing
+lives inside :class:`~repro.automaton.executor.SESExecutor` itself: Ω is
+bucketed by automaton state, a transition's event-only conditions are
+evaluated once per (state, event) instead of once per instance, and a
+state whose transitions all carry an equality join against one bound
+attribute files its instances under that value, so an event is offered
+only to the instances that share it.  This module holds the other
+technique, benchmarked as an ablation in
 benchmarks/bench_ablation_optimizations.py.
 
 :class:`PartitionedMatcher` splits the relation on an attribute that the

@@ -117,6 +117,10 @@ class PruningExecutor(SESExecutor):
     population is never larger.
     """
 
+    #: A resting instance turns doomed as time passes, not only when an
+    #: event can move it.
+    visits_every_instance = True
+
     def __init__(self, pattern: SESPattern, automaton: SESAutomaton,
                  event_filter: Optional[EventFilter] = None,
                  selection: str = "paper", tick: int = 1, **kwargs):

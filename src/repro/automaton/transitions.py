@@ -34,7 +34,7 @@ class Transition:
     """
 
     __slots__ = ("source", "variable", "conditions", "_target", "_checks",
-                 "_event_checks", "_binding_checks")
+                 "_event_checks", "_binding_checks", "_probes")
 
     def __init__(self, source: State, variable: Variable,
                  conditions: Iterable[Condition] = ()):
@@ -61,6 +61,12 @@ class Transition:
             anchored for other, anchored in checks if other is None)
         self._binding_checks: Tuple = tuple(
             check for check in checks if check[0] is not None)
+        probes = {}
+        for other, anchored in self._binding_checks:
+            if anchored.op == "=":
+                probes.setdefault((other, anchored.right.attribute),
+                                  anchored.left.attribute)
+        self._probes = probes
 
     @property
     def target(self) -> State:
@@ -78,6 +84,19 @@ class Transition:
         value-space checks over projected attribute sets.
         """
         return self._checks
+
+    @property
+    def equality_probes(self) -> dict:
+        """The equality checks against partner variables, as
+        ``{(partner, partner attribute): attribute of the new event}``.
+
+        An instance whose ``partner`` events all carry one value of the
+        attribute can only fire this transition on an event carrying the
+        same value, so a state whose outgoing transitions share a key
+        can file its instances under that value
+        (:meth:`SESAutomaton.probe <repro.automaton.automaton.SESAutomaton.probe>`).
+        """
+        return self._probes
 
     @property
     def is_loop(self) -> bool:

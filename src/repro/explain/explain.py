@@ -20,6 +20,7 @@ def _transition_entries(automaton) -> list:
     from .analyze import transition_label
     entries = []
     for transition in automaton.transitions:
+        probe = automaton.probe(transition.source)
         entries.append({
             "label": transition_label(transition),
             "source": state_label(transition.source),
@@ -27,8 +28,25 @@ def _transition_entries(automaton) -> list:
             "target": state_label(transition.target),
             "is_loop": transition.is_loop,
             "conditions": [repr(c) for c in transition.conditions],
+            # The bound attribute the executor looks the source state's
+            # instances up by before it tries this transition on them.
+            "probe": None if probe is None else probe.label,
         })
     return entries
+
+
+def _unindexed_states(automaton) -> list:
+    """Resting states whose instances are all offered an event some
+    outgoing transition admits, and why (the start state only ever holds
+    the event's own fresh instance; the accepting state is left out as a
+    state nothing is waiting in)."""
+    gaps = []
+    for state in automaton.sorted_states():
+        reason = automaton.probe_gap(state)
+        if reason is not None and state not in (automaton.start,
+                                                automaton.accepting):
+            gaps.append({"state": state_label(state), "reason": reason})
+    return gaps
 
 
 def explain(pattern, *, window: Optional[int] = None, relation=None,
@@ -100,6 +118,7 @@ def explain(pattern, *, window: Optional[int] = None, relation=None,
             "start": state_label(automaton.start),
             "accepting": state_label(automaton.accepting),
             "tau": automaton.tau,
+            "unindexed": _unindexed_states(automaton),
         },
         transitions=_transition_entries(automaton),
         prefilter=prefilter,

@@ -42,9 +42,11 @@ class ExplainReport:
     optimizations: List[str] = field(default_factory=list)
     #: Applied compile-time rewrites (trim reports etc.).
     rewrites: List[str] = field(default_factory=list)
-    #: Automaton topology summary (states/transitions/start/accepting/tau).
+    #: Automaton topology summary (states/transitions/start/accepting/tau,
+    #: and the ``unindexed`` resting states with the reason for each).
     automaton: dict = field(default_factory=dict)
-    #: Static per-transition entries (source/variable/target/conditions).
+    #: Static per-transition entries (source/variable/target/conditions,
+    #: and the ``probe`` its source state is looked up by, or ``None``).
     transitions: List[dict] = field(default_factory=list)
     #: Per-mode prefilter predicate vectors.
     prefilter: dict = field(default_factory=dict)
@@ -103,6 +105,14 @@ class ExplainReport:
             f"tau={automaton.get('tau', '?')}")
         lines.append(f"    start: {automaton.get('start', '?')}   "
                      f"accepting: {automaton.get('accepting', '?')}")
+        unindexed = automaton.get("unindexed")
+        if unindexed is not None:
+            lines.append(
+                "    instance lookup: "
+                + ("every resting state by join value" if not unindexed else
+                   f"{len(unindexed)} resting state(s) walked whole"))
+            for gap in unindexed:
+                lines.append(f"      {{{gap['state']}}}: {gap['reason']}")
         for mode, entry in sorted(self.prefilter.items()):
             predicates = ", ".join(
                 f"{attribute} {op} {constant!r}"
@@ -134,7 +144,8 @@ class ExplainReport:
                           f"passes={counters['passes']} "
                           f"sel={_fmt_ratio(counters['selectivity'])} "
                           f"t={counters['seconds'] * 1e3:.2f}ms]")
-            lines.append(f"    {label}{suffix}")
+            probe = entry.get("probe")
+            lines.append(f"    {label}  probe: {probe or 'none'}{suffix}")
             for index, condition in enumerate(entry.get("conditions", ())):
                 detail = ""
                 if counters:
@@ -204,6 +215,7 @@ class ExplainReport:
                 attrs.append(f'color="{_heat_color(share)}"')
                 attrs.append(f"penwidth={1.0 + 4.0 * share:.2f}")
             attrs.insert(0, f'label="{label}"')
+            attrs.append(f'tooltip="probe: {entry.get("probe") or "none"}"')
             lines.append(f'  "{entry["source"]}" -> "{entry["target"]}" '
                          f"[{', '.join(attrs)}];")
         lines.append("}")

@@ -5,16 +5,24 @@ unless someone was tracing — and full tracing is far too expensive to
 leave on in production.  :class:`FlightRecorder` is the middle ground:
 a preallocated ring buffer that keeps only the *tail* of execution —
 the most recent :class:`~repro.automaton.trace.TraceStep`-shaped records
-(``start`` / ``transition`` / ``skip`` / ``drop`` / ``expire`` /
-``accept`` / ``flush``, the Algorithm 1 vocabulary), a bounded timeline
-of ``|Ω|`` samples, and the fingerprints of the plans that ran — at O(1)
-append cost and fixed memory.
+(``start`` / ``transition`` / ``drop`` / ``expire`` / ``accept`` /
+``flush``, the Algorithm 1 vocabulary), a bounded timeline of ``|Ω|``
+samples, and the fingerprints of the plans that ran — at O(1) append
+cost and fixed memory.
+
+What the ring does **not** hold is ``skip``: "this event left that
+resting instance alone" is Figure 6's line, one per instance per
+admitted event, and belongs to the full
+:class:`~repro.automaton.trace.Tracer`.  Recorded here it filled two
+thirds of a served dump with noise (the tail reached back four admitted
+events) and forced the executor to visit every instance on every event
+just to say nothing happened to it; without it the recorder rides the
+executor's indexed path and a dump is what *did* happen.
 
 It plugs into the executor through the same hook as the full tracer
 (``SESExecutor(..., flight=recorder)``), so attaching it adds **no new
-branches** to the hot path; detached (the default) the executor is
-byte-for-byte the code PR 1 shipped.  Records are stored as compact
-tuples and only rendered to dicts at dump time.
+branches** to the hot path.  Records are stored as compact tuples and
+only rendered to dicts at dump time.
 
 The dump surfaces in three ways:
 

@@ -275,8 +275,11 @@ class PatternRegistry:
             if self._flight is not None and not self._flight_attached:
                 flight = self._flight
                 self._flight_attached = True
+            # Admission is decided once, by the shared bank (bit-identical
+            # to the plan's own prefilter), and rejected events reach the
+            # matcher as ticks - its executor has nothing left to filter.
             matcher = ContinuousMatcher(
-                plan, use_filter=self._use_filter,
+                plan, use_filter=False,
                 suppress_overlaps=self._suppress_overlaps,
                 flight=flight, guard=state.guard)
             spec = AdmissionSpec(self._bank, plan.pattern)

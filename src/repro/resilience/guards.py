@@ -187,14 +187,13 @@ class ResourceGuard:
         """Check every enabled ceiling after ``executor`` processed
         ``event``; apply the policy on breach."""
         config = self.config
-        omega = executor._omega
         if config.max_instances is not None:
-            size = len(omega)
+            size = executor.active_instances
             if size > config.max_instances:
                 self._breach(executor, "instances", config.max_instances,
                              size)
         if config.max_buffer_bytes is not None:
-            estimate = (sum(len(i.buffer) for i in omega)
+            estimate = (sum(len(i.buffer) for i in executor.instances())
                         * config.bytes_per_event)
             if estimate > config.max_buffer_bytes:
                 self._breach(executor, "buffer_bytes",
@@ -219,7 +218,7 @@ class ResourceGuard:
             target = None
         else:
             # Time breach under shed/degrade: halve the population.
-            target = max(1, len(executor._omega) // 2)
+            target = max(1, executor.active_instances // 2)
         self._shed(executor, resource, target)
 
     def _degrade(self, executor) -> None:
@@ -227,7 +226,7 @@ class ResourceGuard:
         arity = self.config.degrade_arity
         survivors = []
         dropped = 0
-        for instance in executor._omega:
+        for instance in executor.instances():
             buffer = instance.buffer
             over = any(variable.is_group
                        and len(buffer.events_of(variable)) > arity
@@ -237,7 +236,7 @@ class ResourceGuard:
             else:
                 survivors.append(instance)
         if dropped:
-            executor._omega = survivors
+            executor.replace_instances(survivors)
             self.degraded_total += dropped
             if self._degraded_counter is not None:
                 self._degraded_counter.inc(dropped)
@@ -250,7 +249,8 @@ class ResourceGuard:
         blind the matcher to genuinely new matches.
         """
         config = self.config
-        omega = executor._omega
+        # Oldest starts first; empty-buffer instances come last (kept).
+        omega = executor.instances()
 
         def under_ceiling() -> bool:
             if resource == "instances":
@@ -262,9 +262,6 @@ class ResourceGuard:
 
         if under_ceiling():
             return
-        # Oldest starts first; empty-buffer instances sort last (kept).
-        omega.sort(key=lambda i: (i.buffer.min_ts is None, i.buffer.min_ts
-                                  if i.buffer.min_ts is not None else 0))
         shed = 0
         while omega and not under_ceiling():
             if omega[0].buffer.min_ts is None:
@@ -272,6 +269,7 @@ class ResourceGuard:
             omega.pop(0)
             shed += 1
         if shed:
+            executor.replace_instances(omega)
             self.shed_total += shed
             if self._shed_counter is not None:
                 self._shed_counter.inc(shed)

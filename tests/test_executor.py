@@ -171,7 +171,7 @@ class TestExample8Trace:
         events = {e.eid: e for e in figure1}
 
         def instance_by_first_binding(eid):
-            for inst in executor._omega:
+            for inst in executor.instances():
                 from repro.core.variables import var
                 events_c = inst.buffer.events_of(var("c"))
                 if events_c and events_c[0].eid == eid:

@@ -89,6 +89,34 @@ class TestStaticExplain:
         report = explain(q1)
         assert report.cache["cached"] is True
 
+    def test_says_which_states_are_looked_up_by_join_value(self, q1):
+        """The paper's Q1 joins ``d`` and ``p+`` on ``c.ID``: ``{c}``,
+        ``{c, d}`` and ``{c, p+}`` are indexed by it.  ``{d}``, ``{p+}``
+        and ``{d, p+}`` have a transition with nothing to compare yet,
+        and ``{c, d, p+}`` compares ``p+`` with ``c.ID`` but ``b`` with
+        ``d.ID``: those four are walked."""
+        report = explain(q1)
+        probes = {t["label"]: t["probe"] for t in report.transitions}
+        assert probes["c --d--> cd"] == "c.ID"
+        assert probes["cp+ --p--> cp+"] == "c.ID"
+        assert probes["d --c--> cd"] is None
+        assert probes["cdp+ --b--> bcdp+"] is None
+        assert probes["∅ --c--> c"] is None
+        gaps = {gap["state"]: gap["reason"]
+                for gap in report.automaton["unindexed"]}
+        assert sorted(gaps) == ["cdp+", "d", "dp+", "p+"]
+        assert gaps["d"] == ("transition `p+` has no equality check "
+                             "against a bound variable")
+        assert gaps["cdp+"] == ("its transitions share no equality check "
+                                "against one bound attribute")
+        text = report.to_text()
+        assert "4 resting state(s) walked whole" in text
+        assert "{d}: transition `p+` has no equality check" in text
+        assert "c --d--> cd  probe: c.ID" in text
+        assert "d --c--> cd  probe: none" in text
+        assert 'tooltip="probe: c.ID"' in report.to_dot()
+        assert json.loads(report.to_json())["transitions"][0]["probe"] is None
+
 
 class TestCountingAutomaton:
     def test_shadow_counts_production_does_not(self, q1):

@@ -170,7 +170,36 @@ class TestExecutorIntegration:
         compile_plan(kind_pattern).executor(
             tracer=tracer, flight=flight).run(
             rel(ev(1, "A"), ev(2, "B"), ev(3, "C")))
-        assert len(tracer.steps) == len(flight)
+        # ``skip`` steps are Figure 6's, not the ring's: a tracer gets
+        # them, the flight recorder rides along without.
+        assert tracer.of_kind("skip")
+        assert ([(s.kind, s.event and s.event.eid) for s in tracer.steps
+                 if s.kind != "skip"]
+                == [(s["kind"], s["event"]) for s in flight.tail()])
+
+    def test_served_dump_holds_what_happened_not_what_did_not(self):
+        """``repro serve`` attaches the recorder to pattern ``p0``.  With a
+        ``skip`` per resting instance per admitted event in the ring, 352
+        of the 512 steps of this dump were ``skip`` and the tail reached
+        back 4 admitted events."""
+        workloads = pytest.importorskip("ledger.workloads")
+        from ledger.streams import chemo_stream
+        from repro.net.protocol import event_from_json
+        from repro.registry import PatternRegistry
+        flight = FlightRecorder()
+        registry = PatternRegistry(flight=flight)
+        registry.register(workloads.Q1, pattern_id="p0")
+        for row in chemo_stream(1, 4000, 24):
+            registry.push(event_from_json(row))
+            if registry.describe()[0]["events_delivered"] == 400:
+                break
+        steps = flight.dump()["steps"]
+        assert len(steps) == flight.capacity == 512
+        kinds = {step["kind"] for step in steps}
+        assert "skip" not in kinds and {"start", "transition"} <= kinds
+        admitted = {step["event"] for step in steps
+                    if step["kind"] == "start"}
+        assert len(admitted) >= 8
 
     def test_detached_executor_has_no_recorder(self, kind_pattern):
         executor = Matcher(kind_pattern).executor()

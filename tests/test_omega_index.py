@@ -1,0 +1,650 @@
+"""Ω bucketed by state and join value against the flat list it replaced.
+
+:class:`FlatExecutor` is the per-event loop as it stood before
+``SESExecutor`` bucketed Ω — one list, every instance tested for expiry
+and offered every admitted event, ``next_expiry_ts`` scanning the list —
+kept here as the oracle.  The bucketed executor must be the same machine
+seen from outside: the same buffers accepted at the same events (in
+start order; instances sharing a start may swap places), the same Ω, the
+same counters, and for a tracer the same steps.
+"""
+
+import itertools
+from collections import Counter
+from typing import List
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import Event, GuardConfig, SESPattern
+from repro.automaton import (AutomatonInstance, SESAutomaton, SESExecutor,
+                             Tracer, Transition)
+from repro.automaton.buffer import EMPTY_BUFFER
+from repro.automaton.builder import build_automaton
+from repro.automaton.executor import CONSUME_MODES
+from repro.core.conditions import parse_condition
+from repro.core.substitution import Substitution
+from repro.core.variables import group, var
+from repro.lang import parse_pattern
+from repro.plan.cache import compile as compile_plan
+from repro.resilience.guards import ResourceGuard
+
+
+def _start_key(instance):
+    min_ts = instance.buffer.min_ts
+    return (min_ts is None, min_ts)
+
+
+class FlatExecutor(SESExecutor):
+    """Algorithms 1-2 over one flat list Ω (``_step``, ``_consume``,
+    ``next_expiry_ts`` and ``finish`` of commit 7f600f9, verbatim)."""
+
+    def reset(self) -> None:
+        super().reset()
+        self._omega: List[AutomatonInstance] = []
+
+    @property
+    def active_instances(self) -> int:
+        return len(self._omega)
+
+    def instances(self):
+        return sorted(self._omega, key=_start_key)
+
+    def replace_instances(self, instances) -> None:
+        self._omega = sorted(instances, key=_start_key)
+
+    @property
+    def next_expiry_ts(self):
+        oldest = None
+        for instance in self._omega:
+            min_ts = instance.buffer.min_ts
+            if min_ts is not None and (oldest is None or min_ts < oldest):
+                oldest = min_ts
+        return None if oldest is None else oldest + self.automaton.tau
+
+    def _step(self, event, allow_start=True, consume=True):
+        stats = self.stats
+        obs = self.obs
+        hooks = self._hooks
+        automaton = self.automaton
+        tau = automaton.tau
+        accepting = automaton.accepting
+
+        omega = self._omega
+        if consume:
+            if allow_start:
+                fresh = AutomatonInstance(automaton.start, EMPTY_BUFFER)
+                omega.append(fresh)
+                stats.instances_created += 1
+            stats.observe_event(event.ts)
+            stats.observe_omega(len(omega))
+            if obs is not None:
+                obs.omega(len(omega))
+            if hooks and allow_start:
+                self._emit("start", event, fresh)
+            self._enabled = {}
+
+        accepted_now: List[Substitution] = []
+        self._accepted_during_consume = accepted_now
+        next_omega: List[AutomatonInstance] = []
+        for instance in omega:
+            if instance.expired(event, tau):
+                stats.expired_instances += 1
+                if obs is not None:
+                    obs.lifetime(event.ts - instance.buffer.min_ts)
+                if hooks:
+                    self._emit("expire", event, instance)
+                if instance.state == accepting:
+                    accepted_now.append(instance.buffer.to_substitution())
+                    stats.accepted_buffers += 1
+                    if hooks:
+                        self._emit("accept", event, instance)
+            elif consume:
+                self._consume(instance, event, next_omega)
+            else:
+                next_omega.append(instance)
+        self._omega = next_omega
+        if consume:
+            stats.observe_omega(len(next_omega))
+            if self.flight is not None:
+                self.flight.sample_omega(event.ts, len(next_omega))
+        self._accepted.extend(accepted_now)
+        return accepted_now
+
+    def _consume(self, instance, event, out) -> None:
+        stats = self.stats
+        hooks = self._hooks
+        state = instance.state
+        enabled = self._enabled.get(state)
+        if enabled is None:
+            enabled = self._enabled[state] = [
+                transition for transition in self.automaton.outgoing(state)
+                if transition.admits_event(event)]
+        buffer = instance.buffer
+        fired = 0
+        for transition in enabled:
+            if transition.admits_bindings(event, buffer):
+                successor = instance.advance(
+                    transition.target, transition.variable, event)
+                out.append(successor)
+                fired += 1
+                if hooks:
+                    self._emit("transition", event, instance,
+                               transition, successor)
+        if fired:
+            stats.transitions_fired += fired
+            if fired > 1:
+                stats.branchings += fired - 1
+                stats.instances_created += fired - 1
+            if (self.consume_mode == "exhaustive"
+                    and state != self.automaton.start):
+                out.append(instance)
+                stats.instances_created += 1
+        elif state != self.automaton.start:
+            if self.consume_mode == "contiguous":
+                if state == self.automaton.accepting:
+                    self._accepted_during_consume.append(
+                        buffer.to_substitution())
+                    stats.accepted_buffers += 1
+                    if hooks:
+                        self._emit("accept", event, instance)
+                elif hooks:
+                    self._emit("drop", event, instance)
+                return
+            out.append(instance)
+            if hooks:
+                self._emit("skip", event, instance)
+        elif hooks:
+            self._emit("drop", event, instance)
+
+    def finish(self):
+        accepted_now: List[Substitution] = []
+        for instance in self._omega:
+            if instance.state == self.automaton.accepting:
+                accepted_now.append(instance.buffer.to_substitution())
+                self.stats.accepted_buffers += 1
+                if self._hooks:
+                    self._emit("flush", None, instance)
+        self._omega = []
+        self._accepted.extend(accepted_now)
+        return accepted_now
+
+
+# ----------------------------------------------------------------------
+# Lockstep comparison
+# ----------------------------------------------------------------------
+def _canon(instance):
+    return (instance.state, instance.buffer.to_substitution())
+
+
+def omega_by_start(executor):
+    """Ω as ``[(start, multiset of (state, buffer))]``, oldest first."""
+    return [(start, Counter(map(_canon, members)))
+            for start, members in itertools.groupby(
+                executor.instances(), key=lambda i: i.buffer.min_ts)]
+
+
+def by_start(accepted):
+    return [(start, Counter(members)) for start, members in
+            itertools.groupby(accepted, key=Substitution.min_ts)]
+
+
+def steps_of(tracer):
+    return Counter(
+        (step.kind, step.event, _canon(step.instance), step.transition,
+         None if step.successor is None else _canon(step.successor))
+        for step in tracer.steps)
+
+
+def assert_invariants(executor):
+    """What the bucketed Ω relies on between events: buckets in state
+    rank order, each in start order and holding its own state's
+    instances; in an indexed bucket every resident filed exactly once,
+    under its own key, each list in bucket order and none empty."""
+    automaton = executor.automaton
+    ranks = [automaton.state_rank(state) for state in executor._buckets]
+    assert ranks == sorted(ranks)
+    total = 0
+    for state, bucket in executor._buckets.items():
+        residents = bucket.instances
+        total += len(residents)
+        assert all(instance.state == state for instance in residents)
+        assert residents == sorted(residents, key=_start_key)
+        if automaton.probe(state) is None or executor._walks_all:
+            assert bucket.by_value is None
+            continue
+        place = {id(instance): n for n, instance in enumerate(residents)}
+        filed = [id(instance) for members in bucket.by_value.values()
+                 for instance in members]
+        assert sorted(filed) == sorted(place)
+        for key, members in bucket.by_value.items():
+            places = [place[id(instance)] for instance in members]
+            assert places and places == sorted(places)
+            assert all(bucket.key_of(instance) is key
+                       or bucket.key_of(instance) == key
+                       for instance in members)
+    assert total == executor.active_instances
+
+
+class _SpyGuard(ResourceGuard):
+    """Remembers Ω as it stood when the guard was asked to check it."""
+
+    __slots__ = ("before",)
+
+    def check(self, executor, event, elapsed) -> None:
+        self.before = omega_by_start(executor)
+        super().check(executor, event, elapsed)
+
+
+def assert_lockstep(automaton, ops, consume="greedy", traced=False,
+                    guard=None, reload_at=None, omega_every=1):
+    """Drive a :class:`FlatExecutor` and a bucketed ``SESExecutor`` through
+    ``ops`` — ``(event, True | False)`` feeds the event with that
+    ``allow_start``, ``(event, None)`` is an expiry tick — comparing the
+    two after every one.  ``reload_at`` swaps the bucketed executor for a
+    fresh one restored from its ``state_dict()`` before that op;
+    ``omega_every`` thins the comparison of Ω itself (everything else is
+    compared after every op) for long streams.  Returns the bucketed
+    executor.
+    """
+    def make(cls, guard):
+        return cls(automaton, selection="accepted", consume_mode=consume,
+                   tracer=Tracer() if traced else None, guard=guard)
+
+    flat = make(FlatExecutor, guard and _SpyGuard(guard))
+    fast = make(SESExecutor, guard and _SpyGuard(guard))
+    for index, (event, action) in enumerate(ops):
+        if index == reload_at:
+            restored = make(SESExecutor, fast.guard)
+            restored.load_state(fast.state_dict())
+            fast = restored
+        emitted = []
+        for executor in (flat, fast):
+            if traced:
+                executor.tracer.clear()
+            emitted.append(executor.expire(event) if action is None
+                           else executor.feed(event, allow_start=action))
+        assert by_start(emitted[0]) == by_start(emitted[1]), index
+        assert flat.stats == fast.stats, index
+        if traced:
+            assert steps_of(flat.tracer) == steps_of(fast.tracer), index
+        if guard and action is not None:
+            assert flat.guard.before == fast.guard.before, index
+            assert flat.guard.trips == fast.guard.trips, index
+        if not guard:
+            assert flat.active_instances == fast.active_instances, index
+            assert flat.next_expiry_ts == fast.next_expiry_ts, index
+        if index % omega_every:
+            continue
+        assert_invariants(fast)
+        old, new = omega_by_start(flat), omega_by_start(fast)
+        if guard and old != new:
+            # What the guard was handed is the same Ω; what it sheds is
+            # "oldest start first", and among instances sharing a start
+            # that is each executor's own order.  So the survivors may
+            # differ in the one start the shedding stopped in — the
+            # oldest left — and the two runs part ways there.
+            assert (flat.guard.degraded_total
+                    == fast.guard.degraded_total), index
+            old, new = dict(old), dict(new)
+            split = {start for start in {*old, *new}
+                     if old.get(start) != new.get(start)}
+            assert split == {min({*old, *new})}, index
+            return fast
+        assert old == new, index
+        if guard:
+            assert flat.next_expiry_ts == fast.next_expiry_ts, index
+            assert flat.guard.stats() == fast.guard.stats(), index
+    assert by_start(flat.finish()) == by_start(fast.finish())
+    assert flat.stats == fast.stats
+    assert fast.active_instances == 0 and fast.next_expiry_ts is None
+    return fast
+
+
+# ----------------------------------------------------------------------
+# Strategies: patterns with and without equality joins, hostile values
+# ----------------------------------------------------------------------
+NAN = float("nan")
+ABSENT, FRESH_NAN = object(), object()
+#: ``1 == 1.0 == True`` (one index slot), a shared and a fresh ``nan``
+#: (equal to nothing, the shared one found by identity), a missing
+#: attribute.
+VALUES = (1, 1.0, True, 2, 2, "x", NAN, FRESH_NAN, ABSENT)
+
+
+@st.composite
+def keyed_events(draw, max_events=12, kinds="ABC", values=VALUES):
+    n = draw(st.integers(min_value=0, max_value=max_events))
+    timestamps = sorted(draw(st.lists(
+        st.integers(min_value=0, max_value=30), min_size=n, max_size=n)))
+    events = []
+    for i, ts in enumerate(timestamps):
+        attrs = {"kind": draw(st.sampled_from(kinds))}
+        for name in ("k", "j"):
+            value = draw(st.sampled_from(values))
+            if value is FRESH_NAN:
+                value = float("nan")
+            if value is not ABSENT:
+                attrs[name] = value
+        events.append(Event(ts=ts, eid=f"e{i}", **attrs))
+    return events
+
+
+@st.composite
+def joined_patterns(draw):
+    """One or two event sets of up to three variables (up to two of them
+    group variables), most carrying a ``kind`` condition, joined pairwise
+    at random: ``x.k = y.k`` (the indexable shape), ``x.k = y.j``, or a
+    comparison no index can answer."""
+    n_sets = draw(st.integers(min_value=1, max_value=2))
+    names = iter("abcdef")
+    sets, conditions, variables = [], [], []
+    groups_left = 2
+    for _ in range(n_sets):
+        current = []
+        for _ in range(draw(st.integers(min_value=1,
+                                        max_value=4 - n_sets))):
+            name = next(names)
+            is_group = bool(groups_left) and draw(st.sampled_from(
+                (False, False, True)))
+            groups_left -= is_group
+            current.append(name + "+" if is_group else name)
+            variables.append(name)
+            kind = draw(st.sampled_from(("A", "B", "C", None)))
+            if kind is not None:
+                conditions.append(f"{name}.kind = '{kind}'")
+        sets.append(current)
+    for x, y in itertools.combinations(variables, 2):
+        join = draw(st.sampled_from(
+            (None, None, "{x}.k = {y}.k", "{x}.k = {y}.k", "{y}.k = {x}.k",
+             "{x}.k = {y}.j", "{x}.k != {y}.k", "{x}.j < {y}.j")))
+        if join is not None:
+            conditions.append(join.format(x=x, y=y))
+    return SESPattern(sets=sets, conditions=conditions,
+                      tau=draw(st.integers(min_value=0, max_value=40)))
+
+
+@st.composite
+def equi_joined_patterns(draw):
+    """Every state indexed: one or two sets over two kinds, every pair of
+    variables joined on ``k`` — with two or three join values in the
+    stream, buckets hold several instances per value and lose some of
+    them at a time."""
+    n_sets = draw(st.integers(min_value=1, max_value=2))
+    names = iter("abcd")
+    sets, conditions, variables = [], [], []
+    for _ in range(n_sets):
+        current = []
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            name = next(names)
+            current.append(name)
+            variables.append(name)
+            conditions.append(
+                f"{name}.kind = '{draw(st.sampled_from('AB'))}'")
+        sets.append(current)
+    conditions += [f"{x}.k = {y}.k"
+                   for x, y in itertools.combinations(variables, 2)]
+    return SESPattern(sets=sets, conditions=conditions,
+                      tau=draw(st.integers(min_value=3, max_value=30)))
+
+
+def drawn_ops(data, events):
+    """Each event fed (mostly with a fresh start instance) or ticked."""
+    actions = data.draw(st.lists(
+        st.sampled_from((True, True, True, False, None)),
+        min_size=len(events), max_size=len(events)))
+    return list(zip(events, actions))
+
+
+class TestBucketedEqualsFlat:
+    @given(pattern=joined_patterns(), events=keyed_events(),
+           consume=st.sampled_from(CONSUME_MODES), traced=st.booleans(),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_lockstep_on_random_streams(self, pattern, events, consume,
+                                        traced, data):
+        ops = drawn_ops(data, events)
+        reload_at = data.draw(st.one_of(
+            st.none(), st.integers(min_value=0, max_value=len(ops))))
+        assert_lockstep(build_automaton(pattern), ops, consume, traced,
+                        reload_at=reload_at)
+
+    @given(pattern=equi_joined_patterns(),
+           events=keyed_events(max_events=24, kinds="AB", values=(1, 2, 3)),
+           consume=st.sampled_from(("greedy", "exhaustive")),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_lockstep_when_every_state_is_indexed(self, pattern, events,
+                                                  consume, data):
+        automaton = build_automaton(pattern)
+        assert all(automaton.probe(state) for state in automaton.states
+                   if state not in (automaton.start, automaton.accepting))
+        ops = drawn_ops(data, events)
+        assert_lockstep(automaton, ops, consume, reload_at=data.draw(
+            st.one_of(st.none(), st.integers(0, len(ops)))))
+
+    def test_a_check_against_an_unbound_partner_holds_vacuously(self):
+        """A hand-built automaton may check ``b.k = a.k`` where nothing
+        has bound ``a``: the check holds for want of a partner, so such
+        an instance is offered every event — not filed under a value it
+        does not have."""
+        a, b, c = var("a"), var("b"), var("c")
+        names = {"a": a, "b": b, "c": c}
+        empty, resting, full = frozenset(), frozenset({b}), frozenset({a, b})
+        automaton = SESAutomaton(
+            [empty, resting, full],
+            [Transition(empty, b, [parse_condition("b.kind = 'B'", names)]),
+             Transition(resting, a, [parse_condition("a.k = c.k", names)])],
+            empty, full, 50)
+        assert automaton.probe(resting).label == "c.k"
+        events = [Event(ts=1, eid="b1", kind="B", k=1),
+                  Event(ts=2, eid="x2", kind="X", k=7),
+                  Event(ts=3, eid="b3", kind="B", k=2)]
+        fast = assert_lockstep(automaton, [(e, True) for e in events])
+        assert fast.stats.transitions_fired == 3  # b1, then x2 as a, b3
+        assert fast.stats.accepted_buffers == 1
+
+    @given(pattern=joined_patterns(), events=keyed_events(max_events=16),
+           consume=st.sampled_from(("greedy", "exhaustive")),
+           ceiling=st.integers(min_value=1, max_value=6),
+           policy=st.sampled_from(("shed", "degrade")),
+           by_bytes=st.booleans(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_lockstep_through_a_shedding_guard(self, pattern, events,
+                                               consume, ceiling, policy,
+                                               by_bytes, data):
+        if by_bytes:
+            guard = GuardConfig(max_buffer_bytes=ceiling * 2, policy=policy,
+                                degrade_arity=1, bytes_per_event=1)
+        else:
+            guard = GuardConfig(max_instances=ceiling, policy=policy,
+                                degrade_arity=1)
+        assert_lockstep(build_automaton(pattern), drawn_ops(data, events),
+                        consume, guard=guard)
+
+    def test_group_partner_whose_events_disagree(self):
+        """``c`` joins on the group variable ``a+`` alone.  An instance
+        whose ``a+`` events carry two values (or lack one) can never take
+        a ``c`` — it stays findable, and is found and refused, rather
+        than being filed under one of the values or lost."""
+        automaton = build_automaton(SESPattern(
+            sets=[["a+"], ["b"], ["c"]],
+            conditions=["a.kind = 'A'", "b.kind = 'B'", "c.kind = 'C'",
+                        "c.k = a.k"],
+            tau=50))
+        resting = frozenset({group("a"), var("b")})
+        assert automaton.probe(resting).label == "a+.k"
+        events = [Event(ts=1, eid="a1", kind="A", k=1),
+                  Event(ts=2, eid="a2", kind="A", k=2),
+                  Event(ts=3, eid="b3", kind="B"),
+                  Event(ts=4, eid="c4", kind="C", k=1),
+                  Event(ts=5, eid="a5", kind="A"),
+                  Event(ts=6, eid="b6", kind="B"),
+                  Event(ts=7, eid="c7", kind="C", k=2),
+                  Event(ts=8, eid="c8", kind="C")]
+        for consume in CONSUME_MODES:
+            fast = assert_lockstep(automaton, [(e, True) for e in events],
+                                   consume)
+            if consume == "greedy":
+                # {a1, a2} disagrees, {a2} takes c7, {a5} lacks k.
+                assert fast.stats.accepted_buffers == 1
+
+    @pytest.mark.parametrize("consume", ("greedy", "exhaustive"))
+    def test_snapshot_written_out_of_start_order(self, consume):
+        """``load_state`` takes Ω in any order (the flat executor wrote it
+        in list order) and continues as the run that wrote it would."""
+        pattern = SESPattern(
+            sets=[["a", "b"], ["c"]],
+            conditions=["a.kind = 'A'", "b.kind = 'B'", "c.kind = 'C'",
+                        "a.k = b.k", "c.k = a.k"], tau=20)
+        automaton = build_automaton(pattern)
+        events = [Event(ts=t, eid=f"e{t}", kind="ABC"[t % 3], k=t % 2)
+                  for t in range(1, 16)]
+        head, rest = events[:8], events[8:]
+        flat = FlatExecutor(automaton, consume_mode=consume)
+        for event in head:
+            flat.feed(event)
+        snapshot = flat.state_dict()
+        assert len(snapshot["omega"]) > 3
+        snapshot["omega"] = snapshot["omega"][::-1]
+        fast = SESExecutor(automaton, consume_mode=consume)
+        fast.load_state(snapshot)
+        starts = [i.buffer.min_ts for i in fast.instances()]
+        assert starts == sorted(starts)
+        assert ([(q, b) for q, b in fast.state_dict()["omega"]]
+                == [(i.state, i.buffer) for i in fast.instances()])
+        assert omega_by_start(fast) == omega_by_start(flat)
+        for event in rest:
+            assert by_start(flat.feed(event)) == by_start(fast.feed(event))
+            assert omega_by_start(fast) == omega_by_start(flat)
+            assert fast.stats == flat.stats
+        assert by_start(flat.finish()) == by_start(fast.finish())
+
+    def test_restored_run_continues_in_the_same_order(self):
+        """Not only the same multisets: a run restored from a snapshot
+        emits and holds exactly what the uninterrupted run does, order
+        included (states are visited in a fixed order, not in the order
+        history happened to occupy them)."""
+        automaton = build_automaton(SESPattern(
+            sets=[["x", "y", "z"]],
+            conditions=["x.kind = 'M'", "y.kind = 'M'", "z.kind = 'M'"],
+            tau=6))
+        events = [Event(ts=t // 2, eid=f"m{t}", kind="M")
+                  for t in range(24)]
+        straight = SESExecutor(automaton, selection="accepted")
+        resumed = SESExecutor(automaton, selection="accepted")
+        for index, event in enumerate(events):
+            if index % 5 == 4:
+                snapshot = resumed.state_dict()
+                resumed = SESExecutor(automaton, selection="accepted")
+                resumed.load_state(snapshot)
+            assert straight.feed(event) == resumed.feed(event)
+            assert ([_canon(i) for i in straight.instances()]
+                    == [_canon(i) for i in resumed.instances()])
+        assert straight.finish() == resumed.finish()
+        assert straight.stats.accepted_buffers > 0
+
+
+# ----------------------------------------------------------------------
+# The ledger's streams (smoke sizes)
+# ----------------------------------------------------------------------
+def _ledger_ops(plan, rows):
+    """What the registry does with a stream: events the plan's prefilter
+    rejects only advance the clock."""
+    from repro.net.protocol import event_from_json
+    admits = plan.filter_handle().admits
+    events = [event_from_json(row) for row in rows]
+    return [(event, True if admits(event) else None) for event in events]
+
+
+class TestLedgerStreams:
+    @pytest.mark.parametrize("traced", (False, True))
+    def test_serve_q1_sparse(self, traced):
+        workloads = pytest.importorskip("ledger.workloads")
+        from ledger.streams import chemo_stream
+        plan = compile_plan(parse_pattern(workloads.Q1))
+        fast = assert_lockstep(
+            plan.automaton, _ledger_ops(plan, chemo_stream(1, 2400, 24)),
+            traced=traced, omega_every=41)
+        assert fast.stats.accepted_buffers > 20
+
+    def test_serve_reg25_dense(self):
+        workloads = pytest.importorskip("ledger.workloads")
+        from ledger.streams import chemo_stream
+        rows = chemo_stream(1, 1200, 24)
+        accepted = 0
+        for _, query in workloads.BY_NAME["serve-reg25-dense"].queries:
+            plan = compile_plan(parse_pattern(query))
+            accepted += assert_lockstep(
+                plan.automaton, _ledger_ops(plan, rows), omega_every=41
+            ).stats.accepted_buffers
+        assert accepted > 500
+
+    @pytest.mark.parametrize("consume", ("greedy", "contiguous"))
+    def test_batch_p3_exp2(self, consume):
+        workloads = pytest.importorskip("ledger.workloads")
+        plan = compile_plan(parse_pattern(workloads.P3))
+        fired = 0
+        for _, rows in workloads._p3_units(1, True):
+            fired += assert_lockstep(
+                plan.automaton, _ledger_ops(plan, rows[:400]), consume,
+                omega_every=41).stats.transitions_fired
+        assert fired > 1000
+
+    def test_batch_agg_fold_enumerated(self):
+        """The fold's streams, enumerated: Q1 over the four slices."""
+        workloads = pytest.importorskip("ledger.workloads")
+        plan = compile_plan(parse_pattern(workloads.Q1))
+        for _, rows in workloads._agg_units(1, True):
+            assert_lockstep(plan.automaton, _ledger_ops(plan, rows[:800]),
+                            omega_every=41)
+
+
+# ----------------------------------------------------------------------
+# Cost: independent of what else rests in the window
+# ----------------------------------------------------------------------
+class TestCostIsIndependentOfTheWindow:
+    """García & Riveros' yardstick as an assertion: what an event costs
+    does not depend on how many *other* patients rest in the window."""
+
+    PATTERN = ("PATTERN PERMUTE(a, b) WHERE a.L = 'A' AND b.L = 'B' "
+               "AND a.ID = b.ID WITHIN 1000")
+
+    @staticmethod
+    def stream(others):
+        """Patient 0's a/b events, one per 10 ticks, after ``others``
+        more patients each left an ``a`` resting in the window."""
+        events = [Event(ts=i, eid=f"o{i}", L="A", ID=1 + i)
+                  for i in range(others)]
+        events += [Event(ts=100 + 10 * i, eid=f"p{i}", L="AB"[i % 2], ID=0)
+                   for i in range(12)]
+        return events
+
+    def work_per_event(self, cls, others, monkeypatch):
+        calls = Counter()
+        for owner, name in ((Transition, "admits_bindings"),
+                            (cls, "_consume")):
+            def counted(*args, _original=getattr(owner, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(owner, name, counted)
+        executor = cls(build_automaton(parse_pattern(self.PATTERN)))
+        events = self.stream(others)
+        for event in events[:others]:
+            executor.feed(event)
+        calls.clear()
+        for event in events[others:]:
+            executor.feed(event)
+        monkeypatch.undo()
+        assert executor.stats.transitions_fired > others + 12
+        return calls["admits_bindings"], calls["_consume"]
+
+    def test_indexed_cost_ignores_other_patients(self, monkeypatch):
+        assert (self.work_per_event(SESExecutor, 25, monkeypatch)
+                == self.work_per_event(SESExecutor, 100, monkeypatch))
+
+    def test_flat_cost_grows_with_them(self, monkeypatch):
+        few = self.work_per_event(FlatExecutor, 25, monkeypatch)
+        many = self.work_per_event(FlatExecutor, 100, monkeypatch)
+        assert many[0] >= 3 * few[0] and many[1] >= 3 * few[1]

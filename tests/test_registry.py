@@ -277,6 +277,39 @@ class TestStreamingEquivalence:
             assert ([bindings(s) for s in registry.matches_of(f"p{i}")]
                     == [bindings(s) for s in matcher.matches])
 
+    def test_executor_counters_without_the_inner_prefilter(
+            self, random_plans, chemo_events):
+        """The registry's matchers run without their own prefilter (the
+        bank already decided admission); the per-pattern counters still
+        read as the filtered stand-alone matcher's do: the same events
+        processed, every other delivered event counted as filtered.  A
+        rejected event only reaches a pattern as a tick, and only once
+        it can expire something, so the registry reads at most the
+        stand-alone's."""
+        plans = random_plans[:40]
+        registry = PatternRegistry()
+        for i, plan in enumerate(plans):
+            registry.register(plan, pattern_id=f"p{i}")
+        registry.push_many(chemo_events)
+        ticked = 0
+        for i, plan in enumerate(plans):
+            alone = ContinuousMatcher(plan)
+            alone.push_many(chemo_events)
+            got = registry._entries[f"p{i}"].matcher.stats
+            want = alone.stats
+            assert got.events_processed == want.events_processed, f"p{i}"
+            assert (got.events_read
+                    == got.events_processed + got.events_filtered), f"p{i}"
+            assert got.events_filtered <= want.events_filtered, f"p{i}"
+            assert (want.events_read
+                    == want.events_processed + want.events_filtered)
+            for name in ("transitions_fired", "branchings",
+                         "expired_instances", "accepted_buffers"):
+                assert getattr(got, name) == getattr(want, name), (
+                    f"p{i}", name)
+            ticked += got.events_filtered
+        assert ticked  # ticks are still counted as filtered events
+
     def test_single_push_equals_push_many(self, random_plans, chemo_events):
         events = chemo_events[:100]
         plans = random_plans[:8]

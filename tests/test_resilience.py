@@ -336,7 +336,7 @@ class TestResourceGuards:
         feed_m_events(executor, 40)
         assert executor.active_instances <= 16
         assert executor.guard.degraded_total > 0
-        for instance in executor._omega:
+        for instance in executor.instances():
             for variable in instance.state:
                 if variable.is_group:
                     assert len(instance.buffer.events_of(variable)) <= 16
