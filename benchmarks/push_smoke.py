@@ -6,7 +6,11 @@ delivery WAL, a ``repro tail`` subscriber writing a transcript, a
 it on the same port against the same WAL, re-feeds the stream, and
 drains gracefully.  The subscriber must end with *exactly* the
 fault-free match set: resumed via ``Last-Event-ID``, no gap, no
-duplicate.
+duplicate.  Before the drain the second server is also handed one
+well-framed batch no matcher can digest (``"ts": "x"``): it must be
+refused at the door with an ``error`` frame, ``/statz`` must show no
+ingest error, and the batches must have been matched in at least one
+and at most as many runs as were admitted.
 
 Leaves behind (uploaded by CI on failure):
   push-smoke-transcript.jsonl   every event the subscriber received
@@ -21,10 +25,13 @@ import socket
 import subprocess
 import sys
 import time
+import urllib.request
 
 from repro import Event
 from repro.core.relation import EventRelation
 from repro.lang import parse_query_spec
+from repro.net.client import _next_frame
+from repro.net.protocol import FrameDecoder, encode_frame
 from repro.obs.lineage import match_id
 from repro.plan.cache import compile as compile_plan
 from repro.registry import PatternRegistry
@@ -89,6 +96,33 @@ def start_serve(port, generation):
     return process
 
 
+def hostile_frame_is_refused(port):
+    """One acked ``"ts": "x"`` used to fail every later batch for good."""
+    decoder, pending = FrameDecoder(), []
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(encode_frame(
+            {"type": "batch", "seq": 0,
+             "events": [{"ts": "x", "attrs": {"L": "B", "ID": 0}}]}))
+        replies = [_next_frame(sock, decoder, pending)["type"]
+                   for _ in range(2)]
+    assert replies == ["hello", "error"], replies
+
+
+def check_ingest_counters(port, generation):
+    """No ingest error, and batches-per-run is a readable quotient."""
+    log = open(f"push-smoke-serve{generation}.log").read()
+    obs_url = log.split("serving observability on ")[1].split()[0]
+    with urllib.request.urlopen(obs_url + "/varz", timeout=10) as response:
+        batches = json.load(response)["ses_ingest_batches_total"]["value"]
+    with urllib.request.urlopen(f"http://127.0.0.1:{port}/statz",
+                                timeout=10) as response:
+        ingest = json.load(response)["ingest"]
+    assert ingest["errors"] == 0, ingest
+    assert 1 <= ingest["runs"] <= batches, (ingest, batches)
+    print(f"ingest: {batches:g} batches in {ingest['runs']} run(s), "
+          f"0 errors")
+
+
 def transcript_matches():
     try:
         lines = open(TRANSCRIPT).read().splitlines()
@@ -146,6 +180,9 @@ def main():
         push("push-smoke-full.csv")       # re-feed: WAL dedup absorbs it
         wait_for(lambda: len({m for _, m in transcript_matches()})
                  >= PAIRS - 1, what="resumed delivery after restart")
+
+        hostile_frame_is_refused(port)
+        check_ingest_counters(port, 2)
 
         from repro.net import request_quit
         request_quit("127.0.0.1", port)

@@ -659,7 +659,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return True, {"status": "ok", "workers": 1,
                           "patterns": len(matcher),
                           "active_instances": matcher.active_instances,
-                          "matches": len(matcher.matches)}
+                          "matches": matcher.match_count}
 
     # --subscribe: the push front-end (ingest + subscriptions) wraps the
     # matcher; every reported match is published to the hub, and the
@@ -730,7 +730,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             else:
                 matcher.publish_stats()
         print(f"replayed {len(relation)} events, "
-              f"{len(matcher.matches)} match(es) so far", flush=True)
+              f"{matcher.match_count} match(es) so far", flush=True)
         if not args.once:
             while not stop.wait(0.25):
                 pass
@@ -763,7 +763,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                       f"to {args.dead_letter}", file=sys.stderr)
     if supervisor is not None and supervisor.restarts_total:
         print(f"recovered from {supervisor.restarts_total} shard crash(es)")
-    print(f"done: {len(matcher.matches)} match(es) reported")
+    print(f"done: {matcher.match_count} match(es) reported")
     return 0
 
 

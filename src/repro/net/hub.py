@@ -9,7 +9,8 @@ delivery.  Matchers publish every reported match exactly once; the hub
   subscriber sees them (delivered-or-persisted: a crash after the
   commit loses nothing).  The unit of durability is the **batch**:
   publishes made inside a :meth:`SubscriptionHub.batch` scope — the
-  push server opens one around every ingest batch — are committed on
+  push server opens one around every run of queued ingest batches — are
+  committed on
   scope exit with one log append (one ``write()``, one ``fsync()``) and
   only then remembered, added to the ring and offered to subscribers; a
   publish outside any scope is a batch of one through the same commit;

@@ -41,6 +41,7 @@ import base64
 import hashlib
 import json
 import struct
+from math import isfinite
 from typing import Any, Dict, Iterable, List, Optional
 
 from ..core.events import Event
@@ -80,14 +81,33 @@ def event_to_json(event: Event) -> Dict[str, Any]:
 
 
 def event_from_json(obj: Dict[str, Any]) -> Event:
-    """Rebuild an :class:`Event` from its JSON object."""
+    """Rebuild an :class:`Event` from its JSON object.
+
+    This is the door: a timestamp the matcher cannot order or subtract
+    (a string, ``null``, a boolean, ``NaN``, ``Infinity``) would start
+    an instance that never expires and fails every later batch of every
+    producer, so it is refused here with a :class:`FrameError`.
+    """
     if not isinstance(obj, dict) or "ts" not in obj:
         raise FrameError(f"event object needs a 'ts' field: {obj!r}")
-    return Event(ts=obj["ts"], attrs=dict(obj.get("attrs") or {}),
-                 eid=obj.get("eid"))
+    ts = obj["ts"]
+    attrs = obj.get("attrs")
+    # type(), not isinstance(): True and False are ints.
+    if type(ts) is not int and not (type(ts) is float and isfinite(ts)):
+        raise FrameError(f"event 'ts' must be a finite number: {obj!r}")
+    if attrs is not None and type(attrs) is not dict:
+        raise FrameError(f"event 'attrs' must be an object: {obj!r}")
+    try:
+        return Event(ts=ts, attrs=attrs, eid=obj.get("eid"))
+    except (TypeError, ValueError) as exc:  # unhashable value, reserved 'T'
+        raise FrameError(f"unusable event {obj!r}: {exc}") from exc
 
 
-def events_from_json(objs: Iterable[Dict[str, Any]]) -> List[Event]:
+def events_from_json(objs: Any) -> List[Event]:
+    """Decode the ``events`` field of a batch: a list of event objects,
+    anything else is a :class:`FrameError`."""
+    if type(objs) is not list:
+        raise FrameError(f"'events' must be a list, got {objs!r}")
     return [event_from_json(obj) for obj in objs]
 
 

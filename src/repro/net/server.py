@@ -19,16 +19,21 @@ The server runs its own event loop on a daemon thread (``start()`` /
 single worker thread so a slow pattern never blocks heartbeats or
 accept.  Ingested batches flow::
 
-    conn -> bounded asyncio.Queue -> match worker -> matcher.push_many
+    conn -> bounded asyncio.Queue -> match worker takes a run: the
+            batches already queued, up to RUN_EVENTS events
+         -> matcher.push_many, once per batch of the run, in order
          -> (on_match callback wired by the caller) -> hub.publish
-         -> [end of batch: one WAL append + fsync for its matches]
-         -> subscriber queues -> SSE/WS writers
+         -> [end of run: one WAL append + fsync for its matches]
+         -> subscriber queues -> SSE/WS writers, one write per backlog
 
-The ingest batch is the unit of durability: each batch, each
-``submit_call`` barrier and the end-of-stream flush runs inside one
-:meth:`SubscriptionHub.batch` scope, so all matches a batch reports are
-committed to the delivery log together, before any subscriber sees one
-and before the next batch is matched.
+The run is the unit of durability, the batch the unit of failure.  A
+run is whatever event batches are queued when the worker comes back for
+more — one batch when the server keeps up, several under load, never
+across a ``submit_call`` barrier.  Each run, each barrier and the
+end-of-stream flush runs inside one :meth:`SubscriptionHub.batch`
+scope, so all matches a run reports are committed to the delivery log
+together, before any subscriber sees one and before the next run is
+matched; a batch that raises costs that batch alone.
 
 Graceful drain (``shutdown()``, SIGTERM via the CLI, or ``POST
 /quitquitquit``): stop admitting batches (``draining`` frames / 503),
@@ -46,12 +51,13 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .hub import SubscriptionHub, Subscriber
 from .protocol import (PROTO_VERSION, FrameDecoder, FrameError, WSFrame,
-                       encode_frame, event_from_json, sse_format,
+                       encode_frame, events_from_json, sse_format,
                        ws_accept_key, ws_decode, ws_encode)
 
 __all__ = ["PushServer"]
@@ -66,6 +72,16 @@ _HTTP_PREFIXES = (b"GET ", b"POST", b"PUT ", b"HEAD", b"DELE", b"OPTI",
                   b"PATC")
 
 _CLOSE = object()  # ingest-queue sentinel
+
+#: A run takes no further batch once it holds this many events.  It is
+#: also the batch size of the local replay (``submit_events``), so one
+#: commit never offers a subscriber more than a replay batch plus one
+#: trailing frame would.
+RUN_EVENTS = 256
+
+#: Bytes per socket read on the ingest side, and the size past which one
+#: delivery write takes no further frame.
+IO_CHUNK_BYTES = 64 * 1024
 
 
 class PushServer:
@@ -136,10 +152,14 @@ class PushServer:
         self._draining = False
         self._closed = False
         self._ingest_errors = 0
+        self._ingest_runs = 0
         registry = None if observability is None else observability.registry
         if registry is not None:
             self._c_batches = registry.counter(
                 "ses_ingest_batches_total", help="event batches admitted")
+            self._c_runs = registry.counter(
+                "ses_ingest_runs_total",
+                help="runs of queued batches matched and committed together")
             self._c_events = registry.counter(
                 "ses_ingest_events_total", help="events admitted")
             self._c_backpressure = registry.counter(
@@ -148,7 +168,7 @@ class PushServer:
             self._g_depth = registry.gauge(
                 "ses_ingest_queue_depth", help="queued unprocessed batches")
         else:
-            self._c_batches = self._c_events = None
+            self._c_batches = self._c_runs = self._c_events = None
             self._c_backpressure = self._g_depth = None
 
     # ------------------------------------------------------------------
@@ -260,7 +280,7 @@ class PushServer:
     # ------------------------------------------------------------------
     # Local producer (the CLI replay path)
     # ------------------------------------------------------------------
-    def submit_events(self, events, batch_size: int = 256,
+    def submit_events(self, events, batch_size: int = RUN_EVENTS,
                       timeout: Optional[float] = None) -> int:
         """Feed local events through the same bounded ingest queue.
 
@@ -270,11 +290,15 @@ class PushServer:
         """
         if self._loop is None:
             raise RuntimeError("push server is not running")
+
+        async def admit(batch: List) -> None:
+            await self._queue.put(batch)
+            self._count_admitted(batch)
+
         events = list(events)
         for start in range(0, len(events), batch_size):
-            batch = events[start:start + batch_size]
             future = asyncio.run_coroutine_threadsafe(
-                self._queue.put(batch), self._loop)
+                admit(events[start:start + batch_size]), self._loop)
             future.result(timeout=timeout)
         return len(events)
 
@@ -319,37 +343,80 @@ class PushServer:
     # Match worker
     # ------------------------------------------------------------------
     async def _match_worker(self) -> None:
-        assert self._queue is not None
-        loop = asyncio.get_running_loop()
-        while True:
-            batch = await self._queue.get()
-            if self._g_depth is not None:
-                self._g_depth.set(self._queue.qsize())
-            if batch is _CLOSE:
-                self._queue.task_done()
-                return
-            try:
-                if callable(batch):  # a submit_call barrier, not events
-                    await loop.run_in_executor(self._matcher_pool, batch)
-                else:
-                    await loop.run_in_executor(self._matcher_pool,
-                                               self._run_batch, batch)
-            except Exception:
-                # A poisoned batch must not kill delivery for everyone;
-                # supervised serves quarantine poison upstream of here.
-                self._ingest_errors += 1
-                logger.exception(
-                    "match worker failed on a batch of %s",
-                    len(batch) if isinstance(batch, list) else "?")
-            finally:
-                self._queue.task_done()
+        """Hand the matcher thread what is queued, a run at a time.
 
-    def _run_batch(self, events: List) -> None:
-        """Match one ingest batch as one hub batch: the matches it
-        reports share a WAL append + fsync, and are delivered before
-        the next batch is matched."""
+        A run is the first queued event batch plus every batch already
+        behind it (never waited for) while it holds fewer than
+        :data:`RUN_EVENTS` events.  A ``submit_call`` barrier or the
+        close sentinel met on the way ends the run and is handled next,
+        so barriers keep their place in the order.
+        """
+        queue = self._queue
+        assert queue is not None
+        loop = asyncio.get_running_loop()
+        held = None  # taken off the queue while collecting a run
+        while True:
+            item = await queue.get() if held is None else held
+            held = None
+            if item is _CLOSE:
+                queue.task_done()
+                return
+            taken = 1
+            if isinstance(item, list):
+                run = [item]
+                events = len(item)
+                while events < RUN_EVENTS and not queue.empty():
+                    behind = queue.get_nowait()
+                    if not isinstance(behind, list):
+                        held = behind
+                        break
+                    run.append(behind)
+                    events += len(behind)
+                taken = len(run)
+                job = partial(self._run_batches, run)
+                self._ingest_runs += 1
+                if self._c_runs is not None:
+                    self._c_runs.inc()
+            else:  # a submit_call barrier, not events
+                job = item
+            if self._g_depth is not None:
+                self._g_depth.set(queue.qsize())
+            try:
+                await loop.run_in_executor(self._matcher_pool, job)
+            except Exception:
+                # Only the commit raises here (batches and barriers
+                # catch their own): nothing of the run was delivered.
+                self._ingest_errors += 1
+                logger.exception("commit failed for a run of %d batch(es)",
+                                 taken)
+            finally:
+                for _ in range(taken):
+                    queue.task_done()
+
+    def _run_batches(self, run: List[List]) -> None:
+        """Match a run of ingest batches as one hub batch: the matches
+        they report share a WAL append + fsync, and are delivered before
+        the next run is matched.  ``submit`` still sees one batch at a
+        time, in arrival order: a batch that raises (out-of-order
+        timestamps, a tripped guard) is counted, logged and skipped
+        without taking the batches queued behind it along."""
         with self.hub.batch():
-            self._submit(events)
+            for events in run:
+                try:
+                    self._submit(events)
+                except Exception:
+                    # A poisoned batch must not kill delivery for
+                    # everyone; supervised serves quarantine poison
+                    # upstream of here.
+                    self._ingest_errors += 1
+                    logger.exception(
+                        "match worker failed on a batch of %d", len(events))
+
+    def _count_admitted(self, events: List) -> None:
+        if self._c_batches is not None:
+            self._c_batches.inc()
+            self._c_events.inc(len(events))
+            self._g_depth.set(self._queue.qsize())
 
     def _admit(self, events: List) -> bool:
         """Try to enqueue a decoded batch; False means backpressure."""
@@ -361,11 +428,7 @@ class PushServer:
             if self._c_backpressure is not None:
                 self._c_backpressure.inc()
             return False
-        if self._c_batches is not None:
-            self._c_batches.inc()
-            self._c_events.inc(len(events))
-        if self._g_depth is not None:
-            self._g_depth.set(self._queue.qsize())
+        self._count_admitted(events)
         return True
 
     # ------------------------------------------------------------------
@@ -415,7 +478,7 @@ class PushServer:
                     await writer.drain()
                     return
             await writer.drain()
-            data = await reader.read(65536)
+            data = await reader.read(IO_CHUNK_BYTES)
 
     async def _handle_ingest_frame(self, frame: Dict[str, Any],
                                    writer) -> bool:
@@ -437,8 +500,7 @@ class PushServer:
             writer.write(encode_frame({"type": "draining", "seq": seq}))
             return True
         try:
-            events = [event_from_json(obj)
-                      for obj in frame.get("events", ())]
+            events = events_from_json(frame.get("events", []))
         except FrameError as exc:
             writer.write(encode_frame({"type": "error", "seq": seq,
                                        "error": str(exc)}))
@@ -510,6 +572,7 @@ class PushServer:
                 "queue_size": self.ingest_queue_size,
                 "draining": self._draining,
                 "errors": self._ingest_errors,
+                "runs": self._ingest_runs,
             }
             await self._respond(writer, 200, stats)
         else:
@@ -537,8 +600,7 @@ class PushServer:
             return
         try:
             payload = json.loads(body.decode("utf-8") or "null")
-            events = [event_from_json(obj)
-                      for obj in (payload or {}).get("events", ())]
+            events = events_from_json((payload or {}).get("events", []))
         except (ValueError, FrameError, AttributeError) as exc:
             await self._respond(writer, 400, {"error": f"bad batch: {exc}"})
             return
@@ -598,10 +660,7 @@ class PushServer:
             event="hello"))
         await writer.drain()
         try:
-            await self._pump(subscriber, wake,
-                             lambda kind, payload: self._sse_chunk(
-                                 kind, payload),
-                             writer)
+            await self._pump(subscriber, wake, self._sse_chunk, writer)
         finally:
             self.hub.detach(subscriber, reason=subscriber.close_reason
                             or "connection closed")
@@ -616,7 +675,13 @@ class PushServer:
     async def _pump(self, subscriber: Subscriber, wake: asyncio.Event,
                     render: Callable[[str, Any], bytes], writer,
                     pinger: Optional[Callable[[], bytes]] = None) -> None:
-        """The shared delivery loop: pop, render, write, heartbeat."""
+        """The shared delivery loop: pop, render, write, heartbeat.
+
+        A wake-up writes what is queued: every item the subscriber has
+        goes out as one ``write`` + one ``drain`` (frames of both
+        renderings are self-delimiting), cut at :data:`IO_CHUNK_BYTES`
+        and after a terminal ``drain`` notice.
+        """
         heartbeat = self.hub.heartbeat_seconds
         idle_timeout = self.hub.idle_timeout_seconds
         while True:
@@ -642,8 +707,17 @@ class PushServer:
                         subscriber.close(reason="idle-timeout")
                         return
                 continue
-            kind, payload = item
-            writer.write(render(kind, payload))
+            frames = []
+            size = 0
+            while item is not None:
+                kind, payload = item
+                frame = render(kind, payload)
+                frames.append(frame)
+                size += len(frame)
+                if kind == "drain" or size >= IO_CHUNK_BYTES:
+                    break
+                item = subscriber.pop()
+            writer.write(b"".join(frames))
             try:
                 await asyncio.wait_for(writer.drain(), idle_timeout)
             except asyncio.TimeoutError:
@@ -678,18 +752,8 @@ class PushServer:
         await writer.drain()
         read_task = asyncio.ensure_future(
             self._ws_read(reader, writer, subscriber))
-
-        def render(kind: str, payload) -> bytes:
-            if kind == "match":
-                body = dict(payload.payload)
-                body["event"] = "match"
-            else:
-                body = dict(payload)
-                body["event"] = kind
-            return ws_encode(json.dumps(body, default=str).encode("utf-8"))
-
         try:
-            await self._pump(subscriber, wake, render, writer,
+            await self._pump(subscriber, wake, self._ws_chunk, writer,
                              pinger=lambda: ws_encode(b"", WSFrame.PING))
             writer.write(ws_encode(b"", WSFrame.CLOSE))
             await writer.drain()
@@ -697,6 +761,12 @@ class PushServer:
             read_task.cancel()
             self.hub.detach(subscriber, reason=subscriber.close_reason
                             or "connection closed")
+
+    @staticmethod
+    def _ws_chunk(kind: str, payload) -> bytes:
+        body = dict(payload.payload if kind == "match" else payload)
+        body["event"] = kind
+        return ws_encode(json.dumps(body, default=str).encode("utf-8"))
 
     async def _ws_read(self, reader, writer, subscriber: Subscriber) -> None:
         """Consume client frames: answer pings, honour close."""

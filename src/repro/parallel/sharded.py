@@ -521,6 +521,12 @@ class ShardedStreamMatcher:
         """All matches reported so far, ordered by start timestamp."""
         return sorted(self._matches, key=lambda s: s.min_ts())
 
+    @property
+    def match_count(self) -> int:
+        """How many matches were reported so far (``len(matches)``
+        without the sort)."""
+        return len(self._matches)
+
     def aggregate_snapshot(self):
         """Merged cross-shard partial-aggregate snapshot (``None`` for
         enumeration plans).  Shards ship their partials on ``close``, so

@@ -547,6 +547,13 @@ class PatternRegistry:
         with self._lock:
             return [match.substitution for match in self._reported]
 
+    @property
+    def match_count(self) -> int:
+        """How many matches were reported so far — ``len(matches)``
+        without the copy (or the lock: a health probe must not queue
+        behind the matcher thread)."""
+        return len(self._reported)
+
     def matches_of(self, pattern_id: str) -> List[Substitution]:
         """Matches reported so far for one pattern (survives deregister)."""
         with self._lock:
@@ -609,7 +616,7 @@ class PatternRegistry:
             "fingerprint": entry.plan.fingerprint,
             "query": entry.query,
             "active_instances": entry.matcher.active_instances,
-            "matches": len(entry.matcher.matches),
+            "matches": entry.matcher.match_count,
             "events_delivered": entry.deliveries,
         }
         if entry.plan.aggregate is not None:

@@ -210,6 +210,12 @@ class ContinuousMatcher:
         return list(self._reported)
 
     @property
+    def match_count(self) -> int:
+        """How many matches were reported so far (``len(matches)``
+        without the copy)."""
+        return len(self._reported)
+
+    @property
     def matches_folded(self) -> int:
         """Matches folded into aggregates (0 for enumeration plans)."""
         return self._executor.matches_folded

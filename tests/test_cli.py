@@ -375,6 +375,53 @@ class TestServeCommand:
         thread.join(timeout=10)
         assert not thread.is_alive()
 
+    def test_probes_count_matches_without_copying_them(self, tmp_path,
+                                                       monkeypatch):
+        # /healthz and /patterns want a number; `matches` copies every
+        # substitution ever reported (the registry's under the lock the
+        # matcher thread needs).
+        import json
+        import time
+        from repro import Event
+        from repro.core.relation import EventRelation
+        from repro.registry import PatternRegistry
+        from repro.stream.runner import ContinuousMatcher
+
+        query = "PATTERN PERMUTE(a, b) WHERE a.L = 'B' AND b.L = 'C' WITHIN 10"
+        events = [Event(ts=i, attrs={"L": "BC"[i % 2]}, eid=f"e{i}")
+                  for i in range(40)]
+        save_relation(EventRelation(events, name="pairs"),
+                      tmp_path / "pairs.csv")
+        solo = PatternRegistry()
+        solo.register(query)
+        expected = len(solo.push_many(events))
+        assert expected > 1 and solo.match_count == expected
+
+        def copied(self):
+            raise AssertionError("a probe copied the match history")
+
+        monkeypatch.setattr(PatternRegistry, "matches", property(copied))
+        monkeypatch.setattr(ContinuousMatcher, "matches", property(copied))
+        thread, url = self.serve_in_background(
+            ["serve", "--data", str(tmp_path / "pairs.csv"),
+             "--query", query, "--listen", "127.0.0.1:0"])
+
+        def listing():
+            status, body = self.http(url + "/patterns")
+            assert status == 200
+            return json.loads(body)["patterns"]
+
+        deadline = time.monotonic() + 10
+        while listing()[0]["events_delivered"] < len(events):
+            assert time.monotonic() < deadline, "replay never finished"
+            time.sleep(0.02)
+        assert [row["matches"] for row in listing()] == [expected]
+        status, health = self.http(url + "/healthz")
+        assert status == 200 and json.loads(health)["matches"] == expected
+        self.http(url + "/quitquitquit", method="POST")
+        thread.join(timeout=10)
+        assert not thread.is_alive()  # the closing lines count, too
+
     def test_once_exits_after_replay(self, figure1_csv, capsys):
         code = main(["serve", "--data", str(figure1_csv), "--query", Q1_TEXT,
                      "--listen", "127.0.0.1:0", "--once"])

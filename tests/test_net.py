@@ -1,8 +1,11 @@
 """Tests for repro.net: wire protocols, subscription hub, push server."""
 
+import asyncio
 import json
+import socket
 import threading
 import time
+import urllib.request
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +16,16 @@ from repro.core.variables import var
 from repro.lang import parse_query_spec
 from repro.net import (FrameDecoder, FrameError, PushServer,
                        SubscriptionHub, WSFrame, decode_frames, encode_frame,
-                       event_from_json, event_to_json, http_push,
+                       event_from_json, event_to_json, events_from_json,
+                       http_push,
                        parse_sse_stream, push_events, request_quit,
                        sse_format, subscribe_sse, subscribe_ws,
                        ws_accept_key, ws_decode, ws_encode)
-from repro.net.client import PushRejected
+from repro.net.client import PushRejected, _http_request, _next_frame
+from repro.net.server import IO_CHUNK_BYTES, RUN_EVENTS
 from repro.obs import Observability
-from repro.obs.lineage import match_id
+from repro.obs.lineage import LineageRecorder, match_id
+from repro.obs.tracectx import TraceConfig
 from repro.plan.cache import compile as compile_plan
 from repro.registry import PatternRegistry
 from repro.resilience import DeliveryLog, rotated_path
@@ -89,6 +95,35 @@ class TestFraming:
     def test_event_without_ts_rejected(self):
         with pytest.raises(FrameError, match="ts"):
             event_from_json({"eid": "x"})
+
+    @pytest.mark.parametrize("ts", ["x", None, True, float("nan"),
+                                    float("inf"), [1], {"a": 1}])
+    def test_event_with_unorderable_ts_rejected(self, ts):
+        with pytest.raises(FrameError, match="finite number"):
+            event_from_json({"ts": ts, "attrs": {"L": "B"}})
+
+    @pytest.mark.parametrize("attrs", [7, [1, 2], "L", True])
+    def test_event_with_non_object_attrs_rejected(self, attrs):
+        with pytest.raises(FrameError, match="attrs"):
+            event_from_json({"ts": 1, "attrs": attrs})
+
+    @pytest.mark.parametrize("obj", [
+        {"ts": 1, "attrs": {"L": [1, 2]}},   # unhashable value
+        {"ts": 1, "eid": ["e"]},             # unhashable id
+        {"ts": 1, "attrs": {"T": 3}},        # the reserved time attribute
+    ])
+    def test_event_the_model_refuses_is_a_frame_error(self, obj):
+        with pytest.raises(FrameError, match="unusable"):
+            event_from_json(obj)
+
+    def test_absent_or_null_attrs_and_float_ts_accepted(self):
+        assert event_from_json({"ts": 1}).attributes == {}
+        assert event_from_json({"ts": 1.5, "attrs": None}).ts == 1.5
+
+    @pytest.mark.parametrize("events", [5, None, "ab", {"ts": 1}])
+    def test_events_must_be_a_list(self, events):
+        with pytest.raises(FrameError, match="list"):
+            events_from_json(events)
 
 
 class TestSSE:
@@ -718,6 +753,81 @@ class TestPushServerIngest:
         assert response["accepted"] == 4
 
 
+#: Well-framed batches no matcher can digest: each must be refused at
+#: the door.  The first started an instance whose ``min_ts`` was ``"x"``
+#: and made every later batch of every producer raise.
+HOSTILE_BATCHES = [
+    {"events": [{"ts": "x", "attrs": {"L": "B"}}]},
+    {"events": [{"ts": None, "attrs": {"L": "B"}}]},
+    {"events": [{"ts": True, "attrs": {"L": "B"}}]},
+    {"events": [{"ts": float("nan"), "attrs": {"L": "B"}}]},
+    {"events": [{"ts": float("inf"), "attrs": {"L": "B"}}]},
+    {"events": 5},
+    {"events": None},
+    {"events": [{"ts": 1, "attrs": 7}]},
+    {"events": [{"ts": 1, "attrs": [1, 2]}]},
+    {"events": [{"ts": 1, "attrs": {"L": [1, 2]}}]},
+    # Nothing of a refused batch is admitted: were the valid first
+    # event let in, ts=5000 would make every batch below out of order.
+    {"events": [{"ts": 5000, "attrs": {"L": "B"}},
+                {"ts": "x", "attrs": {"L": "C"}}]},
+]
+
+
+class TestHostileBatchesStopAtTheDoor:
+    @staticmethod
+    def _valid(i):
+        """A two-event batch worth one match (windows 20 apart)."""
+        return [event_to_json(e) for e in make_events(2, start_ts=20 * i)]
+
+    def _check_three_matches(self, server, hub, registry):
+        server.submit_call(registry.close, timeout=5)
+        assert server._ingest_errors == 0
+        assert hub.last_seq == 2  # the fault-free answer: three matches
+
+    def test_framed_error_reply_and_the_connection_stays_usable(self, stack):
+        server, hub, registry = stack
+        decoder, pending = FrameDecoder(), []
+        with socket.create_connection((server.host, server.port),
+                                      timeout=5) as sock:
+            def call(frame):
+                sock.sendall(encode_frame(frame))
+                return _next_frame(sock, decoder, pending)
+
+            assert call({"type": "ping"})["type"] == "hello"  # greeting
+            assert _next_frame(sock, decoder, pending)["type"] == "pong"
+            for seq, hostile in enumerate(HOSTILE_BATCHES):
+                reply = call({"type": "batch", "seq": seq, **hostile})
+                assert reply["type"] == "error" and reply["seq"] == seq, (
+                    hostile, reply)
+                # Still usable (three batches only: acks are given at
+                # admission, and the fixture's queue holds eight).
+                if seq < 3:
+                    reply = call({"type": "batch", "seq": 100 + seq,
+                                  "events": self._valid(seq)})
+                    assert reply["type"] == "ack", reply
+                else:
+                    assert call({"type": "ping"})["type"] == "pong"
+        self._check_three_matches(server, hub, registry)
+
+    def test_http_400_not_a_reset(self, stack):
+        server, hub, registry = stack
+
+        def post(payload):
+            status, _, body = _http_request(
+                server.host, server.port, "POST", "/ingest",
+                json.dumps(payload).encode(), timeout=5)
+            if status == 400:
+                assert "bad batch" in json.loads(body)["error"]
+            return status
+
+        for hostile in HOSTILE_BATCHES:
+            assert post(hostile) == 400, hostile
+        for i in range(3):
+            assert post({"events": self._valid(i)}) == 202
+        self._check_three_matches(server, hub, registry)
+
+
 class TestPushServerGroupCommit:
     """The ingest batch is the unit of durability (docs/serving.md)."""
 
@@ -799,6 +909,377 @@ class TestPushServerGroupCommit:
             assert server._ingest_errors == 0  # relayed to the caller
         finally:
             server.shutdown(grace=2.0)
+
+
+def wait_until(predicate, what, timeout=5.0):
+    """Block until ``predicate()`` holds (a state, not a duration)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.002)
+
+
+class GatedSubmit:
+    """``registry.push_many`` whose first call blocks until released:
+    with the worker held inside batch 0, whatever is admitted meanwhile
+    is a backlog of known shape.  Records, per call, the batch and how
+    many WAL appends had happened — batches matched under the same
+    count shared a run (every run of these streams reports matches)."""
+
+    def __init__(self, registry, wal):
+        self._registry = registry
+        self._wal = wal
+        self.calls = []
+        self.appends_seen = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, events):
+        self.calls.append(events)
+        self.appends_seen.append(len(self._wal.batches))
+        if len(self.calls) == 1:
+            self.entered.set()
+            assert self.release.wait(10), "the test never released batch 0"
+        return self._registry.push_many(events)
+
+    def run_lengths(self):
+        """Batches per run, in order."""
+        return [self.appends_seen.count(n)
+                for n in sorted(set(self.appends_seen))]
+
+
+class TestPushServerRuns:
+    """Under load the run — what is queued when the worker comes back —
+    shares one matcher hop and one commit; the batch stays the unit of
+    failure.  Counting only: the backlog is built behind a gate."""
+
+    @pytest.fixture
+    def served(self, tmp_path):
+        made = []
+
+        def make(fail=0, first=16):
+            """Serve with the worker held on batch 0 (``first`` events:
+            16 release matches, 2 release none)."""
+            wal = FlakyLog(tmp_path / "wal.jsonl", fail=fail)
+            pattern, aggregate = parse_query_spec(QUERY)
+            registry = PatternRegistry()
+            registry.register(compile_plan(pattern, aggregate=aggregate),
+                              pattern_id="p1")
+            obs = Observability()
+            hub = SubscriptionHub(ring_size=4096, wal=wal)
+            registry.on_match(lambda pid, m: hub.publish(m, pattern_id=pid))
+            gate = GatedSubmit(registry, wal)
+            server = PushServer(hub, submit=gate, flush=registry.close,
+                                ingest_queue=64, observability=obs).start()
+            made.append((server, hub, gate))
+            server.submit_events(make_events(first))
+            assert gate.entered.wait(5)
+            return server, hub, registry, wal, gate, obs
+
+        yield make
+        for server, hub, gate in made:
+            gate.release.set()
+            for subscriber in hub.subscribers:
+                subscriber.close()  # nobody reads them: do not wait
+            server.shutdown(grace=2.0)
+
+    @staticmethod
+    def _fault_free(n_events):
+        """Matches the stream's first ``n_events`` report before close."""
+        pattern, _ = parse_query_spec(QUERY)
+        solo = PatternRegistry()
+        solo.register(compile_plan(pattern))
+        return len(solo.push_many(make_events(n_events)))
+
+    def test_a_backlog_is_one_hop_and_one_commit(self, served):
+        server, hub, registry, wal, gate, obs = served()
+        sub = hub.attach(queue_size=4096)
+        stream = make_events(16 * 6)
+        batches = [stream[i:i + 16] for i in range(0, len(stream), 16)]
+        server.submit_events(stream[16:], batch_size=16)
+        assert wal.batches == []  # held: nothing matched, nothing durable
+        gate.release.set()
+        server.wait_idle(timeout=5)
+        assert gate.calls == batches  # once per batch, in arrival order
+        # Batch 0 was alone in the queue when it was taken; the five
+        # queued behind it are one run: one append, cursors in order.
+        assert gate.run_lengths() == [1, 5]
+        first, backlog = wal.batches
+        assert first + backlog == list(range(self._fault_free(16 * 6)))
+        assert len(backlog) > len(first) > 1
+        assert [p.seq for k, p in sub.drain_items()] == first + backlog
+        # The ledger's vocabulary: runs == appends, batches / runs = 3.
+        assert server._ingest_runs == len(wal.batches) == 2
+        snapshot = obs.snapshot()
+        assert snapshot["ses_ingest_runs_total"]["value"] == 2
+        assert snapshot["ses_ingest_batches_total"]["value"] == 6
+        assert snapshot["ses_ingest_events_total"]["value"] == 96
+        with urllib.request.urlopen(server.url + "/statz", timeout=5) as r:
+            assert json.load(r)["ingest"]["runs"] == 2
+
+    def test_a_barrier_ends_the_run_and_keeps_its_place(self, served):
+        server, hub, registry, wal, gate, obs = served()
+        stream = make_events(16 * 4)
+        server.submit_events(stream[16:48], batch_size=16)
+        seen = {}
+
+        def fn():
+            seen["submits"] = len(gate.calls)
+            seen["appends"] = len(wal.batches)
+            return hub.publish(make_sub(1000), pattern_id="p1")
+
+        def barrier():
+            entry = server.submit_call(fn, timeout=10)
+            # Back only after the barrier's own commit.
+            seen["durable"] = wal.last_seq() >= entry.seq
+            seen["seq"] = entry.seq
+
+        caller = threading.Thread(target=barrier, daemon=True)
+        caller.start()
+        wait_until(lambda: server._queue.qsize() == 3, "the queued barrier")
+        server.submit_events(stream[48:], batch_size=16)
+        gate.release.set()
+        caller.join(timeout=10)
+        assert not caller.is_alive()
+        server.wait_idle(timeout=5)
+        # fn ran after batch 0 and exactly the two batches before it,
+        # whose run was committed, and before the batch behind it.
+        assert seen["submits"] == 3 and seen["appends"] == 2
+        assert seen["durable"]
+        assert len(gate.calls) == 4
+        assert gate.run_lengths() == [1, 2, 1]
+        assert wal.batches[2] == [seen["seq"]]  # a commit of its own
+        assert len(wal.batches) == 4
+        assert server._ingest_runs == 3  # a barrier is not a run
+
+    def test_a_batch_that_raises_costs_that_batch_only(self, served):
+        server, hub, registry, wal, gate, obs = served()
+        sub = hub.attach(queue_size=4096)
+        stream = make_events(48)
+        server.submit_events(stream[16:32])
+        server.submit_events(make_events(16))  # time going backwards
+        server.submit_events(stream[32:])
+        gate.release.set()
+        server.wait_idle(timeout=5)
+        assert server._ingest_errors == 1
+        assert gate.run_lengths() == [1, 3]
+        first, backlog = wal.batches
+        assert first + backlog == list(range(self._fault_free(48)))
+        assert [p.seq for k, p in sub.drain_items()] == first + backlog
+
+    def test_a_failed_commit_drops_the_run_whole(self, served):
+        # Batch 0 releases no match, so the one failing append is the
+        # backlog's.
+        server, hub, registry, wal, gate, obs = served(fail=1, first=2)
+        sub = hub.attach(queue_size=4096)
+        stream = make_events(2 + 16 * 3)
+        server.submit_events(stream[2:], batch_size=16)
+        gate.release.set()
+        server.wait_idle(timeout=5)
+        assert gate.run_lengths() == [4]  # no append yet: one bucket
+        lost = registry.match_count
+        assert lost > 1 and server._ingest_errors == 1
+        assert sub.idle and hub.last_seq == -1 and list(wal) == []
+        server.submit_events(make_events(32, start_ts=len(stream)),
+                             batch_size=16)
+        server.wait_idle(timeout=5)
+        assert server._ingest_errors == 1
+        fresh = registry.match_count - lost
+        seqs = [seq for batch in wal.batches for seq in batch]
+        assert seqs == list(range(fresh)) and fresh > 0
+        assert [p.seq for k, p in sub.drain_items()] == seqs
+
+    def test_a_run_is_capped_at_the_replay_batch_size(self, served):
+        server, hub, registry, wal, gate, obs = served()
+        stream = make_events(16 * 41)
+        server.submit_events(stream[16:], batch_size=16)
+        gate.release.set()
+        server.wait_idle(timeout=5)
+        assert RUN_EVENTS == 256
+        assert gate.run_lengths() == [1, 16, 16, 8]
+        assert len(wal.batches) == server._ingest_runs == 4
+
+    def test_a_run_overshoots_the_cap_by_its_last_batch_at_most(
+            self, served):
+        server, hub, registry, wal, gate, obs = served()
+        stream = make_events(16 + 100 * 5)
+        server.submit_events(stream[16:], batch_size=100)
+        gate.release.set()
+        server.wait_idle(timeout=5)
+        # 100 + 100 < 256: a third batch is taken, then the run is full.
+        assert gate.run_lengths() == [1, 3, 2]
+
+    def test_shutdown_runs_the_backlog_dry_past_a_held_sentinel(
+            self, served):
+        server, hub, registry, wal, gate, obs = served()
+        stream = make_events(16 * 5)
+        server.submit_events(stream[16:], batch_size=16)
+        stopper = threading.Thread(target=server.shutdown,
+                                   kwargs={"grace": 2.0}, daemon=True)
+        stopper.start()
+        wait_until(lambda: server._queue.qsize() == 5, "the close sentinel")
+        gate.release.set()
+        stopper.join(timeout=15)
+        assert not stopper.is_alive()  # queue.join() was satisfied
+        assert len(gate.calls) == 5 and gate.run_lengths() == [1, 4]
+        # Every admitted batch was matched, then the flush: three
+        # appends holding the whole fault-free answer.
+        assert len(wal.batches) == 3
+        assert [r["seq"] for r in wal] == list(range(registry.match_count))
+        assert registry.match_count == 16 * 5 // 2
+
+
+class RecordingWriter:
+    """The two ``StreamWriter`` methods the pump uses."""
+
+    def __init__(self, on_write=None):
+        self.writes = []
+        self.drains = 0
+        self._on_write = on_write
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        if self._on_write is not None:
+            self._on_write(data)
+
+    async def drain(self):
+        self.drains += 1
+
+
+def sse_events(data):
+    return list(parse_sse_stream(data.decode().splitlines(keepends=True)))
+
+
+def ws_payloads(data):
+    buffer = bytearray(data)
+    out = []
+    while buffer:
+        frame = ws_decode(buffer)
+        assert frame is not None and frame.opcode == WSFrame.TEXT
+        out.append(json.loads(frame.payload))
+    return out
+
+
+class TestPump:
+    """The delivery loop writes what is queued: one ``write`` + one
+    ``drain`` per wake-up, not per match."""
+
+    @staticmethod
+    def _pump(hub, subscriber, render, writer):
+        server = PushServer(hub, submit=lambda events: None)  # not started
+        asyncio.run(server._pump(subscriber, asyncio.Event(), render,
+                                 writer))
+        server._matcher_pool.shutdown()
+
+    @staticmethod
+    def _publish(hub, n):
+        with hub.batch():
+            for i in range(n):
+                hub.publish(make_sub(i), pattern_id="p1")
+
+    def test_sse_backlog_is_one_write_with_the_accounting_of_n_pops(self):
+        obs = Observability(lineage=LineageRecorder(
+            TraceConfig(sample_rate=1.0)))
+        hub = SubscriptionHub(observability=obs)
+        sub = hub.attach(subscriber_id="s1")
+        for i in range(9):
+            obs.lineage.deliver(make_sub(i), by="test", pattern_id="p1")
+        self._publish(hub, 9)
+        sub.close()
+        writer = RecordingWriter()
+        self._pump(hub, sub, PushServer._sse_chunk, writer)
+        backlog, notice = writer.writes
+        assert writer.drains == 2
+        events = sse_events(backlog)
+        assert [(kind, int(seq)) for kind, seq, _ in events] == [
+            ("match", i) for i in range(9)]
+        assert [data["match_id"] for _, _, data in events] == [
+            match_id(make_sub(i)) for i in range(9)]
+        assert [kind for kind, _, _ in sse_events(notice)] == ["disconnect"]
+        assert sub.delivered == 9
+        assert obs.snapshot()[
+            "ses_sub_delivery_latency_seconds"]["count"] == 9
+        assert all("push:s1" in obs.lineage.get(match_id(make_sub(i))).stages
+                   for i in range(9))
+
+    def test_ws_backlog_is_one_write(self):
+        hub = SubscriptionHub()
+        sub = hub.attach()
+        self._publish(hub, 9)
+        sub.close()
+        writer = RecordingWriter()
+        self._pump(hub, sub, PushServer._ws_chunk, writer)
+        backlog, notice = writer.writes
+        payloads = ws_payloads(backlog)
+        assert [(p["event"], p["seq"]) for p in payloads] == [
+            ("match", i) for i in range(9)]
+        assert all("bindings" in p for p in payloads)
+        assert [p["event"] for p in ws_payloads(notice)] == ["disconnect"]
+
+    def test_gap_notice_keeps_its_place_and_drain_ends_the_write(self):
+        hub = SubscriptionHub()
+        sub = hub.attach(queue_size=2, policy="shed")
+        self._publish(hub, 5)
+        hub.drain()
+        hub.publish(make_sub(99))  # refused: the hub is draining
+        writer = RecordingWriter()
+        self._pump(hub, sub, PushServer._sse_chunk, writer)
+        (only,) = writer.writes  # the drain notice ended the loop
+        assert writer.drains == 1
+        events = sse_events(only)
+        assert [kind for kind, _, _ in events] == ["gap", "match", "match",
+                                                   "drain"]
+        assert events[0][2] == {"shed": 3, "cursor": 4}
+        assert [int(seq) for kind, seq, _ in events if kind == "match"] == [
+            3, 4]
+        assert events[-1][2] == {"resume": 4}
+
+    def test_a_drain_notice_is_the_last_frame_of_its_write(self):
+        hub = SubscriptionHub()
+        sub = hub.attach()
+        self._publish(hub, 3)
+        hub.drain()
+        # Something queued behind the terminal notice must not ride along.
+        sub._queue.append(("match", hub._ring[0]))
+        writer = RecordingWriter()
+        self._pump(hub, sub, PushServer._sse_chunk, writer)
+        (only,) = writer.writes
+        assert [kind for kind, _, _ in sse_events(only)] == [
+            "match", "match", "match", "drain"]
+        assert sub.queue_depth == 1
+
+    def test_a_large_backlog_is_cut_between_frames(self):
+        hub = SubscriptionHub()
+        sub = hub.attach(queue_size=10_000)
+        self._publish(hub, 700)
+        sub.close()
+        writer = RecordingWriter()
+        self._pump(hub, sub, PushServer._sse_chunk, writer)
+        *chunks, notice = writer.writes
+        assert len(chunks) >= 3
+        seqs = []
+        for chunk in chunks:
+            events = sse_events(chunk)  # every write parses on its own
+            assert chunk.endswith(b"\n\n")
+            assert all(kind == "match" for kind, _, _ in events)
+            seqs.extend(int(seq) for _, seq, _ in events)
+            # Full only with its last frame: the cut is the first
+            # frame boundary at or past the chunk size.
+            last = len(PushServer._sse_chunk("match", hub._ring[seqs[-1]]))
+            assert len(chunk) - last < IO_CHUNK_BYTES
+        assert all(len(chunk) >= IO_CHUNK_BYTES for chunk in chunks[:-1])
+        assert seqs == list(range(700))
+        assert writer.drains == len(writer.writes)
+
+    def test_an_idle_subscriber_still_gets_heartbeats(self):
+        hub = SubscriptionHub(heartbeat_seconds=0.01)
+        sub = hub.attach()
+        writer = RecordingWriter(
+            on_write=lambda data: data == b": hb\n\n" and sub.close())
+        self._pump(hub, sub, PushServer._sse_chunk, writer)
+        assert writer.writes[0] == b": hb\n\n"
+        assert [kind for kind, _, _ in sse_events(writer.writes[-1])] == [
+            "disconnect"]
 
 
 class TestPushServerSubscriptions:
