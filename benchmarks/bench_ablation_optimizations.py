@@ -19,7 +19,7 @@ greedy hijacking; see repro.automaton.optimizations).
 
 import pytest
 
-from repro.automaton import PartitionedMatcher
+import repro
 from repro.automaton.builder import build_automaton
 from repro.automaton.executor import SESExecutor
 from repro.automaton.filtering import EventFilter
@@ -41,10 +41,12 @@ class TestExecutorVariants:
             result.stats.max_simultaneous_instances)
 
     def test_partitioned(self, benchmark, exp23_base, filtered):
-        matcher = PartitionedMatcher(pattern_p3(), use_filter=filtered,
-                                     selection="accepted")
-        result = benchmark.pedantic(matcher.run, args=(exp23_base,),
-                                    rounds=1, iterations=1)
+        plan = repro.compile(pattern_p3())
+        result = benchmark.pedantic(
+            plan.match, args=(exp23_base,),
+            kwargs={"partition_by": "ID", "use_filter": filtered,
+                    "selection": "accepted"},
+            rounds=1, iterations=1)
         benchmark.extra_info["max_instances"] = (
             result.stats.max_simultaneous_instances)
 
@@ -53,8 +55,8 @@ def test_equivalences(exp23_base):
     """Partitioned execution accepts a superset on a smaller Ω."""
     automaton = build_automaton(pattern_p3())
     plain = SESExecutor(automaton, selection="accepted").run(exp23_base)
-    partitioned = PartitionedMatcher(pattern_p3(),
-                                     selection="accepted").run(exp23_base)
+    partitioned = repro.compile(pattern_p3()).match(
+        exp23_base, partition_by="ID", selection="accepted")
     assert set(plain.accepted) <= set(partitioned.accepted)
     assert (partitioned.stats.max_simultaneous_instances
             < plain.stats.max_simultaneous_instances)

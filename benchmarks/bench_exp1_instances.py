@@ -21,9 +21,9 @@ import time
 
 import pytest
 
+import repro
 from repro.baseline import BruteForceMatcher
 from repro.bench import print_experiment1, run_experiment1
-from repro.core.matcher import Matcher
 from repro.data import experiment1_pattern
 from repro.obs import Observability
 
@@ -39,9 +39,9 @@ class TestEngines:
         """Time the SES automaton on P1/P2 at each |V1|."""
         if n_vars > profile.exp1_max_vars:
             pytest.skip("beyond profile's variable budget")
-        matcher = Matcher(experiment1_pattern(n_vars, exclusive=exclusive),
-                          selection="accepted")
-        result = benchmark.pedantic(matcher.run, args=(exp1_relation,),
+        plan = repro.compile(experiment1_pattern(n_vars, exclusive=exclusive))
+        executor = plan.executor(selection="accepted")
+        result = benchmark.pedantic(executor.run, args=(exp1_relation,),
                                     rounds=1, iterations=1)
         benchmark.extra_info["max_instances"] = (
             result.stats.max_simultaneous_instances)
@@ -76,9 +76,10 @@ def test_observability_overhead(exp1_relation, capsys):
     pattern = experiment1_pattern(4, exclusive=True)
 
     def run_once(obs):
-        matcher = Matcher(pattern, selection="accepted", obs=obs)
+        executor = repro.compile(pattern).executor(selection="accepted",
+                                                   observability=obs)
         start = time.perf_counter()
-        result = matcher.run(exp1_relation)
+        result = executor.run(exp1_relation)
         return result, time.perf_counter() - start
 
     baseline = profiled = 0.0
@@ -116,8 +117,8 @@ def test_flight_recorder_overhead(exp1_relation, capsys):
     pattern = experiment1_pattern(4, exclusive=True)
 
     def run_once(flight):
-        executor = Matcher(pattern, selection="accepted").executor(
-            flight=flight)
+        executor = repro.compile(pattern).executor(selection="accepted",
+                                                   flight=flight)
         start = time.perf_counter()
         result = executor.run(exp1_relation)
         return result, time.perf_counter() - start

@@ -13,9 +13,9 @@ on the duplicated data sets D1..D5 (window size W growing linearly),
 
 import pytest
 
+import repro
 from repro.bench import print_experiment2, run_experiment2
 from repro.complexity import pattern_instance_bound
-from repro.core.matcher import Matcher
 from repro.data import pattern_p3, pattern_p4
 
 
@@ -27,8 +27,8 @@ def test_scaling_run(benchmark, exp23_datasets, factor, which):
         pytest.skip("beyond profile's duplication budget")
     relation = exp23_datasets[factor]
     pattern = pattern_p3() if which == "P3" else pattern_p4()
-    matcher = Matcher(pattern, selection="accepted")
-    result = benchmark.pedantic(matcher.run, args=(relation,),
+    executor = repro.compile(pattern).executor(selection="accepted")
+    result = benchmark.pedantic(executor.run, args=(relation,),
                                 rounds=1, iterations=1)
     benchmark.extra_info["window"] = relation.window_size(264)
     benchmark.extra_info["max_instances"] = (

@@ -15,8 +15,8 @@ growing with the irrelevant fraction (see EXPERIMENTS.md).
 
 import pytest
 
+import repro
 from repro.bench import print_experiment3, run_experiment3
-from repro.core.matcher import Matcher
 from repro.data import pattern_p5, pattern_p6
 
 
@@ -29,9 +29,9 @@ def test_filtering_run(benchmark, exp23_datasets, factor, which, filtered):
         pytest.skip("beyond profile's duplication budget")
     relation = exp23_datasets[factor]
     pattern = pattern_p5() if which == "P5" else pattern_p6()
-    matcher = Matcher(pattern, use_filter=filtered, filter_mode="paper",
-                      selection="accepted")
-    result = benchmark.pedantic(matcher.run, args=(relation,),
+    executor = repro.compile(pattern).executor(
+        use_filter=filtered, filter_mode="paper", selection="accepted")
+    result = benchmark.pedantic(executor.run, args=(relation,),
                                 rounds=1, iterations=1)
     benchmark.extra_info["events_filtered"] = result.stats.events_filtered
 
@@ -53,10 +53,10 @@ def test_figure13(exp23_base, profile, capsys):
 def test_filtering_does_not_change_matches(exp23_base):
     """Section 4.5: the filter changes iteration counts, not results."""
     pattern = pattern_p6()
-    with_filter = Matcher(pattern, use_filter=True,
-                          selection="accepted").run(exp23_base)
-    without = Matcher(pattern, use_filter=False,
-                      selection="accepted").run(exp23_base)
+    plan = repro.compile(pattern)
+    with_filter = plan.match(exp23_base, use_filter=True,
+                             selection="accepted")
+    without = plan.match(exp23_base, use_filter=False, selection="accepted")
     assert sorted(map(hash, with_filter.accepted)) == \
         sorted(map(hash, without.accepted))
     assert (with_filter.stats.max_simultaneous_instances

@@ -1,10 +1,10 @@
 """Pattern registry: shared admission pass vs N independent matchers.
 
 The multi-tenant regime ``repro.registry`` exists for: 100+ distinct
-live patterns over one noisy event stream.  The baseline is the repo's
-own :class:`~repro.stream.multi.MultiPatternMatcher` — every event is
-offered to every pattern's matcher, so the per-event cost is N filter
-checks.  The registry evaluates the deduplicated predicate bank once
+live patterns over one noisy event stream.  The baseline is one
+independent :class:`~repro.stream.runner.ContinuousMatcher` per pattern
+— every event is offered to every pattern's matcher, so the per-event
+cost is N filter checks.  The registry evaluates the deduplicated predicate bank once
 per batch and fans admission out through bitmasks, so cost follows the
 number of *distinct predicates* instead.  The push pair carries the
 ≥2× claim ``python -m repro.bench`` also tracks as
@@ -17,7 +17,7 @@ import pytest
 from repro.bench.registry import registry_queries, registry_relation
 from repro.lang import parse_pattern
 from repro.registry import PatternRegistry
-from repro.stream.multi import MultiPatternMatcher
+from repro.stream import ContinuousMatcher
 
 N_PATTERNS = 125
 
@@ -48,10 +48,14 @@ def _run_shared(patterns, events):
 
 
 def _run_independent(patterns, events):
-    matcher = MultiPatternMatcher(dict(patterns))
-    matcher.push_many(events)
-    matcher.close()
-    return {name: matcher.matches(name) for name in patterns}
+    matchers = {name: ContinuousMatcher(pattern)
+                for name, pattern in patterns.items()}
+    for event in events:
+        for matcher in matchers.values():
+            matcher.push(event)
+    for matcher in matchers.values():
+        matcher.close()
+    return {name: matcher.matches for name, matcher in matchers.items()}
 
 
 def test_register_all(benchmark, patterns):

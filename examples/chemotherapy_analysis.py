@@ -10,7 +10,7 @@ Run with::
     python examples/chemotherapy_analysis.py
 """
 
-from repro import match
+import repro
 from repro.data import CHEMO_SCHEMA, figure1_relation
 from repro.automaton.builder import build_automaton
 from repro.lang import parse_pattern
@@ -42,7 +42,7 @@ def main() -> None:
     print(f"\n{automaton.describe()}")
 
     # 4. Evaluate and report (Example 1's intended results).
-    result = match(pattern, table.to_relation())
+    result = repro.query(pattern, table.to_relation())
     print(f"\n{len(result)} matching substitutions:")
     for substitution in result:
         patient = substitution.events()[0]["ID"]

@@ -12,7 +12,7 @@ Run with::
     python examples/clickstream_funnel.py
 """
 
-from repro import Matcher
+import repro
 from repro.automaton import sparkline
 from repro.core.diagnostics import diagnose
 from repro.data.clickstream import generate_clickstream, purchase_intent_pattern
@@ -29,9 +29,7 @@ def main() -> None:
     print("linter:", "clean" if not findings
           else "; ".join(str(f) for f in findings))
 
-    matcher = Matcher(pattern)
-    executor = matcher.executor()
-    executor.record_history = True
+    executor = repro.compile(pattern).executor(record_history=True)
     result = executor.run(clicks)
 
     converting_users = sorted({m.events()[0]["user"] for m in result})

@@ -10,7 +10,8 @@ matching different sets must be strictly ordered, and everything must
 happen within a time window.
 """
 
-from repro import Event, EventRelation, SESPattern, match
+import repro
+from repro import Event, EventRelation, SESPattern
 
 
 def main() -> None:
@@ -40,7 +41,7 @@ def main() -> None:
         tau=15,
     )
 
-    result = match(pattern, relation)
+    result = repro.query(pattern, relation)
     print(f"found {len(result)} startup sequences")
     for substitution in result:
         host = substitution.events()[0]["host"]

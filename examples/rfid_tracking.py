@@ -12,6 +12,7 @@ Run with::
     python examples/rfid_tracking.py
 """
 
+import repro
 from repro import Event, EventRelation
 from repro.lang import parse_pattern
 
@@ -55,9 +56,7 @@ def dock_reads() -> EventRelation:
 def main() -> None:
     pattern = parse_pattern(QUERY)
     relation = dock_reads()
-    from repro import match
-
-    result = match(pattern, relation)
+    result = repro.compile(pattern).match(relation)
     shipped = {m.events()[0]["tag"] for m in result}
     print(f"{len(relation)} reads, {len(result)} complete dock passages")
     for substitution in result:

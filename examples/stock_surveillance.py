@@ -14,7 +14,8 @@ Run with::
 
 import random
 
-from repro import Event, EventRelation, SESPattern, match
+import repro
+from repro import Event, EventRelation, SESPattern
 
 VENUES = ("NYSE", "ARCA", "BATS")
 
@@ -67,7 +68,7 @@ def surveillance_pattern() -> SESPattern:
 def main() -> None:
     relation = synthesize_trades()
     pattern = surveillance_pattern()
-    result = match(pattern, relation)
+    result = repro.compile(pattern).match(relation)
 
     print(f"scanned {len(relation)} orders, "
           f"filtered {result.stats.events_filtered} as irrelevant")

@@ -38,9 +38,9 @@ materialised::
 :func:`query` returns the typed :data:`~repro.agg.result.Result` union
 (:class:`MatchSet` | :class:`AggregateSeries`); dispatch on
 ``result.kind``.  For repeated runs compile once:
-``repro.compile(pattern).match(relation)`` (process-global plan cache).
-The one-shot :func:`match` and the :class:`Matcher` class remain as
-deprecated thin wrappers over the same plan cache.
+``repro.compile(pattern).match(relation)`` (process-global plan cache);
+the plan's ``match`` / ``executor`` / ``stream`` are the batch,
+incremental and continuous drivers.
 """
 
 from .agg import AggregateSeries, AggregateSpec, Match, MatchSet
@@ -48,7 +48,6 @@ from .api import query
 
 from .core.conditions import Attr, Condition, Const, attr, const
 from .core.events import Attribute, Event, EventSchema, SchemaError
-from .core.matcher import Matcher, match
 from .core.pattern import PatternError, SESPattern
 from .core.relation import EventRelation
 from .core.substitution import Substitution
@@ -71,7 +70,7 @@ from .plan import (PatternPlan, PlanCache, clear_plan_cache, compile,
 from .registry import PatternRegistry, TenantQuota
 from .resilience import (DeadLetterQueue, FaultPlan, GuardConfig,
                          ResourceExhausted, RestartPolicy, Supervisor)
-from .stream import ContinuousMatcher, MultiPatternMatcher
+from .stream import ContinuousMatcher
 
 __version__ = "1.0.0"
 
@@ -96,8 +95,6 @@ __all__ = [
     "Match",
     "MatchResult",
     "MatchSet",
-    "Matcher",
-    "MultiPatternMatcher",
     "Observability",
     "ObsServer",
     "ParallelPartitionedMatcher",
@@ -131,7 +128,6 @@ __all__ = [
     "explain",
     "explain_analyze",
     "group",
-    "match",
     "parse_query",
     "plan_cache",
     "query",

@@ -28,9 +28,10 @@ Dispatch on ``result.kind`` (``"matches"`` / ``"aggregates"``) or with
                              events):
         print(match.events())
 
-The legacy :func:`repro.match` / :class:`repro.Matcher` surfaces remain
-as shims over the same plan cache and emit a one-shot
-:class:`DeprecationWarning`.
+Everything goes through :meth:`PatternPlan.match
+<repro.plan.plan.PatternPlan.match>`, the one batch dispatch; call
+``repro.compile(pattern).match(events)`` directly for the raw
+:class:`~repro.automaton.executor.MatchResult`.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def query(source, events, *, use_filter: bool = True,
         ``> 1`` fans partitions out over a process pool; aggregate
         partials merge back losslessly.
     partition_by:
-        Forces serial partitioned execution on the given attribute.
+        Evaluates per partition of the given attribute (in-process
+        unless ``workers > 1``).
     observability:
         Optional :class:`~repro.obs.Observability` bundle.
     optimizations:

@@ -8,7 +8,7 @@ from .filtering import EventFilter
 from .instance import AutomatonInstance
 from .metrics import ExecutionStats, sparkline
 from .minimize import TrimReport, trim
-from .optimizations import PartitionedMatcher, partition_attribute
+from .optimizations import partition_attribute
 from .pruning import DeadlineTable, PruningExecutor
 from .states import State, make_state, state_label
 from .trace import TraceStep, Tracer, format_trace
@@ -17,7 +17,7 @@ from .transitions import Transition
 __all__ = [
     "AutomatonError", "AutomatonInstance", "EventFilter", "ExecutionStats",
     "DeadlineTable", "MatchBuffer", "MatchResult",
-    "PartitionedMatcher", "PruningExecutor",
+    "PruningExecutor",
     "SESAutomaton", "SESExecutor", "State", "TrimReport",
     "partition_attribute", "sparkline", "trim",
     "Transition", "build_automaton", "build_set_automaton", "concatenate",

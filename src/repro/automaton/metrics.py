@@ -53,9 +53,9 @@ class ExecutionStats:
 
         Counters add; the instance peak takes the maximum, matching the
         semantics of per-partition execution where partitions run one
-        after another (a parallel pool over-reports the true simultaneous
-        peak the same way the serial :class:`PartitionedMatcher` does, so
-        the two stay comparable).  History fields are not merged.
+        after another (a parallel pool reports the same peak, not the
+        true simultaneous one, so serial and pooled runs stay
+        comparable).  History fields are not merged.
         Returns ``self`` for chaining.
         """
         self.events_read += other.events_read

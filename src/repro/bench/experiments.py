@@ -30,8 +30,7 @@ __all__ = [
 
 class _AcceptedRunner:
     """Cached plan bound to accepted-buffer selection, as the paper's
-    measurements use; avoids routing benchmarks through the deprecated
-    :class:`~repro.core.matcher.Matcher` shim."""
+    measurements use."""
 
     def __init__(self, pattern, use_filter: bool = True,
                  filter_mode: str = "conjunctive"):

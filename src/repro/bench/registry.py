@@ -1,9 +1,9 @@
 """Registry benchmark: shared admission pass vs independent matchers.
 
 The multi-tenant workload :mod:`repro.registry` targets: many *distinct*
-live patterns over one event stream.  The baseline is the repo's own
-:class:`~repro.stream.multi.MultiPatternMatcher`, which offers every
-event to every pattern's matcher (N filter checks per event).  The
+live patterns over one event stream.  The baseline is one independent
+:class:`~repro.stream.runner.ContinuousMatcher` per pattern, each
+offered every event (N filter checks per event).  The
 registry instead evaluates the deduplicated predicate bank once per
 event batch and fans admission out through per-pattern bitmasks, so the
 per-event cost grows with the number of *distinct predicates*, not the
@@ -23,7 +23,7 @@ from ..core.relation import EventRelation
 from ..data.chemo import generate_chemo
 from ..lang import parse_pattern
 from ..registry import PatternRegistry
-from ..stream.multi import MultiPatternMatcher
+from ..stream.runner import ContinuousMatcher
 from .harness import timed
 from .report import print_table
 
@@ -97,10 +97,14 @@ def run_registry(relation: Optional[EventRelation] = None,
         return {name: registry.matches_of(name) for name in patterns}
 
     def run_independent() -> Dict[str, List]:
-        matcher = MultiPatternMatcher(dict(patterns))
-        matcher.push_many(events)
-        matcher.close()
-        return {name: matcher.matches(name) for name in patterns}
+        matchers = {name: ContinuousMatcher(pattern)
+                    for name, pattern in patterns.items()}
+        for event in events:
+            for matcher in matchers.values():
+                matcher.push(event)
+        for matcher in matchers.values():
+            matcher.close()
+        return {name: matcher.matches for name, matcher in matchers.items()}
 
     independent_matches, independent_seconds = timed(run_independent)
     shared_matches, shared_seconds = timed(run_shared)

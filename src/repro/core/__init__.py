@@ -3,7 +3,6 @@
 from .conditions import Attr, Condition, Const, attr, const, parse_condition
 from .diagnostics import Diagnostic, diagnose
 from .events import Attribute, Event, EventSchema, SchemaError
-from .matcher import Matcher, match
 from .pattern import PatternError, SESPattern
 from .relation import EventRelation
 from .rewrite import close_equality_joins, implied_equalities
@@ -15,10 +14,10 @@ from .variables import Variable, group, parse_variable, var
 __all__ = [
     "Attr", "Attribute", "Binding", "Condition", "Const", "Diagnostic",
     "Event",
-    "EventRelation", "EventSchema", "Matcher", "PatternError", "SESPattern",
+    "EventRelation", "EventSchema", "PatternError", "SESPattern",
     "DayDomain", "HourDomain", "MinuteDomain", "SchemaError", "SecondDomain",
     "Substitution", "TimeDomain", "Variable", "attr",
     "close_equality_joins", "const", "diagnose", "group",
     "implied_equalities",
-    "match", "parse_condition", "parse_variable", "var",
+    "parse_condition", "parse_variable", "var",
 ]

@@ -1,14 +1,15 @@
 """Parallel partitioned execution: process pools and stream shards.
 
 The paper's Section 4.4 bounds make the per-start instance population
-the dominant cost; the partitioned matchers already shard that
-population by key, and this package fans the independent partitions out
-across worker processes:
+the dominant cost; partitioned execution shards that population by key,
+and this package runs the independent partitions, in-process or fanned
+out across worker processes:
 
 * :class:`~repro.parallel.pool.ParallelPartitionedMatcher` — batch
-  relations, chunked over a process pool, results merged in
-  deterministic partition order (bit-identical to the serial
-  :class:`~repro.automaton.optimizations.PartitionedMatcher`);
+  relations, what ``plan.match(partition_by=..., workers=...)`` runs:
+  one loop per partition, in-process or chunked over a process pool,
+  results merged in deterministic partition order (bit-identical for
+  any worker count);
 * :class:`~repro.parallel.sharded.ShardedStreamMatcher` — live streams,
   events routed to per-shard
   :class:`~repro.stream.partitioned.PartitionedContinuousMatcher`

@@ -1,9 +1,10 @@
-"""Process-pool execution of partitioned batch workloads.
+"""Partitioned batch execution, in-process or over a process pool.
 
-:class:`ParallelPartitionedMatcher` is the parallel sibling of
-:class:`~repro.automaton.optimizations.PartitionedMatcher`: the relation
-is split on the partition attribute, the partitions are grouped into
-chunks, and the chunks are fanned out over a
+:class:`ParallelPartitionedMatcher` is the batch partition driver behind
+``plan.match(partition_by=..., workers=...)``: the relation is split on
+the partition attribute and every partition is evaluated by
+:func:`_run_partitions` — in this process with one worker, or, grouped
+into chunks, by the workers of a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  The paper's Section
 4.4 bounds make the per-start instance population the scaling
 bottleneck; partitions are provably independent (every condition
@@ -19,14 +20,13 @@ Design notes
   pool is reused across runs.  Chunks only carry events, encoded as
   compact tuples (:mod:`repro.parallel.codec`).
 * Results merge in **deterministic order**: partitions are sorted by
-  key exactly as the serial matcher sorts them, chunks are contiguous
-  slices of that order, and futures are collected in submission order —
+  key, chunks are contiguous slices of that order, futures are collected
+  in submission order and :meth:`ExecutionStats.merge` is associative —
   so the accepted list, the final selection, and the stats are
-  bit-identical to the serial :class:`PartitionedMatcher` for any
-  worker count.
-* **Serial fallback**: with one worker, a single partition, or no
-  partition attribute at all, no pool is spawned and everything runs
-  in-process (the no-attribute case degrades to one unpartitioned run).
+  bit-identical for any worker count.
+* **No pool** with one worker, a single partition, or no partition
+  attribute at all: the same loop runs in-process (the no-attribute
+  case degrades to one unpartitioned run).
 * **Robust shutdown**: any exception — including
   :class:`KeyboardInterrupt` and a worker crashing mid-chunk — cancels
   the remaining chunks and joins every worker before re-raising; a dead
@@ -42,13 +42,14 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
+from ..agg.engine import merge_snapshots
+from ..agg.result import AggregateSeries
 from ..automaton.executor import MatchResult
 from ..automaton.metrics import ExecutionStats
 from ..automaton.optimizations import partition_attribute
 from ..core.events import Event
-from ..core.options import resolve_option
 from ..core.relation import EventRelation
 from ..core.semantics import SELECTIONS, select
 from ..core.substitution import Substitution
@@ -60,15 +61,16 @@ __all__ = ["ParallelPartitionedMatcher", "default_context", "chunk_partitions"]
 
 logger = logging.getLogger(__name__)
 
-#: One chunk of work: ``[(partition key, [event wires]), ...]``.
-Chunk = List[Tuple[Any, List[EventWire]]]
-#: One partition's result: ``(key, [substitution wires], stats)``.
-PartitionResult = Tuple[Any, List[SubstitutionWire], ExecutionStats]
-#: One chunk's result: worker pid, per-partition results, obs snapshot,
-#: statistics-store snapshot (both ``None`` when not instrumented), and
-#: the chunk's merged partial-aggregate snapshot (``None`` unless the
-#: plan aggregates).
-ChunkResult = Tuple[int, List[PartitionResult], Optional[dict],
+#: What a run over some partitions yields: the accepted buffers, the
+#: merged stats and the merged partial-aggregate snapshot (``None``
+#: unless the plan aggregates).
+PartitionRun = Tuple[List[Substitution], ExecutionStats, Optional[dict]]
+#: One chunk of work: the event wires of each of its partitions.
+Chunk = List[List[EventWire]]
+#: One chunk's result: worker pid, accepted buffers, merged stats, obs
+#: snapshot (``None`` when not instrumented) and the chunk's merged
+#: partial-aggregate snapshot.
+ChunkResult = Tuple[int, List[SubstitutionWire], ExecutionStats,
                     Optional[dict], Optional[dict]]
 
 
@@ -103,21 +105,48 @@ def chunk_partitions(items: Sequence, n_chunks: int) -> List[list]:
     return chunks
 
 
+def _run_partitions(plan, partitions: Iterable[Iterable[Event]], *,
+                    use_filter: bool, filter_mode: str, consume: str,
+                    observability=None, flight=None) -> PartitionRun:
+    """Algorithms 1–2 once per partition, merged in the order given.
+
+    The one per-partition loop of batch execution: the in-process path
+    runs it over all partitions, a pool worker over those of its chunk.
+    Every partition gets a fresh executor that keeps its raw accepted
+    buffers — result selection needs the buffers of all partitions and
+    is the caller's.
+    """
+    accepted: List[Substitution] = []
+    stats = ExecutionStats()
+    agg_snapshot: Optional[dict] = None
+    for events in partitions:
+        executor = plan.executor(
+            use_filter=use_filter, filter_mode=filter_mode,
+            selection="accepted", consume=consume,
+            observability=observability, flight=flight)
+        result = executor.run(events)
+        accepted.extend(result.accepted)
+        stats.merge(result.stats)
+        if plan.aggregate is not None:
+            agg_snapshot = merge_snapshots(plan.aggregate, agg_snapshot,
+                                           executor.aggregate_snapshot())
+    return accepted, stats, agg_snapshot
+
+
 # ----------------------------------------------------------------------
 # Worker side (runs in the pool processes)
 # ----------------------------------------------------------------------
 _WORKER_PLAN = None
-_WORKER_USE_FILTER = True
-_WORKER_CONSUME = "greedy"
+#: ``use_filter`` / ``filter_mode`` / ``consume`` for the worker's runs.
+_WORKER_OPTIONS: dict = {}
 _WORKER_INSTRUMENT = False
 _WORKER_FLIGHT = None
-_WORKER_STATS_KEY: Optional[str] = None
 
 #: Default per-worker flight-recorder ring size (0 disables recording).
 DEFAULT_FLIGHT_CAPACITY = 512
 
 
-def _init_worker(plan, use_filter: bool, consume: str,
+def _init_worker(plan, use_filter: bool, filter_mode: str, consume: str,
                  instrument: bool,
                  flight_capacity: int = DEFAULT_FLIGHT_CAPACITY) -> None:
     """Pool initializer: adopt the parent's pickled plan.
@@ -129,16 +158,12 @@ def _init_worker(plan, use_filter: bool, consume: str,
     ``flight_capacity`` is 0) so a crash can ship the tail of execution
     back to the parent.
     """
-    global _WORKER_PLAN, _WORKER_USE_FILTER, _WORKER_CONSUME
-    global _WORKER_INSTRUMENT, _WORKER_FLIGHT, _WORKER_STATS_KEY
+    global _WORKER_PLAN, _WORKER_OPTIONS, _WORKER_INSTRUMENT, _WORKER_FLIGHT
     from ..plan.cache import plan_cache
     _WORKER_PLAN = plan_cache().seed(plan)
-    _WORKER_USE_FILTER = use_filter
-    _WORKER_CONSUME = consume
+    _WORKER_OPTIONS = {"use_filter": use_filter, "filter_mode": filter_mode,
+                       "consume": consume}
     _WORKER_INSTRUMENT = instrument
-    if instrument:
-        from ..explain.stats import stats_key
-        _WORKER_STATS_KEY = stats_key(plan.pattern)
     if flight_capacity:
         from ..obs.flight import FlightRecorder
         _WORKER_FLIGHT = FlightRecorder(capacity=flight_capacity)
@@ -147,7 +172,7 @@ def _init_worker(plan, use_filter: bool, consume: str,
 
 
 def _run_chunk(chunk: Chunk) -> ChunkResult:
-    """Evaluate every partition of one chunk with the worker's matcher.
+    """Evaluate every partition of one chunk with the worker's plan.
 
     An exception while evaluating is re-raised as
     :class:`~repro.parallel.errors.WorkerCrashed` carrying the worker's
@@ -162,26 +187,10 @@ def _run_chunk(chunk: Chunk) -> ChunkResult:
     if _WORKER_INSTRUMENT:
         from ..obs import Observability
         obs = Observability()
-    aggregating = plan.aggregate is not None
-    agg_snapshot = None
-    results: List[PartitionResult] = []
     try:
-        for key, wires in chunk:
-            events = decode_events(wires)
-            executor = plan.executor(
-                use_filter=_WORKER_USE_FILTER, selection="accepted",
-                consume=_WORKER_CONSUME, observability=obs, flight=flight)
-            result = executor.run(events)
-            if obs is not None:
-                executor.publish_stats()
-            if aggregating:
-                from ..agg.engine import merge_snapshots
-                agg_snapshot = merge_snapshots(
-                    plan.aggregate, agg_snapshot,
-                    executor.aggregate_snapshot())
-            results.append(
-                (key, [encode_substitution(s) for s in result.accepted],
-                 result.stats))
+        accepted, stats, agg_snapshot = _run_partitions(
+            plan, map(decode_events, chunk), observability=obs,
+            flight=flight, **_WORKER_OPTIONS)
     except Exception as exc:
         if flight is None:
             raise
@@ -189,48 +198,34 @@ def _run_chunk(chunk: Chunk) -> ChunkResult:
             f"pool worker {os.getpid()} crashed evaluating a partition "
             f"chunk: {type(exc).__name__}: {exc}",
             flight_dump=flight.dump()) from exc
-    stats_snapshot = None
-    if obs is not None and _WORKER_STATS_KEY is not None:
-        # Ship observed cardinalities to the parent's statistics store
-        # via the same wire-snapshot idiom the metrics registry uses.
-        # Workers see partitions, not the run: runs/matches are counted
-        # once, parent-side, after cross-partition selection.
-        from ..explain.stats import StatsStore
-        local = StatsStore(autosave=False)
-        local.observe(
-            _WORKER_STATS_KEY, runs=0,
-            events=sum(s.events_read for _, _, s in results),
-            filter_seen=sum(s.events_read for _, _, s in results),
-            filter_admitted=sum(s.events_processed for _, _, s in results))
-        stats_snapshot = local.snapshot()
-    return (os.getpid(), results, None if obs is None else obs.snapshot(),
-            stats_snapshot, agg_snapshot)
+    return (os.getpid(), [encode_substitution(s) for s in accepted], stats,
+            None if obs is None else obs.snapshot(), agg_snapshot)
 
 
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
 class ParallelPartitionedMatcher:
-    """Partitioned batch matching fanned out over a process pool.
+    """Batch matching per partition, in-process or over a process pool.
 
     Parameters
     ----------
     pattern:
         The SES pattern, or a compiled
-        :class:`~repro.plan.plan.PatternPlan`.  Partition parallelism is
-        sound when the pattern equi-joins all variables on one
-        attribute; the attribute is auto-detected like
-        :class:`PartitionedMatcher` does.
+        :class:`~repro.plan.plan.PatternPlan`.  Partitioning is sound
+        when the pattern equi-joins all variables on one attribute; the
+        attribute is auto-detected
+        (:func:`~repro.automaton.optimizations.partition_attribute`).
     partition_by:
         Explicit partition attribute (overrides detection, at your own
-        risk).  ``attribute=`` is the deprecated spelling.
+        risk).
     workers:
         Pool size; defaults to :func:`os.cpu_count`.  ``1`` runs
         serially in-process (no pool).
-    use_filter / selection / consume:
-        Forwarded to the per-partition matchers; results are selected
-        across partitions exactly like the serial matcher.
-        (``consume_mode=`` is the deprecated spelling of ``consume=``.)
+    use_filter / filter_mode / selection / consume:
+        As on :meth:`PatternPlan.match <repro.plan.plan.PatternPlan.match>`;
+        the filter and consume options go to every partition's executor,
+        ``selection`` is applied once across all partitions.
     chunks_per_worker:
         Load-balancing granularity: partitions are grouped into about
         ``workers * chunks_per_worker`` chunks so a slow partition does
@@ -238,12 +233,12 @@ class ParallelPartitionedMatcher:
     start_method:
         Multiprocessing start method (see :func:`default_context`).
     observability:
-        Optional :class:`repro.obs.Observability` bundle.  Workers run
-        instrumented and their snapshots are merged back in, plus
-        parent-side pool metrics: ``ses_pool_workers``,
-        ``ses_pool_chunks_total``, ``ses_pool_partitions_total`` and
-        per-worker ``ses_pool_worker<i>_events_total`` gauges.
-        (``obs=`` is the deprecated spelling.)
+        Optional :class:`repro.obs.Observability` bundle.  Every
+        partition's executor reports into it (pool workers report into
+        a bundle of their own whose snapshot is merged back in), plus
+        ``ses_pool_workers``, ``ses_pool_chunks_total``,
+        ``ses_pool_partitions_total`` and per-worker
+        ``ses_pool_worker<i>_events_total`` gauges.
     flight_capacity:
         Ring size of each worker's
         :class:`~repro.obs.flight.FlightRecorder` (default 512; ``0``
@@ -253,30 +248,18 @@ class ParallelPartitionedMatcher:
         ``flight_dump``; hard crashes (``SIGKILL``/``os._exit``) leave
         no dump.
 
-    Unlike :class:`PartitionedMatcher`, a pattern with **no** partition
-    attribute is accepted: the matcher logs a warning and falls back to
-    one serial unpartitioned run (parallelising would lose the
-    cross-partition pruning guarantee, so there is nothing sound to fan
-    out).
+    A pattern with **no** partition attribute is accepted: the matcher
+    logs a warning and falls back to one serial unpartitioned run
+    (splitting would lose the cross-partition pruning guarantee, so
+    there is nothing sound to fan out).
     """
 
     def __init__(self, pattern, partition_by: Optional[str] = None,
                  workers: Optional[int] = None, use_filter: bool = True,
-                 selection: str = "paper", consume: Optional[str] = None,
-                 chunks_per_worker: int = 4,
+                 filter_mode: str = "conjunctive", selection: str = "paper",
+                 consume: str = "greedy", chunks_per_worker: int = 4,
                  start_method: Optional[str] = None, observability=None,
-                 flight_capacity: int = DEFAULT_FLIGHT_CAPACITY,
-                 attribute: Optional[str] = None,
-                 consume_mode: Optional[str] = None, obs=None):
-        partition_by = resolve_option(
-            "ParallelPartitionedMatcher", "partition_by", partition_by,
-            "attribute", attribute)
-        consume = resolve_option(
-            "ParallelPartitionedMatcher", "consume", consume,
-            "consume_mode", consume_mode, default="greedy")
-        observability = resolve_option(
-            "ParallelPartitionedMatcher", "observability", observability,
-            "obs", obs)
+                 flight_capacity: int = DEFAULT_FLIGHT_CAPACITY):
         if selection not in SELECTIONS:
             raise ValueError(f"unknown selection {selection!r}")
         if workers is not None and workers < 1:
@@ -285,12 +268,14 @@ class ParallelPartitionedMatcher:
             raise ValueError("chunks_per_worker must be >= 1")
         from ..plan.cache import as_plan
         plan = as_plan(pattern)
+        plan.prefilter(filter_mode)  # ValueError on an unknown mode
         detected = partition_attribute(plan.pattern)
         self.plan = plan
         self.pattern = plan.pattern
         self.attribute = detected if partition_by is None else partition_by
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.use_filter = use_filter
+        self.filter_mode = filter_mode
         self.selection = selection
         self.consume_mode = consume
         self.chunks_per_worker = chunks_per_worker
@@ -312,80 +297,44 @@ class ParallelPartitionedMatcher:
         if not isinstance(relation, EventRelation):
             relation = EventRelation(relation)
         if self.attribute is None:
-            parts = [(None, relation)]
+            parts = [relation]
         else:
-            parts = sorted(relation.partition_by(self.attribute).items(),
-                           key=lambda kv: str(kv[0]))
+            parts = [part for _, part in sorted(
+                relation.partition_by(self.attribute).items(),
+                key=lambda kv: str(kv[0]))]
         if self.workers <= 1 or len(parts) <= 1:
-            accepted, stats, agg_snapshot = self._run_local(parts)
+            accepted, stats, agg_snapshot = _run_partitions(
+                self.plan, parts, use_filter=self.use_filter,
+                filter_mode=self.filter_mode, consume=self.consume_mode,
+                observability=self.obs)
+            if self.obs is not None:
+                self._publish_pool_metrics(1, len(parts), len(parts),
+                                           {0: stats.events_read})
         else:
             accepted, stats, agg_snapshot = self._run_pool(parts)
-        return self._finalise(accepted, stats, agg_snapshot)
-
-    def _finalise(self, accepted: List[Substitution],
-                  stats: ExecutionStats,
-                  agg_snapshot: Optional[dict] = None) -> MatchResult:
         if self.plan.aggregate is not None:
             # Aggregation plan: no matches were materialised anywhere —
             # the merged partial snapshots are the whole result.
-            from ..agg.result import AggregateSeries
-            if self.obs is not None:
-                from ..explain.stats import stats_key, stats_store
-                stats_store().observe(stats_key(self.pattern), runs=1)
-            series = AggregateSeries(self.plan.aggregate, agg_snapshot,
-                                     stats=stats)
-            return MatchResult(matches=[], accepted=[], stats=stats,
-                               aggregates=series)
-        matches = select(accepted, self.selection)
-        stats.matches = len(matches)
+            matches = []
+            aggregates = AggregateSeries(self.plan.aggregate, agg_snapshot,
+                                         stats=stats)
+        else:
+            matches = select(accepted, self.selection)
+            stats.matches = len(matches)
+            aggregates = None
         if self.obs is not None:
-            # Workers shipped per-partition event/filter cardinalities;
-            # the run itself and the post-selection match count are known
-            # only here.
+            # Partitions only see their share; the run and its
+            # post-selection match count are known here.
             from ..explain.stats import stats_key, stats_store
-            stats_store().observe(stats_key(self.pattern), runs=1,
-                                  matches=len(matches))
-        return MatchResult(matches=matches, accepted=accepted, stats=stats)
+            stats_store().observe(
+                stats_key(self.pattern), events=stats.events_read,
+                matches=len(matches), filter_seen=stats.events_read,
+                filter_admitted=stats.events_processed)
+        return MatchResult(matches=matches, accepted=accepted, stats=stats,
+                           aggregates=aggregates)
 
-    def _run_local(self, parts
-                   ) -> Tuple[List[Substitution], ExecutionStats,
-                              Optional[dict]]:
-        """Serial fallback: same loop as :class:`PartitionedMatcher`."""
-        obs = self.obs
-        aggregating = self.plan.aggregate is not None
-        agg_snapshot: Optional[dict] = None
-        accepted: List[Substitution] = []
-        stats = ExecutionStats()
-        events_seen = 0
-        for _, part in parts:
-            executor = self.plan.executor(
-                use_filter=self.use_filter, selection="accepted",
-                consume=self.consume_mode, observability=obs)
-            result = executor.run(part)
-            if obs is not None:
-                executor.publish_stats()
-            if aggregating:
-                from ..agg.engine import merge_snapshots
-                agg_snapshot = merge_snapshots(
-                    self.plan.aggregate, agg_snapshot,
-                    executor.aggregate_snapshot())
-            accepted.extend(result.accepted)
-            stats.merge(result.stats)
-            events_seen += result.stats.events_read
-        if obs is not None:
-            self._publish_pool_metrics(1, len(parts), len(parts),
-                                       {0: events_seen})
-            from ..explain.stats import stats_key, stats_store
-            stats_store().observe(stats_key(self.pattern), runs=0,
-                                  events=stats.events_read,
-                                  filter_seen=stats.events_read,
-                                  filter_admitted=stats.events_processed)
-        return accepted, stats, agg_snapshot
-
-    def _run_pool(self, parts
-                  ) -> Tuple[List[Substitution], ExecutionStats,
-                             Optional[dict]]:
-        encoded = [(key, encode_events(part)) for key, part in parts]
+    def _run_pool(self, parts: List[EventRelation]) -> PartitionRun:
+        encoded = [encode_events(part) for part in parts]
         n_workers = min(self.workers, len(encoded))
         chunks = chunk_partitions(encoded,
                                   n_workers * self.chunks_per_worker)
@@ -396,8 +345,9 @@ class ParallelPartitionedMatcher:
         pool = ProcessPoolExecutor(
             max_workers=n_workers, mp_context=context,
             initializer=_init_worker,
-            initargs=(self.plan, self.use_filter, self.consume_mode,
-                      self.obs is not None, self.flight_capacity))
+            initargs=(self.plan, self.use_filter, self.filter_mode,
+                      self.consume_mode, self.obs is not None,
+                      self.flight_capacity))
         futures = []
         try:
             futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
@@ -429,34 +379,23 @@ class ParallelPartitionedMatcher:
             raise
         else:
             pool.shutdown(wait=True)
-        return self._merge(chunk_results, n_workers, len(encoded),
-                           len(chunks))
+        return self._merge(chunk_results, n_workers, len(encoded))
 
     def _merge(self, chunk_results: List[ChunkResult], n_workers: int,
-               n_partitions: int, n_chunks: int
-               ) -> Tuple[List[Substitution], ExecutionStats,
-                          Optional[dict]]:
+               n_partitions: int) -> PartitionRun:
         """Merge chunk results in submission (= partition-sorted) order."""
         accepted: List[Substitution] = []
         stats = ExecutionStats()
         agg_snapshot: Optional[dict] = None
         events_by_pid: dict = {}
-        for chunk_result in chunk_results:
-            pid, partition_results, snapshot, stats_snapshot = \
-                chunk_result[:4]
-            chunk_agg = chunk_result[4] if len(chunk_result) > 4 else None
-            for _, wires, part_stats in partition_results:
-                accepted.extend(decode_substitution(w) for w in wires)
-                stats.merge(part_stats)
-                events_by_pid[pid] = (events_by_pid.get(pid, 0)
-                                      + part_stats.events_read)
+        for pid, wires, chunk_stats, snapshot, chunk_agg in chunk_results:
+            accepted.extend(decode_substitution(w) for w in wires)
+            stats.merge(chunk_stats)
+            events_by_pid[pid] = (events_by_pid.get(pid, 0)
+                                  + chunk_stats.events_read)
             if snapshot is not None and self.obs is not None:
                 self.obs.merge_snapshot(snapshot)
-            if stats_snapshot is not None:
-                from ..explain.stats import stats_store
-                stats_store().merge_snapshot(stats_snapshot)
             if chunk_agg is not None:
-                from ..agg.engine import merge_snapshots
                 agg_snapshot = merge_snapshots(self.plan.aggregate,
                                                agg_snapshot, chunk_agg)
         if self.obs is not None:
@@ -464,8 +403,8 @@ class ParallelPartitionedMatcher:
                 index: events_by_pid[pid]
                 for index, pid in enumerate(sorted(events_by_pid))
             }
-            self._publish_pool_metrics(n_workers, n_partitions, n_chunks,
-                                       events_by_worker)
+            self._publish_pool_metrics(n_workers, n_partitions,
+                                       len(chunk_results), events_by_worker)
         return accepted, stats, agg_snapshot
 
     def _publish_pool_metrics(self, n_workers: int, n_partitions: int,

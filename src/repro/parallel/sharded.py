@@ -56,7 +56,6 @@ from typing import Callable, List, Optional
 
 from ..agg.result import Match
 from ..core.events import Event
-from ..core.options import resolve_option
 from ..core.substitution import Substitution
 from ..stream.partitioned import PartitionedContinuousMatcher
 from ..obs.tracectx import sampled
@@ -218,10 +217,8 @@ class ShardedStreamMatcher:
         the pickled plan to every shard.
     workers:
         Number of worker processes; defaults to :func:`os.cpu_count`.
-        ``shards=`` is the deprecated spelling.
     partition_by:
-        Partition attribute; auto-detected when omitted.  ``attribute=``
-        is the deprecated spelling.
+        Partition attribute; auto-detected when omitted.
     use_filter / suppress_overlaps:
         Forwarded to each shard's partitioned matcher.
     queue_size:
@@ -235,8 +232,7 @@ class ShardedStreamMatcher:
         the parent additionally tracks ``ses_shard<i>_events_total``
         and ``ses_shard<i>_queue_depth`` per shard, plus — with guards
         or a supervisor — ``ses_shed_instances``, ``ses_restarts_total``
-        and ``ses_quarantined_events``.  ``obs=`` is the deprecated
-        spelling.
+        and ``ses_quarantined_events``.
     flight_capacity:
         Ring size of each shard's
         :class:`~repro.obs.flight.FlightRecorder` (default 512; ``0``
@@ -268,18 +264,9 @@ class ShardedStreamMatcher:
                  suppress_overlaps: bool = True, queue_size: int = 1024,
                  start_method: Optional[str] = None, observability=None,
                  flight_capacity: int = 512,
-                 supervisor=None, guard=None, faults=None,
-                 shards: Optional[int] = None,
-                 attribute: Optional[str] = None, obs=None):
+                 supervisor=None, guard=None, faults=None):
         from ..automaton.optimizations import partition_attribute
         from ..plan.cache import as_plan
-        workers = resolve_option("ShardedStreamMatcher", "workers",
-                                 workers, "shards", shards)
-        partition_by = resolve_option("ShardedStreamMatcher", "partition_by",
-                                      partition_by, "attribute", attribute)
-        observability = resolve_option("ShardedStreamMatcher",
-                                       "observability", observability,
-                                       "obs", obs)
         plan = as_plan(pattern)
         if partition_by is None:
             partition_by = partition_attribute(plan.pattern)
@@ -288,7 +275,7 @@ class ShardedStreamMatcher:
                 "pattern does not equi-join all variables on a single "
                 "attribute; sharded streaming would lose matches")
         if workers is not None and workers < 1:
-            raise ValueError("shards must be >= 1")
+            raise ValueError("workers must be >= 1")
         if queue_size < 1:
             raise ValueError("queue_size must be >= 1")
         self.plan = plan

@@ -24,7 +24,6 @@ from ..automaton.builder import build_automaton
 from ..automaton.executor import MatchResult, SESExecutor
 from ..automaton.minimize import trim
 from ..core.events import Event
-from ..core.options import resolve_option
 from ..core.pattern import SESPattern
 from ..core.relation import EventRelation
 from .fingerprint import aggregate_fingerprint, pattern_fingerprint
@@ -165,46 +164,31 @@ class PatternPlan:
     # ------------------------------------------------------------------
     def match(self, relation: Union[EventRelation, Iterable[Event]], *,
               use_filter: bool = True, filter_mode: str = "conjunctive",
-              selection: str = "paper", consume: Optional[str] = None,
+              selection: str = "paper", consume: str = "greedy",
               workers: int = 1, partition_by: Optional[str] = None,
               observability=None, record_history: bool = False,
               history_max_samples: Optional[int] = None,
               chunks_per_worker: int = 4,
-              start_method: Optional[str] = None,
-              consume_mode: Optional[str] = None, obs=None) -> MatchResult:
+              start_method: Optional[str] = None) -> MatchResult:
         """Run the plan over ``relation`` and return a :class:`MatchResult`.
 
-        ``workers > 1`` fans partitions out over a process pool
-        (:class:`~repro.parallel.pool.ParallelPartitionedMatcher`);
-        ``partition_by`` forces serial partitioned execution; otherwise
-        the plain executor runs, preceded — when the plan was compiled
-        with the ``"prefilter"`` optimization — by the columnar
+        ``partition_by`` or ``workers > 1`` evaluates per partition
+        (:class:`~repro.parallel.pool.ParallelPartitionedMatcher`:
+        in-process with one worker, over a process pool with more);
+        otherwise the plain executor runs, preceded — when the plan was
+        compiled with the ``"prefilter"`` optimization — by the columnar
         admission-mask pass.
         """
-        consume = resolve_option("PatternPlan.match", "consume", consume,
-                                 "consume_mode", consume_mode,
-                                 default="greedy")
-        observability = resolve_option("PatternPlan.match", "observability",
-                                       observability, "obs", obs)
         if workers is None or workers < 1:
             raise ValueError("workers must be >= 1")
-        if workers > 1:
+        if partition_by is not None or workers > 1:
             from ..parallel.pool import ParallelPartitionedMatcher
             matcher = ParallelPartitionedMatcher(
                 self, partition_by=partition_by, workers=workers,
-                use_filter=use_filter, selection=selection, consume=consume,
+                use_filter=use_filter, filter_mode=filter_mode,
+                selection=selection, consume=consume,
                 chunks_per_worker=chunks_per_worker,
                 start_method=start_method, observability=observability)
-            return matcher.run(relation)
-        if partition_by is not None:
-            if self._aggregate is not None:
-                return self._match_agg_partitioned(
-                    relation, partition_by, use_filter=use_filter,
-                    filter_mode=filter_mode, consume=consume)
-            from ..automaton.optimizations import PartitionedMatcher
-            matcher = PartitionedMatcher(self, partition_by=partition_by,
-                                         use_filter=use_filter,
-                                         selection=selection, consume=consume)
             return matcher.run(relation)
         events = list(relation)
         event_filter = None
@@ -230,47 +214,14 @@ class PatternPlan:
                                aggregate=self._aggregate)
         return executor.run(events)
 
-    def _match_agg_partitioned(self, relation, partition_by, *,
-                               use_filter: bool, filter_mode: str,
-                               consume: str) -> MatchResult:
-        """Serial per-partition aggregation: fold each partition with a
-        fresh executor and merge the partial snapshots (the same merge
-        the process pool and the sharded runtime use)."""
-        from ..agg.engine import merge_snapshots
-        from ..agg.result import AggregateSeries
-        from ..automaton.metrics import ExecutionStats
-        partitions: Dict = {}
-        for event in relation:
-            partitions.setdefault(event.get(partition_by), []).append(event)
-        total = ExecutionStats()
-        snapshot = None
-        for key in sorted(partitions, key=str):
-            executor = self.executor(use_filter=use_filter,
-                                     filter_mode=filter_mode,
-                                     consume=consume)
-            result = executor.run(partitions[key])
-            total.merge(result.stats)
-            snapshot = merge_snapshots(self._aggregate, snapshot,
-                                       executor.aggregate_snapshot())
-        series = AggregateSeries(self._aggregate, snapshot, stats=total)
-        return MatchResult(matches=[], accepted=[], stats=total,
-                           aggregates=series)
-
     def executor(self, *, use_filter: bool = True,
                  filter_mode: str = "conjunctive", selection: str = "paper",
-                 consume: Optional[str] = None,
+                 consume: str = "greedy",
                  expire_on_filtered: bool = False, observability=None,
                  record_history: bool = False,
                  history_max_samples: Optional[int] = None, tracer=None,
-                 flight=None, guard=None,
-                 consume_mode: Optional[str] = None, obs=None) -> SESExecutor:
+                 flight=None, guard=None) -> SESExecutor:
         """A fresh incremental executor over the compiled automaton."""
-        consume = resolve_option("PatternPlan.executor", "consume", consume,
-                                 "consume_mode", consume_mode,
-                                 default="greedy")
-        observability = resolve_option("PatternPlan.executor",
-                                       "observability", observability,
-                                       "obs", obs)
         event_filter = self.filter_handle(filter_mode) if use_filter else None
         if flight is not None:
             flight.note_plan(self._fingerprint)
@@ -286,7 +237,7 @@ class PatternPlan:
     def stream(self, *, use_filter: bool = True,
                suppress_overlaps: bool = True,
                partition_by: Optional[str] = None, observability=None,
-               flight=None, guard=None, obs=None):
+               flight=None, guard=None):
         """A continuous matcher over this plan.
 
         Returns a :class:`~repro.stream.runner.ContinuousMatcher`, or —
@@ -294,8 +245,6 @@ class PatternPlan:
         :class:`~repro.stream.partitioned.PartitionedContinuousMatcher`
         routing events to per-key matchers that all share this plan.
         """
-        observability = resolve_option("PatternPlan.stream", "observability",
-                                       observability, "obs", obs)
         if partition_by is not None:
             from ..stream.partitioned import PartitionedContinuousMatcher
             return PartitionedContinuousMatcher(

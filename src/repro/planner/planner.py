@@ -23,7 +23,7 @@ from typing import Iterable, List, Optional, Union
 
 from ..automaton.executor import MatchResult
 from ..automaton.filtering import EventFilter
-from ..automaton.optimizations import PartitionedMatcher, partition_attribute
+from ..automaton.optimizations import partition_attribute
 from ..complexity import ComplexityReport, analyze
 from ..core.events import Event
 from ..core.pattern import SESPattern
@@ -110,31 +110,20 @@ class QueryPlan:
 
     def execute(self, relation: Union[EventRelation, Iterable[Event]]
                 ) -> MatchResult:
-        """Run the plan over ``relation`` (compiled via the plan cache)."""
-        if self.aggregate is not None:
-            # Aggregation folds inside the executor, so the partitioned
-            # choice collapses onto the unified plan.match dispatch
-            # (which merges per-partition partials losslessly).
-            from ..plan.cache import compile as compile_plan
-            plan = compile_plan(self.pattern, aggregate=self.aggregate)
-            return plan.match(
-                relation, use_filter=self.use_filter,
-                selection=self.selection,
-                partition_by=(self.partition_on
-                              if self.executor == "partitioned" else None))
-        from ..plan.cache import as_plan
-        plan = as_plan(self.pattern)
-        if self.condition_order is not None and self.executor == "plain":
+        """Run the plan over ``relation`` (compiled via the plan cache).
+
+        ``partition_on`` is set exactly when ``executor`` is
+        ``"partitioned"``, so ``plan.match`` picks the driver.
+        """
+        from ..plan.cache import compile as compile_plan
+        plan = compile_plan(self.pattern, aggregate=self.aggregate)
+        if (self.condition_order is not None and self.aggregate is None
+                and self.executor == "plain"):
             from ..explain.order import ordered_plan
             plan = ordered_plan(plan)
-        if self.executor == "partitioned":
-            matcher = PartitionedMatcher(plan,
-                                         partition_by=self.partition_on,
-                                         use_filter=self.use_filter,
-                                         selection=self.selection)
-            return matcher.run(relation)
         return plan.match(relation, use_filter=self.use_filter,
-                          selection=self.selection)
+                          selection=self.selection,
+                          partition_by=self.partition_on)
 
     def explain(self) -> str:
         """Multi-line plan description (like EXPLAIN in a database)."""

@@ -1,8 +1,8 @@
 """Partitioned continuous matching: one matcher per key, online.
 
-The streaming analogue of
-:class:`~repro.automaton.optimizations.PartitionedMatcher`: events are
-routed by a partition attribute (e.g. the patient ``ID``) to a per-key
+The streaming analogue of batch partitioning
+(``plan.match(relation, partition_by=...)``): events are routed by a
+partition attribute (e.g. the patient ``ID``) to a per-key
 :class:`~repro.stream.runner.ContinuousMatcher`, created lazily on first
 sight of the key.  Sound whenever the pattern equi-joins all variables on
 the attribute; like batch partitioning it is immune to cross-partition
@@ -22,7 +22,6 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional
 from ..agg.result import Match
 from ..automaton.optimizations import partition_attribute
 from ..core.events import Event
-from ..core.options import resolve_option
 from ..core.substitution import Substitution
 from ..plan.cache import as_plan
 from .runner import ContinuousMatcher
@@ -48,8 +47,7 @@ class PartitionedContinuousMatcher:
         variables on ``partition_by``.
     partition_by:
         Partition attribute; auto-detected from the pattern's equality
-        conditions when omitted.  ``attribute=`` is the deprecated
-        spelling.
+        conditions when omitted.
     use_filter / suppress_overlaps:
         Forwarded to each per-partition matcher.
     observability:
@@ -57,20 +55,12 @@ class PartitionedContinuousMatcher:
         every partition gets its *own* child bundle (so metrics never
         race across partitions even if feeding is ever parallelised) and
         the bundle itself tracks the partition population; call
-        :meth:`aggregate` for the merged cross-partition view.  ``obs=``
-        is the deprecated spelling.
+        :meth:`aggregate` for the merged cross-partition view.
     """
 
     def __init__(self, pattern, partition_by: Optional[str] = None,
                  use_filter: bool = True, suppress_overlaps: bool = True,
-                 observability=None, flight=None, guard=None,
-                 attribute: Optional[str] = None, obs=None):
-        partition_by = resolve_option(
-            "PartitionedContinuousMatcher", "partition_by", partition_by,
-            "attribute", attribute)
-        obs = resolve_option(
-            "PartitionedContinuousMatcher", "observability", observability,
-            "obs", obs)
+                 observability=None, flight=None, guard=None):
         self._plan = as_plan(pattern)
         if partition_by is None:
             partition_by = partition_attribute(self._plan.pattern)
@@ -89,7 +79,7 @@ class PartitionedContinuousMatcher:
         # Partial aggregates inherited from garbage-collected partitions
         # (aggregation plans only); merged into aggregate_snapshot().
         self._agg_carry = None
-        self.obs = obs
+        self.obs = obs = observability
         #: One shared flight recorder across all per-key matchers — a
         #: single tail of recent execution for the whole partition set.
         self.flight = flight

@@ -23,7 +23,6 @@ from typing import Callable, Iterable, List
 from ..agg.result import Match
 from ..automaton.executor import SESExecutor
 from ..core.events import Event
-from ..core.options import resolve_option
 from ..core.semantics import select_matches
 from ..core.substitution import Substitution
 from ..plan.cache import as_plan
@@ -57,8 +56,7 @@ class ContinuousMatcher:
         Optional :class:`repro.obs.Observability` bundle: the underlying
         executor reports span timings, |Ω| and latency through it, and
         the runner counts reported matches
-        (``ses_stream_matches_reported_total``).  ``obs=`` is the
-        deprecated spelling.
+        (``ses_stream_matches_reported_total``).
     flight:
         Optional :class:`repro.obs.flight.FlightRecorder` attached to
         the underlying executor: the tail of recent execution steps and
@@ -71,25 +69,24 @@ class ContinuousMatcher:
 
     def __init__(self, pattern, use_filter: bool = True,
                  suppress_overlaps: bool = True, observability=None,
-                 flight=None, guard=None, obs=None):
-        obs = resolve_option("ContinuousMatcher", "observability",
-                             observability, "obs", obs)
+                 flight=None, guard=None):
         self.plan = as_plan(pattern)
         self.pattern = self.plan.pattern
-        self.obs = obs
+        self.obs = observability
         self.flight = flight
         # Filtered events still advance the expiry clock so emission
         # latency stays bounded (see SESExecutor.expire_on_filtered).
         self._executor: SESExecutor = self.plan.executor(
             use_filter=use_filter, selection="accepted",
-            expire_on_filtered=True, observability=obs, flight=flight,
-            guard=guard)
+            expire_on_filtered=True, observability=observability,
+            flight=flight, guard=guard)
         self._callbacks: List[MatchCallback] = []
         self._reported: List[Substitution] = []
         self._used_events: set = set()
         self.suppress_overlaps = suppress_overlaps
         self._reported_counter = (
-            None if obs is None else obs.registry.counter(
+            None if observability is None
+            else observability.registry.counter(
                 "ses_stream_matches_reported_total",
                 help="matches reported to stream subscribers"))
 

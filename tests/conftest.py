@@ -6,8 +6,14 @@ from typing import Iterable, List, Sequence
 
 import pytest
 
+import repro
 from repro import Event, EventRelation, SESPattern
 from repro.data.paper_events import figure1_relation, query_q1
+
+
+def match(pattern, relation, **options):
+    """``repro.compile(pattern).match(relation, **options)`` in one call."""
+    return repro.compile(pattern).match(relation, **options)
 
 
 def ev(ts: int, kind: str = "A", eid: str = None, **attrs) -> Event:

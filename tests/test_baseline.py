@@ -4,13 +4,13 @@ import math
 
 import pytest
 
-from repro import PatternError, SESPattern, match
+from repro import PatternError, SESPattern
 from repro.baseline import (BruteForceMatcher, NaiveMatcher, brute_force_match,
                             enumerate_sequences, naive_match, sequence_count,
                             sequence_pattern)
 from repro.core.variables import var
 
-from conftest import eids, ev
+from conftest import eids, ev, match
 
 
 SINGLETON_Q1 = SESPattern(
@@ -129,8 +129,7 @@ class TestSequenceRewritingLimitations:
         """The sequence rewriting imposes a strict order between all
         variables, so it cannot match events of one set that share a
         timestamp — the SES automaton can (order within a set is free)."""
-        from repro import EventRelation, SESPattern, match
-        from conftest import ev
+        from repro import EventRelation, SESPattern
 
         pattern = SESPattern(
             sets=[["x", "y"], ["z"]],

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro import match
 from repro.core.diagnostics import diagnose
 from repro.data.clickstream import (ACTIONS, CLICK_SCHEMA,
                                     generate_clickstream,
                                     purchase_intent_pattern)
+
+from conftest import match
 
 
 class TestGenerator:

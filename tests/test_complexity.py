@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro import EventRelation, SESPattern, match
+from repro import EventRelation, SESPattern
 from repro.complexity import (ComplexityCase, all_pairwise_mutually_exclusive,
                               analyze, are_mutually_exclusive, classify_set,
                               conditions_conflict, pattern_instance_bound,
@@ -12,7 +12,7 @@ from repro.complexity import (ComplexityCase, all_pairwise_mutually_exclusive,
 from repro.core.conditions import parse_condition
 from repro.core.variables import group, var
 
-from conftest import ev
+from conftest import ev, match
 
 
 def cond(text, **variables):

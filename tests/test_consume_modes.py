@@ -3,12 +3,12 @@
 import pytest
 from hypothesis import given, settings
 
-from repro import EventRelation, SESPattern, match
+from repro import EventRelation, SESPattern
 from repro.automaton.builder import build_automaton
 from repro.automaton.executor import SESExecutor
 from repro.baseline import naive_match
 
-from conftest import eids, ev
+from conftest import eids, ev, match
 from test_property import simple_patterns, typed_relations
 
 
@@ -21,7 +21,7 @@ class TestModeSelection:
             SESExecutor(build_automaton(q1), consume_mode="bogus")
 
     def test_match_forwards_mode(self, q1, figure1):
-        result = match(q1, figure1, consume_mode="exhaustive")
+        result = match(q1, figure1, consume="exhaustive")
         assert len(result) == 2
 
 
@@ -36,7 +36,7 @@ class TestExhaustiveClosesTheGaps:
                                   ev(1, "A", eid="a1"),
                                   ev(1, "B", eid="b1")])
         greedy = match(pattern, relation).matches
-        exhaustive = match(pattern, relation, consume_mode="exhaustive").matches
+        exhaustive = match(pattern, relation, consume="exhaustive").matches
         assert greedy == []
         assert [eids(m) for m in exhaustive] == [frozenset({"a0", "b1"})]
         assert exhaustive == naive_match(pattern, relation)
@@ -58,14 +58,14 @@ class TestExhaustiveClosesTheGaps:
         ])
         intended = frozenset({"aX", "bX", "mX", "cX"})
         assert intended not in [eids(m) for m in match(pattern, relation)]
-        exhaustive = match(pattern, relation, consume_mode="exhaustive")
+        exhaustive = match(pattern, relation, consume="exhaustive")
         assert intended in [eids(m) for m in exhaustive]
         assert exhaustive.matches == naive_match(pattern, relation)
 
     def test_paper_example_unchanged(self, q1, figure1):
         """On the running example the modes coincide."""
         assert (match(q1, figure1).matches
-                == match(q1, figure1, consume_mode="exhaustive").matches)
+                == match(q1, figure1, consume="exhaustive").matches)
 
 
 class TestExhaustiveCost:
@@ -74,7 +74,7 @@ class TestExhaustiveCost:
         relation = base_dataset(patients=3, cycles=1)
         greedy = match(q1, relation, selection="accepted")
         exhaustive = match(q1, relation, selection="accepted",
-                           consume_mode="exhaustive")
+                           consume="exhaustive")
         assert (exhaustive.stats.max_simultaneous_instances
                 >= greedy.stats.max_simultaneous_instances)
         assert set(greedy.accepted) <= set(exhaustive.accepted)
@@ -86,7 +86,7 @@ class TestExhaustiveEqualsOracle:
     def test_property_join_free(self, pattern, relation):
         """Exhaustive mode == Definition 2 on join-free patterns,
         including group variables (which break greedy equivalence)."""
-        exhaustive = match(pattern, relation, consume_mode="exhaustive").matches
+        exhaustive = match(pattern, relation, consume="exhaustive").matches
         assert exhaustive == naive_match(pattern, relation)
 
 
@@ -99,22 +99,22 @@ class TestContiguousMode:
 
     def test_adjacent_events_match(self):
         events = [ev(1, "A"), ev(2, "B")]
-        result = match(self.PATTERN, events, consume_mode="contiguous")
+        result = match(self.PATTERN, events, consume="contiguous")
         assert len(result) == 1
 
     def test_interrupted_run_ends(self):
         """An intervening relevant event breaks the run; the later pair
         still matches (a fresh instance starts at every event)."""
         events = [ev(1, "A"), ev(2, "A", eid="a2"), ev(3, "B")]
-        result = match(self.PATTERN, events, consume_mode="contiguous")
+        result = match(self.PATTERN, events, consume="contiguous")
         assert [eids(m) for m in result] == [frozenset({"a2", "b3"})]
 
     def test_filtered_events_do_not_break_contiguity(self):
         """Contiguity is relative to events passing the Section 4.5
         filter — irrelevant events in between are invisible."""
         events = [ev(1, "A"), ev(2, "X"), ev(3, "B")]
-        with_filter = match(self.PATTERN, events, consume_mode="contiguous")
-        without = match(self.PATTERN, events, consume_mode="contiguous",
+        with_filter = match(self.PATTERN, events, consume="contiguous")
+        without = match(self.PATTERN, events, consume="contiguous",
                         use_filter=False)
         assert len(with_filter) == 1
         assert without.matches == []
@@ -123,7 +123,7 @@ class TestContiguousMode:
         group_pattern = SESPattern(sets=[["p+"]],
                                    conditions=["p.kind = 'P'"], tau=20)
         events = [ev(1, "P"), ev(2, "P"), ev(3, "P")]
-        result = match(group_pattern, events, consume_mode="contiguous",
+        result = match(group_pattern, events, consume="contiguous",
                        use_filter=False)
         assert [eids(m) for m in result] == [frozenset({"p1", "p2", "p3"})]
 
@@ -131,13 +131,13 @@ class TestContiguousMode:
         group_pattern = SESPattern(sets=[["p+"]],
                                    conditions=["p.kind = 'P'"], tau=20)
         events = [ev(1, "P"), ev(2, "P"), ev(3, "X"), ev(4, "P")]
-        result = match(group_pattern, events, consume_mode="contiguous",
+        result = match(group_pattern, events, consume="contiguous",
                        use_filter=False)
         # Default selection suppresses the {p2} suffix run of {p1, p2}.
         assert [eids(m) for m in result] == [
             frozenset({"p1", "p2"}), frozenset({"p4"})
         ]
-        all_starts = match(group_pattern, events, consume_mode="contiguous",
+        all_starts = match(group_pattern, events, consume="contiguous",
                            use_filter=False, selection="all-starts")
         assert frozenset({"p2"}) in [eids(m) for m in all_starts]
 
@@ -146,5 +146,5 @@ class TestContiguousMode:
         greedy = match(self.PATTERN, events, selection="accepted",
                        use_filter=False)
         contiguous = match(self.PATTERN, events, selection="accepted",
-                           use_filter=False, consume_mode="contiguous")
+                           use_filter=False, consume="contiguous")
         assert set(contiguous.accepted) <= set(greedy.accepted)

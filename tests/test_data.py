@@ -85,7 +85,7 @@ class TestGenerator:
 
     def test_every_patient_matches_q1_style_queries(self):
         """Each patient cycle has C, D, P+ followed by a blood count."""
-        from repro import match
+        from conftest import match
         relation = generate_chemo(patients=2, cycles=1, seed=3)
         result = match(query_q1(), relation)
         assert len(result) >= 2

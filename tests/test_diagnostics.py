@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro import SESPattern, match
+from repro import SESPattern
 from repro.core.diagnostics import diagnose
 
-from conftest import ev
+from conftest import ev, match
 
 
 def codes(pattern):

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro import Event, EventRelation, SESPattern, match
+from repro import Event, EventRelation, SESPattern
 from repro.automaton.builder import build_automaton
 from repro.automaton.executor import SESExecutor, execute
 from repro.automaton.filtering import EventFilter
 
-from conftest import bindings, eids, ev
+from conftest import bindings, eids, ev, match
 
 
 def run(pattern, events, **kwargs):

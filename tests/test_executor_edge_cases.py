@@ -1,10 +1,10 @@
 """Edge-case tests for construction and execution."""
 
-from repro import Event, EventRelation, SESPattern, match
+from repro import Event, EventRelation, SESPattern
 from repro.automaton.builder import build_automaton
 from repro.baseline import naive_match
 
-from conftest import eids, ev
+from conftest import eids, ev, match
 
 
 class TestGroupInLastSet:

@@ -15,7 +15,6 @@ import pytest
 import repro
 from repro import Event, EventRelation, SESPattern
 from repro.automaton.transitions import Transition
-from repro.core.matcher import Matcher
 from repro.explain import (CountingTransition, clear_stats_store,
                            counting_automaton, explain, explain_analyze,
                            stats_store)
@@ -147,7 +146,7 @@ class TestAnalyzeReconciliation:
         assert analysis["transition_passes"] == analysis["transitions_fired"]
         # ... and with the live executor metric of an ordinary run
         obs = Observability()
-        Matcher(JOINED, observability=obs).run(relation)
+        repro.compile(JOINED).match(relation, observability=obs)
         fired = obs.registry.snapshot()["ses_transitions_fired_total"]
         assert passes_sum(report) == fired["value"]
 

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro import Event, SESPattern, match
+from repro import Event, SESPattern
 from repro.automaton.filtering import EventFilter
 
-from conftest import ev
+from conftest import ev, match
 
 
 class TestPaperMode:

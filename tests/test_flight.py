@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro.core.matcher import Matcher
+import repro
 from repro.obs import FlightRecorder, install_flight_signal_handler
 
 from conftest import ev, rel
@@ -126,7 +126,7 @@ class TestDump:
 
     def test_transition_records_variable(self, kind_pattern):
         flight = FlightRecorder()
-        Matcher(kind_pattern).executor(flight=flight).run(
+        repro.compile(kind_pattern).executor(flight=flight).run(
             rel(ev(1, "A"), ev(2, "B"), ev(3, "C")))
         transitions = [r for r in flight.tail() if r["kind"] == "transition"]
         assert transitions and all("variable" in r for r in transitions)
@@ -138,7 +138,7 @@ class TestDump:
 class TestExecutorIntegration:
     def test_records_algorithm1_vocabulary(self, kind_pattern):
         flight = FlightRecorder()
-        result = Matcher(kind_pattern).executor(flight=flight).run(
+        result = repro.compile(kind_pattern).executor(flight=flight).run(
             rel(ev(1, "A"), ev(2, "B"), ev(3, "X"), ev(4, "C")))
         assert len(result) == 1
         kinds = {r["kind"] for r in flight.tail()}
@@ -146,7 +146,7 @@ class TestExecutorIntegration:
 
     def test_omega_samples_track_population(self, kind_pattern):
         flight = FlightRecorder()
-        executor = Matcher(kind_pattern).executor(flight=flight)
+        executor = repro.compile(kind_pattern).executor(flight=flight)
         executor.run(rel(ev(1, "A"), ev(2, "B"), ev(3, "C")))
         omega = flight.dump()["omega"]
         assert [ts for ts, _ in omega] == [1, 2, 3]
@@ -202,7 +202,7 @@ class TestExecutorIntegration:
         assert len(admitted) >= 8
 
     def test_detached_executor_has_no_recorder(self, kind_pattern):
-        executor = Matcher(kind_pattern).executor()
+        executor = repro.compile(kind_pattern).executor()
         assert executor.flight is None
 
     def test_crash_in_run_attaches_dump(self, kind_pattern):
@@ -215,7 +215,7 @@ class TestExecutorIntegration:
             raise Boom("poisoned event")
 
         flight = FlightRecorder()
-        executor = Matcher(kind_pattern).executor(flight=flight)
+        executor = repro.compile(kind_pattern).executor(flight=flight)
         with pytest.raises(Boom) as excinfo:
             executor.run(poisoned_stream())
         dump = excinfo.value.flight_dump
@@ -227,7 +227,7 @@ class TestExecutorIntegration:
             yield ev(1, "A")
             raise RuntimeError("poisoned event")
 
-        executor = Matcher(kind_pattern).executor()
+        executor = repro.compile(kind_pattern).executor()
         with pytest.raises(RuntimeError) as excinfo:
             executor.run(poisoned_stream())
         assert not hasattr(excinfo.value, "flight_dump")

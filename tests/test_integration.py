@@ -1,7 +1,6 @@
 """Integration tests: engines against each other, end-to-end pipelines."""
 
-from repro import EventRelation, SESPattern, match
-from repro.automaton import PartitionedMatcher
+from repro import EventRelation, SESPattern
 from repro.baseline import BruteForceMatcher, naive_match
 from repro.data import (CHEMO_SCHEMA, EXPECTED_Q1_EIDS, base_dataset,
                         query_q1)
@@ -9,7 +8,7 @@ from repro.lang import parse_pattern, render_pattern
 from repro.storage import Database
 from repro.stream import ContinuousMatcher, from_relation
 
-from conftest import eids, ev
+from conftest import eids, ev, match
 
 
 class TestPaperRunningExample:
@@ -76,8 +75,8 @@ class TestEngineAgreement:
         relation = base_dataset(patients=4, cycles=2)
         pattern = query_q1()
         plain = match(pattern, relation, selection="accepted")
-        partitioned = PartitionedMatcher(pattern,
-                                         selection="accepted").run(relation)
+        partitioned = match(pattern, relation, partition_by="ID",
+                            selection="accepted")
         assert set(plain.accepted) <= set(partitioned.accepted)
 
 
@@ -269,5 +268,5 @@ class TestTieDivergence:
                                frozenset({"a1", "b1"})]
         # Exhaustive mode recovers the declarative result.
         exhaustive = [eids(m) for m in match(pattern, relation,
-                                             consume_mode="exhaustive")]
+                                             consume="exhaustive")]
         assert exhaustive == declarative

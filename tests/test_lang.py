@@ -189,7 +189,7 @@ class TestCompiler:
             compile_query(query)
 
     def test_matches_same_results_as_manual_pattern(self, figure1, q1):
-        from repro import match
+        from conftest import match
         text = """
             PATTERN PERMUTE(c, p+, d) THEN b
             WHERE c.L = 'C' AND p.L = 'P' AND d.L = 'D' AND b.L = 'B'

@@ -1,60 +1,52 @@
-"""Tests for the high-level Matcher facade."""
+"""The compiled plan as the batch matcher: ``repro.compile(p).match`` and
+``.executor`` accept any event iterable, share one automaton and hand
+out independent executors."""
 
-import pytest
-
-from repro import Matcher, match
-from repro.data import figure1_relation, query_q1
+import repro
 
 from conftest import ev
 
 
 class TestMatcher:
     def test_compile_once_run_many(self, q1, figure1):
-        matcher = Matcher(q1)
-        first = matcher.run(figure1)
-        second = matcher.run(figure1)
+        plan = repro.compile(q1)
+        first = plan.match(figure1)
+        second = plan.match(figure1)
         assert first.matches == second.matches
         assert len(first) == 2
 
     def test_accepts_plain_iterables(self, q1, figure1):
-        matcher = Matcher(q1)
-        assert matcher.run(list(figure1)).matches == \
-            matcher.run(figure1).matches
+        plan = repro.compile(q1)
+        assert plan.match(list(figure1)).matches == \
+            plan.match(figure1).matches
 
     def test_accepts_generators(self, q1, figure1):
-        matcher = Matcher(q1)
-        assert matcher.run(e for e in figure1).matches == \
-            matcher.run(figure1).matches
+        plan = repro.compile(q1)
+        assert plan.match(e for e in figure1).matches == \
+            plan.match(figure1).matches
 
     def test_executor_factory_returns_fresh_executors(self, q1, figure1):
-        matcher = Matcher(q1)
-        a = matcher.executor()
-        b = matcher.executor()
+        plan = repro.compile(q1)
+        a = plan.executor()
+        b = plan.executor()
         assert a is not b
         a.feed(figure1[0])
         assert b.active_instances == 0
 
     def test_executor_inherits_configuration(self, q1):
-        matcher = Matcher(q1, use_filter=False, selection="accepted",
-                          consume_mode="exhaustive")
-        executor = matcher.executor()
+        executor = repro.compile(q1).executor(
+            use_filter=False, selection="accepted", consume="exhaustive")
         assert executor.event_filter is None
         assert executor.selection == "accepted"
         assert executor.consume_mode == "exhaustive"
 
     def test_automaton_shared_across_runs(self, q1):
-        matcher = Matcher(q1)
-        assert matcher.executor().automaton is matcher.automaton
-
-    def test_repr(self, q1):
-        assert "Matcher" in repr(Matcher(q1))
-
-    def test_match_function_is_one_shot_matcher(self, q1, figure1):
-        assert match(q1, figure1).matches == Matcher(q1).run(figure1).matches
+        plan = repro.compile(q1)
+        assert plan.executor().automaton is plan.automaton
 
     def test_concurrent_matchers_do_not_interfere(self, kind_pattern):
-        a = Matcher(kind_pattern).executor()
-        b = Matcher(kind_pattern).executor()
+        a = repro.compile(kind_pattern).executor()
+        b = repro.compile(kind_pattern).executor()
         a.feed(ev(1, "A"))
         b.feed(ev(5, "X"))  # matches no variable
         assert a.active_instances == 1

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro import SESPattern, match
+from repro import SESPattern
 from repro.automaton import SESExecutor
 from repro.automaton.builder import build_automaton
 from repro.automaton.minimize import trim
 from repro.automaton.states import state_label
 
-from conftest import ev
+from conftest import ev, match
 
 
 class TestNothingToTrim:

@@ -7,13 +7,13 @@ machinery must handle multiple loops per state.
 
 import pytest
 
-from repro import EventRelation, SESPattern, match
+from repro import EventRelation, SESPattern
 from repro.automaton.builder import build_automaton
 from repro.baseline import naive_match
 from repro.complexity import (ComplexityCase, classify_set,
                               pattern_instance_bound)
 
-from conftest import eids, ev
+from conftest import eids, ev, match
 
 
 @pytest.fixture
@@ -90,7 +90,7 @@ class TestMatching:
     def test_exhaustive_agrees_with_oracle_same_type(self, same_type_groups):
         events = [ev(1, "M"), ev(2, "M"), ev(3, "M")]
         assert (match(same_type_groups, events,
-                      consume_mode="exhaustive").matches
+                      consume="exhaustive").matches
                 == naive_match(same_type_groups, events))
 
 

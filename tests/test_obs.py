@@ -5,10 +5,10 @@ import logging
 
 import pytest
 
+import repro
 from repro.automaton.builder import build_automaton
 from repro.automaton.executor import SESExecutor
 from repro.automaton.filtering import EventFilter
-from repro.core.matcher import Matcher, match
 from repro.obs import (NULL_REGISTRY, Counter, Gauge, Histogram,
                        MetricsRegistry, NullRegistry, Observability,
                        SpanTracer, configure_logging, get_logger, read_jsonl,
@@ -17,7 +17,7 @@ from repro.obs import (NULL_REGISTRY, Counter, Gauge, Histogram,
 from repro.stream.partitioned import PartitionedContinuousMatcher
 from repro.stream.runner import ContinuousMatcher
 
-from conftest import ev, rel
+from conftest import ev, match, rel
 
 
 # ----------------------------------------------------------------------
@@ -470,7 +470,7 @@ class TestExecutorIntegration:
         obs = Observability()
         result = match(kind_pattern,
                        rel(ev(1, "A"), ev(2, "B"), ev(3, "X"), ev(4, "C")),
-                       obs=obs)
+                       observability=obs)
         assert len(result) == 1
         stages = obs.spans.stages()
         assert set(stages) == {"filter", "consume", "select"}
@@ -486,14 +486,14 @@ class TestExecutorIntegration:
     def test_omega_gauge_matches_stats_peak(self, kind_pattern):
         obs = Observability()
         result = match(kind_pattern, rel(*[ev(t, "A") for t in range(1, 6)]),
-                       obs=obs)
+                       observability=obs)
         gauge = obs.registry.gauge("ses_omega_instances")
         assert gauge.max_value == result.stats.max_simultaneous_instances
 
     def test_lifetime_observed_on_expiry(self, kind_pattern):
         obs = Observability()
         # 'a' binds at T=1; T=200 > tau=100 expires the instance.
-        match(kind_pattern, rel(ev(1, "A"), ev(200, "B")), obs=obs)
+        match(kind_pattern, rel(ev(1, "A"), ev(200, "B")), observability=obs)
         lifetime = obs.registry.histogram("ses_instance_lifetime")
         assert lifetime.count >= 1
         assert lifetime.sum >= 199
@@ -506,8 +506,8 @@ class TestExecutorIntegration:
 
     def test_filter_counters_bound_once(self, kind_pattern):
         obs = Observability()
-        matcher = Matcher(kind_pattern, obs=obs)
-        matcher.run(rel(ev(1, "A"), ev(2, "Z")))
+        executor = repro.compile(kind_pattern).executor(observability=obs)
+        executor.run(rel(ev(1, "A"), ev(2, "Z")))
         snap = obs.snapshot()
         assert (snap["ses_filter_admitted_total"]["value"]
                 + snap["ses_filter_rejected_total"]["value"]) == 2
@@ -521,7 +521,7 @@ class TestExecutorIntegration:
 class TestStreamIntegration:
     def test_continuous_matcher_counts_reports(self, kind_pattern):
         obs = Observability()
-        matcher = ContinuousMatcher(kind_pattern, obs=obs)
+        matcher = ContinuousMatcher(kind_pattern, observability=obs)
         matcher.push_many([ev(1, "A"), ev(2, "B"), ev(3, "C")])
         matcher.close()
         counter = obs.registry.counter("ses_stream_matches_reported_total")
@@ -535,7 +535,8 @@ class TestStreamIntegration:
             tau=100,
         )
         obs = Observability()
-        pm = PartitionedContinuousMatcher(pattern, attribute="key", obs=obs)
+        pm = PartitionedContinuousMatcher(pattern, partition_by="key",
+                                          observability=obs)
         pm.push_many([
             ev(1, "A", key=1), ev(2, "B", key=1),
             ev(3, "A", key=2), ev(4, "B", key=2),
@@ -554,7 +555,8 @@ class TestStreamIntegration:
             tau=10,
         )
         obs = Observability()
-        pm = PartitionedContinuousMatcher(pattern, attribute="key", obs=obs)
+        pm = PartitionedContinuousMatcher(pattern, partition_by="key",
+                                          observability=obs)
         pm.push(ev(1, "Z", key=1))  # filtered; partition stays idle
         collected = pm.collect(now=1000)
         assert collected == 1
@@ -567,7 +569,7 @@ class TestStreamIntegration:
             sets=[["a"]], conditions=["a.kind = 'A'", "a.key = a.key"],
             tau=10,
         )
-        pm = PartitionedContinuousMatcher(pattern, attribute="key")
+        pm = PartitionedContinuousMatcher(pattern, partition_by="key")
         pm.push(ev(1, "A", key=1))
         assert pm.aggregate() is None
 

@@ -1,17 +1,14 @@
 """Tests for the runtime optimizations (hoisted event conditions,
 partitioning)."""
 
-import pytest
-
-from repro import SESPattern, match
-from repro.automaton import (MatchBuffer, PartitionedMatcher, SESExecutor,
-                             partition_attribute)
+from repro import SESPattern
+from repro.automaton import MatchBuffer, SESExecutor, partition_attribute
 from repro.automaton.builder import build_automaton
 from repro.core.variables import var
 from repro.data import base_dataset
 from repro.explain import counting_automaton
 
-from conftest import ev
+from conftest import ev, match
 
 
 class TestPartitionAttribute:
@@ -93,39 +90,37 @@ class TestHoistedEventConditions:
 
 
 class TestPartitionedMatcher:
+    """``plan.match(relation, partition_by=...)``, one worker."""
+
     def test_same_matches_on_q1(self, q1, figure1):
-        partitioned = PartitionedMatcher(q1).run(figure1)
+        partitioned = match(q1, figure1, partition_by="ID")
         assert partitioned.matches == match(q1, figure1).matches
 
-    def test_rejects_unpartitionable_pattern(self):
-        pattern = SESPattern(sets=[["a", "b"]],
-                             conditions=["a.kind = 'A'"], tau=10)
-        with pytest.raises(ValueError):
-            PartitionedMatcher(pattern)
-
     def test_explicit_attribute_override(self, q1, figure1):
-        matcher = PartitionedMatcher(q1, attribute="ID")
-        assert matcher.attribute == "ID"
-        assert matcher.run(figure1).matches == match(q1, figure1).matches
+        """Any attribute is taken at the caller's word: on ``L`` no
+        partition holds a whole match."""
+        assert len(match(q1, figure1, partition_by="L")) == 0
 
     def test_lower_peak_instances(self, q1):
         relation = base_dataset(patients=6, cycles=2)
         plain = match(q1, relation, selection="accepted")
-        partitioned = PartitionedMatcher(q1, selection="accepted").run(relation)
+        partitioned = match(q1, relation, partition_by="ID",
+                            selection="accepted")
         assert (partitioned.stats.max_simultaneous_instances
                 <= plain.stats.max_simultaneous_instances)
 
     def test_superset_recall(self, q1):
         relation = base_dataset(patients=6, cycles=2)
         plain = match(q1, relation, selection="accepted")
-        partitioned = PartitionedMatcher(q1, selection="accepted").run(relation)
+        partitioned = match(q1, relation, partition_by="ID",
+                            selection="accepted")
         assert set(plain.accepted) <= set(partitioned.accepted)
 
     def test_aggregated_stats(self, q1, figure1):
-        result = PartitionedMatcher(q1).run(figure1)
+        result = match(q1, figure1, partition_by="ID")
         assert result.stats.events_read == len(figure1)
         assert result.stats.matches == len(result.matches)
 
     def test_accepts_plain_iterables(self, q1, figure1):
-        result = PartitionedMatcher(q1).run(list(figure1))
+        result = match(q1, list(figure1), partition_by="ID")
         assert len(result) == 2

@@ -1,6 +1,7 @@
-"""Tests for the parallel batch matcher: equivalence with the serial
-partitioned matcher, deterministic merging, the wire codec, and robust
-pool shutdown on worker crashes and interrupts."""
+"""Tests for the partitioned batch matcher: the pool against the serial
+partitioned run (``plan.match(partition_by=...)``), deterministic
+merging, the wire codec, and robust pool shutdown on worker crashes and
+interrupts."""
 
 import multiprocessing
 import os
@@ -10,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Event, EventRelation, SESPattern
-from repro.automaton.optimizations import PartitionedMatcher
 from repro.parallel import (ParallelPartitionedMatcher, WorkerCrashed,
                             decode_event, decode_substitution, encode_event,
                             encode_substitution)
 from repro.parallel.pool import chunk_partitions
 
-from conftest import bindings
+from conftest import bindings, match
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -48,6 +48,11 @@ def make_relation(n_keys=6, reps=2):
     return EventRelation(events)
 
 
+def serial_partitioned(pattern, relation, **options):
+    """The in-process partitioned run the pool must be identical to."""
+    return match(pattern, relation, partition_by="ID", **options)
+
+
 def canon(result):
     """Order-preserving canonical form of a result's matches."""
     return [bindings(s) for s in result.matches]
@@ -68,7 +73,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_matches_serial_partitioned_matcher(self, workers):
         relation = make_relation()
-        serial = PartitionedMatcher(JOINED).run(relation)
+        serial = serial_partitioned(JOINED, relation)
         parallel = ParallelPartitionedMatcher(JOINED, workers=workers)
         assert parallel.attribute == "ID"
         assert_same_result(parallel.run(relation), serial)
@@ -82,7 +87,7 @@ class TestEquivalence:
 
     def test_accepted_selection(self):
         relation = make_relation(n_keys=3, reps=1)
-        serial = PartitionedMatcher(JOINED, selection="accepted").run(relation)
+        serial = serial_partitioned(JOINED, relation, selection="accepted")
         parallel = ParallelPartitionedMatcher(
             JOINED, workers=2, selection="accepted").run(relation)
         assert canon(parallel) == canon(serial)
@@ -93,7 +98,6 @@ class TestEquivalence:
             matcher = ParallelPartitionedMatcher(UNJOINED, workers=4)
         assert matcher.attribute is None
         assert "falls back" in caplog.text
-        from repro import match
         assert canon(matcher.run(relation)) == canon(match(UNJOINED, relation))
 
     @settings(max_examples=10, deadline=None)
@@ -108,9 +112,55 @@ class TestEquivalence:
         events = [Event(ts=ts, eid=f"e{i}", kind=kind, ID=key)
                   for i, (ts, key, kind) in enumerate(spec)]
         relation = EventRelation(events)
-        serial = PartitionedMatcher(JOINED).run(relation)
+        serial = serial_partitioned(JOINED, relation)
         parallel = ParallelPartitionedMatcher(JOINED, workers=workers)
         assert_same_result(parallel.run(relation), serial)
+
+
+#: The Section 4.5 filters differ on it: ``a`` has two constant
+#: conditions, so an event with V = 1 but another label passes the
+#: published ("paper") filter and fails the conjunctive one.
+TWO_CONSTANTS = SESPattern(
+    sets=[["a", "b"]],
+    conditions=["a.L = 'C'", "a.V = 1", "b.L = 'P'", "a.ID = b.ID"],
+    tau=50,
+)
+
+
+class TestFilterMode:
+    """``filter_mode`` reaches every partition's executor (it used to
+    be replaced by ``"conjunctive"`` off the plain path)."""
+
+    @staticmethod
+    def relation():
+        events = []
+        for ts in range(1, 101):
+            label = ("C", "P", "X", "X")[ts % 4]
+            events.append(Event(ts=ts, eid=f"e{ts}", L=label, V=ts % 2,
+                                ID=ts % 5))
+        return EventRelation(events)
+
+    @pytest.mark.parametrize("filter_mode", ["conjunctive", "paper"])
+    def test_same_filtering_on_every_path(self, filter_mode):
+        relation = self.relation()
+        plain = match(TWO_CONSTANTS, relation, filter_mode=filter_mode)
+        for options in ({"partition_by": "ID"}, {"workers": 2}):
+            split = match(TWO_CONSTANTS, relation, filter_mode=filter_mode,
+                          **options)
+            assert (split.stats.events_filtered
+                    == plain.stats.events_filtered), options
+            assert canon(split) == canon(plain), options
+
+    def test_the_modes_differ_on_this_pattern(self):
+        filtered = {mode: match(TWO_CONSTANTS, self.relation(),
+                                partition_by="ID",
+                                filter_mode=mode).stats.events_filtered
+                    for mode in ("conjunctive", "paper")}
+        assert filtered["paper"] < filtered["conjunctive"]
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown filter mode"):
+            ParallelPartitionedMatcher(JOINED, filter_mode="nope")
 
 
 class TestValidation:
@@ -149,7 +199,7 @@ class TestCodec:
 
     def test_substitution_round_trip(self):
         relation = make_relation(n_keys=1, reps=1)
-        original = PartitionedMatcher(JOINED).run(relation).matches[0]
+        original = serial_partitioned(JOINED, relation).matches[0]
         decoded = decode_substitution(encode_substitution(original))
         assert bindings(decoded) == bindings(original)
         assert decoded.min_ts() == original.min_ts()
@@ -226,7 +276,8 @@ class TestObservability:
     def test_pool_metrics_published(self):
         from repro.obs import Observability
         obs = Observability()
-        matcher = ParallelPartitionedMatcher(JOINED, workers=2, obs=obs)
+        matcher = ParallelPartitionedMatcher(JOINED, workers=2,
+                                             observability=obs)
         result = matcher.run(make_relation())
         snapshot = obs.snapshot()
         assert snapshot["ses_pool_workers"]["value"] == 2
@@ -238,10 +289,27 @@ class TestObservability:
         # Worker-side stage timings merged back into the parent bundle.
         assert any(name.startswith("repro_stage_") for name in snapshot)
 
+    def test_serial_partitioned_run_publishes_what_the_pool_does(self):
+        """``plan.match(partition_by=...)`` used to drop the bundle."""
+        from repro.obs import Observability
+        events = list(make_relation())
+        events += [Event(ts=100 + i, eid=f"x{i}", kind="X", ID=i % 6)
+                   for i in range(5)]
+        serial, pooled = Observability(), Observability()
+        match(JOINED, events, partition_by="ID", observability=serial)
+        match(JOINED, events, workers=2, observability=pooled)
+        serial, pooled = serial.snapshot(), pooled.snapshot()
+        for name in ("ses_events_read_total", "ses_events_filtered_total",
+                     "ses_transitions_fired_total",
+                     "ses_instances_created_total",
+                     "ses_accepted_buffers_total", "ses_matches_total",
+                     "ses_pool_partitions_total"):
+            assert serial[name]["value"] == pooled[name]["value"] > 0, name
+
     def test_serial_fallback_publishes_single_worker(self):
         from repro.obs import Observability
         obs = Observability()
-        ParallelPartitionedMatcher(JOINED, workers=1, obs=obs).run(
+        ParallelPartitionedMatcher(JOINED, workers=1, observability=obs).run(
             make_relation(n_keys=2, reps=1))
         snapshot = obs.snapshot()
         assert snapshot["ses_pool_workers"]["value"] == 1
@@ -254,7 +322,7 @@ class TestPlanShipping:
         import repro
         relation = make_relation()
         plan = repro.compile(JOINED)
-        serial = PartitionedMatcher(plan).run(relation)
+        serial = plan.match(relation, partition_by="ID")
         parallel = ParallelPartitionedMatcher(plan, workers=2)
         assert parallel.plan is plan
         assert_same_result(parallel.run(relation), serial)
@@ -268,7 +336,7 @@ class TestPlanShipping:
         from repro.plan import clear_plan_cache
         relation = make_relation()
         clear_plan_cache()
-        expected = canon(PartitionedMatcher(JOINED).run(relation))
+        expected = canon(serial_partitioned(JOINED, relation))
         plan = repro.compile(JOINED)
 
         def explode(pattern):
@@ -292,7 +360,7 @@ class TestPlanShipping:
         clear_plan_cache()
         plan = compile(JOINED)
         clear_plan_cache()  # simulate a fresh worker process
-        _init_worker(plan, True, "greedy", False)
+        _init_worker(plan, True, "conjunctive", "greedy", False)
         assert plan.fingerprint in plan_cache()
         before = plan_cache().stats()["misses"]
         assert compile(JOINED) is plan_cache().seed(plan)

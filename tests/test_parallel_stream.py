@@ -43,7 +43,7 @@ def match_set(substitutions):
 
 
 def reference_matches(events):
-    matcher = PartitionedContinuousMatcher(JOINED, attribute="ID")
+    matcher = PartitionedContinuousMatcher(JOINED, partition_by="ID")
     reported = []
     for event in events:
         reported.extend(matcher.push(event))
@@ -56,14 +56,14 @@ class TestShardedEquivalence:
     def test_same_matches_as_single_process(self, shards):
         events = stream_events()
         expected = match_set(reference_matches(events))
-        with ShardedStreamMatcher(JOINED, shards=shards) as matcher:
+        with ShardedStreamMatcher(JOINED, workers=shards) as matcher:
             assert matcher.attribute == "ID"
             matcher.push_many(events)
         assert match_set(matcher.matches) == expected
         assert len(matcher.matches) == len(expected)
 
     def test_matches_ordered_by_start_timestamp(self):
-        with ShardedStreamMatcher(JOINED, shards=2) as matcher:
+        with ShardedStreamMatcher(JOINED, workers=2) as matcher:
             matcher.push_many(stream_events())
         starts = [s.min_ts() for s in matcher.matches]
         assert starts == sorted(starts)
@@ -72,7 +72,7 @@ class TestShardedEquivalence:
 class TestFlushClose:
     def test_flush_is_a_barrier(self):
         events = stream_events()
-        matcher = ShardedStreamMatcher(JOINED, shards=3)
+        matcher = ShardedStreamMatcher(JOINED, workers=3)
         try:
             matcher.push_many(events)
             matcher.flush()
@@ -91,7 +91,7 @@ class TestFlushClose:
         assert len(matcher.matches) == len(reference_matches(events)) + 1
 
     def test_close_is_idempotent_and_seals_the_stream(self):
-        matcher = ShardedStreamMatcher(JOINED, shards=2)
+        matcher = ShardedStreamMatcher(JOINED, workers=2)
         matcher.push_many(stream_events(n_keys=2, reps=1))
         matcher.close()
         assert matcher.close() == []
@@ -101,14 +101,14 @@ class TestFlushClose:
             matcher.flush()
 
     def test_context_manager_closes(self):
-        with ShardedStreamMatcher(JOINED, shards=2) as matcher:
+        with ShardedStreamMatcher(JOINED, workers=2) as matcher:
             matcher.push_many(stream_events(n_keys=2, reps=1))
         assert matcher._closed
         assert multiprocessing.active_children() == []
 
     def test_on_match_callbacks(self):
         seen = []
-        with ShardedStreamMatcher(JOINED, shards=2) as matcher:
+        with ShardedStreamMatcher(JOINED, workers=2) as matcher:
             matcher.on_match(seen.append)
             matcher.push_many(stream_events(n_keys=3, reps=1))
         assert match_set(seen) == match_set(matcher.matches)
@@ -117,15 +117,15 @@ class TestFlushClose:
 class TestValidation:
     def test_rejects_pattern_without_partition_attribute(self):
         with pytest.raises(ValueError, match="equi-join"):
-            ShardedStreamMatcher(UNJOINED, shards=2)
+            ShardedStreamMatcher(UNJOINED, workers=2)
 
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ValueError):
-            ShardedStreamMatcher(JOINED, shards=0)
+            ShardedStreamMatcher(JOINED, workers=0)
 
     def test_rejects_bad_queue_size(self):
         with pytest.raises(ValueError):
-            ShardedStreamMatcher(JOINED, shards=1, queue_size=0)
+            ShardedStreamMatcher(JOINED, workers=1, queue_size=0)
 
 
 class Bomb:
@@ -142,7 +142,7 @@ class Bomb:
 
 class TestCrashDetection:
     def test_crashed_shard_surfaces_instead_of_hanging(self):
-        matcher = ShardedStreamMatcher(JOINED, shards=2)
+        matcher = ShardedStreamMatcher(JOINED, workers=2)
         matcher.push(Event(ts=1, eid="p", kind=Bomb(), ID=4))
         with pytest.raises(WorkerCrashed, match="boom condition"):
             # The crash is asynchronous; the flush barrier must observe it.
@@ -153,7 +153,7 @@ class TestCrashDetection:
             matcher.push(Event(ts=2, kind="A", ID=0))
 
     def test_stop_terminates_without_results(self):
-        matcher = ShardedStreamMatcher(JOINED, shards=2)
+        matcher = ShardedStreamMatcher(JOINED, workers=2)
         matcher.push_many(stream_events(n_keys=2, reps=1))
         matcher.stop()
         assert multiprocessing.active_children() == []
@@ -164,7 +164,8 @@ class TestShardMetrics:
         from repro.obs import Observability
         obs = Observability()
         events = stream_events(n_keys=4, reps=1)
-        with ShardedStreamMatcher(JOINED, shards=2, obs=obs) as matcher:
+        with ShardedStreamMatcher(JOINED, workers=2,
+                                  observability=obs) as matcher:
             matcher.push_many(events)
             assert len(matcher.queue_depths) == 2
         snapshot = obs.snapshot()
@@ -177,7 +178,7 @@ class TestShardMetrics:
 
 class TestShardFlightDump:
     def test_crash_ships_flight_dump(self):
-        matcher = ShardedStreamMatcher(JOINED, shards=2)
+        matcher = ShardedStreamMatcher(JOINED, workers=2)
         matcher.push_many(stream_events(n_keys=4, reps=1))
         matcher.push(Event(ts=90, eid="poison", kind=Bomb(), ID=4))
         with pytest.raises(WorkerCrashed) as excinfo:
@@ -189,7 +190,7 @@ class TestShardFlightDump:
         assert last["event"] == "poison"
 
     def test_flight_capacity_zero_still_reports_crash(self):
-        matcher = ShardedStreamMatcher(JOINED, shards=2, flight_capacity=0)
+        matcher = ShardedStreamMatcher(JOINED, workers=2, flight_capacity=0)
         matcher.push(Event(ts=1, eid="p", kind=Bomb(), ID=4))
         with pytest.raises(WorkerCrashed) as excinfo:
             matcher.flush()
@@ -198,7 +199,7 @@ class TestShardFlightDump:
 
 class TestHealth:
     def test_healthy_while_running(self):
-        with ShardedStreamMatcher(JOINED, shards=2) as matcher:
+        with ShardedStreamMatcher(JOINED, workers=2) as matcher:
             matcher.push_many(stream_events(n_keys=2, reps=1))
             matcher.flush()
             report = matcher.health()
@@ -211,7 +212,7 @@ class TestHealth:
                 assert shard["events_processed"] >= 0
 
     def test_ok_after_clean_close(self):
-        matcher = ShardedStreamMatcher(JOINED, shards=2)
+        matcher = ShardedStreamMatcher(JOINED, workers=2)
         matcher.push_many(stream_events(n_keys=2, reps=1))
         matcher.close()
         report = matcher.health()
@@ -221,7 +222,7 @@ class TestHealth:
     def test_failed_after_unsupervised_shard_death(self):
         # Without a supervisor nothing will restart the shard: that is a
         # hard failure, not a degraded-but-serving state.
-        matcher = ShardedStreamMatcher(JOINED, shards=2)
+        matcher = ShardedStreamMatcher(JOINED, workers=2)
         matcher.push(Event(ts=1, eid="p", kind=Bomb(), ID=4))
         with pytest.raises(WorkerCrashed):
             matcher.flush()

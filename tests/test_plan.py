@@ -1,24 +1,23 @@
 """Tests for the repro.plan subsystem: canonical fingerprints, the
 bounded plan cache, pickled-plan round trips, the vectorized constant
-prefilter (scalar-equivalent by construction, checked by property), the
-unified option spellings, and cached-vs-uncached result identity."""
+prefilter (scalar-equivalent by construction, checked by property), and
+cached-vs-uncached result identity."""
 
 import pickle
-import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro import Event, EventRelation, SESPattern, match
+from repro import Event, EventRelation, SESPattern
 from repro.automaton.filtering import EventFilter
 from repro.plan import (FILTER_MODES, PatternPlan, PlanCache,
                         VectorizedPrefilter, build_plan, clear_plan_cache,
                         compile, pattern_fingerprint, plan_cache)
 from repro.plan.prefilter import popcount
 
-from conftest import bindings
+from conftest import bindings, match
 
 PATTERN = SESPattern(
     sets=[["a", "b"], ["c"]],
@@ -288,67 +287,6 @@ class TestCachedEqualsUncached:
         fresh = compile(PATTERN, cache=False).match(relation, workers=2)
         cached = repro.compile(PATTERN).match(relation, workers=2)
         assert canonical(cached) == canonical(fresh)
-
-    def test_plan_match_agrees_with_legacy_match(self):
-        relation = make_relation()
-        plan = repro.compile(PATTERN)
-        assert (canonical(plan.match(relation))
-                == canonical(match(PATTERN, relation)))
-
-
-# ----------------------------------------------------------------------
-# Option spelling shims
-# ----------------------------------------------------------------------
-class TestDeprecatedSpellings:
-    def test_matcher_consume_mode_warns_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repro.Matcher(PATTERN, consume_mode="greedy")
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "consume=" in str(deprecations[0].message)
-
-    def test_partitioned_attribute_warns_once(self):
-        from repro.automaton.optimizations import PartitionedMatcher
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            PartitionedMatcher(PATTERN, attribute="ID")
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "partition_by=" in str(deprecations[0].message)
-
-    def test_pool_obs_warns_once(self):
-        from repro.parallel import ParallelPartitionedMatcher
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ParallelPartitionedMatcher(PATTERN, workers=1, obs=None)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert deprecations == []  # None means "unset", no warning
-
-    def test_sharded_shards_spelling_warns_once(self):
-        from repro.parallel.sharded import ShardedStreamMatcher
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(ValueError):
-                ShardedStreamMatcher(PATTERN, shards=0)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "workers=" in str(deprecations[0].message)
-
-    def test_both_spellings_is_an_error(self):
-        with pytest.raises(TypeError):
-            repro.Matcher(PATTERN, consume="greedy", consume_mode="greedy")
-
-    def test_new_spellings_do_not_warn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("error", DeprecationWarning)
-            repro.Matcher(PATTERN, consume="greedy")
-            repro.compile(PATTERN).match(make_relation(), consume="greedy")
-        assert caught == []
 
 
 # ----------------------------------------------------------------------

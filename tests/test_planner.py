@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro import SESPattern, match
+from repro import SESPattern
 from repro.data import base_dataset, pattern_p3
 from repro.planner import plan_query, profile_relation
+
+from conftest import match
 
 
 @pytest.fixture(scope="module")

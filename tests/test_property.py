@@ -3,7 +3,7 @@
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro import Event, EventRelation, SESPattern, Substitution, match
+from repro import Event, EventRelation, SESPattern, Substitution
 from repro.automaton import SESAutomaton, SESExecutor, Transition
 from repro.automaton.builder import build_automaton
 from repro.automaton.executor import CONSUME_MODES
@@ -12,6 +12,8 @@ from repro.core.semantics import (satisfies_conditions, satisfies_order,
                                   satisfies_window)
 from repro.core.variables import group, var
 from repro.lang import parse_pattern, render_pattern
+
+from conftest import match
 
 # ----------------------------------------------------------------------
 # Strategies

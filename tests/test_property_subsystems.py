@@ -3,11 +3,12 @@
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro import Event, EventRelation, match
+from repro import Event, EventRelation
 from repro.storage import EventTable, load_relation, save_relation
 from repro.core.events import Attribute, EventSchema
 from repro.stream import ContinuousMatcher, from_relation
 
+from conftest import match
 from test_property import simple_patterns, typed_relations
 
 SCHEMA = EventSchema([Attribute("kind", str), Attribute("num", int)],

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro import SESPattern, match
+from repro import SESPattern
 from repro.automaton.builder import build_automaton
 from repro.automaton.pruning import DeadlineTable, PruningExecutor
 from repro.automaton.states import make_state
 from repro.data import base_dataset, figure1_relation, query_q1
 
-from conftest import ev
+from conftest import ev, match
 
 
 @pytest.fixture

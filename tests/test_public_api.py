@@ -22,8 +22,7 @@ EXPECTED_ALL = {
     # Unified query façade + typed results
     "query", "Match", "MatchSet", "AggregateSeries", "AggregateSpec",
     # Matchers
-    "Matcher", "match", "ContinuousMatcher", "MultiPatternMatcher",
-    "ParallelPartitionedMatcher", "ShardedStreamMatcher",
+    "ContinuousMatcher", "ParallelPartitionedMatcher", "ShardedStreamMatcher",
     "PatternRegistry", "TenantQuota",
     # Language
     "compile_query", "parse_query",
@@ -85,16 +84,18 @@ class TestSignatures:
                        "observability"):
             assert option in params, option
 
-    def test_match_wrapper(self):
-        params = parameter_names(repro.match)
-        assert params[:2] == ["pattern", "relation"]
-        for option in ("selection", "consume", "observability"):
-            assert option in params, option
-
-    def test_matcher_wrapper(self):
-        params = parameter_names(repro.Matcher.__init__)
-        for option in ("selection", "consume", "observability"):
-            assert option in params, option
+    def test_one_spelling_per_option(self):
+        """The aliases the unified names replaced are gone for good."""
+        from repro.stream import PartitionedContinuousMatcher
+        for entry_point in (PatternPlan.match, PatternPlan.executor,
+                            PatternPlan.stream,
+                            repro.ContinuousMatcher.__init__,
+                            PartitionedContinuousMatcher.__init__,
+                            repro.ParallelPartitionedMatcher.__init__,
+                            repro.ShardedStreamMatcher.__init__):
+            aliases = {"consume_mode", "obs", "attribute", "shards"}
+            assert not aliases & set(parameter_names(entry_point)), \
+                entry_point.__qualname__
 
     def test_parallel_matcher_unified_options(self):
         params = parameter_names(repro.ParallelPartitionedMatcher.__init__)
@@ -179,18 +180,3 @@ class TestFacadeBehaviour:
         assert isinstance(series, repro.AggregateSeries)
         assert series.kind == "aggregates"
         assert series["n"] == 1
-
-    def test_match_and_matcher_warn_once(self):
-        import warnings
-
-        from repro.core import options
-        pattern = repro.SESPattern(
-            sets=[["a"]], conditions=["a.kind = 'A'"], tau=5)
-        options._WARNED.discard("repro.match")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repro.match(pattern, [repro.Event(ts=1, kind="A")])
-            repro.match(pattern, [repro.Event(ts=1, kind="A")])
-        ours = [w for w in caught
-                if "repro.match is deprecated" in str(w.message)]
-        assert len(ours) == 1

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro import EventRelation, SESPattern, match
+from repro import EventRelation, SESPattern
 from repro.baseline import naive_match
 from repro.core.rewrite import close_equality_joins, implied_equalities
 
-from conftest import eids, ev
+from conftest import eids, ev, match
 
 
 CHAIN = SESPattern(
@@ -105,7 +105,7 @@ class TestCloseEqualityJoins:
         exhaustive mode finds on the original pattern."""
         closed = match(close_equality_joins(CHAIN), HIJACK_EVENTS).matches
         exhaustive = match(CHAIN, HIJACK_EVENTS,
-                           consume_mode="exhaustive").matches
+                           consume="exhaustive").matches
         assert [frozenset(m.bindings) for m in closed] == \
             [frozenset(m.bindings) for m in exhaustive]
 

@@ -7,7 +7,7 @@ import multiprocessing
 
 import pytest
 
-from repro import Event, EventRelation, SESPattern, match
+from repro import Event, EventRelation, SESPattern
 from repro.explain import (clear_stats_store, explain_analyze, ordered_plan,
                            stats_store)
 from repro.explain.order import condition_order_hint, rank_conditions
@@ -15,6 +15,8 @@ from repro.explain.stats import (STATS_DISABLE_ENV, STATS_FORMAT_VERSION,
                                  STATS_PATH_ENV, StatsStore, set_stats_path,
                                  stats_key)
 from repro.plan.cache import as_plan
+
+from conftest import match
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 

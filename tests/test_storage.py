@@ -8,7 +8,7 @@ from repro.data import CHEMO_SCHEMA, figure1_relation, query_q1
 from repro.storage import Database, EventTable, load_relation, save_relation
 from repro.storage.index import HashIndex, TimeIndex
 
-from conftest import ev
+from conftest import ev, match
 
 
 @pytest.fixture
@@ -244,7 +244,6 @@ class TestDatabase:
         assert loaded.table("Event").indexed_attributes == ("ID", "L")
 
     def test_end_to_end_match_after_reload(self, tmp_path, table, q1):
-        from repro import match
         db = Database("hospital")
         db._tables["Event"] = table
         db.save(tmp_path / "db")

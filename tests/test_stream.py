@@ -7,7 +7,7 @@ from repro.stream import (ContinuousMatcher, SlidingWindow, from_relation,
                           max_window_population, merge, synthetic, take,
                           window_profile)
 
-from conftest import ev
+from conftest import ev, match
 
 
 class TestSources:
@@ -114,7 +114,6 @@ class TestContinuousMatcher:
         assert len(matcher.matches) == 1
 
     def test_q1_stream_equals_batch(self, q1, figure1):
-        from repro import match
         matcher = ContinuousMatcher(q1)
         matcher.push_many(from_relation(figure1))
         matcher.close()

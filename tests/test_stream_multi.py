@@ -1,13 +1,14 @@
-"""Tests for multi-pattern and partitioned continuous matching."""
+"""Tests for multi-pattern (registry) and partitioned continuous
+matching."""
 
 import pytest
 
-from repro import SESPattern, match
+from repro import SESPattern
 from repro.data import base_dataset, figure1_relation, query_q1
-from repro.stream import (MultiPatternMatcher, PartitionedContinuousMatcher,
-                          from_relation)
+from repro.registry import PatternRegistry
+from repro.stream import PartitionedContinuousMatcher, from_relation
 
-from conftest import eids, ev
+from conftest import eids, ev, match
 
 AB = SESPattern(sets=[["a"], ["b"]],
                 conditions=["a.kind = 'A'", "b.kind = 'B'"], tau=10)
@@ -15,35 +16,47 @@ AC = SESPattern(sets=[["a"], ["c"]],
                 conditions=["a.kind = 'A'", "c.kind = 'C'"], tau=10)
 
 
+def registry_of(patterns):
+    registry = PatternRegistry()
+    for pattern_id, pattern in patterns.items():
+        registry.register(pattern, pattern_id=pattern_id)
+    return registry
+
+
 class TestMultiPatternMatcher:
+    """Many patterns over one event pass: :class:`PatternRegistry`."""
+
     def test_patterns_matched_independently(self):
-        multi = MultiPatternMatcher({"ab": AB, "ac": AC})
+        multi = registry_of({"ab": AB, "ac": AC})
         multi.push_many([ev(1, "A"), ev(2, "B"), ev(3, "C")])
-        results = multi.close()
-        assert set(results) == {"ab", "ac"}
-        assert len(multi.matches("ab")) == 1
-        assert len(multi.matches("ac")) == 1
+        flushed = multi.close()
+        assert {m.pattern_id for m in flushed} == {"ab", "ac"}
+        assert len(multi.matches_of("ab")) == 1
+        assert len(multi.matches_of("ac")) == 1
 
     def test_patterns_may_share_events(self):
         """The single A event participates in both patterns' matches."""
-        multi = MultiPatternMatcher({"ab": AB, "ac": AC})
+        multi = registry_of({"ab": AB, "ac": AC})
         multi.push_many([ev(1, "A"), ev(2, "B"), ev(3, "C")])
         multi.close()
-        ab_events = eids(multi.matches("ab")[0])
-        ac_events = eids(multi.matches("ac")[0])
+        ab_events = eids(multi.matches_of("ab")[0])
+        ac_events = eids(multi.matches_of("ac")[0])
         assert "a1" in ab_events and "a1" in ac_events
 
     def test_auto_naming(self):
-        multi = MultiPatternMatcher([AB, AC])
-        assert multi.pattern_names == ["p0", "p1"]
+        multi = PatternRegistry()
+        multi.register(AB)
+        multi.register(AC)
+        assert multi.pattern_ids == ["p0", "p1"]
 
     def test_callback_carries_pattern_name(self):
-        multi = MultiPatternMatcher({"ab": AB})
+        multi = registry_of({"ab": AB})
         seen = []
-        multi.on_match(lambda name, sub: seen.append(name))
+        multi.on_match(lambda name, match: seen.append(
+            (name, match.pattern_id)))
         multi.push_many([ev(1, "A"), ev(2, "B")])
         multi.close()
-        assert seen == ["ab"]
+        assert seen == [("ab", "ab")]
 
     def test_same_results_as_individual_matchers(self, q1, figure1):
         singleton = SESPattern(
@@ -52,31 +65,28 @@ class TestMultiPatternMatcher:
                         "c.ID = p.ID", "c.ID = d.ID", "d.ID = b.ID"],
             tau=264,
         )
-        multi = MultiPatternMatcher({"q1": q1, "singleton": singleton})
+        multi = registry_of({"q1": q1, "singleton": singleton})
         multi.push_many(from_relation(figure1))
         multi.close()
-        assert ([frozenset(m.bindings) for m in multi.matches("q1")]
+        assert ([frozenset(m.bindings) for m in multi.matches_of("q1")]
                 == [frozenset(m.bindings) for m in match(q1, figure1).matches])
-        assert ([frozenset(m.bindings) for m in multi.matches("singleton")]
+        assert ([frozenset(m.bindings) for m in multi.matches_of("singleton")]
                 == [frozenset(m.bindings)
                     for m in match(singleton, figure1).matches])
 
     def test_all_matches(self):
-        multi = MultiPatternMatcher({"ab": AB, "ac": AC})
+        multi = registry_of({"ab": AB, "ac": AC})
         multi.push_many([ev(1, "A"), ev(2, "B")])
         multi.close()
-        everything = multi.all_matches()
-        assert len(everything["ab"]) == 1
-        assert everything["ac"] == []
+        assert len(multi.matches_of("ab")) == len(multi.matches) == 1
+        assert multi.matches_of("ac") == []
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MultiPatternMatcher({})
         with pytest.raises(TypeError):
-            MultiPatternMatcher({"x": "not a pattern"})
+            PatternRegistry().register(object())
 
     def test_active_instances_aggregated(self):
-        multi = MultiPatternMatcher({"ab": AB, "ac": AC})
+        multi = registry_of({"ab": AB, "ac": AC})
         multi.push(ev(1, "A"))
         assert multi.active_instances == 2
 
@@ -107,7 +117,7 @@ class TestPartitionedContinuousMatcher:
             conditions=["c.L = 'C'", "b.L = 'B'", "c.ID = b.ID"],
             tau=264,
         )
-        partitioned = PartitionedContinuousMatcher(pattern, attribute="ID")
+        partitioned = PartitionedContinuousMatcher(pattern, partition_by="ID")
         partitioned.push_many(from_relation(figure1))
         partitioned.close()
         assert len(partitioned.matches) == 2

@@ -60,7 +60,8 @@ class TestDurations:
 
 class TestEndToEnd:
     def test_match_with_datetime_sourced_events(self):
-        from repro import Event, EventRelation, SESPattern, match
+        from repro import Event, EventRelation, SESPattern
+        from conftest import match
 
         domain = MinuteDomain(EPOCH)
         events = EventRelation([
