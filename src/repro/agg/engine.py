@@ -42,9 +42,10 @@ dropped.  No buffer, substitution, or match object is ever built, and
 the group count is bounded by ``|Q| × |distinct projection sets| × W`` —
 polynomial where enumeration is exponential.
 
-Groups are bucketed by automaton state, so an event costs ``occupied
-states × their outgoing transitions`` event-only condition checks
-(``Transition.admits_event``, once per state, not per group) plus
+Groups are bucketed by automaton state, so an event costs one
+classification (each distinct event-only condition once), one row lookup
+per occupied state in the automaton's step table
+(``SESAutomaton.step_rows`` — the table the executor reads) plus
 ``groups in enabled states × their enabled transitions`` projection
 checks; a state the event enables no transition of keeps its bucket
 untouched.  Expiry is one comparison per event against the oldest
@@ -254,7 +255,7 @@ class AggregationEngine:
             checks = []
             for other, anchored in transition.checks:
                 if other is None:
-                    continue  # event-only: Transition.admits_event's half
+                    continue  # event-only: decided by the step table
                 pair = (other, anchored.right.attribute)
                 if pair not in pair_index:
                     pair_index[pair] = len(pairs)
@@ -329,10 +330,10 @@ class AggregationEngine:
     def step(self, event, allow_start, stats) -> None:
         """Aggregate-mode twin of the executor's ``_step``.
 
-        Event-only conditions are asked once per occupied state
-        (``Transition.admits_event``); a state none of whose transitions
-        the event enables is carried as a whole bucket, its groups
-        unvisited (contiguous mode cuts them off instead).
+        The event is classified once and every occupied state reads its
+        row of the automaton's step table; a state none of whose
+        transitions the event enables is carried as a whole bucket, its
+        groups unvisited (contiguous mode cuts them off instead).
         """
         if allow_start:
             stats.instances_created += 1
@@ -347,11 +348,16 @@ class AggregationEngine:
                 (start, {(None, self._empty_proj): [1, self._init_regs]}))
         busy = []
         out: Dict[Any, Dict[tuple, list]] = {}
+        rows = self.automaton.step_rows(event)
+        by_state = self._by_state
         for state, bucket in occupied:
-            enabled = [entry for entry in self._by_state[state]
-                       if entry[0].admits_event(event)]
-            if enabled or contiguous:  # contiguous cuts idle groups off
-                busy.append((state, bucket, enabled))
+            row = rows[state]
+            if row is not None:
+                entries = by_state[state]
+                busy.append((state, bucket,
+                             [entries[i] for i in row.indices]))
+            elif contiguous:  # contiguous cuts idle groups off
+                busy.append((state, bucket, ()))
             elif state != start:
                 out[state] = bucket
         # Idle buckets are in ``out`` before any group is consumed into

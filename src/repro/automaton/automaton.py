@@ -11,11 +11,23 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from ..core.conditions import OPERATORS
+from ..core.events import Event
 from ..core.variables import Variable
 from .states import State, state_label, state_sort_key
 from .transitions import Transition
 
-__all__ = ["SESAutomaton", "AutomatonError", "StateProbe"]
+__all__ = ["SESAutomaton", "AutomatonError", "StateProbe", "EventPredicate",
+           "StepRow", "STEP_TABLE_CAP"]
+
+#: Event classes whose rows one automaton memoises.  An alphabet of n
+#: predicates has up to 2^n classes; streams realise few of them (the
+#: ledger's: one per label the pattern mentions, plus "none").  Past
+#: the cap a new class has its rows built for the event and dropped.
+STEP_TABLE_CAP = 1024
+
+#: Default of ``event.get``: no comparison is attempted against it.
+_ABSENT = object()
 
 
 class AutomatonError(ValueError):
@@ -49,6 +61,58 @@ class StateProbe:
 
     def __repr__(self) -> str:
         return f"StateProbe({self.label})"
+
+
+class EventPredicate:
+    """One letter of the event alphabet: a distinct check on the event
+    alone (``A φ C`` or ``A φ A'``, whatever variable it was written
+    for) and the transitions whose condition sets read it."""
+
+    __slots__ = ("text", "bit", "readers")
+
+    def __init__(self, text: str, bit: int):
+        self.text = text
+        #: The predicate's bit in :meth:`SESAutomaton.classify`'s vector.
+        self.bit = bit
+        self.readers: List[Transition] = []
+
+    def __repr__(self) -> str:
+        return f"EventPredicate({self.text}, {len(self.readers)} reader(s))"
+
+
+class StepRow:
+    """What one state does on the events of one class: the outgoing
+    transitions whose event-only conditions the class satisfies."""
+
+    __slots__ = ("transitions", "indices", "attributes")
+
+    def __init__(self, transitions: Tuple[Transition, ...],
+                 indices: Tuple[int, ...], attributes: Tuple[str, ...]):
+        #: The enabled transitions, in :meth:`SESAutomaton.outgoing` order.
+        self.transitions = transitions
+        #: Their positions in :meth:`SESAutomaton.outgoing`.
+        self.indices = indices
+        #: For a state with a :class:`StateProbe`: the distinct event
+        #: attributes the enabled transitions compare with the probe.
+        self.attributes = attributes
+
+    def __repr__(self) -> str:
+        return f"StepRow({', '.join(map(repr, self.transitions))})"
+
+
+class _StepRows(dict):
+    """``state → StepRow`` for one event class, filled as states ask;
+    ``None`` is the row of a state the class enables nothing in."""
+
+    __slots__ = ("_automaton", "_event")
+
+    def __init__(self, automaton: "SESAutomaton", event: Event):
+        self._automaton = automaton
+        self._event = event  # any event of the class decides alike
+
+    def __missing__(self, state: State) -> Optional[StepRow]:
+        row = self[state] = self._automaton._build_row(state, self._event)
+        return row
 
 
 class SESAutomaton:
@@ -87,6 +151,130 @@ class SESAutomaton:
         for state, outgoing in self._outgoing.items():
             self._find_probe(state, outgoing)
         self._rank: Optional[Dict[State, int]] = None
+        # Event alphabet and step table: built when the first event is
+        # classified, so compiling a plan pays for neither.
+        self._alphabet: Optional[Tuple[EventPredicate, ...]] = None
+        self._step_table: Dict[int, _StepRows] = {}
+
+    #: How many event classes :meth:`step_rows` memoises (a subclass
+    #: that must see every row built sets 0).
+    step_table_cap = STEP_TABLE_CAP
+
+    # ------------------------------------------------------------------
+    # Event alphabet and step table
+    # ------------------------------------------------------------------
+    def _build_alphabet(self) -> None:
+        """Collect the distinct event-only checks of all transitions."""
+        predicates: Dict[object, EventPredicate] = {}
+        by_attribute: Dict[str, list] = {}
+        self_tests = []
+        for transition in self.transitions:
+            for other, anchored in transition.checks:
+                if other is not None:
+                    continue
+                attribute, op = anchored.left.attribute, anchored.op
+                if anchored.is_constant:
+                    value = anchored.right.value
+                    key = ("const", attribute, op, value)
+                    text = f"{attribute} {op} {value!r}"
+                else:
+                    key = ("self", attribute, op, anchored.right.attribute)
+                    text = f"{attribute} {op} {anchored.right.attribute}"
+                try:
+                    predicate = predicates.get(key)
+                except TypeError:  # unhashable constant: only itself
+                    key = ("const-id", attribute, op, id(value))
+                    predicate = predicates.get(key)
+                if predicate is None:
+                    predicate = predicates[key] = EventPredicate(
+                        text, 1 << len(predicates))
+                    if anchored.is_constant:
+                        by_attribute.setdefault(attribute, []).append(
+                            (predicate.bit, OPERATORS[op], value))
+                    else:
+                        self_tests.append((predicate.bit, anchored))
+                readers = predicate.readers
+                if not readers or readers[-1] is not transition:
+                    readers.append(transition)
+        self._const_tests = tuple(
+            (attribute, tuple(tests))
+            for attribute, tests in by_attribute.items())
+        self._self_tests = tuple(self_tests)
+        self._alphabet = tuple(predicates.values())
+
+    @property
+    def event_alphabet(self) -> Tuple[EventPredicate, ...]:
+        """The distinct conditions on the event alone — constant and
+        self conditions — across all transitions, deduplicated the way
+        :class:`~repro.registry.bank.PredicateBank` deduplicates them
+        for admission.  Their truth values on an event are all the
+        transitions' :meth:`~Transition.admits_event` can depend on."""
+        if self._alphabet is None:
+            self._build_alphabet()
+        return self._alphabet
+
+    def classify(self, event: Event) -> int:
+        """The event's class: one bit per :attr:`event_alphabet`
+        predicate, each evaluated once, with
+        :meth:`Condition.evaluate_events
+        <repro.core.conditions.Condition.evaluate_events>`' semantics (a
+        missing attribute and an incomparable value are ``False``)."""
+        if self._alphabet is None:
+            self._build_alphabet()
+        cls = 0
+        get = event.get
+        for attribute, tests in self._const_tests:
+            value = get(attribute, _ABSENT)
+            if value is _ABSENT:
+                continue
+            for bit, op, constant in tests:
+                try:
+                    if op(value, constant):
+                        cls |= bit
+                except TypeError:
+                    pass
+        for bit, condition in self._self_tests:
+            if condition.evaluate_events(event, event):
+                cls |= bit
+        return cls
+
+    def step_rows(self, event: Event) -> Dict[State, Optional[StepRow]]:
+        """The step table's rows for ``event``: ``rows[state]`` is the
+        :class:`StepRow` of the transitions leaving ``state`` that
+        ``event`` may fire (their event-only conditions hold), or
+        ``None`` when there is none — that state need not be touched.
+
+        One classification per call; rows are built on first use per
+        (class, state) by asking each transition's own
+        :meth:`~Transition.admits_event`, and shared by every executor
+        running this automaton.
+        """
+        cls = self.classify(event)
+        rows = self._step_table.get(cls)
+        if rows is None:
+            rows = _StepRows(self, event)
+            if len(self._step_table) < self.step_table_cap:
+                self._step_table[cls] = rows
+        return rows
+
+    def _build_row(self, state: State, event: Event) -> Optional[StepRow]:
+        outgoing = self.outgoing(state)
+        indices = tuple(i for i, transition in enumerate(outgoing)
+                        if transition.admits_event(event))
+        if not indices:
+            return None
+        probe = self._probes.get(state)
+        attributes = () if probe is None else tuple(dict.fromkeys(
+            probe.lookups[i][1] for i in indices))
+        return StepRow(tuple(outgoing[i] for i in indices), indices,
+                       attributes)
+
+    def __getstate__(self) -> dict:
+        """A plan pickled to a worker travels without its memoised rows
+        (they hold events); the worker rebuilds the ones it reads."""
+        state = self.__dict__.copy()
+        state["_step_table"] = {}
+        return state
 
     def _find_probe(self, state: State,
                     outgoing: Tuple[Transition, ...]) -> None:

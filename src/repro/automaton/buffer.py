@@ -54,9 +54,13 @@ class MatchBuffer:
         return self.size > 0
 
     def to_substitution(self) -> Substitution:
-        """Materialise as an immutable :class:`Substitution`."""
-        pairs = [(v, e) for v, events in self._by_var.items() for e in events]
-        return Substitution(pairs)
+        """Materialise as an immutable :class:`Substitution`.
+
+        The per-variable tuples are handed over as they are: appended in
+        consumption order they are already what the substitution would
+        sort them into, and no buffer ever changes its dict.
+        """
+        return Substitution.from_chronological(self._by_var)
 
     def __repr__(self) -> str:
         parts = []

@@ -23,8 +23,12 @@ per event:
 * expiry is a cut of each bucket's expired prefix — one comparison with
   the head of every occupied bucket when nothing expires, and
   ``next_expiry_ts`` is the minimum over the heads;
-* the conditions on the event alone are asked once per occupied state,
-  and a state none of whose transitions passes them is not touched;
+* the conditions on the event alone are evaluated once per event — each
+  distinct one, into the event's class — and every occupied state reads
+  its row of the automaton's step table
+  (:meth:`SESAutomaton.step_rows
+  <repro.automaton.automaton.SESAutomaton.step_rows>`): the transitions
+  the class enables there.  A state without a row is not touched;
 * an indexed state offers the event only to the instances filed under
   the event's own value(s) — plus the few no lookup can rule out —
   while any other state walks its bucket;
@@ -70,13 +74,12 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from ..core.events import Event
 from ..core.semantics import SELECTIONS, select
 from ..core.substitution import Substitution
-from .automaton import SESAutomaton, StateProbe
+from .automaton import SESAutomaton, StateProbe, StepRow
 from .buffer import EMPTY_BUFFER
 from .filtering import EventFilter
 from .instance import AutomatonInstance
 from .metrics import ExecutionStats
 from .states import State
-from .transitions import Transition
 
 __all__ = ["SESExecutor", "MatchResult", "execute"]
 
@@ -128,22 +131,34 @@ def _start_last_if_empty(instance: AutomatonInstance):
     return (min_ts is None, min_ts)
 
 
+def _by_state(instances: Iterable[AutomatonInstance]
+              ) -> Dict[State, List[AutomatonInstance]]:
+    """``instances`` grouped by the state they are in, order kept."""
+    grouped: Dict[State, List[AutomatonInstance]] = {}
+    for instance in instances:
+        state = instance.state
+        if state in grouped:
+            grouped[state].append(instance)
+        else:
+            grouped[state] = [instance]
+    return grouped
+
+
 class _Bucket:
     """The instances resting in one automaton state, in start order.
 
     ``by_value`` (indexed states only) files the same instances under
     the one value their :attr:`probe` partner carries, each list in
-    bucket order; the rest sit under :data:`_WILD`.
+    bucket order; the rest sit under :data:`_WILD`.  An instance
+    remembers the key it is filed under (``instance.key``).
     """
 
-    __slots__ = ("state", "instances", "outgoing", "probe", "by_value",
-                 "is_start")
+    __slots__ = ("state", "instances", "probe", "by_value", "is_start")
 
     def __init__(self, state: State, automaton: SESAutomaton,
                  probe: Optional[StateProbe]):
         self.state = state
         self.instances: List[AutomatonInstance] = []
-        self.outgoing = automaton.outgoing(state)
         self.probe = probe
         self.by_value: Optional[dict] = None if probe is None else {}
         self.is_start = state == automaton.start
@@ -165,7 +180,11 @@ class _Bucket:
     def file(self, instance: AutomatonInstance) -> None:
         """Add ``instance`` (already in :attr:`instances`) to the index,
         keeping its list in bucket order."""
-        filed = self.by_value.setdefault(self.key_of(instance), [])
+        key = instance.key = self.key_of(instance)
+        filed = self.by_value.get(key)
+        if filed is None:
+            self.by_value[key] = [instance]
+            return
         at = len(filed)
         start = instance.buffer.min_ts
         while at and filed[at - 1].buffer.min_ts > start:
@@ -174,7 +193,7 @@ class _Bucket:
 
     def unfile(self, instance: AutomatonInstance) -> None:
         """Drop ``instance`` from the index."""
-        key = self.key_of(instance)
+        key = instance.key
         filed = self.by_value[key]
         if len(filed) == 1:
             del self.by_value[key]
@@ -363,7 +382,11 @@ class SESExecutor:
         self._count = 0
         self._accepted: List[Substitution] = []
         self._accepted_during_consume: List[Substitution] = []
-        self._enabled: Dict[State, List[Transition]] = {}
+        #: The step-table rows of the event being offered (``_consume``
+        #: reads its state's).
+        self._rows: Dict[State, Optional[StepRow]] = {}
+        self._next_expiry = None
+        self._expiry_stale = False
         self._last_ts = None
         self._published_stats = {}
         self.stats = ExecutionStats()
@@ -395,11 +418,10 @@ class SESExecutor:
     def replace_instances(self,
                           instances: Iterable[AutomatonInstance]) -> None:
         """Make ``instances`` (in any order) the new Ω."""
-        by_state: Dict[State, List[AutomatonInstance]] = {}
-        for instance in sorted(instances, key=_start_last_if_empty):
-            by_state.setdefault(instance.state, []).append(instance)
+        by_state = _by_state(sorted(instances, key=_start_last_if_empty))
         self._buckets = {}
         self._count = 0
+        self._expiry_stale = True
         for state in sorted(by_state, key=self.automaton.state_rank):
             self._arrive(state, by_state[state])
 
@@ -432,6 +454,7 @@ class SESExecutor:
         if bucket is None:
             bucket = self._open(state)
         self._count += len(arrivals)
+        self._expiry_stale = True
         residents = bucket.instances
         if not residents:
             bucket.instances = arrivals
@@ -520,13 +543,20 @@ class SESExecutor:
         """
         if self._agg is not None:
             return self._agg.next_expiry_ts
-        oldest = None
-        for bucket in self._buckets.values():
-            if bucket.instances:
-                min_ts = bucket.instances[0].buffer.min_ts
-                if min_ts is not None and (oldest is None or min_ts < oldest):
-                    oldest = min_ts
-        return None if oldest is None else oldest + self.automaton.tau
+        if self._expiry_stale:
+            # The minimum over the bucket heads; it stands until an
+            # instance arrives in a bucket or leaves one.
+            oldest = None
+            for bucket in self._buckets.values():
+                if bucket.instances:
+                    min_ts = bucket.instances[0].buffer.min_ts
+                    if min_ts is not None and (oldest is None
+                                               or min_ts < oldest):
+                        oldest = min_ts
+            self._next_expiry = (None if oldest is None
+                                 else oldest + self.automaton.tau)
+            self._expiry_stale = False
+        return self._next_expiry
 
     def expire(self, event: Event) -> List[Substitution]:
         """Advance the expiry clock without offering the event to Ω.
@@ -575,19 +605,20 @@ class SESExecutor:
         tau = automaton.tau
         ts = event.ts
 
+        fresh = None
         if consume:
+            # The event's own instance rests nowhere: it is offered the
+            # event first (the start state is the first in rank) and
+            # leaves successors or nothing.  Until then it counts.
+            count = self._count
             if allow_start:
                 fresh = AutomatonInstance(automaton.start, EMPTY_BUFFER)
-                bucket = self._buckets.get(automaton.start)
-                if bucket is None:
-                    bucket = self._open(automaton.start)
-                bucket.instances.append(fresh)
-                self._count += 1
+                count += 1
                 stats.instances_created += 1
             stats.observe_event(ts)
-            stats.observe_omega(self._count)
+            stats.observe_omega(count)
             if obs is not None:
-                obs.omega(self._count)
+                obs.omega(count)
             if hooks and allow_start:
                 self._emit("start", event, fresh)
 
@@ -617,7 +648,7 @@ class SESExecutor:
                     if hooks:
                         self._emit("accept", event, instance)
         if consume:
-            self._offer(event)
+            self._offer(event, fresh)
             stats.observe_omega(self._count)
             if self.flight is not None:
                 self.flight.sample_omega(ts, self._count)
@@ -639,56 +670,59 @@ class SESExecutor:
         expired = residents[:cut]
         del residents[:cut]
         self._count -= cut
+        self._expiry_stale = True
         if bucket.by_value is not None:
             for instance in expired:
                 bucket.unfile(instance)
         return expired
 
-    def _offer(self, event: Event) -> None:
-        """Offer ``event`` to Ω, state by state (Algorithm 2 per instance).
+    def _offer(self, event: Event,
+               fresh: Optional[AutomatonInstance]) -> None:
+        """Offer ``event`` to ``fresh`` (its own start-state instance, if
+        it gets one) and to Ω, state by state (Algorithm 2 per instance).
 
-        Conditions on the event alone are asked once per occupied state.
-        A state none of whose transitions passes them is left as it is;
+        The event is classified once and every occupied state reads its
+        row of the step table.  A state without a row is left as it is;
         an indexed state offers the event only to the instances filed
         under the event's value(s) (and the unfiled ones); any other
         state walks its bucket.  Successors are held back per target
         state until every source has been consumed, so none is offered
         the event that made it.
         """
+        self._rows = rows = self.automaton.step_rows(event)
         walks_all = self._walks_all
         consume = self._consume
-        enabled_of = self._enabled = {}
-        arrivals: Dict[State, List[AutomatonInstance]] = {}
+        out: List[AutomatonInstance] = []
+        if fresh is not None:
+            consume(fresh, event, out)
+        arrivals = _by_state(out)
         unordered = set()
         for bucket in self._buckets.values():
             residents = bucket.instances
             if not residents:
                 continue
+            row = rows[bucket.state]
             by_value = bucket.by_value
             if by_value is None:
-                enabled_of[bucket.state] = enabled = [
-                    transition for transition in bucket.outgoing
-                    if transition.admits_event(event)]
-                if not (enabled or walks_all or bucket.is_start):
+                if row is None and not (walks_all or bucket.is_start):
                     continue
                 offered = (residents,)
             else:
-                enabled_of[bucket.state] = enabled = []
-                keys = []
-                for transition, attribute in bucket.probe.lookups:
-                    if transition.admits_event(event):
-                        enabled.append(transition)
-                        key = event.get(attribute, _ABSENT)
-                        if key in by_value and key not in keys:
-                            keys.append(key)
-                if not enabled:
+                if row is None:
                     continue
+                keys = []
+                for attribute in row.attributes:
+                    key = event.get(attribute, _ABSENT)
+                    if key in by_value and key not in keys:
+                        keys.append(key)
                 if _WILD in by_value:
                     keys.append(_WILD)
+                if not keys:
+                    continue
                 offered = [by_value[key] for key in keys]
             # An instance the event leaves in place comes back as the
             # last survivor; anything else in ``out`` is a successor.
-            out: List[AutomatonInstance] = []
+            out = []
             gone = []
             for candidates in offered:
                 for instance in candidates:
@@ -699,34 +733,27 @@ class SESExecutor:
                         gone.append(instance)
             if gone:
                 self._count -= len(gone)
+                self._expiry_stale = True
                 if len(gone) == len(residents):
                     bucket.instances = []
                     if by_value:
                         by_value.clear()
                 else:
-                    left = set(gone)
-                    bucket.instances = [instance for instance in residents
-                                        if instance not in left]
+                    if len(gone) == 1:
+                        residents.remove(gone[0])
+                    else:
+                        left = set(gone)
+                        bucket.instances = [
+                            instance for instance in residents
+                            if instance not in left]
                     if by_value is not None:
-                        for key, filed in zip(keys, offered):
-                            kept = [instance for instance in filed
-                                    if instance not in left]
-                            if not kept:
-                                del by_value[key]
-                            elif len(kept) < len(filed):
-                                by_value[key] = kept
+                        for instance in gone:
+                            bucket.unfile(instance)
             if not out:
                 continue
             # Survivors of one list come out in its (start) order.
             ordered = len(offered) == 1
-            moved_to: Dict[State, List[AutomatonInstance]] = {}
-            for instance in out:
-                target = instance.state
-                if target in moved_to:
-                    moved_to[target].append(instance)
-                else:
-                    moved_to[target] = [instance]
-            for target, moved in moved_to.items():
+            for target, moved in _by_state(out).items():
                 if target in arrivals:
                     arrivals[target] += moved
                     unordered.add(target)
@@ -744,8 +771,9 @@ class SESExecutor:
         """Algorithm 2 (ConsumeEvent), appending survivors to ``out``.
 
         Conditions on the event alone are the same for every instance in
-        a state, so :meth:`_offer` works out the outgoing transitions
-        passing them once per (state, event) and only the
+        a state, so they are not asked here: the state's row of the step
+        table (:meth:`_offer` looked the event's rows up) names the
+        outgoing transitions that pass them, and only the
         binding-dependent conditions run per instance.
 
         In ``"exhaustive"`` mode the original instance also survives when
@@ -757,15 +785,17 @@ class SESExecutor:
         state = instance.state
         buffer = instance.buffer
         fired = 0
-        for transition in self._enabled[state]:
-            if transition.admits_bindings(event, buffer):
-                successor = instance.advance(
-                    transition.target, transition.variable, event)
-                out.append(successor)
-                fired += 1
-                if hooks:
-                    self._emit("transition", event, instance,
-                               transition, successor)
+        row = self._rows[state]
+        if row is not None:
+            for transition in row.transitions:
+                if transition.admits_bindings(event, buffer):
+                    successor = instance.advance(
+                        transition.target, transition.variable, event)
+                    out.append(successor)
+                    fired += 1
+                    if hooks:
+                        self._emit("transition", event, instance,
+                                   transition, successor)
         if fired:
             stats.transitions_fired += fired
             if fired > 1:

@@ -23,11 +23,14 @@ class AutomatonInstance:
     makes the expiry check of Algorithm 1 (line 7) O(1) per instance.
     """
 
-    __slots__ = ("state", "buffer")
+    __slots__ = ("state", "buffer", "key")
 
     def __init__(self, state: State, buffer: MatchBuffer = EMPTY_BUFFER):
         self.state = state
         self.buffer = buffer
+        #: The join value an executor filed the instance under, while it
+        #: rests in an indexed state (executor bookkeeping, not part of Ñ).
+        self.key = None
 
     def advance(self, target: State, variable: Variable,
                 event: Event) -> "AutomatonInstance":

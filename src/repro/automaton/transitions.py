@@ -33,7 +33,7 @@ class Transition:
         The transition condition set ``Θδ``.
     """
 
-    __slots__ = ("source", "variable", "conditions", "_target", "_checks",
+    __slots__ = ("source", "variable", "conditions", "target", "_checks",
                  "_event_checks", "_binding_checks", "_probes")
 
     def __init__(self, source: State, variable: Variable,
@@ -41,7 +41,8 @@ class Transition:
         self.source: State = frozenset(source)
         self.variable = variable
         self.conditions: Tuple[Condition, ...] = tuple(conditions)
-        self._target: State = self.source | {variable}
+        #: Target state ``q ∪ {v}`` (equals ``q`` for a looping transition).
+        self.target: State = self.source | {variable}
         # Precompile the condition checks so admission does no per-event
         # normalisation: each entry is (partner_variable_or_None, anchored
         # condition with `variable` on the left).
@@ -67,11 +68,6 @@ class Transition:
                 probes.setdefault((other, anchored.right.attribute),
                                   anchored.left.attribute)
         self._probes = probes
-
-    @property
-    def target(self) -> State:
-        """Target state ``q ∪ {v}`` (equals ``q`` for a looping transition)."""
-        return self._target
 
     @property
     def checks(self) -> Tuple:
@@ -101,7 +97,7 @@ class Transition:
     @property
     def is_loop(self) -> bool:
         """True iff the transition loops (group variable already in ``q``)."""
-        return self._target == self.source
+        return self.target == self.source
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -123,8 +119,13 @@ class Transition:
 
         Constant conditions and self-conditions ``v.A φ v.A'`` evaluate on
         the new event (a decomposed substitution binds one event per
-        variable), so the executor asks once per (state, event) instead of
-        once per instance.
+        variable), so the answer is the same for every instance in the
+        source state — and for every event the automaton's event
+        alphabet classifies alike: :meth:`SESAutomaton.step_rows
+        <repro.automaton.automaton.SESAutomaton.step_rows>` asks once per
+        (event class, state), when it builds the row, and the per-event
+        loop reads rows.  An override must stay a function of the truth
+        values of the transition's own event-only conditions.
         """
         for anchored in self._event_checks:
             if not anchored.evaluate_events(event, event):

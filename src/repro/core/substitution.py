@@ -24,6 +24,14 @@ __all__ = ["Binding", "Substitution"]
 Binding = Tuple[Variable, Event]
 
 
+def _chronological_group(variable: Variable,
+                         events: Tuple[Event, ...]) -> bool:
+    """True iff ``events`` may all be bound to ``variable`` and already
+    stand in the order a substitution keeps them in."""
+    return (bool(events) and variable.is_group
+            and all(a.ts <= b.ts for a, b in zip(events, events[1:])))
+
+
 class Substitution:
     """An immutable set of bindings ``{v1/e1, ..., vn/en}``.
 
@@ -60,6 +68,31 @@ class Substitution:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
+    @classmethod
+    def from_chronological(cls, by_var: Mapping[Variable, Tuple[Event, ...]]
+                           ) -> "Substitution":
+        """Adopt per-variable event tuples that are already what the
+        constructor would produce — distinct and chronological, as a
+        match buffer collects them — without regrouping, re-validating
+        and re-sorting them.
+
+        Equal to ``Substitution(pairs)`` over the same bindings: tuples
+        that do repeat an event, run backwards in time or bind several
+        events to a singleton variable go through the constructor.
+        ``by_var`` is kept, not copied — the caller must not change it.
+        """
+        pairs = [(v, e) for v, events in by_var.items() for e in events]
+        bindings = frozenset(pairs)
+        if len(bindings) != len(pairs) or not all(
+                len(events) == 1 or _chronological_group(variable, events)
+                for variable, events in by_var.items()):
+            return cls(pairs)
+        self = object.__new__(cls)
+        self._bindings = bindings
+        self._by_var = by_var
+        self._hash = hash(bindings)
+        return self
+
     def extend(self, variable: Variable, event: Event) -> "Substitution":
         """Return a new substitution with the binding ``variable/event`` added."""
         return Substitution(list(self._bindings) + [(variable, event)])
@@ -108,6 +141,8 @@ class Substitution:
         return binding in self._bindings
 
     def __iter__(self) -> Iterator[Binding]:
+        """The bindings in canonical order: by event timestamp, then
+        variable name, then event id."""
         return iter(sorted(self._bindings,
                            key=lambda b: (b[1].ts, b[0].name, b[1].eid or "")))
 

@@ -6,9 +6,14 @@ same semantics, but both halves of admission
 (:meth:`~CountingTransition.admits_event`, asked once per (state, event),
 and :meth:`~CountingTransition.admits_bindings`, asked per instance)
 tally per-transition and per-condition evaluations, passes and wall
-time.  The production :class:`~repro.automaton.transitions.Transition`
-and :class:`~repro.automaton.executor.SESExecutor` are untouched, so a
-plan that was never analyzed carries no counting code at all.
+time.  A production automaton asks ``admits_event`` only when it builds
+a row of its step table — once per (event class, state), then never
+again; the shadow builds its rows through the same code but memoises
+none (``step_table_cap = 0``), so the event-only tallies stay what they
+describe: one decision per occupied state per event.  The production
+:class:`~repro.automaton.transitions.Transition` and
+:class:`~repro.automaton.executor.SESExecutor` are untouched, so a plan
+that was never analyzed carries no counting code at all.
 
 Counters reconcile exactly with the executor's own accounting: the sum
 of per-transition passes equals ``stats.transitions_fired`` (and hence
@@ -132,14 +137,21 @@ class CountingTransition(Transition):
         }
 
 
+class _ShadowAutomaton(SESAutomaton):
+    """An automaton that builds the rows of every event afresh, so its
+    counting transitions see each (occupied state, event) decision."""
+
+    step_table_cap = 0
+
+
 def counting_automaton(automaton: SESAutomaton
                        ) -> Tuple[SESAutomaton, List[CountingTransition]]:
     """A shadow of ``automaton`` with every transition replaced by a
     fresh :class:`CountingTransition` (declaration order preserved)."""
     transitions = [CountingTransition(t.source, t.variable, t.conditions)
                    for t in automaton.transitions]
-    shadow = SESAutomaton(automaton.states, transitions, automaton.start,
-                          automaton.accepting, automaton.tau)
+    shadow = _ShadowAutomaton(automaton.states, transitions, automaton.start,
+                              automaton.accepting, automaton.tau)
     return shadow, transitions
 
 

@@ -35,6 +35,16 @@ def _transition_entries(automaton) -> list:
     return entries
 
 
+def _event_alphabet(automaton) -> list:
+    """The distinct conditions on the event alone, each with the
+    transitions reading it: an event is classified by evaluating these
+    once, whatever states are occupied."""
+    from .analyze import transition_label
+    return [{"predicate": predicate.text,
+             "readers": [transition_label(t) for t in predicate.readers]}
+            for predicate in automaton.event_alphabet]
+
+
 def _unindexed_states(automaton) -> list:
     """Resting states whose instances are all offered an event some
     outgoing transition admits, and why (the start state only ever holds
@@ -119,6 +129,7 @@ def explain(pattern, *, window: Optional[int] = None, relation=None,
             "accepting": state_label(automaton.accepting),
             "tau": automaton.tau,
             "unindexed": _unindexed_states(automaton),
+            "alphabet": _event_alphabet(automaton),
         },
         transitions=_transition_entries(automaton),
         prefilter=prefilter,

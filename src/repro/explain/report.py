@@ -43,7 +43,9 @@ class ExplainReport:
     #: Applied compile-time rewrites (trim reports etc.).
     rewrites: List[str] = field(default_factory=list)
     #: Automaton topology summary (states/transitions/start/accepting/tau,
-    #: and the ``unindexed`` resting states with the reason for each).
+    #: the ``unindexed`` resting states with the reason for each, and the
+    #: event ``alphabet``: each distinct event-only predicate with the
+    #: transitions reading it).
     automaton: dict = field(default_factory=dict)
     #: Static per-transition entries (source/variable/target/conditions,
     #: and the ``probe`` its source state is looked up by, or ``None``).
@@ -113,6 +115,14 @@ class ExplainReport:
                    f"{len(unindexed)} resting state(s) walked whole"))
             for gap in unindexed:
                 lines.append(f"      {{{gap['state']}}}: {gap['reason']}")
+        alphabet = automaton.get("alphabet")
+        if alphabet is not None:
+            lines.append(
+                f"    event alphabet: {len(alphabet)} predicate(s), "
+                f"each evaluated once per event")
+            for letter in alphabet:
+                lines.append(f"      {letter['predicate']}  read by: "
+                             + "; ".join(letter["readers"]))
         for mode, entry in sorted(self.prefilter.items()):
             predicates = ", ".join(
                 f"{attribute} {op} {constant!r}"

@@ -42,6 +42,7 @@ property drive subscribers synchronously.
 from __future__ import annotations
 
 import itertools
+import json
 import threading
 import time
 from collections import deque
@@ -67,12 +68,24 @@ DEFAULT_RING = 1024
 #: suppression (beyond it, the delivery log is the arbiter of record).
 DEDUP_CAPACITY = 65536
 
+#: The one JSON rendering of what the hub publishes (compact; values
+#: JSON has no form for are stringified, as every wire format here does).
+_render = json.JSONEncoder(separators=(",", ":"), default=str).encode
+
+
+class _LogRecord(dict):
+    """A delivery-log record that brings its own JSON line: ``line`` is
+    what ``json.dumps`` would make of the dict, with the payload's
+    rendering spliced in instead of encoded again."""
+
+    __slots__ = ("line",)
+
 
 class DeliveredEntry:
     """One published match: cursor, identity, and its JSON payload."""
 
     __slots__ = ("seq", "match_id", "pattern_id", "tenant", "payload",
-                 "published")
+                 "published", "_payload_json")
 
     def __init__(self, seq: int, match_id: str, pattern_id: Optional[str],
                  tenant: Optional[str], payload: Dict[str, Any],
@@ -83,12 +96,26 @@ class DeliveredEntry:
         self.tenant = tenant
         self.payload = payload
         self.published = published
+        self._payload_json: Optional[str] = None
+
+    @property
+    def payload_json(self) -> str:
+        """:attr:`payload` as JSON text, rendered once: the delivery-log
+        line and every SSE / WebSocket frame splice this in."""
+        if self._payload_json is None:
+            self._payload_json = _render(self.payload)
+        return self._payload_json
 
     def to_record(self) -> Dict[str, Any]:
-        """The delivery-log line for this entry."""
-        return {"seq": self.seq, "match_id": self.match_id,
-                "pattern_id": self.pattern_id, "tenant": self.tenant,
-                "published": self.published, "payload": self.payload}
+        """The delivery-log record for this entry (a dict that carries
+        its line)."""
+        record = _LogRecord(seq=self.seq, match_id=self.match_id,
+                            pattern_id=self.pattern_id, tenant=self.tenant,
+                            published=self.published)
+        record.line = (f"{_render(record)[:-1]},"
+                       f'"payload":{self.payload_json}}}')
+        record["payload"] = self.payload
+        return record
 
     @classmethod
     def from_record(cls, record: Dict[str, Any]) -> "DeliveredEntry":
@@ -331,7 +358,10 @@ class SubscriptionHub:
         substitution = getattr(match, "substitution", match)
         if pattern_id is None:
             pattern_id = getattr(match, "pattern_id", None)
-        mid = compute_match_id(substitution)
+        # The canonical binding order, sorted once: the match id hashes
+        # it and the payload lists it.
+        bindings = list(substitution)
+        mid = compute_match_id(bindings)
         key = (pattern_id, mid)
         with self._lock:
             if self._draining:
@@ -343,8 +373,7 @@ class SubscriptionHub:
                     self._c_duplicates.inc()
                 return None
             seq = self._next_seq + len(pending or ())
-            payload = self._payload(substitution, mid, seq, pattern_id,
-                                    tenant)
+            payload = self._payload(bindings, mid, seq, pattern_id, tenant)
             entry = DeliveredEntry(seq=seq, match_id=mid,
                                    pattern_id=pattern_id, tenant=tenant,
                                    payload=payload, published=time.time())
@@ -408,13 +437,14 @@ class SubscriptionHub:
         self._publish_gauges()
 
     @staticmethod
-    def _payload(substitution, mid: str, seq: int,
-                 pattern_id: Optional[str],
+    def _payload(canonical, mid: str, seq: int, pattern_id: Optional[str],
                  tenant: Optional[str]) -> Dict[str, Any]:
+        """The wire payload of a match from its bindings in canonical
+        (hence chronological) order."""
         bindings = {}
-        for variable, event in substitution:
+        for variable, event in canonical:
             obj = {"ts": event.ts, "eid": event.eid,
-                   "attrs": dict(event.attributes)}
+                   "attrs": event.attributes}
             if variable.name in bindings:  # group variable: list form
                 existing = bindings[variable.name]
                 if isinstance(existing, list):
@@ -424,8 +454,8 @@ class SubscriptionHub:
             else:
                 bindings[variable.name] = obj
         return {"seq": seq, "match_id": mid, "pattern_id": pattern_id,
-                "tenant": tenant, "min_ts": substitution.min_ts(),
-                "max_ts": substitution.max_ts(), "bindings": bindings}
+                "tenant": tenant, "min_ts": canonical[0][1].ts,
+                "max_ts": canonical[-1][1].ts, "bindings": bindings}
 
     def _offer(self, subscriber: Subscriber, entry: DeliveredEntry) -> None:
         """Enqueue under the lock, applying the slow-consumer policy."""

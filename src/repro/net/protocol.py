@@ -50,7 +50,7 @@ __all__ = [
     "PROTO_VERSION", "MAX_FRAME_BYTES",
     "event_to_json", "event_from_json", "events_from_json",
     "encode_frame", "decode_frames", "FrameDecoder", "FrameError",
-    "sse_format", "parse_sse_stream",
+    "sse_format", "sse_frame", "parse_sse_stream",
     "ws_accept_key", "ws_encode", "ws_decode", "WSFrame",
 ]
 
@@ -175,12 +175,19 @@ def decode_frames(data: bytes) -> List[Dict[str, Any]]:
 def sse_format(data: Dict[str, Any], event_id: Optional[int] = None,
                event: Optional[str] = None) -> bytes:
     """One SSE event block: optional ``id:``/``event:``, JSON ``data:``."""
+    return sse_frame(json.dumps(data, separators=(",", ":"), default=str),
+                     event_id, event)
+
+
+def sse_frame(body: str, event_id: Optional[int] = None,
+              event: Optional[str] = None) -> bytes:
+    """:func:`sse_format` around JSON text that is already rendered
+    (one line: JSON escapes every newline)."""
     lines = []
     if event is not None:
         lines.append(f"event: {event}")
     if event_id is not None:
         lines.append(f"id: {event_id}")
-    body = json.dumps(data, separators=(",", ":"), default=str)
     lines.append(f"data: {body}")
     return ("\n".join(lines) + "\n\n").encode("utf-8")
 

@@ -57,7 +57,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from .hub import SubscriptionHub, Subscriber
 from .protocol import (PROTO_VERSION, FrameDecoder, FrameError, WSFrame,
-                       encode_frame, events_from_json, sse_format,
+                       encode_frame, events_from_json, sse_format, sse_frame,
                        ws_accept_key, ws_decode, ws_encode)
 
 __all__ = ["PushServer"]
@@ -668,8 +668,8 @@ class PushServer:
     @staticmethod
     def _sse_chunk(kind: str, payload) -> bytes:
         if kind == "match":
-            return sse_format(payload.payload, event_id=payload.seq,
-                              event="match")
+            return sse_frame(payload.payload_json, event_id=payload.seq,
+                             event="match")
         return sse_format(payload, event=kind)
 
     async def _pump(self, subscriber: Subscriber, wake: asyncio.Event,
@@ -764,7 +764,12 @@ class PushServer:
 
     @staticmethod
     def _ws_chunk(kind: str, payload) -> bytes:
-        body = dict(payload.payload if kind == "match" else payload)
+        if kind == "match":
+            # The entry's one rendering, with the event kind spliced in.
+            text = payload.payload_json[:-1]
+            text += (',' if len(text) > 1 else '') + '"event":"match"}'
+            return ws_encode(text.encode("utf-8"))
+        body = dict(payload)
         body["event"] = kind
         return ws_encode(json.dumps(body, default=str).encode("utf-8"))
 

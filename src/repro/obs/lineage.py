@@ -56,6 +56,8 @@ def match_id(substitution) -> str:
     Hashes the substitution's canonical binding order — ``(event ts,
     variable name, event id)`` sorted — so every process that sees the
     same set of bindings computes the same id without coordination.
+    A caller that already holds that order (``list(substitution)``) may
+    pass it instead of the substitution.
     """
     parts = tuple(
         (variable.name, event.ts,

@@ -11,13 +11,15 @@ running each pattern through its own matcher.  See ``docs/registry.md``.
 
 from .admission import AdmissionSpec, StartGate
 from .bank import PredicateBank
-from .registry import (DuplicatePatternError, PatternRegistry, QuotaExceeded,
-                       RegistryError, TenantQuota, UnknownPatternError)
+from .registry import (DuplicatePatternError, OutOfOrderError,
+                       PatternRegistry, QuotaExceeded, RegistryError,
+                       TenantQuota, UnknownPatternError)
 from .service import RegistryHTTPAdapter
 
 __all__ = [
     "AdmissionSpec",
     "DuplicatePatternError",
+    "OutOfOrderError",
     "PatternRegistry",
     "PredicateBank",
     "QuotaExceeded",

@@ -59,7 +59,8 @@ from .admission import AdmissionSpec, StartGate
 from .bank import PredicateBank
 
 __all__ = ["PatternRegistry", "TenantQuota", "RegistryError",
-           "DuplicatePatternError", "UnknownPatternError", "QuotaExceeded"]
+           "DuplicatePatternError", "UnknownPatternError", "QuotaExceeded",
+           "OutOfOrderError"]
 
 #: Events processed per lock acquisition in :meth:`PatternRegistry.push_many`
 #: — large enough to amortise locking and the columnar pass, small enough
@@ -89,6 +90,12 @@ class UnknownPatternError(RegistryError, KeyError):
 
 class QuotaExceeded(RegistryError):
     """A tenant attempted to exceed its registered-pattern quota."""
+
+
+class OutOfOrderError(RegistryError, ValueError):
+    """A pushed chunk is not in chronological order — within itself or
+    against what the registry has already seen.  Nothing of the chunk
+    was applied to any pattern."""
 
 
 @dataclass(frozen=True)
@@ -196,6 +203,7 @@ class PatternRegistry:
         self._reported: List[Match] = []
         self._callbacks: List[MatchCallback] = []
         self._closed = False
+        self._last_ts = None
         if observability is None:
             self._events_counter = None
             self._deliveries_counter = None
@@ -371,7 +379,21 @@ class PatternRegistry:
         return out
 
     def _push_chunk(self, events: List[Event]) -> List[Match]:
-        """One locked chunk: shared columnar admission, then fan-out."""
+        """One locked chunk: shared columnar admission, then fan-out.
+
+        Chronology is checked here, for the whole chunk and before any
+        matcher sees an event of it: the patterns' own checks would
+        refuse the chunk one pattern at a time, after others took it.
+        """
+        timestamps = [event.ts for event in events]
+        last = self._last_ts
+        for ts in timestamps:
+            if last is not None and ts < last:
+                raise OutOfOrderError(
+                    f"events must arrive in chronological order; got "
+                    f"T={ts} after T={last}")
+            last = ts
+        self._last_ts = last
         n = len(events)
         full = (1 << n) - 1
         if self._events_counter is not None:
@@ -391,7 +413,9 @@ class PatternRegistry:
                 if entry.events_counter is not None:
                     entry.events_counter.inc(n)
                 for event in events:
-                    self._collect(entry, entry.matcher.push(event), reported)
+                    matches = entry.matcher.push(event)
+                    if matches:
+                        self._collect(entry, matches, reported)
                 self._publish_agg(entry)
             if self._deliveries_counter is not None:
                 self._deliveries_counter.inc(n * len(self._entries))
@@ -401,7 +425,6 @@ class PatternRegistry:
         start_masks = {
             key: StartGate.key_fire_mask(key, columns, full)
             for key in self._gate_members}
-        timestamps = [event.ts for event in events]
         reported = []
         for entry in list(self._entries.values()):
             admitted = entry.spec.admitted_mask(columns, full)
@@ -425,17 +448,17 @@ class PatternRegistry:
                     j = bisect_right(timestamps, deadline, i, next_admit)
                     if j >= next_admit:
                         break
-                    self._collect(entry, matcher.tick(events[j]), reported)
+                    matches = matcher.tick(events[j])
+                    if matches:
+                        self._collect(entry, matches, reported)
                     deadline = matcher.next_expiry_ts
                     i = j + 1
                 if next_admit >= n:
                     break
-                self._collect(
-                    entry,
-                    matcher.push(events[next_admit],
-                                 allow_start=bool(starts
-                                                  & (1 << next_admit))),
-                    reported)
+                matches = matcher.push(events[next_admit],
+                                       bool(starts & (1 << next_admit)))
+                if matches:
+                    self._collect(entry, matches, reported)
                 delivered += 1
                 deadline = matcher.next_expiry_ts
                 i = next_admit + 1
@@ -450,8 +473,7 @@ class PatternRegistry:
 
     def _collect(self, entry: _Entry, matches: List[Substitution],
                  out: List[Match]) -> None:
-        if not matches:
-            return
+        """Report a non-empty list of one pattern's matches."""
         if entry.match_counter is not None:
             entry.match_counter.inc(len(matches))
         if self._matches_counter is not None:
@@ -489,7 +511,9 @@ class PatternRegistry:
             self._closed = True
             reported: List[Match] = []
             for entry in self._entries.values():
-                self._collect(entry, entry.matcher.close(), reported)
+                matches = entry.matcher.close()
+                if matches:
+                    self._collect(entry, matches, reported)
                 self._publish_agg(entry)
             return reported
 

@@ -6,7 +6,7 @@ ring alone cannot survive a process restart, and it cannot serve a
 subscriber that reconnects after more matches than the ring holds — the
 :class:`DeliveryLog` is the spill: the hub appends every batch of
 published entries here (:meth:`DeliveryLog.append_many`, via
-:func:`~repro.resilience.quarantine.atomic_append_jsonl_many` — all the
+:func:`~repro.resilience.quarantine.atomic_append_lines` — all the
 batch's lines in a single ``write()``, one ``flush()`` + ``fsync()``)
 before delivering any of them, so
 
@@ -39,7 +39,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
-from .quarantine import atomic_append_jsonl_many, rotated_path
+from .quarantine import atomic_append_lines, rotated_path
 
 __all__ = ["DeliveryLog"]
 
@@ -66,12 +66,18 @@ class DeliveryLog:
 
         One ``write()`` of all the lines, one ``flush()`` + ``fsync()``,
         one rotation check: when this returns, every record is on disk.
+        A record that carries its own rendering as a ``line`` attribute
+        (the hub's do: the match payload is rendered once for the log
+        and the wire) is written as that text.
         """
+        lines = []
         for record in records:
             if "seq" not in record:
                 raise ValueError("delivery log records must carry a 'seq'")
-        atomic_append_jsonl_many(self.path, records,
-                                 max_bytes=self.max_bytes)
+            line = getattr(record, "line", None)
+            lines.append(json.dumps(record, default=str) if line is None
+                         else line)
+        atomic_append_lines(self.path, lines, max_bytes=self.max_bytes)
 
     def append(self, record: Dict) -> None:
         """Durably append one record (a batch of one)."""

@@ -41,7 +41,8 @@ from typing import Iterable, Iterator, List, Optional, Union
 from ..core.events import Event
 
 __all__ = ["QuarantinedEvent", "DeadLetterQueue", "atomic_append_jsonl",
-           "atomic_append_jsonl_many", "rotated_path", "DLQ_MAX_BYTES_ENV"]
+           "atomic_append_jsonl_many", "atomic_append_lines", "rotated_path",
+           "DLQ_MAX_BYTES_ENV"]
 
 #: Environment knob capping dead-letter (and other jsonl-log) growth in
 #: bytes; unset or empty means unbounded.
@@ -69,7 +70,21 @@ def rotated_path(path: Union[str, Path]) -> Path:
 
 def atomic_append_jsonl_many(path: Union[str, Path], records: Iterable[dict],
                              max_bytes: Optional[int] = None) -> Path:
-    """Append ``records`` to a JSON-lines file as one durable write.
+    """Append ``records`` to a JSON-lines file as one durable write
+    (:func:`atomic_append_lines` of their renderings).
+
+    Non-JSON attribute values are stringified (``default=str``): these
+    logs are for inspection and re-ingestion, not lossless pickling.
+    """
+    return atomic_append_lines(
+        path, [json.dumps(record, default=str) for record in records],
+        max_bytes=max_bytes)
+
+
+def atomic_append_lines(path: Union[str, Path], lines: Iterable[str],
+                        max_bytes: Optional[int] = None) -> Path:
+    """Append ``lines`` (one JSON text each, no newline) as one durable
+    write.
 
     All lines go out in a single ``write()`` call and are made durable
     with one ``flush()`` + ``fsync()`` before the handle closes — N
@@ -84,17 +99,13 @@ def atomic_append_jsonl_many(path: Union[str, Path], records: Iterable[dict],
     knob) is set and the append would push the file past the cap, the
     current file is first renamed to ``<path>.1`` — replacing any
     previous rotation — so the log pair never holds more than roughly
-    ``2 * max_bytes``; the check is made once, so the records of one
+    ``2 * max_bytes``; the check is made once, so the lines of one
     call always share a file.  Returns the path written to.
-
-    Non-JSON attribute values are stringified (``default=str``): these
-    logs are for inspection and re-ingestion, not lossless pickling.
     """
     path = Path(path)
     if max_bytes is None:
         max_bytes = _env_max_bytes()
-    data = "".join(json.dumps(record, default=str) + "\n"
-                   for record in records).encode("utf-8")
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
     if not data:
         return path
     if max_bytes is not None:

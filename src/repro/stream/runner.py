@@ -118,7 +118,7 @@ class ContinuousMatcher:
         the intended caller.
         """
         accepted = self._executor.feed(event, allow_start)
-        return self._report(accepted)
+        return self._report(accepted) if accepted else accepted
 
     def tick(self, event: Event) -> List[Substitution]:
         """Advance the expiry clock without offering the event.
@@ -129,7 +129,8 @@ class ContinuousMatcher:
         prefilter — use this to keep emission latency bounded while
         skipping the per-pattern filter work.
         """
-        return self._report(self._executor.expire(event))
+        accepted = self._executor.expire(event)
+        return self._report(accepted) if accepted else accepted
 
     @property
     def next_expiry_ts(self):
@@ -178,13 +179,17 @@ class ContinuousMatcher:
         if not accepted:
             return []
         lineage = None if self.obs is None else self.obs.lineage
-        batch = select_matches(accepted, overlap="allow")
+        # A pool of one is its own selection: conditions 4-5 compare a
+        # candidate with the others of its emission batch.
+        batch = (accepted if len(accepted) == 1
+                 else select_matches(accepted, overlap="allow"))
         reported: List[Substitution] = []
+        used = self._used_events
         for substitution in batch:
-            events = set(substitution.events())
-            if self.suppress_overlaps and events & self._used_events:
+            events = [event for _, event in substitution.bindings]
+            if self.suppress_overlaps and not used.isdisjoint(events):
                 continue
-            self._used_events |= events
+            used.update(events)
             self._reported.append(substitution)
             reported.append(substitution)
             if self._reported_counter is not None:

@@ -117,6 +117,49 @@ class TestStaticExplain:
         assert json.loads(report.to_json())["transitions"][0]["probe"] is None
 
 
+class TestEventAlphabet:
+    def test_explain_lists_each_distinct_predicate_with_its_readers(self, q1):
+        report = explain(q1)
+        alphabet = report.automaton["alphabet"]
+        plan = repro.compile(q1)
+        assert [letter["predicate"] for letter in alphabet] == [
+            predicate.text for predicate in plan.automaton.event_alphabet]
+        # One predicate per label however many transitions test it ...
+        assert len(alphabet) == len({
+            repr(c.right) for c in q1.conditions if c.is_constant})
+        readers = [label for letter in alphabet
+                   for label in letter["readers"]]
+        # ... and every transition reads exactly its own variable's.
+        assert sorted(readers) == sorted(
+            entry["label"] for entry in report.transitions)
+        text = report.to_text()
+        assert (f"event alphabet: {len(alphabet)} predicate(s), each "
+                f"evaluated once per event") in text
+        first = alphabet[0]
+        assert (f"      {first['predicate']}  read by: "
+                + "; ".join(first["readers"])) in text
+        assert json.loads(report.to_json())["automaton"]["alphabet"] \
+            == alphabet
+
+    def test_analyze_counts_decisions_not_table_construction(self, relation):
+        """The shadow automaton memoises no rows, so an event-only
+        condition is charged once per (occupied state, event) however
+        often an event class repeats; the plan's own automaton keeps its
+        table out of it."""
+        plan = repro.compile(JOINED)
+        shadow, _ = counting_automaton(plan.automaton)
+        assert shadow.step_table_cap == 0 < plan.automaton.step_table_cap
+        report = explain_analyze(JOINED, relation)
+        start = [t for t in report.analysis["transitions"]
+                 if t["source"] == "∅"]
+        # The first start transition's constant condition is decided for
+        # every processed event (each gets a fresh start instance), far
+        # more often than there are event classes to build rows for.
+        processed = report.analysis["events_processed"]
+        assert start[0]["conditions"][0]["evaluations"] == processed
+        assert processed > 2 ** len(plan.automaton.event_alphabet)
+
+
 class TestCountingAutomaton:
     def test_shadow_counts_production_does_not(self, q1):
         plan = repro.compile(q1)

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Event, Substitution
-from repro.core.variables import var
+from repro.core.variables import group, var
 from repro.lang import parse_query_spec
-from repro.net import (FrameDecoder, FrameError, PushServer,
+from repro.net import (DeliveredEntry, FrameDecoder, FrameError, PushServer,
                        SubscriptionHub, WSFrame, decode_frames, encode_frame,
                        event_from_json, event_to_json, events_from_json,
                        http_push,
@@ -328,6 +328,78 @@ class TestHubPublish:
         assert reborn.publish(make_sub(0), pattern_id="p1") is None
         assert reborn.publish(make_sub(0), pattern_id="p2").seq == 1
         assert reborn.publish(make_sub(0), pattern_id="p2") is None
+
+
+def grouped_sub():
+    """A match with a group variable (list-form binding) and attribute
+    values that need escaping."""
+    G = group("g")
+    return Substitution([
+        (A, Event(ts=1, attrs={"L": 'B "quoted"', "V": 1.5}, eid="a1")),
+        (G, Event(ts=2, attrs={"L": "P", "U": "mg/\u00b5l"}, eid="g2")),
+        (G, Event(ts=3, attrs={"L": "P", "V": None}, eid=None)),
+        (B, Event(ts=3, attrs={"L": "line\nbreak"}, eid="b3")),
+    ])
+
+
+class TestOneRendering:
+    """A published match is rendered to JSON once; the delivery-log line
+    and every SSE / WebSocket frame carry that text, and all of them
+    read back as the payload the hub holds."""
+
+    def test_log_line_and_frames_read_back_as_the_payload(self, tmp_path):
+        wal = DeliveryLog(tmp_path / "wal.jsonl")
+        hub = SubscriptionHub(wal=wal)
+        with hub.batch():
+            entries = [hub.publish(make_sub(0), pattern_id="p1", tenant="t"),
+                       hub.publish(grouped_sub(), pattern_id="p2")]
+        assert isinstance(entries[1].payload["bindings"]["g"], list)
+        records = list(wal)
+        assert [r["seq"] for r in records] == [0, 1]
+        for entry, record in zip(entries, records):
+            # The log line: every field of the record, payload included.
+            assert record == json.loads(json.dumps(entry.to_record()))
+            reread = DeliveredEntry.from_record(record)
+            for field in ("seq", "match_id", "pattern_id", "tenant",
+                          "published", "payload"):
+                assert getattr(reread, field) == getattr(entry, field), field
+            # The frames: SSE data and the WebSocket text.
+            (kind, event_id, data), = sse_events(
+                PushServer._sse_chunk("match", entry))
+            assert (kind, event_id, data) == ("match", str(entry.seq),
+                                              entry.payload)
+            (frame,) = ws_payloads(PushServer._ws_chunk("match", entry))
+            assert frame.pop("event") == "match" and frame == entry.payload
+            # An entry read back from the log renders the same frames.
+            assert (PushServer._sse_chunk("match", reread)
+                    == PushServer._sse_chunk("match", entry))
+
+    def test_the_payload_goes_through_the_encoder_once(self, tmp_path,
+                                                        monkeypatch):
+        rendered = []
+        encode = json.JSONEncoder.iterencode
+
+        def counting(self, o, _one_shot=False):
+            if isinstance(o, dict) and ("bindings" in o or "payload" in o):
+                rendered.append(o)
+            return encode(self, o, _one_shot)
+
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", counting)
+        hub = SubscriptionHub(wal=DeliveryLog(tmp_path / "wal.jsonl"))
+        subscribers = [hub.attach(), hub.attach()]
+        entry = hub.publish(grouped_sub(), pattern_id="p")
+        for subscriber in subscribers:
+            (item,) = subscriber.drain_items()
+            PushServer._sse_chunk(*item)
+            PushServer._ws_chunk(*item)
+        assert rendered == [entry.payload]
+
+    def test_an_entry_without_payload_still_frames(self):
+        bare = DeliveredEntry.from_record({"seq": 7, "match_id": "m"})
+        assert ws_payloads(PushServer._ws_chunk("match", bare)) \
+            == [{"event": "match"}]
+        assert sse_events(PushServer._sse_chunk("match", bare)) \
+            == [("match", "7", {})]
 
 
 class FlakyLog(DeliveryLog):

@@ -648,3 +648,49 @@ class TestCostIsIndependentOfTheWindow:
         few = self.work_per_event(FlatExecutor, 25, monkeypatch)
         many = self.work_per_event(FlatExecutor, 100, monkeypatch)
         assert many[0] >= 3 * few[0] and many[1] >= 3 * few[1]
+
+    def test_event_only_conditions_are_evaluated_once_per_event(
+            self, monkeypatch):
+        """The other half of the per-event constant: an event is
+        classified by evaluating each *distinct* event-only predicate of
+        the automaton once — whatever states are occupied, and for each
+        of the executors sharing the plan's automaton alike — and the
+        memoised rows ask no transition again.  (Before the step table:
+        every outgoing transition of every occupied state, per event.)"""
+        class Label(str):
+            """A label that counts the comparisons made against it."""
+            compared = 0
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                Label.compared += 1
+                return str.__eq__(self, other)
+
+        automaton = build_automaton(parse_pattern(self.PATTERN))
+        predicates = len(automaton.event_alphabet)
+        assert predicates == 2  # L = 'A', L = 'B': the joins are not
+        events = [Event(ts=e.ts, eid=e.eid, L=Label(e["L"]), ID=e["ID"])
+                  for e in self.stream(40)]
+        asked = Counter()
+        original = Transition.admits_event
+        monkeypatch.setattr(
+            Transition, "admits_event",
+            lambda self, event: (asked.update(["admits_event"]),
+                                 original(self, event))[1])
+        SESExecutor(automaton).run(events)  # builds the rows it reads
+        built = asked["admits_event"]
+        executors = [SESExecutor(automaton) for _ in range(3)]
+        per_event = []
+        for event in events:
+            Label.compared = 0
+            for executor in executors:
+                executor.feed(event)
+            per_event.append(Label.compared)
+        # Three resting states are occupied by now (patient 0 in {a},
+        # {b} or {a,b} next to the 40 others' {a}); every feed classified
+        # and none asked a transition.
+        assert {len(e._buckets) for e in executors} == {3}
+        assert asked["admits_event"] == built
+        assert set(per_event) == {predicates * len(executors)}
+        # Rows were built once per (class, state): two classes here.
+        assert built <= 2 * len(automaton.transitions)

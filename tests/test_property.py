@@ -230,6 +230,126 @@ def joined_patterns(draw):
         tau=pattern.tau)
 
 
+# ----------------------------------------------------------------------
+# The step table against per-instance evaluation, event by event
+# ----------------------------------------------------------------------
+#: ``1 == 1.0`` (one truth value, two spellings), text that no number
+#: compares with (``TypeError`` -> ``False``), and a missing attribute.
+_MIXED = (1, 1.0, 2, "x", None)
+
+_EVENT_ONLY = ("{v}.kind = '{kind}'", "{v}.k >= 1", "{v}.k = 'x'",
+               "{v}.k < {v}.j", "{v}.k = {v}.j", "{v}.j != {v}.k")
+
+
+@st.composite
+def mixed_relations(draw, max_events: int = 10):
+    """Typed events whose ``k``/``j`` are of mixed type or missing."""
+    n = draw(st.integers(min_value=0, max_value=max_events))
+    timestamps = sorted(draw(st.lists(
+        st.integers(min_value=0, max_value=30), min_size=n, max_size=n)))
+    events = []
+    for i, ts in enumerate(timestamps):
+        attrs = {"kind": draw(st.sampled_from(KINDS))}
+        for name in ("k", "j"):
+            value = draw(st.sampled_from(_MIXED))
+            if value is not None:
+                attrs[name] = value
+        events.append(Event(ts=ts, eid=f"e{i}", **attrs))
+    return events
+
+
+@st.composite
+def tabled_patterns(draw):
+    """One or two sets over ``x, y(+), z``; every variable carries one or
+    two conditions on the event alone (constant and self conditions,
+    several of them shared between variables), ``x`` and ``y`` possibly
+    equi-joined on ``k`` (an indexed state)."""
+    y = "y+" if draw(st.booleans()) else "y"
+    sets = [["x", y]] + ([["z"]] if draw(st.booleans()) else [])
+    conditions = []
+    for name in "xyz"[:len(sets) + 1]:
+        for template in draw(st.lists(st.sampled_from(_EVENT_ONLY),
+                                      min_size=1, max_size=2, unique=True)):
+            conditions.append(template.format(
+                v=name, kind=draw(st.sampled_from(KINDS))))
+    if draw(st.booleans()):
+        conditions.append("x.k = y.k")
+    return SESPattern(sets=sets, conditions=conditions,
+                      tau=draw(st.integers(min_value=0, max_value=40)))
+
+
+def _omega(executor):
+    return [(instance.state, instance.buffer.to_substitution())
+            for instance in executor.instances()]
+
+
+class TestStepTableLockstep:
+    """``SESExecutor`` reads what an event enables from the automaton's
+    step table — the event classified once, one row per occupied state.
+    The reference decides the whole condition set per instance
+    (:class:`_LateTransition`: its rows hold every transition).  After
+    every event the two must hold the same Ω, have accepted the same
+    buffers and agree on every counter."""
+
+    @given(pattern=tabled_patterns(), events=mixed_relations(),
+           restore_at=st.integers(min_value=0, max_value=10))
+    @settings(max_examples=120, deadline=None)
+    def test_lockstep_in_every_consume_mode(self, pattern, events,
+                                            restore_at):
+        automaton = build_automaton(pattern)
+        late = SESAutomaton(
+            automaton.states,
+            [_LateTransition(t.source, t.variable, t.conditions)
+             for t in automaton.transitions],
+            automaton.start, automaton.accepting, automaton.tau)
+        for mode in CONSUME_MODES:
+            tabled = SESExecutor(automaton, selection="accepted",
+                                 consume_mode=mode)
+            reference = SESExecutor(late, selection="accepted",
+                                    consume_mode=mode)
+            for index, event in enumerate(events):
+                if index == restore_at:  # snapshot / restore mid-stream
+                    restored = SESExecutor(automaton, selection="accepted",
+                                           consume_mode=mode)
+                    restored.load_state(tabled.state_dict())
+                    tabled = restored
+                assert tabled.feed(event) == reference.feed(event), mode
+                assert _omega(tabled) == _omega(reference), (mode, index)
+                assert tabled.stats == reference.stats, (mode, index)
+                assert (tabled.next_expiry_ts
+                        == reference.next_expiry_ts), (mode, index)
+            assert tabled.finish() == reference.finish(), mode
+            assert tabled.accepted_buffers == reference.accepted_buffers
+            assert tabled.stats == reference.stats, mode
+
+    @given(pattern=tabled_patterns(), events=mixed_relations())
+    @settings(max_examples=80, deadline=None)
+    def test_a_class_decides_what_admits_event_decides(self, pattern, events):
+        """Events of one class enable the same transitions in every
+        state, and the class is computed with ``evaluate_events``'
+        semantics (missing attribute, incomparable values: false)."""
+        automaton = build_automaton(pattern)
+        truths = {}
+        for event in events:
+            rows = automaton.step_rows(event)
+            for state in automaton.states:
+                enabled = tuple(t for t in automaton.outgoing(state)
+                                if t.admits_event(event))
+                row = rows[state]
+                assert (() if row is None else row.transitions) == enabled
+            # Same class <=> same truth value of every event-only check.
+            truth = tuple(anchored.evaluate_events(event, event)
+                          for t in automaton.transitions
+                          for other, anchored in t.checks if other is None)
+            assert truths.setdefault(automaton.classify(event),
+                                     truth) == truth
+        assert len(set(truths.values())) == len(truths)
+        for predicate in automaton.event_alphabet:
+            assert predicate.readers
+        assert len(automaton._step_table) <= min(
+            len(events), 2 ** len(automaton.event_alphabet))
+
+
 class TestUnfilteredExecutor:
     @given(pattern=joined_patterns(), relation=keyed_relations())
     @settings(max_examples=80, deadline=None)

@@ -27,8 +27,8 @@ from repro.data.chemo import generate_chemo
 from repro.lang import parse_pattern
 from repro.obs import ObsServer
 from repro.registry import (AdmissionSpec, DuplicatePatternError,
-                            PredicateBank, QuotaExceeded, RegistryError,
-                            RegistryHTTPAdapter, StartGate,
+                            OutOfOrderError, PredicateBank, QuotaExceeded,
+                            RegistryError, RegistryHTTPAdapter, StartGate,
                             UnknownPatternError)
 from repro.registry.bank import mask_bits
 
@@ -443,6 +443,47 @@ class TestLifecycle:
         registry.close()
         assert seen and set(seen) == {"q"}
         assert len(seen) == len(registry.matches_of("q"))
+
+
+class TestRefusedChunk:
+    """An out-of-order chunk is refused whole: the chronology check runs
+    once, before any pattern's matcher sees an event of the chunk."""
+
+    @staticmethod
+    def two_patterns():
+        registry = PatternRegistry()
+        registry.register("PATTERN PERMUTE(a, b) WHERE a.L = 'A' AND "
+                          "b.L = 'B' WITHIN 10", pattern_id="ab")
+        registry.register("PATTERN PERMUTE(c, d) WHERE c.L = 'C' AND "
+                          "d.L = 'D' WITHIN 10", pattern_id="cd")
+        return registry
+
+    def test_no_pattern_takes_part_of_a_refused_chunk(self):
+        """The chunk's last event is late for ``cd`` only; before the
+        check moved up, ``ab`` had consumed A and B by the time ``cd``'s
+        matcher raised, and ``close()`` delivered ``{a/e2, b/e3}`` out of
+        a batch the server had counted as failed."""
+        registry = self.two_patterns()
+        registry.push(ev(1, eid="e1", L="C"))
+        assert registry.active_instances == 1
+        with pytest.raises(OutOfOrderError):
+            registry.push_many([ev(5, eid="e2", L="A"), ev(6, eid="e3", L="B"),
+                                ev(0.5, eid="e4", L="D")])
+        assert registry.active_instances == 1
+        assert registry.close() == [] and registry.match_count == 0
+
+    def test_refusal_is_a_value_error_and_leaves_the_clock_alone(self):
+        registry = self.two_patterns()
+        registry.push(ev(4, eid="e1", L="A"))
+        with pytest.raises(ValueError):  # what the matchers used to raise
+            registry.push(ev(3, eid="e2", L="B"))  # late against the registry
+        with pytest.raises(RegistryError):
+            registry.push_many([ev(9, eid="e3", L="B"),
+                                ev(8, eid="e4", L="B")])  # within the chunk
+        # Neither refusal advanced anything: T=5 is still in order, and
+        # the match it completes binds none of the refused events.
+        (match,) = registry.push(ev(5, eid="e5", L="B")) or registry.close()
+        assert bindings(match.substitution) == {"a/e1", "b/e5"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Unit tests for repro.core.substitution."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Event, SESPattern, Substitution
+from repro.automaton.buffer import MatchBuffer
 from repro.core.conditions import parse_condition
 from repro.core.variables import group, var
+from repro.obs.lineage import match_id
 
 C, D, B = var("c"), var("d"), var("b")
 P = group("p")
@@ -172,3 +176,69 @@ class TestSetAlgebra:
     def test_repr(self):
         g = Substitution([(C, e(1, "e1"))])
         assert "c/e1" in repr(g)
+
+
+class TestBufferHandover:
+    """``MatchBuffer.to_substitution()`` hands its per-variable tuples
+    over instead of regrouping, re-validating and re-sorting them; what
+    comes out must be the substitution the constructor builds from the
+    same bindings."""
+
+    VARIABLES = (C, D, B, P, group("q"))
+
+    @staticmethod
+    def same(fast, slow):
+        assert fast == slow and slow == fast
+        assert hash(fast) == hash(slow)
+        assert len(fast) == len(slow)
+        assert list(fast) == list(slow)  # canonical iteration order
+        assert fast.variables == slow.variables
+        for variable in slow.variables | {C, P}:
+            assert fast.events_of(variable) == slow.events_of(variable)
+        # events() breaks timestamp ties in set order: compare as sets.
+        assert set(fast.events()) == set(slow.events())
+        assert len(fast.events()) == len(slow.events())
+        assert match_id(fast) == match_id(slow)
+        if slow:
+            assert fast.min_ts() == slow.min_ts()
+            assert fast.max_ts() == slow.max_ts()
+            assert fast.min_binding() == slow.min_binding()
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 20),
+                              st.sampled_from([None, "x", "y"])),
+                    max_size=9))
+    @settings(max_examples=200, deadline=None)
+    def test_buffers_as_an_executor_builds_them(self, steps):
+        """Chronological extension, singletons bound at most once; group
+        variables collect several events, tied timestamps and events
+        without an id included (but no two id-less events of one
+        variable at one timestamp: the canonical order does not say
+        which of those comes first)."""
+        buffer, pairs = MatchBuffer(), []
+        bound, anonymous = set(), set()
+        for index, (which, ts, eid) in enumerate(sorted(
+                steps, key=lambda step: step[1])):
+            variable = self.VARIABLES[which]
+            if variable.is_singleton and variable in bound:
+                continue
+            if eid is None and (variable, ts) in anonymous:
+                continue
+            bound.add(variable)
+            anonymous.add((variable, ts) if eid is None else None)
+            event = Event(ts=ts, eid=eid and f"{eid}{index}", n=index)
+            buffer = buffer.extend(variable, event)
+            pairs.append((variable, event))
+        self.same(buffer.to_substitution(), Substitution(pairs))
+
+    def test_tuples_the_constructor_would_change_go_through_it(self):
+        twice = e(3, "e3")
+        for by_var in (
+                {P: (e(5, "e5"), e(2, "e2"))},          # runs backwards
+                {P: (twice, e(3, "e3"), e(4, "e4"))},   # an event repeated
+                {P: ()},                                # nothing bound
+        ):
+            pairs = [(v, x) for v, events in by_var.items() for x in events]
+            self.same(MatchBuffer(by_var).to_substitution(),
+                      Substitution(pairs))
+        with pytest.raises(ValueError, match="singleton variable"):
+            MatchBuffer({C: (e(1, "e1"), e(2, "e2"))}).to_substitution()
