@@ -65,7 +65,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.conditions import OPERATORS
 from .spec import AggregateSpec
 
 __all__ = [
@@ -246,23 +245,17 @@ class AggregationEngine:
         self._accepting = automaton.accepting
 
         # Projected (partner variable, attribute) pairs, harvested from
-        # every two-variable check across the automaton; a projection
-        # tuple holds one value-frozenset per pair.
+        # every transition's binding rows; a projection tuple holds one
+        # value-frozenset per pair, and a row is checked against the
+        # set at its pair's index.
         pairs: List[Tuple[Any, str]] = []
         pair_index: Dict[Tuple[Any, str], int] = {}
-        compiled: Dict[int, tuple] = {}
         for transition in automaton.transitions:
-            checks = []
-            for other, anchored in transition.checks:
-                if other is None:
-                    continue  # event-only: decided by the step table
-                pair = (other, anchored.right.attribute)
+            for partner, _, _, partner_attribute in transition.binding_rows:
+                pair = (partner, partner_attribute)
                 if pair not in pair_index:
                     pair_index[pair] = len(pairs)
                     pairs.append(pair)
-                checks.append((pair_index[pair], OPERATORS[anchored.op],
-                               anchored.left.attribute))
-            compiled[id(transition)] = tuple(checks)
         self._pairs = tuple(pairs)
         self._empty_proj = tuple(frozenset() for _ in pairs)
 
@@ -280,8 +273,12 @@ class AggregationEngine:
                 reg_updates = tuple(
                     i for i, a in enumerate(spec.aggregates)
                     if a.variable == bound.name)
-                entries.append((transition, compiled[id(transition)],
-                                proj_updates, reg_updates))
+                checks = tuple(
+                    (pair_index[(partner, partner_attribute)], op, attribute)
+                    for partner, attribute, op, partner_attribute
+                    in transition.binding_rows)
+                entries.append((transition, checks, proj_updates,
+                                reg_updates))
             self._by_state[state] = tuple(entries)
 
         self._init_regs = self._fresh_registers()

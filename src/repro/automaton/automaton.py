@@ -84,12 +84,18 @@ class StepRow:
     """What one state does on the events of one class: the outgoing
     transitions whose event-only conditions the class satisfies."""
 
-    __slots__ = ("transitions", "indices", "attributes")
+    __slots__ = ("transitions", "moves", "indices", "attributes")
 
     def __init__(self, transitions: Tuple[Transition, ...],
                  indices: Tuple[int, ...], attributes: Tuple[str, ...]):
         #: The enabled transitions, in :meth:`SESAutomaton.outgoing` order.
         self.transitions = transitions
+        #: What firing each of them takes, prepared once: ``(bound
+        #: admits_bindings, target state, variable, transition)``.
+        self.moves = tuple(
+            (transition.admits_bindings, transition.target,
+             transition.variable, transition)
+            for transition in transitions)
         #: Their positions in :meth:`SESAutomaton.outgoing`.
         self.indices = indices
         #: For a state with a :class:`StateProbe`: the distinct event

@@ -27,25 +27,29 @@ class MatchBuffer:
     per-variable tuples stay time-sorted without explicit sorting.
     """
 
-    __slots__ = ("_by_var", "min_ts", "max_ts", "size")
+    __slots__ = ("by_var", "min_ts", "max_ts", "size")
 
     def __init__(self, by_var: Optional[Dict[Variable, Tuple[Event, ...]]] = None,
                  min_ts=None, max_ts=None, size: int = 0):
-        self._by_var = by_var if by_var is not None else {}
+        #: ``variable → its events``, chronological.  Read by the
+        #: per-transition loop (:meth:`Transition.admits_bindings
+        #: <repro.automaton.transitions.Transition.admits_bindings>`, the
+        #: executor's successor construction); never changed once built.
+        self.by_var = by_var if by_var is not None else {}
         self.min_ts = min_ts
         self.max_ts = max_ts
         self.size = size
 
     def extend(self, variable: Variable, event: Event) -> "MatchBuffer":
         """Return a new buffer with ``variable/event`` appended."""
-        by_var = dict(self._by_var)
+        by_var = dict(self.by_var)
         by_var[variable] = by_var.get(variable, ()) + (event,)
         min_ts = event.ts if self.min_ts is None else self.min_ts
         return MatchBuffer(by_var, min_ts, event.ts, self.size + 1)
 
     def events_of(self, variable: Variable) -> Tuple[Event, ...]:
         """Events bound to ``variable``, chronologically (may be empty)."""
-        return self._by_var.get(variable, ())
+        return self.by_var.get(variable, ())
 
     def __len__(self) -> int:
         return self.size
@@ -60,12 +64,12 @@ class MatchBuffer:
         consumption order they are already what the substitution would
         sort them into, and no buffer ever changes its dict.
         """
-        return Substitution.from_chronological(self._by_var)
+        return Substitution.from_chronological(self.by_var)
 
     def __repr__(self) -> str:
         parts = []
-        for variable in sorted(self._by_var):
-            for event in self._by_var[variable]:
+        for variable in sorted(self.by_var):
+            for event in self.by_var[variable]:
                 parts.append(f"{variable!r}/{event.eid or event.ts}")
         return "{" + ", ".join(parts) + "}"
 

@@ -75,7 +75,7 @@ from ..core.events import Event
 from ..core.semantics import SELECTIONS, select
 from ..core.substitution import Substitution
 from .automaton import SESAutomaton, StateProbe, StepRow
-from .buffer import EMPTY_BUFFER
+from .buffer import EMPTY_BUFFER, MatchBuffer
 from .filtering import EventFilter
 from .instance import AutomatonInstance
 from .metrics import ExecutionStats
@@ -365,6 +365,9 @@ class SESExecutor:
         #: one truthiness test per step.
         self._hooks = tuple(hook for hook in (tracer, flight, self.lineage)
                             if hook is not None)
+        if len(self._hooks) == 1:
+            # The only recorder takes its steps directly.
+            self._emit = self._hooks[0].record
         #: Offer every event to every instance instead of looking the
         #: candidates up: a tracer records the instances an event leaves
         #: alone, strict contiguity ends them, and a subclass may say it
@@ -382,9 +385,6 @@ class SESExecutor:
         self._count = 0
         self._accepted: List[Substitution] = []
         self._accepted_during_consume: List[Substitution] = []
-        #: The step-table rows of the event being offered (``_consume``
-        #: reads its state's).
-        self._rows: Dict[State, Optional[StepRow]] = {}
         self._next_expiry = None
         self._expiry_stale = False
         self._last_ts = None
@@ -679,7 +679,7 @@ class SESExecutor:
     def _offer(self, event: Event,
                fresh: Optional[AutomatonInstance]) -> None:
         """Offer ``event`` to ``fresh`` (its own start-state instance, if
-        it gets one) and to Ω, state by state (Algorithm 2 per instance).
+        it gets one) and to Ω, state by state (Algorithm 2 per bucket).
 
         The event is classified once and every occupied state reads its
         row of the step table.  A state without a row is left as it is;
@@ -689,12 +689,12 @@ class SESExecutor:
         state until every source has been consumed, so none is offered
         the event that made it.
         """
-        self._rows = rows = self.automaton.step_rows(event)
+        rows = self.automaton.step_rows(event)
         walks_all = self._walks_all
         consume = self._consume
         out: List[AutomatonInstance] = []
         if fresh is not None:
-            consume(fresh, event, out)
+            consume((fresh,), rows[fresh.state], event, out)
         arrivals = _by_state(out)
         unordered = set()
         for bucket in self._buckets.values():
@@ -720,17 +720,13 @@ class SESExecutor:
                 if not keys:
                     continue
                 offered = [by_value[key] for key in keys]
-            # An instance the event leaves in place comes back as the
-            # last survivor; anything else in ``out`` is a successor.
             out = []
-            gone = []
-            for candidates in offered:
-                for instance in candidates:
-                    consume(instance, event, out)
-                    if out and out[-1] is instance:
-                        out.pop()
-                    else:
-                        gone.append(instance)
+            # The first list's leavers are taken as they come: copying
+            # them into a list of this frame's own read 8 % slower on
+            # the ledger's P3 units (EXPERIMENTS.md, PR 23).
+            gone = consume(offered[0], row, event, out)
+            for candidates in offered[1:]:
+                gone += consume(candidates, row, event, out)
             if gone:
                 self._count -= len(gone)
                 self._expiry_stale = True
@@ -751,7 +747,7 @@ class SESExecutor:
                             bucket.unfile(instance)
             if not out:
                 continue
-            # Survivors of one list come out in its (start) order.
+            # Successors of one list come out in its (start) order.
             ordered = len(offered) == 1
             for target, moved in _by_state(out).items():
                 if target in arrivals:
@@ -766,66 +762,91 @@ class SESExecutor:
                 moved.sort(key=_start)
             self._arrive(target, moved)
 
-    def _consume(self, instance: AutomatonInstance, event: Event,
-                 out: List[AutomatonInstance]) -> None:
-        """Algorithm 2 (ConsumeEvent), appending survivors to ``out``.
+    def _consume(self, candidates: Sequence[AutomatonInstance],
+                 row: Optional[StepRow], event: Event,
+                 out: List[AutomatonInstance]) -> List[AutomatonInstance]:
+        """Algorithm 2 (ConsumeEvent) for ``candidates`` — instances of
+        one state — appending their successors to ``out`` and returning
+        those that left the state.
 
         Conditions on the event alone are the same for every instance in
-        a state, so they are not asked here: the state's row of the step
-        table (:meth:`_offer` looked the event's rows up) names the
-        outgoing transitions that pass them, and only the
-        binding-dependent conditions run per instance.
+        a state, so they are not asked here: ``row``, the state's row of
+        the step table, names the outgoing transitions that pass them
+        (``None``: there is none), and per instance only each one's
+        :meth:`~repro.automaton.transitions.Transition.admits_bindings`
+        runs.  A transition that fires costs that decision, one buffer
+        and one instance; the counters move once per call.
 
         In ``"exhaustive"`` mode the original instance also survives when
         transitions fire, so the run may *skip* a consumable event — the
         skip-till-any-match behaviour needed for Definition-2 exactness.
         """
-        stats = self.stats
         hooks = self._hooks
-        state = instance.state
-        buffer = instance.buffer
-        fired = 0
-        row = self._rows[state]
-        if row is not None:
-            for transition in row.transitions:
-                if transition.admits_bindings(event, buffer):
-                    successor = instance.advance(
-                        transition.target, transition.variable, event)
+        emit = self._emit if hooks else None
+        moves = () if row is None else row.moves
+        state = candidates[0].state
+        mode = self.consume_mode
+        exhaustive = mode == "exhaustive" and state != self.automaton.start
+        rests = None  # worked out for the first instance nothing fires on
+        ts = event.ts
+        gone: List[AutomatonInstance] = []
+        transitions_fired = branchings = kept = 0
+        for instance in candidates:
+            buffer = instance.buffer
+            fired = 0
+            for admits_bindings, target, variable, transition in moves:
+                if admits_bindings(event, buffer):
+                    # buffer.extend(variable, event), without the calls.
+                    by_var = dict(buffer.by_var)
+                    by_var[variable] = (by_var[variable] + (event,)
+                                        if variable in by_var else (event,))
+                    start = buffer.min_ts
+                    successor = AutomatonInstance(target, MatchBuffer(
+                        by_var, ts if start is None else start, ts,
+                        buffer.size + 1))
                     out.append(successor)
                     fired += 1
                     if hooks:
-                        self._emit("transition", event, instance,
-                                   transition, successor)
-        if fired:
-            stats.transitions_fired += fired
-            if fired > 1:
-                stats.branchings += fired - 1
-                stats.instances_created += fired - 1
-            if (self.consume_mode == "exhaustive"
-                    and state != self.automaton.start):
-                out.append(instance)
-                stats.instances_created += 1
-        elif state != self.automaton.start:
-            if self.consume_mode == "contiguous":
+                        emit("transition", event, instance, transition,
+                             successor)
+            if fired:
+                transitions_fired += fired
+                if fired > 1:
+                    branchings += fired - 1
+                if exhaustive:
+                    kept += 1
+                else:
+                    gone.append(instance)
+                continue
+            if rests is None:
+                rests = state != self.automaton.start
+            if not rests:
+                gone.append(instance)
+                if hooks:
+                    emit("drop", event, instance)
+            elif mode == "contiguous":
                 # Strict contiguity: a non-consumable event ends the run;
                 # a run already in the accepting state is complete.
+                gone.append(instance)
                 if state == self.automaton.accepting:
                     self._accepted_during_consume.append(
                         buffer.to_substitution())
-                    stats.accepted_buffers += 1
+                    self.stats.accepted_buffers += 1
                     if hooks:
-                        self._emit("accept", event, instance)
+                        emit("accept", event, instance)
                 elif hooks:
-                    self._emit("drop", event, instance)
-                return
-            out.append(instance)
-            if self.tracer is not None:
+                    emit("drop", event, instance)
+            elif self.tracer is not None:
                 # Figure 6's "ignored by instance at ..." line: only a
                 # tracer wants it, and only a walk of every instance
                 # (which a tracer forces) can produce it.
                 self.tracer.record("skip", event, instance)
-        elif hooks:
-            self._emit("drop", event, instance)
+        if transitions_fired:
+            stats = self.stats
+            stats.transitions_fired += transitions_fired
+            stats.branchings += branchings
+            stats.instances_created += branchings + kept
+        return gone
 
     @property
     def matches_folded(self) -> int:

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional
 
 from ..core.events import Event
 from ..core.pattern import SESPattern
-from .automaton import SESAutomaton
+from .automaton import SESAutomaton, StepRow
 from .executor import SESExecutor
 from .filtering import EventFilter
 from .instance import AutomatonInstance
@@ -133,21 +133,28 @@ class PruningExecutor(SESExecutor):
         super().reset()
         self.pruned_instances = 0
 
-    def _consume(self, instance: AutomatonInstance, event: Event,
-                 out: List[AutomatonInstance]) -> None:
+    def _consume(self, candidates, row: Optional[StepRow], event: Event,
+                 out: List[AutomatonInstance]) -> List[AutomatonInstance]:
         before = len(out)
-        super()._consume(instance, event, out)
-        # Drop doomed survivors (never the accepting state: accepting
-        # instances have zero remaining boundaries by construction, so
-        # doomed() cannot fire for them before plain expiry does).
+        gone = super()._consume(candidates, row, event, out)
+        # Drop doomed survivors — successors and instances left resting
+        # alike (never in the accepting state: accepting instances have
+        # zero remaining boundaries by construction, so doomed() cannot
+        # fire for them before plain expiry does).
         accepting = self.automaton.accepting
-        kept = []
-        for successor in out[before:]:
-            if (successor.state != accepting
-                    and self.deadlines.doomed(successor, event.ts,
-                                              self.automaton.tau)):
-                self.pruned_instances += 1
-                continue
-            kept.append(successor)
-        if len(kept) != len(out) - before:
+        doomed = self.deadlines.doomed
+        ts, tau = event.ts, self.automaton.tau
+        kept = [successor for successor in out[before:]
+                if successor.state == accepting
+                or not doomed(successor, ts, tau)]
+        pruned = len(out) - before - len(kept)
+        if pruned:
             out[before:] = kept
+        if len(gone) < len(candidates) and candidates[0].state != accepting:
+            left = set(gone)
+            resting = [instance for instance in candidates
+                       if instance not in left and doomed(instance, ts, tau)]
+            pruned += len(resting)
+            gone += resting
+        self.pruned_instances += pruned
+        return gone

@@ -9,12 +9,13 @@ transition loops.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Tuple
 
-from ..core.conditions import Condition
-from ..core.events import Event
-from ..core.substitution import Substitution
+from ..core.conditions import OPERATORS, Condition
+from ..core.events import TIME_ATTRIBUTE, Event
 from ..core.variables import Variable
+from .buffer import MatchBuffer
 from .states import State, state_label
 
 __all__ = ["Transition"]
@@ -34,7 +35,7 @@ class Transition:
     """
 
     __slots__ = ("source", "variable", "conditions", "target", "_checks",
-                 "_event_checks", "_binding_checks", "_probes")
+                 "_event_checks", "_binding_rows", "_probes")
 
     def __init__(self, source: State, variable: Variable,
                  conditions: Iterable[Condition] = ()):
@@ -57,16 +58,18 @@ class Transition:
         self._checks: Tuple = tuple(checks)
         # The two halves of admits(): checks on the new event alone
         # (shared by every instance in the source state) and checks
-        # against an instance's bindings.
+        # against an instance's bindings, the latter bound to rows here
+        # so that firing interprets nothing.
         self._event_checks: Tuple = tuple(
             anchored for other, anchored in checks if other is None)
-        self._binding_checks: Tuple = tuple(
-            check for check in checks if check[0] is not None)
+        self._binding_rows: Tuple = tuple(
+            (other, anchored.left.attribute, OPERATORS[anchored.op],
+             anchored.right.attribute)
+            for other, anchored in checks if other is not None)
         probes = {}
-        for other, anchored in self._binding_checks:
-            if anchored.op == "=":
-                probes.setdefault((other, anchored.right.attribute),
-                                  anchored.left.attribute)
+        for partner, attribute, op, partner_attribute in self._binding_rows:
+            if op is operator.eq:
+                probes.setdefault((partner, partner_attribute), attribute)
         self._probes = probes
 
     @property
@@ -80,6 +83,16 @@ class Transition:
         value-space checks over projected attribute sets.
         """
         return self._checks
+
+    @property
+    def binding_rows(self) -> Tuple:
+        """The binding half of ``Θδ``, one row per check against a
+        partner variable: ``(partner variable, attribute of the new
+        event, operator function, attribute of the partner's events)``,
+        in :attr:`checks` order.  :meth:`admits_bindings` walks them
+        against a match buffer; the aggregation engine walks the same
+        rows against its projected value sets."""
+        return self._binding_rows
 
     @property
     def equality_probes(self) -> dict:
@@ -102,7 +115,7 @@ class Transition:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def admits(self, event: Event, buffer: Substitution) -> bool:
+    def admits(self, event: Event, buffer: MatchBuffer) -> bool:
         """Evaluate ``Θδ`` for binding ``event`` to :attr:`variable`.
 
         The check is incremental: conditions are instantiated with the new
@@ -132,17 +145,49 @@ class Transition:
                 return False
         return True
 
-    def admits_bindings(self, event: Event, buffer: Substitution) -> bool:
+    def admits_bindings(self, event: Event, buffer: MatchBuffer) -> bool:
         """The half of :meth:`admits` that depends on the bindings in
-        ``buffer``: ``event`` against every bound partner event."""
-        for other, anchored in self._binding_checks:
+        ``buffer``: ``event`` against every bound partner event, with
+        :meth:`Condition.evaluate_events
+        <repro.core.conditions.Condition.evaluate_events>`' semantics (a
+        missing attribute and an incomparable value are ``False``).
+
+        This is the one decision per (instance, transition): the
+        executor calls it — through the step table's rows, so an
+        override decides — and does nothing else to find out whether a
+        transition fires.
+        """
+        bound = buffer.by_var
+        # The attribute dicts are read directly: an ``Event.get`` per
+        # operand was the larger part of what a decision cost.
+        attrs = event._attrs
+        for partner, attribute, op, partner_attribute in self._binding_rows:
             # An unbound partner cannot be checked on this transition; the
             # builder only routes conditions whose partner is guaranteed
             # bound, so this only happens for custom automata — treat as
             # satisfied (checked later).
-            for partner in buffer.events_of(other):
-                if not anchored.evaluate_events(event, partner):
-                    return False
+            partners = bound[partner] if partner in bound else None
+            if not partners:
+                continue
+            if attribute == TIME_ATTRIBUTE:
+                lhs = event.ts
+            elif attribute in attrs:
+                lhs = attrs[attribute]
+            else:
+                return False
+            try:
+                if partner_attribute == TIME_ATTRIBUTE:
+                    for other in partners:
+                        if not op(lhs, other.ts):
+                            return False
+                else:
+                    for other in partners:
+                        others = other._attrs
+                        if (partner_attribute not in others
+                                or not op(lhs, others[partner_attribute])):
+                            return False
+            except TypeError:
+                return False
         return True
 
     # ------------------------------------------------------------------

@@ -7,6 +7,8 @@ An event set pattern is a set of event variables (Section 3.2).  A
 
 from __future__ import annotations
 
+import threading
+import weakref
 from typing import Iterable, Tuple
 
 __all__ = ["Variable", "var", "group", "parse_variable"]
@@ -17,11 +19,19 @@ class Variable:
 
     Two variables are equal iff they have the same name and the same
     quantifier; a pattern must not reuse a name across variables.
+    Variables are interned: constructing one with a name and quantifier
+    already in use returns the existing object, so equality is identity
+    and hashing is the interpreter's own — buffers and states (dicts and
+    frozensets keyed by variables) never call back into Python.
     """
 
-    __slots__ = ("name", "is_group", "_hash")
+    __slots__ = ("name", "is_group", "__weakref__")
 
-    def __init__(self, name: str, is_group: bool = False):
+    #: ``(name, is_group) → the variable``, for as long as anything uses it.
+    _interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+    _intern_lock = threading.Lock()
+
+    def __new__(cls, name: str, is_group: bool = False):
         if not name or not isinstance(name, str):
             raise ValueError(f"variable name must be a non-empty string, got {name!r}")
         if name.endswith("+"):
@@ -29,26 +39,26 @@ class Variable:
                 f"variable name {name!r} must not end with '+'; "
                 "use group=True or parse_variable()"
             )
-        self.name = name
-        self.is_group = bool(is_group)
-        self._hash = hash((self.name, self.is_group))
+        key = (name, bool(is_group))
+        self = cls._interned.get(key)
+        if self is None:
+            # Two threads must not each make "the" variable.
+            with cls._intern_lock:
+                self = cls._interned.get(key)
+                if self is None:
+                    self = super().__new__(cls)
+                    self.name, self.is_group = key
+                    cls._interned[key] = self
+        return self
 
     @property
     def is_singleton(self) -> bool:
         """True iff the variable binds exactly one event."""
         return not self.is_group
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Variable):
-            return NotImplemented
-        return self.name == other.name and self.is_group == other.is_group
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __reduce__(self):
-        # Rebuild rather than copy slots: string hashes are per-process, so
-        # the memoised hash must be recomputed wherever the pickle lands.
+        # Pickling and copying go through the constructor, so they land
+        # on the interned object of whichever process they arrive in.
         return (Variable, (self.name, self.is_group))
 
     def __lt__(self, other: "Variable") -> bool:

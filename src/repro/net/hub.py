@@ -426,12 +426,19 @@ class SubscriptionHub:
                 return
         self._next_seq = entries[-1].seq + 1
         subscribers = list(self._subscribers.values())
+        offered = set()
         for entry in entries:
             self._remember((entry.pattern_id, entry.match_id))
             self._ring.append(entry)
             for subscriber in subscribers:
                 if not subscriber.closed and subscriber.wants(entry):
                     self._offer(subscriber, entry)
+                    offered.add(subscriber)
+        # One wake-up per subscriber per commit, once its share of the
+        # batch is queued (a disconnect already woke its own).
+        for subscriber in offered:
+            if not subscriber.closed:
+                self._wake(subscriber)
         if self._c_published is not None:
             self._c_published.inc(len(entries))
         self._publish_gauges()
@@ -458,7 +465,8 @@ class SubscriptionHub:
                 "max_ts": canonical[-1][1].ts, "bindings": bindings}
 
     def _offer(self, subscriber: Subscriber, entry: DeliveredEntry) -> None:
-        """Enqueue under the lock, applying the slow-consumer policy."""
+        """Enqueue under the lock, applying the slow-consumer policy;
+        :meth:`_commit` wakes the subscriber when the batch is queued."""
         full = (subscriber._degraded is None
                 and len(subscriber._queue) >= subscriber.max_queue)
         if full and subscriber.policy == "disconnect":
@@ -474,7 +482,6 @@ class SubscriptionHub:
                 subscriber._degraded.get(entry.pattern_id, 0) + 1)
             if self._c_degraded is not None:
                 self._c_degraded.inc()
-            self._wake(subscriber)
             return
         if full:
             if subscriber.policy == "shed":
@@ -499,10 +506,8 @@ class SubscriptionHub:
                 subscriber._degraded = counts
                 if self._c_degraded is not None:
                     self._c_degraded.inc(sum(counts.values()))
-                self._wake(subscriber)
                 return
         subscriber._queue.append(("match", entry))
-        self._wake(subscriber)
 
     @staticmethod
     def _wake(subscriber: Subscriber) -> None:

@@ -21,8 +21,10 @@ executor's indexed path and a dump is what *did* happen.
 
 It plugs into the executor through the same hook as the full tracer
 (``SESExecutor(..., flight=recorder)``), so attaching it adds **no new
-branches** to the hot path.  Records are stored as compact tuples and
-only rendered to dicts at dump time.
+branches** to the hot path.  A step is recorded by reference — the
+event, the state and the transition as the executor holds them — and
+only rendered (timestamp, event id, variable and state labels) at dump
+time: recording is one tuple and one append.
 
 The dump surfaces in three ways:
 
@@ -42,6 +44,7 @@ import json
 import signal
 import sys
 import threading
+from collections import deque
 from typing import List, Optional
 
 __all__ = ["FlightRecorder", "install_flight_signal_handler"]
@@ -50,12 +53,9 @@ __all__ = ["FlightRecorder", "install_flight_signal_handler"]
 DEFAULT_CAPACITY = 512
 DEFAULT_OMEGA_CAPACITY = 256
 
-#: Positional layout of one step tuple (kept in sync with record()).
-_FIELDS = ("seq", "kind", "ts", "event", "state", "variable", "born")
-
 
 class FlightRecorder:
-    """Bounded, preallocated recorder of recent execution steps.
+    """Bounded recorder of recent execution steps.
 
     Implements the :class:`~repro.automaton.trace.Tracer` recording
     interface (:meth:`record`), so it attaches anywhere a tracer does;
@@ -76,8 +76,8 @@ class FlightRecorder:
     only while copying the ring out.
     """
 
-    __slots__ = ("capacity", "omega_capacity", "_steps", "_next", "_seq",
-                 "_omega", "_omega_next", "_omega_seq", "_plans", "_lock")
+    __slots__ = ("capacity", "omega_capacity", "_steps", "_seq", "_omega",
+                 "_plans", "_lock")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  omega_capacity: int = DEFAULT_OMEGA_CAPACITY):
@@ -85,12 +85,11 @@ class FlightRecorder:
             raise ValueError("flight recorder capacities must be >= 1")
         self.capacity = capacity
         self.omega_capacity = omega_capacity
-        self._steps: List[Optional[tuple]] = [None] * capacity
-        self._next = 0
+        #: ``(seq, kind, event, state, transition, born)`` per step; a
+        #: ``crash`` note carries its message in the transition slot.
+        self._steps: deque = deque(maxlen=capacity)
         self._seq = 0
-        self._omega: List[Optional[tuple]] = [None] * omega_capacity
-        self._omega_next = 0
-        self._omega_seq = 0
+        self._omega: deque = deque(maxlen=omega_capacity)
         self._plans: List[str] = []
         self._lock = threading.Lock()
 
@@ -100,23 +99,13 @@ class FlightRecorder:
     def record(self, kind: str, event, instance,
                transition=None, successor=None) -> None:
         """Append one step record (Tracer-compatible signature), O(1)."""
-        buffer = instance.buffer
-        self._steps[self._next] = (
-            self._seq, kind,
-            None if event is None else event.ts,
-            None if event is None else event.eid,
-            instance.state,
-            None if transition is None else repr(transition.variable),
-            buffer.min_ts,
-        )
+        self._steps.append((self._seq, kind, event, instance.state,
+                            transition, instance.buffer.min_ts))
         self._seq += 1
-        self._next = (self._next + 1) % self.capacity
 
     def sample_omega(self, ts, size: int) -> None:
         """Append one ``(ts, |Ω|)`` sample to the population ring, O(1)."""
-        self._omega[self._omega_next] = (ts, size)
-        self._omega_seq += 1
-        self._omega_next = (self._omega_next + 1) % self.omega_capacity
+        self._omega.append((ts, size))
 
     def note_crash(self, event, message: str) -> None:
         """Append a synthetic ``crash`` record naming the event under
@@ -127,13 +116,8 @@ class FlightRecorder:
         points at the poisoned input rather than at whatever happened to
         execute just before it.
         """
-        self._steps[self._next] = (
-            self._seq, "crash",
-            None if event is None else event.ts,
-            None if event is None else event.eid,
-            None, message, None)
+        self._steps.append((self._seq, "crash", event, None, message, None))
         self._seq += 1
-        self._next = (self._next + 1) % self.capacity
 
     def note_plan(self, fingerprint: str) -> None:
         """Remember a plan fingerprint that executed under this recorder."""
@@ -143,12 +127,9 @@ class FlightRecorder:
     def clear(self) -> None:
         """Drop everything recorded so far (capacity is kept)."""
         with self._lock:
-            self._steps = [None] * self.capacity
-            self._next = 0
+            self._steps.clear()
             self._seq = 0
-            self._omega = [None] * self.omega_capacity
-            self._omega_next = 0
-            self._omega_seq = 0
+            self._omega.clear()
             self._plans = []
 
     # ------------------------------------------------------------------
@@ -156,7 +137,7 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         """Step records currently retained (≤ capacity)."""
-        return min(self._seq, self.capacity)
+        return len(self._steps)
 
     @property
     def recorded(self) -> int:
@@ -168,42 +149,32 @@ class FlightRecorder:
         """Step records lost to ring overwrites."""
         return max(0, self._seq - self.capacity)
 
-    def _tail_tuples(self) -> List[tuple]:
-        with self._lock:
-            if self._seq <= self.capacity:
-                return [s for s in self._steps[:self._next]]
-            return ([s for s in self._steps[self._next:]]
-                    + [s for s in self._steps[:self._next]])
-
-    def _omega_tuples(self) -> List[tuple]:
-        with self._lock:
-            if self._omega_seq <= self.omega_capacity:
-                return [s for s in self._omega[:self._omega_next]]
-            return ([s for s in self._omega[self._omega_next:]]
-                    + [s for s in self._omega[:self._omega_next]])
-
     def tail(self, n: Optional[int] = None) -> List[dict]:
-        """The retained step records, oldest first, as plain dicts.
+        """The last ``n`` retained step records (all of them by
+        default), oldest first, as plain dicts.
 
-        States are rendered with
-        :func:`~repro.automaton.states.state_label` at export time so
-        the hot path never pays for formatting.
+        Everything a record shows is rendered here, from what the ring
+        holds by reference — timestamps and ids off the event, the
+        variable off the transition, states with
+        :func:`~repro.automaton.states.state_label` — so the hot path
+        never pays for formatting.
         """
         from ..automaton.states import state_label
-        tuples = self._tail_tuples()
+        with self._lock:
+            steps = list(self._steps)
         if n is not None:
-            tuples = tuples[-n:]
+            steps = steps[-n:] if n > 0 else []
         out = []
-        for seq, kind, ts, eid, state, variable, born in tuples:
-            record = {"seq": seq, "kind": kind, "ts": ts, "event": eid}
+        for seq, kind, event, state, transition, born in steps:
+            record = {"seq": seq, "kind": kind,
+                      "ts": None if event is None else event.ts,
+                      "event": None if event is None else event.eid}
             if kind == "crash":
-                # Synthetic note_crash record: the variable slot carries
-                # the failure message, and there is no instance state.
-                record["error"] = variable
+                record["error"] = transition
             else:
                 record["state"] = state_label(state)
-                if variable is not None:
-                    record["variable"] = variable
+                if transition is not None:
+                    record["variable"] = repr(transition.variable)
                 if born is not None:
                     record["born"] = born
             out.append(record)
@@ -211,6 +182,8 @@ class FlightRecorder:
 
     def dump(self) -> dict:
         """The full JSON-ready dump: meta, |Ω| timeline, step tail."""
+        with self._lock:
+            omega = list(self._omega)
         return {
             "meta": {
                 "capacity": self.capacity,
@@ -218,7 +191,7 @@ class FlightRecorder:
                 "dropped": self.dropped,
                 "plans": list(self._plans),
             },
-            "omega": [list(sample) for sample in self._omega_tuples()],
+            "omega": [list(sample) for sample in omega],
             "steps": self.tail(),
         }
 

@@ -181,8 +181,9 @@ class PatternRegistry:
         explicit quota.
     flight:
         Optional :class:`~repro.obs.flight.FlightRecorder`, attached to
-        the **first** registered pattern's executor (the served query in
-        ``repro serve``); later registrations run unrecorded.
+        one registered pattern's executor: the first (the served query
+        in ``repro serve``), and once that one is deregistered the next
+        to register; the others run unrecorded.
     """
 
     def __init__(self, *, use_filter: bool = True,
@@ -198,7 +199,8 @@ class PatternRegistry:
         self._obs = observability
         self._default_quota = default_quota
         self._flight = flight
-        self._flight_attached = False
+        #: Id of the pattern whose executor carries the flight recorder.
+        self._flight_owner: Optional[str] = None
         self._auto_id = 0
         self._reported: List[Match] = []
         self._callbacks: List[MatchCallback] = []
@@ -279,10 +281,7 @@ class PatternRegistry:
                 raise QuotaExceeded(
                     f"tenant {tenant!r} is at its quota of {limit} "
                     f"pattern(s)")
-            flight = None
-            if self._flight is not None and not self._flight_attached:
-                flight = self._flight
-                self._flight_attached = True
+            flight = self._flight if self._flight_owner is None else None
             # Admission is decided once, by the shared bank (bit-identical
             # to the plan's own prefilter), and rejected events reach the
             # matcher as ticks - its executor has nothing left to filter.
@@ -315,6 +314,8 @@ class PatternRegistry:
                         labels={"pattern": pattern_id},
                         metric="ses_agg_matches_folded_total")
             self._entries[pattern_id] = entry
+            if flight is not None:
+                self._flight_owner = pattern_id
             self._gate_members[gate.key] = (
                 self._gate_members.get(gate.key, 0) + 1)
             state.patterns += 1
@@ -335,6 +336,9 @@ class PatternRegistry:
                     f"no pattern registered under id {pattern_id!r}")
             entry.spec.release(self._bank)
             entry.gate.release(self._bank)
+            if self._flight_owner == pattern_id:
+                # The next registration takes the recorder over.
+                self._flight_owner = None
             members = self._gate_members[entry.gate.key] - 1
             if members:
                 self._gate_members[entry.gate.key] = members

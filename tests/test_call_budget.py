@@ -1,0 +1,125 @@
+"""The interpretive constant, as a count that gates every PR.
+
+What a fired transition costs is a constant of the query (García &
+Riveros' yardstick, ``tests/test_omega_index.py::
+TestCostIsIndependentOfTheWindow``); this file bounds the constant
+itself, in calls — every call ``sys.setprofile`` reports, Python
+functions and C builtins alike (what ``cProfile`` counts) — per fired
+transition, over fixed slices of the ledger's streams.  No wall clock:
+the numbers repeat exactly, so the budget fails the PR that starts
+re-deriving per transition what the plan already fixes, on any machine.
+
+Reference points (seed 1): at commit d1b70df, where every partner event
+cost a ``Condition.evaluate_events`` → two ``Event.get`` → a Python
+``Variable.__hash__`` per dict access and a successor two more calls,
+the P3 slice read 25.8 calls per fired transition (15.4 of them Python
+frames) and the recorded Q1 slice 24.2 (14.8); with Θδ's binding half
+bound to rows, Algorithm 2 looped per bucket, steps recorded by
+reference and variables interned: 10.6 (5.2) and 12.2 (5.7).
+"""
+
+import gc
+import sys
+from collections import Counter
+
+import pytest
+
+from repro.lang import parse_pattern
+from repro.net.protocol import event_from_json
+from repro.obs import FlightRecorder
+from repro.plan.cache import compile as compile_plan
+from repro.registry import PatternRegistry
+
+workloads = pytest.importorskip("ledger.workloads")
+
+#: Calls (Python + C) per fired transition a slice may cost.
+BUDGET = 14
+#: Of which Python frames.
+FRAME_BUDGET = 7
+
+
+def count_calls(run):
+    """``run()`` under a ``sys.setprofile`` counter: its result and, per
+    code object, the Python frames entered (``frames``), the Python
+    frames entered from it (``callees``) and the C calls made from it
+    (``builtins``)."""
+    frames, callees, builtins = Counter(), Counter(), Counter()
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            frames[frame.f_code] += 1
+            if frame.f_back is not None:
+                callees[frame.f_back.f_code] += 1
+        elif event == "c_call":
+            builtins[frame.f_code] += 1
+
+    # A collection runs its finalisers and weak-reference callbacks in
+    # whatever frame happened to allocate: not this run's calls.
+    collecting = gc.isenabled()
+    gc.disable()
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+        if collecting:
+            gc.enable()
+    # The counter sees itself being switched off.
+    del builtins[count_calls.__code__]
+    return result, frames, callees, builtins
+
+
+def assert_within_budget(frames, builtins, fired):
+    python = sum(frames.values())
+    total = python + sum(builtins.values())
+    assert fired > 5000
+    assert total <= BUDGET * fired, (
+        f"{total / fired:.1f} calls per fired transition (budget {BUDGET}); "
+        f"most called: {frames.most_common(5)}")
+    assert python <= FRAME_BUDGET * fired, (
+        f"{python / fired:.1f} Python frames per fired transition "
+        f"(budget {FRAME_BUDGET}); most called: {frames.most_common(5)}")
+
+
+def test_p3_slice_stays_within_the_per_transition_budget():
+    """``batch-p3-exp2``'s first smoke unit, the way the ledger runs it:
+    parse, compile, match, paper selection — all of it counted."""
+    _, rows = workloads._p3_units(1, True)[0]
+    events = [event_from_json(row) for row in rows]
+
+    def run():
+        return compile_plan(parse_pattern(workloads.P3)).match(events)
+
+    result, frames, _, builtins = count_calls(run)
+    assert_within_budget(frames, builtins, result.stats.transitions_fired)
+
+
+def test_q1_slice_through_a_recorded_registry():
+    """``serve-q1-sparse``'s matcher side: 3 000 events pushed in the
+    workload's 64-event batches through a registry whose one pattern
+    carries the flight recorder, as under ``repro serve``.  The budget
+    holds with the recorder on, and recording a step is one call — the
+    recorder's ``record``, which calls nothing but the ring's append."""
+    from ledger.streams import chemo_stream
+    events = [event_from_json(row) for row in chemo_stream(1, 3000, 24)]
+    flight = FlightRecorder()
+    registry = PatternRegistry(flight=flight)
+    registry.register(workloads.Q1, pattern_id="p0")
+
+    def run():
+        for at in range(0, len(events), 64):
+            registry.push_many(events[at:at + 64])
+
+    _, frames, callees, builtins = count_calls(run)
+    # A registered pattern fires what a matcher of its own fires
+    # (tests/test_registry.py), and that one shows its counters.
+    fired = compile_plan(parse_pattern(workloads.Q1)).match(
+        events, selection="accepted").stats.transitions_fired
+    assert_within_budget(frames, builtins, fired)
+
+    record = FlightRecorder.record.__code__
+    assert flight.recorded > fired  # and starts, drops, expiries, accepts
+    assert frames[record] == flight.recorded
+    assert callees[record] == 0
+    assert builtins[record] == flight.recorded  # the append

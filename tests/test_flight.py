@@ -58,6 +58,14 @@ class TestRing:
         fill(recorder, 5)
         assert [r["event"] for r in recorder.tail(2)] == ["e3", "e4"]
 
+    def test_tail_zero_is_empty(self):
+        """``tail(0)`` used to slice ``[-0:]`` — the whole ring."""
+        recorder = FlightRecorder(capacity=8)
+        fill(recorder, 5)
+        assert recorder.tail(0) == []
+        assert len(recorder.tail(2)) == 2
+        assert len(recorder.tail(9)) == len(recorder.tail()) == 5
+
     def test_capacity_one(self):
         recorder = FlightRecorder(capacity=1, omega_capacity=1)
         fill(recorder, 3)
@@ -132,6 +140,90 @@ class TestDump:
         assert transitions and all("variable" in r for r in transitions)
 
 
+class EagerFlightRecorder(FlightRecorder):
+    """The recorder as it rendered a step when it happened (``record``,
+    ``note_crash`` and the tuple-to-dict half of ``tail`` of commit
+    d1b70df), kept as the oracle of the by-reference ring."""
+
+    __slots__ = ("eager",)
+
+    def __init__(self, capacity=512):
+        super().__init__(capacity)
+        self.eager = []
+
+    def record(self, kind, event, instance, transition=None,
+               successor=None):
+        buffer = instance.buffer
+        self.eager.append((
+            len(self.eager), kind,
+            None if event is None else event.ts,
+            None if event is None else event.eid,
+            instance.state,
+            None if transition is None else repr(transition.variable),
+            buffer.min_ts,
+        ))
+
+    def note_crash(self, event, message):
+        self.eager.append((
+            len(self.eager), "crash",
+            None if event is None else event.ts,
+            None if event is None else event.eid,
+            None, message, None))
+
+    def tail(self, n=None):
+        from repro.automaton.states import state_label
+        out = []
+        for seq, kind, ts, eid, state, variable, born in \
+                self.eager[-self.capacity:]:
+            record = {"seq": seq, "kind": kind, "ts": ts, "event": eid}
+            if kind == "crash":
+                record["error"] = variable
+            else:
+                record["state"] = state_label(state)
+                if variable is not None:
+                    record["variable"] = variable
+                if born is not None:
+                    record["born"] = born
+            out.append(record)
+        return out
+
+
+class TestRecordedByReference:
+    """The ring holds the event, state and transition of a step and
+    renders them at dump time: record for record what it produced when
+    it rendered them on the spot."""
+
+    @pytest.mark.parametrize("capacity", (512, 64))
+    def test_dump_equals_the_eager_tuples(self, capacity):
+        workloads = pytest.importorskip("ledger.workloads")
+        from ledger.streams import chemo_stream
+        from repro.net.protocol import event_from_json
+        events = [event_from_json(row) for row in chemo_stream(1, 1500, 24)]
+        from repro.lang import parse_pattern
+        plan = repro.compile(parse_pattern(workloads.Q1))
+        dumps = []
+        for recorder in (EagerFlightRecorder(capacity),
+                         FlightRecorder(capacity)):
+            plan.executor(flight=recorder).run(events)
+            recorder.note_crash(events[-1], "boom")
+            dumps.append(recorder.dump()["steps"])
+        assert dumps[0] == dumps[1]
+        assert len(dumps[1]) == capacity
+        assert {"transition", "crash"} <= {s["kind"] for s in dumps[1]}
+        assert json.dumps(dumps[1])  # rendered: nothing by reference left
+
+    def test_a_step_is_held_as_the_executor_holds_it(self, kind_pattern):
+        flight = FlightRecorder()
+        executor = repro.compile(kind_pattern).executor(flight=flight)
+        executor.run(rel(ev(1, "A"), ev(2, "B"), ev(3, "C")))
+        held = [step for step in flight._steps if step[1] == "transition"]
+        assert held
+        for _, _, event, state, transition, _ in held:
+            assert isinstance(event, repro.Event)
+            assert state in executor.automaton.states
+            assert transition in executor.automaton.transitions
+
+
 # ----------------------------------------------------------------------
 # Executor integration
 # ----------------------------------------------------------------------
@@ -200,6 +292,33 @@ class TestExecutorIntegration:
         admitted = {step["event"] for step in steps
                     if step["kind"] == "start"}
         assert len(admitted) >= 8
+
+    def test_recorder_follows_a_re_registration(self, kind_pattern):
+        """Deregistering the pattern that carried the recorder used to
+        strand it: no later registration got it, and ``/debug/flight``
+        served the same frozen tail for the rest of the process."""
+        from repro.registry import PatternRegistry
+        flight = FlightRecorder()
+        registry = PatternRegistry(flight=flight)
+        registry.register(kind_pattern, pattern_id="p0")
+        registry.register(kind_pattern, pattern_id="other")
+        registry.push(ev(1, "A"))
+        before = flight.recorded
+        assert before
+        registry.deregister("other")  # not the carrier: nothing changes
+        registry.deregister("p0")
+        registry.push(ev(2, "A"))
+        assert flight.recorded == before
+        registry.register(kind_pattern, pattern_id="p1")
+        registry.register(kind_pattern, pattern_id="p2")
+        registry.push(ev(3, "A"))
+        grown = flight.recorded
+        assert grown > before
+        registry.deregister("p2")  # p1 carries it, and only p1
+        registry.push(ev(4, "A"))
+        assert flight.recorded > grown
+        assert {s["event"] for s in flight.tail() if s["seq"] >= before} \
+            == {"a3", "a4"}
 
     def test_detached_executor_has_no_recorder(self, kind_pattern):
         executor = repro.compile(kind_pattern).executor()

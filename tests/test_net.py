@@ -530,6 +530,38 @@ class TestHubBatch:
         late = hub.attach(resume_after=-1)
         assert [p.seq for k, p in late.drain_items()] == [0, 1, 2, 3]
 
+    def test_a_commit_wakes_each_subscriber_once(self):
+        """A served wake-up is a lock, a handle and a self-pipe write on
+        the loop thread: one per subscriber per commit — when its share
+        of the batch is queued — not one per match."""
+        hub = SubscriptionHub()
+        wakes = {"all": 0, "p2": 0, "shed": 0, "slow": 0}
+        depth_at_wake = []
+
+        def counting(name, sub):
+            def wake():
+                wakes[name] += 1
+                depth_at_wake.append((name, sub.queue_depth))
+            sub.wake = wake
+            return sub
+
+        everything = counting("all", hub.attach())
+        counting("p2", hub.attach(patterns=["p2"]))
+        counting("shed", hub.attach(queue_size=3, policy="shed"))
+        slow = counting("slow", hub.attach(queue_size=3,
+                                           policy="disconnect"))
+        with hub.batch():
+            for i in range(10):
+                hub.publish(make_sub(i), pattern_id="p1")
+            assert not any(wakes.values())
+        # The slow consumer's one wake-up is its disconnect notice.
+        assert wakes == {"all": 1, "p2": 0, "shed": 1, "slow": 1}
+        assert slow.closed and ("all", 10) in depth_at_wake
+        assert len(everything.drain_items()) == 10
+        # Outside a scope a publish is a commit of one: one wake-up.
+        hub.publish(make_sub(10), pattern_id="p2")
+        assert wakes == {"all": 2, "p2": 1, "shed": 2, "slow": 1}
+
     def test_live_attach_inside_a_scope_gets_the_batch(self):
         hub = SubscriptionHub()
         with hub.batch():

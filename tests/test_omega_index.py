@@ -6,7 +6,9 @@ and offered every admitted event, ``next_expiry_ts`` scanning the list —
 kept here as the oracle.  The bucketed executor must be the same machine
 seen from outside: the same buffers accepted at the same events (in
 start order; instances sharing a start may swap places), the same Ω, the
-same counters, and for a tracer the same steps.
+same counters, and for every recorder (tracer, flight recorder, lineage)
+the same steps — whatever the consume mode, and for the pruning executor
+as for the plain one.
 """
 
 import itertools
@@ -23,10 +25,14 @@ from repro.automaton import (AutomatonInstance, SESAutomaton, SESExecutor,
 from repro.automaton.buffer import EMPTY_BUFFER
 from repro.automaton.builder import build_automaton
 from repro.automaton.executor import CONSUME_MODES
+from repro.automaton.pruning import DeadlineTable, PruningExecutor
 from repro.core.conditions import parse_condition
 from repro.core.substitution import Substitution
 from repro.core.variables import group, var
 from repro.lang import parse_pattern
+from repro.obs import FlightRecorder, Observability
+from repro.obs.lineage import LineageRecorder
+from repro.obs.tracectx import TraceConfig
 from repro.plan.cache import compile as compile_plan
 from repro.resilience.guards import ResourceGuard
 
@@ -171,6 +177,31 @@ class FlatExecutor(SESExecutor):
         return accepted_now
 
 
+class FlatPruningExecutor(FlatExecutor):
+    """:class:`FlatExecutor` plus deadline pruning as it was done per
+    instance (``PruningExecutor._consume`` of commit d1b70df, verbatim)."""
+
+    def __init__(self, pattern, automaton, tick=1, **kwargs):
+        super().__init__(automaton, **kwargs)
+        self.deadlines = DeadlineTable(pattern, automaton, tick=tick)
+        self.pruned_instances = 0
+
+    def _consume(self, instance, event, out) -> None:
+        before = len(out)
+        super()._consume(instance, event, out)
+        accepting = self.automaton.accepting
+        kept = []
+        for successor in out[before:]:
+            if (successor.state != accepting
+                    and self.deadlines.doomed(successor, event.ts,
+                                              self.automaton.tau)):
+                self.pruned_instances += 1
+                continue
+            kept.append(successor)
+        if len(kept) != len(out) - before:
+            out[before:] = kept
+
+
 # ----------------------------------------------------------------------
 # Lockstep comparison
 # ----------------------------------------------------------------------
@@ -195,6 +226,70 @@ def steps_of(tracer):
         (step.kind, step.event, _canon(step.instance), step.transition,
          None if step.successor is None else _canon(step.successor))
         for step in tracer.steps)
+
+
+class _SpyLineage(LineageRecorder):
+    """A lineage recorder that also keeps the steps it was handed."""
+
+    def __init__(self):
+        super().__init__(TraceConfig(sample_rate=1.0))
+        self.steps = []
+
+    def record(self, kind, event, instance, transition=None,
+               successor=None) -> None:
+        self.steps.append((
+            kind, event, _canon(instance), transition,
+            None if successor is None else _canon(successor)))
+        super().record(kind, event, instance, transition, successor)
+
+
+#: Recorder combinations an executor runs under: none, one hook (called
+#: directly), the tracer (which also makes it walk every instance), and
+#: two hooks (looped over).
+HOOKS = ("none", "flight", "tracer", "flight+lineage")
+
+
+class _Recorders:
+    """The recorders of one executor and what they saw since the last
+    :meth:`clear`, as multisets.  ``skip`` is the tracer's alone: the
+    flat loop told every hook, the bucketed one tells only the tracer."""
+
+    def __init__(self, hooks):
+        self.tracer = Tracer() if hooks == "tracer" else None
+        self.flight = (FlightRecorder(capacity=1 << 14)
+                       if "flight" in hooks else None)
+        self.lineage = _SpyLineage() if "lineage" in hooks else None
+        #: Steps handed to :meth:`seen` so far, all recorders together.
+        self.total = 0
+
+    def kwargs(self):
+        obs = (None if self.lineage is None
+               else Observability(lineage=self.lineage))
+        return {"tracer": self.tracer, "flight": self.flight, "obs": obs}
+
+    def clear(self):
+        if self.tracer is not None:
+            self.tracer.clear()
+        if self.flight is not None:
+            self.flight.clear()
+        if self.lineage is not None:
+            del self.lineage.steps[:]
+
+    def seen(self):
+        seen = {}
+        if self.tracer is not None:
+            seen["tracer"] = steps_of(self.tracer)
+        if self.flight is not None:
+            assert not self.flight.dropped
+            seen["flight"] = Counter(
+                tuple(value for key, value in sorted(record.items())
+                      if key != "seq")
+                for record in self.flight.tail() if record["kind"] != "skip")
+        if self.lineage is not None:
+            seen["lineage"] = Counter(
+                step for step in self.lineage.steps if step[0] != "skip")
+        self.total += sum(sum(steps.values()) for steps in seen.values())
+        return seen
 
 
 def assert_invariants(executor):
@@ -237,38 +332,48 @@ class _SpyGuard(ResourceGuard):
         super().check(executor, event, elapsed)
 
 
-def assert_lockstep(automaton, ops, consume="greedy", traced=False,
-                    guard=None, reload_at=None, omega_every=1):
+def assert_lockstep(automaton, ops, consume="greedy", hooks="none",
+                    guard=None, reload_at=None, omega_every=1, pruning=None):
     """Drive a :class:`FlatExecutor` and a bucketed ``SESExecutor`` through
     ``ops`` — ``(event, True | False)`` feeds the event with that
     ``allow_start``, ``(event, None)`` is an expiry tick — comparing the
-    two after every one.  ``reload_at`` swaps the bucketed executor for a
-    fresh one restored from its ``state_dict()`` before that op;
-    ``omega_every`` thins the comparison of Ω itself (everything else is
-    compared after every op) for long streams.  Returns the bucketed
-    executor.
+    two after every one, under the recorders ``hooks`` names (one of
+    :data:`HOOKS`).  ``pruning`` (the pattern ``automaton`` was built
+    from) runs the pair with deadline pruning instead:
+    :class:`FlatPruningExecutor` against ``PruningExecutor``.
+    ``reload_at`` swaps the bucketed executor for a fresh one restored
+    from its ``state_dict()`` before that op; ``omega_every`` thins the
+    comparison of Ω itself (everything else is compared after every op)
+    for long streams.  Returns the bucketed executor.
     """
-    def make(cls, guard):
-        return cls(automaton, selection="accepted", consume_mode=consume,
-                   tracer=Tracer() if traced else None, guard=guard)
+    def make(cls, guard, recorders):
+        args = (automaton,) if pruning is None else (pruning, automaton)
+        return cls(*args, selection="accepted", consume_mode=consume,
+                   guard=guard, **recorders.kwargs())
 
-    flat = make(FlatExecutor, guard and _SpyGuard(guard))
-    fast = make(SESExecutor, guard and _SpyGuard(guard))
+    flat_cls, fast_cls = ((FlatExecutor, SESExecutor) if pruning is None
+                          else (FlatPruningExecutor, PruningExecutor))
+    old_recorders, new_recorders = _Recorders(hooks), _Recorders(hooks)
+    flat = make(flat_cls, guard and _SpyGuard(guard), old_recorders)
+    fast = make(fast_cls, guard and _SpyGuard(guard), new_recorders)
     for index, (event, action) in enumerate(ops):
         if index == reload_at:
-            restored = make(SESExecutor, fast.guard)
+            restored = make(fast_cls, fast.guard, new_recorders)
             restored.load_state(fast.state_dict())
+            if pruning is not None:
+                restored.pruned_instances = fast.pruned_instances
             fast = restored
         emitted = []
-        for executor in (flat, fast):
-            if traced:
-                executor.tracer.clear()
+        for executor, recorders in ((flat, old_recorders),
+                                    (fast, new_recorders)):
+            recorders.clear()
             emitted.append(executor.expire(event) if action is None
                            else executor.feed(event, allow_start=action))
         assert by_start(emitted[0]) == by_start(emitted[1]), index
         assert flat.stats == fast.stats, index
-        if traced:
-            assert steps_of(flat.tracer) == steps_of(fast.tracer), index
+        assert old_recorders.seen() == new_recorders.seen(), index
+        if pruning is not None:
+            assert flat.pruned_instances == fast.pruned_instances, index
         if guard and action is not None:
             assert flat.guard.before == fast.guard.before, index
             assert flat.guard.trips == fast.guard.trips, index
@@ -296,7 +401,12 @@ def assert_lockstep(automaton, ops, consume="greedy", traced=False,
         if guard:
             assert flat.next_expiry_ts == fast.next_expiry_ts, index
             assert flat.guard.stats() == fast.guard.stats(), index
+    old_recorders.clear()
+    new_recorders.clear()
     assert by_start(flat.finish()) == by_start(fast.finish())
+    assert old_recorders.seen() == new_recorders.seen()
+    if hooks != "none" and fast.stats.transitions_fired:
+        assert new_recorders.total >= fast.stats.transitions_fired
     assert flat.stats == fast.stats
     assert fast.active_instances == 0 and fast.next_expiry_ts is None
     return fast
@@ -399,16 +509,38 @@ def drawn_ops(data, events):
 
 class TestBucketedEqualsFlat:
     @given(pattern=joined_patterns(), events=keyed_events(),
-           consume=st.sampled_from(CONSUME_MODES), traced=st.booleans(),
+           consume=st.sampled_from(CONSUME_MODES),
+           hooks=st.sampled_from(HOOKS), pruning=st.booleans(),
            data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_lockstep_on_random_streams(self, pattern, events, consume,
-                                        traced, data):
+                                        hooks, pruning, data):
         ops = drawn_ops(data, events)
         reload_at = data.draw(st.one_of(
             st.none(), st.integers(min_value=0, max_value=len(ops))))
-        assert_lockstep(build_automaton(pattern), ops, consume, traced,
-                        reload_at=reload_at)
+        assert_lockstep(build_automaton(pattern), ops, consume, hooks,
+                        reload_at=reload_at,
+                        pruning=pattern if pruning else None)
+
+    @pytest.mark.parametrize("pruning", (False, True))
+    @pytest.mark.parametrize("hooks", HOOKS)
+    @pytest.mark.parametrize("consume", CONSUME_MODES)
+    def test_every_mode_recorder_and_executor(self, consume, hooks, pruning):
+        """The whole grid on one stream that branches, loops, expires,
+        prunes and accepts, restored from a snapshot half way."""
+        pattern = SESPattern(
+            sets=[["a", "b+"], ["c"]],
+            conditions=["a.kind = 'A'", "b.kind = 'A'", "c.kind = 'C'",
+                        "a.k = b.k", "c.k = a.k"], tau=9)
+        events = [Event(ts=t, eid=f"e{t}", kind="AACAXA"[t % 6],
+                        k=(t // 6) % 2) for t in range(1, 49)]
+        fast = assert_lockstep(
+            build_automaton(pattern), [(e, True) for e in events], consume,
+            hooks, reload_at=20, pruning=pattern if pruning else None)
+        assert fast.stats.branchings and fast.stats.accepted_buffers
+        if consume != "contiguous":  # there a run ends before its window
+            assert fast.stats.expired_instances
+            assert not pruning or fast.pruned_instances
 
     @given(pattern=equi_joined_patterns(),
            events=keyed_events(max_events=24, kinds="AB", values=(1, 2, 3)),
@@ -561,12 +693,20 @@ def _ledger_ops(plan, rows):
 class TestLedgerStreams:
     @pytest.mark.parametrize("traced", (False, True))
     def test_serve_q1_sparse(self, traced):
+        self.serve_q1_sparse("tracer" if traced else "none")
+
+    @pytest.mark.parametrize("hooks", ("flight", "flight+lineage"))
+    def test_serve_q1_sparse_recorded(self, hooks):
+        self.serve_q1_sparse(hooks)
+
+    @staticmethod
+    def serve_q1_sparse(hooks):
         workloads = pytest.importorskip("ledger.workloads")
         from ledger.streams import chemo_stream
         plan = compile_plan(parse_pattern(workloads.Q1))
         fast = assert_lockstep(
             plan.automaton, _ledger_ops(plan, chemo_stream(1, 2400, 24)),
-            traced=traced, omega_every=41)
+            hooks=hooks, omega_every=41)
         assert fast.stats.accepted_buffers > 20
 
     def test_serve_reg25_dense(self):

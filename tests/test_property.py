@@ -350,6 +350,97 @@ class TestStepTableLockstep:
             len(events), 2 ** len(automaton.event_alphabet))
 
 
+# ----------------------------------------------------------------------
+# Θδ's binding half, bound to rows when the transition is built
+# ----------------------------------------------------------------------
+def _interpreted_bindings(transition, event, buffer):
+    """``Transition.admits_bindings`` as it read before the rows (commit
+    d1b70df): each anchored condition interpreted per partner event."""
+    for other, anchored in transition.checks:
+        if other is None:
+            continue
+        for partner in buffer.events_of(other):
+            if not anchored.evaluate_events(event, partner):
+                return False
+    return True
+
+
+#: Mixed types, values equal across types, ``nan``, ``None``; ``_GONE``
+#: leaves the attribute out.
+_GONE = object()
+_ROW_VALUES = (1, 1.0, True, 2, -3, "s", "1", None, float("nan"), (1,), _GONE)
+
+
+@st.composite
+def _row_events(draw, eid):
+    attrs = {}
+    for name in ("x", "y"):
+        value = draw(st.sampled_from(_ROW_VALUES))
+        if value is not _GONE:
+            attrs[name] = value
+    return Event(ts=draw(st.integers(min_value=0, max_value=5)), eid=eid,
+                 **attrs)
+
+
+@st.composite
+def _binding_cases(draw):
+    """A transition binding ``v`` whose conditions compare ``v`` with a
+    singleton ``u`` and a group ``g+`` — either way round, on ``x``, ``y``
+    or the time attribute ``T`` — beside a constant and a self condition
+    (the event-only half, not ``admits_bindings``' business); a buffer
+    that binds none, one or both partners; and an event."""
+    from repro.automaton.buffer import MatchBuffer
+    from repro.core.conditions import OPERATORS, Attr, Condition, Const
+    v, u, g = var("v"), var("u"), group("g")
+    conditions = [Condition(Attr(v, "x"), "=", Const(1)),
+                  Condition(Attr(v, "x"), "<=", Attr(v, "y"))]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        mine = Attr(v, draw(st.sampled_from(("x", "y", "T"))))
+        theirs = Attr(draw(st.sampled_from((u, g))),
+                      draw(st.sampled_from(("x", "y", "T"))))
+        left, right = draw(st.permutations((mine, theirs)))
+        conditions.append(Condition(
+            left, draw(st.sampled_from(sorted(OPERATORS))), right))
+    buffer = MatchBuffer()
+    if draw(st.booleans()):
+        buffer = buffer.extend(u, draw(_row_events("u0")))
+    for i in range(draw(st.integers(min_value=0, max_value=3))):
+        buffer = buffer.extend(g, draw(_row_events(f"g{i}")))
+    source = frozenset(buffer.by_var)
+    return Transition(source, v, conditions), draw(_row_events("new")), buffer
+
+
+class TestBindingRows:
+    @given(case=_binding_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_rows_decide_what_the_conditions_decide(self, case):
+        transition, event, buffer = case
+        assert (transition.admits_bindings(event, buffer)
+                is _interpreted_bindings(transition, event, buffer))
+        assert len(transition.binding_rows) == sum(
+            other is not None for other, _ in transition.checks)
+
+    def test_rows_are_bound_when_the_transition_is_built(self):
+        import operator
+        from repro.core.conditions import parse_condition
+        names = {"a": var("a"), "p": group("p"), "c": var("c")}
+        transition = Transition(
+            frozenset({names["a"], names["p"]}), names["c"],
+            [parse_condition(text, names) for text in
+             ("c.L = 'C'", "a.ID = c.ID", "p.T < c.T", "c.V >= p.U")])
+        assert transition.binding_rows == (
+            (names["a"], "ID", operator.eq, "ID"),
+            (names["p"], "T", operator.gt, "T"),
+            (names["p"], "V", operator.ge, "U"))
+
+    def test_no_interpretation_left_under_admits_bindings(self):
+        """No ``Condition.evaluate_events``, no ``Event.get``: the rows
+        are walked against the buffer's and the events' own dicts."""
+        names = Transition.admits_bindings.__code__.co_names
+        assert "evaluate_events" not in names and "get" not in names
+        assert "events_of" not in names and "_binding_rows" in names
+
+
 class TestUnfilteredExecutor:
     @given(pattern=joined_patterns(), relation=keyed_relations())
     @settings(max_examples=80, deadline=None)
