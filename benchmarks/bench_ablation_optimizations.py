@@ -22,14 +22,14 @@ import pytest
 import repro
 from repro.automaton.builder import build_automaton
 from repro.automaton.executor import SESExecutor
-from repro.automaton.filtering import EventFilter
 from repro.data import pattern_p3
 
 
 @pytest.mark.parametrize("filtered", [False, True], ids=["wo-filter", "with-filter"])
 class TestExecutorVariants:
     def _filter(self, filtered):
-        return EventFilter(pattern_p3()) if filtered else None
+        return (repro.compile(pattern_p3()).filter_handle()
+                if filtered else None)
 
     def test_plain(self, benchmark, exp23_base, filtered):
         automaton = build_automaton(pattern_p3())

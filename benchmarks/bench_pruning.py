@@ -11,10 +11,10 @@ plain executor's.
 
 import pytest
 
+import repro
 from repro import SESPattern
 from repro.automaton.builder import build_automaton
 from repro.automaton.executor import SESExecutor
-from repro.automaton.filtering import EventFilter
 from repro.automaton.pruning import PruningExecutor
 from repro.data import base_dataset, query_q1
 
@@ -37,7 +37,7 @@ def relation():
 def test_pruning_runtime(benchmark, relation, variant, which):
     pattern = query_q1() if which == "q1" else TIGHT
     automaton = build_automaton(pattern)
-    event_filter = EventFilter(pattern)
+    event_filter = repro.compile(pattern).filter_handle()
     if variant == "plain":
         executor = SESExecutor(automaton, event_filter=event_filter,
                                selection="accepted")

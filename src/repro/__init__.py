@@ -56,7 +56,6 @@ from .core.variables import Variable, group, var
 from .automaton.automaton import SESAutomaton
 from .automaton.builder import build_automaton
 from .automaton.executor import MatchResult, SESExecutor, execute
-from .automaton.filtering import EventFilter
 
 from .explain import (ExplainReport, StatsStore, clear_stats_store, explain,
                       explain_analyze, stats_store)
@@ -84,7 +83,6 @@ __all__ = [
     "ContinuousMatcher",
     "DeadLetterQueue",
     "Event",
-    "EventFilter",
     "EventRelation",
     "EventSchema",
     "ExplainReport",

@@ -4,7 +4,6 @@ from .automaton import AutomatonError, SESAutomaton
 from .buffer import MatchBuffer
 from .builder import build_automaton, build_set_automaton, concatenate
 from .executor import MatchResult, SESExecutor, execute
-from .filtering import EventFilter
 from .instance import AutomatonInstance
 from .metrics import ExecutionStats, sparkline
 from .minimize import TrimReport, trim
@@ -15,7 +14,7 @@ from .trace import TraceStep, Tracer, format_trace
 from .transitions import Transition
 
 __all__ = [
-    "AutomatonError", "AutomatonInstance", "EventFilter", "ExecutionStats",
+    "AutomatonError", "AutomatonInstance", "ExecutionStats",
     "DeadlineTable", "MatchBuffer", "MatchResult",
     "PruningExecutor",
     "SESAutomaton", "SESExecutor", "State", "TrimReport",

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from ..core.conditions import OPERATORS
 from ..core.events import Event
+from ..core.predicates import PredicateBank
 from ..core.variables import Variable
 from .states import State, state_label, state_sort_key
 from .transitions import Transition
@@ -25,9 +25,6 @@ __all__ = ["SESAutomaton", "AutomatonError", "StateProbe", "EventPredicate",
 #: ledger's: one per label the pattern mentions, plus "none").  Past
 #: the cap a new class has its rows built for the event and dropped.
 STEP_TABLE_CAP = 1024
-
-#: Default of ``event.get``: no comparison is attempted against it.
-_ABSENT = object()
 
 
 class AutomatonError(ValueError):
@@ -159,7 +156,8 @@ class SESAutomaton:
         self._rank: Optional[Dict[State, int]] = None
         # Event alphabet and step table: built when the first event is
         # classified, so compiling a plan pays for neither.
-        self._alphabet: Optional[Tuple[EventPredicate, ...]] = None
+        self._bank: Optional[PredicateBank] = None
+        self._alphabet: Tuple[EventPredicate, ...] = ()
         self._step_table: Dict[int, _StepRows] = {}
 
     #: How many event classes :meth:`step_rows` memoises (a subclass
@@ -169,80 +167,43 @@ class SESAutomaton:
     # ------------------------------------------------------------------
     # Event alphabet and step table
     # ------------------------------------------------------------------
-    def _build_alphabet(self) -> None:
-        """Collect the distinct event-only checks of all transitions."""
-        predicates: Dict[object, EventPredicate] = {}
-        by_attribute: Dict[str, list] = {}
-        self_tests = []
+    def _build_alphabet(self) -> PredicateBank:
+        """Intern the event-only checks of all transitions."""
+        bank = PredicateBank()
+        alphabet: List[EventPredicate] = []
         for transition in self.transitions:
-            for other, anchored in transition.checks:
-                if other is not None:
-                    continue
-                attribute, op = anchored.left.attribute, anchored.op
-                if anchored.is_constant:
-                    value = anchored.right.value
-                    key = ("const", attribute, op, value)
-                    text = f"{attribute} {op} {value!r}"
-                else:
-                    key = ("self", attribute, op, anchored.right.attribute)
-                    text = f"{attribute} {op} {anchored.right.attribute}"
-                try:
-                    predicate = predicates.get(key)
-                except TypeError:  # unhashable constant: only itself
-                    key = ("const-id", attribute, op, id(value))
-                    predicate = predicates.get(key)
-                if predicate is None:
-                    predicate = predicates[key] = EventPredicate(
-                        text, 1 << len(predicates))
-                    if anchored.is_constant:
-                        by_attribute.setdefault(attribute, []).append(
-                            (predicate.bit, OPERATORS[op], value))
-                    else:
-                        self_tests.append((predicate.bit, anchored))
-                readers = predicate.readers
+            for anchored in transition.event_checks:
+                pid = bank.intern(anchored)
+                if pid == len(alphabet):
+                    alphabet.append(EventPredicate(bank.text(pid), 1 << pid))
+                readers = alphabet[pid].readers
                 if not readers or readers[-1] is not transition:
                     readers.append(transition)
-        self._const_tests = tuple(
-            (attribute, tuple(tests))
-            for attribute, tests in by_attribute.items())
-        self._self_tests = tuple(self_tests)
-        self._alphabet = tuple(predicates.values())
+        self._alphabet = tuple(alphabet)
+        self._bank = bank
+        return bank
 
     @property
     def event_alphabet(self) -> Tuple[EventPredicate, ...]:
         """The distinct conditions on the event alone — constant and
-        self conditions — across all transitions, deduplicated the way
-        :class:`~repro.registry.bank.PredicateBank` deduplicates them
-        for admission.  Their truth values on an event are all the
+        self conditions — across all transitions, as the automaton's
+        private :class:`~repro.core.predicates.PredicateBank` interned
+        them (the registry's shared bank deduplicates the same way for
+        admission).  Their truth values on an event are all the
         transitions' :meth:`~Transition.admits_event` can depend on."""
-        if self._alphabet is None:
+        if self._bank is None:
             self._build_alphabet()
         return self._alphabet
 
     def classify(self, event: Event) -> int:
-        """The event's class: one bit per :attr:`event_alphabet`
-        predicate, each evaluated once, with
-        :meth:`Condition.evaluate_events
-        <repro.core.conditions.Condition.evaluate_events>`' semantics (a
-        missing attribute and an incomparable value are ``False``)."""
-        if self._alphabet is None:
-            self._build_alphabet()
-        cls = 0
-        get = event.get
-        for attribute, tests in self._const_tests:
-            value = get(attribute, _ABSENT)
-            if value is _ABSENT:
-                continue
-            for bit, op, constant in tests:
-                try:
-                    if op(value, constant):
-                        cls |= bit
-                except TypeError:
-                    pass
-        for bit, condition in self._self_tests:
-            if condition.evaluate_events(event, event):
-                cls |= bit
-        return cls
+        """The event's class: the alphabet bank's
+        :meth:`~repro.core.predicates.PredicateBank.truth`, one bit per
+        :attr:`event_alphabet` predicate, each evaluated once (a missing
+        attribute and an incomparable value are ``False``)."""
+        bank = self._bank
+        if bank is None:
+            bank = self._build_alphabet()
+        return bank.truth(event)
 
     def step_rows(self, event: Event) -> Dict[State, Optional[StepRow]]:
         """The step table's rows for ``event``: ``rows[state]`` is the
@@ -255,7 +216,10 @@ class SESAutomaton:
         :meth:`~Transition.admits_event`, and shared by every executor
         running this automaton.
         """
-        cls = self.classify(event)
+        bank = self._bank
+        if bank is None:
+            bank = self._build_alphabet()
+        cls = bank.truth(event)
         rows = self._step_table.get(cls)
         if rows is None:
             rows = _StepRows(self, event)

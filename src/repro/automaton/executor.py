@@ -76,7 +76,6 @@ from ..core.semantics import SELECTIONS, select
 from ..core.substitution import Substitution
 from .automaton import SESAutomaton, StateProbe, StepRow
 from .buffer import EMPTY_BUFFER, MatchBuffer
-from .filtering import EventFilter
 from .instance import AutomatonInstance
 from .metrics import ExecutionStats
 from .states import State
@@ -256,8 +255,9 @@ class SESExecutor:
     automaton:
         The SES automaton to run.
     event_filter:
-        Optional :class:`~repro.automaton.filtering.EventFilter` applied to
-        every input event before the instance loop (Section 4.5).
+        Optional Section 4.5 pre-filter, asked ``admits(event)`` for
+        every input event before the instance loop — a plan's
+        :meth:`~repro.plan.plan.PatternPlan.filter_handle`.
     selection:
         ``"paper"`` (default) post-filters accepted buffers with
         Definition 2's conditions 4–5 and suppresses overlapping later
@@ -275,7 +275,7 @@ class SESExecutor:
     visits_every_instance = False
 
     def __init__(self, automaton: SESAutomaton,
-                 event_filter: Optional[EventFilter] = None,
+                 event_filter=None,
                  selection: str = "paper",
                  expire_on_filtered: bool = False,
                  consume_mode: str = "greedy",
@@ -383,7 +383,6 @@ class SESExecutor:
         """Clear all execution state for a fresh run."""
         self._buckets: Dict[State, _Bucket] = {}
         self._count = 0
-        self._accepted: List[Substitution] = []
         self._accepted_during_consume: List[Substitution] = []
         self._next_expiry = None
         self._expiry_stale = False
@@ -466,11 +465,6 @@ class SESExecutor:
         if bucket.probe is not None:
             for instance in arrivals:
                 bucket.file(instance)
-
-    @property
-    def accepted_buffers(self) -> List[Substitution]:
-        """All buffers accepted so far (raw, before result selection)."""
-        return list(self._accepted)
 
     # ------------------------------------------------------------------
     # Incremental execution
@@ -652,7 +646,6 @@ class SESExecutor:
             stats.observe_omega(self._count)
             if self.flight is not None:
                 self.flight.sample_omega(ts, self._count)
-        self._accepted.extend(accepted_now)
         return accepted_now
 
     def _cut_expired(self, bucket: _Bucket, ts) -> List[AutomatonInstance]:
@@ -880,7 +873,6 @@ class SESExecutor:
                 if self._hooks:
                     self._emit("flush", None, instance)
         self.replace_instances(())
-        self._accepted.extend(accepted_now)
         return accepted_now
 
     # ------------------------------------------------------------------
@@ -890,16 +882,17 @@ class SESExecutor:
         """Snapshot the execution state for checkpoint/restore.
 
         Captures Ω (as ``(state, buffer)`` pairs — both immutable — in
-        the order of :meth:`instances`), the accepted buffers, the last-processed timestamp and a deep
-        copy of the counters.  Restoring the snapshot into a fresh
-        executor over the same automaton and then feeding the same
-        suffix of events reproduces the run exactly (execution is
-        deterministic in the event sequence).
+        the order of :meth:`instances`), the last-processed timestamp
+        and a deep copy of the counters: what the run still needs, not
+        the buffers :meth:`feed` already returned (those are the
+        caller's).  Restoring the snapshot into a fresh executor over
+        the same automaton and then feeding the same suffix of events
+        reproduces the run exactly (execution is deterministic in the
+        event sequence).
         """
         snapshot = {
             "omega": [(instance.state, instance.buffer)
                       for instance in self.instances()],
-            "accepted": list(self._accepted),
             "last_ts": self._last_ts,
             "stats": copy.deepcopy(self.stats),
         }
@@ -911,7 +904,6 @@ class SESExecutor:
         """Restore a :meth:`state_dict` snapshot (inverse of it)."""
         self.replace_instances(AutomatonInstance(q, beta)
                                for q, beta in state["omega"])
-        self._accepted = list(state["accepted"])
         self._accepted_during_consume = []
         self._last_ts = state["last_ts"]
         self.stats = copy.deepcopy(state["stats"])
@@ -930,13 +922,14 @@ class SESExecutor:
         execution leading up to the failure.
         """
         self.reset()
+        accepted: List[Substitution] = []
         current: Optional[Event] = None
         try:
             for event in events:
                 current = event
-                self.feed(event)
+                accepted += self.feed(event)
             current = None
-            self.finish()
+            accepted += self.finish()
         except Exception as exc:
             if self.flight is not None and not hasattr(exc, "flight_dump"):
                 self.flight.note_crash(
@@ -957,14 +950,14 @@ class SESExecutor:
                 self._agg.matches_folded, self._agg.max_groups)
             return MatchResult(matches=[], accepted=[], stats=self.stats,
                                aggregates=self.aggregate_result())
-        matches = self.select(self._accepted)
+        matches = self.select(accepted)
         self.stats.matches = len(matches)
         self.publish_stats()
         logger.debug(
             "run complete: %d events, %d accepted, %d matches, max|Ω|=%d",
             self.stats.events_read, self.stats.accepted_buffers,
             self.stats.matches, self.stats.max_simultaneous_instances)
-        return MatchResult(matches=matches, accepted=list(self._accepted),
+        return MatchResult(matches=matches, accepted=accepted,
                            stats=self.stats)
 
     def select(self, accepted: Sequence[Substitution]) -> List[Substitution]:
@@ -1014,7 +1007,7 @@ class SESExecutor:
 
 
 def execute(automaton: SESAutomaton, events: Iterable[Event],
-            event_filter: Optional[EventFilter] = None,
+            event_filter=None,
             selection: str = "paper") -> MatchResult:
     """One-shot convenience wrapper around :class:`SESExecutor`."""
     executor = SESExecutor(automaton, event_filter=event_filter,

@@ -35,7 +35,6 @@ from ..core.events import Event
 from ..core.pattern import SESPattern
 from .automaton import SESAutomaton, StepRow
 from .executor import SESExecutor
-from .filtering import EventFilter
 from .instance import AutomatonInstance
 from .states import State
 
@@ -122,7 +121,7 @@ class PruningExecutor(SESExecutor):
     visits_every_instance = True
 
     def __init__(self, pattern: SESPattern, automaton: SESAutomaton,
-                 event_filter: Optional[EventFilter] = None,
+                 event_filter=None,
                  selection: str = "paper", tick: int = 1, **kwargs):
         super().__init__(automaton, event_filter=event_filter,
                          selection=selection, **kwargs)

@@ -85,6 +85,15 @@ class Transition:
         return self._checks
 
     @property
+    def event_checks(self) -> Tuple[Condition, ...]:
+        """The half of ``Θδ`` on the new event alone — constant and self
+        conditions, anchored with :attr:`variable` on the left — in
+        :attr:`checks` order.  :meth:`admits_event` evaluates them; the
+        automaton's event alphabet and the registry's start gate intern
+        them into a :class:`~repro.core.predicates.PredicateBank`."""
+        return self._event_checks
+
+    @property
     def binding_rows(self) -> Tuple:
         """The binding half of ``Θδ``, one row per check against a
         partner variable: ``(partner variable, attribute of the new

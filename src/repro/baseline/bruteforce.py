@@ -15,17 +15,17 @@ instance population — the quantity Figure 11 and Table 1 report.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Union
 
 from ..automaton.builder import build_automaton
 from ..automaton.executor import MatchResult, SESExecutor
-from ..automaton.filtering import EventFilter
 from ..automaton.metrics import ExecutionStats
 from ..core.events import Event
 from ..core.pattern import PatternError, SESPattern
 from ..core.relation import EventRelation
 from ..core.semantics import select
 from ..core.substitution import Substitution
+from ..plan.prefilter import VectorizedPrefilter
 from .sequences import enumerate_sequences, sequence_pattern
 
 __all__ = ["BruteForceMatcher", "brute_force_match"]
@@ -61,9 +61,9 @@ class BruteForceMatcher:
             )
         self.pattern = pattern
         self.selection = selection
-        self.event_filter: Optional[EventFilter] = (
-            EventFilter(pattern, mode=filter_mode) if use_filter else None
-        )
+        self.event_filter = (
+            VectorizedPrefilter(pattern, filter_mode).handle()
+            if use_filter else None)
         self.automata = [
             build_automaton(sequence_pattern(pattern, sequence))
             for sequence in enumerate_sequences(pattern)
@@ -77,6 +77,8 @@ class BruteForceMatcher:
     def run(self, relation: Union[EventRelation, Iterable[Event]]) -> MatchResult:
         """Execute all sequential automata in parallel over ``relation``."""
         executors = [SESExecutor(a, selection="accepted") for a in self.automata]
+        # Each automaton's accepted buffers, in the order it emitted them.
+        accepted_by: List[List[Substitution]] = [[] for _ in executors]
         stats = ExecutionStats()
         for event in relation:
             stats.events_read += 1
@@ -84,13 +86,13 @@ class BruteForceMatcher:
                 stats.events_filtered += 1
                 continue
             stats.events_processed += 1
-            for executor in executors:
-                executor.feed(event)
+            for executor, buffers in zip(executors, accepted_by):
+                buffers += executor.feed(event)
             stats.observe_omega(sum(e.active_instances for e in executors))
         accepted: List[Substitution] = []
-        for executor in executors:
-            executor.finish()
-            accepted.extend(executor.accepted_buffers)
+        for executor, buffers in zip(executors, accepted_by):
+            accepted += buffers
+            accepted += executor.finish()
             stats.instances_created += executor.stats.instances_created
             stats.transitions_fired += executor.stats.transitions_fired
             stats.branchings += executor.stats.branchings

@@ -81,14 +81,14 @@ def conditions_conflict(c1: Condition, c2: Condition) -> bool:
     # Equality vs equality: conflicting iff the constants differ.
     if op1 == "=" and op2 == "=":
         return not _values_equal(k1, k2)
-    # Equality vs inequality and the rest need comparability.
-    if op1 == "=":
-        return _point_violates(k1, op2, k2)
-    if op2 == "=":
-        return _point_violates(k2, op1, k1)
+    # ``!=`` excludes one point: it conflicts only with that point.
+    if "!=" in (op1, op2):
+        return "=" in (op1, op2) and _values_equal(k1, k2)
+    # The rest is ordering, which needs comparability.
     if not _comparable(k1, k2):
         return False
-    # Both one-sided ranges: conflict iff they bound an empty interval.
+    # Ranges (a point being the closed range [k, k]): conflict iff they
+    # bound an empty interval.
     lower1, upper1 = _range_of(op1, k1)
     lower2, upper2 = _range_of(op2, k2)
     lower = _max_bound(lower1, lower2)
@@ -111,25 +111,11 @@ def _values_equal(a: Any, b: Any) -> bool:
         return False
 
 
-def _point_violates(point: Any, op: str, constant: Any) -> bool:
-    """True iff the fixed value ``point`` cannot satisfy ``A op constant``."""
-    if op == "=":
-        return not _values_equal(point, constant)
-    if op == "!=":
-        return _values_equal(point, constant)
-    if not _comparable(point, constant):
-        return False
-    from ..core.conditions import OPERATORS
-    try:
-        return not OPERATORS[op](point, constant)
-    except TypeError:  # pragma: no cover — _comparable screens this
-        return False
-
-
 def _range_of(op: str, k: Any) -> Tuple[Optional[Tuple[Any, bool]],
                                         Optional[Tuple[Any, bool]]]:
     """Interval ``(lower, upper)`` implied by ``A op k``; bounds are
-    ``(value, strict)`` or ``None`` for unbounded.  ``!=`` is unbounded."""
+    ``(value, strict)`` or ``None`` for unbounded; ``=`` is the point
+    ``[k, k]``."""
     if op == "<":
         return None, (k, True)
     if op == "<=":
@@ -138,7 +124,7 @@ def _range_of(op: str, k: Any) -> Tuple[Optional[Tuple[Any, bool]],
         return (k, True), None
     if op == ">=":
         return (k, False), None
-    return None, None  # "!=" excludes a point only
+    return (k, False), (k, False)  # "="
 
 
 def _max_bound(a, b):

@@ -75,6 +75,12 @@ MatchCallback = Callable[[Match], None]
 #: Seconds between liveness checks while waiting on a queue.
 _POLL_SECONDS = 0.2
 
+#: Events a shard handles between sweeps for idle partitions: a key
+#: silent for more than τ with nothing in flight gives its matcher (and
+#: child metrics bundle) back, so a shard holds — and checkpoints — the
+#: keys of the last window, not every key it has ever seen.
+_COLLECT_EVERY = 1024
+
 
 # ----------------------------------------------------------------------
 # Worker side (runs in the shard processes)
@@ -141,7 +147,7 @@ def _shard_worker(shard_id: int, plan, attribute: str,
         if runtime is not None and runtime.state is not None:
             from ..resilience.checkpoint import restore_state
             restore_state(matcher, runtime.state)
-        since_checkpoint = 0
+        since_checkpoint = since_collect = 0
         while True:
             message = in_queue.get()
             kind = message[0]
@@ -158,19 +164,25 @@ def _shard_worker(shard_id: int, plan, attribute: str,
                 if injector is not None:
                     current_event = injector.before(seq, current_event)
                 reported = matcher.push(current_event)
+                now = current_event.ts
                 current_event = None
                 current_seq = None
                 events_seen = seq
                 if reported:
                     out_queue.put(("m", shard_id, seq,
                                    [encode_substitution(s) for s in reported]))
-                if checkpoint_every:
-                    since_checkpoint += 1
-                    if since_checkpoint >= checkpoint_every:
-                        since_checkpoint = 0
-                        from ..resilience.checkpoint import snapshot_state
-                        out_queue.put(("ckpt", shard_id, seq,
-                                       snapshot_state(matcher)))
+                since_collect += 1
+                since_checkpoint += 1
+                checkpoint = since_checkpoint == checkpoint_every
+                if checkpoint or since_collect >= _COLLECT_EVERY:
+                    # (A checkpoint holds the partitions still live.)
+                    since_collect = 0
+                    matcher.collect(now)
+                if checkpoint:
+                    since_checkpoint = 0
+                    from ..resilience.checkpoint import snapshot_state
+                    out_queue.put(("ckpt", shard_id, seq,
+                                   snapshot_state(matcher)))
             elif kind == "flush":
                 out_queue.put(("flushed", shard_id, message[1], events_seen,
                                None if guard is None else guard.stats()))

@@ -1,22 +1,27 @@
 """The Section 4.5 constant-condition pre-filter, compiled.
 
-:class:`~repro.automaton.filtering.EventFilter` re-derives the
-per-variable constant conditions from the pattern on every construction
-and evaluates them condition-object-by-condition-object per event.
-:class:`VectorizedPrefilter` compiles the same conditions **once** into
-per-attribute predicate vectors ``(attribute, op, constant)`` and offers
-two evaluation paths:
+Events that satisfy none of the constant conditions ``v.A φ C`` of a
+pattern can never be bound by any transition, yet in Algorithm 1 every
+input event causes an iteration over all active automaton instances.
+The paper therefore filters such events out right after they are read,
+which its Experiment 3 shows to cut execution time by about an order of
+magnitude.  Filtering does not change the set of accepted buffers, only
+the number of instance-loop iterations.
 
-* :meth:`admission_mask` — columnar batch evaluation: each attribute's
-  "column" is walked once over the whole event batch, every predicate on
-  that attribute is applied in the same pass, and the per-predicate bit
-  masks (``bit i`` = event ``i``) are combined with ``&``/``|`` exactly
-  as the filter's boolean structure dictates.  The result is one Python
-  big-int admission mask computed *before* the per-event instance loop.
-* :meth:`admits` — the scalar per-event check, identical in outcome to
-  :meth:`EventFilter.admits` (missing attributes and incomparable values
-  count as ``False``; the ``"paper"`` mode disables itself when any
-  variable carries no constant condition).
+:class:`VectorizedPrefilter` interns a pattern's constant conditions
+**once** into a private :class:`~repro.core.predicates.PredicateBank`
+(equal predicates written for different variables share a slot) and
+offers two evaluation paths over it:
+
+* :meth:`admission_mask` — columnar batch evaluation: the bank walks
+  each attribute's "column" once over the whole event batch, and the
+  per-predicate bit masks (``bit i`` = event ``i``) are combined with
+  ``&``/``|`` exactly as the filter's boolean structure dictates.  The
+  result is one Python big-int admission mask computed *before* the
+  per-event instance loop.
+* :meth:`admits` — the scalar per-event check, the same decision read
+  off the bank's truth vector for one event (missing attributes and
+  incomparable values count as ``False``).
 
 Plans are shared (cached, pickled to workers), so the prefilter itself
 is never mutated at match time; per-use state — metric binding, the
@@ -26,20 +31,17 @@ sequential mask cursor — lives in the small :class:`PrefilterHandle` and
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Tuple
 
-from ..core.conditions import OPERATORS
 from ..core.events import Event
 from ..core.pattern import SESPattern
+from ..core.predicates import AdmissionSpec, PredicateBank
 
 __all__ = ["VectorizedPrefilter", "PrefilterHandle", "MaskCursor",
            "FILTER_MODES"]
 
-#: Supported filter modes (see :mod:`repro.automaton.filtering`).
+#: Supported filter modes (see :class:`VectorizedPrefilter`).
 FILTER_MODES = ("paper", "conjunctive")
-
-#: Sentinel distinguishing "attribute absent" from any real value.
-_MISSING = object()
 
 #: One compiled predicate: ``(attribute, operator name, constant)``.
 Predicate = Tuple[str, str, object]
@@ -51,44 +53,34 @@ def popcount(mask: int) -> int:
 
 
 class VectorizedPrefilter:
-    """A pattern's constant conditions, compiled to predicate vectors.
+    """A pattern's constant conditions, compiled for one filter mode.
 
-    The boolean structure mirrors :class:`EventFilter` exactly:
-
-    * ``"conjunctive"`` — an event passes iff *some variable's* predicates
-      all hold (a variable without constant conditions admits everything);
-    * ``"paper"`` — an event passes iff *any* predicate holds, but only
-      when every variable has at least one constant condition (otherwise
-      the filter is a pass-through, like the published filter).
+    * ``"conjunctive"`` (default) — an event passes iff there is *some
+      variable* all of whose constant conditions it satisfies.  Always
+      sound (a variable without constant conditions admits everything)
+      and never weaker than the paper mode.
+    * ``"paper"`` — the filter exactly as published: an event passes iff
+      it satisfies *at least one* constant condition from Θ.  Only sound
+      when every variable carries a constant condition (otherwise events
+      meant for an unconstrained variable would be dropped); when one
+      has none, the filter disables itself and passes everything.
     """
 
     def __init__(self, pattern: SESPattern, mode: str = "conjunctive"):
         if mode not in FILTER_MODES:
             raise ValueError(f"unknown filter mode {mode!r}")
         self.mode = mode
-        predicates: List[Predicate] = []
-        groups: List[Tuple[int, ...]] = []
-        for variable in sorted(pattern.variables):
-            ids = []
-            for condition in pattern.constant_conditions(variable):
-                ids.append(len(predicates))
-                predicates.append((condition.left.attribute, condition.op,
-                                   condition.right.value))
-            groups.append(tuple(ids))
-        self._predicates: Tuple[Predicate, ...] = tuple(predicates)
-        self._groups: Tuple[Tuple[int, ...], ...] = tuple(groups)
-        # Predicate ids per attribute: the columnar layout.
-        by_attribute: Dict[str, List[int]] = {}
-        for pid, (attribute, _, _) in enumerate(self._predicates):
-            by_attribute.setdefault(attribute, []).append(pid)
-        self._by_attribute: Tuple[Tuple[str, Tuple[int, ...]], ...] = tuple(
-            (attribute, tuple(ids))
-            for attribute, ids in by_attribute.items())
-        unconstrained = any(not ids for ids in groups)
-        if mode == "paper" and unconstrained:
-            self._effective = False
-        else:
-            self._effective = bool(groups)
+        self._predicates: Tuple[Predicate, ...] = tuple(
+            (condition.left.attribute, condition.op, condition.right.value)
+            for variable in sorted(pattern.variables)
+            for condition in pattern.constant_conditions(variable))
+        self._bank = PredicateBank()
+        self._spec = AdmissionSpec(self._bank, pattern)
+        # ``spec.always``: some variable is unconstrained (or there is
+        # none) — every event passes, and the paper filter says so by
+        # calling itself ineffective.
+        self._effective = (not self._spec.always if mode == "paper"
+                           else bool(pattern.variables))
 
     @property
     def is_effective(self) -> bool:
@@ -97,84 +89,36 @@ class VectorizedPrefilter:
 
     @property
     def predicates(self) -> Tuple[Predicate, ...]:
-        """The compiled ``(attribute, op, constant)`` predicate vector."""
+        """The pattern's ``(attribute, op, constant)`` predicates, one
+        per constant condition in variable order (the bank evaluates
+        each distinct one once)."""
         return self._predicates
 
-    # ------------------------------------------------------------------
-    # Scalar path (streaming, incremental executors)
-    # ------------------------------------------------------------------
     def admits(self, event: Event) -> bool:
-        """True iff ``event`` may be relevant to some variable."""
-        if not self._effective:
+        """True iff ``event`` may be relevant to some variable (the
+        scalar path: streaming, incremental executors)."""
+        spec = self._spec
+        if spec.always:
             return True
-        predicates = self._predicates
-        if self.mode == "paper":
-            return any(self._holds(predicates[pid], event)
-                       for pid in range(len(predicates)))
-        for ids in self._groups:
-            if all(self._holds(predicates[pid], event) for pid in ids):
-                return True
-        return False
+        truth = self._bank.truth(event)
+        return truth != 0 if self.mode == "paper" else spec.admitted(truth)
 
-    @staticmethod
-    def _holds(predicate: Predicate, event: Event) -> bool:
-        attribute, op, constant = predicate
-        value = event.get(attribute, _MISSING)
-        if value is _MISSING:
-            return False
-        try:
-            return bool(OPERATORS[op](value, constant))
-        except TypeError:
-            return False
-
-    # ------------------------------------------------------------------
-    # Columnar path (batch execution)
-    # ------------------------------------------------------------------
     def admission_mask(self, events) -> int:
-        """The admission bitmask over an event batch (bit i = event i).
-
-        Each attribute column is walked once; all predicates on that
-        attribute evaluate in the same pass.  Per-predicate masks then
-        combine AND-within-variable / OR-across-variables (conjunctive)
-        or OR-over-everything (paper), matching :meth:`admits` bit for
-        bit.
-        """
+        """The admission bitmask over an event batch (bit i = event i):
+        the bank's per-predicate columns combined AND-within-variable /
+        OR-across-variables (conjunctive) or OR-over-everything (paper),
+        matching :meth:`admits` bit for bit."""
         n = len(events)
         full = (1 << n) - 1
-        if not self._effective or not n:
+        if self._spec.always or not n:
             return full
-        masks = [0] * len(self._predicates)
-        operators = OPERATORS
-        predicates = self._predicates
-        for attribute, ids in self._by_attribute:
-            bit = 1
-            for event in events:
-                value = event.get(attribute, _MISSING)
-                if value is not _MISSING:
-                    for pid in ids:
-                        op, constant = predicates[pid][1], predicates[pid][2]
-                        try:
-                            if operators[op](value, constant):
-                                masks[pid] |= bit
-                        except TypeError:
-                            pass
-                bit <<= 1
+        columns = self._bank.truth_columns(events)
         if self.mode == "paper":
             out = 0
-            for mask in masks:
-                out |= mask
+            for column in columns:
+                out |= column
             return out
-        out = 0
-        for ids in self._groups:
-            if not ids:
-                return full  # an unconstrained variable admits everything
-            group = full
-            for pid in ids:
-                group &= masks[pid]
-            out |= group
-            if out == full:
-                break
-        return out
+        return self._spec.admitted_mask(columns, full)
 
     # ------------------------------------------------------------------
     # Per-use adapters
@@ -219,11 +163,7 @@ class _FilterAdapter:
         raise NotImplementedError
 
     def bind_metrics(self, registry) -> "_FilterAdapter":
-        """Report admitted/rejected counts to an obs registry.
-
-        Same counter names as :class:`EventFilter`, so instrumented runs
-        look identical whichever filter implementation served them.
-        """
+        """Report admitted/rejected counts to an obs registry."""
         self._admitted_counter = registry.counter(
             "ses_filter_admitted_total",
             help="events admitted by the Section 4.5 pre-filter")

@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Union
 
 from ..automaton.executor import MatchResult
-from ..automaton.filtering import EventFilter
 from ..automaton.optimizations import partition_attribute
 from ..complexity import ComplexityReport, analyze
 from ..core.events import Event
 from ..core.pattern import SESPattern
 from ..core.relation import EventRelation
+from ..plan.prefilter import VectorizedPrefilter
 
 __all__ = ["DataProfile", "QueryPlan", "profile_relation", "plan_query"]
 
@@ -69,7 +69,7 @@ def profile_relation(pattern: SESPattern,
     The filter selectivity is estimated on the first ``sample`` events;
     the window size is computed exactly (O(n log n)).
     """
-    event_filter = EventFilter(pattern)
+    event_filter = VectorizedPrefilter(pattern)
     sampled = relation.events[:sample]
     if sampled and event_filter.is_effective:
         dropped = sum(1 for e in sampled if not event_filter.admits(e))

@@ -9,8 +9,8 @@ registered :class:`~repro.plan.plan.PatternPlan`, bit-identical to
 running each pattern through its own matcher.  See ``docs/registry.md``.
 """
 
-from .admission import AdmissionSpec, StartGate
-from .bank import PredicateBank
+from ..core.predicates import AdmissionSpec, PredicateBank
+from .admission import StartGate
 from .registry import (DuplicatePatternError, OutOfOrderError,
                        PatternRegistry, QuotaExceeded, RegistryError,
                        TenantQuota, UnknownPatternError)

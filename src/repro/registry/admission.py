@@ -1,28 +1,27 @@
-"""Per-pattern admission specs and start gates over the shared bank.
+"""The start gate: a pattern's first automaton layer over the shared bank.
 
-:class:`AdmissionSpec` replays a pattern's ``"conjunctive"``
-:class:`~repro.plan.prefilter.VectorizedPrefilter` — an event is
-admitted iff *some variable's* constant predicates all hold, and a
-variable without constant conditions admits everything — but against
-the registry-wide :class:`~repro.registry.bank.PredicateBank` truth
-vector instead of re-evaluating the pattern's own predicate copies.
-The decision is bit-identical by construction: both sides are built
-from ``pattern.constant_conditions(variable)`` over
-``sorted(pattern.variables)`` and evaluate predicates with the same
-missing-attribute / incomparable-value semantics.
+Admission proper is :class:`~repro.core.predicates.AdmissionSpec` — a
+pattern's ``"conjunctive"`` prefilter as AND-masks over bank predicate
+ids.  A plan's own :class:`~repro.plan.prefilter.VectorizedPrefilter`
+holds one over a private bank and the registry builds the same class
+over its shared :class:`~repro.core.predicates.PredicateBank`, so the
+two decisions are one piece of code.  It is defined beside the bank
+(``repro.plan`` cannot import ``repro.registry``: ``registry.py``
+imports ``plan.cache``).
 
-:class:`StartGate` goes one automaton layer deeper: it captures the
-constant and self conditions of the (trimmed) automaton's
-start-outgoing transitions.  ``fires(truth)`` is then *exactly*
-"some start transition admits the event against an empty buffer"
-(:meth:`Transition.admits` evaluates only those condition shapes at
-the start state — a two-variable condition with an unbound partner is
-vacuously satisfied, which the gate mirrors by skipping it).  When the
-gate is closed the registry feeds the event with ``allow_start=False``:
-the fresh start-state instance it skips would have fired no transition
-and been dropped inside the consume loop, so the match set is
-unchanged.  Patterns whose start layers share structure hash to the
-same :attr:`StartGate.key`, so one gate evaluation serves all of them.
+:class:`StartGate` goes one automaton layer deeper: it interns the
+event-only checks of the (trimmed) automaton's start-outgoing
+transitions.  ``fires(truth)`` is then *exactly* "some start transition
+admits the event against an empty buffer": at the start state no
+partner is bound, so a two-variable condition is vacuously satisfied
+and only :attr:`Transition.event_checks
+<repro.automaton.transitions.Transition.event_checks>` decide.  When
+the gate is closed the registry feeds the event with
+``allow_start=False``: the fresh start-state instance it skips would
+have fired no transition and been dropped inside the consume loop, so
+the match set is unchanged.  Patterns whose start layers share
+structure hash to the same :attr:`StartGate.key`, so one gate
+evaluation serves all of them.
 """
 
 from __future__ import annotations
@@ -30,82 +29,12 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..automaton.automaton import SESAutomaton
-from ..core.pattern import SESPattern
-from .bank import PredicateBank, mask_bits
+# AdmissionSpec is not used below: the benchmark harness (ledger/layers.py,
+# which a source PR may not edit) imports it from this module.
+from ..core.predicates import (AdmissionSpec, PredicateBank, any_group,
+                               any_group_mask)
 
 __all__ = ["AdmissionSpec", "StartGate"]
-
-
-class AdmissionSpec:
-    """One pattern's conjunctive prefilter, as bank predicate masks."""
-
-    __slots__ = ("pids", "group_masks", "always")
-
-    def __init__(self, bank: PredicateBank, pattern: SESPattern):
-        pids: List[int] = []
-        group_masks: List[int] = []
-        always = True
-        groups = 0
-        for variable in sorted(pattern.variables):
-            mask = 0
-            empty = True
-            for condition in pattern.constant_conditions(variable):
-                pid = bank.intern_const(condition.left.attribute,
-                                        condition.op, condition.right.value)
-                pids.append(pid)
-                mask |= 1 << pid
-                empty = False
-            groups += 1
-            if empty:
-                # An unconstrained variable admits every event; the whole
-                # spec collapses to "always admitted" (the prefilter's
-                # full-mask shortcut).
-                always = True
-                break
-            group_masks.append(mask)
-            always = False
-        if groups == 0:
-            always = True
-        #: Interned predicate ids (with multiplicity) — released on
-        #: deregistration.
-        self.pids: Tuple[int, ...] = tuple(pids)
-        #: Per-variable AND-masks; admission = OR over the groups.
-        self.group_masks: Tuple[int, ...] = tuple(group_masks)
-        #: True iff every event is admitted (some variable unconstrained).
-        self.always = always
-
-    def admitted(self, truth: int) -> bool:
-        """Scalar admission decision from a bank truth vector."""
-        if self.always:
-            return True
-        for mask in self.group_masks:
-            if truth & mask == mask:
-                return True
-        return False
-
-    def admitted_mask(self, columns: List[int], full: int) -> int:
-        """Columnar admission mask over a batch (bit ``i`` = event ``i``)."""
-        if self.always:
-            return full
-        out = 0
-        for mask in self.group_masks:
-            group = full
-            for pid in mask_bits(mask):
-                group &= columns[pid]
-                if not group:
-                    break
-            out |= group
-            if out == full:
-                break
-        return out
-
-    def release(self, bank: PredicateBank) -> None:
-        for pid in self.pids:
-            bank.release(pid)
-
-    def __repr__(self) -> str:
-        state = "always" if self.always else f"{len(self.group_masks)} groups"
-        return f"AdmissionSpec({state}, {len(self.pids)} predicates)"
 
 
 class StartGate:
@@ -124,21 +53,8 @@ class StartGate:
         transition_masks: List[int] = []
         for transition in automaton.outgoing(automaton.start):
             mask = 0
-            for condition in transition.conditions:
-                other = condition.other_variable(transition.variable)
-                if other is not None and other != transition.variable:
-                    # Two-variable condition whose partner is unbound at
-                    # the start state: Transition.admits treats it as
-                    # satisfied (empty partner loop), so the gate must
-                    # not constrain on it either.
-                    continue
-                anchored = condition.normalised_for(transition.variable)
-                if anchored.is_constant:
-                    pid = bank.intern_const(anchored.left.attribute,
-                                            anchored.op,
-                                            anchored.right.value)
-                else:
-                    pid = bank.intern_self(anchored)
+            for anchored in transition.event_checks:
+                pid = bank.intern(anchored)
                 pids.append(pid)
                 mask |= 1 << pid
             transition_masks.append(mask)
@@ -150,33 +66,12 @@ class StartGate:
 
     def fires(self, truth: int) -> bool:
         """True iff some start transition admits the event."""
-        for mask in self.transition_masks:
-            if truth & mask == mask:
-                return True
-        return False
-
-    @staticmethod
-    def key_fires(key: frozenset, truth: int) -> bool:
-        """:meth:`fires` from a bare structural key (shared evaluation)."""
-        for mask in key:
-            if truth & mask == mask:
-                return True
-        return False
+        return any_group(self.transition_masks, truth)
 
     @staticmethod
     def key_fire_mask(key: frozenset, columns: List[int], full: int) -> int:
         """Columnar :meth:`fires` over a batch, from a structural key."""
-        out = 0
-        for mask in key:
-            fires = full
-            for pid in mask_bits(mask):
-                fires &= columns[pid]
-                if not fires:
-                    break
-            out |= fires
-            if out == full:
-                break
-        return out
+        return any_group_mask(key, columns, full)
 
     def release(self, bank: PredicateBank) -> None:
         for pid in self.pids:

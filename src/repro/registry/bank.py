@@ -1,217 +1,14 @@
-"""Cross-pattern predicate bank: dedup once, evaluate once.
+"""Where :class:`PredicateBank` used to live.
 
-Every registered pattern's prefilter predicates and start-transition
-conditions are *interned* here.  Registering the same ``v.L = 'C'``
-predicate a thousand times (the multi-tenant regime: many tenants watch
-variations of the same vocabulary) costs one slot; every event is then
-evaluated against each **distinct** predicate exactly once per push,
-and each pattern's admission decision reduces to bitmask algebra over
-the shared truth vector.
-
-Two predicate kinds cover everything the Section 4.5 prefilter and the
-automaton's start transitions need:
-
-* ``("const", attribute, op, value)`` — a constant condition
-  ``v.A φ C``, evaluated on the event alone;
-* a *self* condition ``v.A φ v.A'`` (both sides the same variable),
-  carried as its anchored :class:`~repro.core.conditions.Condition` and
-  evaluated with the event on both sides.
-
-Evaluation semantics match :class:`~repro.plan.prefilter
-.VectorizedPrefilter` and :meth:`Condition.evaluate_events` bit for
-bit: a missing attribute and an incomparable value both count as
-``False``.
-
-Slots are reference-counted.  Deregistering a pattern releases its
-predicate ids; a slot whose count drops to zero is tombstoned and its
-id recycled for the next intern, so long-lived registries with heavy
-register/deregister churn keep the truth vector (a Python big-int,
-bit ``pid``) bounded by the number of *live* distinct predicates.
+The bank now serves the automaton's event alphabet and the plan's
+prefilter as well as the registry, and ``repro.automaton`` cannot import
+``repro.registry`` (``registry/__init__`` → ``registry.py`` →
+``stream.runner`` → ``automaton.executor``), so the class sits below
+all three, in :mod:`repro.core.predicates`.  This module keeps the old
+import path alive for the benchmark harness (``ledger/layers.py``),
+which a source PR may not edit.
 """
 
-from __future__ import annotations
-
-from typing import Dict, Iterator, List, Tuple
-
-from ..core.conditions import OPERATORS, Condition
-from ..core.events import Event
+from ..core.predicates import PredicateBank, mask_bits
 
 __all__ = ["PredicateBank", "mask_bits"]
-
-#: Sentinel distinguishing "attribute absent" from any real value.
-_MISSING = object()
-
-
-def mask_bits(mask: int) -> Iterator[int]:
-    """Iterate the set bit positions (predicate ids) of a bitmask."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-class PredicateBank:
-    """Reference-counted, deduplicated predicate slots.
-
-    ``intern_*`` returns a stable predicate id (bit position); equal
-    predicates share one id.  :meth:`truth` evaluates every live
-    predicate against one event and returns the truth vector as a
-    big-int; :meth:`truth_columns` is the columnar batch twin — one
-    per-event bitmask (bit ``i`` = event ``i``) per predicate id, with
-    each attribute column walked once over the whole batch.
-    """
-
-    def __init__(self):
-        # Slot layout, indexed by predicate id.  A slot is either
-        # ("const", attribute, op, value) or ("self", condition); a
-        # tombstone is None.
-        self._slots: List[object] = []
-        self._refcounts: List[int] = []
-        self._ids: Dict[object, int] = {}
-        self._keys: Dict[int, object] = {}
-        self._free: List[int] = []
-        # Columnar layout for const predicates: attribute -> [pid, ...].
-        self._by_attribute: Dict[str, List[int]] = {}
-        self._self_ids: List[int] = []
-
-    # ------------------------------------------------------------------
-    # Interning
-    # ------------------------------------------------------------------
-    def intern_const(self, attribute: str, op: str, value) -> int:
-        """Intern a constant predicate ``event[attribute] φ value``."""
-        try:
-            key = ("const", attribute, op, value)
-            pid = self._ids.get(key)
-        except TypeError:  # unhashable constant: fall back to identity
-            key = ("const-id", attribute, op, id(value))
-            pid = self._ids.get(key)
-        if pid is not None:
-            self._refcounts[pid] += 1
-            return pid
-        pid = self._claim(("const", attribute, op, value), key)
-        self._by_attribute.setdefault(attribute, []).append(pid)
-        return pid
-
-    def intern_self(self, condition: Condition) -> int:
-        """Intern a self condition (both sides bound to the new event)."""
-        key = ("self", condition)
-        pid = self._ids.get(key)
-        if pid is not None:
-            self._refcounts[pid] += 1
-            return pid
-        pid = self._claim(("self", condition), key)
-        self._self_ids.append(pid)
-        return pid
-
-    def _claim(self, slot, key) -> int:
-        if self._free:
-            pid = self._free.pop()
-            self._slots[pid] = slot
-            self._refcounts[pid] = 1
-        else:
-            pid = len(self._slots)
-            self._slots.append(slot)
-            self._refcounts.append(1)
-        self._ids[key] = pid
-        self._keys[pid] = key
-        return pid
-
-    def release(self, pid: int) -> None:
-        """Drop one reference; a zero-count slot is recycled."""
-        self._refcounts[pid] -= 1
-        if self._refcounts[pid] > 0:
-            return
-        slot = self._slots[pid]
-        if slot[0] == "const":
-            ids = self._by_attribute[slot[1]]
-            ids.remove(pid)
-            if not ids:
-                del self._by_attribute[slot[1]]
-        else:
-            self._self_ids.remove(pid)
-        del self._ids[self._keys.pop(pid)]
-        self._slots[pid] = None
-        self._free.append(pid)
-
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
-    def truth(self, event: Event) -> int:
-        """Truth vector of every live predicate on one event (bit=pid)."""
-        out = 0
-        slots = self._slots
-        operators = OPERATORS
-        for attribute, ids in self._by_attribute.items():
-            value = event.get(attribute, _MISSING)
-            if value is _MISSING:
-                continue
-            for pid in ids:
-                _, _, op, constant = slots[pid]
-                try:
-                    if operators[op](value, constant):
-                        out |= 1 << pid
-                except TypeError:
-                    pass
-        for pid in self._self_ids:
-            if slots[pid][1].evaluate_events(event, event):
-                out |= 1 << pid
-        return out
-
-    def truth_columns(self, events) -> List[int]:
-        """Per-predicate event masks over a batch (bit ``i`` = event ``i``).
-
-        The columnar twin of :meth:`truth`: each attribute column is
-        walked once over the whole batch, mirroring
-        :meth:`VectorizedPrefilter.admission_mask`'s evaluation order.
-        """
-        columns = [0] * len(self._slots)
-        slots = self._slots
-        operators = OPERATORS
-        for attribute, ids in self._by_attribute.items():
-            bit = 1
-            for event in events:
-                value = event.get(attribute, _MISSING)
-                if value is not _MISSING:
-                    for pid in ids:
-                        _, _, op, constant = slots[pid]
-                        try:
-                            if operators[op](value, constant):
-                                columns[pid] |= bit
-                        except TypeError:
-                            pass
-                bit <<= 1
-        for pid in self._self_ids:
-            condition = slots[pid][1]
-            bit = 1
-            for event in events:
-                if condition.evaluate_events(event, event):
-                    columns[pid] |= bit
-                bit <<= 1
-        return columns
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        """Number of live (referenced) predicate slots."""
-        return len(self._slots) - len(self._free)
-
-    def refcount(self, pid: int) -> int:
-        return self._refcounts[pid]
-
-    def describe(self) -> List[Tuple[int, str, int]]:
-        """``(pid, text, refcount)`` rows for every live slot."""
-        rows = []
-        for pid, slot in enumerate(self._slots):
-            if slot is None:
-                continue
-            if slot[0] == "const":
-                text = f"{slot[1]} {slot[2]} {slot[3]!r}"
-            else:
-                text = repr(slot[1])
-            rows.append((pid, text, self._refcounts[pid]))
-        return rows
-
-    def __repr__(self) -> str:
-        return (f"PredicateBank({len(self)} live predicates, "
-                f"{len(self._free)} recycled slots)")

@@ -5,12 +5,12 @@
 shared per-event admission pass:
 
 1. every pushed event is evaluated once against the deduplicated
-   :class:`~repro.registry.bank.PredicateBank` (each distinct predicate
+   :class:`~repro.core.predicates.PredicateBank` (each distinct predicate
    across *all* registered patterns costs one comparison, however many
    patterns reference it), yielding a truth bitmap;
-2. each pattern's :class:`~repro.registry.admission.AdmissionSpec`
-   decides admission by bitmask algebra — bit-identical to that
-   pattern's own Section 4.5 conjunctive prefilter;
+2. each pattern's :class:`~repro.core.predicates.AdmissionSpec`
+   decides admission by bitmask algebra — the class that pattern's own
+   Section 4.5 conjunctive prefilter holds over a private bank;
 3. patterns whose start layers are structurally equal share one
    :class:`~repro.registry.admission.StartGate` evaluation (the common
    automaton-prefix grouping); a closed gate feeds the event with
@@ -50,13 +50,13 @@ from ..agg.result import Match
 from ..automaton.executor import MatchResult, SESExecutor
 from ..core.events import Event
 from ..core.pattern import SESPattern
+from ..core.predicates import AdmissionSpec, PredicateBank
 from ..core.substitution import Substitution
 from ..plan.cache import as_plan
 from ..plan.plan import PatternPlan
 from ..resilience.guards import GuardConfig, ResourceGuard
 from ..stream.runner import ContinuousMatcher
-from .admission import AdmissionSpec, StartGate
-from .bank import PredicateBank
+from .admission import StartGate
 
 __all__ = ["PatternRegistry", "TenantQuota", "RegistryError",
            "DuplicatePatternError", "UnknownPatternError", "QuotaExceeded",

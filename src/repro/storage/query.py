@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
-from ..core.conditions import OPERATORS
 from ..core.events import Event
+from ..core.predicates import PredicateBank
 from ..core.relation import EventRelation
 
 __all__ = ["Query"]
@@ -33,7 +33,10 @@ class Query:
     def __init__(self, table):
         self._table = table
         self._equalities: List[Tuple[str, Any]] = []
-        self._filters: List[Tuple[str, str, Any]] = []
+        # The predicates no index answers, interned; a row passes iff
+        # its truth vector has them all.
+        self._filters = PredicateBank()
+        self._required = 0
         self._start: Any = None
         self._end: Any = None
         self._limit: Optional[int] = None
@@ -43,8 +46,6 @@ class Query:
     # ------------------------------------------------------------------
     def where(self, attribute: str, op: str, value: Any) -> "Query":
         """Add a predicate ``attribute op value``."""
-        if op not in OPERATORS:
-            raise ValueError(f"unknown operator {op!r}")
         if attribute not in self._table.schema:
             raise ValueError(
                 f"table {self._table.name!r} has no attribute {attribute!r}"
@@ -52,7 +53,8 @@ class Query:
         if op == "=" and attribute in self._table.indexed_attributes:
             self._equalities.append((attribute, value))
         else:
-            self._filters.append((attribute, op, value))
+            self._required |= 1 << self._filters.intern_const(
+                attribute, op, value)
         return self
 
     def between(self, start: Any = None, end: Any = None) -> "Query":
@@ -88,7 +90,7 @@ class Query:
         """Run the query; the result is an ordered event relation."""
         out: List[Event] = []
         for event in self._candidates():
-            if all(self._passes(event, f) for f in self._filters):
+            if self._filters.truth(event) == self._required:
                 out.append(event)
                 if self._limit is not None and len(out) >= self._limit:
                     break
@@ -96,17 +98,6 @@ class Query:
                                  name=f"{self._table.name}:query")
         relation.extend(out)
         return relation
-
-    @staticmethod
-    def _passes(event: Event, predicate: Tuple[str, str, Any]) -> bool:
-        attribute, op, value = predicate
-        actual = event.get(attribute, _MISSING)
-        if actual is _MISSING:
-            return False
-        try:
-            return bool(OPERATORS[op](actual, value))
-        except TypeError:
-            return False
 
     def count(self) -> int:
         """Number of matching events."""
@@ -121,6 +112,3 @@ class Query:
         """
         from ..plan.cache import as_plan
         return as_plan(pattern).match(self.execute(), **kwargs)
-
-
-_MISSING = object()

@@ -57,3 +57,20 @@ def kind_pattern():
         conditions=["a.kind = 'A'", "b.kind = 'B'", "c.kind = 'C'"],
         tau=100,
     )
+
+
+def reference_admits(pattern, mode, event) -> bool:
+    """Section 4.5's filter from its definition, spelled with
+    ``Condition.evaluate_events`` (a missing attribute and an
+    incomparable value are false): ``"conjunctive"`` passes an event iff
+    some variable's constant conditions all hold; ``"paper"`` iff any
+    constant condition holds, unless a variable has none (then the
+    filter is off)."""
+    groups = [pattern.constant_conditions(variable)
+              for variable in pattern.variables]
+    if mode == "paper":
+        return not all(groups) or any(
+            condition.evaluate_events(event)
+            for conditions in groups for condition in conditions)
+    return any(all(condition.evaluate_events(event)
+                   for condition in conditions) for conditions in groups)

@@ -5,7 +5,6 @@ import pytest
 from repro import Event, EventRelation, SESPattern
 from repro.automaton.builder import build_automaton
 from repro.automaton.executor import SESExecutor, execute
-from repro.automaton.filtering import EventFilter
 
 from conftest import bindings, eids, ev, match
 

@@ -1,5 +1,6 @@
 """Edge-case tests for construction and execution."""
 
+import repro
 from repro import Event, EventRelation, SESPattern
 from repro.automaton.builder import build_automaton
 from repro.baseline import naive_match
@@ -179,10 +180,11 @@ class TestStreamingExpiryIsTraced:
                          conditions=["a.kind = 'A'", "b.kind = 'B'"], tau=5)
 
     def _kinds(self, closing_event):
-        from repro.automaton import EventFilter, SESExecutor, Tracer
+        from repro.automaton import SESExecutor, Tracer
         tracer = Tracer()
         executor = SESExecutor(build_automaton(self.PATTERN),
-                               event_filter=EventFilter(self.PATTERN),
+                               event_filter=repro.compile(
+                                   self.PATTERN).filter_handle(),
                                expire_on_filtered=True, tracer=tracer)
         executor.feed(ev(1, "A"))
         executor.feed(ev(2, "B"))

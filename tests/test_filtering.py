@@ -2,44 +2,49 @@
 
 import pytest
 
+import repro
 from repro import Event, SESPattern
-from repro.automaton.filtering import EventFilter
 
 from conftest import ev, match
 
 
+def event_filter(pattern, mode="conjunctive"):
+    """What an executor is handed: the plan's scalar filter handle."""
+    return repro.compile(pattern).filter_handle(mode)
+
+
 class TestPaperMode:
     def test_passes_events_satisfying_some_constant_condition(self, q1):
-        f = EventFilter(q1, mode="paper")
+        f = event_filter(q1, mode="paper")
         assert f.is_effective
         assert f.admits(Event(ts=1, L="C", ID=1))
         assert f.admits(Event(ts=1, L="B", ID=1))
 
     def test_drops_irrelevant_events(self, q1):
-        f = EventFilter(q1, mode="paper")
+        f = event_filter(q1, mode="paper")
         assert not f.admits(Event(ts=1, L="Z", ID=1))
 
     def test_disables_itself_with_unconstrained_variable(self):
         pattern = SESPattern(sets=[["a", "b"]],
                              conditions=["a.kind = 'A'"], tau=10)
-        f = EventFilter(pattern, mode="paper")
+        f = event_filter(pattern, mode="paper")
         assert not f.is_effective
         assert f.admits(Event(ts=1, kind="ZZZ"))
 
 
 class TestConjunctiveMode:
     def test_default_mode(self, q1):
-        assert EventFilter(q1).mode == "conjunctive"
+        assert repro.compile(q1).filter_handle().mode == "conjunctive"
 
     def test_passes_variable_satisfying_all_its_conditions(self, q1):
-        f = EventFilter(q1)
+        f = event_filter(q1)
         assert f.admits(Event(ts=1, L="P", ID=1))
         assert not f.admits(Event(ts=1, L="Z", ID=1))
 
     def test_sound_with_unconstrained_variable(self):
         pattern = SESPattern(sets=[["a", "b"]],
                              conditions=["a.kind = 'A'"], tau=10)
-        f = EventFilter(pattern)
+        f = event_filter(pattern)
         assert f.is_effective
         assert f.admits(Event(ts=1, kind="ZZZ")), \
             "b has no constant conditions, so any event may bind to it"
@@ -51,14 +56,14 @@ class TestConjunctiveMode:
             conditions=["a.kind = 'A'", "a.level > 5"],
             tau=10,
         )
-        conj = EventFilter(pattern, mode="conjunctive")
-        paper = EventFilter(pattern, mode="paper")
+        conj = event_filter(pattern, mode="conjunctive")
+        paper = event_filter(pattern, mode="paper")
         half_matching = Event(ts=1, kind="A", level=1)
         assert paper.admits(half_matching), "satisfies at least one condition"
         assert not conj.admits(half_matching), "fails the conjunction for a"
 
     def test_missing_attribute_fails_condition(self, q1):
-        f = EventFilter(q1)
+        f = event_filter(q1)
         assert not f.admits(Event(ts=1, other="x"))
 
 
@@ -86,7 +91,7 @@ class TestFilterNeutrality:
 
     def test_invalid_mode(self, q1):
         with pytest.raises(ValueError):
-            EventFilter(q1, mode="bogus")
+            event_filter(q1, mode="bogus")
 
     def test_repr(self, q1):
-        assert "conjunctive" in repr(EventFilter(q1))
+        assert "conjunctive" in repr(event_filter(q1))

@@ -8,7 +8,6 @@ import pytest
 import repro
 from repro.automaton.builder import build_automaton
 from repro.automaton.executor import SESExecutor
-from repro.automaton.filtering import EventFilter
 from repro.obs import (NULL_REGISTRY, Counter, Gauge, Histogram,
                        MetricsRegistry, NullRegistry, Observability,
                        SpanTracer, configure_logging, get_logger, read_jsonl,
@@ -513,7 +512,7 @@ class TestExecutorIntegration:
                 + snap["ses_filter_rejected_total"]["value"]) == 2
 
     def test_filter_unbound_by_default(self, kind_pattern):
-        event_filter = EventFilter(kind_pattern)
+        event_filter = repro.compile(kind_pattern).filter_handle()
         assert event_filter.admits(ev(1, "A"))
         assert event_filter._admitted_counter is None
 

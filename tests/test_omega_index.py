@@ -115,7 +115,6 @@ class FlatExecutor(SESExecutor):
             stats.observe_omega(len(next_omega))
             if self.flight is not None:
                 self.flight.sample_omega(event.ts, len(next_omega))
-        self._accepted.extend(accepted_now)
         return accepted_now
 
     def _consume(self, instance, event, out) -> None:
@@ -173,7 +172,6 @@ class FlatExecutor(SESExecutor):
                 if self._hooks:
                     self._emit("flush", None, instance)
         self._omega = []
-        self._accepted.extend(accepted_now)
         return accepted_now
 
 

@@ -176,6 +176,33 @@ class TestShardMetrics:
                    for i in range(2))
 
 
+class TestIdlePartitionsAreCollected:
+    def test_a_shard_gives_back_the_keys_that_went_quiet(self):
+        """300 keys, each matched, expired by a late event of its own and
+        then silent for more than τ: the shard sweeps them out on its
+        own cadence, and the matches are those of a matcher nobody ever
+        collected."""
+        from repro.obs import Observability
+        keys = 300
+        events = [Event(ts=3 * key + i, eid=f"{kind}{key}", kind=kind, ID=key)
+                  for key in range(keys)
+                  for i, kind in enumerate(("A", "B", "C"), start=1)]
+        late = 3 * keys + JOINED.tau
+        events += [Event(ts=late + key, eid=f"x{key}", kind="X", ID=key)
+                   for key in range(keys)]
+        expected = reference_matches(events)
+        assert len(expected) == keys
+        obs = Observability()
+        with ShardedStreamMatcher(JOINED, workers=1,
+                                  observability=obs) as matcher:
+            matcher.push_many(events)
+        assert match_set(matcher.matches) == match_set(expected)
+        assert len(matcher.matches) == keys
+        snapshot = obs.snapshot()
+        assert snapshot["ses_stream_partitions_collected_total"]["value"] > 0
+        assert snapshot["ses_stream_partitions"]["value"] < keys
+
+
 class TestShardFlightDump:
     def test_crash_ships_flight_dump(self):
         matcher = ShardedStreamMatcher(JOINED, workers=2)

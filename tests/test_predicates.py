@@ -1,0 +1,196 @@
+"""One predicate bank: every consumer of "which conditions on the event
+alone does this event satisfy" gives the definition's answer.
+
+The definition is :meth:`Condition.evaluate_events` (a missing attribute
+and an incomparable value are false).  :class:`PredicateBank` is the one
+class that evaluates it in bulk; the plan's prefilter (scalar and
+columnar, both filter modes), the registry's :class:`AdmissionSpec` and
+the automaton's event alphabet all read a bank, so one property pins
+them against the definition and against each other — and a source scan
+keeps it one.
+"""
+
+import importlib
+import pickle
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro import Attr, Condition, Const, Event, SESPattern, var
+from repro.core.predicates import AdmissionSpec, PredicateBank
+from repro.plan.prefilter import FILTER_MODES, popcount
+
+from conftest import reference_admits
+
+KINDS = ("A", "B", "C")
+#: One unhashable constant shared by every condition drawn on it (equal
+#: only to itself for the bank, so the conditions share its slot) …
+SHARED_TAGS = ["x", "y"]
+
+#: Conditions on the event alone, as ``(attribute, op, right side)``
+#: builders over a variable; few enough that variables repeat them.
+_TEMPLATES = (
+    [lambda v, k=kind: Condition(Attr(v, "kind"), "=", Const(k))
+     for kind in KINDS]
+    + [lambda v: Condition(Attr(v, "kind"), "!=", Const("A")),
+       lambda v: Condition(Attr(v, "V"), "<", Const(5)),
+       lambda v: Condition(Attr(v, "V"), ">=", Const(2)),
+       lambda v: Condition(Attr(v, "tags"), "=", Const(SHARED_TAGS)),
+       # … and a fresh one per condition: a slot each.
+       lambda v: Condition(Attr(v, "tags"), "!=", Const(["x"])),
+       lambda v: Condition(Attr(v, "V"), "<", Attr(v, "W")),
+       lambda v: Condition(Attr(v, "W"), "=", Attr(v, "V"))])
+
+
+@st.composite
+def patterns(draw):
+    """One to three variables, each with zero to three conditions on the
+    event alone — so some carry no constant condition (only a self
+    condition, or nothing) and most predicates recur across variables."""
+    variables = [var(name) for name in "uvw"[:draw(st.integers(1, 3))]]
+    conditions = [template(variable) for variable in variables
+                  for template in draw(st.lists(
+                      st.sampled_from(_TEMPLATES), max_size=3))]
+    if len(variables) > 1 and draw(st.booleans()):
+        conditions.append(Condition(Attr(variables[0], "ID"), "=",
+                                    Attr(variables[1], "ID")))
+    return SESPattern(sets=[[variable] for variable in variables],
+                      conditions=conditions, tau=20)
+
+
+@st.composite
+def events(draw):
+    """Events whose attributes are sometimes missing or of a type the
+    constants do not compare with."""
+    out = []
+    for i in range(draw(st.integers(0, 10))):
+        fields = {"ID": draw(st.integers(0, 1))}
+        if draw(st.booleans()):
+            fields["kind"] = draw(st.sampled_from(KINDS + (7,)))
+        for name in ("V", "W"):
+            value = draw(st.one_of(st.none(), st.integers(0, 6),
+                                   st.just("not-a-number")))
+            if value is not None:
+                fields[name] = value
+        if draw(st.booleans()):
+            fields["tags"] = "x"
+        out.append(Event(ts=i, eid=f"e{i}", **fields))
+    return out
+
+
+def answers(plan, relation):
+    """Everything a plan says about each event of ``relation``."""
+    out = {"classes": [plan.automaton.classify(e) for e in relation]}
+    for mode in FILTER_MODES:
+        prefilter = plan.prefilter(mode)
+        out[mode] = ([prefilter.admits(e) for e in relation],
+                     prefilter.admission_mask(relation))
+    return out
+
+
+class TestOneAnswer:
+    @given(pattern=patterns(), relation=events())
+    @settings(max_examples=200, deadline=None)
+    def test_every_consumer_agrees_with_the_definition(self, pattern,
+                                                       relation):
+        plan = repro.compile(pattern, cache=False)
+        n = len(relation)
+        full = (1 << n) - 1
+
+        # Section 4.5, both modes, scalar and columnar.
+        for mode in FILTER_MODES:
+            prefilter = plan.prefilter(mode)
+            expected = [reference_admits(pattern, mode, e) for e in relation]
+            assert [prefilter.admits(e) for e in relation] == expected
+            mask = prefilter.admission_mask(relation)
+            assert [bool(mask >> i & 1) for i in range(n)] == expected
+            assert popcount(mask) == sum(expected)
+            handle = prefilter.handle()
+            assert [handle.admits(e) for e in relation] == expected
+
+        # The registry's spec over a bank other patterns filled first.
+        bank = PredicateBank()
+        bank.intern_const("kind", "=", "B")
+        bank.intern_const("other", ">", 0)
+        spec = AdmissionSpec(bank, pattern)
+        expected = [reference_admits(pattern, "conjunctive", e)
+                    for e in relation]
+        assert [spec.admitted(bank.truth(e)) for e in relation] == expected
+        assert (spec.admitted_mask(bank.truth_columns(relation), full)
+                == plan.prefilter("conjunctive").admission_mask(relation))
+        spec.release(bank)
+        assert len(bank) == 2
+
+        # The event alphabet: each letter is its readers' condition.
+        automaton = plan.automaton
+        for predicate in automaton.event_alphabet:
+            assert predicate.readers
+        for event in relation:
+            cls = automaton.classify(event)
+            for transition in automaton.transitions:
+                for anchored in transition.event_checks:
+                    right = (repr(anchored.right.value)
+                             if anchored.is_constant
+                             else anchored.right.attribute)
+                    text = f"{anchored.left.attribute} {anchored.op} {right}"
+                    # (Equal unhashable constants print alike, a slot each.)
+                    letters = [predicate
+                               for predicate in automaton.event_alphabet
+                               if predicate.text == text
+                               and transition in predicate.readers]
+                    assert letters
+                    holds = anchored.evaluate_events(event, event)
+                    assert all(bool(cls & letter.bit) == holds
+                               for letter in letters)
+
+        # A plan and its automaton survive pickle with the same answers.
+        shipped = pickle.loads(pickle.dumps(plan))
+        assert answers(shipped, relation) == answers(plan, relation)
+
+    def test_a_self_condition_is_keyed_without_its_variable(self):
+        bank = PredicateBank()
+        a, b = var("a"), var("b")
+        first = bank.intern(Condition(Attr(a, "X"), "<", Attr(a, "Y")))
+        again = bank.intern(Condition(Attr(b, "X"), "<", Attr(b, "Y")))
+        other = bank.intern(Condition(Attr(b, "Y"), "<", Attr(b, "X")))
+        assert first == again != other
+        assert bank.refcount(first) == 2
+        assert bank.text(first) == "X < Y"
+        assert bank.truth(Event(ts=1, X=1, Y=2)) == 1 << first
+        bank.release(first)
+        bank.release(again)
+        assert len(bank) == 1 and bank.truth(Event(ts=1, X=1, Y=2)) == 0
+
+    def test_an_unhashable_constant_equals_only_itself(self):
+        bank = PredicateBank()
+        shared = bank.intern_const("tags", "=", SHARED_TAGS)
+        assert bank.intern_const("tags", "=", SHARED_TAGS) == shared
+        assert bank.intern_const("tags", "=", list(SHARED_TAGS)) != shared
+
+
+class TestItStaysOne:
+    """``OPERATORS`` is what evaluating a comparison takes, so who
+    names it is who can evaluate one: its definition, the bank, and the
+    binding rows of ``Θδ`` (two events, not one)."""
+
+    SRC = Path(repro.__file__).parent
+
+    def test_operators_is_imported_by_the_bank_and_the_binding_rows(self):
+        importers = {
+            str(path.relative_to(self.SRC))
+            for path in self.SRC.rglob("*.py")
+            if re.search(r"\bOPERATORS\b", path.read_text())}
+        bank = Path(importlib.import_module(
+            PredicateBank.__module__).__file__).relative_to(self.SRC)
+        assert importers == {"core/conditions.py", str(bank),
+                             "automaton/transitions.py"}
+
+    def test_the_scalar_filter_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.automaton.filtering")
+        assert not hasattr(repro, "EventFilter")
+        assert not hasattr(repro.automaton, "EventFilter")

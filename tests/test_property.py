@@ -319,7 +319,6 @@ class TestStepTableLockstep:
                 assert (tabled.next_expiry_ts
                         == reference.next_expiry_ts), (mode, index)
             assert tabled.finish() == reference.finish(), mode
-            assert tabled.accepted_buffers == reference.accepted_buffers
             assert tabled.stats == reference.stats, mode
 
     @given(pattern=tabled_patterns(), events=mixed_relations())

@@ -10,7 +10,7 @@ from repro.plan.plan import PatternPlan
 
 EXPECTED_ALL = {
     # Core model
-    "Attribute", "Attr", "Condition", "Const", "Event", "EventFilter",
+    "Attribute", "Attr", "Condition", "Const", "Event",
     "EventRelation", "EventSchema", "MatchResult", "PatternError",
     "SESPattern", "SchemaError", "Substitution", "Variable",
     "attr", "const", "group", "var",

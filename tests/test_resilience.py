@@ -475,7 +475,7 @@ class TestCheckpointRestore:
         final_resumed = resumed.state_dict()
         final_straight = straight.state_dict()
         assert final_resumed["omega"] == final_straight["omega"]
-        assert final_resumed["accepted"] == final_straight["accepted"]
+        assert final_resumed["stats"] == final_straight["stats"]
         assert final_resumed["last_ts"] == final_straight["last_ts"]
 
     def test_continuous_matcher_roundtrip_preserves_suppression(self):
@@ -493,6 +493,31 @@ class TestCheckpointRestore:
         expected = tail.push_many(events) + tail.close()
         assert match_set(reported + out) == match_set(expected)
         assert len(reported) + len(out) == len(expected)
+
+    def test_a_snapshot_holds_no_buffer_the_executor_already_returned(self):
+        """A checkpoint is what the run still needs.  The buffers
+        ``feed`` handed out are the caller's: an executor that kept them
+        grew every shard checkpoint with the length of the stream."""
+        executor = repro.compile(JOINED).executor(selection="accepted",
+                                                  expire_on_filtered=True)
+        returned, sizes = [], []
+        for round_ in range(40):
+            base = 1000 * round_
+            for i, kind in enumerate("ABCX"):  # X: filtered, expires abc
+                returned += executor.feed(Event(
+                    ts=base + 100 * (kind == "X") + i,
+                    eid=f"{kind}{round_}", kind=kind, ID=1))
+            sizes.append(len(pickle.dumps(executor.state_dict())))
+        assert len(returned) == 40
+        one_buffer = len(pickle.dumps(returned[:1]))
+        assert max(sizes) - min(sizes) < one_buffer, sizes
+        # A snapshot written before this held them under "accepted";
+        # restoring one reads what it needs and nothing else.
+        old = dict(executor.state_dict(), accepted=list(returned))
+        restored = repro.compile(JOINED).executor(selection="accepted")
+        restored.load_state(old)
+        assert restored.state_dict().keys() == executor.state_dict().keys()
+        assert "accepted" not in restored.state_dict()
 
 
 # ----------------------------------------------------------------------
