@@ -28,7 +28,7 @@ from repro.data import pattern_p3
 @pytest.mark.parametrize("filtered", [False, True], ids=["wo-filter", "with-filter"])
 class TestExecutorVariants:
     def _filter(self, filtered):
-        return (repro.compile(pattern_p3()).filter_handle()
+        return (repro.compile(pattern_p3()).prefilter()
                 if filtered else None)
 
     def test_plain(self, benchmark, exp23_base, filtered):

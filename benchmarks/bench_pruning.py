@@ -37,7 +37,7 @@ def relation():
 def test_pruning_runtime(benchmark, relation, variant, which):
     pattern = query_q1() if which == "q1" else TIGHT
     automaton = build_automaton(pattern)
-    event_filter = repro.compile(pattern).filter_handle()
+    event_filter = repro.compile(pattern).prefilter()
     if variant == "plain":
         executor = SESExecutor(automaton, event_filter=event_filter,
                                selection="accepted")

@@ -257,7 +257,9 @@ class SESExecutor:
     event_filter:
         Optional Section 4.5 pre-filter, asked ``admits(event)`` for
         every input event before the instance loop — a plan's
-        :meth:`~repro.plan.plan.PatternPlan.filter_handle`.
+        :meth:`~repro.plan.plan.PatternPlan.prefilter`.  Its decisions
+        are counted once, as ``stats.events_processed`` /
+        ``stats.events_filtered``.
     selection:
         ``"paper"`` (default) post-filters accepted buffers with
         Definition 2's conditions 4–5 and suppresses overlapping later
@@ -375,8 +377,6 @@ class SESExecutor:
         self._walks_all = (tracer is not None
                            or consume_mode == "contiguous"
                            or self.visits_every_instance)
-        if obs is not None and event_filter is not None:
-            event_filter.bind_metrics(obs.registry)
         self.reset()
 
     def reset(self) -> None:

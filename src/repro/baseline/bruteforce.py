@@ -61,9 +61,8 @@ class BruteForceMatcher:
             )
         self.pattern = pattern
         self.selection = selection
-        self.event_filter = (
-            VectorizedPrefilter(pattern, filter_mode).handle()
-            if use_filter else None)
+        self.event_filter = (VectorizedPrefilter(pattern, filter_mode)
+                             if use_filter else None)
         self.automata = [
             build_automaton(sequence_pattern(pattern, sequence))
             for sequence in enumerate_sequences(pattern)

@@ -196,7 +196,7 @@ def explain_analyze(pattern, relation, *, use_filter: bool = True,
 
     obs = Observability() if observability is None else observability
     shadow, transitions = counting_automaton(plan.automaton)
-    event_filter = plan.filter_handle(filter_mode) if use_filter else None
+    event_filter = plan.prefilter(filter_mode) if use_filter else None
     executor = SESExecutor(shadow, event_filter=event_filter,
                            selection=selection, consume_mode=consume,
                            obs=obs)

@@ -1,14 +1,21 @@
 """Statistics-informed condition evaluation order.
 
-``Transition.admits`` evaluates its condition set in declaration order
-with short-circuiting, so the expected per-event cost is minimised by
-evaluating the condition *least likely to pass* first.  Declaration
-order is whatever the query author wrote; once a pattern has been
-analyzed (or simply run) and its observed pass rates persisted in the
-:class:`~repro.explain.stats.StatsStore`, :func:`ordered_plan` rebuilds
-the automaton with each transition's conditions sorted by ascending
-observed pass rate — the first real feedback loop from runtime back to
-the plan ("Lazy Chain Automata" reorders by exactly these statistics).
+A transition's conditions split in two halves.  The half on the new
+event alone (constant and self conditions) is decided by the
+automaton's event alphabet — one
+:class:`~repro.core.predicates.PredicateBank` pass per event, read
+through the step table — so its order costs nothing.  The binding half,
+:attr:`Transition.binding_rows
+<repro.automaton.transitions.Transition.binding_rows>`, is walked per
+(instance, transition) in condition order with short-circuiting, so the
+expected cost is minimised by evaluating the row *least likely to pass*
+first.  Declaration order is whatever the query author wrote; once a
+pattern has been analyzed (or simply run) and its observed pass rates
+persisted in the :class:`~repro.explain.stats.StatsStore`,
+:func:`ordered_plan` rebuilds the automaton with each transition's
+conditions sorted by ascending observed pass rate — which changes only
+the short-circuit order of ``binding_rows`` ("Lazy Chain Automata"
+reorders by exactly these statistics).
 
 Reordering is result-preserving: a transition fires iff *all* its
 conditions hold, independent of evaluation order (conditions are pure

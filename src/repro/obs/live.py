@@ -372,10 +372,11 @@ def live_snapshot(observability=None) -> Dict[str, dict]:
 
     The plan cache publishes its counters only at compile time; served
     endpoints outlive compilation, so this helper re-reads
-    :meth:`~repro.plan.cache.PlanCache.stats` on every call.  Likewise
-    ``ses_prefilter_selectivity`` is only set by the serial batch path —
-    when absent it is derived here from the filtered/read counters so
-    streaming and pooled runs expose it too.  Per-pattern records carry
+    :meth:`~repro.plan.cache.PlanCache.stats` on every call.
+    ``ses_prefilter_selectivity`` is derived here and nowhere else, from
+    the executors' ``ses_events_filtered_total`` /
+    ``ses_events_read_total`` counters, so every run shape (serial,
+    streaming, pooled) exposes it alike.  Per-pattern records carry
     ``labels``/``metric`` keys understood by
     :func:`~repro.obs.exporters.to_prometheus`.
     """
@@ -399,15 +400,13 @@ def live_snapshot(observability=None) -> Dict[str, dict]:
         "max": cache_stats["maxsize"],
         "help": "compiled plans currently cached"}
 
-    if "ses_prefilter_selectivity" not in snapshot:
-        read = snapshot.get("ses_events_read_total", {}).get("value", 0)
-        filtered = snapshot.get(
-            "ses_events_filtered_total", {}).get("value", 0)
-        if read:
-            snapshot["ses_prefilter_selectivity"] = {
-                "type": "gauge", "value": filtered / read,
-                "help": "fraction of read events rejected by the "
-                        "pre-filter (derived from counters)"}
+    read = snapshot.get("ses_events_read_total", {}).get("value", 0)
+    filtered = snapshot.get("ses_events_filtered_total", {}).get("value", 0)
+    if read:
+        snapshot["ses_prefilter_selectivity"] = {
+            "type": "gauge", "value": filtered / read,
+            "help": "fraction of read events rejected by the "
+                    "pre-filter (derived from counters)"}
 
     store = stats_store()
     for fingerprint in store.fingerprints():

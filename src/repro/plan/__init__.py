@@ -13,12 +13,12 @@ Quickstart::
     import repro
 
     plan = repro.compile(pattern)          # cache hit after the first call
-    result = plan.match(relation)          # batch, vectorized prefilter
+    result = plan.match(relation)          # batch
     result = plan.match(relation, workers=4)   # partition-parallel
     live = plan.stream()                   # continuous matcher
 
-See ``docs/plans.md`` for fingerprinting, cache sizing, and when the
-vectorized prefilter wins.
+See ``docs/plans.md`` for fingerprinting, cache sizing and the
+prefilter's measured cost.
 """
 
 from .cache import (DEFAULT_CACHE_SIZE, PlanCache, as_plan, clear_plan_cache,
@@ -26,13 +26,12 @@ from .cache import (DEFAULT_CACHE_SIZE, PlanCache, as_plan, clear_plan_cache,
 from .fingerprint import FINGERPRINT_VERSION, pattern_fingerprint
 from .plan import (DEFAULT_OPTIMIZATIONS, OPTIMIZATIONS, PatternPlan,
                    build_plan)
-from .prefilter import (FILTER_MODES, MaskCursor, PrefilterHandle,
-                        VectorizedPrefilter)
+from .prefilter import FILTER_MODES, VectorizedPrefilter
 
 __all__ = [
     "DEFAULT_CACHE_SIZE", "DEFAULT_OPTIMIZATIONS", "FILTER_MODES",
-    "FINGERPRINT_VERSION", "MaskCursor", "OPTIMIZATIONS", "PatternPlan",
-    "PlanCache", "PrefilterHandle", "VectorizedPrefilter", "as_plan",
+    "FINGERPRINT_VERSION", "OPTIMIZATIONS", "PatternPlan", "PlanCache",
+    "VectorizedPrefilter", "as_plan",
     "build_plan", "clear_plan_cache", "compile", "pattern_fingerprint",
     "plan_cache", "set_plan_cache_size",
 ]

@@ -11,8 +11,8 @@ and the process-global :class:`~repro.plan.cache.PlanCache` shares one
 plan across every matcher that compiles an equal pattern.
 
 Execution state never lives on the plan.  ``match`` / ``executor`` /
-``stream`` hand out fresh executors and per-use filter adapters, so one
-plan can serve any number of concurrent matchers.
+``stream`` hand out fresh executors that share the plan's stateless
+prefilter, so one plan can serve any number of concurrent matchers.
 """
 
 from __future__ import annotations
@@ -27,17 +27,16 @@ from ..core.events import Event
 from ..core.pattern import SESPattern
 from ..core.relation import EventRelation
 from .fingerprint import aggregate_fingerprint, pattern_fingerprint
-from .prefilter import FILTER_MODES, VectorizedPrefilter, popcount
+from .prefilter import FILTER_MODES, VectorizedPrefilter
 
 __all__ = ["PatternPlan", "OPTIMIZATIONS", "DEFAULT_OPTIMIZATIONS",
            "build_plan"]
 
 #: Optimizations :func:`repro.compile` knows about.  ``"trim"`` removes
 #: provably dead transitions and unreachable states from the automaton
-#: (result-preserving); ``"prefilter"`` enables the columnar admission
-#: mask on batch runs (scalar filtering is used when disabled).
-OPTIMIZATIONS = ("prefilter", "trim")
-DEFAULT_OPTIMIZATIONS = ("prefilter", "trim")
+#: (result-preserving).
+OPTIMIZATIONS = ("trim",)
+DEFAULT_OPTIMIZATIONS = ("trim",)
 
 
 def normalise_optimizations(optimizations) -> Tuple[str, ...]:
@@ -155,10 +154,6 @@ class PatternPlan:
         except KeyError:
             raise ValueError(f"unknown filter mode {filter_mode!r}") from None
 
-    def filter_handle(self, filter_mode: str = "conjunctive"):
-        """A fresh scalar filter for one matcher (metrics-bindable)."""
-        return self.prefilter(filter_mode).handle()
-
     # ------------------------------------------------------------------
     # Run-time API
     # ------------------------------------------------------------------
@@ -175,9 +170,8 @@ class PatternPlan:
         ``partition_by`` or ``workers > 1`` evaluates per partition
         (:class:`~repro.parallel.pool.ParallelPartitionedMatcher`:
         in-process with one worker, over a process pool with more);
-        otherwise the plain executor runs, preceded — when the plan was
-        compiled with the ``"prefilter"`` optimization — by the columnar
-        admission-mask pass.
+        otherwise one :meth:`executor` runs over the whole relation,
+        asking the plan's prefilter about each event as it reads it.
         """
         if workers is None or workers < 1:
             raise ValueError("workers must be >= 1")
@@ -190,29 +184,11 @@ class PatternPlan:
                 chunks_per_worker=chunks_per_worker,
                 start_method=start_method, observability=observability)
             return matcher.run(relation)
-        events = list(relation)
-        event_filter = None
-        if use_filter:
-            prefilter = self.prefilter(filter_mode)
-            if "prefilter" in self._optimizations:
-                mask = prefilter.admission_mask(events)
-                event_filter = prefilter.cursor(mask, len(events))
-                if observability is not None and events:
-                    admitted = popcount(mask)
-                    observability.registry.gauge(
-                        "ses_prefilter_selectivity",
-                        help="fraction of the batch rejected by the "
-                             "vectorized pre-filter",
-                    ).set(1.0 - admitted / len(events))
-            else:
-                event_filter = prefilter.handle()
-        executor = SESExecutor(self._automaton, event_filter=event_filter,
-                               selection=selection, consume_mode=consume,
-                               obs=observability,
-                               record_history=record_history,
-                               history_max_samples=history_max_samples,
-                               aggregate=self._aggregate)
-        return executor.run(events)
+        return self.executor(
+            use_filter=use_filter, filter_mode=filter_mode,
+            selection=selection, consume=consume,
+            observability=observability, record_history=record_history,
+            history_max_samples=history_max_samples).run(relation)
 
     def executor(self, *, use_filter: bool = True,
                  filter_mode: str = "conjunctive", selection: str = "paper",
@@ -222,7 +198,7 @@ class PatternPlan:
                  history_max_samples: Optional[int] = None, tracer=None,
                  flight=None, guard=None) -> SESExecutor:
         """A fresh incremental executor over the compiled automaton."""
-        event_filter = self.filter_handle(filter_mode) if use_filter else None
+        event_filter = self.prefilter(filter_mode) if use_filter else None
         if flight is not None:
             flight.note_plan(self._fingerprint)
         return SESExecutor(self._automaton, event_filter=event_filter,

@@ -10,23 +10,16 @@ the number of instance-loop iterations.
 
 :class:`VectorizedPrefilter` interns a pattern's constant conditions
 **once** into a private :class:`~repro.core.predicates.PredicateBank`
-(equal predicates written for different variables share a slot) and
-offers two evaluation paths over it:
+(equal predicates written for different variables share a slot).  Its
+:meth:`~VectorizedPrefilter.admits` is the one admission decision: every
+executor is handed the plan's prefilter and asks it once per event (a
+missing attribute or an incomparable value counts as ``False``).
+:meth:`~VectorizedPrefilter.admission_mask` computes the same decisions
+columnar over a whole batch — the measurement and test reference, not a
+second route into an executor.
 
-* :meth:`admission_mask` — columnar batch evaluation: the bank walks
-  each attribute's "column" once over the whole event batch, and the
-  per-predicate bit masks (``bit i`` = event ``i``) are combined with
-  ``&``/``|`` exactly as the filter's boolean structure dictates.  The
-  result is one Python big-int admission mask computed *before* the
-  per-event instance loop.
-* :meth:`admits` — the scalar per-event check, the same decision read
-  off the bank's truth vector for one event (missing attributes and
-  incomparable values count as ``False``).
-
-Plans are shared (cached, pickled to workers), so the prefilter itself
-is never mutated at match time; per-use state — metric binding, the
-sequential mask cursor — lives in the small :class:`PrefilterHandle` and
-:class:`MaskCursor` adapters instead.
+Plans are shared (cached, pickled to workers); the prefilter holds no
+per-use state, so one instance serves every matcher of the plan.
 """
 
 from __future__ import annotations
@@ -37,8 +30,7 @@ from ..core.events import Event
 from ..core.pattern import SESPattern
 from ..core.predicates import AdmissionSpec, PredicateBank
 
-__all__ = ["VectorizedPrefilter", "PrefilterHandle", "MaskCursor",
-           "FILTER_MODES"]
+__all__ = ["VectorizedPrefilter", "FILTER_MODES"]
 
 #: Supported filter modes (see :class:`VectorizedPrefilter`).
 FILTER_MODES = ("paper", "conjunctive")
@@ -76,16 +68,12 @@ class VectorizedPrefilter:
             for condition in pattern.constant_conditions(variable))
         self._bank = PredicateBank()
         self._spec = AdmissionSpec(self._bank, pattern)
-        # ``spec.always``: some variable is unconstrained (or there is
-        # none) — every event passes, and the paper filter says so by
-        # calling itself ineffective.
-        self._effective = (not self._spec.always if mode == "paper"
-                           else bool(pattern.variables))
 
     @property
     def is_effective(self) -> bool:
-        """False iff the filter passes every event (no pruning possible)."""
-        return self._effective
+        """False iff the filter passes every event (no pruning possible):
+        some variable is unconstrained, or there is none."""
+        return not self._spec.always
 
     @property
     def predicates(self) -> Tuple[Predicate, ...]:
@@ -95,8 +83,8 @@ class VectorizedPrefilter:
         return self._predicates
 
     def admits(self, event: Event) -> bool:
-        """True iff ``event`` may be relevant to some variable (the
-        scalar path: streaming, incremental executors)."""
+        """True iff ``event`` may be relevant to some variable — what
+        every executor asks of its ``event_filter``."""
         spec = self._spec
         if spec.always:
             return True
@@ -120,100 +108,7 @@ class VectorizedPrefilter:
             return out
         return self._spec.admitted_mask(columns, full)
 
-    # ------------------------------------------------------------------
-    # Per-use adapters
-    # ------------------------------------------------------------------
-    def handle(self) -> "PrefilterHandle":
-        """A fresh scalar filter handle (safe to bind metrics to)."""
-        return PrefilterHandle(self)
-
-    def cursor(self, mask: int, n_events: int) -> "MaskCursor":
-        """A sequential cursor over a precomputed admission mask."""
-        return MaskCursor(self, mask, n_events)
-
     def __repr__(self) -> str:
-        state = "effective" if self._effective else "pass-through"
+        state = "effective" if self.is_effective else "pass-through"
         return (f"VectorizedPrefilter(mode={self.mode!r}, "
                 f"{len(self._predicates)} predicates, {state})")
-
-
-class _FilterAdapter:
-    """Shared plumbing: the executor-facing filter protocol.
-
-    Executors call :meth:`admits` once per input event and — when
-    instrumented — :meth:`bind_metrics` first.  Binding swaps
-    :meth:`admits` for a counting wrapper *on the adapter instance*, so
-    the shared plan is never mutated and unbound matching pays nothing.
-    """
-
-    def __init__(self, prefilter: VectorizedPrefilter):
-        self.prefilter = prefilter
-        self._admitted_counter = None
-        self._rejected_counter = None
-
-    @property
-    def mode(self) -> str:
-        return self.prefilter.mode
-
-    @property
-    def is_effective(self) -> bool:
-        return self.prefilter.is_effective
-
-    def admits(self, event: Event) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def bind_metrics(self, registry) -> "_FilterAdapter":
-        """Report admitted/rejected counts to an obs registry."""
-        self._admitted_counter = registry.counter(
-            "ses_filter_admitted_total",
-            help="events admitted by the Section 4.5 pre-filter")
-        self._rejected_counter = registry.counter(
-            "ses_filter_rejected_total",
-            help="events rejected by the Section 4.5 pre-filter")
-        unbound = type(self).admits
-        self.admits = lambda event: self._admits_counted(unbound, event)
-        return self
-
-    def _admits_counted(self, unbound, event: Event) -> bool:
-        ok = unbound(self, event)
-        counter = self._admitted_counter if ok else self._rejected_counter
-        counter.inc()
-        return ok
-
-
-class PrefilterHandle(_FilterAdapter):
-    """Scalar per-use view of a shared :class:`VectorizedPrefilter`."""
-
-    def admits(self, event: Event) -> bool:
-        return self.prefilter.admits(event)
-
-    def __repr__(self) -> str:
-        return f"PrefilterHandle({self.prefilter!r})"
-
-
-class MaskCursor(_FilterAdapter):
-    """Sequential reader over a precomputed admission mask.
-
-    The batch path computes the mask columnar up front; the executor
-    still calls ``admits`` once per event in input order, and the cursor
-    answers from the mask bit by bit — counters, stats and control flow
-    stay bit-identical to scalar filtering.
-    """
-
-    def __init__(self, prefilter: VectorizedPrefilter, mask: int,
-                 n_events: int):
-        super().__init__(prefilter)
-        self._mask = mask
-        self._n_events = n_events
-        self._position = 0
-
-    def admits(self, event: Event) -> bool:
-        position = self._position
-        if position >= self._n_events:  # defensive: past the batch
-            return self.prefilter.admits(event)
-        self._position = position + 1
-        return bool((self._mask >> position) & 1)
-
-    def __repr__(self) -> str:
-        return (f"MaskCursor({self._position}/{self._n_events}, "
-                f"{popcount(self._mask)} admitted)")

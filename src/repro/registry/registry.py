@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..agg.result import Match
-from ..automaton.executor import MatchResult, SESExecutor
+from ..automaton.executor import MatchResult
 from ..core.events import Event
 from ..core.pattern import SESPattern
 from ..core.predicates import AdmissionSpec, PredicateBank
@@ -409,33 +409,23 @@ class PatternRegistry:
             # that sees every event exactly once.
             for event in events:
                 lineage.note_ingest(event)
-        if not self._use_filter:
-            # Unfiltered: every pattern sees every event, starts allowed.
-            reported: List[Match] = []
-            for entry in list(self._entries.values()):
-                entry.deliveries += n
-                if entry.events_counter is not None:
-                    entry.events_counter.inc(n)
-                for event in events:
-                    matches = entry.matcher.push(event)
-                    if matches:
-                        self._collect(entry, matches, reported)
-                self._publish_agg(entry)
-            if self._deliveries_counter is not None:
-                self._deliveries_counter.inc(n * len(self._entries))
-            return reported
-        columns = self._bank.truth_columns(events)
-        # One columnar gate evaluation per *distinct* start structure.
-        start_masks = {
-            key: StartGate.key_fire_mask(key, columns, full)
-            for key in self._gate_members}
-        reported = []
+        if self._use_filter:
+            columns = self._bank.truth_columns(events)
+            # One columnar gate evaluation per *distinct* start structure.
+            start_masks = {
+                key: StartGate.key_fire_mask(key, columns, full)
+                for key in self._gate_members}
+        reported: List[Match] = []
         for entry in list(self._entries.values()):
-            admitted = entry.spec.admitted_mask(columns, full)
+            if self._use_filter:
+                admitted = entry.spec.admitted_mask(columns, full)
+                starts = start_masks[entry.gate.key]
+            else:
+                # Unfiltered: every pattern sees every event, starts allowed.
+                admitted = starts = full
             matcher = entry.matcher
             if not admitted and not matcher.active_instances:
                 continue
-            starts = start_masks[entry.gate.key]
             delivered = 0
             # Jump between the pattern's admitted events; in the gaps,
             # an expiry sweep only matters past the matcher's next
@@ -526,34 +516,16 @@ class PatternRegistry:
     # ------------------------------------------------------------------
     def run_batch(self, relation, *, selection: str = "paper",
                   consume: str = "greedy") -> Dict[str, MatchResult]:
-        """Run every registered pattern over a finite relation at once.
-
-        The bank's columnar pass computes each pattern's admission mask
-        in one sweep; each plan then executes behind a
-        :class:`~repro.plan.prefilter.MaskCursor` over its mask —
-        bit-identical to ``plan.match(relation)`` per pattern, with the
-        per-attribute predicate work shared across all of them.
-        Independent of streaming state (fresh executors throughout).
-        """
+        """Run every registered pattern over a finite relation at once:
+        ``plan.match(relation)`` per pattern, filtered as the registry
+        is (``use_filter``) and independent of streaming state (fresh
+        executors throughout)."""
         events = list(relation)
         with self._lock:
-            full = (1 << len(events)) - 1
-            columns = (self._bank.truth_columns(events)
-                       if self._use_filter else None)
-            results: Dict[str, MatchResult] = {}
-            for pattern_id, entry in self._entries.items():
-                event_filter = None
-                if columns is not None:
-                    mask = entry.spec.admitted_mask(columns, full)
-                    event_filter = entry.plan.prefilter("conjunctive").cursor(
-                        mask, len(events))
-                executor = SESExecutor(entry.plan.automaton,
-                                       event_filter=event_filter,
-                                       selection=selection,
-                                       consume_mode=consume,
-                                       aggregate=entry.plan.aggregate)
-                results[pattern_id] = executor.run(events)
-            return results
+            return {pattern_id: entry.plan.match(
+                        events, use_filter=self._use_filter,
+                        selection=selection, consume=consume)
+                    for pattern_id, entry in self._entries.items()}
 
     # ------------------------------------------------------------------
     # Introspection

@@ -184,7 +184,7 @@ class TestStreamingExpiryIsTraced:
         tracer = Tracer()
         executor = SESExecutor(build_automaton(self.PATTERN),
                                event_filter=repro.compile(
-                                   self.PATTERN).filter_handle(),
+                                   self.PATTERN).prefilter(),
                                expire_on_filtered=True, tracer=tracer)
         executor.feed(ev(1, "A"))
         executor.feed(ev(2, "B"))

@@ -1,16 +1,19 @@
 """Tests for event pre-filtering (Section 4.5)."""
 
+import json
+
 import pytest
 
 import repro
 from repro import Event, SESPattern
+from repro.explain import explain
 
 from conftest import ev, match
 
 
 def event_filter(pattern, mode="conjunctive"):
-    """What an executor is handed: the plan's scalar filter handle."""
-    return repro.compile(pattern).filter_handle(mode)
+    """What an executor is handed: the plan's prefilter."""
+    return repro.compile(pattern).prefilter(mode)
 
 
 class TestPaperMode:
@@ -34,7 +37,7 @@ class TestPaperMode:
 
 class TestConjunctiveMode:
     def test_default_mode(self, q1):
-        assert repro.compile(q1).filter_handle().mode == "conjunctive"
+        assert repro.compile(q1).prefilter().mode == "conjunctive"
 
     def test_passes_variable_satisfying_all_its_conditions(self, q1):
         f = event_filter(q1)
@@ -45,9 +48,12 @@ class TestConjunctiveMode:
         pattern = SESPattern(sets=[["a", "b"]],
                              conditions=["a.kind = 'A'"], tau=10)
         f = event_filter(pattern)
-        assert f.is_effective
+        assert not f.is_effective, "it passes every event"
+        assert "pass-through" in repr(f)
         assert f.admits(Event(ts=1, kind="ZZZ")), \
             "b has no constant conditions, so any event may bind to it"
+        report = json.loads(explain(pattern).to_json())
+        assert report["prefilter"]["conjunctive"]["effective"] is False
 
     def test_stronger_than_paper_mode(self):
         # Variable with two constant conditions: kind and level.

@@ -5,7 +5,6 @@ import logging
 
 import pytest
 
-import repro
 from repro.automaton.builder import build_automaton
 from repro.automaton.executor import SESExecutor
 from repro.obs import (NULL_REGISTRY, Counter, Gauge, Histogram,
@@ -478,7 +477,7 @@ class TestExecutorIntegration:
         assert stages["select"].count == 1
         snap = obs.snapshot()
         assert snap["ses_events_read_total"]["value"] == 4
-        assert snap["ses_filter_rejected_total"]["value"] == 1
+        assert snap["ses_events_filtered_total"]["value"] == 1
         assert snap["ses_matches_total"]["value"] == 1
         assert snap["ses_event_latency_seconds"]["count"] == 4
 
@@ -502,19 +501,6 @@ class TestExecutorIntegration:
         assert executor.obs is None
         result = executor.run([ev(1, "A"), ev(2, "B"), ev(3, "C")])
         assert len(result) == 1
-
-    def test_filter_counters_bound_once(self, kind_pattern):
-        obs = Observability()
-        executor = repro.compile(kind_pattern).executor(observability=obs)
-        executor.run(rel(ev(1, "A"), ev(2, "Z")))
-        snap = obs.snapshot()
-        assert (snap["ses_filter_admitted_total"]["value"]
-                + snap["ses_filter_rejected_total"]["value"]) == 2
-
-    def test_filter_unbound_by_default(self, kind_pattern):
-        event_filter = repro.compile(kind_pattern).filter_handle()
-        assert event_filter.admits(ev(1, "A"))
-        assert event_filter._admitted_counter is None
 
 
 class TestStreamIntegration:

@@ -683,7 +683,7 @@ def _ledger_ops(plan, rows):
     """What the registry does with a stream: events the plan's prefilter
     rejects only advance the clock."""
     from repro.net.protocol import event_from_json
-    admits = plan.filter_handle().admits
+    admits = plan.prefilter().admits
     events = [event_from_json(row) for row in rows]
     return [(event, True if admits(event) else None) for event in events]
 

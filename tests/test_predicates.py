@@ -10,7 +10,9 @@ them against the definition and against each other — and a source scan
 keeps it one.
 """
 
+import ast
 import importlib
+import inspect
 import pickle
 import re
 from pathlib import Path
@@ -22,7 +24,9 @@ from hypothesis import strategies as st
 import repro
 from repro import Attr, Condition, Const, Event, SESPattern, var
 from repro.core.predicates import AdmissionSpec, PredicateBank
+from repro.plan import plan as plan_module
 from repro.plan.prefilter import FILTER_MODES, popcount
+from repro.registry import registry as registry_module
 
 from conftest import reference_admits
 
@@ -109,8 +113,6 @@ class TestOneAnswer:
             mask = prefilter.admission_mask(relation)
             assert [bool(mask >> i & 1) for i in range(n)] == expected
             assert popcount(mask) == sum(expected)
-            handle = prefilter.handle()
-            assert [handle.admits(e) for e in relation] == expected
 
         # The registry's spec over a bank other patterns filled first.
         bank = PredicateBank()
@@ -194,3 +196,34 @@ class TestItStaysOne:
             importlib.import_module("repro.automaton.filtering")
         assert not hasattr(repro, "EventFilter")
         assert not hasattr(repro.automaton, "EventFilter")
+
+
+class TestOneAdmissionPath:
+    """Admission has one path: every executor is handed the plan's
+    :class:`~repro.plan.prefilter.VectorizedPrefilter` and asks its
+    ``admits`` — no adapter in between, no second batch route."""
+
+    SRC = Path(repro.__file__).parent
+
+    def test_one_class_decides_admission(self):
+        owners = set()
+        for path in self.SRC.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and item.name == "admits"
+                            and [a.arg for a in item.args.args]
+                            == ["self", "event"]):
+                        owners.add(node.name)
+        assert owners == {"VectorizedPrefilter"}
+
+    def test_batch_runs_go_through_the_plan_executor(self):
+        assert "SESExecutor(" not in inspect.getsource(
+            plan_module.PatternPlan.match)
+        assert "SESExecutor(" not in inspect.getsource(registry_module)
+        assert inspect.getsource(plan_module).count("SESExecutor(") == 1
+
+    def test_trim_is_the_only_optimization(self):
+        assert plan_module.OPTIMIZATIONS == ("trim",)

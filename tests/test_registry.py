@@ -344,16 +344,27 @@ class TestStreamingEquivalence:
 
 
 class TestRunBatch:
+    """``run_batch`` equals ``plan.match`` per pattern, with the
+    registry filtered or not."""
+
     def test_run_batch_bit_identical_to_plan_match(self, random_plans,
                                                    chemo_events):
+        self.check(random_plans, chemo_events, use_filter=True)
+
+    def test_unfiltered_run_batch_bit_identical_to_plan_match(
+            self, random_plans, chemo_events):
+        self.check(random_plans, chemo_events, use_filter=False)
+
+    @staticmethod
+    def check(random_plans, chemo_events, use_filter):
         relation = rel(*chemo_events[:200])
-        registry = PatternRegistry()
+        registry = PatternRegistry(use_filter=use_filter)
         for i, plan in enumerate(random_plans):
             registry.register(plan, pattern_id=f"p{i}")
         results = registry.run_batch(relation)
         assert len(results) == len(random_plans)
         for i, plan in enumerate(random_plans):
-            expected = plan.match(relation)
+            expected = plan.match(relation, use_filter=use_filter)
             got = results[f"p{i}"]
             assert ([bindings(s) for s in got.matches]
                     == [bindings(s) for s in expected.matches]), f"p{i}"
