@@ -55,7 +55,7 @@ from .core.variables import Variable, group, var
 
 from .automaton.automaton import SESAutomaton
 from .automaton.builder import build_automaton
-from .automaton.executor import MatchResult, SESExecutor, execute
+from .automaton.executor import MatchResult, SESExecutor
 
 from .explain import (ExplainReport, StatsStore, clear_stats_store, explain,
                       explain_analyze, stats_store)
@@ -122,7 +122,6 @@ __all__ = [
     "compile",
     "compile_query",
     "const",
-    "execute",
     "explain",
     "explain_analyze",
     "group",

@@ -43,9 +43,15 @@ start order; buffers sharing a start come in the order their instances
 arrived in the accepting state.  Every instance is visited on every
 event only where something depends on it: with a
 :class:`~repro.automaton.trace.Tracer` attached (Figure 6 records the
-instances an event leaves alone), in ``"contiguous"`` mode (leaving an
-instance alone ends it) and in a subclass that sets
-``visits_every_instance``.
+instances an event leaves alone) and in ``"contiguous"`` mode (leaving
+an instance alone ends it).
+
+Every instance resting in Ω has bound an event, so it has a start and
+sits outside the start state: the event's own start-state instance is
+offered the event before it could rest and leaves successors or
+nothing, and :meth:`SESExecutor.replace_instances` (so also
+:meth:`SESExecutor.load_state`) refuses an instance that has bound
+nothing.
 
 For finite relations the executor additionally *flushes* accepting
 instances at end of input — Algorithm 1 as printed only reports a match
@@ -80,7 +86,7 @@ from .instance import AutomatonInstance
 from .metrics import ExecutionStats
 from .states import State
 
-__all__ = ["SESExecutor", "MatchResult", "execute"]
+__all__ = ["SESExecutor", "MatchResult"]
 
 logger = logging.getLogger(__name__)
 
@@ -124,12 +130,6 @@ _WILD = object()
 _ABSENT = object()
 
 
-def _start_last_if_empty(instance: AutomatonInstance):
-    """Sort key for start order that tolerates empty buffers (last)."""
-    min_ts = instance.buffer.min_ts
-    return (min_ts is None, min_ts)
-
-
 def _by_state(instances: Iterable[AutomatonInstance]
               ) -> Dict[State, List[AutomatonInstance]]:
     """``instances`` grouped by the state they are in, order kept."""
@@ -152,15 +152,13 @@ class _Bucket:
     remembers the key it is filed under (``instance.key``).
     """
 
-    __slots__ = ("state", "instances", "probe", "by_value", "is_start")
+    __slots__ = ("state", "instances", "probe", "by_value")
 
-    def __init__(self, state: State, automaton: SESAutomaton,
-                 probe: Optional[StateProbe]):
+    def __init__(self, state: State, probe: Optional[StateProbe]):
         self.state = state
         self.instances: List[AutomatonInstance] = []
         self.probe = probe
         self.by_value: Optional[dict] = None if probe is None else {}
-        self.is_start = state == automaton.start
 
     def key_of(self, instance: AutomatonInstance):
         """The value ``instance`` is filed under."""
@@ -272,10 +270,6 @@ class SESExecutor:
     use.  A single executor may be reused after :meth:`reset`.
     """
 
-    #: Set by a subclass whose :meth:`_consume` must run for every
-    #: instance on every event, not only for those an event can move.
-    visits_every_instance = False
-
     def __init__(self, automaton: SESAutomaton,
                  event_filter=None,
                  selection: str = "paper",
@@ -372,11 +366,8 @@ class SESExecutor:
             self._emit = self._hooks[0].record
         #: Offer every event to every instance instead of looking the
         #: candidates up: a tracer records the instances an event leaves
-        #: alone, strict contiguity ends them, and a subclass may say it
-        #: has to see them all.
-        self._walks_all = (tracer is not None
-                           or consume_mode == "contiguous"
-                           or self.visits_every_instance)
+        #: alone, and strict contiguity ends them.
+        self._walks_all = tracer is not None or consume_mode == "contiguous"
         self.reset()
 
     def reset(self) -> None:
@@ -406,18 +397,29 @@ class SESExecutor:
     # Ω: one bucket per occupied state
     # ------------------------------------------------------------------
     def instances(self) -> List[AutomatonInstance]:
-        """Ω as one list in start order (oldest first, empty buffers
-        last); instances sharing a start come state by state, in the
-        order they arrived in their state."""
+        """Ω as one list in start order (oldest first); instances sharing
+        a start come state by state, in the order they arrived in their
+        state."""
         merged = [instance for bucket in self._buckets.values()
                   for instance in bucket.instances]
-        merged.sort(key=_start_last_if_empty)
+        merged.sort(key=_start)
         return merged
 
     def replace_instances(self,
                           instances: Iterable[AutomatonInstance]) -> None:
-        """Make ``instances`` (in any order) the new Ω."""
-        by_state = _by_state(sorted(instances, key=_start_last_if_empty))
+        """Make ``instances`` (in any order) the new Ω.
+
+        An instance in the start state or with an empty buffer has bound
+        no event, and Ω never holds one: it raises :class:`ValueError`,
+        leaving Ω as it was.
+        """
+        instances = list(instances)
+        start = self.automaton.start
+        for instance in instances:
+            if instance.state == start or not instance.buffer:
+                raise ValueError(f"cannot rest in Ω: {instance!r} is in "
+                                 f"the start state or has bound no event")
+        by_state = _by_state(sorted(instances, key=_start))
         self._buckets = {}
         self._count = 0
         self._expiry_stale = True
@@ -438,8 +440,7 @@ class SESExecutor:
         rank = automaton.state_rank
         last = next(reversed(buckets), None)
         buckets[state] = bucket = _Bucket(
-            state, automaton,
-            None if self._walks_all else automaton.probe(state))
+            state, None if self._walks_all else automaton.probe(state))
         if last is not None and rank(state) < rank(last):
             self._buckets = dict(sorted(buckets.items(),
                                         key=lambda item: rank(item[0])))
@@ -530,8 +531,8 @@ class SESExecutor:
 
         An event with ``ts`` at or below this value expires nothing (an
         expiry-only sweep would be a no-op); the first event beyond it
-        expires the oldest instance.  ``None`` when no instance holds
-        buffered events — nothing can expire.  Callers that batch events
+        expires the oldest instance.  ``None`` when Ω is empty —
+        nothing can expire.  Callers that batch events
         (the registry's shared admission pass) use this to skip the
         per-event expiry sweeps that cannot fire.
         """
@@ -540,15 +541,11 @@ class SESExecutor:
         if self._expiry_stale:
             # The minimum over the bucket heads; it stands until an
             # instance arrives in a bucket or leaves one.
-            oldest = None
-            for bucket in self._buckets.values():
-                if bucket.instances:
-                    min_ts = bucket.instances[0].buffer.min_ts
-                    if min_ts is not None and (oldest is None
-                                               or min_ts < oldest):
-                        oldest = min_ts
-            self._next_expiry = (None if oldest is None
-                                 else oldest + self.automaton.tau)
+            heads = [bucket.instances[0].buffer.min_ts
+                     for bucket in self._buckets.values()
+                     if bucket.instances]
+            self._next_expiry = (min(heads) + self.automaton.tau
+                                 if heads else None)
             self._expiry_stale = False
         return self._next_expiry
 
@@ -621,13 +618,11 @@ class SESExecutor:
         expired: List[AutomatonInstance] = []
         for bucket in self._buckets.values():
             residents = bucket.instances
-            if residents:
-                min_ts = residents[0].buffer.min_ts
-                if min_ts is not None and ts - min_ts > tau:
-                    mixed = bool(expired)
-                    expired += self._cut_expired(bucket, ts)
-                    if mixed:
-                        expired.sort(key=_start)
+            if residents and ts - residents[0].buffer.min_ts > tau:
+                mixed = bool(expired)
+                expired += self._cut_expired(bucket, ts)
+                if mixed:
+                    expired.sort(key=_start)
         if expired:
             accepting = automaton.accepting
             stats.expired_instances += len(expired)
@@ -655,10 +650,8 @@ class SESExecutor:
         tau = self.automaton.tau
         residents = bucket.instances
         cut = 1
-        while cut < len(residents):
-            min_ts = residents[cut].buffer.min_ts
-            if min_ts is None or not ts - min_ts > tau:
-                break
+        while (cut < len(residents)
+               and ts - residents[cut].buffer.min_ts > tau):
             cut += 1
         expired = residents[:cut]
         del residents[:cut]
@@ -697,7 +690,7 @@ class SESExecutor:
             row = rows[bucket.state]
             by_value = bucket.by_value
             if by_value is None:
-                if row is None and not (walks_all or bucket.is_start):
+                if row is None and not walks_all:
                     continue
                 offered = (residents,)
             else:
@@ -901,7 +894,11 @@ class SESExecutor:
         return snapshot
 
     def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (inverse of it)."""
+        """Restore a :meth:`state_dict` snapshot (inverse of it).
+
+        Ω goes through :meth:`replace_instances`, so a snapshot holding an
+        instance that has bound no event raises :class:`ValueError`.
+        """
         self.replace_instances(AutomatonInstance(q, beta)
                                for q, beta in state["omega"])
         self._accepted_during_consume = []
@@ -1004,12 +1001,3 @@ class SESExecutor:
                 "ses_agg_groups_peak",
                 help="max coalesced instance groups this run",
             ).set(self._agg.max_groups)
-
-
-def execute(automaton: SESAutomaton, events: Iterable[Event],
-            event_filter=None,
-            selection: str = "paper") -> MatchResult:
-    """One-shot convenience wrapper around :class:`SESExecutor`."""
-    executor = SESExecutor(automaton, event_filter=event_filter,
-                           selection=selection)
-    return executor.run(events)

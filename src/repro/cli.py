@@ -513,7 +513,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
     try:
         if args.dead_letter is not None:
             result = _run_supervised_match(plan, relation, args, obs, guard)
-        elif args.workers == 1 and (profiling or guard is not None):
+        elif args.workers == 1:
             executor = plan.executor(
                 use_filter=not args.no_filter, selection=args.selection,
                 consume=args.mode, observability=obs, flight=flight,

@@ -161,9 +161,7 @@ class PatternPlan:
               use_filter: bool = True, filter_mode: str = "conjunctive",
               selection: str = "paper", consume: str = "greedy",
               workers: int = 1, partition_by: Optional[str] = None,
-              observability=None, record_history: bool = False,
-              history_max_samples: Optional[int] = None,
-              chunks_per_worker: int = 4,
+              observability=None, chunks_per_worker: int = 4,
               start_method: Optional[str] = None) -> MatchResult:
         """Run the plan over ``relation`` and return a :class:`MatchResult`.
 
@@ -187,8 +185,7 @@ class PatternPlan:
         return self.executor(
             use_filter=use_filter, filter_mode=filter_mode,
             selection=selection, consume=consume,
-            observability=observability, record_history=record_history,
-            history_max_samples=history_max_samples).run(relation)
+            observability=observability).run(relation)
 
     def executor(self, *, use_filter: bool = True,
                  filter_mode: str = "conjunctive", selection: str = "paper",

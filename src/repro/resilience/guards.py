@@ -242,15 +242,9 @@ class ResourceGuard:
                 self._degraded_counter.inc(dropped)
 
     def _shed(self, executor, resource: str, target: Optional[int]) -> None:
-        """Drop oldest-start instances until back under the ceiling.
-
-        Fresh start instances (empty buffer, ``min_ts is None``) are
-        kept — they are one dict away from free and dropping them would
-        blind the matcher to genuinely new matches.
-        """
+        """Drop oldest-start instances until back under the ceiling."""
         config = self.config
-        # Oldest starts first; empty-buffer instances come last (kept).
-        omega = executor.instances()
+        omega = executor.instances()  # oldest start first
 
         def under_ceiling() -> bool:
             if resource == "instances":
@@ -264,8 +258,6 @@ class ResourceGuard:
             return
         shed = 0
         while omega and not under_ceiling():
-            if omega[0].buffer.min_ts is None:
-                break  # only fresh starts left
             omega.pop(0)
             shed += 1
         if shed:

@@ -4,13 +4,13 @@ import pytest
 
 from repro import Event, EventRelation, SESPattern
 from repro.automaton.builder import build_automaton
-from repro.automaton.executor import SESExecutor, execute
+from repro.automaton.executor import SESExecutor
 
 from conftest import bindings, eids, ev, match
 
 
 def run(pattern, events, **kwargs):
-    return execute(build_automaton(pattern), events, **kwargs)
+    return SESExecutor(build_automaton(pattern), **kwargs).run(events)
 
 
 class TestBasicMatching:

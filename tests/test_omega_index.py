@@ -7,8 +7,7 @@ kept here as the oracle.  The bucketed executor must be the same machine
 seen from outside: the same buffers accepted at the same events (in
 start order; instances sharing a start may swap places), the same Ω, the
 same counters, and for every recorder (tracer, flight recorder, lineage)
-the same steps — whatever the consume mode, and for the pruning executor
-as for the plain one.
+the same steps — whatever the consume mode.
 """
 
 import itertools
@@ -25,7 +24,6 @@ from repro.automaton import (AutomatonInstance, SESAutomaton, SESExecutor,
 from repro.automaton.buffer import EMPTY_BUFFER
 from repro.automaton.builder import build_automaton
 from repro.automaton.executor import CONSUME_MODES
-from repro.automaton.pruning import DeadlineTable, PruningExecutor
 from repro.core.conditions import parse_condition
 from repro.core.substitution import Substitution
 from repro.core.variables import group, var
@@ -175,31 +173,6 @@ class FlatExecutor(SESExecutor):
         return accepted_now
 
 
-class FlatPruningExecutor(FlatExecutor):
-    """:class:`FlatExecutor` plus deadline pruning as it was done per
-    instance (``PruningExecutor._consume`` of commit d1b70df, verbatim)."""
-
-    def __init__(self, pattern, automaton, tick=1, **kwargs):
-        super().__init__(automaton, **kwargs)
-        self.deadlines = DeadlineTable(pattern, automaton, tick=tick)
-        self.pruned_instances = 0
-
-    def _consume(self, instance, event, out) -> None:
-        before = len(out)
-        super()._consume(instance, event, out)
-        accepting = self.automaton.accepting
-        kept = []
-        for successor in out[before:]:
-            if (successor.state != accepting
-                    and self.deadlines.doomed(successor, event.ts,
-                                              self.automaton.tau)):
-                self.pruned_instances += 1
-                continue
-            kept.append(successor)
-        if len(kept) != len(out) - before:
-            out[before:] = kept
-
-
 # ----------------------------------------------------------------------
 # Lockstep comparison
 # ----------------------------------------------------------------------
@@ -331,35 +304,28 @@ class _SpyGuard(ResourceGuard):
 
 
 def assert_lockstep(automaton, ops, consume="greedy", hooks="none",
-                    guard=None, reload_at=None, omega_every=1, pruning=None):
+                    guard=None, reload_at=None, omega_every=1):
     """Drive a :class:`FlatExecutor` and a bucketed ``SESExecutor`` through
     ``ops`` — ``(event, True | False)`` feeds the event with that
     ``allow_start``, ``(event, None)`` is an expiry tick — comparing the
     two after every one, under the recorders ``hooks`` names (one of
-    :data:`HOOKS`).  ``pruning`` (the pattern ``automaton`` was built
-    from) runs the pair with deadline pruning instead:
-    :class:`FlatPruningExecutor` against ``PruningExecutor``.
-    ``reload_at`` swaps the bucketed executor for a fresh one restored
-    from its ``state_dict()`` before that op; ``omega_every`` thins the
-    comparison of Ω itself (everything else is compared after every op)
-    for long streams.  Returns the bucketed executor.
+    :data:`HOOKS`).  ``reload_at`` swaps the bucketed executor for a
+    fresh one restored from its ``state_dict()`` before that op;
+    ``omega_every`` thins the comparison of Ω itself (everything else is
+    compared after every op) for long streams.  Returns the bucketed
+    executor.
     """
     def make(cls, guard, recorders):
-        args = (automaton,) if pruning is None else (pruning, automaton)
-        return cls(*args, selection="accepted", consume_mode=consume,
+        return cls(automaton, selection="accepted", consume_mode=consume,
                    guard=guard, **recorders.kwargs())
 
-    flat_cls, fast_cls = ((FlatExecutor, SESExecutor) if pruning is None
-                          else (FlatPruningExecutor, PruningExecutor))
     old_recorders, new_recorders = _Recorders(hooks), _Recorders(hooks)
-    flat = make(flat_cls, guard and _SpyGuard(guard), old_recorders)
-    fast = make(fast_cls, guard and _SpyGuard(guard), new_recorders)
+    flat = make(FlatExecutor, guard and _SpyGuard(guard), old_recorders)
+    fast = make(SESExecutor, guard and _SpyGuard(guard), new_recorders)
     for index, (event, action) in enumerate(ops):
         if index == reload_at:
-            restored = make(fast_cls, fast.guard, new_recorders)
+            restored = make(SESExecutor, fast.guard, new_recorders)
             restored.load_state(fast.state_dict())
-            if pruning is not None:
-                restored.pruned_instances = fast.pruned_instances
             fast = restored
         emitted = []
         for executor, recorders in ((flat, old_recorders),
@@ -370,8 +336,6 @@ def assert_lockstep(automaton, ops, consume="greedy", hooks="none",
         assert by_start(emitted[0]) == by_start(emitted[1]), index
         assert flat.stats == fast.stats, index
         assert old_recorders.seen() == new_recorders.seen(), index
-        if pruning is not None:
-            assert flat.pruned_instances == fast.pruned_instances, index
         if guard and action is not None:
             assert flat.guard.before == fast.guard.before, index
             assert flat.guard.trips == fast.guard.trips, index
@@ -508,24 +472,21 @@ def drawn_ops(data, events):
 class TestBucketedEqualsFlat:
     @given(pattern=joined_patterns(), events=keyed_events(),
            consume=st.sampled_from(CONSUME_MODES),
-           hooks=st.sampled_from(HOOKS), pruning=st.booleans(),
-           data=st.data())
+           hooks=st.sampled_from(HOOKS), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_lockstep_on_random_streams(self, pattern, events, consume,
-                                        hooks, pruning, data):
+                                        hooks, data):
         ops = drawn_ops(data, events)
         reload_at = data.draw(st.one_of(
             st.none(), st.integers(min_value=0, max_value=len(ops))))
         assert_lockstep(build_automaton(pattern), ops, consume, hooks,
-                        reload_at=reload_at,
-                        pruning=pattern if pruning else None)
+                        reload_at=reload_at)
 
-    @pytest.mark.parametrize("pruning", (False, True))
     @pytest.mark.parametrize("hooks", HOOKS)
     @pytest.mark.parametrize("consume", CONSUME_MODES)
-    def test_every_mode_recorder_and_executor(self, consume, hooks, pruning):
-        """The whole grid on one stream that branches, loops, expires,
-        prunes and accepts, restored from a snapshot half way."""
+    def test_every_mode_recorder_and_executor(self, consume, hooks):
+        """The whole grid on one stream that branches, loops, expires
+        and accepts, restored from a snapshot half way."""
         pattern = SESPattern(
             sets=[["a", "b+"], ["c"]],
             conditions=["a.kind = 'A'", "b.kind = 'A'", "c.kind = 'C'",
@@ -534,11 +495,10 @@ class TestBucketedEqualsFlat:
                         k=(t // 6) % 2) for t in range(1, 49)]
         fast = assert_lockstep(
             build_automaton(pattern), [(e, True) for e in events], consume,
-            hooks, reload_at=20, pruning=pattern if pruning else None)
+            hooks, reload_at=20)
         assert fast.stats.branchings and fast.stats.accepted_buffers
         if consume != "contiguous":  # there a run ends before its window
             assert fast.stats.expired_instances
-            assert not pruning or fast.pruned_instances
 
     @given(pattern=equi_joined_patterns(),
            events=keyed_events(max_events=24, kinds="AB", values=(1, 2, 3)),
@@ -674,6 +634,24 @@ class TestBucketedEqualsFlat:
                     == [_canon(i) for i in resumed.instances()])
         assert straight.finish() == resumed.finish()
         assert straight.stats.accepted_buffers > 0
+
+    @pytest.mark.parametrize("state", ("start", "resting"))
+    def test_load_state_refuses_an_instance_that_bound_nothing(self, state):
+        """Ω holds only instances that have bound an event, and a
+        snapshot from outside is held to that: an instance in the start
+        state or with an empty buffer is refused with a ``ValueError``
+        naming it, and Ω is left as it was."""
+        automaton = build_automaton(SESPattern(
+            sets=[["a", "b"]], conditions=["a.kind = 'A'", "b.kind = 'B'"],
+            tau=5))
+        unbound = (automaton.start if state == "start"
+                   else frozenset({var("a")}))
+        executor = SESExecutor(automaton)
+        executor.feed(Event(ts=1, eid="a1", kind="A"))
+        before = executor.state_dict()
+        with pytest.raises(ValueError, match="cannot rest in Ω"):
+            executor.load_state(dict(before, omega=[(unbound, EMPTY_BUFFER)]))
+        assert executor.state_dict()["omega"] == before["omega"]
 
 
 # ----------------------------------------------------------------------

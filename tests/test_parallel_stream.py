@@ -143,9 +143,10 @@ class Bomb:
 class TestCrashDetection:
     def test_crashed_shard_surfaces_instead_of_hanging(self):
         matcher = ShardedStreamMatcher(JOINED, workers=2)
-        matcher.push(Event(ts=1, eid="p", kind=Bomb(), ID=4))
         with pytest.raises(WorkerCrashed, match="boom condition"):
-            # The crash is asynchronous; the flush barrier must observe it.
+            # The crash is asynchronous: the push's own drain may see it
+            # already, and the flush barrier must.
+            matcher.push(Event(ts=1, eid="p", kind=Bomb(), ID=4))
             matcher.flush()
         assert multiprocessing.active_children() == []
         # The matcher is unusable but further calls still fail cleanly.
@@ -207,8 +208,8 @@ class TestShardFlightDump:
     def test_crash_ships_flight_dump(self):
         matcher = ShardedStreamMatcher(JOINED, workers=2)
         matcher.push_many(stream_events(n_keys=4, reps=1))
-        matcher.push(Event(ts=90, eid="poison", kind=Bomb(), ID=4))
         with pytest.raises(WorkerCrashed) as excinfo:
+            matcher.push(Event(ts=90, eid="poison", kind=Bomb(), ID=4))
             matcher.flush()
         dump = excinfo.value.flight_dump
         assert dump is not None and dump["steps"]
@@ -218,8 +219,8 @@ class TestShardFlightDump:
 
     def test_flight_capacity_zero_still_reports_crash(self):
         matcher = ShardedStreamMatcher(JOINED, workers=2, flight_capacity=0)
-        matcher.push(Event(ts=1, eid="p", kind=Bomb(), ID=4))
         with pytest.raises(WorkerCrashed) as excinfo:
+            matcher.push(Event(ts=1, eid="p", kind=Bomb(), ID=4))
             matcher.flush()
         assert excinfo.value.flight_dump is None
 
@@ -250,7 +251,7 @@ class TestHealth:
         # Without a supervisor nothing will restart the shard: that is a
         # hard failure, not a degraded-but-serving state.
         matcher = ShardedStreamMatcher(JOINED, workers=2)
-        matcher.push(Event(ts=1, eid="p", kind=Bomb(), ID=4))
         with pytest.raises(WorkerCrashed):
+            matcher.push(Event(ts=1, eid="p", kind=Bomb(), ID=4))
             matcher.flush()
         assert matcher.health()["status"] == "failed"

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro import Attr, Condition, Const, Event, SESPattern, var
+from repro.automaton import executor as executor_module
 from repro.core.predicates import AdmissionSpec, PredicateBank
 from repro.plan import plan as plan_module
 from repro.plan.prefilter import FILTER_MODES, popcount
@@ -227,3 +228,36 @@ class TestOneAdmissionPath:
 
     def test_trim_is_the_only_optimization(self):
         assert plan_module.OPTIMIZATIONS == ("trim",)
+
+
+class TestOneExecutor:
+    """Algorithms 1–2 have one implementation and Ω one shape: no class
+    under ``src/repro`` subclasses ``SESExecutor``, and every instance
+    resting in Ω has bound an event, so the executor tests for no other
+    kind."""
+
+    SRC = Path(repro.__file__).parent
+
+    def test_nothing_subclasses_the_executor(self):
+        subclasses = []
+        for path in self.SRC.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef) and any(
+                        ast.unparse(base).split(".")[-1] == "SESExecutor"
+                        for base in node.bases):
+                    subclasses.append(f"{path.name}:{node.name}")
+        assert subclasses == []
+
+    def test_the_pruning_executor_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.automaton.pruning")
+
+    def test_the_executor_handles_no_unbound_resident(self):
+        source = Path(executor_module.__file__).read_text()
+        for seam in ("visits_every_instance", "is_start", "min_ts is None"):
+            assert seam not in source, seam
+
+    def test_plan_match_has_no_history_knobs(self):
+        parameters = inspect.signature(plan_module.PatternPlan.match).parameters
+        assert "record_history" not in parameters
+        assert "history_max_samples" not in parameters

@@ -15,7 +15,7 @@ EXPECTED_ALL = {
     "SESPattern", "SchemaError", "Substitution", "Variable",
     "attr", "const", "group", "var",
     # Automaton layer
-    "SESAutomaton", "SESExecutor", "build_automaton", "execute",
+    "SESAutomaton", "SESExecutor", "build_automaton",
     # Compile-once façade
     "PatternPlan", "PlanCache", "compile", "plan_cache",
     "clear_plan_cache", "set_plan_cache_size",
