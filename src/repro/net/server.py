@@ -52,20 +52,32 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from http import HTTPStatus
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .hub import SubscriptionHub, Subscriber
-from .protocol import (PROTO_VERSION, FrameDecoder, FrameError, WSFrame,
-                       encode_frame, events_from_json, sse_format, sse_frame,
-                       ws_accept_key, ws_decode, ws_encode)
+from .protocol import (MAX_FRAME_BYTES, PROTO_VERSION, FrameDecoder,
+                       FrameError, WSFrame, encode_frame, events_from_json,
+                       sse_format, sse_frame, ws_accept_key, ws_decode,
+                       ws_encode)
 
-__all__ = ["PushServer"]
+__all__ = ["PushServer", "read_http_request", "write_http_response"]
 
 logger = logging.getLogger(__name__)
 
-#: Request head cap (method + headers) for the HTTP side.
+#: Request head cap (request line + headers): the listeners' stream limit.
 MAX_HTTP_HEAD = 64 * 1024
+
+#: Seconds an HTTP request may take to send its head, and again its
+#: body, before the connection is closed without a reply.
+HTTP_READ_TIMEOUT = 30.0
+
+#: The delay hinted to backpressured producers (``slow_down``, 429).
+RETRY_AFTER_MS = 250
+
+#: ``(method, target, headers, body)`` of one HTTP request.
+HTTPRequest = Tuple[str, str, Dict[str, str], bytes]
 
 #: HTTP methods used to sniff HTTP from framed-ingest connections.
 _HTTP_PREFIXES = (b"GET ", b"POST", b"PUT ", b"HEAD", b"DELE", b"OPTI",
@@ -82,6 +94,64 @@ RUN_EVENTS = 256
 #: Bytes per socket read on the ingest side, and the size past which one
 #: delivery write takes no further frame.
 IO_CHUNK_BYTES = 64 * 1024
+
+
+async def read_http_request(reader: asyncio.StreamReader, writer,
+                            initial: bytes = b"") -> Optional[HTTPRequest]:
+    """Read one request: ``(method, target, headers, body)``, header names
+    lower-cased, ``initial`` being what the caller already read.
+
+    ``None`` means the request was answered here — 431 for a head over
+    :data:`MAX_HTTP_HEAD`, 400 for a bad request line or a
+    ``Content-Length`` that is not a non-negative integer, 413 for a body
+    over ``MAX_FRAME_BYTES`` before any of it is read — or that the peer
+    left or stayed silent for :data:`HTTP_READ_TIMEOUT`.
+    """
+    try:
+        head = initial + await asyncio.wait_for(
+            reader.readuntil(b"\r\n\r\n"), HTTP_READ_TIMEOUT)
+    except asyncio.LimitOverrunError:
+        return await write_http_response(writer, 431,
+                                         {"error": "headers too large"})
+    except (asyncio.IncompleteReadError, asyncio.TimeoutError):
+        return None
+    lines = head[:-4].decode("latin-1").split("\r\n")
+    request_line = lines[0].split(" ", 2)
+    if len(request_line) != 3:
+        return await write_http_response(writer, 400,
+                                         {"error": "bad request line"})
+    headers = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = headers.get("content-length") or "0"
+    if not (length.isascii() and length.isdigit()):
+        return await write_http_response(
+            writer, 400, {"error": f"bad Content-Length {length!r}"})
+    if int(length) > MAX_FRAME_BYTES:
+        return await write_http_response(writer, 413, {
+            "error": f"body of {length} bytes exceeds {MAX_FRAME_BYTES}"})
+    try:
+        body = await asyncio.wait_for(reader.readexactly(int(length)),
+                                      HTTP_READ_TIMEOUT)
+    except (asyncio.IncompleteReadError, asyncio.TimeoutError):
+        return None
+    return request_line[0], request_line[1], headers, body
+
+
+async def write_http_response(writer, status: int, payload,
+                              content_type: str = "application/json",
+                              headers: str = "") -> None:
+    """Write one response (``payload`` as ``bytes``, or a value sent as a
+    line of JSON; ``headers`` as ``Name: value\\r\\n`` lines) and drain."""
+    if not isinstance(payload, bytes):
+        payload = (json.dumps(payload, default=str) + "\n").encode("utf-8")
+    head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            f"{headers}Connection: close\r\n\r\n")
+    writer.write(head.encode("latin-1") + payload)
+    await writer.drain()
 
 
 class PushServer:
@@ -107,8 +177,6 @@ class PushServer:
         Bound on queued-but-unprocessed batches.  A full queue is the
         backpressure signal: framed clients get ``slow_down``, HTTP
         clients ``429``.
-    retry_after_ms:
-        The delay hinted to backpressured producers.
     observability:
         Optional :class:`~repro.obs.Observability` for the
         ``ses_ingest_*`` metrics.
@@ -125,7 +193,7 @@ class PushServer:
     def __init__(self, hub: SubscriptionHub, submit: Callable[[list], Any],
                  flush: Optional[Callable[[], Any]] = None,
                  host: str = "127.0.0.1", port: int = 0,
-                 ingest_queue: int = 64, retry_after_ms: int = 250,
+                 ingest_queue: int = 64,
                  observability=None,
                  health: Optional[Callable[[], Tuple[bool, dict]]] = None,
                  on_quit: Optional[Callable[[], None]] = None):
@@ -137,7 +205,6 @@ class PushServer:
         self.host = host
         self.port = port
         self.ingest_queue_size = ingest_queue
-        self.retry_after_ms = retry_after_ms
         self._health = health
         self._on_quit = on_quit
         self._obs = observability
@@ -201,7 +268,8 @@ class PushServer:
         self._queue = asyncio.Queue(maxsize=self.ingest_queue_size)
         try:
             self._server = await asyncio.start_server(
-                self._handle_conn, self._host_arg, self._port_arg)
+                self._handle_conn, self._host_arg, self._port_arg,
+                limit=MAX_HTTP_HEAD)
         except OSError as exc:
             self._start_error = exc
             return
@@ -508,7 +576,7 @@ class PushServer:
         if not self._admit(events):
             writer.write(encode_frame(
                 {"type": "slow_down", "seq": seq,
-                 "retry_after_ms": self.retry_after_ms,
+                 "retry_after_ms": RETRY_AFTER_MS,
                  "queue_depth": self._queue.qsize()}))
             return True
         writer.write(encode_frame({"type": "ack", "seq": seq,
@@ -520,33 +588,10 @@ class PushServer:
     # HTTP
     # ------------------------------------------------------------------
     async def _handle_http(self, reader, writer, initial: bytes) -> None:
-        head = bytearray(initial)
-        while b"\r\n\r\n" not in head:
-            if len(head) > MAX_HTTP_HEAD:
-                await self._respond(writer, 431, {"error": "headers too large"})
-                return
-            chunk = await reader.read(8192)
-            if not chunk:
-                return
-            head.extend(chunk)
-        head_bytes, _, leftover = bytes(head).partition(b"\r\n\r\n")
-        lines = head_bytes.decode("latin-1").split("\r\n")
-        try:
-            method, target, _version = lines[0].split(" ", 2)
-        except ValueError:
-            await self._respond(writer, 400, {"error": "bad request line"})
+        request = await read_http_request(reader, writer, initial)
+        if request is None:
             return
-        headers = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
-        body = bytearray(leftover)
-        while len(body) < length:
-            chunk = await reader.read(length - len(body))
-            if not chunk:
-                break
-            body.extend(chunk)
+        method, target, headers, body = request
         parts = urlsplit(target)
         path = parts.path
         query = {key: values[-1]
@@ -556,7 +601,7 @@ class PushServer:
         elif method == "GET" and path == "/ws":
             await self._serve_ws(reader, writer, headers, query)
         elif method == "POST" and path == "/ingest":
-            await self._serve_ingest(writer, bytes(body))
+            await self._serve_ingest(writer, body)
         elif method == "POST" and path == "/quitquitquit":
             await self._respond(writer, 200, {"quitting": True,
                                               "resume": self.hub.last_seq})
@@ -580,19 +625,10 @@ class PushServer:
                                 {"error": f"unknown route {path!r}"})
 
     async def _respond(self, writer, status: int, payload: dict) -> None:
-        reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                  404: "Not Found", 429: "Too Many Requests",
-                  431: "Request Header Fields Too Large",
-                  503: "Service Unavailable"}.get(status, "OK")
-        body = (json.dumps(payload, default=str) + "\n").encode("utf-8")
-        head = (f"HTTP/1.1 {status} {reason}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n")
-        if status == 429:
-            head += f"Retry-After: {self.retry_after_ms / 1000.0:g}\r\n"
-        head += "Connection: close\r\n\r\n"
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
+        await write_http_response(
+            writer, status, payload,
+            headers=(f"Retry-After: {RETRY_AFTER_MS / 1000.0:g}\r\n"
+                     if status == 429 else ""))
 
     async def _serve_ingest(self, writer, body: bytes) -> None:
         if self._draining:
@@ -607,7 +643,7 @@ class PushServer:
         if not self._admit(events):
             await self._respond(writer, 429, {
                 "error": "ingest queue full",
-                "retry_after_ms": self.retry_after_ms})
+                "retry_after_ms": RETRY_AFTER_MS})
             return
         await self._respond(writer, 202, {"accepted": len(events),
                                           "queue_depth": self._queue.qsize()})

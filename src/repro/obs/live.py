@@ -1,8 +1,8 @@
-"""Live runtime introspection over HTTP (stdlib only).
+"""Live runtime introspection over HTTP.
 
 :class:`ObsServer` exposes a running engine's observability state on a
-small ``http.server``-based endpoint — no dependencies, safe to embed in
-the CLI or any host application:
+small HTTP/1.1 endpoint — no dependencies, safe to embed in the CLI or
+any host application:
 
 ============== =========================================================
 route          payload
@@ -29,18 +29,19 @@ route          payload
                (graceful remote shutdown for ``repro serve``)
 ============== =========================================================
 
-The server runs on a daemon thread (:meth:`start` returns the bound
-address immediately); providers are callables evaluated per request, so
-the payloads always reflect live state.  Binding port ``0`` picks an
-ephemeral port — read it back from :attr:`port` / :attr:`url`.
+The server is a route table on its own event-loop thread, served by the
+HTTP code of :mod:`repro.net.server`.  Routes call their providers per
+request, in the loop's thread pool: payloads reflect live state, and a
+slow provider cannot stall ``/healthz``.  Port ``0`` picks an ephemeral
+port — read it back from :attr:`port` / :attr:`url`.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Tuple
 
 from .exporters import to_prometheus
@@ -55,6 +56,9 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: ``(healthy, detail)`` returned by a health provider.
 HealthReport = Tuple[bool, dict]
 
+#: ``(status, payload)`` of a route: JSON, or ``str`` for Prometheus text.
+Reply = Tuple[int, object]
+
 
 def parse_listen(spec: str) -> Tuple[str, int]:
     """Parse a ``HOST:PORT`` listen spec (``:PORT`` means localhost)."""
@@ -65,133 +69,19 @@ def parse_listen(spec: str) -> Tuple[str, int]:
     return (host or "127.0.0.1", int(port))
 
 
-#: Default per-connection socket timeout for handler threads.  Keep-alive
-#: (HTTP/1.1) handler threads otherwise block forever in ``readline()``
-#: on a silent client, leaking one thread per abandoned connection.
-DEFAULT_HANDLER_TIMEOUT = 30.0
+def _found(value, what: str) -> Reply:
+    """``200`` with ``value``, or ``404`` when no ``what`` supplied one."""
+    if value is None:
+        return 404, {"error": f"no {what} attached"}
+    return 200, value
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes requests to the owning :class:`ObsServer`'s providers."""
-
-    server_version = "repro-obs/1.0"
-    protocol_version = "HTTP/1.1"
-    #: ``BaseHTTPRequestHandler`` applies this as the connection's socket
-    #: timeout; a timeout mid-request sets ``close_connection`` and ends
-    #: the handler thread instead of hanging it.
-    timeout = DEFAULT_HANDLER_TIMEOUT
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        obs_server: "ObsServer" = self.server.obs_server
-        path = self.path.split("?", 1)[0]
-        try:
-            if path == "/metrics":
-                snapshot = obs_server.read_snapshot()
-                self._reply(200, to_prometheus(snapshot),
-                            PROMETHEUS_CONTENT_TYPE)
-            elif path == "/varz":
-                self._reply_json(200, obs_server.read_snapshot())
-            elif path == "/healthz":
-                healthy, detail = obs_server.read_health()
-                self._reply_json(200 if healthy else 503, detail)
-            elif path == "/debug/flight":
-                dump = obs_server.read_flight()
-                if dump is None:
-                    self._reply_json(404,
-                                     {"error": "no flight recorder attached"})
-                else:
-                    self._reply_json(200, dump)
-            elif path == "/debug/explain":
-                report = obs_server.read_explain()
-                if report is None:
-                    self._reply_json(404,
-                                     {"error": "no explain provider attached"})
-                else:
-                    self._reply_json(200, report)
-            elif path == "/debug/lineage" or path.startswith("/debug/lineage/"):
-                match_id = (path[len("/debug/lineage/"):]
-                            if path.startswith("/debug/lineage/") else None)
-                status, payload = obs_server.read_lineage(match_id or None)
-                self._reply_json(status, payload)
-            elif path == "/patterns":
-                patterns = obs_server.patterns
-                if patterns is None:
-                    self._reply_json(404,
-                                     {"error": "no pattern registry attached"})
-                else:
-                    self._reply_json(*patterns.list())
-            elif path == "/":
-                self._reply_json(200, {"routes": sorted(obs_server.routes)})
-            else:
-                self._reply_json(404, {"error": f"unknown route {path!r}"})
-        except Exception as exc:  # a broken provider must not kill the server
-            logger.exception("obs endpoint %s failed", path)
-            self._reply_json(500, {"error": f"{type(exc).__name__}: {exc}"})
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        obs_server: "ObsServer" = self.server.obs_server
-        path = self.path.split("?", 1)[0]
-        if path == "/quitquitquit":
-            self._reply_json(200, {"quitting": True})
-            obs_server.request_quit()
-        elif path == "/patterns":
-            patterns = obs_server.patterns
-            if patterns is None:
-                self._reply_json(404,
-                                 {"error": "no pattern registry attached"})
-                return
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-                payload = json.loads(self.rfile.read(length) or b"null")
-            except (ValueError, json.JSONDecodeError) as exc:
-                self._reply_json(400, {"error": f"invalid JSON body: {exc}"})
-                return
-            try:
-                self._reply_json(*patterns.add(payload))
-            except Exception as exc:  # registration must not kill the server
-                logger.exception("pattern registration failed")
-                self._reply_json(500,
-                                 {"error": f"{type(exc).__name__}: {exc}"})
-        else:
-            self._reply_json(404, {"error": f"unknown route {path!r}"})
-
-    def do_DELETE(self) -> None:  # noqa: N802 (http.server API)
-        obs_server: "ObsServer" = self.server.obs_server
-        path = self.path.split("?", 1)[0]
-        prefix = "/patterns/"
-        if path.startswith(prefix) and len(path) > len(prefix):
-            patterns = obs_server.patterns
-            if patterns is None:
-                self._reply_json(404,
-                                 {"error": "no pattern registry attached"})
-                return
-            try:
-                self._reply_json(*patterns.remove(path[len(prefix):]))
-            except Exception as exc:
-                logger.exception("pattern deregistration failed")
-                self._reply_json(500,
-                                 {"error": f"{type(exc).__name__}: {exc}"})
-        else:
-            self._reply_json(404, {"error": f"unknown route {path!r}"})
-
-    def _reply_json(self, status: int, payload) -> None:
-        self._reply(status, json.dumps(payload, indent=2, default=str) + "\n",
-                    "application/json")
-
-    def _reply(self, status: int, body: str, content_type: str) -> None:
-        data = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, format: str, *args) -> None:
-        logger.debug("obs http: %s", format % args)
+def _call(provider):
+    return None if provider is None else provider()
 
 
 class ObsServer:
-    """Serves live engine state over HTTP from a daemon thread.
+    """Serves live engine state over HTTP from its own event loop.
 
     Parameters
     ----------
@@ -221,15 +111,13 @@ class ObsServer:
         ``/debug/lineage`` and ``/debug/lineage/<match_id>``; the
         routes 404 without one.
     on_quit:
-        Callback invoked by ``POST /quitquitquit`` (e.g. an Event's
-        ``set``); the route 404s without one.
-    handler_timeout:
-        Per-connection socket timeout (seconds) applied to every
-        handler thread; a client that stops sending mid-request is
-        disconnected instead of pinning its thread forever.
+        Callback invoked by ``POST /quitquitquit`` once the reply is
+        written (e.g. an Event's ``set``); it runs on the event loop,
+        so it must not block.
 
-    Usable as a context manager (``with ObsServer(...) as server:``);
-    :meth:`stop` is idempotent.
+    The socket is bound here; :meth:`start` serves it.  Usable as a
+    context manager (``with ObsServer(...) as server:``); :meth:`stop`
+    is idempotent.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -239,29 +127,47 @@ class ObsServer:
                  explain: Optional[Callable[[], dict]] = None,
                  patterns=None,
                  lineage=None,
-                 on_quit: Optional[Callable[[], None]] = None,
-                 handler_timeout: float = DEFAULT_HANDLER_TIMEOUT):
+                 on_quit: Optional[Callable[[], None]] = None):
         self._snapshot = snapshot
         self._health = health
-        self._flight = flight
+        # A recorder serves its dump; a callable is the dump itself.
+        self._flight = (flight if flight is None or callable(flight)
+                        else flight.dump)
         self._explain = explain
         self.patterns = patterns
-        self._lineage = lineage
+        self._lineage = (lineage if lineage is None or callable(lineage)
+                         else lambda: lineage)
         self._on_quit = on_quit
-        # Per-server handler class so a custom timeout does not leak
-        # into other ObsServer instances in the same process.
-        handler = _Handler
-        if handler_timeout != _Handler.timeout:
-            handler = type("_Handler", (_Handler,),
-                           {"timeout": handler_timeout})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._httpd.obs_server = self
+        self._sock = socket.create_server((host, port))
+        self._address = self._sock.getsockname()[:2]
         self._thread: Optional[threading.Thread] = None
+        self._loop = None
+        self._stopping = None
+        #: ``(method, path)`` -> route, called with the rest of the path
+        #: (see :attr:`_prefixed`) and the request body.
+        self._table: Dict[Tuple[str, str], Callable[..., Reply]] = {
+            ("GET", "/"): lambda *_: (200, {"routes": sorted(self.routes)}),
+            ("GET", "/metrics"): lambda *_: (
+                200, to_prometheus(_call(self._snapshot) or {})),
+            ("GET", "/varz"): lambda *_: (200, _call(self._snapshot) or {}),
+            ("GET", "/healthz"): self._healthz,
+            ("GET", "/debug/flight"): lambda *_: _found(
+                _call(self._flight), "flight recorder"),
+            ("GET", "/debug/explain"): lambda *_: _found(
+                _call(self._explain), "explain provider"),
+            ("GET", "/debug/lineage"): self._debug_lineage,
+            ("GET", "/debug/lineage/"): self._debug_lineage,
+            ("GET", "/patterns"): lambda *_: self._registry(
+                lambda patterns: patterns.list()),
+            ("POST", "/patterns"): self._add_pattern,
+            ("POST", "/quitquitquit"): lambda *_: (200, {"quitting": True}),
+        }
+        #: Routes that also serve the paths below them, given the rest.
+        self._prefixed = (
+            ("GET", "/debug/lineage/", self._debug_lineage),
+            ("DELETE", "/patterns/", lambda pattern_id, _body: self._registry(
+                lambda patterns: patterns.remove(pattern_id))))
 
-    # ------------------------------------------------------------------
-    # Provider access (called from handler threads)
-    # ------------------------------------------------------------------
     @property
     def routes(self) -> Tuple[str, ...]:
         routes = ["/metrics", "/varz", "/healthz"]
@@ -277,35 +183,43 @@ class ObsServer:
             routes.append("/quitquitquit")
         return tuple(routes)
 
-    def read_snapshot(self) -> Dict[str, dict]:
-        return {} if self._snapshot is None else self._snapshot()
+    # ------------------------------------------------------------------
+    # Serving: the loop reads and writes, routes run in its thread pool
+    # ------------------------------------------------------------------
+    def _dispatch(self, method: str, path: str,
+                  body: bytes) -> Tuple[int, bytes, str]:
+        """``(status, body, content type)`` of one request's route."""
+        route, arg = self._table.get((method, path)), None
+        if route is None:
+            for prefix_method, prefix, prefixed in self._prefixed:
+                if (method == prefix_method and path.startswith(prefix)
+                        and len(path) > len(prefix)):
+                    route, arg = prefixed, path[len(prefix):]
+        try:
+            status, payload = (
+                (404, {"error": f"unknown route {path!r}"}) if route is None
+                else route(arg, body))
+        except Exception as exc:  # a broken provider must not kill the server
+            logger.exception("obs endpoint %s %s failed", method, path)
+            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        if isinstance(payload, str):
+            return status, payload.encode("utf-8"), PROMETHEUS_CONTENT_TYPE
+        text = json.dumps(payload, indent=2, default=str) + "\n"
+        return status, text.encode("utf-8"), "application/json"
 
-    def read_health(self) -> HealthReport:
+    def _healthz(self, *_) -> Reply:
         if self._health is None:
-            return True, {"status": "ok"}
-        return self._health()
+            return 200, {"status": "ok"}
+        healthy, detail = self._health()
+        return 200 if healthy else 503, detail
 
-    def read_flight(self) -> Optional[dict]:
-        flight = self._flight
-        if flight is None:
-            return None
-        return flight() if callable(flight) else flight.dump()
-
-    def read_explain(self) -> Optional[dict]:
-        return None if self._explain is None else self._explain()
-
-    def read_lineage(self, match_id: Optional[str] = None):
-        """``(status, payload)`` for the lineage routes.
-
-        Without ``match_id``: the recorder summary plus the sampled
-        match ids.  With one: that match's full provenance record.
-        """
-        lineage = self._lineage
-        if callable(lineage):
-            lineage = lineage()
+    def _debug_lineage(self, match_id: Optional[str], _body) -> Reply:
+        """Without ``match_id``: the recorder summary plus the sampled
+        match ids.  With one: that match's full provenance record."""
+        lineage = _call(self._lineage)
         if lineage is None:
-            return 404, {"error": "no lineage provider attached"}
-        if match_id is None:
+            return _found(None, "lineage provider")
+        if not match_id:
             return 200, {"summary": lineage.summary(),
                          "match_ids": [record.match_id
                                        for record in lineage.records()]}
@@ -314,45 +228,93 @@ class ObsServer:
             return 404, {"error": f"unknown match id {match_id!r}"}
         return 200, record.to_dict()
 
-    def request_quit(self) -> None:
-        if self._on_quit is not None:
-            self._on_quit()
+    def _registry(self, call: Callable[..., Reply]) -> Reply:
+        if self.patterns is None:
+            return _found(None, "pattern registry")
+        return call(self.patterns)
+
+    def _add_pattern(self, _arg, body: bytes) -> Reply:
+        if self.patterns is None:
+            return _found(None, "pattern registry")
+        try:
+            payload = json.loads(body or b"null")
+        except ValueError as exc:
+            return 400, {"error": f"invalid JSON body: {exc}"}
+        return self.patterns.add(payload)
+
+    async def _serve(self, ready: threading.Event) -> None:
+        import asyncio
+
+        from ..net.server import MAX_HTTP_HEAD
+        self._loop = asyncio.get_running_loop()
+        self._stopping = asyncio.Event()
+        server = await asyncio.start_server(
+            self._serve_connection, sock=self._sock, limit=MAX_HTTP_HEAD)
+        ready.set()
+        await self._stopping.wait()
+        server.close()  # asyncio.run then cancels open connections
+
+    async def _serve_connection(self, reader, writer) -> None:
+        import asyncio
+
+        from ..net.server import read_http_request, write_http_response
+        try:
+            request = await read_http_request(reader, writer)
+            if request is None:
+                return
+            method, target, _headers, body = request
+            path = target.split("?", 1)[0]
+            status, payload, content_type = await self._loop.run_in_executor(
+                None, self._dispatch, method, path, body)
+            await write_http_response(writer, status, payload, content_type)
+            if ((method, path) == ("POST", "/quitquitquit")
+                    and self._on_quit is not None):
+                self._on_quit()
+        except (ConnectionError, asyncio.CancelledError):
+            pass  # the peer left, or stop() cancelled a connection in flight
+        except Exception:
+            logger.exception("obs connection handler failed")
+        finally:
+            writer.close()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     @property
     def host(self) -> str:
-        return self._httpd.server_address[0]
+        return self._address[0]
 
     @property
     def port(self) -> int:
-        return self._httpd.server_address[1]
+        return self._address[1]
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "ObsServer":
-        """Begin serving on a daemon thread; returns ``self``."""
+        """Begin serving on the server's own event-loop thread; returns
+        ``self`` once listening."""
         if self._thread is not None:
             return self
+        import asyncio  # loaded on first start, not with ``import repro``
+        ready = threading.Event()
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
+            target=asyncio.run, args=(self._serve(ready),),
             name=f"repro-obs-http-{self.port}", daemon=True)
         self._thread.start()
+        if not ready.wait(10.0):
+            raise RuntimeError(f"obs endpoint {self.url} failed to start")
         logger.info("obs endpoint listening on %s", self.url)
         return self
 
     def stop(self) -> None:
-        """Shut the server down and join the serving thread."""
-        if self._thread is None:
-            self._httpd.server_close()
-            return
-        self._httpd.shutdown()
-        self._thread.join(timeout=5.0)
-        self._httpd.server_close()
-        self._thread = None
+        """Stop serving, join the loop thread and close the socket."""
+        thread, self._thread = self._thread, None
+        if thread is not None and thread.is_alive():
+            self._loop.call_soon_threadsafe(self._stopping.set)
+            thread.join(timeout=5.0)
+        self._sock.close()
 
     def __enter__(self) -> "ObsServer":
         return self.start()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import socket
 from typing import Iterable, List, Sequence
 
 import pytest
@@ -14,6 +16,23 @@ from repro.data.paper_events import figure1_relation, query_q1
 def match(pattern, relation, **options):
     """``repro.compile(pattern).match(relation, **options)`` in one call."""
     return repro.compile(pattern).match(relation, **options)
+
+
+def raw_http(host: str, port: int, head: bytes, timeout: float = 5.0):
+    """Send ``head`` as-is on a fresh connection, sending no body; read
+    to the close and return the reply's ``(status, JSON body)``."""
+    raw = b""
+    with socket.create_connection((host, port), timeout=timeout) as sock:
+        sock.sendall(head)
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            raw += chunk
+    assert raw, "connection closed with no reply"
+    status_line, _, rest = raw.partition(b"\r\n")
+    return int(status_line.split(b" ", 2)[1]), json.loads(
+        rest.partition(b"\r\n\r\n")[2])
 
 
 def ev(ts: int, kind: str = "A", eid: str = None, **attrs) -> Event:

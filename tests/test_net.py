@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from repro import Event, Substitution
 from repro.core.variables import group, var
 from repro.lang import parse_query_spec
-from repro.net import (DeliveredEntry, FrameDecoder, FrameError, PushServer,
-                       SubscriptionHub, WSFrame, decode_frames, encode_frame,
-                       event_from_json, event_to_json, events_from_json,
-                       http_push,
+from repro.net import (MAX_FRAME_BYTES, DeliveredEntry, FrameDecoder,
+                       FrameError, PushServer, SubscriptionHub, WSFrame,
+                       decode_frames, encode_frame, event_from_json,
+                       event_to_json, events_from_json, http_push,
                        parse_sse_stream, push_events, request_quit,
                        sse_format, subscribe_sse, subscribe_ws,
                        ws_accept_key, ws_decode, ws_encode)
@@ -29,6 +29,8 @@ from repro.obs.tracectx import TraceConfig
 from repro.plan.cache import compile as compile_plan
 from repro.registry import PatternRegistry
 from repro.resilience import DeliveryLog, rotated_path
+
+from conftest import raw_http
 
 A, B = var("a"), var("b")
 
@@ -929,6 +931,27 @@ class TestHostileBatchesStopAtTheDoor:
             assert post(hostile) == 400, hostile
         for i in range(3):
             assert post({"events": self._valid(i)}) == 202
+        self._check_three_matches(server, hub, registry)
+
+    def test_non_integer_content_length_is_400(self, stack):
+        server, hub, registry = stack
+        status, body = raw_http(
+            server.host, server.port,
+            b"POST /ingest HTTP/1.1\r\nContent-Length: abc\r\n\r\n")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_oversized_body_is_413_before_it_is_sent(self, stack):
+        server, hub, registry = stack
+        head = (f"POST /ingest HTTP/1.1\r\n"
+                f"Content-Length: {MAX_FRAME_BYTES + 1}\r\n\r\n")
+        status, body = raw_http(server.host, server.port, head.encode())
+        assert status == 413
+        assert str(MAX_FRAME_BYTES) in body["error"]
+        for i in range(3):
+            response = http_push(server.host, server.port,
+                                 make_events(2, start_ts=20 * i))
+            assert response["accepted"] == 2
         self._check_three_matches(server, hub, registry)
 
 

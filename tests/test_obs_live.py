@@ -8,6 +8,8 @@ import pytest
 
 from repro.obs import FlightRecorder, Observability, ObsServer, parse_listen
 
+from conftest import raw_http
+
 
 def get(url):
     """GET ``url``, returning ``(status, body)`` even for error codes."""
@@ -246,24 +248,26 @@ class TestLifecycle:
 
 
 class TestHandlerTimeout:
-    """A stalled client must not pin an ObsServer handler thread forever."""
+    """A stalled client is cut off after the read timeout, and it never
+    holds up anyone else in the meantime."""
 
-    def test_default_timeout_is_installed(self):
-        from repro.obs.live import DEFAULT_HANDLER_TIMEOUT, _Handler
-        assert _Handler.timeout == DEFAULT_HANDLER_TIMEOUT
-        assert DEFAULT_HANDLER_TIMEOUT == 30.0
-
-    def test_stalled_connection_is_closed_and_serving_continues(self):
+    def test_stalled_connection_is_closed_and_serving_continues(
+            self, monkeypatch):
         import socket
         import time
 
-        with ObsServer(handler_timeout=0.5) as server:
+        import repro.net.server as net_server
+        monkeypatch.setattr(net_server, "HTTP_READ_TIMEOUT", 0.5)
+        with ObsServer() as server:
             sock = socket.create_connection((server.host, server.port),
                                             timeout=5)
             try:
-                # A partial request line, then silence: the per-connection
-                # timeout must close the socket rather than wait forever.
+                # A partial request line, then silence: the read timeout
+                # must close the socket rather than wait forever.
                 sock.sendall(b"GET /varz HTT")
+                # Meanwhile a second connection is answered at once.
+                status, _ = get(server.url + "/healthz")
+                assert status == 200
                 sock.settimeout(5)
                 start = time.monotonic()
                 assert sock.recv(1024) == b""
@@ -274,7 +278,40 @@ class TestHandlerTimeout:
             status, _ = get(server.url + "/healthz")
             assert status == 200
 
-    def test_custom_timeout_does_not_leak_to_other_servers(self):
-        from repro.obs.live import DEFAULT_HANDLER_TIMEOUT, _Handler
-        with ObsServer(handler_timeout=0.25):
-            assert _Handler.timeout == DEFAULT_HANDLER_TIMEOUT
+
+class TestHostileHeads:
+    """A request head the server cannot honour gets a typed reply — it
+    is never dropped without one, and no body is waited for."""
+
+    @pytest.fixture
+    def server(self):
+        from repro.registry import PatternRegistry
+        from repro.registry.service import RegistryHTTPAdapter
+        adapter = RegistryHTTPAdapter(PatternRegistry())
+        with ObsServer(patterns=adapter) as server:
+            yield server
+
+    def test_non_integer_content_length_is_400(self, server):
+        status, body = raw_http(
+            server.host, server.port,
+            b"POST /patterns HTTP/1.1\r\nContent-Length: abc\r\n\r\n")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_oversized_body_is_413_before_it_is_sent(self, server):
+        from repro.net import MAX_FRAME_BYTES
+        head = (f"POST /patterns HTTP/1.1\r\n"
+                f"Content-Length: {MAX_FRAME_BYTES + 1}\r\n\r\n")
+        status, body = raw_http(server.host, server.port, head.encode())
+        assert status == 413
+        assert str(MAX_FRAME_BYTES) in body["error"]
+
+    def test_oversized_head_is_431(self, server):
+        from repro.net.server import MAX_HTTP_HEAD
+        head = (b"GET /healthz HTTP/1.1\r\nX-Pad: "
+                + b"a" * MAX_HTTP_HEAD + b"\r\n\r\n")
+        status, body = raw_http(server.host, server.port, head)
+        assert status == 431
+        assert body == {"error": "headers too large"}
+        # the listener still serves
+        assert get(server.url + "/healthz")[0] == 200

@@ -13,8 +13,11 @@ keeps it one.
 import ast
 import importlib
 import inspect
+import os
 import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -261,3 +264,47 @@ class TestOneExecutor:
         parameters = inspect.signature(plan_module.PatternPlan.match).parameters
         assert "record_history" not in parameters
         assert "history_max_samples" not in parameters
+
+
+class TestOneHTTPServer:
+    """HTTP has one implementation: both listeners serve through
+    ``repro.net``'s request reader and response writer, so no module
+    under ``src/repro`` imports ``http.server`` or ``socketserver``, the
+    knobs that only the second stack needed are gone, and ``import
+    repro`` loads no HTTP, mail, TLS or event-loop machinery."""
+
+    SRC = Path(repro.__file__).parent
+
+    def test_no_module_imports_the_stdlib_http_server(self):
+        imports = []
+        for path in self.SRC.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module] + [f"{node.module}.{alias.name}"
+                                             for alias in node.names]
+                else:
+                    continue
+                imports += [f"{path.name}:{name}" for name in names
+                            if name in ("http.server", "socketserver")]
+        assert imports == []
+
+    def test_the_second_stacks_knobs_are_gone(self):
+        from repro.net import PushServer
+        from repro.obs import ObsServer
+        assert "handler_timeout" not in inspect.signature(
+            ObsServer.__init__).parameters
+        assert "retry_after_ms" not in inspect.signature(
+            PushServer.__init__).parameters
+
+    def test_import_repro_loads_no_server_machinery(self):
+        heavy = ("http.server", "http.client", "email", "ssl", "asyncio")
+        probe = ("import sys, repro; print(' '.join(m for m in "
+                 f"{heavy!r} if m in sys.modules))")
+        # -S: what repro imports, not what a site .pth file imports.
+        loaded = subprocess.run(
+            [sys.executable, "-S", "-c", probe], capture_output=True,
+            text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(self.SRC.parent)})
+        assert loaded.stdout.split() == []
