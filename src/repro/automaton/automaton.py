@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from ..core.events import Event
+from ..core.events import TIME_ATTRIBUTE, Event
 from ..core.predicates import PredicateBank
 from ..core.variables import Variable
+from .buffer import EQUAL, LATEST, UNBOUND, WALK, MatchBuffer
 from .states import State, state_label, state_sort_key
 from .transitions import Transition
 
@@ -41,15 +42,18 @@ class StateProbe:
     files the state's instances under that value and offers an event
     only to those filed under the event's own.  :attr:`lookups` pairs
     each outgoing transition with the event attribute ``A`` it compares.
+    That value is ``u.B``'s ``EQUAL`` summary register, at :attr:`slot`
+    of an instance's :attr:`~repro.automaton.buffer.MatchBuffer.registers`.
     """
 
-    __slots__ = ("partner", "attribute", "lookups")
+    __slots__ = ("partner", "attribute", "lookups", "slot")
 
     def __init__(self, partner: Variable, attribute: str,
-                 lookups: Tuple[Tuple[Transition, str], ...]):
+                 lookups: Tuple[Tuple[Transition, str], ...], slot: int):
         self.partner = partner
         self.attribute = attribute
         self.lookups = lookups
+        self.slot = slot
 
     @property
     def label(self) -> str:
@@ -84,15 +88,17 @@ class StepRow:
     __slots__ = ("transitions", "moves", "indices", "attributes")
 
     def __init__(self, transitions: Tuple[Transition, ...],
-                 indices: Tuple[int, ...], attributes: Tuple[str, ...]):
+                 indices: Tuple[int, ...], attributes: Tuple[str, ...],
+                 updates: Tuple[Tuple, ...]):
         #: The enabled transitions, in :meth:`SESAutomaton.outgoing` order.
         self.transitions = transitions
         #: What firing each of them takes, prepared once: ``(bound
-        #: admits_bindings, target state, variable, transition)``.
+        #: admits_bindings, target state, variable, the register updates
+        #: the new buffer node makes, transition)``.
         self.moves = tuple(
             (transition.admits_bindings, transition.target,
-             transition.variable, transition)
-            for transition in transitions)
+             transition.variable, move_updates, transition)
+            for transition, move_updates in zip(transitions, updates))
         #: Their positions in :meth:`SESAutomaton.outgoing`.
         self.indices = indices
         #: For a state with a :class:`StateProbe`: the distinct event
@@ -149,10 +155,12 @@ class SESAutomaton:
             by_source.setdefault(t.source, []).append(t)
         for state in self.states:
             self._outgoing[state] = tuple(by_source.get(state, ()))
+        self._lay_out_registers()
         self._probes: Dict[State, StateProbe] = {}
         self._probe_gaps: Dict[State, str] = {}
         for state, outgoing in self._outgoing.items():
             self._find_probe(state, outgoing)
+        self._move_updates = self._live_updates()
         self._rank: Optional[Dict[State, int]] = None
         # Event alphabet and step table: built when the first event is
         # classified, so compiling a plan pays for neither.
@@ -163,6 +171,90 @@ class SESAutomaton:
     #: How many event classes :meth:`step_rows` memoises (a subclass
     #: that must see every row built sets 0).
     step_table_cap = STEP_TABLE_CAP
+
+    # ------------------------------------------------------------------
+    # Summary registers
+    # ------------------------------------------------------------------
+    def _lay_out_registers(self) -> None:
+        """One register slot per ``(partner, attribute, kind)`` a
+        binding row reads, numbered in transition order; every
+        transition's rows are bound to them."""
+        slots: Dict[Tuple, int] = {}
+        for transition in self.transitions:
+            for key in transition.register_keys:
+                slots.setdefault(key, len(slots))
+        for transition in self.transitions:
+            try:
+                transition.lay_out_registers(slots)
+            except ValueError as exc:
+                raise AutomatonError(str(exc)) from None
+        # What binding each variable does to the registers, as ``(slot,
+        # attribute, kind)``: its own values (the time attribute read as
+        # ``None``), and ``(slot, u, LATEST)`` for each other group
+        # variable ``u`` whose run it may end (the parent's timestamp,
+        # if the parent bound ``u``).  A `≠` register walks from the
+        # start: nothing updates it.
+        latest = {partner: slot for (partner, _, kind), slot in slots.items()
+                  if kind is LATEST}
+        updates: Dict[Variable, List[Tuple]] = {}
+        for (partner, attribute, kind), slot in slots.items():
+            if kind is not WALK and kind is not LATEST:
+                updates.setdefault(partner, []).append((
+                    slot, None if attribute == TIME_ATTRIBUTE else attribute,
+                    kind))
+        for variable in {v for state in self.states for v in state}:
+            updates.setdefault(variable, []).extend(
+                (slot, partner, LATEST) for partner, slot in latest.items()
+                if partner is not variable)
+        self._slots = slots
+        self._updates = {variable: tuple(triples)
+                         for variable, triples in updates.items()}
+        #: The buffer a fresh instance starts from: no binding, every
+        #: register :data:`~repro.automaton.buffer.UNBOUND` (a ``≠``
+        #: one :data:`~repro.automaton.buffer.WALK`).
+        self.empty_buffer = MatchBuffer.root(tuple(
+            WALK if kind is WALK else UNBOUND for _, _, kind in slots))
+
+    def _live_updates(self) -> Dict[State, Tuple[Tuple, ...]]:
+        """Per state, for each of its :meth:`outgoing` transitions, the
+        register updates binding the transition's variable makes that
+        some decision can still read: a register that no transition
+        leaving the target state — or any state reachable from it —
+        reads (nor its :class:`StateProbe`) is left as it is."""
+        reads: Dict[State, set] = {}
+
+        def live(state: State) -> set:
+            if state not in reads:
+                reads[state] = found = set()
+                probe = self._probes.get(state)
+                if probe is not None:
+                    found.add(probe.slot)
+                for transition in self._outgoing.get(state, ()):
+                    found.update(row[0] for row in transition._register_rows)
+                    if transition.target != state:
+                        found |= live(transition.target)
+            return reads[state]
+
+        return {state: tuple(
+                    tuple(update for update
+                          in self._updates[transition.variable]
+                          if update[0] in live(transition.target))
+                    for transition in outgoing)
+                for state, outgoing in self._outgoing.items()}
+
+    @property
+    def register_slots(self) -> Dict[Tuple, int]:
+        """``(partner, partner attribute, kind) → slot``: the summary
+        registers a buffer of this automaton carries (see
+        :mod:`repro.automaton.buffer`)."""
+        return dict(self._slots)
+
+    def extend(self, buffer: MatchBuffer, variable: Variable,
+               event: Event) -> MatchBuffer:
+        """``buffer`` extended by ``variable/event``, registers updated —
+        what firing a transition binding ``variable`` does to a buffer
+        (the executor builds the same node from a step row's moves)."""
+        return MatchBuffer(buffer, variable, event, self._updates[variable])
 
     # ------------------------------------------------------------------
     # Event alphabet and step table
@@ -236,8 +328,9 @@ class SESAutomaton:
         probe = self._probes.get(state)
         attributes = () if probe is None else tuple(dict.fromkeys(
             probe.lookups[i][1] for i in indices))
+        updates = self._move_updates[state]
         return StepRow(tuple(outgoing[i] for i in indices), indices,
-                       attributes)
+                       attributes, tuple(updates[i] for i in indices))
 
     def __getstate__(self) -> dict:
         """A plan pickled to a worker travels without its memoised rows
@@ -258,7 +351,8 @@ class SESAutomaton:
             # two values, so prefer it, then break ties by name.
             key = min(common, key=lambda k: (k[0].is_group, k[0].name, k[1]))
             self._probes[state] = StateProbe(key[0], key[1], tuple(
-                (t, t.equality_probes[key]) for t in outgoing))
+                (t, t.equality_probes[key]) for t in outgoing),
+                self._slots[(key[0], key[1], EQUAL)])
             return
         bare = [t for t in outgoing if not t.equality_probes]
         if bare:

@@ -3,53 +3,238 @@
 Functionally this is the substitution an instance has collected so far.
 :class:`~repro.core.substitution.Substitution` is immutable and optimised
 for set-algebraic queries; during execution we instead need a structure
-that is cheap to *extend* (every fired transition copies the buffer).
-:class:`MatchBuffer` stores a per-variable tuple of events and extends by
-copying a handful of dict entries, converting to a full substitution only
-when a buffer is accepted.
+that is cheap to *extend* — a transition fires once per successor.  A
+:class:`MatchBuffer` is therefore one node of a chain, "the parent
+extended by ``variable/event``" (the run nodes of García & Riveros and
+CORE, PAPERS.md): extending allocates one node and copies no event, and
+instances branching from one parent share its chain.  The chain is
+walked only off the per-transition path — into a substitution when a
+buffer is accepted, and by :attr:`MatchBuffer.by_var` /
+:meth:`MatchBuffer.events_of` for the guard, ANALYZE and ``repr``.
+
+What a transition still needs to know about the events already bound
+is kept beside the chain as *summary registers*
+(:attr:`MatchBuffer.registers`), one slot per ``(partner, attribute,
+kind)`` the automaton's binding conditions read
+(:attr:`SESAutomaton.register_slots
+<repro.automaton.automaton.SESAutomaton.register_slots>`):
+
+* ``EQUAL`` — the one value every partner event carries, or
+  :data:`CONFLICT` once two differ;
+* ``LEAST`` / ``GREATEST`` — the minimum / maximum (``x < every p`` iff
+  ``x < min p``), kept for values of one totally ordered type only;
+* ``LATEST`` — ``GREATEST`` of a group variable's timestamps, written
+  only when a run of the variable ends (see :data:`LATEST`);
+* ``WALK`` — a ``≠`` condition, which keeps the loop over the partner's
+  events.
+
+Any slot reads :data:`UNBOUND` until its partner binds, :data:`MISSING`
+once a partner event lacks the attribute, and :data:`WALK` once its
+values stop being summarisable (``nan``, a second type, a failed
+comparison) — a decision then walks the chain, exactly as before.
+
+A chain binds its events in time order — the executor refuses an event
+older than the last one it saw — and ``LATEST`` relies on it.  A node
+built by an executor updates only the registers some decision reachable
+from its instance's state still reads; the others keep their parent's
+value, which nothing reads again.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from datetime import date, datetime, time, timedelta
+from decimal import Decimal
+from fractions import Fraction
+from typing import Dict, List, Optional, Tuple
 
 from ..core.events import Event
 from ..core.substitution import Substitution
 from ..core.variables import Variable
 
-__all__ = ["MatchBuffer", "EMPTY_BUFFER"]
+__all__ = ["MatchBuffer", "UNBOUND", "CONFLICT", "MISSING", "WALK",
+           "EQUAL", "LEAST", "GREATEST", "LATEST"]
+
+
+class Marker:
+    """A register value that is no attribute value; pickles by name, so
+    a restored buffer's markers are the module's own."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __reduce__(self):
+        return self.name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+#: No partner event bound yet: the condition holds vacuously.
+UNBOUND = Marker("UNBOUND")
+#: Two partner events disagree on an ``EQUAL`` register: no value
+#: equals both, so the condition fails.
+CONFLICT = Marker("CONFLICT")
+#: A partner event lacks the attribute: the condition fails.
+MISSING = Marker("MISSING")
+#: Not summarised: decide by walking the partner's events.  Also the
+#: kind of a register that is never summarised (``≠``).
+WALK = Marker("WALK")
+
+#: Register kinds besides :data:`WALK`.
+EQUAL = Marker("EQUAL")
+LEAST = Marker("LEAST")
+GREATEST = Marker("GREATEST")
+#: ``GREATEST`` of a group variable's timestamps.  Bindings arrive in
+#: time order, so the greatest is the latest: a run of the variable
+#: keeps it in its last node's event, and only the binding that ends the
+#: run folds it into the register — a loop updates nothing.
+LATEST = Marker("LATEST")
+
+#: Types a ``LEAST``/``GREATEST`` register summarises: one of them is
+#: totally ordered (``nan`` aside, which the register refuses).
+_ORDERED = frozenset({int, float, str, bytes, bool, Decimal, Fraction,
+                      date, datetime, time, timedelta})
 
 
 class MatchBuffer:
-    """An append-only collection of variable bindings.
+    """One node of an append-only chain of variable bindings.
 
-    Events are appended in consumption order, which is chronological, so
-    per-variable tuples stay time-sorted without explicit sorting.
+    ``parent`` is the buffer this one extends by ``variable/event``
+    (``None`` for the empty root an automaton starts its instances
+    from).  Events are appended in consumption order, which is
+    chronological.  A node never changes once built.
+
+    ``updates`` are the register slots binding ``variable`` changes —
+    ``(slot, attribute, kind)`` triples its automaton lays out
+    (:meth:`SESAutomaton.extend
+    <repro.automaton.automaton.SESAutomaton.extend>`); every other slot
+    is the parent's own object.
     """
 
-    __slots__ = ("by_var", "min_ts", "max_ts", "size")
+    __slots__ = ("parent", "variable", "event", "min_ts", "size",
+                 "registers")
 
-    def __init__(self, by_var: Optional[Dict[Variable, Tuple[Event, ...]]] = None,
-                 min_ts=None, max_ts=None, size: int = 0):
-        #: ``variable → its events``, chronological.  Read by the
-        #: per-transition loop (:meth:`Transition.admits_bindings
-        #: <repro.automaton.transitions.Transition.admits_bindings>`, the
-        #: executor's successor construction); never changed once built.
-        self.by_var = by_var if by_var is not None else {}
-        self.min_ts = min_ts
-        self.max_ts = max_ts
-        self.size = size
+    def __init__(self, parent: "MatchBuffer", variable: Variable,
+                 event: Event, updates: Tuple = ()):
+        self.parent = parent
+        self.variable = variable
+        self.event = event
+        ts = event.ts
+        start = parent.min_ts
+        self.min_ts = ts if start is None else start
+        self.size = parent.size + 1
+        registers = parent.registers
+        if updates:
+            attrs = event._attrs
+            changed = None
+            for slot, attribute, kind in updates:
+                held = registers[slot]
+                if attribute is None:
+                    value = ts
+                elif attribute in attrs:  # a LATEST one's is a variable
+                    value = attrs[attribute]
+                elif kind is LATEST:
+                    if parent.variable is not attribute:
+                        continue  # not the end of the variable's run
+                    value = parent.event.ts
+                    kind = GREATEST
+                elif held is MISSING or held is CONFLICT:
+                    continue
+                else:
+                    value = MISSING
+                if value is MISSING:
+                    pass
+                elif value.__class__ is held.__class__:
+                    # One summarised value and another of its type.
+                    try:
+                        if kind is EQUAL:
+                            if value == held:
+                                continue  # the first stays, as a walk reads it
+                            value = (WALK if value != value or held != held
+                                     else CONFLICT)
+                        elif kind is GREATEST:
+                            if not value > held:
+                                if value <= held:
+                                    continue
+                                value = WALK  # nan: no order to keep
+                        elif not value < held:
+                            if value >= held:
+                                continue
+                            value = WALK
+                    except Exception:
+                        value = WALK
+                elif held is UNBOUND:
+                    if kind is not EQUAL:
+                        try:
+                            if (value.__class__ not in _ORDERED
+                                    or value != value):
+                                value = WALK
+                        except Exception:
+                            value = WALK
+                elif held is MISSING or held is CONFLICT or held is WALK:
+                    continue  # settled: the decision fails, or walks
+                else:
+                    value = WALK  # a second type: `=` may not be transitive
+                if changed is None:
+                    changed = [*registers]
+                changed[slot] = value
+            if changed is not None:
+                registers = tuple(changed)
+        self.registers = registers
 
-    def extend(self, variable: Variable, event: Event) -> "MatchBuffer":
-        """Return a new buffer with ``variable/event`` appended."""
-        by_var = dict(self.by_var)
-        by_var[variable] = by_var.get(variable, ()) + (event,)
-        min_ts = event.ts if self.min_ts is None else self.min_ts
-        return MatchBuffer(by_var, min_ts, event.ts, self.size + 1)
+    @classmethod
+    def root(cls, registers: tuple = ()) -> "MatchBuffer":
+        """The empty buffer: no binding, ``registers`` as they start."""
+        root = cls.__new__(cls)
+        root.parent = root.variable = root.event = root.min_ts = None
+        root.size = 0
+        root.registers = registers
+        return root
+
+    @property
+    def max_ts(self):
+        """Timestamp of the latest bound event (``None`` when empty)."""
+        return None if self.event is None else self.event.ts
+
+    # ------------------------------------------------------------------
+    # Walks of the chain (off the per-transition path)
+    # ------------------------------------------------------------------
+    def bindings(self) -> List[Tuple[Variable, Event]]:
+        """The ``(variable, event)`` bindings in the order they were
+        made — the transitions fired, root first."""
+        chain = []
+        node = self
+        while node.parent is not None:
+            chain.append((node.variable, node.event))
+            node = node.parent
+        chain.reverse()
+        return chain
+
+    @property
+    def by_var(self) -> Dict[Variable, Tuple[Event, ...]]:
+        """``variable → its events``, chronological, variables in the
+        order they were first bound."""
+        grouped: Dict[Variable, List[Event]] = {}
+        for variable, event in self.bindings():
+            if variable in grouped:
+                grouped[variable].append(event)
+            else:
+                grouped[variable] = [event]
+        return {variable: tuple(events)
+                for variable, events in grouped.items()}
 
     def events_of(self, variable: Variable) -> Tuple[Event, ...]:
         """Events bound to ``variable``, chronologically (may be empty)."""
-        return self.by_var.get(variable, ())
+        events = []
+        node = self
+        while node.parent is not None:
+            if node.variable is variable:
+                events.append(node.event)
+            node = node.parent
+        events.reverse()
+        return tuple(events)
 
     def __len__(self) -> int:
         return self.size
@@ -58,21 +243,35 @@ class MatchBuffer:
         return self.size > 0
 
     def to_substitution(self) -> Substitution:
-        """Materialise as an immutable :class:`Substitution`.
-
-        The per-variable tuples are handed over as they are: appended in
-        consumption order they are already what the substitution would
-        sort them into, and no buffer ever changes its dict.
-        """
+        """Materialise as an immutable :class:`Substitution`: one walk
+        of the chain, whose per-variable tuples come out in consumption
+        order — already what the substitution would sort them into."""
         return Substitution.from_chronological(self.by_var)
 
+    def __reduce__(self):
+        """Pickle flat — the bindings in order and this node's registers
+        — so that a chain of any length survives ``pickle`` (a nested
+        chain would recurse once per node).  Rebuilt nodes share no
+        prefix with their siblings, and the inner ones carry no
+        registers: only a chain's last node is ever extended or decided
+        on."""
+        return (_rebuild, (self.bindings(), self.registers))
+
     def __repr__(self) -> str:
+        by_var = self.by_var
         parts = []
-        for variable in sorted(self.by_var):
-            for event in self.by_var[variable]:
+        for variable in sorted(by_var):
+            for event in by_var[variable]:
                 parts.append(f"{variable!r}/{event.eid or event.ts}")
         return "{" + ", ".join(parts) + "}"
 
 
-#: A shared empty buffer for fresh start instances.
-EMPTY_BUFFER = MatchBuffer()
+def _rebuild(bindings: List[Tuple[Variable, Event]],
+             registers: Optional[tuple]) -> MatchBuffer:
+    """Inverse of :meth:`MatchBuffer.__reduce__`."""
+    node = MatchBuffer.root()
+    node.registers = None
+    for variable, event in bindings:
+        node = MatchBuffer(node, variable, event)
+    node.registers = registers
+    return node

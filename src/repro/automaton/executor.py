@@ -81,7 +81,7 @@ from ..core.events import Event
 from ..core.semantics import SELECTIONS, select
 from ..core.substitution import Substitution
 from .automaton import SESAutomaton, StateProbe, StepRow
-from .buffer import EMPTY_BUFFER, MatchBuffer
+from .buffer import CONFLICT, MISSING, UNBOUND, WALK, MatchBuffer
 from .instance import AutomatonInstance
 from .metrics import ExecutionStats
 from .states import State
@@ -161,11 +161,16 @@ class _Bucket:
         self.by_value: Optional[dict] = None if probe is None else {}
 
     def key_of(self, instance: AutomatonInstance):
-        """The value ``instance`` is filed under."""
+        """The value ``instance`` is filed under: its probe partner's
+        ``EQUAL`` register (a walk of the partner's events where the
+        register could not summarise them)."""
         probe = self.probe
-        partners = instance.buffer.events_of(probe.partner)
-        if not partners:
+        held = instance.buffer.registers[probe.slot]
+        if held is UNBOUND or held is MISSING or held is CONFLICT:
             return _WILD
+        if held is not WALK:
+            return held
+        partners = instance.buffer.events_of(probe.partner)
         value = partners[0].get(probe.attribute, _ABSENT)
         if value is _ABSENT:
             return _WILD
@@ -603,7 +608,8 @@ class SESExecutor:
             # leaves successors or nothing.  Until then it counts.
             count = self._count
             if allow_start:
-                fresh = AutomatonInstance(automaton.start, EMPTY_BUFFER)
+                fresh = AutomatonInstance(automaton.start,
+                                          automaton.empty_buffer)
                 count += 1
                 stats.instances_created += 1
             stats.observe_event(ts)
@@ -761,7 +767,9 @@ class SESExecutor:
         (``None``: there is none), and per instance only each one's
         :meth:`~repro.automaton.transitions.Transition.admits_bindings`
         runs.  A transition that fires costs that decision, one buffer
-        and one instance; the counters move once per call.
+        node (its parent extended by the event, the registers the
+        variable feeds updated) and one instance — none of it grows
+        with the buffer; the counters move once per call.
 
         In ``"exhaustive"`` mode the original instance also survives when
         transitions fire, so the run may *skip* a consumable event — the
@@ -774,22 +782,16 @@ class SESExecutor:
         mode = self.consume_mode
         exhaustive = mode == "exhaustive" and state != self.automaton.start
         rests = None  # worked out for the first instance nothing fires on
-        ts = event.ts
         gone: List[AutomatonInstance] = []
         transitions_fired = branchings = kept = 0
         for instance in candidates:
             buffer = instance.buffer
             fired = 0
-            for admits_bindings, target, variable, transition in moves:
+            for admits_bindings, target, variable, updates, transition \
+                    in moves:
                 if admits_bindings(event, buffer):
-                    # buffer.extend(variable, event), without the calls.
-                    by_var = dict(buffer.by_var)
-                    by_var[variable] = (by_var[variable] + (event,)
-                                        if variable in by_var else (event,))
-                    start = buffer.min_ts
                     successor = AutomatonInstance(target, MatchBuffer(
-                        by_var, ts if start is None else start, ts,
-                        buffer.size + 1))
+                        buffer, variable, event, updates))
                     out.append(successor)
                     fired += 1
                     if hooks:

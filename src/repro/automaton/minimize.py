@@ -123,9 +123,12 @@ def trim(automaton: SESAutomaton) -> TrimReport:
         return TrimReport(automaton=automaton, dead_transitions=(),
                           unreachable_states=(), satisfiable=True)
 
+    # Fresh transitions: the trimmed automaton numbers its summary
+    # registers afresh, and a transition is laid out by one automaton.
     trimmed = SESAutomaton(
         states=reachable,
-        transitions=kept_transitions,
+        transitions=[Transition(t.source, t.variable, t.conditions)
+                     for t in kept_transitions],
         start=automaton.start,
         accepting=automaton.accepting,
         tau=automaton.tau,

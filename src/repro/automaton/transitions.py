@@ -10,15 +10,26 @@ transition loops.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..core.conditions import OPERATORS, Condition
 from ..core.events import TIME_ATTRIBUTE, Event
 from ..core.variables import Variable
-from .buffer import MatchBuffer
+from .buffer import (EQUAL, GREATEST, LATEST, LEAST, UNBOUND, WALK, Marker,
+                     MatchBuffer)
 from .states import State, state_label
 
 __all__ = ["Transition"]
+
+#: ``Transition._walk``'s left operand before a partner event needs it.
+_UNREAD = object()
+
+#: What a binding row needs to know about its partner's events, by
+#: operator: ``x = every p`` reads the one value, ``x < every p`` the
+#: least, ``x > every p`` the greatest; ``≠`` walks them.
+_REGISTER_KINDS = {operator.eq: EQUAL, operator.lt: LEAST,
+                   operator.le: LEAST, operator.gt: GREATEST,
+                   operator.ge: GREATEST, operator.ne: WALK}
 
 
 class Transition:
@@ -35,7 +46,7 @@ class Transition:
     """
 
     __slots__ = ("source", "variable", "conditions", "target", "_checks",
-                 "_event_checks", "_binding_rows", "_probes")
+                 "_event_checks", "_binding_rows", "_probes", "_register_rows")
 
     def __init__(self, source: State, variable: Variable,
                  conditions: Iterable[Condition] = ()):
@@ -71,6 +82,11 @@ class Transition:
             if op is operator.eq:
                 probes.setdefault((partner, partner_attribute), attribute)
         self._probes = probes
+        # The rows admits_bindings walks, each reading its partner's
+        # summary register: laid out by the automaton that owns the
+        # transition (there is nothing to lay out without binding rows).
+        self._register_rows: Optional[Tuple] = (
+            None if self._binding_rows else ())
 
     @property
     def checks(self) -> Tuple:
@@ -98,10 +114,46 @@ class Transition:
         """The binding half of ``Θδ``, one row per check against a
         partner variable: ``(partner variable, attribute of the new
         event, operator function, attribute of the partner's events)``,
-        in :attr:`checks` order.  :meth:`admits_bindings` walks them
-        against a match buffer; the aggregation engine walks the same
+        in :attr:`checks` order.  :meth:`admits_bindings` decides them
+        against a match buffer's summary registers
+        (:attr:`register_keys`); the aggregation engine walks the same
         rows against its projected value sets."""
         return self._binding_rows
+
+    @property
+    def register_keys(self) -> Tuple:
+        """The summary register each of :attr:`binding_rows` reads, as
+        ``(partner, partner attribute, kind)`` — ``kind`` one of
+        :data:`~repro.automaton.buffer.EQUAL`,
+        :data:`~repro.automaton.buffer.LEAST`,
+        :data:`~repro.automaton.buffer.GREATEST` (``LATEST`` for a
+        group variable's timestamps) or
+        :data:`~repro.automaton.buffer.WALK` (``≠``)."""
+        return tuple(
+            (partner, partner_attribute,
+             LATEST if (_REGISTER_KINDS[op] is GREATEST and partner.is_group
+                        and partner_attribute == TIME_ATTRIBUTE)
+             else _REGISTER_KINDS[op])
+            for partner, _, op, partner_attribute in self._binding_rows)
+
+    def lay_out_registers(self, slots: Dict[Tuple, int]) -> None:
+        """Bind :attr:`binding_rows` to register slots — ``slots`` maps
+        each of :attr:`register_keys` to its index in a buffer's
+        :attr:`~repro.automaton.buffer.MatchBuffer.registers`.  Called
+        by :class:`~repro.automaton.automaton.SESAutomaton` when it is
+        built; a transition laid out differently by another automaton
+        raises :class:`ValueError` (build a fresh one)."""
+        # Prepared for the decision: the event's time attribute is read
+        # as ``None``, and ``=`` — most rows — is compared inline.
+        rows = tuple(
+            (slots[key], None if attribute == TIME_ATTRIBUTE else attribute,
+             None if op is operator.eq else op, partner, partner_attribute,
+             key[2] is LATEST)
+            for key, (partner, attribute, op, partner_attribute)
+            in zip(self.register_keys, self._binding_rows))
+        if self._register_rows is not None and self._register_rows != rows:
+            raise ValueError(f"{self!r} is laid out by another automaton")
+        self._register_rows = rows
 
     @property
     def equality_probes(self) -> dict:
@@ -164,39 +216,83 @@ class Transition:
         This is the one decision per (instance, transition): the
         executor calls it — through the step table's rows, so an
         override decides — and does nothing else to find out whether a
-        transition fires.
+        transition fires.  Each row reads its partner's summary register
+        in ``buffer`` — one comparison, whatever the partner has bound —
+        and walks the partner's events only where the register says
+        :data:`~repro.automaton.buffer.WALK`.
         """
-        bound = buffer.by_var
-        # The attribute dicts are read directly: an ``Event.get`` per
+        registers = buffer.registers
+        # The attribute dict is read directly: an ``Event.get`` per
         # operand was the larger part of what a decision cost.
         attrs = event._attrs
-        for partner, attribute, op, partner_attribute in self._binding_rows:
-            # An unbound partner cannot be checked on this transition; the
-            # builder only routes conditions whose partner is guaranteed
-            # bound, so this only happens for custom automata — treat as
-            # satisfied (checked later).
-            partners = bound[partner] if partner in bound else None
-            if not partners:
+        for slot, attribute, op, partner, partner_attribute, latest \
+                in self._register_rows:
+            held = registers[slot]
+            if latest and buffer.variable is partner and held is not WALK:
+                # The partner's run ends in the buffer's own event: the
+                # latest, so the greatest, of its timestamps.
+                held = buffer.event.ts
+            elif held.__class__ is Marker:
+                if held is UNBOUND:
+                    # An unbound partner cannot be checked on this
+                    # transition; the builder only routes conditions
+                    # whose partner is guaranteed bound, so this only
+                    # happens for custom automata — treat as satisfied
+                    # (checked later).
+                    continue
+                if held is not WALK:
+                    return False  # MISSING or CONFLICT: no value passes
+                if not self._walk(event, attribute, op, buffer, partner,
+                                  partner_attribute):
+                    return False
                 continue
-            if attribute == TIME_ATTRIBUTE:
+            if attribute is None:
                 lhs = event.ts
             elif attribute in attrs:
                 lhs = attrs[attribute]
             else:
                 return False
             try:
-                if partner_attribute == TIME_ATTRIBUTE:
-                    for other in partners:
-                        if not op(lhs, other.ts):
-                            return False
-                else:
-                    for other in partners:
-                        others = other._attrs
-                        if (partner_attribute not in others
-                                or not op(lhs, others[partner_attribute])):
-                            return False
+                if op is None:
+                    if not lhs == held:
+                        return False
+                elif not op(lhs, held):
+                    return False
             except TypeError:
                 return False
+        return True
+
+    @staticmethod
+    def _walk(event: Event, attribute: str, op, buffer: MatchBuffer,
+              partner: Variable, partner_attribute: str) -> bool:
+        """One row decided without its register: ``event``'s
+        ``attribute`` against every event bound to ``partner`` in
+        ``buffer``, read off the chain (no partner event: ``True``)."""
+        if op is None:
+            op = operator.eq
+        lhs = _UNREAD
+        node = buffer
+        try:
+            while node.parent is not None:
+                if node.variable is partner:
+                    if lhs is _UNREAD:
+                        if attribute is None:
+                            lhs = event.ts
+                        elif attribute in event._attrs:
+                            lhs = event._attrs[attribute]
+                        else:
+                            return False
+                    if partner_attribute == TIME_ATTRIBUTE:
+                        value = node.event.ts
+                    elif partner_attribute in node.event._attrs:
+                        value = node.event._attrs[partner_attribute]
+                    else:
+                        return False
+                    if not op(lhs, value):
+                        return False
+                node = node.parent
+        except TypeError:
+            return False
         return True
 
     # ------------------------------------------------------------------

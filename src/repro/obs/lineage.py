@@ -4,7 +4,8 @@ The :class:`LineageRecorder` answers "why did this match fire?" — which
 events joined it, which transitions fired in what order, how long each
 pipeline stage took, and which process/shard delivered it.  One recorder
 instance serves a whole process: it implements the executor tracer
-protocol (so transition paths are observed, not inferred), is stamped at
+protocol (an accepted buffer's chain of bindings *is* the order its
+transitions fired, so paths are observed, not inferred), is stamped at
 every delivery site (``query``, ``ContinuousMatcher``, the sharded
 parent, the registry), and ships its state across process boundaries as
 a plain-dict record riding the existing observability snapshots.
@@ -177,7 +178,8 @@ class Provenance:
 
 
 class LineageRecorder:
-    """Per-process lineage state: contexts, paths, provenance records.
+    """Per-process lineage state: contexts and provenance records —
+    nothing per automaton instance.
 
     Plugs into the executor as a tracer (``record`` implements the same
     protocol as :class:`~repro.obs.flight.FlightRecorder`), is stamped by
@@ -204,11 +206,6 @@ class LineageRecorder:
         # Match ids dropped by the sampler at delivery: a later worker
         # snapshot or duplicate delivery must not resurrect them.
         self._dropped: "OrderedDict[str, int]" = OrderedDict()
-        self._paths: Dict[int, Tuple[str, ...]] = {}
-        # The executor records "expire" before "accept" for the same
-        # instance; stash the popped path so the acceptance still sees
-        # the observed transition sequence.
-        self._expired_path: Optional[Tuple[int, Tuple[str, ...]]] = None
         self._counts = {"ingested": 0, "records": 0, "sampled": 0,
                         "dropped": 0, "slow": 0, "quarantined": 0,
                         "duplicates": 0}
@@ -295,42 +292,20 @@ class LineageRecorder:
     # ------------------------------------------------------------------
     def record(self, kind, event, instance, transition=None,
                successor=None) -> None:
-        if kind == "start":
-            self._paths[id(instance)] = ()
-        elif kind == "transition":
-            path = self._paths.get(id(instance), ())
-            if successor is not None:
-                self._paths[id(successor)] = path + \
-                    (transition.variable.name,)
-            else:
-                self._paths[id(instance)] = path + \
-                    (transition.variable.name,)
-        elif kind == "accept" or kind == "flush":
+        if kind == "accept" or kind == "flush":
             self._note_accept(instance)
-        elif kind == "expire" or kind == "drop":
-            path = self._paths.pop(id(instance), None)
-            if path is not None:
-                self._expired_path = (id(instance), path)
 
     def _note_accept(self, instance) -> None:
+        # A match buffer is the chain of the transitions that fired, in
+        # firing order: the path is read off it, so the recorder keeps
+        # nothing per instance (a restored instance's chain is intact).
+        bindings = instance.buffer.bindings()
         substitution = instance.buffer.to_substitution()
-        # Accepting does not terminate an instance (it may extend into
-        # further matches), so the path is read, not popped.
-        path = self._paths.get(id(instance))
-        if path is None and self._expired_path is not None \
-                and self._expired_path[0] == id(instance):
-            path = self._expired_path[1]
         mid = match_id(substitution)
         record = self._records.get(mid)
         if record is None:
             record = self._new_record(mid, substitution)
-        if path is not None and len(path) == len(substitution.bindings):
-            record.path = path
-        elif not record.path:
-            # id() reuse or a checkpoint-restored instance lost the
-            # observed path; fall back to the canonical binding order,
-            # which is the order transitions fire for in-order streams.
-            record.path = tuple(v.name for v, _ in substitution)
+        record.path = tuple(variable.name for variable, _ in bindings)
         record.stages.setdefault("accept", time.time())
 
     def _new_record(self, mid: str, substitution,

@@ -38,7 +38,10 @@ __all__ = ["GuardConfig", "ResourceGuard", "ResourceExhausted",
 #: an RSS ceiling into an instance ceiling in :meth:`GuardConfig.from_bounds`.
 DEFAULT_INSTANCE_BYTES = 512
 
-#: Rough heap cost of one buffered event binding (dict entry + tuple slot).
+#: Rough heap cost of one buffered event binding: one match-buffer node
+#: (parent, variable, event, start, size, registers).  The estimate
+#: charges every instance its whole buffer, so where sibling instances
+#: share a prefix of nodes it stays an upper bound.
 DEFAULT_EVENT_BYTES = 256
 
 #: Valid breach policies.

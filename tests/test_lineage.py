@@ -25,6 +25,8 @@ from repro.obs import (LineageRecorder, Observability, TraceConfig,
 from repro.parallel.codec import (attach_trace_ctx, decode_event,
                                   encode_event, event_trace_ctx)
 
+from repro.resilience.checkpoint import restore_state, snapshot_state
+
 from conftest import bindings
 
 #: Two-variable pattern over labelled events — one match per (A, B) pair
@@ -294,6 +296,44 @@ class TestStreamLineage:
             assert match.provenance is not None
             assert match.provenance.delivered_by == "stream"
         assert obs.lineage.reconcile(matcher.matches)["ok"]
+
+    def test_a_restored_instance_keeps_the_path_it_fired(self):
+        """``b`` then ``a`` at one timestamp fire in the order ``b, a``,
+        while the canonical binding order reads ``a, b``.  The path is
+        read off the accepted buffer's chain, which a checkpoint carries
+        along — so the match restored in between still gets the path
+        that fired, not the canonical order as a stand-in."""
+        plan = repro.compile(SESPattern(
+            sets=[["a", "b"]], conditions=["a.kind = 'A'", "b.kind = 'B'"],
+            tau=20))
+        b1, a1 = (Event(ts=1, eid="b1", kind="B"),
+                  Event(ts=1, eid="a1", kind="A"))
+        first = repro.ContinuousMatcher(plan, observability=traced_obs())
+        first.push(b1)
+        obs = traced_obs()
+        resumed = repro.ContinuousMatcher(plan, observability=obs)
+        restore_state(resumed, snapshot_state(first))
+        resumed.push(a1)
+        (match,) = resumed.close()
+        assert tuple(v.name for v, _ in match) == ("a", "b")
+        assert obs.lineage.provenance_for(match).path == ("b", "a")
+
+    def test_no_state_per_instance_outlives_the_run(self):
+        """What the recorder holds after a run is bounded by its
+        configuration: contexts and records, nothing keyed by the
+        instances the run created and dropped."""
+        obs = traced_obs(max_traces=8)
+        executor = repro.compile(JOINED).executor(observability=obs)
+        executor.run(keyed_events(n_keys=6, reps=20))
+        assert executor.stats.instances_created > 300
+        assert executor.active_instances == 0
+        recorder = obs.lineage
+        held = {name: len(value) for name, value in vars(recorder).items()
+                if isinstance(value, (dict, list, set))}
+        assert all(size <= 4 * 8 for size in held.values()), held
+        assert not any(isinstance(key, int)
+                       for value in vars(recorder).values()
+                       if isinstance(value, dict) for key in value)
 
     def test_partitioned_matcher_shares_one_recorder(self):
         from repro.stream import PartitionedContinuousMatcher

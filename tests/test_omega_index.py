@@ -3,7 +3,11 @@
 :class:`FlatExecutor` is the per-event loop as it stood before
 ``SESExecutor`` bucketed Ω — one list, every instance tested for expiry
 and offered every admitted event, ``next_expiry_ts`` scanning the list —
-kept here as the oracle.  The bucketed executor must be the same machine
+kept here as the oracle, together with the match buffer and the binding
+decision as they stood before buffers became parent-pointer nodes with
+summary registers: :class:`TupleBuffer` copies its per-variable tuples on
+every extension, and :meth:`FlatExecutor.admits_bindings` walks every
+bound partner event.  The bucketed executor must be the same machine
 seen from outside: the same buffers accepted at the same events (in
 start order; instances sharing a start may swap places), the same Ω, the
 same counters, and for every recorder (tracer, flight recorder, lineage)
@@ -12,7 +16,7 @@ the same steps — whatever the consume mode.
 
 import itertools
 from collections import Counter
-from typing import List
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +25,12 @@ from hypothesis import strategies as st
 from repro import Event, GuardConfig, SESPattern
 from repro.automaton import (AutomatonInstance, SESAutomaton, SESExecutor,
                              Tracer, Transition)
-from repro.automaton.buffer import EMPTY_BUFFER
 from repro.automaton.builder import build_automaton
 from repro.automaton.executor import CONSUME_MODES
 from repro.core.conditions import parse_condition
+from repro.core.events import TIME_ATTRIBUTE
 from repro.core.substitution import Substitution
-from repro.core.variables import group, var
+from repro.core.variables import Variable, group, var
 from repro.lang import parse_pattern
 from repro.obs import FlightRecorder, Observability
 from repro.obs.lineage import LineageRecorder
@@ -40,9 +44,120 @@ def _start_key(instance):
     return (min_ts is None, min_ts)
 
 
+class TupleBuffer:
+    """The match buffer of commit dffcde2 (``MatchBuffer`` then),
+    verbatim but for :meth:`bindings`: a per-variable tuple of events,
+    copied on every extension.
+
+    Events are appended in consumption order, which is chronological, so
+    per-variable tuples stay time-sorted without explicit sorting.
+    """
+
+    __slots__ = ("by_var", "min_ts", "max_ts", "size")
+
+    def __init__(self, by_var: Optional[Dict[Variable, Tuple]] = None,
+                 min_ts=None, max_ts=None, size: int = 0):
+        self.by_var = by_var if by_var is not None else {}
+        self.min_ts = min_ts
+        self.max_ts = max_ts
+        self.size = size
+
+    def extend(self, variable, event) -> "TupleBuffer":
+        """Return a new buffer with ``variable/event`` appended."""
+        by_var = dict(self.by_var)
+        by_var[variable] = by_var.get(variable, ()) + (event,)
+        min_ts = event.ts if self.min_ts is None else self.min_ts
+        return TupleBuffer(by_var, min_ts, event.ts, self.size + 1)
+
+    def events_of(self, variable) -> Tuple:
+        """Events bound to ``variable``, chronologically (may be empty)."""
+        return self.by_var.get(variable, ())
+
+    def bindings(self) -> list:
+        """The bindings chronologically (what the lineage recorder reads
+        its path from; across variables the tuples keep no firing order,
+        so events sharing a timestamp come variable by variable)."""
+        pairs = [(v, e) for v, events in self.by_var.items() for e in events]
+        pairs.sort(key=lambda pair: pair[1].ts)
+        return pairs
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __bool__(self) -> bool:
+        return self.size > 0
+
+    def to_substitution(self) -> Substitution:
+        return Substitution.from_chronological(self.by_var)
+
+    def __repr__(self) -> str:
+        parts = []
+        for variable in sorted(self.by_var):
+            for event in self.by_var[variable]:
+                parts.append(f"{variable!r}/{event.eid or event.ts}")
+        return "{" + ", ".join(parts) + "}"
+
+
+def advance(instance, target, variable, event) -> AutomatonInstance:
+    """The successor instance after binding ``variable/event``
+    (``AutomatonInstance.advance`` of commit dffcde2)."""
+    return AutomatonInstance(target, instance.buffer.extend(variable, event))
+
+
+def expired(instance, event, tau) -> bool:
+    """Expiry check of Algorithm 1 (``AutomatonInstance.expired`` of
+    commit dffcde2): an instance with an empty buffer never expires."""
+    min_ts = instance.buffer.min_ts
+    if min_ts is None:
+        return False
+    return event.ts - min_ts > tau
+
+
+def as_chain(automaton, buffer):
+    """A :class:`TupleBuffer` as the node chain ``automaton`` builds,
+    bindings replayed chronologically."""
+    chain = automaton.empty_buffer
+    for variable, event in buffer.bindings():
+        chain = automaton.extend(chain, variable, event)
+    return chain
+
+
 class FlatExecutor(SESExecutor):
     """Algorithms 1-2 over one flat list Ω (``_step``, ``_consume``,
-    ``next_expiry_ts`` and ``finish`` of commit 7f600f9, verbatim)."""
+    ``next_expiry_ts`` and ``finish`` of commit 7f600f9, verbatim), its
+    instances holding :class:`TupleBuffer` s and deciding bindings by
+    :meth:`admits_bindings`."""
+
+    def admits_bindings(self, transition, event, buffer) -> bool:
+        """``Transition.admits_bindings`` of commit dffcde2, verbatim:
+        ``event`` against every bound partner event."""
+        bound = buffer.by_var
+        attrs = event._attrs
+        for partner, attribute, op, partner_attribute \
+                in transition.binding_rows:
+            partners = bound[partner] if partner in bound else None
+            if not partners:
+                continue
+            if attribute == TIME_ATTRIBUTE:
+                lhs = event.ts
+            elif attribute in attrs:
+                lhs = attrs[attribute]
+            else:
+                return False
+            try:
+                if partner_attribute == TIME_ATTRIBUTE:
+                    for other in partners:
+                        if not op(lhs, other.ts):
+                            return False
+                else:
+                    for other in partners:
+                        others = other._attrs
+                        if (partner_attribute not in others
+                                or not op(lhs, others[partner_attribute])):
+                            return False
+            except TypeError:
+                return False
+        return True
 
     def reset(self) -> None:
         super().reset()
@@ -78,7 +193,7 @@ class FlatExecutor(SESExecutor):
         omega = self._omega
         if consume:
             if allow_start:
-                fresh = AutomatonInstance(automaton.start, EMPTY_BUFFER)
+                fresh = AutomatonInstance(automaton.start, TupleBuffer())
                 omega.append(fresh)
                 stats.instances_created += 1
             stats.observe_event(event.ts)
@@ -93,7 +208,7 @@ class FlatExecutor(SESExecutor):
         self._accepted_during_consume = accepted_now
         next_omega: List[AutomatonInstance] = []
         for instance in omega:
-            if instance.expired(event, tau):
+            if expired(instance, event, tau):
                 stats.expired_instances += 1
                 if obs is not None:
                     obs.lifetime(event.ts - instance.buffer.min_ts)
@@ -127,9 +242,9 @@ class FlatExecutor(SESExecutor):
         buffer = instance.buffer
         fired = 0
         for transition in enabled:
-            if transition.admits_bindings(event, buffer):
-                successor = instance.advance(
-                    transition.target, transition.variable, event)
+            if self.admits_bindings(transition, event, buffer):
+                successor = advance(
+                    instance, transition.target, transition.variable, event)
                 out.append(successor)
                 fired += 1
                 if hooks:
@@ -597,7 +712,8 @@ class TestBucketedEqualsFlat:
             flat.feed(event)
         snapshot = flat.state_dict()
         assert len(snapshot["omega"]) > 3
-        snapshot["omega"] = snapshot["omega"][::-1]
+        snapshot["omega"] = [(q, as_chain(automaton, beta))
+                             for q, beta in snapshot["omega"][::-1]]
         fast = SESExecutor(automaton, consume_mode=consume)
         fast.load_state(snapshot)
         starts = [i.buffer.min_ts for i in fast.instances()]
@@ -650,7 +766,8 @@ class TestBucketedEqualsFlat:
         executor.feed(Event(ts=1, eid="a1", kind="A"))
         before = executor.state_dict()
         with pytest.raises(ValueError, match="cannot rest in Ω"):
-            executor.load_state(dict(before, omega=[(unbound, EMPTY_BUFFER)]))
+            executor.load_state(dict(
+                before, omega=[(unbound, automaton.empty_buffer)]))
         assert executor.state_dict()["omega"] == before["omega"]
 
 
@@ -739,7 +856,8 @@ class TestCostIsIndependentOfTheWindow:
 
     def work_per_event(self, cls, others, monkeypatch):
         calls = Counter()
-        for owner, name in ((Transition, "admits_bindings"),
+        decides = FlatExecutor if cls is FlatExecutor else Transition
+        for owner, name in ((decides, "admits_bindings"),
                             (cls, "_consume")):
             def counted(*args, _original=getattr(owner, name), _name=name):
                 calls[_name] += 1
@@ -754,6 +872,7 @@ class TestCostIsIndependentOfTheWindow:
             executor.feed(event)
         monkeypatch.undo()
         assert executor.stats.transitions_fired > others + 12
+        assert calls["admits_bindings"] and calls["_consume"]
         return calls["admits_bindings"], calls["_consume"]
 
     def test_indexed_cost_ignores_other_patients(self, monkeypatch):
@@ -764,6 +883,42 @@ class TestCostIsIndependentOfTheWindow:
         few = self.work_per_event(FlatExecutor, 25, monkeypatch)
         many = self.work_per_event(FlatExecutor, 100, monkeypatch)
         assert many[0] >= 3 * few[0] and many[1] >= 3 * few[1]
+
+    def test_a_fired_transition_compares_join_keys_a_constant_number_of_times(
+            self):
+        """The same yardstick for the match itself: deciding ``p.ID =
+        q.ID`` reads ``q``'s summary register, and extending a buffer
+        copies nothing, so what a fired transition costs in join-key
+        comparisons does not grow with the groups it extends.  (Before
+        the registers every decision compared the new key with every
+        bound partner event: 5.1 per fired transition at group length
+        16, 21.1 at 64.)"""
+        class Key(int):
+            """A join key that counts the comparisons made with it."""
+            compared = 0
+            __hash__ = int.__hash__
+
+            def __eq__(self, other):
+                Key.compared += 1
+                return int.__eq__(self, other)
+
+        automaton = build_automaton(parse_pattern(
+            "PATTERN PERMUTE(q+, p+) THEN b WHERE q.L = 'Q' AND p.L = 'P' "
+            "AND b.L = 'B' AND p.ID = q.ID WITHIN 100000"))
+
+        def per_fired(length):
+            events = [Event(ts=t, eid=f"e{t}", L="QP"[t % 2], ID=Key(0))
+                      for t in range(2 * length)]
+            events.append(Event(ts=2 * length, eid="b", L="B", ID=Key(0)))
+            executor = SESExecutor(automaton, selection="accepted")
+            Key.compared = 0
+            for event in events:
+                executor.feed(event)
+            assert executor.finish()
+            return Key.compared / executor.stats.transitions_fired
+
+        short, long = per_fired(16), per_fired(64)
+        assert long <= 1.25 * short, (short, long)
 
     def test_event_only_conditions_are_evaluated_once_per_event(
             self, monkeypatch):

@@ -2,7 +2,7 @@
 partitioning)."""
 
 from repro import SESPattern
-from repro.automaton import MatchBuffer, SESExecutor, partition_attribute
+from repro.automaton import SESExecutor, partition_attribute
 from repro.automaton.builder import build_automaton
 from repro.core.variables import var
 from repro.data import base_dataset
@@ -76,9 +76,11 @@ class TestHoistedEventConditions:
         pattern = SESPattern(sets=[["a", "b"]],
                              conditions=["b.kind = 'B'", "a.ID = b.ID"],
                              tau=10)
-        (transition,) = [t for t in build_automaton(pattern).transitions
+        automaton = build_automaton(pattern)
+        (transition,) = [t for t in automaton.transitions
                          if t.variable.name == "b" and len(t.source) == 1]
-        buffer = MatchBuffer().extend(var("a"), ev(1, "A", ID=1))
+        buffer = automaton.extend(automaton.empty_buffer, var("a"),
+                                  ev(1, "A", ID=1))
         wrong_kind, wrong_id = ev(2, "X", ID=1), ev(2, "B", ID=2)
         assert not transition.admits_event(wrong_kind)
         assert transition.admits_bindings(wrong_kind, buffer)

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and engines."""
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -381,14 +382,22 @@ def _row_events(draw, eid):
                  **attrs)
 
 
+def _laid_out(transition):
+    """The smallest automaton holding ``transition``: it numbers the
+    summary registers the binding rows read, and extends buffers."""
+    return SESAutomaton([transition.source, transition.target],
+                        [transition], transition.source, transition.target,
+                        tau=10)
+
+
 @st.composite
 def _binding_cases(draw):
     """A transition binding ``v`` whose conditions compare ``v`` with a
     singleton ``u`` and a group ``g+`` — either way round, on ``x``, ``y``
     or the time attribute ``T`` — beside a constant and a self condition
     (the event-only half, not ``admits_bindings``' business); a buffer
-    that binds none, one or both partners; and an event."""
-    from repro.automaton.buffer import MatchBuffer
+    that binds none, one or both partners, built as an executor builds
+    it (in time order, registers and all); and an event."""
     from repro.core.conditions import OPERATORS, Attr, Condition, Const
     v, u, g = var("v"), var("u"), group("g")
     conditions = [Condition(Attr(v, "x"), "=", Const(1)),
@@ -400,13 +409,20 @@ def _binding_cases(draw):
         left, right = draw(st.permutations((mine, theirs)))
         conditions.append(Condition(
             left, draw(st.sampled_from(sorted(OPERATORS))), right))
-    buffer = MatchBuffer()
+    bindings = []
     if draw(st.booleans()):
-        buffer = buffer.extend(u, draw(_row_events("u0")))
+        bindings.append((u, draw(_row_events("u0"))))
     for i in range(draw(st.integers(min_value=0, max_value=3))):
-        buffer = buffer.extend(g, draw(_row_events(f"g{i}")))
-    source = frozenset(buffer.by_var)
-    return Transition(source, v, conditions), draw(_row_events("new")), buffer
+        bindings.append((g, draw(_row_events(f"g{i}"))))
+    # An executor binds in time order (it refuses an event older than
+    # the last): so does this buffer, ties in the order drawn.
+    bindings.sort(key=lambda binding: binding[1].ts)
+    transition = Transition(frozenset(v for v, _ in bindings), v, conditions)
+    automaton = _laid_out(transition)
+    buffer = automaton.empty_buffer
+    for variable, event in bindings:
+        buffer = automaton.extend(buffer, variable, event)
+    return transition, draw(_row_events("new")), buffer
 
 
 class TestBindingRows:
@@ -418,6 +434,60 @@ class TestBindingRows:
                 is _interpreted_bindings(transition, event, buffer))
         assert len(transition.binding_rows) == sum(
             other is not None for other, _ in transition.checks)
+
+    @pytest.mark.parametrize("values, summaries", [
+        ((), {"=": "UNBOUND", "<": "UNBOUND", ">=": "UNBOUND"}),
+        ((2, 2), {"=": 2, "<": 2, ">=": 2}),
+        ((2, 1, 3), {"=": "CONFLICT", "<": 1, ">=": 3}),
+        (("b", "a"), {"=": "CONFLICT", "<": "a", ">=": "b"}),
+        ((1, 1.0), {"=": "WALK", "<": "WALK", ">=": "WALK"}),
+        ((True, 1), {"=": "WALK", "<": "WALK", ">=": "WALK"}),
+        ((1.0, float("nan")), {"=": "WALK", "<": "WALK", ">=": "WALK"}),
+        ((None, None), {"=": None, "<": "WALK", ">=": "WALK"}),
+        (((1,), (2,)), {"=": "CONFLICT", "<": "WALK", ">=": "WALK"}),
+        ((1, _GONE, 1), {"=": "MISSING", "<": "MISSING", ">=": "MISSING"}),
+        ((_GONE, 2), {"=": "MISSING", "<": "MISSING", ">=": "MISSING"}),
+        ((1.0, 1, _GONE), {"=": "MISSING", "<": "MISSING", ">=": "MISSING"}),
+    ])
+    def test_registers_summarise_or_walk(self, values, summaries):
+        """Each register kind on mixed types, ``nan``, ``None`` and a
+        missing attribute: it holds what a decision needs (the one
+        value, the least, the greatest) or says why it cannot — and
+        every decision through it is the interpreted one."""
+        from repro.automaton import buffer as registers
+        from repro.core.conditions import parse_condition
+        v, g = var("v"), group("g")
+        names = {"v": v, "g": g}
+        transition = Transition(frozenset({g}), v, [
+            parse_condition(f"v.x {op} g.x", names) for op in summaries])
+        automaton = _laid_out(transition)
+        buffer = automaton.empty_buffer
+        for i, value in enumerate(values):
+            attrs = {} if value is _GONE else {"x": value}
+            buffer = automaton.extend(buffer, g, Event(ts=i, **attrs))
+        for key, held in zip(transition.register_keys,
+                             (buffer.registers[slot] for slot, *_
+                              in transition._register_rows)):
+            op = {registers.EQUAL: "=", registers.LEAST: "<",
+                  registers.GREATEST: ">="}[key[2]]
+            expected = summaries[op]
+            if isinstance(expected, str) and expected.isupper():
+                assert held is getattr(registers, expected), (op, held)
+            else:
+                assert held == expected and type(held) is type(expected)
+        for probe in (*_ROW_VALUES[:-1], 0, 5, "a", "c", (0,), _GONE):
+            event = Event(ts=9, **({} if probe is _GONE else {"x": probe}))
+            for row in range(len(summaries)):
+                single = Transition(frozenset({g}), v,
+                                    [transition.conditions[row]])
+                laid = _laid_out(single)
+                node = laid.empty_buffer
+                for variable, bound in buffer.bindings():
+                    node = laid.extend(node, variable, bound)
+                assert (single.admits_bindings(event, node)
+                        is _interpreted_bindings(single, event, node))
+            assert (transition.admits_bindings(event, buffer)
+                    is _interpreted_bindings(transition, event, buffer))
 
     def test_rows_are_bound_when_the_transition_is_built(self):
         import operator
@@ -432,12 +502,41 @@ class TestBindingRows:
             (names["p"], "T", operator.gt, "T"),
             (names["p"], "V", operator.ge, "U"))
 
+    def test_a_group_variables_latest_timestamp(self):
+        """``v.T > g.T`` reads ``g``'s greatest timestamp, which in a
+        buffer built in time order is its latest: a run of ``g`` leaves
+        the register alone — the run's last event holds it — and the
+        binding that ends the run folds it in."""
+        from repro.automaton.buffer import LATEST, UNBOUND
+        from repro.core.conditions import parse_condition
+        v, u, g = var("v"), var("u"), group("g")
+        names = {"v": v, "u": u, "g": g}
+        transition = Transition(frozenset({g, u}), v, [
+            parse_condition(text, names) for text in ("v.T > g.T",
+                                                      "v.T >= u.T")])
+        automaton = _laid_out(transition)
+        slot = automaton.register_slots[(g, "T", LATEST)]
+        buffer = automaton.empty_buffer
+        for ts in (1, 2, 2, 4):
+            buffer = automaton.extend(buffer, g, Event(ts=ts))
+            assert buffer.registers[slot] is UNBOUND
+        ended = automaton.extend(buffer, u, Event(ts=4))
+        assert ended.registers[slot] == 4
+        resumed = automaton.extend(ended, g, Event(ts=6))
+        assert resumed.registers[slot] == 4
+        for node in (buffer, ended, resumed):
+            for ts in range(8):
+                event = Event(ts=ts)
+                assert (transition.admits_bindings(event, node)
+                        is _interpreted_bindings(transition, event, node))
+
     def test_no_interpretation_left_under_admits_bindings(self):
-        """No ``Condition.evaluate_events``, no ``Event.get``: the rows
-        are walked against the buffer's and the events' own dicts."""
+        """No ``Condition.evaluate_events``, no ``Event.get``, no walk of
+        the partner's events: the rows are decided against the buffer's
+        summary registers and the event's own dict."""
         names = Transition.admits_bindings.__code__.co_names
         assert "evaluate_events" not in names and "get" not in names
-        assert "events_of" not in names and "_binding_rows" in names
+        assert "events_of" not in names and "_register_rows" in names
 
 
 class TestUnfilteredExecutor:

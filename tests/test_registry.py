@@ -205,14 +205,13 @@ class TestStartGate:
     def test_gate_fires_iff_some_start_transition_admits(self,
                                                          random_plans,
                                                          chemo_events):
-        from repro.automaton.buffer import EMPTY_BUFFER
         bank = PredicateBank()
         for plan in random_plans[:40]:
             gate = StartGate(bank, plan.automaton)
             start = plan.automaton.start
             for event in chemo_events[:60]:
                 expected = any(
-                    t.admits(event, EMPTY_BUFFER)
+                    t.admits(event, plan.automaton.empty_buffer)
                     for t in plan.automaton.outgoing(start))
                 assert gate.fires(bank.truth(event)) == expected
 

@@ -478,6 +478,41 @@ class TestCheckpointRestore:
         assert final_resumed["stats"] == final_straight["stats"]
         assert final_resumed["last_ts"] == final_straight["last_ts"]
 
+    def test_a_long_group_chain_survives_the_checkpoint(self):
+        """A match buffer is a chain of parent-pointer nodes; pickled as
+        nested objects, one ``p+`` run of a few hundred events would
+        overflow the interpreter's recursion limit.  A 5 000-event run
+        goes through ``snapshot_state`` → ``restore_state`` (the format
+        shard checkpoints ship), and the restored matcher continues
+        exactly like the one that never stopped."""
+        from repro.resilience.checkpoint import restore_state, snapshot_state
+        from repro.stream import ContinuousMatcher
+        plan = repro.compile(SESPattern(
+            sets=[["a"], ["p+"], ["b"]],
+            conditions=["a.kind = 'A'", "p.kind = 'P'", "b.kind = 'B'",
+                        "a.ID = p.ID", "a.ID = b.ID"], tau=10 ** 6))
+        events = ([Event(ts=0, eid="a0", kind="A", ID=1)]
+                  + [Event(ts=ts, eid=f"p{ts}", kind="P", ID=1)
+                     for ts in range(1, 5011)]
+                  + [Event(ts=5011, eid="b", kind="B", ID=1)])
+        cut = 5001
+        straight = ContinuousMatcher(plan)
+        expected = straight.push_many(events) + straight.close()
+        first = ContinuousMatcher(plan)
+        before = first.push_many(events[:cut])
+        (instance,) = first._executor.instances()
+        assert len(instance.buffer) == cut
+        resumed = ContinuousMatcher(plan)
+        restore_state(resumed, snapshot_state(first))
+        (restored,) = resumed._executor.instances()
+        assert restored.buffer.bindings() == instance.buffer.bindings()
+        assert restored.buffer.registers == instance.buffer.registers
+        out = before + resumed.push_many(events[cut:]) + resumed.close()
+        assert [bindings(s) for s in out] == [bindings(s) for s in expected]
+        assert len(expected) == 1 and len(expected[0]) == len(events)
+        assert (resumed._executor.stats.transitions_fired
+                == straight._executor.stats.transitions_fired)
+
     def test_continuous_matcher_roundtrip_preserves_suppression(self):
         # The used-event set must survive the trip, or a restored shard
         # would re-report matches overlapping pre-crash ones.

@@ -179,10 +179,10 @@ class TestSetAlgebra:
 
 
 class TestBufferHandover:
-    """``MatchBuffer.to_substitution()`` hands its per-variable tuples
-    over instead of regrouping, re-validating and re-sorting them; what
-    comes out must be the substitution the constructor builds from the
-    same bindings."""
+    """``MatchBuffer.to_substitution()`` collects its chain into
+    per-variable tuples and hands them over instead of regrouping,
+    re-validating and re-sorting them; what comes out must be the
+    substitution the constructor builds from the same bindings."""
 
     VARIABLES = (C, D, B, P, group("q"))
 
@@ -214,7 +214,7 @@ class TestBufferHandover:
         without an id included (but no two id-less events of one
         variable at one timestamp: the canonical order does not say
         which of those comes first)."""
-        buffer, pairs = MatchBuffer(), []
+        buffer, pairs = MatchBuffer.root(), []
         bound, anonymous = set(), set()
         for index, (which, ts, eid) in enumerate(sorted(
                 steps, key=lambda step: step[1])):
@@ -226,9 +226,17 @@ class TestBufferHandover:
             bound.add(variable)
             anonymous.add((variable, ts) if eid is None else None)
             event = Event(ts=ts, eid=eid and f"{eid}{index}", n=index)
-            buffer = buffer.extend(variable, event)
+            buffer = MatchBuffer(buffer, variable, event)
             pairs.append((variable, event))
         self.same(buffer.to_substitution(), Substitution(pairs))
+
+    @staticmethod
+    def chain(by_var):
+        buffer = MatchBuffer.root()
+        for variable, events in by_var.items():
+            for event in events:
+                buffer = MatchBuffer(buffer, variable, event)
+        return buffer
 
     def test_tuples_the_constructor_would_change_go_through_it(self):
         twice = e(3, "e3")
@@ -238,7 +246,7 @@ class TestBufferHandover:
                 {P: ()},                                # nothing bound
         ):
             pairs = [(v, x) for v, events in by_var.items() for x in events]
-            self.same(MatchBuffer(by_var).to_substitution(),
+            self.same(self.chain(by_var).to_substitution(),
                       Substitution(pairs))
         with pytest.raises(ValueError, match="singleton variable"):
-            MatchBuffer({C: (e(1, "e1"), e(2, "e2"))}).to_substitution()
+            self.chain({C: (e(1, "e1"), e(2, "e2"))}).to_substitution()
