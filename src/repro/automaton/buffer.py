@@ -38,6 +38,17 @@ older than the last one it saw — and ``LATEST`` relies on it.  A node
 built by an executor updates only the registers some decision reachable
 from its instance's state still reads; the others keep their parent's
 value, which nothing reads again.
+
+Chains become a DAG where an executor coalesces instances into runs
+(:mod:`repro.automaton.executor`): successors of one event that land in
+one state with the same variable and registers are joined under a
+:class:`UnionNode`, the "union of predecessors" node of García &
+Riveros and CORE.  A run's members are then the paths from its tip down
+to the empty root; :func:`member_paths` walks them, skipping members an
+expiry already removed, and :meth:`MatchBuffer.from_bindings` turns one
+back into a chain.  A node above a union has no single start or length:
+its ``min_ts`` is the oldest start it was built from and its ``size``
+the length of one of its paths.
 """
 
 from __future__ import annotations
@@ -45,14 +56,15 @@ from __future__ import annotations
 from datetime import date, datetime, time, timedelta
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.events import Event
 from ..core.substitution import Substitution
 from ..core.variables import Variable
 
-__all__ = ["MatchBuffer", "UNBOUND", "CONFLICT", "MISSING", "WALK",
-           "EQUAL", "LEAST", "GREATEST", "LATEST"]
+__all__ = ["MatchBuffer", "UnionNode", "member_paths", "substitution_of",
+           "UNBOUND", "CONFLICT", "MISSING", "WALK", "EQUAL", "LEAST",
+           "GREATEST", "LATEST"]
 
 
 class Marker:
@@ -193,6 +205,19 @@ class MatchBuffer:
         root.registers = registers
         return root
 
+    @classmethod
+    def from_bindings(cls, bindings: List[Tuple[Variable, Event]],
+                      registers: Optional[tuple]) -> "MatchBuffer":
+        """A fresh chain binding ``bindings`` in order, its last node
+        carrying ``registers`` and the inner ones none: only a chain's
+        last node is ever extended or decided on."""
+        node = cls.root()
+        node.registers = None
+        for variable, event in bindings:
+            node = cls(node, variable, event)
+        node.registers = registers
+        return node
+
     @property
     def max_ts(self):
         """Timestamp of the latest bound event (``None`` when empty)."""
@@ -216,14 +241,7 @@ class MatchBuffer:
     def by_var(self) -> Dict[Variable, Tuple[Event, ...]]:
         """``variable → its events``, chronological, variables in the
         order they were first bound."""
-        grouped: Dict[Variable, List[Event]] = {}
-        for variable, event in self.bindings():
-            if variable in grouped:
-                grouped[variable].append(event)
-            else:
-                grouped[variable] = [event]
-        return {variable: tuple(events)
-                for variable, events in grouped.items()}
+        return _by_var(self.bindings())
 
     def events_of(self, variable: Variable) -> Tuple[Event, ...]:
         """Events bound to ``variable``, chronologically (may be empty)."""
@@ -246,7 +264,7 @@ class MatchBuffer:
         """Materialise as an immutable :class:`Substitution`: one walk
         of the chain, whose per-variable tuples come out in consumption
         order — already what the substitution would sort them into."""
-        return Substitution.from_chronological(self.by_var)
+        return substitution_of(self.bindings())
 
     def __reduce__(self):
         """Pickle flat — the bindings in order and this node's registers
@@ -269,9 +287,91 @@ class MatchBuffer:
 def _rebuild(bindings: List[Tuple[Variable, Event]],
              registers: Optional[tuple]) -> MatchBuffer:
     """Inverse of :meth:`MatchBuffer.__reduce__`."""
-    node = MatchBuffer.root()
-    node.registers = None
+    return MatchBuffer.from_bindings(bindings, registers)
+
+
+def _by_var(bindings: List[Tuple[Variable, Event]]
+            ) -> Dict[Variable, Tuple[Event, ...]]:
+    """``bindings`` grouped by variable, each group in binding order,
+    variables in the order they were first bound."""
+    grouped: Dict[Variable, List[Event]] = {}
     for variable, event in bindings:
-        node = MatchBuffer(node, variable, event)
-    node.registers = registers
-    return node
+        if variable in grouped:
+            grouped[variable].append(event)
+        else:
+            grouped[variable] = [event]
+    return {variable: tuple(events) for variable, events in grouped.items()}
+
+
+def substitution_of(bindings: List[Tuple[Variable, Event]]) -> Substitution:
+    """The substitution of a path's ``bindings`` (root first, so each
+    variable's events already chronological)."""
+    return Substitution.from_chronological(_by_var(bindings))
+
+
+class UnionNode:
+    """The union of several runs' tips: its paths are all of theirs.
+
+    Made by an executor when successors of one event land in one state
+    agreeing on everything a decision reads — the variable they bound
+    (``event`` is that event, the same for every child) and their
+    ``registers`` — so a transition decides for all of them at once and
+    extends them with one node.  Each child is ``(node, dead, oldest,
+    newest)``: the tip of one run, the start at or below which that
+    run's members had already expired (``None``: none had), and the
+    oldest and newest start it held, so :func:`member_paths` can pass a
+    child by without walking it.
+    """
+
+    __slots__ = ("children", "variable", "event", "registers", "min_ts",
+                 "size")
+
+    def __init__(self, children: List[Tuple]):
+        self.children = children
+        first = children[0][0]
+        self.variable = first.variable
+        self.event = first.event
+        self.registers = first.registers
+        self.min_ts = min(child[2] for child in children)
+        self.size = first.size
+
+    def __repr__(self) -> str:
+        return f"UnionNode({len(self.children)} children)"
+
+
+def member_paths(tip, dead=None, upto=None
+                 ) -> Iterator[Tuple[object, List[Tuple[Variable, Event]]]]:
+    """The paths from ``tip`` down to the empty root whose start ``s``
+    (the first binding's timestamp) has ``dead < s <= upto``, each as
+    ``(s, bindings root first)``.  ``None`` leaves a side open; a
+    union's child also drops the paths at or below its own ``dead``.
+
+    Iterative, so a chain of any length is walked without recursion;
+    the walk shares each path's suffix between the branches above it.
+    """
+    stack = [(tip, dead, None)]
+    while stack:
+        node, cutoff, suffix = stack.pop()
+        while node.__class__ is not UnionNode and node.parent is not None:
+            suffix = (node.variable, node.event, suffix)
+            node = node.parent
+        if node.__class__ is UnionNode:
+            for child, child_dead, oldest, newest in reversed(node.children):
+                floor = cutoff
+                if child_dead is not None and (floor is None
+                                               or child_dead > floor):
+                    floor = child_dead
+                if ((floor is not None and not newest > floor)
+                        or (upto is not None and oldest > upto)):
+                    continue  # no member of the child is asked for
+                stack.append((child, floor, suffix))
+            continue
+        start = suffix[1].ts
+        if ((cutoff is not None and not start > cutoff)
+                or (upto is not None and start > upto)):
+            continue
+        bindings = []
+        while suffix is not None:
+            bindings.append((suffix[0], suffix[1]))
+            suffix = suffix[2]
+        yield start, bindings

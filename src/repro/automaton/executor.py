@@ -11,17 +11,50 @@ For every input event it
    transitions branch nondeterministically; an instance with no enabled
    transition survives unchanged unless it still sits in the start state.
 
-Ω is not one list.  Algorithm 1 as printed tests and offers the event to
-*every* instance; here Ω is **one bucket per occupied automaton state,
-each in start order** (an instance's start is its earliest buffered
-timestamp; a successor inherits its parent's), and a state all of whose
-outgoing transitions check ``v.A = u.B`` against one bound ``u.B``
-(:meth:`SESAutomaton.probe <repro.automaton.automaton.SESAutomaton.probe>`)
-also files its instances under the value their ``u`` events carry.  So
-per event:
+Ω holds **runs**, not instances.  What Algorithm 2 asks of an instance
+— whether a transition fires, and which summary registers its new
+buffer node holds — depends on its state, its buffer's registers and
+its last binding's variable and timestamp alone
+(:meth:`Transition.admits_bindings
+<repro.automaton.transitions.Transition.admits_bindings>`,
+:class:`~repro.automaton.buffer.MatchBuffer`).  Successors of one event
+that agree on those are one run: a state, a ``count`` of members, the
+members' ``starts`` in order (an instance's start is its earliest
+buffered timestamp), and one tip in a DAG of buffer nodes whose paths
+are the members' buffers — an "extend" node per firing run, and a
+:class:`~repro.automaton.buffer.UnionNode` where runs joined.  A run of
+one member is a plain instance that also records its start.  So an
+event is decided once per run and enabled move, and builds one node per
+firing run, however many members the run stands for.  The bookkeeping
+stays per member: ``transitions_fired`` grows by ``fired × count``, |Ω|
+is the sum of the counts, and so on for branchings, created, expired
+and accepted instances — the counters of the instance-per-instance loop.
 
-* expiry is a cut of each bucket's expired prefix — one comparison with
-  the head of every occupied bucket when nothing expires, and
+Expiry removes a run's oldest starts: the run records the newest start
+removed (its ``dead`` cutoff) and a union records each child's, so the
+members' paths that already left are never produced again.  Buffers are
+walked — :func:`~repro.automaton.buffer.member_paths` — only where a
+member leaves accepting, at :meth:`SESExecutor.finish`, or where Ω is
+handed out (:meth:`SESExecutor.instances`, for checkpoints and the
+resource guard's shedding).
+
+Runs stay single instances — each successor its own run, the steps of
+the instance-per-instance loop exactly — where something reads more than
+the signature: a step recorder (tracer, flight recorder, lineage) is
+attached, or a transition overrides ``admits_bindings`` (ANALYZE's
+counting shadow).  A member whose registers stop summarising its
+partners (``WALK``) decides by walking its own chain, so it leaves its
+run as a single instance.
+
+Ω is **one bucket per occupied automaton state, its runs ordered by
+oldest start**, and a state all of whose outgoing transitions check
+``v.A = u.B`` against one bound ``u.B``
+(:meth:`SESAutomaton.probe <repro.automaton.automaton.SESAutomaton.probe>`)
+also files its runs under the value their ``u`` events carry — the
+probe's ``EQUAL`` register, which every member shares.  So per event:
+
+* expiry is a cut at the head of each bucket — one comparison with the
+  head of every occupied bucket when nothing expires, and
   ``next_expiry_ts`` is the minimum over the heads;
 * the conditions on the event alone are evaluated once per event — each
   distinct one, into the event's class — and every occupied state reads
@@ -29,19 +62,20 @@ per event:
   (:meth:`SESAutomaton.step_rows
   <repro.automaton.automaton.SESAutomaton.step_rows>`): the transitions
   the class enables there.  A state without a row is not touched;
-* an indexed state offers the event only to the instances filed under
-  the event's own value(s) — plus the few no lookup can rule out —
-  while any other state walks its bucket;
-* successors are merged into their target buckets, in start order, after
-  every source has been consumed.
+* an indexed state offers the event only to the runs filed under the
+  event's own value(s) — plus the few no lookup can rule out — while any
+  other state walks its bucket;
+* successors are joined into runs and merged into their target buckets
+  after every source has been consumed.
 
 The lookup only chooses whom to ask: Algorithm 2 (``_consume``) still
 decides every firing, so the accepted buffers and every counter are
 those of the flat loop (kept as the oracle in
 ``tests/test_omega_index.py``).  What an emission point returns is in
-start order; buffers sharing a start come in the order their instances
-arrived in the accepting state.  Every instance is visited on every
-event only where something depends on it: with a
+start order, buffers sharing a start in the order of their bindings'
+timestamps, variable names and event ids, so a run restored from a
+snapshot emits exactly what the uninterrupted one does.  Every run is
+visited on every event only where something depends on it: with a
 :class:`~repro.automaton.trace.Tracer` attached (Figure 6 records the
 instances an event leaves alone) and in ``"contiguous"`` mode (leaving
 an instance alone ends it).
@@ -74,17 +108,19 @@ import copy
 import logging
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence
+from operator import attrgetter, itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.events import Event
 from ..core.semantics import SELECTIONS, select
 from ..core.substitution import Substitution
 from .automaton import SESAutomaton, StateProbe, StepRow
-from .buffer import CONFLICT, MISSING, UNBOUND, WALK, MatchBuffer
+from .buffer import (CONFLICT, MISSING, UNBOUND, WALK, MatchBuffer,
+                     UnionNode, member_paths, substitution_of)
 from .instance import AutomatonInstance
 from .metrics import ExecutionStats
 from .states import State
+from .transitions import Transition
 
 __all__ = ["SESExecutor", "MatchResult"]
 
@@ -121,13 +157,85 @@ CONSUME_MODES = ("greedy", "exhaustive", "contiguous")
 #: instance outside the start state has one (a transition binds an event).
 _start = attrgetter("buffer.min_ts")
 
-#: Index key of the instances an equality lookup cannot rule out: no
+#: A run's oldest start: runs are ordered by it.
+_oldest = attrgetter("oldest")
+
+#: Index key of the runs an equality lookup cannot rule out: no
 #: partner event bound, or partner events that lack the attribute or
 #: disagree on it.
 _WILD = object()
 
 #: Default of ``event.get``: nothing is ever filed under it.
 _ABSENT = object()
+
+#: ``id`` of the marker a register that no longer summarises holds:
+#: looked for by identity, so no attribute value's ``__eq__`` is asked.
+_WALK_ID = id(WALK)
+
+
+class _Run(AutomatonInstance):
+    """A run of one member: a plain instance, its buffer a chain, its
+    start ``oldest`` — what most of Ω is, and what a step recorder is
+    handed as the instance it is.  Costs what an instance costs plus
+    its start; :class:`_Group` is a run of several."""
+
+    __slots__ = ("oldest",)
+
+    #: Members, and the newest start of a member that expired (none).
+    count = 1
+    dead = None
+
+    def __init__(self, state: State, buffer: MatchBuffer, oldest):
+        self.state = state
+        self.buffer = buffer
+        self.oldest = oldest
+
+    @property
+    def starts(self) -> tuple:
+        """The members' starts, oldest first."""
+        return (self.oldest,)
+
+    @property
+    def events(self) -> int:
+        """The events the members have bound."""
+        return self.buffer.size
+
+    def members(self, upto=None) -> List[Tuple]:
+        """``(start, bindings)`` of every member (of the members starting
+        at or before ``upto`` in a :class:`_Group`)."""
+        return [(self.oldest, self.buffer.bindings())]
+
+
+class _Group(_Run):
+    """Members of Ω that rest in one state and agree on everything a
+    decision reads: ``buffer`` is their tip in the DAG of buffer nodes,
+    ``starts`` their starts in order (a tuple, so successors share it),
+    ``count`` how many there are, ``dead`` the newest start of a member
+    that already expired (``None``: none has) and ``events`` the sum of
+    their buffer lengths (``None`` until worked out again, after an
+    expiry that did not walk the members leaving).  One member left by
+    such an expiry stays a group: its path still runs through unions.
+    """
+
+    __slots__ = ("starts", "count", "dead", "events")
+
+    def __init__(self, state: State, buffer, starts: tuple, count: int,
+                 dead, events: Optional[int]):
+        self.state = state
+        self.buffer = buffer
+        self.oldest = starts[0]
+        self.starts = starts
+        self.count = count
+        self.dead = dead
+        self.events = events
+
+    def members(self, upto=None):
+        return member_paths(self.buffer, self.dead, upto)
+
+
+def _single(state: State, buffer: MatchBuffer) -> _Run:
+    """The run of one instance ``(state, buffer)``."""
+    return _Run(state, buffer, buffer.min_ts)
 
 
 def _by_state(instances: Iterable[AutomatonInstance]
@@ -143,34 +251,94 @@ def _by_state(instances: Iterable[AutomatonInstance]
     return grouped
 
 
-class _Bucket:
-    """The instances resting in one automaton state, in start order.
+def _binding_order(bindings) -> list:
+    """Order among members sharing a start: their bindings'
+    timestamps, variable names and event ids, in binding order."""
+    return [(event.ts, variable.name, str(event.eid))
+            for variable, event in bindings]
 
-    ``by_value`` (indexed states only) files the same instances under
-    the one value their :attr:`probe` partner carries, each list in
-    bucket order; the rest sit under :data:`_WILD`.  An instance
-    remembers the key it is filed under (``instance.key``).
+
+def _in_order(members: List[Tuple]) -> List[Substitution]:
+    """The substitutions of ``(start, bindings)`` members, in start
+    order and, within a start, in :func:`_binding_order`."""
+    if len(members) == 1:
+        return [substitution_of(members[0][1])]
+    members.sort(key=itemgetter(0))
+    starts = [start for start, _ in members]
+    if len(set(starts)) < len(starts):
+        members.sort(key=lambda member: (member[0],
+                                         _binding_order(member[1])))
+    return [substitution_of(bindings) for _, bindings in members]
+
+
+def _union(group: List[_Run]) -> _Group:
+    """Join ``group`` — successors of one event in one state, agreeing
+    on variable and registers — into one run under one
+    :class:`UnionNode`."""
+    starts: list = []
+    children = []
+    events = 0
+    for member in group:
+        if member.__class__ is _Run:
+            starts.append(member.oldest)
+            newest = member.oldest
+        else:
+            starts += member.starts
+            newest = member.starts[-1]
+        children.append((member.buffer, member.dead, member.oldest, newest))
+        if events is not None:
+            events = (None if member.events is None
+                      else events + member.events)
+    starts.sort()
+    return _Group(group[0].state, UnionNode(children), tuple(starts),
+                  len(starts), None, events)
+
+
+def _same_types(held: tuple, registers: tuple) -> bool:
+    """Equal registers that are also of one type slot by slot: ``1``,
+    ``1.0`` and ``True`` compare equal, but a register holding one
+    summarises the next value differently from one holding another."""
+    return held is registers or [*map(type, held)] == [*map(type, registers)]
+
+
+class _Bucket:
+    """The runs resting in one automaton state, ordered by oldest start.
+
+    ``by_value`` (indexed states only) files the same runs under the one
+    value their :attr:`probe` partner carries — every member's, as they
+    share the register — each list ordered by oldest start; the rest
+    sit under :data:`_WILD`.
+    A run remembers the key it is filed under (``run.key``).
     """
 
-    __slots__ = ("state", "instances", "probe", "by_value")
+    __slots__ = ("state", "runs", "probe", "by_value", "accepting",
+                 "joins")
 
-    def __init__(self, state: State, probe: Optional[StateProbe]):
+    def __init__(self, state: State, probe: Optional[StateProbe],
+                 accepting: bool, joins: bool):
         self.state = state
-        self.instances: List[AutomatonInstance] = []
+        self.runs: List[_Run] = []
         self.probe = probe
         self.by_value: Optional[dict] = None if probe is None else {}
+        #: The automaton's accepting state: its members are emitted.
+        self.accepting = accepting
+        #: Successors arriving here are joined into runs: something
+        #: leaves the state (members of a state nothing leaves only wait
+        #: to expire or be flushed, one by one).
+        self.joins = joins
 
-    def key_of(self, instance: AutomatonInstance):
-        """The value ``instance`` is filed under: its probe partner's
+    def key_of(self, run: _Run):
+        """The value ``run`` is filed under: its probe partner's
         ``EQUAL`` register (a walk of the partner's events where the
-        register could not summarise them)."""
+        register could not summarise them — a single instance's chain,
+        as such a run always is)."""
         probe = self.probe
-        held = instance.buffer.registers[probe.slot]
+        held = run.buffer.registers[probe.slot]
         if held is UNBOUND or held is MISSING or held is CONFLICT:
             return _WILD
         if held is not WALK:
             return held
-        partners = instance.buffer.events_of(probe.partner)
+        partners = run.buffer.events_of(probe.partner)
         value = partners[0].get(probe.attribute, _ABSENT)
         if value is _ABSENT:
             return _WILD
@@ -179,28 +347,28 @@ class _Bucket:
                 return _WILD
         return value
 
-    def file(self, instance: AutomatonInstance) -> None:
-        """Add ``instance`` (already in :attr:`instances`) to the index,
-        keeping its list in bucket order."""
-        key = instance.key = self.key_of(instance)
+    def file(self, run: _Run) -> None:
+        """Add ``run`` (already in :attr:`runs`) to the index, after the
+        runs filed under its key that do not start later."""
+        key = run.key = self.key_of(run)
         filed = self.by_value.get(key)
         if filed is None:
-            self.by_value[key] = [instance]
+            self.by_value[key] = [run]
             return
         at = len(filed)
-        start = instance.buffer.min_ts
-        while at and filed[at - 1].buffer.min_ts > start:
+        oldest = run.oldest
+        while at and filed[at - 1].oldest > oldest:
             at -= 1
-        filed.insert(at, instance)
+        filed.insert(at, run)
 
-    def unfile(self, instance: AutomatonInstance) -> None:
-        """Drop ``instance`` from the index."""
-        key = instance.key
+    def unfile(self, run: _Run) -> None:
+        """Drop ``run`` from the index."""
+        key = run.key
         filed = self.by_value[key]
         if len(filed) == 1:
             del self.by_value[key]
         else:
-            filed.remove(instance)
+            filed.remove(run)
 
 
 @dataclass
@@ -369,10 +537,16 @@ class SESExecutor:
         if len(self._hooks) == 1:
             # The only recorder takes its steps directly.
             self._emit = self._hooks[0].record
-        #: Offer every event to every instance instead of looking the
+        #: Offer every event to every run instead of looking the
         #: candidates up: a tracer records the instances an event leaves
         #: alone, and strict contiguity ends them.
         self._walks_all = tracer is not None or consume_mode == "contiguous"
+        #: Join successors that agree on what a decision reads into one
+        #: run — unless a recorder wants every instance's own steps, or
+        #: a transition decides by more than the registers.
+        self._coalesces = not self._hooks and all(
+            type(transition).admits_bindings is Transition.admits_bindings
+            for transition in automaton.transitions)
         self.reset()
 
     def reset(self) -> None:
@@ -402,17 +576,32 @@ class SESExecutor:
     # Ω: one bucket per occupied state
     # ------------------------------------------------------------------
     def instances(self) -> List[AutomatonInstance]:
-        """Ω as one list in start order (oldest first); instances sharing
-        a start come state by state, in the order they arrived in their
-        state."""
-        merged = [instance for bucket in self._buckets.values()
-                  for instance in bucket.instances]
-        merged.sort(key=_start)
-        return merged
+        """Ω as one list of instances in start order (oldest first);
+        instances sharing a start come state by state, and within a
+        state in the order of their bindings.  A run of several members
+        is handed out as that many fresh instances."""
+        rank = self.automaton.state_rank
+        members = []
+        for state, bucket in self._buckets.items():
+            order = rank(state)
+            for run in bucket.runs:
+                if run.__class__ is _Run:
+                    members.append((run.oldest, order,
+                                    AutomatonInstance(state, run.buffer)))
+                    continue
+                registers = run.buffer.registers
+                for start, bindings in run.members():
+                    members.append((start, order, AutomatonInstance(
+                        state, MatchBuffer.from_bindings(bindings,
+                                                         registers))))
+        members.sort(key=lambda member: (
+            member[0], member[1],
+            _binding_order(member[2].buffer.bindings())))
+        return [instance for _, _, instance in members]
 
     def replace_instances(self,
                           instances: Iterable[AutomatonInstance]) -> None:
-        """Make ``instances`` (in any order) the new Ω.
+        """Make ``instances`` (in any order) the new Ω, each its own run.
 
         An instance in the start state or with an empty buffer has bound
         no event, and Ω never holds one: it raises :class:`ValueError`,
@@ -424,12 +613,29 @@ class SESExecutor:
             if instance.state == start or not instance.buffer:
                 raise ValueError(f"cannot rest in Ω: {instance!r} is in "
                                  f"the start state or has bound no event")
-        by_state = _by_state(sorted(instances, key=_start))
+        by_state = _by_state(_single(instance.state, instance.buffer)
+                             for instance in sorted(instances, key=_start))
         self._buckets = {}
-        self._count = 0
+        self._count = len(instances)
         self._expiry_stale = True
         for state in sorted(by_state, key=self.automaton.state_rank):
             self._arrive(state, by_state[state])
+
+    @property
+    def buffered_events(self) -> int:
+        """The events bound across Ω — the sum of every instance's
+        buffer length — without handing Ω out: kept per run, and worked
+        out again from the run's paths only after an expiry removed
+        members it did not walk."""
+        total = 0
+        for bucket in self._buckets.values():
+            for run in bucket.runs:
+                events = run.events
+                if events is None:
+                    events = run.events = sum(
+                        len(bindings) for _, bindings in run.members())
+                total += events
+        return total
 
     def _open(self, state: State) -> _Bucket:
         """The bucket of a state occupied for the first time.
@@ -445,32 +651,85 @@ class SESExecutor:
         rank = automaton.state_rank
         last = next(reversed(buckets), None)
         buckets[state] = bucket = _Bucket(
-            state, None if self._walks_all else automaton.probe(state))
+            state, None if self._walks_all else automaton.probe(state),
+            state == automaton.accepting,
+            self._coalesces and bool(automaton.outgoing(state)))
         if last is not None and rank(state) < rank(last):
             self._buckets = dict(sorted(buckets.items(),
                                         key=lambda item: rank(item[0])))
         return bucket
 
-    def _arrive(self, state: State,
-                arrivals: List[AutomatonInstance]) -> None:
-        """Merge ``arrivals`` (in start order) into the bucket of
-        ``state``, after the residents that share their start."""
+    def _arrive(self, state: State, arrivals: List[_Run],
+                unordered: bool = False, made: bool = False) -> None:
+        """Merge ``arrivals`` (ordered by oldest start, unless
+        ``unordered``) into the bucket of ``state``, after the residents
+        that share their start.  Successors ``made`` by one event are
+        joined into runs first where the state joins them."""
         bucket = self._buckets.get(state)
         if bucket is None:
             bucket = self._open(state)
-        self._count += len(arrivals)
+        if made and bucket.joins and (len(arrivals) > 1
+                                      or arrivals[0].__class__ is not _Run):
+            joined = self._coalesce(arrivals)
+            if joined is not arrivals:
+                arrivals = joined
+                unordered = True
+        if unordered:
+            arrivals.sort(key=_oldest)
         self._expiry_stale = True
-        residents = bucket.instances
+        residents = bucket.runs
         if not residents:
-            bucket.instances = arrivals
+            bucket.runs = arrivals
         else:
-            late = _start(arrivals[0]) >= _start(residents[-1])
+            late = arrivals[0].oldest >= residents[-1].oldest
             residents.extend(arrivals)
             if not late:
-                residents.sort(key=_start)
+                residents.sort(key=_oldest)
         if bucket.probe is not None:
-            for instance in arrivals:
-                bucket.file(instance)
+            for run in arrivals:
+                bucket.file(run)
+
+    def _coalesce(self, moved: List[_Run]) -> List[_Run]:
+        """The successors ``moved`` — made by one event, bound for one
+        state that something leaves — as the runs they rest as there:
+        those that agree on their variable and registers as one run
+        each.  A successor whose registers no longer summarise
+        (``WALK``) decides by walking its own chain, so it stays, or
+        becomes, single instances.  (In a state nothing leaves no
+        register is read again, so nothing there is joined or split.)
+        Returns ``moved`` itself when nothing changes."""
+        groups: Dict[tuple, List[_Run]] = {}
+        runs: List[_Run] = []
+        changed = False
+        for run in moved:
+            buffer = run.buffer
+            registers = buffer.registers
+            if _WALK_ID in map(id, registers):
+                if run.__class__ is _Run:
+                    runs.append(run)
+                else:
+                    runs += [_single(run.state, MatchBuffer.from_bindings(
+                        bindings, registers))
+                        for _, bindings in run.members()]
+                    changed = True
+                continue
+            try:
+                group = groups.setdefault((buffer.variable, registers), [])
+            except TypeError:  # a register no dict can key
+                runs.append(run)
+                continue
+            if group and not _same_types(group[0].buffer.registers,
+                                         registers):
+                runs.append(run)
+                continue
+            group.append(run)
+        for group in groups.values():
+            if len(group) == 1:
+                runs.append(group[0])
+            else:
+                runs.append(_union(group))
+                changed = True
+        return runs if changed else moved
 
     # ------------------------------------------------------------------
     # Incremental execution
@@ -544,11 +803,11 @@ class SESExecutor:
         if self._agg is not None:
             return self._agg.next_expiry_ts
         if self._expiry_stale:
-            # The minimum over the bucket heads; it stands until an
-            # instance arrives in a bucket or leaves one.
-            heads = [bucket.instances[0].buffer.min_ts
+            # The minimum over the bucket heads; it stands until a run
+            # arrives in a bucket or a member leaves one.
+            heads = [bucket.runs[0].oldest
                      for bucket in self._buckets.values()
-                     if bucket.instances]
+                     if bucket.runs]
             self._next_expiry = (min(heads) + self.automaton.tau
                                  if heads else None)
             self._expiry_stale = False
@@ -608,8 +867,7 @@ class SESExecutor:
             # leaves successors or nothing.  Until then it counts.
             count = self._count
             if allow_start:
-                fresh = AutomatonInstance(automaton.start,
-                                          automaton.empty_buffer)
+                fresh = _Run(automaton.start, automaton.empty_buffer, ts)
                 count += 1
                 stats.instances_created += 1
             stats.observe_event(ts)
@@ -619,78 +877,125 @@ class SESExecutor:
             if hooks and allow_start:
                 self._emit("start", event, fresh)
 
-        accepted_now: List[Substitution] = []
-        self._accepted_during_consume = accepted_now
-        expired: List[AutomatonInstance] = []
+        self._accepted_during_consume = accepted = []
+        expired: List[_Run] = []
         for bucket in self._buckets.values():
-            residents = bucket.instances
-            if residents and ts - residents[0].buffer.min_ts > tau:
-                mixed = bool(expired)
-                expired += self._cut_expired(bucket, ts)
-                if mixed:
-                    expired.sort(key=_start)
+            runs = bucket.runs
+            if runs and ts - runs[0].oldest > tau:
+                expired += self._cut_expired(bucket, ts, accepted)
         if expired:
             accepting = automaton.accepting
-            stats.expired_instances += len(expired)
-            for instance in expired:
+            if hooks:
+                expired.sort(key=_oldest)
+            for run in expired:
+                count = run.count
+                stats.expired_instances += count
                 if obs is not None:
-                    obs.lifetime(ts - instance.buffer.min_ts)
+                    for start in run.starts:
+                        obs.lifetime(ts - start)
                 if hooks:
-                    self._emit("expire", event, instance)
-                if instance.state == accepting:
-                    accepted_now.append(instance.buffer.to_substitution())
-                    stats.accepted_buffers += 1
+                    self._emit("expire", event, run)
+                if run.state == accepting:
+                    accepted += run.members()
+                    stats.accepted_buffers += count
                     if hooks:
-                        self._emit("accept", event, instance)
+                        self._emit("accept", event, run)
         if consume:
             self._offer(event, fresh)
             stats.observe_omega(self._count)
             if self.flight is not None:
                 self.flight.sample_omega(ts, self._count)
-        return accepted_now
+        return _in_order(accepted) if accepted else []
 
-    def _cut_expired(self, bucket: _Bucket, ts) -> List[AutomatonInstance]:
-        """Remove and return the instances of ``bucket`` whose window
-        ``ts`` overruns (Algorithm 1, line 7): a prefix, the head being
-        one of them."""
+    def _cut_expired(self, bucket: _Bucket, ts,
+                     accepted: List[Tuple]) -> List[_Run]:
+        """Remove from ``bucket`` and return the runs all of whose
+        members' window ``ts`` overruns (Algorithm 1, line 7): a prefix,
+        the head being one of them.  A run of that prefix keeping some
+        members only loses its oldest (:meth:`_lose`) and stays."""
         tau = self.automaton.tau
-        residents = bucket.instances
+        runs = bucket.runs
         cut = 1
-        while (cut < len(residents)
-               and ts - residents[cut].buffer.min_ts > tau):
+        while cut < len(runs) and ts - runs[cut].oldest > tau:
             cut += 1
-        expired = residents[:cut]
-        del residents[:cut]
-        self._count -= cut
+        expired = runs[:cut]
+        del runs[:cut]
+        by_value = bucket.by_value
+        left = 0
+        keep = []
+        for run in expired:
+            count = run.count
+            if count > 1 and not ts - run.starts[-1] > tau:
+                keep.append(run)
+                continue
+            left += count
+            if by_value is not None:
+                bucket.unfile(run)
+        if keep:
+            expired = [run for run in expired if run not in keep]
+            for run in keep:
+                left += self._lose(run, ts, accepted, bucket.accepting)
+                if by_value is not None:
+                    # Its oldest start moved: file it where it now goes.
+                    bucket.unfile(run)
+                    bucket.file(run)
+            runs += keep
+            runs.sort(key=_oldest)
+        self._count -= left
         self._expiry_stale = True
-        if bucket.by_value is not None:
-            for instance in expired:
-                bucket.unfile(instance)
         return expired
 
-    def _offer(self, event: Event,
-               fresh: Optional[AutomatonInstance]) -> None:
+    def _lose(self, run: _Group, ts, accepted: List[Tuple],
+              accepting: bool) -> int:
+        """Expire the members of ``run`` whose window ``ts`` overruns —
+        some, not all — and return how many: their starts are popped,
+        the newest of them becomes the run's cutoff, and their paths
+        are walked only if the run is accepting."""
+        tau = self.automaton.tau
+        starts = run.starts
+        cut = 1
+        while ts - starts[cut] > tau:
+            cut += 1
+        leaving = starts[:cut]
+        stats = self.stats
+        stats.expired_instances += cut
+        if self.obs is not None:
+            for start in leaving:
+                self.obs.lifetime(ts - start)
+        if accepting:
+            accepted += run.members(leaving[-1])
+            stats.accepted_buffers += cut
+        run.starts = starts[cut:]
+        run.oldest = starts[cut]
+        run.count -= cut
+        run.dead = leaving[-1]
+        run.events = None
+        return cut
+
+    def _offer(self, event: Event, fresh: Optional[_Run]) -> None:
         """Offer ``event`` to ``fresh`` (its own start-state instance, if
         it gets one) and to Ω, state by state (Algorithm 2 per bucket).
 
         The event is classified once and every occupied state reads its
         row of the step table.  A state without a row is left as it is;
-        an indexed state offers the event only to the instances filed
-        under the event's value(s) (and the unfiled ones); any other
-        state walks its bucket.  Successors are held back per target
-        state until every source has been consumed, so none is offered
-        the event that made it.
+        an indexed state offers the event only to the runs filed under
+        the event's value(s) (and the unfiled ones); any other state
+        walks its bucket.  Successors are held back per target state
+        until every source has been consumed, so none is offered the
+        event that made it; then those that agree on what a decision
+        reads are joined into one run.
         """
         rows = self.automaton.step_rows(event)
         walks_all = self._walks_all
         consume = self._consume
-        out: List[AutomatonInstance] = []
+        out: List[_Run] = []
         if fresh is not None:
+            self._count += 1  # until it leaves, like any run consuming
             consume((fresh,), rows[fresh.state], event, out)
         arrivals = _by_state(out)
         unordered = set()
         for bucket in self._buckets.values():
-            residents = bucket.instances
+            residents = bucket.runs
             if not residents:
                 continue
             row = rows[bucket.state]
@@ -720,10 +1025,9 @@ class SESExecutor:
             for candidates in offered[1:]:
                 gone += consume(candidates, row, event, out)
             if gone:
-                self._count -= len(gone)
                 self._expiry_stale = True
                 if len(gone) == len(residents):
-                    bucket.instances = []
+                    bucket.runs = []
                     if by_value:
                         by_value.clear()
                 else:
@@ -731,15 +1035,14 @@ class SESExecutor:
                         residents.remove(gone[0])
                     else:
                         left = set(gone)
-                        bucket.instances = [
-                            instance for instance in residents
-                            if instance not in left]
+                        bucket.runs = [run for run in residents
+                                       if run not in left]
                     if by_value is not None:
-                        for instance in gone:
-                            bucket.unfile(instance)
+                        for run in gone:
+                            bucket.unfile(run)
             if not out:
                 continue
-            # Successors of one list come out in its (start) order.
+            # Successors of one list come out in its (oldest start) order.
             ordered = len(offered) == 1
             for target, moved in _by_state(out).items():
                 if target in arrivals:
@@ -750,26 +1053,26 @@ class SESExecutor:
                     if not ordered:
                         unordered.add(target)
         for target, moved in arrivals.items():
-            if target in unordered:
-                moved.sort(key=_start)
-            self._arrive(target, moved)
+            self._arrive(target, moved, target in unordered, True)
 
-    def _consume(self, candidates: Sequence[AutomatonInstance],
+    def _consume(self, candidates: Sequence[_Run],
                  row: Optional[StepRow], event: Event,
-                 out: List[AutomatonInstance]) -> List[AutomatonInstance]:
-        """Algorithm 2 (ConsumeEvent) for ``candidates`` — instances of
-        one state — appending their successors to ``out`` and returning
-        those that left the state.
+                 out: List[_Run]) -> List[_Run]:
+        """Algorithm 2 (ConsumeEvent) for ``candidates`` — runs of one
+        state — appending their successors to ``out`` and returning
+        those that left the state; |Ω| counts both from here on.
 
         Conditions on the event alone are the same for every instance in
         a state, so they are not asked here: ``row``, the state's row of
         the step table, names the outgoing transitions that pass them
-        (``None``: there is none), and per instance only each one's
+        (``None``: there is none), and per run only each one's
         :meth:`~repro.automaton.transitions.Transition.admits_bindings`
-        runs.  A transition that fires costs that decision, one buffer
-        node (its parent extended by the event, the registers the
-        variable feeds updated) and one instance — none of it grows
-        with the buffer; the counters move once per call.
+        runs — once for all the run's members, which agree on what it
+        reads.  A transition that fires costs that decision, one buffer
+        node (the run's tip extended by the event, the registers the
+        variable feeds updated) and one run — none of it grows with the
+        buffers or with the members; the counters move by the members,
+        once per call.
 
         In ``"exhaustive"`` mode the original instance also survives when
         transitions fire, so the run may *skip* a consumable event — the
@@ -781,54 +1084,66 @@ class SESExecutor:
         state = candidates[0].state
         mode = self.consume_mode
         exhaustive = mode == "exhaustive" and state != self.automaton.start
-        rests = None  # worked out for the first instance nothing fires on
-        gone: List[AutomatonInstance] = []
-        transitions_fired = branchings = kept = 0
-        for instance in candidates:
-            buffer = instance.buffer
+        rests = None  # worked out for the first run nothing fires on
+        gone: List[_Run] = []
+        transitions_fired = branchings = kept = left = 0
+        for run in candidates:
+            buffer = run.buffer
             fired = 0
             for admits_bindings, target, variable, updates, transition \
                     in moves:
                 if admits_bindings(event, buffer):
-                    successor = AutomatonInstance(target, MatchBuffer(
-                        buffer, variable, event, updates))
+                    node = MatchBuffer(buffer, variable, event, updates)
+                    if run.__class__ is _Run:
+                        successor = _Run(target, node, run.oldest)
+                    else:
+                        events = run.events
+                        successor = _Group(
+                            target, node, run.starts, run.count, run.dead,
+                            None if events is None else events + run.count)
                     out.append(successor)
                     fired += 1
                     if hooks:
-                        emit("transition", event, instance, transition,
+                        emit("transition", event, run, transition,
                              successor)
             if fired:
-                transitions_fired += fired
+                count = run.count
+                transitions_fired += fired * count
                 if fired > 1:
-                    branchings += fired - 1
+                    branchings += (fired - 1) * count
                 if exhaustive:
-                    kept += 1
+                    kept += count
                 else:
-                    gone.append(instance)
+                    gone.append(run)
+                    left += count
                 continue
             if rests is None:
                 rests = state != self.automaton.start
             if not rests:
-                gone.append(instance)
+                gone.append(run)
+                left += run.count
                 if hooks:
-                    emit("drop", event, instance)
+                    emit("drop", event, run)
             elif mode == "contiguous":
                 # Strict contiguity: a non-consumable event ends the run;
                 # a run already in the accepting state is complete.
-                gone.append(instance)
+                gone.append(run)
+                left += run.count
                 if state == self.automaton.accepting:
-                    self._accepted_during_consume.append(
-                        buffer.to_substitution())
-                    self.stats.accepted_buffers += 1
+                    self._accepted_during_consume += run.members()
+                    self.stats.accepted_buffers += run.count
                     if hooks:
-                        emit("accept", event, instance)
+                        emit("accept", event, run)
                 elif hooks:
-                    emit("drop", event, instance)
+                    emit("drop", event, run)
             elif self.tracer is not None:
                 # Figure 6's "ignored by instance at ..." line: only a
                 # tracer wants it, and only a walk of every instance
                 # (which a tracer forces) can produce it.
-                self.tracer.record("skip", event, instance)
+                self.tracer.record("skip", event, run)
+        # |Ω| moves by the members made and the members gone; the
+        # successors are counted here, before they arrive.
+        self._count += transitions_fired - left
         if transitions_fired:
             stats = self.stats
             stats.transitions_fired += transitions_fired
@@ -859,16 +1174,16 @@ class SESExecutor:
         if self._agg is not None:
             self._agg.finish(self.stats)
             return []
-        accepted_now: List[Substitution] = []
+        members = []
         bucket = self._buckets.get(self.automaton.accepting)
         if bucket is not None:
-            for instance in bucket.instances:
-                accepted_now.append(instance.buffer.to_substitution())
-                self.stats.accepted_buffers += 1
+            for run in bucket.runs:
+                members += run.members()
+                self.stats.accepted_buffers += run.count
                 if self._hooks:
-                    self._emit("flush", None, instance)
+                    self._emit("flush", None, run)
         self.replace_instances(())
-        return accepted_now
+        return _in_order(members)
 
     # ------------------------------------------------------------------
     # Checkpointing

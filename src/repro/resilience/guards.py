@@ -40,8 +40,10 @@ DEFAULT_INSTANCE_BYTES = 512
 
 #: Rough heap cost of one buffered event binding: one match-buffer node
 #: (parent, variable, event, start, size, registers).  The estimate
-#: charges every instance its whole buffer, so where sibling instances
-#: share a prefix of nodes it stays an upper bound.
+#: charges every instance its whole buffer (the executor's
+#: ``buffered_events``), so where instances share nodes — siblings a
+#: prefix, the members of a run their whole DAG — it stays an upper
+#: bound.
 DEFAULT_EVENT_BYTES = 256
 
 #: Valid breach policies.
@@ -196,8 +198,7 @@ class ResourceGuard:
                 self._breach(executor, "instances", config.max_instances,
                              size)
         if config.max_buffer_bytes is not None:
-            estimate = (sum(len(i.buffer) for i in executor.instances())
-                        * config.bytes_per_event)
+            estimate = executor.buffered_events * config.bytes_per_event
             if estimate > config.max_buffer_bytes:
                 self._breach(executor, "buffer_bytes",
                              config.max_buffer_bytes, estimate)

@@ -19,7 +19,11 @@ reference and variables interned: 10.6 (5.2) and 12.2 (5.7); with
 buffers as parent-pointer nodes whose summary registers the rows read
 and `=` compared inline (what each call costs stopped growing with the
 match): 9.74 (5.47) and 11.82 (5.74) — the same on Python 3.9, 3.12 and
-3.13 to ±0.07.
+3.13 to ±0.07; with Ω held as runs, instances agreeing on state and
+registers decided and extended once for all of them: 5.35 (2.57) on the
+P3 slice, whose calls per *member* transition fell, and 11.71 (5.75) on
+the recorded Q1 slice, where the recorder keeps every run one instance
+and so measures what a run of one costs.
 """
 
 import gc
@@ -39,6 +43,9 @@ workloads = pytest.importorskip("ledger.workloads")
 #: Calls (Python + C) per fired transition a slice may cost: the
 #: larger measured figure plus one.
 BUDGET = 12.82
+#: The P3 slice's own ceiling, its measured figure plus one: its
+#: instances share runs, so it fails a change that stops sharing them.
+P3_BUDGET = 6.35
 #: Of which Python frames.
 FRAME_BUDGET = 7
 
@@ -75,12 +82,12 @@ def count_calls(run):
     return result, frames, callees, builtins
 
 
-def assert_within_budget(frames, builtins, fired):
+def assert_within_budget(frames, builtins, fired, budget=BUDGET):
     python = sum(frames.values())
     total = python + sum(builtins.values())
     assert fired > 5000
-    assert total <= BUDGET * fired, (
-        f"{total / fired:.1f} calls per fired transition (budget {BUDGET}); "
+    assert total <= budget * fired, (
+        f"{total / fired:.1f} calls per fired transition (budget {budget}); "
         f"most called: {frames.most_common(5)}")
     assert python <= FRAME_BUDGET * fired, (
         f"{python / fired:.1f} Python frames per fired transition "
@@ -97,7 +104,8 @@ def test_p3_slice_stays_within_the_per_transition_budget():
         return compile_plan(parse_pattern(workloads.P3)).match(events)
 
     result, frames, _, builtins = count_calls(run)
-    assert_within_budget(frames, builtins, result.stats.transitions_fired)
+    assert_within_budget(frames, builtins, result.stats.transitions_fired,
+                         P3_BUDGET)
 
 
 def test_q1_slice_through_a_recorded_registry():

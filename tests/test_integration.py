@@ -8,7 +8,7 @@ from repro.lang import parse_pattern, render_pattern
 from repro.storage import Database
 from repro.stream import ContinuousMatcher, from_relation
 
-from conftest import eids, ev, match
+from conftest import bindings, eids, ev, match
 
 
 class TestPaperRunningExample:
@@ -269,4 +269,37 @@ class TestTieDivergence:
         # Exhaustive mode recovers the declarative result.
         exhaustive = [eids(m) for m in match(pattern, relation,
                                              consume="exhaustive")]
+        assert exhaustive == declarative
+
+
+class TestPermuteThenDivergence:
+    """Fourth documented operational/declarative gap: a permutation
+    whose variable shares its condition with the set that follows.
+
+    Over A C A A A C A (ts 0-6, τ = 3) both semantics accept
+    ``{u/e3, v/e5, w/e6}`` and ``{u/e4, v/e5, w/e6}``, which overlap.
+    Definition 2 drops the first by skip-till-next-match: the candidate
+    ``{v/e1, u/e3, w/e4}`` shows the A at 4 usable after ``u/e3``.
+    Algorithm 1 never forms that witness — its instance that bound
+    ``v/e1`` took the A at 2 as ``u`` — so the greedy pool keeps both
+    and overlap suppression reports the earlier start.
+    """
+
+    def test_earlier_start_kept_by_greedy(self):
+        pattern = SESPattern(
+            sets=[["u", "v"], ["w"]],
+            conditions=["u.kind = 'A'", "v.kind = 'C'", "w.kind = 'A'"],
+            tau=3,
+        )
+        relation = EventRelation([
+            ev(ts, kind, eid=f"e{ts}")
+            for ts, kind in enumerate("ACAAACA")])
+        operational = [bindings(m) for m in match(pattern, relation)]
+        declarative = [bindings(m) for m in naive_match(pattern, relation)]
+        first = frozenset({"u/e0", "v/e1", "w/e2"})
+        assert operational == [first, frozenset({"u/e3", "v/e5", "w/e6"})]
+        assert declarative == [first, frozenset({"u/e4", "v/e5", "w/e6"})]
+        # Exhaustive mode forms the witness and recovers Definition 2.
+        exhaustive = [bindings(m) for m in match(pattern, relation,
+                                                 consume="exhaustive")]
         assert exhaustive == declarative

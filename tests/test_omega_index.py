@@ -167,6 +167,10 @@ class FlatExecutor(SESExecutor):
     def active_instances(self) -> int:
         return len(self._omega)
 
+    @property
+    def buffered_events(self) -> int:
+        return sum(len(instance.buffer) for instance in self._omega)
+
     def instances(self):
         return sorted(self._omega, key=_start_key)
 
@@ -379,32 +383,40 @@ class _Recorders:
 
 
 def assert_invariants(executor):
-    """What the bucketed Ω relies on between events: buckets in state
-    rank order, each in start order and holding its own state's
-    instances; in an indexed bucket every resident filed exactly once,
-    under its own key, each list in bucket order and none empty."""
+    """What the bucketed Ω relies on between events, over its runs:
+    buckets in state rank order, each holding its own state's runs,
+    ordered by oldest start; every run's starts sorted, above the start
+    its last expiry removed, and as many as its members; in an indexed
+    bucket every run filed exactly once, under its own key, each list
+    ordered by oldest start and none empty; and the members adding up
+    to |Ω|."""
     automaton = executor.automaton
     ranks = [automaton.state_rank(state) for state in executor._buckets]
     assert ranks == sorted(ranks)
     total = 0
     for state, bucket in executor._buckets.items():
-        residents = bucket.instances
-        total += len(residents)
-        assert all(instance.state == state for instance in residents)
-        assert residents == sorted(residents, key=_start_key)
+        runs = bucket.runs
+        assert all(run.state == state for run in runs)
+        oldest = [run.starts[0] for run in runs]
+        assert oldest == sorted(oldest)
+        for run in runs:
+            assert run.count == len(run.starts) > 0
+            assert list(run.starts) == sorted(run.starts)
+            assert run.oldest == run.starts[0]
+            assert run.dead is None or run.starts[0] > run.dead
+            total += run.count
         if automaton.probe(state) is None or executor._walks_all:
             assert bucket.by_value is None
             continue
-        place = {id(instance): n for n, instance in enumerate(residents)}
-        filed = [id(instance) for members in bucket.by_value.values()
-                 for instance in members]
-        assert sorted(filed) == sorted(place)
+        filed = [id(run) for members in bucket.by_value.values()
+                 for run in members]
+        assert sorted(filed) == sorted(map(id, runs))
         for key, members in bucket.by_value.items():
-            places = [place[id(instance)] for instance in members]
-            assert places and places == sorted(places)
-            assert all(bucket.key_of(instance) is key
-                       or bucket.key_of(instance) == key
-                       for instance in members)
+            assert members
+            assert [run.oldest for run in members] == sorted(
+                run.oldest for run in members)
+            assert all(bucket.key_of(run) is key
+                       or bucket.key_of(run) == key for run in members)
     assert total == executor.active_instances
 
 
@@ -695,6 +707,44 @@ class TestBucketedEqualsFlat:
                 # {a1, a2} disagrees, {a2} takes c7, {a5} lacks k.
                 assert fast.stats.accepted_buffers == 1
 
+    def test_a_run_whose_register_stops_summarising_splits(self):
+        """Two instances agree on ``p+``'s greatest ``k`` (``1``) and
+        rest as one run; a ``1.0`` then makes the register ``WALK``, so
+        ``c.k > p.k`` must walk each member's own chain: the run goes
+        back to single instances even when, as here, it is the only
+        arrival in its state (no start on the event)."""
+        automaton = build_automaton(SESPattern(
+            sets=[["p+"], ["c"]],
+            conditions=["p.kind = 'A'", "c.kind = 'C'", "c.k > p.k"],
+            tau=50))
+        ops = [(Event(ts=1, eid="a1", kind="A", k=1), True),
+               (Event(ts=2, eid="a2", kind="A", k=1), True),
+               (Event(ts=3, eid="a3", kind="A", k=1.0), False),
+               (Event(ts=4, eid="c4", kind="C", k=5), True)]
+        joined = SESExecutor(automaton)
+        for event, _ in ops[:2]:
+            joined.feed(event)
+        assert [run.count for bucket in joined._buckets.values()
+                for run in bucket.runs] == [2]
+        fast = assert_lockstep(automaton, ops)
+        assert fast.stats.accepted_buffers == 2
+
+    def test_a_run_that_loses_its_oldest_member_is_filed_again(self):
+        """Exhaustive runs of one key join in ``{a, b+}`` (indexed by
+        ``a.k``); when the window drops a joined run's oldest member,
+        its oldest start moves past a run filed after it.  Filed where
+        it was, the key's list would offer the next event out of start
+        order, and the successors would rest out of order."""
+        automaton = build_automaton(SESPattern(
+            sets=[["a", "b+"], ["c"]],
+            conditions=["a.kind = 'A'", "b.kind = 'B'", "c.kind = 'C'",
+                        "a.k = b.k", "c.k = a.k"], tau=5))
+        ops = [(Event(ts=ts, eid=f"e{ts}", kind=kind, k=1), True)
+               for ts, kind in ((3, "B"), (5, "A"), (6, "B"), (8, "A"),
+                                (9, "A"))]
+        fast = assert_lockstep(automaton, ops, "exhaustive")
+        assert fast.stats.expired_instances
+
     @pytest.mark.parametrize("consume", ("greedy", "exhaustive"))
     def test_snapshot_written_out_of_start_order(self, consume):
         """``load_state`` takes Ω in any order (the flat executor wrote it
@@ -965,3 +1015,47 @@ class TestCostIsIndependentOfTheWindow:
         assert set(per_event) == {predicates * len(executors)}
         # Rows were built once per (class, state): two classes here.
         assert built <= 2 * len(automaton.transitions)
+
+
+# ----------------------------------------------------------------------
+# Runs: one decision and one buffer node for the members that agree
+# ----------------------------------------------------------------------
+class TestRunsShareTheWork:
+    """The count gate on coalescing: on a dense P3 unit the members of
+    Ω that agree on state, registers and last binding are decided once
+    and extended by one node, so decisions and nodes built are a
+    fraction of the transitions fired — which stay, with every other
+    counter and the accepted buffers, those of the flat oracle.  A
+    change that quietly stops joining successors into runs fails here
+    whatever the machine."""
+
+    def test_dense_p3_decides_and_builds_once_per_run(self, monkeypatch):
+        workloads = pytest.importorskip("ledger.workloads")
+        from repro.automaton.buffer import MatchBuffer
+        from repro.net.protocol import event_from_json
+        work = Counter()
+
+        def counted(name, original):
+            def count(*args):
+                work[name] += 1
+                return original(*args)
+            return count
+
+        # Before compiling: a step row binds the decision it is built
+        # with.
+        monkeypatch.setattr(Transition, "admits_bindings", counted(
+            "decisions", Transition.admits_bindings))
+        monkeypatch.setattr(MatchBuffer, "__init__", counted(
+            "nodes", MatchBuffer.__init__))
+        plan = compile_plan(parse_pattern(workloads.P3), cache=False)
+        _, rows = workloads._p3_units(1, False)[0]
+        events = [event_from_json(row) for row in rows]
+        fast = SESExecutor(plan.automaton, selection="accepted").run(events)
+        monkeypatch.undo()
+        fired = fast.stats.transitions_fired
+        assert fired > 5000
+        assert work["decisions"] <= fired / 4, (work, fired)
+        assert work["nodes"] <= fired / 4, (work, fired)
+        flat = FlatExecutor(plan.automaton, selection="accepted").run(events)
+        assert flat.stats == fast.stats
+        assert Counter(flat.accepted) == Counter(fast.accepted)

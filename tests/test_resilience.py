@@ -341,6 +341,39 @@ class TestResourceGuards:
                 if variable.is_group:
                     assert len(instance.buffer.events_of(variable)) <= 16
 
+    def test_a_byte_ceiling_that_never_trips_lists_no_instance(
+            self, monkeypatch):
+        """The byte ceiling reads ``executor.buffered_events``, kept per
+        run: checking it after every event materialises no instance,
+        while what it reads is every instance's buffer length, summed —
+        through branching, coalescing and expiries that leave part of a
+        run behind."""
+        from repro.automaton import SESExecutor
+        plan = repro.compile(SESPattern(
+            sets=[["p+", "q+"]],
+            conditions=["p.kind = 'M'", "q.kind = 'M'", "p.ID = q.ID"],
+            tau=4))
+        guarded = plan.executor(guard=GuardConfig(max_buffer_bytes=10**12))
+        unguarded = plan.executor()
+        listed = []
+        instances = SESExecutor.instances
+
+        def counted(executor):
+            listed.append(executor)
+            return instances(executor)
+
+        monkeypatch.setattr(SESExecutor, "instances", counted)
+        for ts in range(1, 13):
+            event = Event(ts=ts, eid=f"m{ts}", kind="M", ID=0)
+            guarded.feed(event)
+            unguarded.feed(event)
+            assert unguarded.buffered_events == sum(
+                len(instance.buffer) for instance in unguarded.instances())
+        assert guarded.guard.trips == 0
+        assert guarded not in listed
+        assert guarded.buffered_events == unguarded.buffered_events > 0
+        assert guarded.stats.expired_instances > 0
+
     def test_guard_counters_reach_the_registry(self):
         obs = Observability()
         executor = repro.compile(GROUPY).executor(
