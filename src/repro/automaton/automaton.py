@@ -9,17 +9,19 @@ buffer β collecting variable bindings (see :mod:`repro.automaton.instance`).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..core.events import TIME_ATTRIBUTE, Event
 from ..core.predicates import PredicateBank
 from ..core.variables import Variable
-from .buffer import EQUAL, LATEST, UNBOUND, WALK, MatchBuffer
+from .buffer import (CONFLICT, EQUAL, LATEST, MISSING, ORDERED_TYPES, UNBOUND,
+                     WALK, MatchBuffer)
 from .states import State, state_label, state_sort_key
 from .transitions import Transition
 
 __all__ = ["SESAutomaton", "AutomatonError", "StateProbe", "EventPredicate",
-           "StepRow", "STEP_TABLE_CAP"]
+           "StepRow", "LiveSlots", "STEP_TABLE_CAP"]
 
 #: Event classes whose rows one automaton memoises.  An alphabet of n
 #: predicates has up to 2^n classes; streams realise few of them (the
@@ -109,6 +111,130 @@ class StepRow:
         return f"StepRow({', '.join(map(repr, self.transitions))})"
 
 
+#: What a masked slot reads: the register of a decision that cannot pass.
+_PAD = (CONFLICT,)
+
+
+class LiveSlots:
+    """The registers an instance resting in one state can still have
+    read — called on a buffer's registers, it returns them with every
+    other slot replaced by :data:`~repro.automaton.buffer.CONFLICT`.
+
+    A transition reachable from the state is *blocked* for an instance
+    once one of its binding rows reads a register holding ``CONFLICT``
+    or ``MISSING``, or two of its ``=`` rows on one event attribute read
+    ``EQUAL`` registers holding two different values of one ordered
+    type (no value equals both).  Both last: no binding takes a
+    register out of ``CONFLICT`` or ``MISSING``, and a partner's bound
+    values only accumulate.  A slot is *live* if a transition reachable
+    through unblocked ones reads it, or it is the probe slot of a state
+    reached so; no decision reads any other slot again (a blocked
+    transition's own slots, masked, keep it blocked).  So instances
+    whose masked registers agree decide alike from then on, and an
+    executor joins them into one run.
+
+    The tests are fixed per state — :attr:`reads` pairs each register a
+    reachable row can block on with the transitions reading it (as
+    bits), :attr:`pairs` names each two ``EQUAL`` registers one
+    transition compares with one event attribute — and the masks are a
+    table keyed by the set of blocked transitions: finite, and never
+    keyed by register values.
+    """
+
+    __slots__ = ("reads", "pairs", "_edges", "_masks", "_state", "_width")
+
+    def __init__(self, automaton: "SESAutomaton", state: State):
+        self._state = state
+        self._width = len(automaton.empty_buffer.registers)
+        self._masks: Dict[int, Optional[itemgetter]] = {}
+        #: ``source → (probe slots, [(bit, slots read, target), ...])``
+        #: over the states reachable from ``state``, one bit a transition.
+        self._edges: Dict[State, Tuple[tuple, list]] = {}
+        reads: Dict[int, int] = {}
+        pairs = []
+        bit = 1
+        stack = [state]
+        while stack:
+            source = stack.pop()
+            if source in self._edges:
+                continue
+            probe = automaton.probe(source)
+            edges = []
+            self._edges[source] = (() if probe is None else (probe.slot,),
+                                   edges)
+            for transition in automaton.outgoing(source):
+                bit <<= 1
+                edges.append((bit, tuple(row[0] for row
+                                         in transition._register_rows),
+                               transition.target))
+                stack.append(transition.target)
+                by_attribute: Dict[Optional[str], List[int]] = {}
+                for (_, _, kind), (slot, attribute, *_) in zip(
+                        transition.register_keys,
+                        transition._register_rows):
+                    if kind is WALK or kind is LATEST:
+                        continue  # never MISSING nor CONFLICT by binding
+                    reads[slot] = reads.get(slot, 0) | bit
+                    if kind is EQUAL:
+                        slots = by_attribute.setdefault(attribute, [])
+                        pairs += [(other, slot, bit) for other in slots
+                                  if other != slot]
+                        slots.append(slot)
+        self.reads: Tuple[Tuple[int, int], ...] = tuple(reads.items())
+        self.pairs: Tuple[Tuple[int, int, int], ...] = tuple(pairs)
+
+    def __call__(self, registers: tuple) -> tuple:
+        """``registers`` with the slots no decision can read masked —
+        the very tuple when every slot is live."""
+        blocked = 0
+        for slot, bits in self.reads:
+            held = registers[slot]
+            if held is CONFLICT or held is MISSING:
+                blocked |= bits
+        for first, second, bit in self.pairs:
+            held = registers[first]
+            other = registers[second]
+            if (held.__class__ is other.__class__
+                    and held.__class__ in ORDERED_TYPES and held != other):
+                blocked |= bit
+        try:
+            keep = self._masks[blocked]
+        except KeyError:
+            keep = self._masks[blocked] = self._mask(blocked)
+        return registers if keep is None else keep(registers + _PAD)
+
+    def _mask(self, blocked: int) -> Optional[itemgetter]:
+        """The getter that masks the slots no transition reachable
+        through unblocked ones reads (``None``: every slot is live)."""
+        edges = self._edges
+        live = set()
+        stack = [self._state]
+        seen = set()
+        while stack:
+            source = stack.pop()
+            if source in seen:
+                continue
+            seen.add(source)
+            probes, outgoing = edges[source]
+            live.update(probes)
+            for bit, slots, target in outgoing:
+                if not bit & blocked:
+                    live.update(slots)
+                    stack.append(target)
+        width = self._width
+        if len(live) == width:
+            return None
+        pad = width  # the index of _PAD's CONFLICT past the registers
+        indices = [slot if slot in live else pad for slot in range(width)]
+        if width == 1:  # one index: a slice, so a tuple comes back
+            return itemgetter(slice(pad, pad + 1))
+        return itemgetter(*indices)
+
+    def __repr__(self) -> str:
+        return (f"LiveSlots({state_label(self._state)}, "
+                f"{len(self.reads)} read(s), {len(self.pairs)} pair(s))")
+
+
 class _StepRows(dict):
     """``state → StepRow`` for one event class, filled as states ask;
     ``None`` is the row of a state the class enables nothing in."""
@@ -161,6 +287,7 @@ class SESAutomaton:
         for state, outgoing in self._outgoing.items():
             self._find_probe(state, outgoing)
         self._move_updates = self._live_updates()
+        self._live_slots: Dict[State, LiveSlots] = {}
         self._rank: Optional[Dict[State, int]] = None
         # Event alphabet and step table: built when the first event is
         # classified, so compiling a plan pays for neither.
@@ -241,6 +368,14 @@ class SESAutomaton:
                           if update[0] in live(transition.target))
                     for transition in outgoing)
                 for state, outgoing in self._outgoing.items()}
+
+    def live_slots(self, state: State) -> "LiveSlots":
+        """What an instance resting in ``state`` can still have read of
+        its registers (see :class:`LiveSlots`); built on first use."""
+        masks = self._live_slots.get(state)
+        if masks is None:
+            masks = self._live_slots[state] = LiveSlots(self, state)
+        return masks
 
     @property
     def register_slots(self) -> Dict[Tuple, int]:
@@ -334,9 +469,11 @@ class SESAutomaton:
 
     def __getstate__(self) -> dict:
         """A plan pickled to a worker travels without its memoised rows
-        (they hold events); the worker rebuilds the ones it reads."""
+        (they hold events) and register masks; the worker rebuilds the
+        ones it reads."""
         state = self.__dict__.copy()
         state["_step_table"] = {}
+        state["_live_slots"] = {}
         return state
 
     def _find_probe(self, state: State,

@@ -41,14 +41,21 @@ value, which nothing reads again.
 
 Chains become a DAG where an executor coalesces instances into runs
 (:mod:`repro.automaton.executor`): successors of one event that land in
-one state with the same variable and registers are joined under a
-:class:`UnionNode`, the "union of predecessors" node of García &
-Riveros and CORE.  A run's members are then the paths from its tip down
-to the empty root; :func:`member_paths` walks them, skipping members an
-expiry already removed, and :meth:`MatchBuffer.from_bindings` turns one
-back into a chain.  A node above a union has no single start or length:
-its ``min_ts`` is the oldest start it was built from and its ``size``
-the length of one of its paths.
+one state with the same variable and the same registers a decision
+there can still read are joined under a :class:`UnionNode`, the "union
+of predecessors" node of García & Riveros and CORE, which carries those
+registers (the others masked).  A run's members are then the paths from
+its tip down to the empty root; :func:`member_paths` walks them,
+skipping members an expiry already removed, and
+:meth:`MatchBuffer.from_bindings` turns one back into a chain.  A node
+above a union has no single start or length: its ``min_ts`` is the
+oldest start it was built from and its ``size`` the length of one of
+the paths it was built from.
+
+A :class:`MatchBuffer` never changes once built.  A union's children
+do: :func:`drop_expired` removes a child once every member through it
+has expired, so the paths of members long gone are not kept alive by a
+run that never empties.
 """
 
 from __future__ import annotations
@@ -56,13 +63,14 @@ from __future__ import annotations
 from datetime import date, datetime, time, timedelta
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.events import Event
 from ..core.substitution import Substitution
 from ..core.variables import Variable
 
-__all__ = ["MatchBuffer", "UnionNode", "member_paths", "substitution_of",
+__all__ = ["MatchBuffer", "UnionNode", "member_paths", "drop_expired",
+           "substitution_of",
            "UNBOUND", "CONFLICT", "MISSING", "WALK", "EQUAL", "LEAST",
            "GREATEST", "LATEST"]
 
@@ -106,8 +114,8 @@ LATEST = Marker("LATEST")
 
 #: Types a ``LEAST``/``GREATEST`` register summarises: one of them is
 #: totally ordered (``nan`` aside, which the register refuses).
-_ORDERED = frozenset({int, float, str, bytes, bool, Decimal, Fraction,
-                      date, datetime, time, timedelta})
+ORDERED_TYPES = frozenset({int, float, str, bytes, bool, Decimal, Fraction,
+                           date, datetime, time, timedelta})
 
 
 class MatchBuffer:
@@ -116,7 +124,9 @@ class MatchBuffer:
     ``parent`` is the buffer this one extends by ``variable/event``
     (``None`` for the empty root an automaton starts its instances
     from).  Events are appended in consumption order, which is
-    chronological.  A node never changes once built.
+    chronological.  A node never changes once built (a
+    :class:`UnionNode` below it may lose children whose members all
+    expired).
 
     ``updates`` are the register slots binding ``variable`` changes —
     ``(slot, attribute, kind)`` triples its automaton lays out
@@ -180,7 +190,7 @@ class MatchBuffer:
                 elif held is UNBOUND:
                     if kind is not EQUAL:
                         try:
-                            if (value.__class__ not in _ORDERED
+                            if (value.__class__ not in ORDERED_TYPES
                                     or value != value):
                                 value = WALK
                         except Exception:
@@ -313,30 +323,62 @@ class UnionNode:
     """The union of several runs' tips: its paths are all of theirs.
 
     Made by an executor when successors of one event land in one state
-    agreeing on everything a decision reads — the variable they bound
-    (``event`` is that event, the same for every child) and their
-    ``registers`` — so a transition decides for all of them at once and
-    extends them with one node.  Each child is ``(node, dead, oldest,
-    newest)``: the tip of one run, the start at or below which that
-    run's members had already expired (``None``: none had), and the
-    oldest and newest start it held, so :func:`member_paths` can pass a
-    child by without walking it.
+    agreeing on everything a decision there can still read — the
+    variable they bound (``event`` is that event, the same for every
+    child) and their live registers, which the union carries as its
+    ``registers`` (the others masked, see :class:`SESAutomaton.live_slots
+    <repro.automaton.automaton.SESAutomaton.live_slots>`) — so a
+    transition decides for all of them at once and extends them with
+    one node.  Each child is ``(node, dead, oldest, newest)``: the tip
+    of one run, the start at or below which that run's members had
+    already expired (``None``: none had), and the oldest and newest
+    start it held, so :func:`member_paths` can pass a child by without
+    walking it.
+
+    The one node that changes after it is built: once every member
+    through a child has expired, :func:`drop_expired` removes the child,
+    so what no run can reach any more is not kept alive through it.
     """
 
     __slots__ = ("children", "variable", "event", "registers", "min_ts",
                  "size")
 
-    def __init__(self, children: List[Tuple]):
+    def __init__(self, children: List[Tuple], registers: tuple):
         self.children = children
         first = children[0][0]
         self.variable = first.variable
         self.event = first.event
-        self.registers = first.registers
+        self.registers = registers
         self.min_ts = min(child[2] for child in children)
         self.size = first.size
 
     def __repr__(self) -> str:
         return f"UnionNode({len(self.children)} children)"
+
+
+def drop_expired(tips: Iterable, ts, tau) -> None:
+    """Remove, from every :class:`UnionNode` reachable from ``tips``,
+    the children whose newest start a window of ``tau`` ending at ``ts``
+    overruns: all their members have expired, from every run sharing
+    them, as expiry is by time alone.  Each node is visited once,
+    however many tips share it."""
+    seen = set()
+    stack = list(tips)
+    while stack:
+        node = stack.pop()
+        while id(node) not in seen:
+            seen.add(id(node))
+            if node.__class__ is UnionNode:
+                children = node.children
+                kept = [child for child in children
+                        if not ts - child[3] > tau]
+                if len(kept) < len(children):
+                    node.children = kept
+                stack += [child[0] for child in kept]
+                break
+            node = node.parent
+            if node is None:  # past the empty root
+                break
 
 
 def member_paths(tip, dead=None, upto=None

@@ -17,12 +17,21 @@ buffer node holds — depends on its state, its buffer's registers and
 its last binding's variable and timestamp alone
 (:meth:`Transition.admits_bindings
 <repro.automaton.transitions.Transition.admits_bindings>`,
-:class:`~repro.automaton.buffer.MatchBuffer`).  Successors of one event
-that agree on those are one run: a state, a ``count`` of members, the
-members' ``starts`` in order (an instance's start is its earliest
-buffered timestamp), and one tip in a DAG of buffer nodes whose paths
-are the members' buffers — an "extend" node per firing run, and a
-:class:`~repro.automaton.buffer.UnionNode` where runs joined.  A run of
+:class:`~repro.automaton.buffer.MatchBuffer`) — and of the registers,
+only on those some decision still reachable from the state can read:
+a transition whose register already holds ``CONFLICT`` or ``MISSING``
+can never fire again, so what only it reads is dead
+(:meth:`SESAutomaton.live_slots
+<repro.automaton.automaton.SESAutomaton.live_slots>`).  Successors of
+one event that agree on the variable and the live registers are one
+run: a state, a ``count`` of members, the members' ``starts`` in order
+(an instance's start is its earliest buffered timestamp), and one tip
+in a DAG of buffer nodes whose paths are the members' buffers — an
+"extend" node per firing run, and a
+:class:`~repro.automaton.buffer.UnionNode`, carrying the live
+registers, where runs joined.  Members that can no longer accept — the
+bulk of Ω where a group variable binds other join keys' events — so
+share one run.  A run of
 one member is a plain instance that also records its start.  So an
 event is decided once per run and enabled move, and builds one node per
 firing run, however many members the run stands for.  The bookkeeping
@@ -36,15 +45,21 @@ members' paths that already left are never produced again.  Buffers are
 walked — :func:`~repro.automaton.buffer.member_paths` — only where a
 member leaves accepting, at :meth:`SESExecutor.finish`, or where Ω is
 handed out (:meth:`SESExecutor.instances`, for checkpoints and the
-resource guard's shedding).
+resource guard's shedding).  A run that never empties would keep every
+union it was built through, so once the members expired since the last
+sweep reach |Ω|, a sweep after the step's emissions drops every union
+child whose members have all expired
+(:func:`~repro.automaton.buffer.drop_expired`).
 
 Runs stay single instances — each successor its own run, the steps of
 the instance-per-instance loop exactly — where something reads more than
-the signature: a step recorder (tracer, flight recorder, lineage) is
-attached, or a transition overrides ``admits_bindings`` (ANALYZE's
-counting shadow).  A member whose registers stop summarising its
-partners (``WALK``) decides by walking its own chain, so it leaves its
-run as a single instance.
+the signature: a tracer or a lineage recorder wants every instance's
+own steps, or a transition overrides ``admits_bindings`` (ANALYZE's
+counting shadow).  The flight recorder rides runs: a run's step is
+recorded once, with its members' starts, and a dump expands it into one
+record per member (:class:`~repro.obs.flight.FlightRecorder`).  A member
+whose live registers stop summarising its partners (``WALK``) decides
+by walking its own chain, so it leaves its run as a single instance.
 
 Ω is **one bucket per occupied automaton state, its runs ordered by
 oldest start**, and a state all of whose outgoing transitions check
@@ -116,7 +131,7 @@ from ..core.semantics import SELECTIONS, select
 from ..core.substitution import Substitution
 from .automaton import SESAutomaton, StateProbe, StepRow
 from .buffer import (CONFLICT, MISSING, UNBOUND, WALK, MatchBuffer,
-                     UnionNode, member_paths, substitution_of)
+                     UnionNode, drop_expired, member_paths, substitution_of)
 from .instance import AutomatonInstance
 from .metrics import ExecutionStats
 from .states import State
@@ -181,8 +196,7 @@ class _Run(AutomatonInstance):
 
     __slots__ = ("oldest",)
 
-    #: Members, and the newest start of a member that expired (none).
-    count = 1
+    #: The newest start of a member that expired (none).
     dead = None
 
     def __init__(self, state: State, buffer: MatchBuffer, oldest):
@@ -218,6 +232,9 @@ class _Group(_Run):
     """
 
     __slots__ = ("starts", "count", "dead", "events")
+
+    #: The members' starts, which a recorder keeps with the run's step.
+    born = property(attrgetter("starts"))
 
     def __init__(self, state: State, buffer, starts: tuple, count: int,
                  dead, events: Optional[int]):
@@ -271,10 +288,10 @@ def _in_order(members: List[Tuple]) -> List[Substitution]:
     return [substitution_of(bindings) for _, bindings in members]
 
 
-def _union(group: List[_Run]) -> _Group:
+def _union(group: List[_Run], registers: tuple) -> _Group:
     """Join ``group`` — successors of one event in one state, agreeing
-    on variable and registers — into one run under one
-    :class:`UnionNode`."""
+    on variable and on the live ``registers`` — into one run under one
+    :class:`UnionNode` carrying those registers."""
     starts: list = []
     children = []
     events = 0
@@ -290,8 +307,8 @@ def _union(group: List[_Run]) -> _Group:
             events = (None if member.events is None
                       else events + member.events)
     starts.sort()
-    return _Group(group[0].state, UnionNode(children), tuple(starts),
-                  len(starts), None, events)
+    return _Group(group[0].state, UnionNode(children, registers),
+                  tuple(starts), len(starts), None, events)
 
 
 def _same_types(held: tuple, registers: tuple) -> bool:
@@ -542,11 +559,13 @@ class SESExecutor:
         #: alone, and strict contiguity ends them.
         self._walks_all = tracer is not None or consume_mode == "contiguous"
         #: Join successors that agree on what a decision reads into one
-        #: run — unless a recorder wants every instance's own steps, or
-        #: a transition decides by more than the registers.
-        self._coalesces = not self._hooks and all(
+        #: run — unless a tracer or lineage wants every instance's own
+        #: steps, or a transition decides by more than the registers.
+        #: The flight recorder rides runs: it keeps a run's step once,
+        #: with the members' starts, and expands it when it is dumped.
+        self._coalesces = (tracer is None and self.lineage is None and all(
             type(transition).admits_bindings is Transition.admits_bindings
-            for transition in automaton.transitions)
+            for transition in automaton.transitions))
         self.reset()
 
     def reset(self) -> None:
@@ -556,6 +575,7 @@ class SESExecutor:
         self._accepted_during_consume: List[Substitution] = []
         self._next_expiry = None
         self._expiry_stale = False
+        self._unswept = 0
         self._last_ts = None
         self._published_stats = {}
         self.stats = ExecutionStats()
@@ -692,18 +712,25 @@ class SESExecutor:
     def _coalesce(self, moved: List[_Run]) -> List[_Run]:
         """The successors ``moved`` — made by one event, bound for one
         state that something leaves — as the runs they rest as there:
-        those that agree on their variable and registers as one run
-        each.  A successor whose registers no longer summarise
-        (``WALK``) decides by walking its own chain, so it stays, or
-        becomes, single instances.  (In a state nothing leaves no
-        register is read again, so nothing there is joined or split.)
-        Returns ``moved`` itself when nothing changes."""
-        groups: Dict[tuple, List[_Run]] = {}
+        those that agree on their variable and on the registers a
+        decision can still read there
+        (:meth:`SESAutomaton.live_slots
+        <repro.automaton.automaton.SESAutomaton.live_slots>`) as one run
+        each, carrying those registers.  A successor whose live
+        registers no longer summarise (``WALK``) decides by walking its
+        own chain, so it stays, or becomes, single instances; a run
+        whose masked registers alone walk rests under a union carrying
+        the masked ones, whatever it joins.  (In a
+        state nothing leaves no register is read again, so nothing there
+        is joined or split.)  Returns ``moved`` itself when nothing
+        changes."""
+        live = self.automaton.live_slots(moved[0].state)
+        groups: Dict[tuple, Tuple[tuple, List[_Run]]] = {}
         runs: List[_Run] = []
         changed = False
         for run in moved:
             buffer = run.buffer
-            registers = buffer.registers
+            registers = live(buffer.registers)
             if _WALK_ID in map(id, registers):
                 if run.__class__ is _Run:
                     runs.append(run)
@@ -713,21 +740,31 @@ class SESExecutor:
                         for _, bindings in run.members()]
                     changed = True
                 continue
+            if (run.__class__ is not _Run
+                    and _WALK_ID in map(id, buffer.registers)):
+                # Only a masked register walks, but a blocked decision
+                # may still read it first, and a tip above a union has
+                # no chain to walk: the run rests under a union of its
+                # own, carrying the masked registers.
+                run = _union([run], registers)
+                changed = True
+            key = (buffer.variable, registers)
             try:
-                group = groups.setdefault((buffer.variable, registers), [])
+                group = groups.get(key)
             except TypeError:  # a register no dict can key
                 runs.append(run)
                 continue
-            if group and not _same_types(group[0].buffer.registers,
-                                         registers):
+            if group is None:
+                groups[key] = (registers, [run])
+            elif _same_types(group[0], registers):
+                group[1].append(run)
+            else:
                 runs.append(run)
-                continue
-            group.append(run)
-        for group in groups.values():
+        for registers, group in groups.values():
             if len(group) == 1:
                 runs.append(group[0])
             else:
-                runs.append(_union(group))
+                runs.append(_union(group, registers))
                 changed = True
         return runs if changed else moved
 
@@ -879,10 +916,11 @@ class SESExecutor:
 
         self._accepted_during_consume = accepted = []
         expired: List[_Run] = []
+        expired_before = stats.expired_instances
         for bucket in self._buckets.values():
             runs = bucket.runs
             if runs and ts - runs[0].oldest > tau:
-                expired += self._cut_expired(bucket, ts, accepted)
+                expired += self._cut_expired(bucket, event, accepted)
         if expired:
             accepting = automaton.accepting
             if hooks:
@@ -905,15 +943,34 @@ class SESExecutor:
             stats.observe_omega(self._count)
             if self.flight is not None:
                 self.flight.sample_omega(ts, self._count)
+        if stats.expired_instances != expired_before and self._coalesces:
+            self._unswept += stats.expired_instances - expired_before
+            if self._unswept >= self._count:
+                self._sweep(ts)
         return _in_order(accepted) if accepted else []
 
-    def _cut_expired(self, bucket: _Bucket, ts,
+    def _sweep(self, ts) -> None:
+        """Let go of the buffer paths of members that expired: every
+        union child all of whose members the window at ``ts`` overruns
+        is dropped (:func:`~repro.automaton.buffer.drop_expired`).  Run
+        after the step's emissions — the members leaving accepting were
+        walked by then — and only once the members expired since the
+        last sweep reach |Ω|, so it costs each expired member a constant
+        share of one walk of Ω's nodes."""
+        self._unswept = 0
+        drop_expired((run.buffer for bucket in self._buckets.values()
+                      for run in bucket.runs if run.__class__ is not _Run),
+                     ts, self.automaton.tau)
+
+    def _cut_expired(self, bucket: _Bucket, event: Event,
                      accepted: List[Tuple]) -> List[_Run]:
         """Remove from ``bucket`` and return the runs all of whose
-        members' window ``ts`` overruns (Algorithm 1, line 7): a prefix,
-        the head being one of them.  A run of that prefix keeping some
-        members only loses its oldest (:meth:`_lose`) and stays."""
+        members' window ``event`` overruns (Algorithm 1, line 7): a
+        prefix, the head being one of them.  A run of that prefix
+        keeping some members only loses its oldest (:meth:`_lose`) and
+        stays."""
         tau = self.automaton.tau
+        ts = event.ts
         runs = bucket.runs
         cut = 1
         while cut < len(runs) and ts - runs[cut].oldest > tau:
@@ -934,7 +991,7 @@ class SESExecutor:
         if keep:
             expired = [run for run in expired if run not in keep]
             for run in keep:
-                left += self._lose(run, ts, accepted, bucket.accepting)
+                left += self._lose(run, event, accepted, bucket.accepting)
                 if by_value is not None:
                     # Its oldest start moved: file it where it now goes.
                     bucket.unfile(run)
@@ -945,13 +1002,15 @@ class SESExecutor:
         self._expiry_stale = True
         return expired
 
-    def _lose(self, run: _Group, ts, accepted: List[Tuple],
+    def _lose(self, run: _Group, event: Event, accepted: List[Tuple],
               accepting: bool) -> int:
-        """Expire the members of ``run`` whose window ``ts`` overruns —
-        some, not all — and return how many: their starts are popped,
+        """Expire the members of ``run`` whose window ``event`` overruns
+        — some, not all — and return how many: their starts are popped,
         the newest of them becomes the run's cutoff, and their paths
-        are walked only if the run is accepting."""
+        are walked only if the run is accepting.  A recorder is told of
+        the members leaving, as a run of their own."""
         tau = self.automaton.tau
+        ts = event.ts
         starts = run.starts
         cut = 1
         while ts - starts[cut] > tau:
@@ -965,6 +1024,12 @@ class SESExecutor:
         if accepting:
             accepted += run.members(leaving[-1])
             stats.accepted_buffers += cut
+        if self._hooks:
+            leavers = _Group(run.state, run.buffer, leaving, cut, run.dead,
+                             None)
+            self._emit("expire", event, leavers)
+            if accepting:
+                self._emit("accept", event, leavers)
         run.starts = starts[cut:]
         run.oldest = starts[cut]
         run.count -= cut

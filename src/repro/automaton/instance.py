@@ -8,6 +8,8 @@ produces new instances.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .buffer import MatchBuffer
 from .states import State, state_label
 
@@ -23,6 +25,13 @@ class AutomatonInstance:
     """
 
     __slots__ = ("state", "buffer", "key")
+
+    #: Members of Ω the instance stands for — one; an executor's run of
+    #: several says how many (a step recorder counts steps by it).
+    count = 1
+    #: When the instance started: its buffer's earliest timestamp (a run
+    #: of several gives its members' starts).
+    born = property(attrgetter("buffer.min_ts"))
 
     def __init__(self, state: State, buffer: MatchBuffer):
         self.state = state

@@ -7,8 +7,8 @@ a preallocated ring buffer that keeps only the *tail* of execution —
 the most recent :class:`~repro.automaton.trace.TraceStep`-shaped records
 (``start`` / ``transition`` / ``drop`` / ``expire`` / ``accept`` /
 ``flush``, the Algorithm 1 vocabulary), a bounded timeline of ``|Ω|``
-samples, and the fingerprints of the plans that ran — at O(1) append
-cost and fixed memory.
+samples, and the fingerprints of the plans that ran — at O(1)
+amortised append cost and bounded memory.
 
 What the ring does **not** hold is ``skip``: "this event left that
 resting instance alone" is Figure 6's line, one per instance per
@@ -25,6 +25,14 @@ branches** to the hot path.  A step is recorded by reference — the
 event, the state and the transition as the executor holds them — and
 only rendered (timestamp, event id, variable and state labels) at dump
 time: recording is one tuple and one append.
+
+Unlike the tracer it does not keep the executor from joining instances
+into runs (:mod:`repro.automaton.executor`): a run's step is recorded
+once, with the members' starts (a tuple the run already holds), and
+counted as one step per member.  The dump expands it into one record
+per member, each ``born`` at that member's start, so it reads as if
+every instance had stepped alone — the same records, one run's members
+side by side.
 
 The dump surfaces in three ways:
 
@@ -59,14 +67,14 @@ class FlightRecorder:
 
     Implements the :class:`~repro.automaton.trace.Tracer` recording
     interface (:meth:`record`), so it attaches anywhere a tracer does;
-    unlike the tracer it never grows — the oldest records are
-    overwritten once ``capacity`` is reached, so what remains is always
+    unlike the tracer it never grows — the oldest record is let go once
+    the newer ones hold ``capacity`` steps, so what remains is always
     the tail of execution leading up to now.
 
     Parameters
     ----------
     capacity:
-        Step records retained (ring size).
+        Steps retained (ring size), one per member of a run's step.
     omega_capacity:
         ``(ts, |Ω|)`` samples retained (separate ring, so a burst of
         step records cannot evict the population timeline).
@@ -85,8 +93,14 @@ class FlightRecorder:
             raise ValueError("flight recorder capacities must be >= 1")
         self.capacity = capacity
         self.omega_capacity = omega_capacity
-        #: ``(seq, kind, event, state, transition, born)`` per step; a
+        #: ``(end, kind, event, state, transition, born)`` per step,
+        #: ``end`` one past the step's last member's sequence number — a
+        #: run's ``born`` is its members' starts, one number each; a
         #: ``crash`` note carries its message in the transition slot.
+        #: Every record but the oldest holds fewer than ``capacity``
+        #: member steps between them: the oldest is let go once the
+        #: others fill a tail alone (and so the ring never holds more
+        #: than ``capacity`` records).
         self._steps: deque = deque(maxlen=capacity)
         self._seq = 0
         self._omega: deque = deque(maxlen=omega_capacity)
@@ -98,10 +112,16 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     def record(self, kind: str, event, instance,
                transition=None, successor=None) -> None:
-        """Append one step record (Tracer-compatible signature), O(1)."""
-        self._steps.append((self._seq, kind, event, instance.state,
-                            transition, instance.buffer.min_ts))
-        self._seq += 1
+        """Append one step record (Tracer-compatible signature), O(1)
+        amortised: the step of every member of ``instance``, a run of
+        ``instance.count`` of them.  Records no tail of ``capacity``
+        member steps reads any more are let go."""
+        self._seq = seq = self._seq + instance.count
+        steps = self._steps
+        steps.append((seq, kind, event, instance.state, transition,
+                      instance.born))
+        while seq - steps[0][0] >= self.capacity:
+            del steps[0]
 
     def sample_omega(self, ts, size: int) -> None:
         """Append one ``(ts, |Ω|)`` sample to the population ring, O(1)."""
@@ -116,8 +136,11 @@ class FlightRecorder:
         points at the poisoned input rather than at whatever happened to
         execute just before it.
         """
-        self._steps.append((self._seq, "crash", event, None, message, None))
-        self._seq += 1
+        self._seq = seq = self._seq + 1
+        steps = self._steps
+        steps.append((seq, "crash", event, None, message, None))
+        while seq - steps[0][0] >= self.capacity:
+            del steps[0]
 
     def note_plan(self, fingerprint: str) -> None:
         """Remember a plan fingerprint that executed under this recorder."""
@@ -136,22 +159,24 @@ class FlightRecorder:
     # Introspection and export
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        """Step records currently retained (≤ capacity)."""
-        return len(self._steps)
+        """Steps a dump shows (≤ capacity)."""
+        return min(self._seq, self.capacity)
 
     @property
     def recorded(self) -> int:
-        """Total step records ever appended (including overwritten)."""
+        """Total steps ever recorded (including overwritten), one per
+        member of a run."""
         return self._seq
 
     @property
     def dropped(self) -> int:
-        """Step records lost to ring overwrites."""
+        """Steps lost to ring overwrites."""
         return max(0, self._seq - self.capacity)
 
     def tail(self, n: Optional[int] = None) -> List[dict]:
-        """The last ``n`` retained step records (all of them by
-        default), oldest first, as plain dicts.
+        """The last ``n`` steps (at most ``capacity``, all of them by
+        default), oldest first, as plain dicts — one per member of a
+        run's step.
 
         Everything a record shows is rendered here, from what the ring
         holds by reference — timestamps and ids off the event, the
@@ -162,22 +187,30 @@ class FlightRecorder:
         from ..automaton.states import state_label
         with self._lock:
             steps = list(self._steps)
-        if n is not None:
-            steps = steps[-n:] if n > 0 else []
-        out = []
-        for seq, kind, event, state, transition, born in steps:
-            record = {"seq": seq, "kind": kind,
-                      "ts": None if event is None else event.ts,
-                      "event": None if event is None else event.eid}
-            if kind == "crash":
-                record["error"] = transition
+        wanted = self.capacity if n is None else min(n, self.capacity)
+        out: List[dict] = []
+        for end, kind, event, state, transition, born in reversed(steps):
+            if len(out) >= wanted:
+                break
+            if born.__class__ is tuple:  # a run: one step per member
+                born = born[len(out) - wanted:]
+                members = [*enumerate(born, end - len(born))][::-1]
             else:
-                record["state"] = state_label(state)
-                if transition is not None:
-                    record["variable"] = repr(transition.variable)
-                if born is not None:
-                    record["born"] = born
-            out.append(record)
+                members = [(end - 1, born)]
+            for seq, member_born in members:
+                record = {"seq": seq, "kind": kind,
+                          "ts": None if event is None else event.ts,
+                          "event": None if event is None else event.eid}
+                if kind == "crash":
+                    record["error"] = transition
+                else:
+                    record["state"] = state_label(state)
+                    if transition is not None:
+                        record["variable"] = repr(transition.variable)
+                    if member_born is not None:
+                        record["born"] = member_born
+                out.append(record)
+        out.reverse()
         return out
 
     def dump(self) -> dict:

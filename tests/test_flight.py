@@ -16,9 +16,15 @@ from conftest import ev, rel
 class FakeInstance:
     """Minimal stand-in for an automaton instance in unit tests."""
 
+    count = 1
+
     def __init__(self, state=0, min_ts=None):
         self.state = state
         self.buffer = type("B", (), {"min_ts": min_ts})()
+
+    @property
+    def born(self):
+        return self.buffer.min_ts
 
 
 def fill(recorder, n, kind="start"):
@@ -70,6 +76,30 @@ class TestRing:
         recorder = FlightRecorder(capacity=1, omega_capacity=1)
         fill(recorder, 3)
         assert [r["event"] for r in recorder.tail()] == ["e2"]
+
+    def test_runs_are_held_by_member_steps(self):
+        """A run's record stands for its members; the ring lets a record
+        go once the newer ones alone fill a tail of ``capacity`` member
+        steps, and a dump slices a run's starts to the steps it shows."""
+        class FakeRun(FakeInstance):
+            def __init__(self, starts):
+                super().__init__()
+                self.count = len(starts)
+                self.starts = starts
+
+            born = property(lambda self: self.starts)
+
+        recorder = FlightRecorder(capacity=4)
+        recorder.record("transition", ev(1, "A", eid="a1"), FakeRun((1, 2, 3)))
+        recorder.record("transition", ev(2, "A", eid="a2"),
+                        FakeRun(tuple(range(10, 16))))
+        assert len(recorder._steps) == 1  # the six alone fill a tail
+        recorder.record("start", ev(3, "A", eid="a3"), FakeInstance())
+        assert len(recorder._steps) == 2
+        assert recorder.recorded == 10
+        assert [(r["seq"], r.get("born")) for r in recorder.tail()] == [
+            (6, 13), (7, 14), (8, 15), (9, None)]
+        assert [r["born"] for r in recorder.tail(2)[:1]] == [15]
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
@@ -143,7 +173,8 @@ class TestDump:
 class EagerFlightRecorder(FlightRecorder):
     """The recorder as it rendered a step when it happened (``record``,
     ``note_crash`` and the tuple-to-dict half of ``tail`` of commit
-    d1b70df), kept as the oracle of the by-reference ring."""
+    d1b70df, ``record`` rendering a run's step once per member, born at
+    the member's start), kept as the oracle of the by-reference ring."""
 
     __slots__ = ("eager",)
 
@@ -153,15 +184,16 @@ class EagerFlightRecorder(FlightRecorder):
 
     def record(self, kind, event, instance, transition=None,
                successor=None):
-        buffer = instance.buffer
-        self.eager.append((
-            len(self.eager), kind,
-            None if event is None else event.ts,
-            None if event is None else event.eid,
-            instance.state,
-            None if transition is None else repr(transition.variable),
-            buffer.min_ts,
-        ))
+        born = instance.born
+        for start in born if isinstance(born, tuple) else (born,):
+            self.eager.append((
+                len(self.eager), kind,
+                None if event is None else event.ts,
+                None if event is None else event.eid,
+                instance.state,
+                None if transition is None else repr(transition.variable),
+                start,
+            ))
 
     def note_crash(self, event, message):
         self.eager.append((

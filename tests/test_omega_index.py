@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro import Event, GuardConfig, SESPattern
 from repro.automaton import (AutomatonInstance, SESAutomaton, SESExecutor,
                              Tracer, Transition)
+from repro.automaton.buffer import WALK
 from repro.automaton.builder import build_automaton
 from repro.automaton.executor import CONSUME_MODES
 from repro.core.conditions import parse_condition
@@ -729,6 +730,34 @@ class TestBucketedEqualsFlat:
         fast = assert_lockstep(automaton, ops)
         assert fast.stats.accepted_buffers == 2
 
+    @pytest.mark.parametrize("hooks", ("none", "flight"))
+    @pytest.mark.parametrize("consume", CONSUME_MODES)
+    def test_a_run_whose_masked_register_walks_decides_alike(self, consume,
+                                                             hooks):
+        """A ``{d, p+}`` run loops on ``p4``: its ``p.x`` register meets
+        ``1.0`` after ``1`` and walks, its ``p.id`` conflicts.  ``c``'s
+        transition is blocked, so ``p.x`` is masked and the run stays
+        one — but ``c.x = p.x`` is still read before ``c.id = p.id``,
+        and a tip above a union has no chain to walk: the run must carry
+        the masked registers, not its own."""
+        automaton = build_automaton(SESPattern(
+            sets=[["d", "p+"], ["c"]],
+            conditions=["d.kind = 'D'", "p.kind = 'P'", "c.kind = 'C'",
+                        "c.x = p.x", "c.id = p.id"], tau=50))
+        ops = [(Event(ts=1, eid="p1", kind="P", x=1, id=1), True),
+               (Event(ts=2, eid="p2", kind="P", x=1, id=1), True),
+               (Event(ts=3, eid="d3", kind="D"), True),
+               (Event(ts=4, eid="p4", kind="P", x=1.0, id=2), True),
+               (Event(ts=5, eid="c5", kind="C", x=1, id=1), True)]
+        joined = SESExecutor(automaton, consume_mode=consume)
+        for event, _ in ops[:4]:
+            joined.feed(event)
+        resting = joined._buckets[frozenset({var("d"), group("p")})].runs
+        assert any(run.count > 1 for run in resting)
+        assert all(register is not WALK for run in resting
+                   if run.count > 1 for register in run.buffer.registers)
+        assert_lockstep(automaton, ops, consume, hooks)
+
     def test_a_run_that_loses_its_oldest_member_is_filed_again(self):
         """Exhaustive runs of one key join in ``{a, b+}`` (indexed by
         ``a.k``); when the window drops a joined run's oldest member,
@@ -1022,17 +1051,24 @@ class TestCostIsIndependentOfTheWindow:
 # ----------------------------------------------------------------------
 class TestRunsShareTheWork:
     """The count gate on coalescing: on a dense P3 unit the members of
-    Ω that agree on state, registers and last binding are decided once
-    and extended by one node, so decisions and nodes built are a
-    fraction of the transitions fired — which stay, with every other
-    counter and the accepted buffers, those of the flat oracle.  A
-    change that quietly stops joining successors into runs fails here
-    whatever the machine."""
+    Ω that agree on state, on the registers a decision can still read
+    and on their last binding are decided once and extended by one
+    node, so decisions and nodes built are a fraction of the
+    transitions fired — which stay, with every other counter and the
+    accepted buffers, those of the flat oracle.  A change that quietly
+    stops joining successors into runs fails here whatever the machine.
 
-    def test_dense_p3_decides_and_builds_once_per_run(self, monkeypatch):
-        workloads = pytest.importorskip("ledger.workloads")
+    The second tenth: members that can no longer accept — a ``{d,p+}``
+    instance whose ``p+`` looped on another patient's Prednisone can
+    never take its ``c`` — differ only in registers nothing reads, and
+    share one run.  Keyed on every register they stayed apart: 19 799
+    decisions and 10 536 nodes of 89 398 transitions fired on the dense
+    unit; keyed on the live ones, 2 691 and 1 982."""
+
+    @staticmethod
+    def counted_work(monkeypatch):
+        """Count decisions and buffer nodes built from now on."""
         from repro.automaton.buffer import MatchBuffer
-        from repro.net.protocol import event_from_json
         work = Counter()
 
         def counted(name, original):
@@ -1047,6 +1083,12 @@ class TestRunsShareTheWork:
             "decisions", Transition.admits_bindings))
         monkeypatch.setattr(MatchBuffer, "__init__", counted(
             "nodes", MatchBuffer.__init__))
+        return work
+
+    def test_dense_p3_decides_and_builds_once_per_run(self, monkeypatch):
+        workloads = pytest.importorskip("ledger.workloads")
+        from repro.net.protocol import event_from_json
+        work = self.counted_work(monkeypatch)
         plan = compile_plan(parse_pattern(workloads.P3), cache=False)
         _, rows = workloads._p3_units(1, False)[0]
         events = [event_from_json(row) for row in rows]
@@ -1056,6 +1098,123 @@ class TestRunsShareTheWork:
         assert fired > 5000
         assert work["decisions"] <= fired / 4, (work, fired)
         assert work["nodes"] <= fired / 4, (work, fired)
+        assert work["decisions"] <= fired / 10, (work, fired)
+        assert work["nodes"] <= fired / 10, (work, fired)
         flat = FlatExecutor(plan.automaton, selection="accepted").run(events)
         assert flat.stats == fast.stats
         assert Counter(flat.accepted) == Counter(fast.accepted)
+
+    def test_recorded_q1_shares_runs_and_dumps_every_member(
+            self, monkeypatch):
+        """Q1 over ``batch-agg-fold``'s slice-1 stream with a flight
+        recorder attached, as ``repro serve`` runs it: the recorder
+        rides the runs (it used to split Ω into single instances, one
+        decision and one node per transition fired), and what it dumps
+        is, window by window, the flat loop's steps member by member."""
+        workloads = pytest.importorskip("ledger.workloads")
+        from ledger.streams import chemo_stream
+        work = self.counted_work(monkeypatch)
+        plan = compile_plan(parse_pattern(workloads.Q1), cache=False)
+        ops = _ledger_ops(plan, chemo_stream(1001, 16000, 24))
+        recorders = _Recorders("flight"), _Recorders("flight")
+        fast = SESExecutor(plan.automaton, selection="accepted",
+                           **recorders[0].kwargs())
+        flat = FlatExecutor(plan.automaton, selection="accepted",
+                            **recorders[1].kwargs())
+        for at, (event, action) in enumerate(ops):
+            for executor in (fast, flat):
+                if action is None:
+                    executor.expire(event)
+                else:
+                    executor.feed(event)
+            if at % 500 == 499:
+                assert recorders[0].seen() == recorders[1].seen(), at
+                recorders[0].clear()
+                recorders[1].clear()
+        fast.finish()
+        flat.finish()
+        monkeypatch.undo()
+        assert recorders[0].seen() == recorders[1].seen()
+        assert flat.stats == fast.stats
+        fired = fast.stats.transitions_fired
+        assert fired > 100000
+        assert work["decisions"] <= 0.15 * fired, (work, fired)
+        assert work["nodes"] <= 0.15 * fired, (work, fired)
+        assert recorders[0].total > fired
+
+
+# ----------------------------------------------------------------------
+# Retention: what expired is let go of
+# ----------------------------------------------------------------------
+def reachable_nodes(tips) -> int:
+    """The distinct buffer nodes (``MatchBuffer`` and ``UnionNode``)
+    reachable from ``tips``, through every union child."""
+    from repro.automaton.buffer import UnionNode
+    seen = set()
+    stack = list(tips)
+    while stack:
+        node = stack.pop()
+        while node is not None and id(node) not in seen:
+            seen.add(id(node))
+            if node.__class__ is UnionNode:
+                stack += [child[0] for child in node.children]
+                break
+            node = node.parent
+    return len(seen)
+
+
+class TestExpiredPathsAreLetGo:
+    """A run that never empties — Q1's dead ``{d,p+}`` run absorbs a
+    member per Prednisone — keeps every union it was built through, and
+    each union the paths of members long expired: 17 633 nodes and 3 774
+    unions for 108 members after 48 000 events when nothing was dropped.
+    Expiry is by time, so a union child whose newest start the window
+    overran has left every run sharing it, and the executor drops it."""
+
+    def test_a_recorded_q1_stream_holds_no_more_nodes_than_it_buffers(self):
+        workloads = pytest.importorskip("ledger.workloads")
+        from ledger.streams import chemo_stream
+        plan = compile_plan(parse_pattern(workloads.Q1), cache=False)
+        executor = SESExecutor(plan.automaton, selection="accepted",
+                               flight=FlightRecorder())
+        for event, action in _ledger_ops(plan,
+                                         chemo_stream(1001, 20000, 24)):
+            if action is None:
+                executor.expire(event)
+            else:
+                executor.feed(event)
+        runs = [run for bucket in executor._buckets.values()
+                for run in bucket.runs]
+        assert executor.active_instances > len(runs)
+        nodes = reachable_nodes(run.buffer for run in runs)
+        assert nodes <= executor.buffered_events + len(runs), (
+            nodes, executor.buffered_events, len(runs))
+
+    def test_a_shared_child_is_dropped_after_the_accepting_run_emits(self):
+        """``p`` and ``b`` both take a ``P``: the joined ``{p+}`` run
+        fires both, so its looping successor and its accepting one
+        extend one union.  When the window overruns the older start,
+        both runs lose that member and the sweep drops the union's child
+        — after the accepting run emitted its member, whose path runs
+        through the child."""
+        automaton = build_automaton(SESPattern(
+            sets=[["p+"], ["b"]],
+            conditions=["p.kind = 'P'", "b.kind = 'P'"], tau=10))
+        ops = [(Event(ts=1, eid="p1", kind="P"), True),
+               (Event(ts=2, eid="p2", kind="P"), True),
+               (Event(ts=3, eid="p3", kind="P"), False),
+               (Event(ts=12, eid="x12", kind="X"), None)]
+        executor = SESExecutor(automaton, selection="accepted")
+        for event, action in ops[:-1]:
+            assert not executor.feed(event, allow_start=action)
+        accepting = executor._buckets[automaton.accepting].runs
+        assert [run.count for run in accepting] == [1, 2]
+        union = accepting[1].buffer.parent
+        assert len(union.children) == 2
+        emitted = executor.expire(ops[-1][0])
+        assert len(union.children) == 1  # swept
+        assert sorted([event.eid for event in match.events()]
+                      for match in emitted) == [["p1", "p2"],
+                                                ["p1", "p2", "p3"]]
+        fast = assert_lockstep(automaton, ops)
+        assert fast.stats.accepted_buffers == 3
