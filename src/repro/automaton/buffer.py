@@ -381,11 +381,11 @@ def drop_expired(tips: Iterable, ts, tau) -> None:
                 break
 
 
-def member_paths(tip, dead=None, upto=None
+def member_paths(tip, dead, upto
                  ) -> Iterator[Tuple[object, List[Tuple[Variable, Event]]]]:
     """The paths from ``tip`` down to the empty root whose start ``s``
     (the first binding's timestamp) has ``dead < s <= upto``, each as
-    ``(s, bindings root first)``.  ``None`` leaves a side open; a
+    ``(s, bindings root first)``.  ``dead`` ``None`` has no floor; a
     union's child also drops the paths at or below its own ``dead``.
 
     Iterative, so a chain of any length is walked without recursion;
@@ -404,13 +404,13 @@ def member_paths(tip, dead=None, upto=None
                                                or child_dead > floor):
                     floor = child_dead
                 if ((floor is not None and not newest > floor)
-                        or (upto is not None and oldest > upto)):
+                        or oldest > upto):
                     continue  # no member of the child is asked for
                 stack.append((child, floor, suffix))
             continue
         start = suffix[1].ts
         if ((cutoff is not None and not start > cutoff)
-                or (upto is not None and start > upto)):
+                or start > upto):
             continue
         bindings = []
         while suffix is not None:

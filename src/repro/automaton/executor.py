@@ -51,15 +51,14 @@ sweep reach |Ω|, a sweep after the step's emissions drops every union
 child whose members have all expired
 (:func:`~repro.automaton.buffer.drop_expired`).
 
-Runs stay single instances — each successor its own run, the steps of
-the instance-per-instance loop exactly — where something reads more than
-the signature: a tracer or a lineage recorder wants every instance's
-own steps, or a transition overrides ``admits_bindings`` (ANALYZE's
-counting shadow).  The flight recorder rides runs: a run's step is
+Runs stay single instances only under a tracer: Figure 6 is one record
+per instance per event.  The flight recorder rides runs: a run's step is
 recorded once, with its members' starts, and a dump expands it into one
-record per member (:class:`~repro.obs.flight.FlightRecorder`).  A member
+record per member (:class:`~repro.obs.flight.FlightRecorder`); a lineage
+recorder is told of each accepted buffer where it is emitted.  A member
 whose live registers stop summarising its partners (``WALK``) decides
-by walking its own chain, so it leaves its run as a single instance.
+by walking its own chain, so it rests as a single instance, as every
+instance of ANALYZE's counting shadow does (its ``live_slots`` say so).
 
 Ω is **one bucket per occupied automaton state, its runs ordered by
 oldest start**, and a state all of whose outgoing transitions check
@@ -86,14 +85,14 @@ probe's ``EQUAL`` register, which every member shares.  So per event:
 The lookup only chooses whom to ask: Algorithm 2 (``_consume``) still
 decides every firing, so the accepted buffers and every counter are
 those of the flat loop (kept as the oracle in
-``tests/test_omega_index.py``).  What an emission point returns is in
-start order, buffers sharing a start in the order of their bindings'
-timestamps, variable names and event ids, so a run restored from a
-snapshot emits exactly what the uninterrupted one does.  Every run is
-visited on every event only where something depends on it: with a
-:class:`~repro.automaton.trace.Tracer` attached (Figure 6 records the
-instances an event leaves alone) and in ``"contiguous"`` mode (leaving
-an instance alone ends it).
+``tests/test_omega_index.py``).  What an emission point returns (and
+tells a lineage recorder of) is in start order, buffers sharing a start
+in the order of their bindings' timestamps, variable names and event
+ids, so a run restored from a snapshot emits exactly what the
+uninterrupted one does.  Every run is visited on every event only where
+something depends on it: with a :class:`~repro.automaton.trace.Tracer`
+attached (Figure 6 records the instances an event leaves alone) and in
+``"contiguous"`` mode (leaving an instance alone ends it).
 
 Every instance resting in Ω has bound an event, so it has a start and
 sits outside the start state: the event's own start-state instance is
@@ -135,7 +134,6 @@ from .buffer import (CONFLICT, MISSING, UNBOUND, WALK, MatchBuffer,
 from .instance import AutomatonInstance
 from .metrics import ExecutionStats
 from .states import State
-from .transitions import Transition
 
 __all__ = ["SESExecutor", "MatchResult"]
 
@@ -214,9 +212,8 @@ class _Run(AutomatonInstance):
         """The events the members have bound."""
         return self.buffer.size
 
-    def members(self, upto=None) -> List[Tuple]:
-        """``(start, bindings)`` of every member (of the members starting
-        at or before ``upto`` in a :class:`_Group`)."""
+    def members(self) -> List[Tuple]:
+        """``(start, bindings)`` of every member."""
         return [(self.oldest, self.buffer.bindings())]
 
 
@@ -246,8 +243,9 @@ class _Group(_Run):
         self.dead = dead
         self.events = events
 
-    def members(self, upto=None):
-        return member_paths(self.buffer, self.dead, upto)
+    def members(self):
+        # Up to its newest start: members leaving share the tip (_lose).
+        return member_paths(self.buffer, self.dead, self.starts[-1])
 
 
 def _single(state: State, buffer: MatchBuffer) -> _Run:
@@ -542,14 +540,14 @@ class SESExecutor:
             self._agg = AggregationEngine(
                 automaton, aggregate, consume_mode=consume_mode)
         #: Optional :class:`~repro.obs.lineage.LineageRecorder`, taken
-        #: from the observability bundle; :meth:`feed` stamps every
-        #: event's ingest time on it.
+        #: from the observability bundle: :meth:`feed` stamps every
+        #: event's ingest on it, :meth:`_accept` every accepted buffer.
         self.lineage = (None if obs is None
                         else getattr(obs, "lineage", None))
         #: Step recorders, in call order; every execution step goes to
         #: all of them through :meth:`_emit`.  Empty (the default) costs
         #: one truthiness test per step.
-        self._hooks = tuple(hook for hook in (tracer, flight, self.lineage)
+        self._hooks = tuple(hook for hook in (tracer, flight)
                             if hook is not None)
         if len(self._hooks) == 1:
             # The only recorder takes its steps directly.
@@ -558,14 +556,6 @@ class SESExecutor:
         #: candidates up: a tracer records the instances an event leaves
         #: alone, and strict contiguity ends them.
         self._walks_all = tracer is not None or consume_mode == "contiguous"
-        #: Join successors that agree on what a decision reads into one
-        #: run — unless a tracer or lineage wants every instance's own
-        #: steps, or a transition decides by more than the registers.
-        #: The flight recorder rides runs: it keeps a run's step once,
-        #: with the members' starts, and expands it when it is dumped.
-        self._coalesces = (tracer is None and self.lineage is None and all(
-            type(transition).admits_bindings is Transition.admits_bindings
-            for transition in automaton.transitions))
         self.reset()
 
     def reset(self) -> None:
@@ -673,7 +663,7 @@ class SESExecutor:
         buckets[state] = bucket = _Bucket(
             state, None if self._walks_all else automaton.probe(state),
             state == automaton.accepting,
-            self._coalesces and bool(automaton.outgoing(state)))
+            self.tracer is None and bool(automaton.outgoing(state)))
         if last is not None and rank(state) < rank(last):
             self._buckets = dict(sorted(buckets.items(),
                                         key=lambda item: rank(item[0])))
@@ -867,8 +857,8 @@ class SESExecutor:
     def _emit(self, kind: str, event: Optional[Event],
               instance: AutomatonInstance, transition=None,
               successor=None) -> None:
-        """Report one execution step to every attached recorder (tracer,
-        flight recorder, lineage).  Callers test ``self._hooks`` first."""
+        """Report one execution step to every attached step recorder
+        (tracer, flight recorder).  Callers test ``self._hooks`` first."""
         for hook in self._hooks:
             hook.record(kind, event, instance, transition, successor)
 
@@ -943,11 +933,20 @@ class SESExecutor:
             stats.observe_omega(self._count)
             if self.flight is not None:
                 self.flight.sample_omega(ts, self._count)
-        if stats.expired_instances != expired_before and self._coalesces:
+        if stats.expired_instances != expired_before:
             self._unswept += stats.expired_instances - expired_before
             if self._unswept >= self._count:
                 self._sweep(ts)
-        return _in_order(accepted) if accepted else []
+        return self._accept(accepted) if accepted else []
+
+    def _accept(self, members: List[Tuple]) -> List[Substitution]:
+        """The accepted ``(start, bindings)`` ``members``, :func:`_in_order`,
+        each noted on the lineage recorder, if one is attached."""
+        accepted = _in_order(members)
+        if self.lineage is not None:
+            for (_, bindings), substitution in zip(members, accepted):
+                self.lineage.note_accepted(bindings, substitution)
+        return accepted
 
     def _sweep(self, ts) -> None:
         """Let go of the buffer paths of members that expired: every
@@ -1007,33 +1006,32 @@ class SESExecutor:
         """Expire the members of ``run`` whose window ``event`` overruns
         — some, not all — and return how many: their starts are popped,
         the newest of them becomes the run's cutoff, and their paths
-        are walked only if the run is accepting.  A recorder is told of
-        the members leaving, as a run of their own."""
+        are walked only if the run is accepting.  They leave as a run of
+        their own, which is what a recorder is told of."""
         tau = self.automaton.tau
         ts = event.ts
         starts = run.starts
         cut = 1
         while ts - starts[cut] > tau:
             cut += 1
-        leaving = starts[:cut]
+        leavers = _Group(run.state, run.buffer, starts[:cut], cut, run.dead,
+                         None)
         stats = self.stats
         stats.expired_instances += cut
         if self.obs is not None:
-            for start in leaving:
+            for start in leavers.starts:
                 self.obs.lifetime(ts - start)
         if accepting:
-            accepted += run.members(leaving[-1])
+            accepted += leavers.members()
             stats.accepted_buffers += cut
         if self._hooks:
-            leavers = _Group(run.state, run.buffer, leaving, cut, run.dead,
-                             None)
             self._emit("expire", event, leavers)
             if accepting:
                 self._emit("accept", event, leavers)
         run.starts = starts[cut:]
         run.oldest = starts[cut]
         run.count -= cut
-        run.dead = leaving[-1]
+        run.dead = starts[cut - 1]
         run.events = None
         return cut
 
@@ -1248,7 +1246,7 @@ class SESExecutor:
                 if self._hooks:
                     self._emit("flush", None, run)
         self.replace_instances(())
-        return _in_order(members)
+        return self._accept(members)
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -220,6 +220,9 @@ class Transition:
         in ``buffer`` — one comparison, whatever the partner has bound —
         and walks the partner's events only where the register says
         :data:`~repro.automaton.buffer.WALK`.
+        An override decides for a whole run, so it must decide from
+        what the registers summarise, or its automaton's ``live_slots``
+        must say they walk (EXPLAIN ANALYZE's counting shadow does).
         """
         registers = buffer.registers
         # The attribute dict is read directly: an ``Event.get`` per

@@ -10,7 +10,9 @@ time.  A production automaton asks ``admits_event`` only when it builds
 a row of its step table — once per (event class, state), then never
 again; the shadow builds its rows through the same code but memoises
 none (``step_table_cap = 0``), so the event-only tallies stay what they
-describe: one decision per occupied state per event.  The production
+describe: one decision per occupied state per event.  Its
+``live_slots`` says every register walks, so no instances join into
+runs and ``admits_bindings`` is tallied per instance.  The production
 :class:`~repro.automaton.transitions.Transition` and
 :class:`~repro.automaton.executor.SESExecutor` are untouched, so a plan
 that was never analyzed carries no counting code at all.
@@ -27,6 +29,7 @@ import time
 from typing import List, Optional, Tuple
 
 from ..automaton.automaton import SESAutomaton
+from ..automaton.buffer import WALK
 from ..automaton.executor import SESExecutor
 from ..automaton.states import state_label
 from ..automaton.transitions import Transition
@@ -139,9 +142,14 @@ class CountingTransition(Transition):
 
 class _ShadowAutomaton(SESAutomaton):
     """An automaton that builds the rows of every event afresh, so its
-    counting transitions see each (occupied state, event) decision."""
+    counting transitions see each (occupied state, event) decision, and
+    whose registers all walk, as a :class:`CountingTransition` reads
+    them, so the executor keeps every instance a run of its own."""
 
     step_table_cap = 0
+
+    def live_slots(self, state):
+        return lambda registers: (WALK,)
 
 
 def counting_automaton(automaton: SESAutomaton

@@ -26,13 +26,13 @@ event, the state and the transition as the executor holds them — and
 only rendered (timestamp, event id, variable and state labels) at dump
 time: recording is one tuple and one append.
 
-Unlike the tracer it does not keep the executor from joining instances
-into runs (:mod:`repro.automaton.executor`): a run's step is recorded
-once, with the members' starts (a tuple the run already holds), and
-counted as one step per member.  The dump expands it into one record
-per member, each ``born`` at that member's start, so it reads as if
-every instance had stepped alone — the same records, one run's members
-side by side.
+Unlike the tracer, the one recorder that keeps the executor from
+joining instances into runs (:mod:`repro.automaton.executor`), it rides
+them: a run's step is recorded once, with the members' starts (a tuple
+the run already holds), and counted as one step per member.  The dump
+expands it into one record per member, each ``born`` at that member's
+start, so it reads as if every instance had stepped alone — the same
+records, one run's members side by side.
 
 The dump surfaces in three ways:
 

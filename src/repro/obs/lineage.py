@@ -3,12 +3,12 @@
 The :class:`LineageRecorder` answers "why did this match fire?" — which
 events joined it, which transitions fired in what order, how long each
 pipeline stage took, and which process/shard delivered it.  One recorder
-instance serves a whole process: it implements the executor tracer
-protocol (an accepted buffer's chain of bindings *is* the order its
-transitions fired, so paths are observed, not inferred), is stamped at
+instance serves a whole process: the executor tells it of every buffer
+it accepts (whose chain of bindings *is* the order its transitions
+fired, so paths are read off the output, not traced), it is stamped at
 every delivery site (``query``, ``ContinuousMatcher``, the sharded
-parent, the registry), and ships its state across process boundaries as
-a plain-dict record riding the existing observability snapshots.
+parent, the registry), and it ships its state across process
+boundaries as a plain-dict record riding the observability snapshots.
 
 Identity is content-derived on both axes: events get deterministic trace
 ids (:func:`~repro.obs.tracectx.trace_id_for`) and matches get
@@ -181,10 +181,9 @@ class LineageRecorder:
     """Per-process lineage state: contexts and provenance records —
     nothing per automaton instance.
 
-    Plugs into the executor as a tracer (``record`` implements the same
-    protocol as :class:`~repro.obs.flight.FlightRecorder`), is stamped by
-    delivery sites via :meth:`deliver`, and round-trips across process
-    boundaries via :meth:`export_record` / :meth:`absorb`.
+    Is told of accepted buffers by the executor (:meth:`note_accepted`),
+    is stamped by delivery sites via :meth:`deliver`, and round-trips
+    across process boundaries via :meth:`export_record` / :meth:`absorb`.
 
     ``authoritative`` marks the recorder that owns delivery accounting —
     the parent process.  Worker-side recorders (pool chunks, shard
@@ -288,19 +287,11 @@ class LineageRecorder:
             self._contexts.popitem(last=False)
 
     # ------------------------------------------------------------------
-    # Executor tracer protocol
+    # Accept side
     # ------------------------------------------------------------------
-    def record(self, kind, event, instance, transition=None,
-               successor=None) -> None:
-        if kind == "accept" or kind == "flush":
-            self._note_accept(instance)
-
-    def _note_accept(self, instance) -> None:
-        # A match buffer is the chain of the transitions that fired, in
-        # firing order: the path is read off it, so the recorder keeps
-        # nothing per instance (a restored instance's chain is intact).
-        bindings = instance.buffer.bindings()
-        substitution = instance.buffer.to_substitution()
+    def note_accepted(self, bindings, substitution) -> None:
+        """Record an accepted buffer, its path read off its ``bindings``
+        — ``(variable, event)`` in the order the transitions fired."""
         mid = match_id(substitution)
         record = self._records.get(mid)
         if record is None:

@@ -10,8 +10,9 @@ every extension, and :meth:`FlatExecutor.admits_bindings` walks every
 bound partner event.  The bucketed executor must be the same machine
 seen from outside: the same buffers accepted at the same events (in
 start order; instances sharing a start may swap places), the same Ω, the
-same counters, and for every recorder (tracer, flight recorder, lineage)
-the same steps — whatever the consume mode.
+same counters, for every step recorder (tracer, flight recorder) the
+same steps, and a lineage recorder the records the oracle's accepted
+buffers make — whatever the consume mode.
 """
 
 import itertools
@@ -34,7 +35,7 @@ from repro.core.substitution import Substitution
 from repro.core.variables import Variable, group, var
 from repro.lang import parse_pattern
 from repro.obs import FlightRecorder, Observability
-from repro.obs.lineage import LineageRecorder
+from repro.obs.lineage import LineageRecorder, match_id
 from repro.obs.tracectx import TraceConfig
 from repro.plan.cache import compile as compile_plan
 from repro.resilience.guards import ResourceGuard
@@ -75,9 +76,9 @@ class TupleBuffer:
         return self.by_var.get(variable, ())
 
     def bindings(self) -> list:
-        """The bindings chronologically (what the lineage recorder reads
-        its path from; across variables the tuples keep no firing order,
-        so events sharing a timestamp come variable by variable)."""
+        """The bindings chronologically (across variables the tuples
+        keep no firing order, so events sharing a timestamp come
+        variable by variable)."""
         pairs = [(v, e) for v, events in self.by_var.items() for e in events]
         pairs.sort(key=lambda pair: pair[1].ts)
         return pairs
@@ -319,37 +320,47 @@ def steps_of(tracer):
         for step in tracer.steps)
 
 
-class _SpyLineage(LineageRecorder):
-    """A lineage recorder that also keeps the steps it was handed."""
+def lineage_of(accepted, order):
+    """What a lineage recorder holds for ``accepted`` buffers:
+    ``{match id: (path, event ids)}``, the path the variables bound in
+    firing order — the order ``order`` (``id(event) → position``) says
+    the stream delivered their events in, as no buffer binds an event
+    twice."""
+    records = {}
+    for substitution in accepted:
+        bindings = sorted(substitution, key=lambda pair: order[id(pair[1])])
+        records[match_id(substitution)] = (
+            tuple(variable.name for variable, _ in bindings),
+            tuple(event.eid for event in substitution.events()))
+    return records
 
-    def __init__(self):
-        super().__init__(TraceConfig(sample_rate=1.0))
-        self.steps = []
 
-    def record(self, kind, event, instance, transition=None,
-               successor=None) -> None:
-        self.steps.append((
-            kind, event, _canon(instance), transition,
-            None if successor is None else _canon(successor)))
-        super().record(kind, event, instance, transition, successor)
+def records_of(lineage):
+    """A lineage recorder's match records as :func:`lineage_of` has
+    them."""
+    return {record.match_id: (record.path, record.event_ids)
+            for record in lineage.records()}
 
 
 #: Recorder combinations an executor runs under: none, one hook (called
-#: directly), the tracer (which also makes it walk every instance), and
-#: two hooks (looped over).
-HOOKS = ("none", "flight", "tracer", "flight+lineage")
+#: directly), the tracer (which also makes it walk every instance), two
+#: hooks (looped over), and lineage (no hook: told of accepted buffers).
+HOOKS = ("none", "flight", "tracer", "flight+lineage", "tracer+flight")
 
 
 class _Recorders:
-    """The recorders of one executor and what they saw since the last
-    :meth:`clear`, as multisets.  ``skip`` is the tracer's alone: the
-    flat loop told every hook, the bucketed one tells only the tracer."""
+    """The recorders of one executor and what the step recorders saw
+    since the last :meth:`clear`, as multisets.  ``skip`` is the
+    tracer's alone: the flat loop told every hook, the bucketed one
+    tells only the tracer."""
 
     def __init__(self, hooks):
-        self.tracer = Tracer() if hooks == "tracer" else None
+        self.tracer = Tracer() if "tracer" in hooks else None
         self.flight = (FlightRecorder(capacity=1 << 14)
                        if "flight" in hooks else None)
-        self.lineage = _SpyLineage() if "lineage" in hooks else None
+        self.lineage = (LineageRecorder(TraceConfig(sample_rate=1.0,
+                                                    max_traces=1 << 20))
+                        if "lineage" in hooks else None)
         #: Steps handed to :meth:`seen` so far, all recorders together.
         self.total = 0
 
@@ -363,8 +374,6 @@ class _Recorders:
             self.tracer.clear()
         if self.flight is not None:
             self.flight.clear()
-        if self.lineage is not None:
-            del self.lineage.steps[:]
 
     def seen(self):
         seen = {}
@@ -376,9 +385,6 @@ class _Recorders:
                 tuple(value for key, value in sorted(record.items())
                       if key != "seq")
                 for record in self.flight.tail() if record["kind"] != "skip")
-        if self.lineage is not None:
-            seen["lineage"] = Counter(
-                step for step in self.lineage.steps if step[0] != "skip")
         self.total += sum(sum(steps.values()) for steps in seen.values())
         return seen
 
@@ -440,8 +446,10 @@ def assert_lockstep(automaton, ops, consume="greedy", hooks="none",
     :data:`HOOKS`).  ``reload_at`` swaps the bucketed executor for a
     fresh one restored from its ``state_dict()`` before that op;
     ``omega_every`` thins the comparison of Ω itself (everything else is
-    compared after every op) for long streams.  Returns the bucketed
-    executor.
+    compared after every op) for long streams.  A lineage recorder on
+    the bucketed executor must hold, after every op, the records
+    :func:`lineage_of` makes of every buffer the flat one accepted so
+    far.  Returns the bucketed executor.
     """
     def make(cls, guard, recorders):
         return cls(automaton, selection="accepted", consume_mode=consume,
@@ -450,6 +458,9 @@ def assert_lockstep(automaton, ops, consume="greedy", hooks="none",
     old_recorders, new_recorders = _Recorders(hooks), _Recorders(hooks)
     flat = make(FlatExecutor, guard and _SpyGuard(guard), old_recorders)
     fast = make(SESExecutor, guard and _SpyGuard(guard), new_recorders)
+    lineage = new_recorders.lineage
+    order = {id(event): index for index, (event, _) in enumerate(ops)}
+    expected = {}
     for index, (event, action) in enumerate(ops):
         if index == reload_at:
             restored = make(SESExecutor, fast.guard, new_recorders)
@@ -464,6 +475,9 @@ def assert_lockstep(automaton, ops, consume="greedy", hooks="none",
         assert by_start(emitted[0]) == by_start(emitted[1]), index
         assert flat.stats == fast.stats, index
         assert old_recorders.seen() == new_recorders.seen(), index
+        if lineage is not None:
+            expected.update(lineage_of(emitted[0], order))
+            assert records_of(lineage) == expected, index
         if guard and action is not None:
             assert flat.guard.before == fast.guard.before, index
             assert flat.guard.trips == fast.guard.trips, index
@@ -493,8 +507,12 @@ def assert_lockstep(automaton, ops, consume="greedy", hooks="none",
             assert flat.guard.stats() == fast.guard.stats(), index
     old_recorders.clear()
     new_recorders.clear()
-    assert by_start(flat.finish()) == by_start(fast.finish())
+    flushed = flat.finish()
+    assert by_start(flushed) == by_start(fast.finish())
     assert old_recorders.seen() == new_recorders.seen()
+    if lineage is not None:
+        expected.update(lineage_of(flushed, order))
+        assert records_of(lineage) == expected
     if hooks != "none" and fast.stats.transitions_fired:
         assert new_recorders.total >= fast.stats.transitions_fired
     assert flat.stats == fast.stats
@@ -773,6 +791,50 @@ class TestBucketedEqualsFlat:
                                 (9, "A"))]
         fast = assert_lockstep(automaton, ops, "exhaustive")
         assert fast.stats.expired_instances
+
+    def test_members_leaving_a_run_are_handed_out_alone(self):
+        """When the window overruns some of a joined run's members, a
+        step recorder is told of them as a run of their own, sharing
+        the run's tip: expanded, it yields the members leaving, not
+        every member still alive through that tip.  ``p1``'s and
+        ``p5``'s instances join in ``{p+}`` and, after ``p6``, in the
+        accepting state; ``x12`` overruns ``p1``'s start alone."""
+        class Expander:
+            """A step recorder expanding every run that expires or
+            accepts into its members' ``(start, event ids)``."""
+
+            def __init__(self):
+                self.expanded = []
+
+            def record(self, kind, event, instance, transition=None,
+                       successor=None):
+                if kind in ("expire", "accept"):
+                    self.expanded.append((kind, sorted(
+                        (start, [event.eid for _, event in bindings])
+                        for start, bindings in instance.members())))
+                    assert len(self.expanded[-1][1]) == instance.count
+
+            def sample_omega(self, ts, size):
+                pass
+
+        automaton = build_automaton(SESPattern(
+            sets=[["p+"], ["b"]],
+            conditions=["p.kind = 'P'", "b.kind = 'P'"], tau=10))
+        hook = Expander()
+        executor = SESExecutor(automaton, selection="accepted", flight=hook)
+        for ts, start in ((1, True), (5, True), (6, False)):
+            executor.feed(Event(ts=ts, eid=f"p{ts}", kind="P"),
+                          allow_start=start)
+        assert [run.count for bucket in executor._buckets.values()
+                for run in bucket.runs] == [2, 1, 2]
+        del hook.expanded[:]
+        executor.expire(Event(ts=12, eid="x12", kind="X"))
+        assert sorted(hook.expanded) == [
+            ("accept", [(1, ["p1", "p5"])]),
+            ("accept", [(1, ["p1", "p5", "p6"])]),
+            ("expire", [(1, ["p1", "p5"])]),
+            ("expire", [(1, ["p1", "p5", "p6"])]),
+            ("expire", [(1, ["p1", "p5", "p6"])])]
 
     @pytest.mark.parametrize("consume", ("greedy", "exhaustive"))
     def test_snapshot_written_out_of_start_order(self, consume):
