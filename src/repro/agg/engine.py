@@ -324,28 +324,29 @@ class AggregationEngine:
         return None if self._oldest is None else self._oldest + self._tau
 
     # -- the per-event loop --------------------------------------------
-    def step(self, event, allow_start, stats) -> None:
+    def step(self, event, stats) -> None:
         """Aggregate-mode twin of the executor's ``_step``.
 
         The event is classified once and every occupied state reads its
         row of the automaton's step table; a state none of whose
         transitions the event enables is carried as a whole bucket, its
-        groups unvisited (contiguous mode cuts them off instead).
+        groups unvisited (contiguous mode cuts them off instead).  The
+        event's fresh start-state group is counted always and built only
+        where the start state has a row.
         """
-        if allow_start:
-            stats.instances_created += 1
+        stats.instances_created += 1
         stats.observe_event(event.ts)
-        stats.observe_omega(self._count + (1 if allow_start else 0))
+        stats.observe_omega(self._count + 1)
         self.expire_only(event, stats)
         start = self._start
         contiguous = self.consume_mode == "contiguous"
+        rows = self.automaton.step_rows(event)
         occupied = list(self._buckets.items())
-        if allow_start:
+        if rows[start] is not None:
             occupied.append(
                 (start, {(None, self._empty_proj): [1, self._init_regs]}))
         busy = []
         out: Dict[Any, Dict[tuple, list]] = {}
-        rows = self.automaton.step_rows(event)
         by_state = self._by_state
         for state, bucket in occupied:
             row = rows[state]

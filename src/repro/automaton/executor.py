@@ -3,7 +3,9 @@
 :class:`SESExecutor` maintains the set Ω of active automaton instances.
 For every input event it
 
-1. adds a fresh instance in the start state (Algorithm 1, line 4);
+1. adds a fresh instance in the start state (Algorithm 1, line 4) —
+   counted always, built only where the event's row of the step table
+   says a start transition may fire (or a step recorder is to see it);
 2. expires instances whose window would overrun, emitting the buffer of an
    expired instance that sits in the accepting state (lines 7–10);
 3. lets every surviving instance consume the event (Algorithm 2): each
@@ -123,7 +125,8 @@ import logging
 import time
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..core.events import Event
 from ..core.semantics import SELECTIONS, select
@@ -761,19 +764,11 @@ class SESExecutor:
     # ------------------------------------------------------------------
     # Incremental execution
     # ------------------------------------------------------------------
-    def feed(self, event: Event,
-             allow_start: bool = True) -> List[Substitution]:
+    def feed(self, event: Event) -> List[Substitution]:
         """Consume one event; return buffers accepted by window expiry.
 
         With a resource guard attached, the guard's ceilings are checked
         (and its breach policy applied) after the event is processed.
-
-        ``allow_start=False`` skips creating the fresh start-state
-        instance for this event.  A caller may only pass it when it has
-        proven no start transition can fire on the event (the registry's
-        shared start gate does exactly that) — the fresh instance would
-        then be dropped inside the consume loop anyway, so the match set
-        is unchanged.
         """
         obs = self.obs
         guard = self.guard
@@ -790,7 +785,7 @@ class SESExecutor:
             obs.spans.add("filter", filtered_at - start)
         if admitted:
             self.stats.events_processed += 1
-            accepted = self._step(event, allow_start)
+            accepted = self._step(event)
             if obs is not None:
                 obs.spans.add("consume", time.perf_counter() - filtered_at)
         else:
@@ -862,7 +857,7 @@ class SESExecutor:
         for hook in self._hooks:
             hook.record(kind, event, instance, transition, successor)
 
-    def _step(self, event: Event, allow_start: bool = True,
+    def _step(self, event: Event,
               consume: bool = True) -> List[Substitution]:
         """Algorithm 1's per-event instance loop (post-filter).
 
@@ -873,7 +868,7 @@ class SESExecutor:
         stats = self.stats
         if self._agg is not None:
             if consume:
-                self._agg.step(event, allow_start, stats)
+                self._agg.step(event, stats)
                 if self.lineage is not None:
                     self.lineage.note_fold(event, self._agg.matches_folded)
                 if self.flight is not None:
@@ -887,21 +882,23 @@ class SESExecutor:
         tau = automaton.tau
         ts = event.ts
 
-        fresh = None
         if consume:
-            # The event's own instance rests nowhere: it is offered the
-            # event first (the start state is the first in rank) and
-            # leaves successors or nothing.  Until then it counts.
-            count = self._count
-            if allow_start:
+            # The event's own instance (Algorithm 1, line 4) rests
+            # nowhere: it is offered the event first (the start state is
+            # the first in rank) and leaves successors or nothing.  Until
+            # then it counts; it is built only where the step table says
+            # a start transition may fire, or a recorder is to see it.
+            rows = automaton.step_rows(event)
+            fresh = None
+            if rows[automaton.start] is not None or hooks:
                 fresh = _Run(automaton.start, automaton.empty_buffer, ts)
-                count += 1
-                stats.instances_created += 1
+            count = self._count + 1
+            stats.instances_created += 1
             stats.observe_event(ts)
             stats.observe_omega(count)
             if obs is not None:
                 obs.omega(count)
-            if hooks and allow_start:
+            if hooks:
                 self._emit("start", event, fresh)
 
         self._accepted_during_consume = accepted = []
@@ -929,7 +926,7 @@ class SESExecutor:
                     if hooks:
                         self._emit("accept", event, run)
         if consume:
-            self._offer(event, fresh)
+            self._offer(event, rows, fresh)
             stats.observe_omega(self._count)
             if self.flight is not None:
                 self.flight.sample_omega(ts, self._count)
@@ -1035,20 +1032,21 @@ class SESExecutor:
         run.events = None
         return cut
 
-    def _offer(self, event: Event, fresh: Optional[_Run]) -> None:
+    def _offer(self, event: Event,
+               rows: Mapping[State, Optional[StepRow]],
+               fresh: Optional[_Run]) -> None:
         """Offer ``event`` to ``fresh`` (its own start-state instance, if
-        it gets one) and to Ω, state by state (Algorithm 2 per bucket).
+        it was built) and to Ω, state by state (Algorithm 2 per bucket).
 
-        The event is classified once and every occupied state reads its
-        row of the step table.  A state without a row is left as it is;
-        an indexed state offers the event only to the runs filed under
+        ``rows`` are the step table's rows for the event, read once by
+        :meth:`_step`.  A state without a row is left as it is; an
+        indexed state offers the event only to the runs filed under
         the event's value(s) (and the unfiled ones); any other state
         walks its bucket.  Successors are held back per target state
         until every source has been consumed, so none is offered the
         event that made it; then those that agree on what a decision
         reads are joined into one run.
         """
-        rows = self.automaton.step_rows(event)
         walks_all = self._walks_all
         consume = self._consume
         out: List[_Run] = []

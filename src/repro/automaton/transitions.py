@@ -105,8 +105,8 @@ class Transition:
         """The half of ``Θδ`` on the new event alone — constant and self
         conditions, anchored with :attr:`variable` on the left — in
         :attr:`checks` order.  :meth:`admits_event` evaluates them; the
-        automaton's event alphabet and the registry's start gate intern
-        them into a :class:`~repro.core.predicates.PredicateBank`."""
+        automaton's event alphabet interns them into a
+        :class:`~repro.core.predicates.PredicateBank`."""
         return self._event_checks
 
     @property

@@ -118,14 +118,12 @@ def run_registry(relation: Optional[EventRelation] = None,
     for name, pattern in patterns.items():
         registry.register(pattern, pattern_id=name)
     predicates = registry.predicate_count
-    prefix_groups = registry.prefix_group_count
     registry.close()
 
     return {
         "patterns": len(patterns),
         "events": len(events),
         "predicates": predicates,
-        "prefix_groups": prefix_groups,
         "independent_seconds": independent_seconds,
         "shared_seconds": shared_seconds,
         "speedup": (independent_seconds / shared_seconds
@@ -139,10 +137,10 @@ def run_registry(relation: Optional[EventRelation] = None,
 def print_registry(row: Dict) -> None:
     """Render the registry comparison table."""
     print_table(
-        ["patterns", "events", "preds", "groups", "independent s",
+        ["patterns", "events", "preds", "independent s",
          "shared s", "speedup", "events/s", "matches"],
         [[row["patterns"], row["events"], row["predicates"],
-          row["prefix_groups"], row["independent_seconds"],
+          row["independent_seconds"],
           row["shared_seconds"], row["speedup"],
           row["events_per_second"], row["matches"]]],
         title="Pattern registry (many patterns, one admission pass)",

@@ -874,8 +874,7 @@ def _cmd_registry(args: argparse.Namespace) -> int:
                       f"events={row['events_delivered']}  "
                       f"plan={row['fingerprint'][:12]}")
             print(f"{len(rows)} pattern(s), {listing['predicates']} shared "
-                  f"predicate(s), {listing['prefix_groups']} prefix "
-                  f"group(s)")
+                  f"predicate(s)")
         elif args.registry_command == "add":
             payload = {"query": (args.query if args.query is not None
                                  else args.query_file.read_text()),

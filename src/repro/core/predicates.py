@@ -17,9 +17,7 @@ the one place that answers it.  Three consumers read its truth vector:
   across every registered pattern: registering the same ``v.L = 'C'`` a
   thousand times costs one slot, each event is evaluated against each
   **distinct** predicate once per push, and every pattern's admission
-  (:class:`AdmissionSpec`) and start gate
-  (:class:`~repro.registry.admission.StartGate`) is bitmask algebra over
-  the shared vector.
+  (:class:`AdmissionSpec`) is bitmask algebra over the shared vector.
 
 Evaluation has :meth:`Condition.evaluate_events
 <repro.core.conditions.Condition.evaluate_events>`' semantics: a missing

@@ -4,13 +4,13 @@ The production regime the ROADMAP names: thousands of *distinct* live
 patterns over one event stream, with hot register/deregister against a
 running ``repro serve`` process.  One shared admission pass — the
 deduplicated :class:`PredicateBank` plus per-pattern bitmask
-:class:`AdmissionSpec`/:class:`StartGate` algebra — feeds every
-registered :class:`~repro.plan.plan.PatternPlan`, bit-identical to
-running each pattern through its own matcher.  See ``docs/registry.md``.
+:class:`AdmissionSpec` algebra — feeds every registered
+:class:`~repro.plan.plan.PatternPlan`, bit-identical to running each
+pattern through its own matcher (match sets and counters alike).  See
+``docs/registry.md``.
 """
 
 from ..core.predicates import AdmissionSpec, PredicateBank
-from .admission import StartGate
 from .registry import (DuplicatePatternError, OutOfOrderError,
                        PatternRegistry, QuotaExceeded, RegistryError,
                        TenantQuota, UnknownPatternError)
@@ -25,7 +25,6 @@ __all__ = [
     "QuotaExceeded",
     "RegistryError",
     "RegistryHTTPAdapter",
-    "StartGate",
     "TenantQuota",
     "UnknownPatternError",
 ]

@@ -11,14 +11,14 @@ shared per-event admission pass:
 2. each pattern's :class:`~repro.core.predicates.AdmissionSpec`
    decides admission by bitmask algebra — the class that pattern's own
    Section 4.5 conjunctive prefilter holds over a private bank;
-3. patterns whose start layers are structurally equal share one
-   :class:`~repro.registry.admission.StartGate` evaluation (the common
-   automaton-prefix grouping); a closed gate feeds the event with
-   ``allow_start=False``, skipping the fresh instance the per-pattern
-   executor would have created and immediately dropped;
-4. a non-admitted event reaches a pattern only as an expiry tick (and
+3. a non-admitted event reaches a pattern only as an expiry tick (and
    only while that pattern has live instances); patterns neither
    admitted nor active skip the event entirely.
+
+Whether an admitted event's fresh start-state instance can fire is the
+pattern's own executor's question, answered by its automaton's step
+table (the start state's row), so a registered pattern counts what the
+same pattern run alone counts.
 
 Every step is match-set-preserving, so the registry's per-pattern
 results are identical to running each pattern through its own
@@ -56,7 +56,6 @@ from ..plan.cache import as_plan
 from ..plan.plan import PatternPlan
 from ..resilience.guards import GuardConfig, ResourceGuard
 from ..stream.runner import ContinuousMatcher
-from .admission import StartGate
 
 __all__ = ["PatternRegistry", "TenantQuota", "RegistryError",
            "DuplicatePatternError", "UnknownPatternError", "QuotaExceeded",
@@ -137,19 +136,18 @@ class _Tenant:
 class _Entry:
     """One registered pattern: plan, matcher, admission artifacts."""
 
-    __slots__ = ("pattern_id", "tenant", "plan", "matcher", "spec", "gate",
+    __slots__ = ("pattern_id", "tenant", "plan", "matcher", "spec",
                  "query", "deliveries", "match_counter", "events_counter",
                  "agg_counter", "agg_published")
 
     def __init__(self, pattern_id: str, tenant: str, plan: PatternPlan,
                  matcher: ContinuousMatcher, spec: AdmissionSpec,
-                 gate: StartGate, query: Optional[str]):
+                 query: Optional[str]):
         self.pattern_id = pattern_id
         self.tenant = tenant
         self.plan = plan
         self.matcher = matcher
         self.spec = spec
-        self.gate = gate
         self.query = query
         self.deliveries = 0
         self.match_counter = None
@@ -193,7 +191,6 @@ class PatternRegistry:
         self._bank = PredicateBank()
         self._entries: Dict[str, _Entry] = {}
         self._tenants: Dict[str, _Tenant] = {}
-        self._gate_members: Dict[frozenset, int] = {}
         self._use_filter = use_filter
         self._suppress_overlaps = suppress_overlaps
         self._obs = observability
@@ -290,9 +287,7 @@ class PatternRegistry:
                 suppress_overlaps=self._suppress_overlaps,
                 flight=flight, guard=state.guard)
             spec = AdmissionSpec(self._bank, plan.pattern)
-            gate = StartGate(self._bank, plan.automaton)
-            entry = _Entry(pattern_id, tenant, plan, matcher, spec, gate,
-                           query)
+            entry = _Entry(pattern_id, tenant, plan, matcher, spec, query)
             if self._obs is not None:
                 registry = self._obs.registry
                 entry.match_counter = registry.counter(
@@ -316,8 +311,6 @@ class PatternRegistry:
             self._entries[pattern_id] = entry
             if flight is not None:
                 self._flight_owner = pattern_id
-            self._gate_members[gate.key] = (
-                self._gate_members.get(gate.key, 0) + 1)
             state.patterns += 1
             self._publish_gauges()
             return pattern_id
@@ -335,15 +328,9 @@ class PatternRegistry:
                 raise UnknownPatternError(
                     f"no pattern registered under id {pattern_id!r}")
             entry.spec.release(self._bank)
-            entry.gate.release(self._bank)
             if self._flight_owner == pattern_id:
                 # The next registration takes the recorder over.
                 self._flight_owner = None
-            members = self._gate_members[entry.gate.key] - 1
-            if members:
-                self._gate_members[entry.gate.key] = members
-            else:
-                del self._gate_members[entry.gate.key]
             state = self._tenants[entry.tenant]
             state.patterns -= 1
             self._publish_gauges()
@@ -411,18 +398,11 @@ class PatternRegistry:
                 lineage.note_ingest(event)
         if self._use_filter:
             columns = self._bank.truth_columns(events)
-            # One columnar gate evaluation per *distinct* start structure.
-            start_masks = {
-                key: StartGate.key_fire_mask(key, columns, full)
-                for key in self._gate_members}
         reported: List[Match] = []
         for entry in list(self._entries.values()):
-            if self._use_filter:
-                admitted = entry.spec.admitted_mask(columns, full)
-                starts = start_masks[entry.gate.key]
-            else:
-                # Unfiltered: every pattern sees every event, starts allowed.
-                admitted = starts = full
+            # Unfiltered: every pattern sees every event.
+            admitted = (entry.spec.admitted_mask(columns, full)
+                        if self._use_filter else full)
             matcher = entry.matcher
             if not admitted and not matcher.active_instances:
                 continue
@@ -449,8 +429,7 @@ class PatternRegistry:
                     i = j + 1
                 if next_admit >= n:
                     break
-                matches = matcher.push(events[next_admit],
-                                       bool(starts & (1 << next_admit)))
+                matches = matcher.push(events[next_admit])
                 if matches:
                     self._collect(entry, matches, reported)
                 delivered += 1
@@ -597,12 +576,6 @@ class PatternRegistry:
         with self._lock:
             return len(self._bank)
 
-    @property
-    def prefix_group_count(self) -> int:
-        """Distinct start-gate structures (shared gate evaluations)."""
-        with self._lock:
-            return len(self._gate_members)
-
     def describe(self) -> List[dict]:
         """Per-pattern summary rows (the ``/patterns`` listing)."""
         with self._lock:
@@ -662,12 +635,7 @@ class PatternRegistry:
             "ses_registry_predicates",
             help="distinct live predicates in the shared bank",
         ).set(len(self._bank))
-        registry.gauge(
-            "ses_registry_prefix_groups",
-            help="distinct start-gate structures sharing one evaluation",
-        ).set(len(self._gate_members))
 
     def __repr__(self) -> str:
         return (f"PatternRegistry({len(self._entries)} patterns, "
-                f"{len(self._bank)} predicates, "
-                f"{len(self._gate_members)} prefix groups)")
+                f"{len(self._bank)} predicates)")

@@ -47,7 +47,6 @@ class RegistryHTTPAdapter:
         return 200, {
             "patterns": registry.describe(),
             "predicates": registry.predicate_count,
-            "prefix_groups": registry.prefix_group_count,
             "tenants": registry.tenant_stats(),
         }
 

@@ -108,16 +108,9 @@ class ContinuousMatcher:
     # ------------------------------------------------------------------
     # Feeding
     # ------------------------------------------------------------------
-    def push(self, event: Event,
-             allow_start: bool = True) -> List[Substitution]:
-        """Feed one event; returns the matches reported at this point.
-
-        ``allow_start=False`` skips the fresh start-state instance for
-        this event; only pass it when no start transition can fire (see
-        :meth:`SESExecutor.feed`) — the registry's shared start gate is
-        the intended caller.
-        """
-        accepted = self._executor.feed(event, allow_start)
+    def push(self, event: Event) -> List[Substitution]:
+        """Feed one event; returns the matches reported at this point."""
+        accepted = self._executor.feed(event)
         return self._report(accepted) if accepted else accepted
 
     def tick(self, event: Event) -> List[Substitution]:

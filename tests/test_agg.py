@@ -520,9 +520,9 @@ def grouped(engine) -> dict:
 
 def assert_lockstep(automaton, spec, consume, ops):
     """Drive the flat oracle and the bucketed engine through the same
-    ``(event, action)`` sequence — ``True``/``False`` is ``step`` with
-    that ``allow_start``, ``None`` is ``expire_only`` — comparing
-    everything observable after *every* event."""
+    ``(event, action)`` sequence — ``True`` is ``step`` (the oracle
+    starts a fresh group every time), ``None`` is ``expire_only`` —
+    comparing everything observable after *every* event."""
     flat = FlatAggregationEngine(automaton, spec, consume)
     bucketed = AggregationEngine(automaton, spec, consume)
     flat_stats, stats = ExecutionStats(), ExecutionStats()
@@ -530,11 +530,12 @@ def assert_lockstep(automaton, spec, consume, ops):
     stats.enable_history()
     tau = automaton.tau
     for event, action in ops:
-        for engine, counters in ((flat, flat_stats), (bucketed, stats)):
-            if action is None:
-                engine.expire_only(event, counters)
-            else:
-                engine.step(event, action, counters)
+        if action is None:
+            flat.expire_only(event, flat_stats)
+            bucketed.expire_only(event, stats)
+        else:
+            flat.step(event, True, flat_stats)
+            bucketed.step(event, stats)
         assert bucketed.snapshot() == flat.snapshot()
         assert bucketed.matches_folded == flat.matches_folded
         assert bucketed.max_groups == flat.max_groups
@@ -570,18 +571,20 @@ class TestBucketedEqualsFlat:
         except ValueError:
             return
         actions = data.draw(st.lists(
-            st.sampled_from((True, True, False, None)),
+            st.sampled_from((True, True, True, None)),
             min_size=len(relation), max_size=len(relation)))
         assert_lockstep(compile_plan(pattern).automaton, spec, consume,
                         list(zip(relation, actions)))
 
     @pytest.mark.parametrize("consume", CONSUME_MODES)
-    @pytest.mark.parametrize("start_every", (1, 3))
-    def test_lockstep_on_the_ledger_smoke_slices(self, consume, start_every):
+    @pytest.mark.parametrize("feed_every", (1, 3))
+    def test_lockstep_on_the_ledger_smoke_slices(self, consume, feed_every):
         """The four ``batch-agg-fold`` smoke slices: events no variable's
-        constant condition admits are expiry-only, as under the filter.
-        Exhaustive groups double with every Prednisone dose of Q1, so
-        that mode stops while they still number in the thousands."""
+        constant condition admits are expiry-only, as under the filter;
+        with ``feed_every=3`` so are two in three of the admitted ones,
+        a thinner stream with more sweeps between steps.  Exhaustive
+        groups double with every Prednisone dose of Q1, so that mode
+        stops while they still number in the thousands."""
         workloads = pytest.importorskip("ledger.workloads")
         from repro.net.protocol import event_from_json
         pattern, spec = parse_query_spec(workloads.AGG)
@@ -591,7 +594,8 @@ class TestBucketedEqualsFlat:
         for _, rows in workloads._agg_units(1, True):
             events = [event_from_json(row) for row in rows[:size]]
             ops = [(event,
-                    (i % start_every == 0) if event["L"] in "CDPB" else None)
+                    True if event["L"] in "CDPB" and i % feed_every == 0
+                    else None)
                    for i, event in enumerate(events)]
             folded += assert_lockstep(
                 automaton, spec, consume, ops).matches_folded
@@ -812,7 +816,7 @@ class TestStateRoundtrip:
             aggregate=self.CHECKPOINT_SPEC).executor()._agg
         stats = ExecutionStats()
         for ts, kind, pid, x in rows:
-            engine.step(ev(ts, kind, pid=pid, x=x), True, stats)
+            engine.step(ev(ts, kind, pid=pid, x=x), stats)
         return engine, stats
 
     def test_flat_checkpoint_loads_and_resumes(self):
@@ -823,7 +827,7 @@ class TestStateRoundtrip:
         assert resumed.group_count == 5
         assert resumed.next_expiry_ts == 2 + 6
         for ts, kind, pid, x in self.CHECKPOINT_ROWS[8:]:
-            resumed.step(ev(ts, kind, pid=pid, x=x), True, stats)
+            resumed.step(ev(ts, kind, pid=pid, x=x), stats)
         resumed.finish(stats)
         assert resumed.snapshot() == straight.snapshot()
         assert resumed.matches_folded == straight.matches_folded == 5

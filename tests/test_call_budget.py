@@ -26,7 +26,9 @@ the recorded Q1 slice, where the recorder kept every run one instance
 and so measured what a run of one costs; with runs keyed by the
 registers a decision can still read, members that can no longer accept
 sharing one run, and the flight recorder riding runs: 4.15 (2.15) on
-the P3 slice and 4.83 (2.03) on the recorded Q1 slice.  A lineage
+the P3 slice and 4.83 (2.03) on the recorded Q1 slice — 4.90 (2.06)
+once the registry stopped skipping the fresh instances no start
+transition takes, whose start/drop pairs the recorder now sees.  A lineage
 recorder then still took every step and kept every run one instance:
 20.08 (11.24) on the same Q1 slice, lineage and the observability
 bundle it rides included; told of accepted buffers instead, it rides

@@ -440,8 +440,9 @@ class _SpyGuard(ResourceGuard):
 def assert_lockstep(automaton, ops, consume="greedy", hooks="none",
                     guard=None, reload_at=None, omega_every=1):
     """Drive a :class:`FlatExecutor` and a bucketed ``SESExecutor`` through
-    ``ops`` — ``(event, True | False)`` feeds the event with that
-    ``allow_start``, ``(event, None)`` is an expiry tick — comparing the
+    ``ops`` — ``(event, True)`` feeds the event (the flat loop builds
+    its fresh start instance every time), ``(event, None)`` is an expiry
+    tick — comparing the
     two after every one, under the recorders ``hooks`` names (one of
     :data:`HOOKS`).  ``reload_at`` swaps the bucketed executor for a
     fresh one restored from its ``state_dict()`` before that op;
@@ -471,7 +472,7 @@ def assert_lockstep(automaton, ops, consume="greedy", hooks="none",
                                     (fast, new_recorders)):
             recorders.clear()
             emitted.append(executor.expire(event) if action is None
-                           else executor.feed(event, allow_start=action))
+                           else executor.feed(event))
         assert by_start(emitted[0]) == by_start(emitted[1]), index
         assert flat.stats == fast.stats, index
         assert old_recorders.seen() == new_recorders.seen(), index
@@ -608,9 +609,9 @@ def equi_joined_patterns(draw):
 
 
 def drawn_ops(data, events):
-    """Each event fed (mostly with a fresh start instance) or ticked."""
+    """Each event fed (mostly) or ticked."""
     actions = data.draw(st.lists(
-        st.sampled_from((True, True, True, False, None)),
+        st.sampled_from((True, True, True, True, None)),
         min_size=len(events), max_size=len(events)))
     return list(zip(events, actions))
 
@@ -727,21 +728,24 @@ class TestBucketedEqualsFlat:
                 assert fast.stats.accepted_buffers == 1
 
     def test_a_run_whose_register_stops_summarising_splits(self):
-        """Two instances agree on ``p+``'s greatest ``k`` (``1``) and
-        rest as one run; a ``1.0`` then makes the register ``WALK``, so
-        ``c.k > p.k`` must walk each member's own chain: the run goes
-        back to single instances even when, as here, it is the only
-        arrival in its state (no start on the event)."""
+        """Two instances agree on ``s+``'s latest ``T`` and on ``p+``'s
+        greatest ``k`` (``1``) and rest as one run; a ``1.0`` then makes
+        the register ``WALK``, so ``c.k > p.k`` must walk each member's
+        own chain: the run goes back to single instances even when, as
+        here, it is the only arrival in its state (an ``A`` fires no
+        start transition)."""
         automaton = build_automaton(SESPattern(
-            sets=[["p+"], ["c"]],
-            conditions=["p.kind = 'A'", "c.kind = 'C'", "c.k > p.k"],
+            sets=[["s+"], ["p+"], ["c"]],
+            conditions=["s.kind = 'S'", "p.kind = 'A'", "c.kind = 'C'",
+                        "c.k > p.k"],
             tau=50))
-        ops = [(Event(ts=1, eid="a1", kind="A", k=1), True),
-               (Event(ts=2, eid="a2", kind="A", k=1), True),
-               (Event(ts=3, eid="a3", kind="A", k=1.0), False),
-               (Event(ts=4, eid="c4", kind="C", k=5), True)]
+        ops = [(Event(ts=1, eid="s1", kind="S"), True),
+               (Event(ts=2, eid="s2", kind="S"), True),
+               (Event(ts=3, eid="a3", kind="A", k=1), True),
+               (Event(ts=4, eid="a4", kind="A", k=1.0), True),
+               (Event(ts=5, eid="c5", kind="C", k=5), True)]
         joined = SESExecutor(automaton)
-        for event, _ in ops[:2]:
+        for event, _ in ops[:3]:
             joined.feed(event)
         assert [run.count for bucket in joined._buckets.values()
                 for run in bucket.runs] == [2]
@@ -796,9 +800,11 @@ class TestBucketedEqualsFlat:
         """When the window overruns some of a joined run's members, a
         step recorder is told of them as a run of their own, sharing
         the run's tip: expanded, it yields the members leaving, not
-        every member still alive through that tip.  ``p1``'s and
-        ``p5``'s instances join in ``{p+}`` and, after ``p6``, in the
-        accepting state; ``x12`` overruns ``p1``'s start alone."""
+        every member still alive through that tip.  ``s3``'s and
+        ``s4``'s instances join in ``{s+}`` (both last bound ``s4``),
+        move on together and, after ``p6``, also rest in the accepting
+        state, beside ``s1``'s instance (``b`` takes ``s3``); ``x14``
+        overruns ``s1``'s and ``s3``'s starts, not ``s4``'s."""
         class Expander:
             """A step recorder expanding every run that expires or
             accepts into its members' ``(start, event ids)``."""
@@ -818,23 +824,23 @@ class TestBucketedEqualsFlat:
                 pass
 
         automaton = build_automaton(SESPattern(
-            sets=[["p+"], ["b"]],
-            conditions=["p.kind = 'P'", "b.kind = 'P'"], tau=10))
+            sets=[["s+"], ["p+"], ["b"]],
+            conditions=["s.kind = 'S'", "p.kind = 'P'"], tau=10))
         hook = Expander()
         executor = SESExecutor(automaton, selection="accepted", flight=hook)
-        for ts, start in ((1, True), (5, True), (6, False)):
-            executor.feed(Event(ts=ts, eid=f"p{ts}", kind="P"),
-                          allow_start=start)
+        for ts, kind in ((1, "S"), (2, "P"), (3, "S"), (4, "S"), (5, "P"),
+                         (6, "P")):
+            executor.feed(Event(ts=ts, eid=f"{kind.lower()}{ts}", kind=kind))
         assert [run.count for bucket in executor._buckets.values()
                 for run in bucket.runs] == [2, 1, 2]
         del hook.expanded[:]
-        executor.expire(Event(ts=12, eid="x12", kind="X"))
+        executor.expire(Event(ts=14, eid="x14", kind="X"))
         assert sorted(hook.expanded) == [
-            ("accept", [(1, ["p1", "p5"])]),
-            ("accept", [(1, ["p1", "p5", "p6"])]),
-            ("expire", [(1, ["p1", "p5"])]),
-            ("expire", [(1, ["p1", "p5", "p6"])]),
-            ("expire", [(1, ["p1", "p5", "p6"])])]
+            ("accept", [(1, ["s1", "p2", "s3"])]),
+            ("accept", [(3, ["s3", "s4", "p5", "p6"])]),
+            ("expire", [(1, ["s1", "p2", "s3"])]),
+            ("expire", [(3, ["s3", "s4", "p5", "p6"])]),
+            ("expire", [(3, ["s3", "s4", "p5", "p6"])])]
 
     @pytest.mark.parametrize("consume", ("greedy", "exhaustive"))
     def test_snapshot_written_out_of_start_order(self, consume):
@@ -1253,22 +1259,22 @@ class TestExpiredPathsAreLetGo:
             nodes, executor.buffered_events, len(runs))
 
     def test_a_shared_child_is_dropped_after_the_accepting_run_emits(self):
-        """``p`` and ``b`` both take a ``P``: the joined ``{p+}`` run
-        fires both, so its looping successor and its accepting one
-        extend one union.  When the window overruns the older start,
-        both runs lose that member and the sweep drops the union's child
-        — after the accepting run emitted its member, whose path runs
-        through the child."""
+        """``b`` takes any event: ``p2`` joins ``p1``'s and its own
+        instance in ``{p+}``, and ``q3``, which starts nothing, moves the
+        joined run to the accepting state, its successor extending the
+        union.  When the window overruns the older start, the run loses
+        that member and the sweep drops the union's child — after the
+        accepting run emitted its member, whose path runs through the
+        child."""
         automaton = build_automaton(SESPattern(
-            sets=[["p+"], ["b"]],
-            conditions=["p.kind = 'P'", "b.kind = 'P'"], tau=10))
+            sets=[["p+"], ["b"]], conditions=["p.kind = 'P'"], tau=10))
         ops = [(Event(ts=1, eid="p1", kind="P"), True),
                (Event(ts=2, eid="p2", kind="P"), True),
-               (Event(ts=3, eid="p3", kind="P"), False),
+               (Event(ts=3, eid="q3", kind="Q"), True),
                (Event(ts=12, eid="x12", kind="X"), None)]
         executor = SESExecutor(automaton, selection="accepted")
-        for event, action in ops[:-1]:
-            assert not executor.feed(event, allow_start=action)
+        for event, _ in ops[:-1]:
+            assert not executor.feed(event)
         accepting = executor._buckets[automaton.accepting].runs
         assert [run.count for run in accepting] == [1, 2]
         union = accepting[1].buffer.parent
@@ -1277,6 +1283,6 @@ class TestExpiredPathsAreLetGo:
         assert len(union.children) == 1  # swept
         assert sorted([event.eid for event in match.events()]
                       for match in emitted) == [["p1", "p2"],
-                                                ["p1", "p2", "p3"]]
+                                                ["p1", "p2", "q3"]]
         fast = assert_lockstep(automaton, ops)
         assert fast.stats.accepted_buffers == 3

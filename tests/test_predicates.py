@@ -266,6 +266,35 @@ class TestOneExecutor:
         assert "history_max_samples" not in parameters
 
 
+class TestOneStartDecision:
+    """Whether an event's fresh start-state instance can fire is asked
+    once, of the automaton's step table (its start row), by the
+    executor: no caller passes the answer down, the registry keeps no
+    start gate of its own, and what is left of ``StartGate`` only
+    interns predicates."""
+
+    SRC = Path(repro.__file__).parent
+
+    def test_no_module_names_allow_start(self):
+        naming = [str(path.relative_to(self.SRC))
+                  for path in self.SRC.rglob("*.py")
+                  if "allow_start" in path.read_text()]
+        assert naming == []
+
+    def test_the_registry_keeps_no_start_gate(self):
+        assert "StartGate" not in Path(registry_module.__file__).read_text()
+        assert not hasattr(registry_module.PatternRegistry,
+                           "prefix_group_count")
+
+    def test_the_start_gate_is_a_constructor_only(self):
+        from repro.registry.admission import StartGate
+        methods = [name for name, value in vars(StartGate).items()
+                   if inspect.isfunction(value)
+                   or isinstance(value, (staticmethod, classmethod,
+                                         property))]
+        assert methods == ["__init__"]
+
+
 class TestOneHTTPServer:
     """HTTP has one implementation: both listeners serve through
     ``repro.net``'s request reader and response writer, so no module

@@ -5,8 +5,9 @@ registered patterns, the registry's per-pattern match sets equal running
 each pattern through its own :class:`ContinuousMatcher` (streaming) or
 ``plan.match`` (batch).  The suites below pin that for 100+ randomized
 patterns, plus the predicate bank's interning/refcounting, the start
-gate's exactness, hot register/deregister under a live stream, tenant
-quotas and guards, labeled metrics, and the HTTP/CLI surface.
+row's exactness, counters equal to a pattern run alone, hot
+register/deregister under a live stream, tenant quotas and guards,
+labeled metrics, and the HTTP/CLI surface.
 """
 
 import json
@@ -28,7 +29,7 @@ from repro.lang import parse_pattern
 from repro.obs import ObsServer
 from repro.registry import (AdmissionSpec, DuplicatePatternError,
                             OutOfOrderError, PredicateBank, QuotaExceeded,
-                            RegistryError, RegistryHTTPAdapter, StartGate,
+                            RegistryError, RegistryHTTPAdapter,
                             UnknownPatternError)
 from repro.registry.bank import mask_bits
 
@@ -193,37 +194,28 @@ class TestAdmissionEquivalence:
         bank = PredicateBank()
         baseline = len(bank)
         specs = [AdmissionSpec(bank, plan.pattern) for plan in random_plans]
-        gates = [StartGate(bank, plan.automaton) for plan in random_plans]
         assert len(bank) > baseline
-        for spec, gate in zip(specs, gates):
+        for spec in specs:
             spec.release(bank)
-            gate.release(bank)
         assert len(bank) == baseline
 
 
-class TestStartGate:
-    def test_gate_fires_iff_some_start_transition_admits(self,
-                                                         random_plans,
-                                                         chemo_events):
-        bank = PredicateBank()
+class TestStartRow:
+    def test_start_row_exists_iff_some_start_transition_admits(
+            self, random_plans, chemo_events):
+        """The one start decision: the step table's start row for an
+        event exists iff some start transition admits it against an
+        empty buffer (no partner is bound yet, so only the event-only
+        checks decide)."""
         for plan in random_plans[:40]:
-            gate = StartGate(bank, plan.automaton)
-            start = plan.automaton.start
+            automaton = plan.automaton
+            start = automaton.start
             for event in chemo_events[:60]:
                 expected = any(
-                    t.admits(event, plan.automaton.empty_buffer)
-                    for t in plan.automaton.outgoing(start))
-                assert gate.fires(bank.truth(event)) == expected
-
-    def test_shared_key_for_structurally_equal_prefixes(self):
-        bank = PredicateBank()
-        p1 = parse_pattern("PATTERN PERMUTE(a, b) WHERE a.L = 'B' AND "
-                           "b.L = 'C' WITHIN 100")
-        p2 = parse_pattern("PATTERN PERMUTE(a, b) WHERE a.L = 'B' AND "
-                           "b.L = 'C' WITHIN 999")
-        g1 = StartGate(bank, compile(p1).automaton)
-        g2 = StartGate(bank, compile(p2).automaton)
-        assert g1.key == g2.key
+                    t.admits(event, automaton.empty_buffer)
+                    for t in automaton.outgoing(start))
+                row = automaton.step_rows(event)[start]
+                assert (row is not None) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +300,44 @@ class TestStreamingEquivalence:
                     f"p{i}", name)
             ticked += got.events_filtered
         assert ticked  # ticks are still counted as filtered events
+
+    @pytest.mark.parametrize("workload, patterns, events, batch", [
+        ("serve-q1-sparse", 1, 6000, 64),
+        ("serve-reg25-dense", 6, 6000, 16)])
+    def test_counters_equal_the_pattern_run_alone(self, workload, patterns,
+                                                  events, batch):
+        """A registered pattern counts what the same pattern counts in
+        its own matcher fed the same batches: one start decision (the
+        automaton's start row), so no fresh instance goes uncounted."""
+        workloads = pytest.importorskip("ledger.workloads")
+        from ledger.streams import chemo_stream
+        from repro.net.protocol import event_from_json
+        queries = workloads.BY_NAME[workload].queries[:patterns]
+        stream = [event_from_json(row)
+                  for row in chemo_stream(1, events, 24)]
+        registry = PatternRegistry()
+        alone = {}
+        for pattern_id, query in queries:
+            registry.register(query, pattern_id=pattern_id)
+            alone[pattern_id] = ContinuousMatcher(compile(
+                parse_pattern(query)))
+        for start in range(0, len(stream), batch):
+            chunk = stream[start:start + batch]
+            registry.push_many(chunk)
+            for matcher in alone.values():
+                matcher.push_many(chunk)
+        accepted = 0
+        for pattern_id, matcher in alone.items():
+            got = registry._entries[pattern_id].matcher.stats
+            want = matcher.stats
+            for name in ("events_processed", "instances_created",
+                         "max_simultaneous_instances", "transitions_fired",
+                         "branchings", "expired_instances",
+                         "accepted_buffers"):
+                assert getattr(got, name) == getattr(want, name), (
+                    pattern_id, name)
+            accepted += want.accepted_buffers
+        assert accepted > 100
 
     def test_single_push_equals_push_many(self, random_plans, chemo_events):
         events = chemo_events[:100]
@@ -411,12 +441,10 @@ class TestLifecycle:
         before = registry.predicate_count
         b = registry.register(Q_ADMIT)  # same predicates: no new slots
         assert registry.predicate_count == before
-        assert registry.prefix_group_count == 1
         registry.deregister(a)
         assert registry.predicate_count == before
         registry.deregister(b)
         assert registry.predicate_count == 0
-        assert registry.prefix_group_count == 0
 
     def test_matches_survive_deregistration(self, chemo_events):
         registry = PatternRegistry()
