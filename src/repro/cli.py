@@ -649,9 +649,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # hot registration is not supported there).
         from .registry import PatternRegistry, RegistryHTTPAdapter, TenantQuota
         default_quota = None if guard is None else TenantQuota(guard=guard)
+        # The hub ring and the delivery WAL are the served history, so
+        # the registry keeps a count, not a copy of every match.
         matcher = PatternRegistry(use_filter=not args.no_filter,
                                   observability=obs, flight=flight,
-                                  default_quota=default_quota)
+                                  default_quota=default_quota,
+                                  keep_matches=False)
         matcher.register(plan)
         patterns = RegistryHTTPAdapter(matcher)
 

@@ -55,7 +55,7 @@ from ..core.substitution import Substitution
 from ..plan.cache import as_plan
 from ..plan.plan import PatternPlan
 from ..resilience.guards import GuardConfig, ResourceGuard
-from ..stream.runner import ContinuousMatcher
+from ..stream.runner import ContinuousMatcher, MatchHistoryDisabled
 
 __all__ = ["PatternRegistry", "TenantQuota", "RegistryError",
            "DuplicatePatternError", "UnknownPatternError", "QuotaExceeded",
@@ -182,11 +182,18 @@ class PatternRegistry:
         one registered pattern's executor: the first (the served query
         in ``repro serve``), and once that one is deregistered the next
         to register; the others run unrecorded.
+    keep_matches:
+        Archive every reported match for :attr:`matches` /
+        :meth:`matches_of` (the registry's one history: its per-pattern
+        matchers keep none).  With ``False`` only :attr:`match_count`
+        is kept — ``repro serve``, whose hub and delivery WAL own the
+        history — and memory is bounded by Ω and the windows τ.
     """
 
     def __init__(self, *, use_filter: bool = True,
                  suppress_overlaps: bool = True, observability=None,
-                 default_quota: Optional[TenantQuota] = None, flight=None):
+                 default_quota: Optional[TenantQuota] = None, flight=None,
+                 keep_matches: bool = True):
         self._lock = threading.RLock()
         self._bank = PredicateBank()
         self._entries: Dict[str, _Entry] = {}
@@ -199,7 +206,8 @@ class PatternRegistry:
         #: Id of the pattern whose executor carries the flight recorder.
         self._flight_owner: Optional[str] = None
         self._auto_id = 0
-        self._reported: List[Match] = []
+        self._reported: Optional[List[Match]] = [] if keep_matches else None
+        self._match_count = 0
         self._callbacks: List[MatchCallback] = []
         self._closed = False
         self._last_ts = None
@@ -282,10 +290,11 @@ class PatternRegistry:
             # Admission is decided once, by the shared bank (bit-identical
             # to the plan's own prefilter), and rejected events reach the
             # matcher as ticks - its executor has nothing left to filter.
+            # The registry's own list is the one history.
             matcher = ContinuousMatcher(
                 plan, use_filter=False,
                 suppress_overlaps=self._suppress_overlaps,
-                flight=flight, guard=state.guard)
+                flight=flight, guard=state.guard, keep_matches=False)
             spec = AdmissionSpec(self._bank, plan.pattern)
             entry = _Entry(pattern_id, tenant, plan, matcher, spec, query)
             if self._obs is not None:
@@ -316,7 +325,8 @@ class PatternRegistry:
             return pattern_id
 
     def deregister(self, pattern_id: str) -> dict:
-        """Remove a pattern; its already-reported matches are kept.
+        """Remove a pattern; its already-reported matches stay in the
+        history (with ``keep_matches``).
 
         Live (unexpired) instances are discarded without flushing —
         deregistration means "stop watching", not end-of-stream.
@@ -456,13 +466,16 @@ class PatternRegistry:
         # the record carries event ids + deliver stage, with the path
         # reconstructed from the substitution's canonical order.
         lineage = (None if self._obs is None else self._obs.lineage)
+        history = self._reported
         for substitution in matches:
             provenance = (lineage.deliver(substitution, by="registry",
                                           pattern_id=entry.pattern_id)
                           if lineage is not None else None)
             match = Match(substitution, pattern_id=entry.pattern_id,
                           provenance=provenance)
-            self._reported.append(match)
+            if history is not None:
+                history.append(match)
+            self._match_count += 1
             out.append(match)
             for callback in self._callbacks:
                 callback(entry.pattern_id, match)
@@ -522,26 +535,35 @@ class PatternRegistry:
 
     @property
     def matches(self) -> List[Substitution]:
-        """All matches reported so far (flat, across patterns)."""
+        """All matches reported so far (flat, across patterns); raises
+        :class:`~repro.stream.runner.MatchHistoryDisabled` when built
+        with ``keep_matches=False``."""
         with self._lock:
-            return [match.substitution for match in self._reported]
+            return [match.substitution for match in self._history()]
 
     @property
     def match_count(self) -> int:
-        """How many matches were reported so far — ``len(matches)``
-        without the copy (or the lock: a health probe must not queue
-        behind the matcher thread)."""
-        return len(self._reported)
+        """How many matches were reported so far — a counter, kept with
+        or without the history (read without the lock: a health probe
+        must not queue behind the matcher thread)."""
+        return self._match_count
+
+    def _history(self) -> List[Match]:
+        if self._reported is None:
+            raise MatchHistoryDisabled(type(self).__name__)
+        return self._reported
 
     def matches_of(self, pattern_id: str) -> List[Substitution]:
-        """Matches reported so far for one pattern (survives deregister)."""
+        """Matches reported so far for one pattern (survives deregister);
+        raises :class:`~repro.stream.runner.MatchHistoryDisabled` when
+        built with ``keep_matches=False``."""
         with self._lock:
+            history = self._history()
             if (pattern_id not in self._entries
-                    and all(m.pattern_id != pattern_id
-                            for m in self._reported)):
+                    and all(m.pattern_id != pattern_id for m in history)):
                 raise UnknownPatternError(
                     f"no pattern registered under id {pattern_id!r}")
-            return [match.substitution for match in self._reported
+            return [match.substitution for match in history
                     if match.pattern_id == pattern_id]
 
     def aggregates_of(self, pattern_id: str):

@@ -13,12 +13,16 @@ emission batch* (buffers expiring at the same input event) plus
 non-overlap against previously reported matches — the natural online
 approximation, which coincides with the batch semantics whenever match
 windows do not straddle emission points.
+
+Retention is a window, not a history: the overlap set keeps only events
+a future match can still bind (none older than the oldest start in Ω),
+and the reported matches are archived only with ``keep_matches=True``.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Callable, Iterable, List
+from typing import Callable, Iterable, List, Optional
 
 from ..agg.result import Match
 from ..automaton.executor import SESExecutor
@@ -27,7 +31,7 @@ from ..core.semantics import select_matches
 from ..core.substitution import Substitution
 from ..plan.cache import as_plan
 
-__all__ = ["ContinuousMatcher"]
+__all__ = ["ContinuousMatcher", "MatchHistoryDisabled"]
 
 logger = logging.getLogger(__name__)
 
@@ -35,6 +39,21 @@ logger = logging.getLogger(__name__)
 #: dataclass (it delegates ``events()``/``min_ts()``/iteration to the
 #: wrapped substitution, so most existing callbacks keep working).
 MatchCallback = Callable[[Match], None]
+
+#: The overlap set is pruned once it holds this many events, and after
+#: that once it has doubled since its last prune.
+PRUNE_FLOOR = 1024
+
+
+class MatchHistoryDisabled(RuntimeError):
+    """The matcher was built with ``keep_matches=False``: it archives no
+    reported match, so there is no history to read."""
+
+    def __init__(self, owner: str):
+        super().__init__(
+            f"{owner} was built with keep_matches=False and keeps no match "
+            f"history: collect what push/push_many/close return, or "
+            f"subscribe with on_match")
 
 
 class ContinuousMatcher:
@@ -65,11 +84,15 @@ class ContinuousMatcher:
         Optional :class:`repro.resilience.guards.ResourceGuard` (or
         :class:`~repro.resilience.guards.GuardConfig`) bounding the
         executor's live state — see ``docs/resilience.md``.
+    keep_matches:
+        Archive every reported match for :attr:`matches`.  With
+        ``False`` the matcher keeps only :attr:`match_count`, and its
+        memory is bounded by Ω and the window τ, however long it runs.
     """
 
     def __init__(self, pattern, use_filter: bool = True,
                  suppress_overlaps: bool = True, observability=None,
-                 flight=None, guard=None):
+                 flight=None, guard=None, keep_matches: bool = True):
         self.plan = as_plan(pattern)
         self.pattern = self.plan.pattern
         self.obs = observability
@@ -81,8 +104,13 @@ class ContinuousMatcher:
             expire_on_filtered=True, observability=observability,
             flight=flight, guard=guard)
         self._callbacks: List[MatchCallback] = []
-        self._reported: List[Substitution] = []
+        self._reported: Optional[List[Substitution]] = (
+            [] if keep_matches else None)
+        self._match_count = 0
+        #: Events of reported matches a future match can still bind
+        #: (maintained only when overlaps are suppressed).
         self._used_events: set = set()
+        self._prune_at = PRUNE_FLOOR
         self.suppress_overlaps = suppress_overlaps
         self._reported_counter = (
             None if observability is None
@@ -111,7 +139,7 @@ class ContinuousMatcher:
     def push(self, event: Event) -> List[Substitution]:
         """Feed one event; returns the matches reported at this point."""
         accepted = self._executor.feed(event)
-        return self._report(accepted) if accepted else accepted
+        return self._report(accepted, event.ts) if accepted else accepted
 
     def tick(self, event: Event) -> List[Substitution]:
         """Advance the expiry clock without offering the event.
@@ -123,7 +151,7 @@ class ContinuousMatcher:
         skipping the per-pattern filter work.
         """
         accepted = self._executor.expire(event)
-        return self._report(accepted) if accepted else accepted
+        return self._report(accepted, event.ts) if accepted else accepted
 
     @property
     def next_expiry_ts(self):
@@ -153,22 +181,49 @@ class ContinuousMatcher:
     # Checkpointing
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Snapshot for checkpoint/restore: executor state plus the
-        reported matches and used-event set (so overlap suppression
-        behaves identically after a restore)."""
-        return {
+        """Snapshot for checkpoint/restore: executor state, the match
+        count and the overlap window (so overlap suppression behaves
+        identically after a restore), plus the reported matches when
+        the matcher keeps them."""
+        state = {
             "executor": self._executor.state_dict(),
-            "reported": list(self._reported),
+            "match_count": self._match_count,
             "used_events": set(self._used_events),
         }
+        if self._reported is not None:
+            state["reported"] = list(self._reported)
+        return state
 
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot."""
         self._executor.load_state(state["executor"])
-        self._reported = list(state["reported"])
+        self._match_count = state["match_count"]
+        if self._reported is not None:
+            self._reported = list(state.get("reported", ()))
         self._used_events = set(state["used_events"])
+        self._prune_at = max(PRUNE_FLOOR, 2 * len(self._used_events))
 
-    def _report(self, accepted: List[Substitution]) -> List[Substitution]:
+    def _prune(self, ts) -> None:
+        """Drop the overlap set's events no future match can bind: those
+        older than the oldest start in Ω, or than ``ts`` (the event just
+        consumed) when Ω is empty."""
+        deadline = self._executor.next_expiry_ts
+        used = self._used_events
+        if deadline is None:
+            kept = {event for event in used if not event.ts < ts}
+        else:
+            # Ω's oldest start s is deadline - τ; comparing e.ts + τ with
+            # deadline = s + τ keeps every event at s where subtracting
+            # τ would round.
+            tau = self._executor.automaton.tau
+            kept = {event for event in used if not event.ts + tau < deadline}
+        self._used_events = kept
+        self._prune_at = max(PRUNE_FLOOR, 2 * len(kept))
+
+    def _report(self, accepted: List[Substitution],
+                ts=None) -> List[Substitution]:
+        """Select and report ``accepted``; ``ts`` is the timestamp of
+        the event that released them (``None`` at end of stream)."""
         if not accepted:
             return []
         lineage = None if self.obs is None else self.obs.lineage
@@ -177,13 +232,18 @@ class ContinuousMatcher:
         batch = (accepted if len(accepted) == 1
                  else select_matches(accepted, overlap="allow"))
         reported: List[Substitution] = []
+        suppress = self.suppress_overlaps
         used = self._used_events
+        history = self._reported
         for substitution in batch:
-            events = [event for _, event in substitution.bindings]
-            if self.suppress_overlaps and not used.isdisjoint(events):
-                continue
-            used.update(events)
-            self._reported.append(substitution)
+            if suppress:
+                events = [event for _, event in substitution.bindings]
+                if not used.isdisjoint(events):
+                    continue
+                used.update(events)
+            if history is not None:
+                history.append(substitution)
+            self._match_count += 1
             reported.append(substitution)
             if self._reported_counter is not None:
                 self._reported_counter.inc()
@@ -194,6 +254,8 @@ class ContinuousMatcher:
                 delivered = Match(substitution, provenance=provenance)
                 for callback in self._callbacks:
                     callback(delivered)
+        if ts is not None and len(used) >= self._prune_at:
+            self._prune(ts)
         return reported
 
     # ------------------------------------------------------------------
@@ -201,14 +263,18 @@ class ContinuousMatcher:
     # ------------------------------------------------------------------
     @property
     def matches(self) -> List[Substitution]:
-        """All matches reported so far."""
+        """All matches reported so far; raises
+        :class:`MatchHistoryDisabled` when built with
+        ``keep_matches=False``."""
+        if self._reported is None:
+            raise MatchHistoryDisabled(type(self).__name__)
         return list(self._reported)
 
     @property
     def match_count(self) -> int:
-        """How many matches were reported so far (``len(matches)``
-        without the copy)."""
-        return len(self._reported)
+        """How many matches were reported so far (a counter, whether or
+        not the matches themselves are kept)."""
+        return self._match_count
 
     @property
     def matches_folded(self) -> int:
@@ -238,5 +304,5 @@ class ContinuousMatcher:
 
     def __repr__(self) -> str:
         return (f"ContinuousMatcher({self.pattern!r}, "
-                f"{len(self._reported)} matches, "
+                f"{self._match_count} matches, "
                 f"{self.active_instances} active instances)")
