@@ -12,8 +12,7 @@ bench_registry.py).
 import pytest
 
 from repro.data import base_dataset, pattern_p3, query_q1
-from repro.stream import (ContinuousMatcher, PartitionedContinuousMatcher,
-                          from_relation)
+from repro.stream import ContinuousMatcher, PartitionedContinuousMatcher
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +21,7 @@ def relation():
 
 
 def _drain(matcher, relation):
-    matcher.push_many(from_relation(relation))
+    matcher.push_many(relation)
     matcher.close()
     return matcher
 
@@ -56,7 +55,7 @@ def test_multi_pattern_stream(benchmark, relation):
     def drain_all():
         matchers = {"q1": ContinuousMatcher(query_q1()),
                     "p3": ContinuousMatcher(pattern_p3())}
-        for event in from_relation(relation):
+        for event in relation:
             for matcher in matchers.values():
                 matcher.push(event)
         for matcher in matchers.values():

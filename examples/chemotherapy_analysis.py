@@ -1,6 +1,6 @@
 """The paper's running example, end to end.
 
-Loads the Event relation of Figure 1 into the embedded event store,
+Stores the Event relation of Figure 1 as typed CSV and reloads it,
 expresses Query Q1 in the PERMUTE query language, shows the constructed
 SES automaton (Figure 5), and prints the matching substitutions — which
 are exactly the results the paper reports in Example 1.
@@ -10,11 +10,14 @@ Run with::
     python examples/chemotherapy_analysis.py
 """
 
+import tempfile
+from pathlib import Path
+
 import repro
-from repro.data import CHEMO_SCHEMA, figure1_relation
+from repro.data import figure1_relation
 from repro.automaton.builder import build_automaton
 from repro.lang import parse_pattern
-from repro.storage import Database
+from repro.storage import load_relation, save_relation
 
 QUERY_Q1 = """
     -- one Ciclofosfamide, one or more Prednisone, one Doxorubicina,
@@ -27,11 +30,13 @@ QUERY_Q1 = """
 
 
 def main() -> None:
-    # 1. Store the Figure 1 events like the paper stores them in Oracle.
-    database = Database("hospital")
-    table = database.create_table("Event", CHEMO_SCHEMA, indexes=["ID", "L"])
-    table.insert_many(figure1_relation())
-    print(f"loaded {len(table)} chemotherapy events into {table!r}")
+    # 1. Store the Figure 1 events like the paper stores them in Oracle
+    #    (here: a typed CSV file) and read them back.
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "Event.csv"
+        save_relation(figure1_relation(), path)
+        events = load_relation(path)
+    print(f"loaded {len(events)} chemotherapy events from {path.name}")
 
     # 2. Compile Query Q1 from the PERMUTE query language.
     pattern = parse_pattern(QUERY_Q1)
@@ -42,7 +47,7 @@ def main() -> None:
     print(f"\n{automaton.describe()}")
 
     # 4. Evaluate and report (Example 1's intended results).
-    result = repro.query(pattern, table.to_relation())
+    result = repro.query(pattern, events)
     print(f"\n{len(result)} matching substitutions:")
     for substitution in result:
         patient = substitution.events()[0]["ID"]

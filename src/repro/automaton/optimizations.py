@@ -23,7 +23,10 @@ recall subtlety: under skip-till-next-match an unpartitioned run can be
 transition whose join conditions are not yet checkable and dies in a
 dead end.  Partitioned execution never sees such events, so it accepts
 a **superset** of the buffers Algorithm 1 accepts (closer to the
-declarative Definition 2); it never loses a match.
+declarative Definition 2).  That holds for accepted buffers only: the
+selected answer of ``selection="paper"`` is chosen per partition from
+that larger set and can drop a match the global run reports
+(docs/semantics.md).
 """
 
 from __future__ import annotations

@@ -10,12 +10,10 @@ from .bounds import (
     conditions_conflict,
     pattern_instance_bound,
     set_instance_bound,
-    window_size,
 )
 
 __all__ = [
     "ComplexityCase", "ComplexityReport", "all_pairwise_mutually_exclusive",
     "analyze", "are_mutually_exclusive", "classify_set",
     "conditions_conflict", "pattern_instance_bound", "set_instance_bound",
-    "window_size",
 ]

@@ -2,15 +2,15 @@
 
 This module turns the paper's definitions and theorems into code:
 
-* :func:`window_size` — Definition 5, the maximal number of events in a
-  sliding window of width τ.
 * :func:`are_mutually_exclusive` / :func:`all_pairwise_mutually_exclusive`
   — Definition 6 and the premise of Lemma 1.
 * :func:`classify_set` / :func:`set_instance_bound` — Theorems 1–3: upper
   bounds on the number of simultaneous automaton instances spawned from
   *one* start instance for a single event set pattern.
 * :func:`pattern_instance_bound` — the combined bound
-  ``O(W · (|Ω|max)^n)`` for patterns with several event set patterns.
+  ``O(W · (|Ω|max)^n)`` for patterns with several event set patterns;
+  ``W`` is Definition 5's window size,
+  :meth:`~repro.core.relation.EventRelation.window_size`.
 
 The mutual-exclusivity test is *conservative*: it reports two variables as
 mutually exclusive only when a pair of constant conditions provably cannot
@@ -28,11 +28,9 @@ from typing import Any, Iterable, Optional, Tuple
 
 from ..core.conditions import Condition
 from ..core.pattern import SESPattern
-from ..core.relation import EventRelation
 from ..core.variables import Variable
 
 __all__ = [
-    "window_size",
     "conditions_conflict",
     "are_mutually_exclusive",
     "all_pairwise_mutually_exclusive",
@@ -43,11 +41,6 @@ __all__ = [
     "ComplexityReport",
     "analyze",
 ]
-
-
-def window_size(relation: EventRelation, tau: Any) -> int:
-    """Window size ``W`` (Definition 5) of ``relation`` for duration τ."""
-    return relation.window_size(tau)
 
 
 # ----------------------------------------------------------------------

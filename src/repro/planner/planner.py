@@ -166,7 +166,8 @@ def plan_query(pattern: SESPattern,
         Keep exactly the paper's Algorithm 1 semantics.  When ``False``
         the planner may pick partitioned execution, which accepts a
         superset of Algorithm 1's buffers (it is immune to cross-partition
-        greedy hijacking; see :mod:`repro.automaton.optimizations`).
+        greedy hijacking; see :mod:`repro.automaton.optimizations`) but
+        may select different matches from them.
     selection:
         Result selection forwarded to the chosen executor.
     aggregate:
@@ -204,7 +205,8 @@ def plan_query(pattern: SESPattern,
             rationale.append(
                 f"pattern equi-joins all variables on {partition_on!r} and "
                 f"the instance bound is large -> partitioned execution "
-                "(superset recall; exact=False)")
+                "(superset of accepted buffers, not of the selected "
+                "matches; exact=False)")
     if executor == "plain" and partition_on is not None and not exact:
         rationale.append(
             f"partitionable on {partition_on!r} but instance bound is small "

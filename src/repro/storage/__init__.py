@@ -1,10 +1,5 @@
-"""Embedded event store: tables, indexes, queries, CSV persistence."""
+"""Event persistence: typed CSV round trips of an :class:`EventRelation`."""
 
-from .catalog import Database
 from .csvio import load_relation, save_relation
-from .index import HashIndex, TimeIndex
-from .query import Query
-from .table import EventTable
 
-__all__ = ["Database", "EventTable", "HashIndex", "Query", "TimeIndex",
-           "load_relation", "save_relation"]
+__all__ = ["load_relation", "save_relation"]

@@ -1,4 +1,4 @@
-"""CSV persistence for event relations and tables.
+"""CSV persistence for event relations.
 
 The on-disk format is one CSV file per relation with a two-line header:
 
@@ -6,8 +6,8 @@ The on-disk format is one CSV file per relation with a two-line header:
 * line 2 (comment): ``#types: <python type per attribute>`` so values
   round-trip with their types (int/float/str).
 
-This is the archival format the embedded store's catalog uses; it also
-makes data sets easy to inspect and to exchange.
+This is the repository's stand-in for the paper's stored relation; it
+also makes data sets easy to inspect and to exchange.
 """
 
 from __future__ import annotations

@@ -1,36 +1,19 @@
-"""Event stream sources.
+"""Synthetic event streams.
 
 The paper's algorithm consumes one event at a time, which makes it a
-natural fit for live streams (the setting of DejaVu, SASE+, Cayuga).  An
-:class:`EventStream` is any chronologically ordered iterable of events;
-this module provides constructors for replaying relations, merging
-streams, and generating synthetic streams.
+natural fit for live streams (the setting of DejaVu, SASE+, Cayuga).  A
+stream is any chronologically ordered iterable of events: a stored
+relation replays as ``iter(relation)``; :func:`synthetic` generates one.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from ..core.events import Event
-from ..core.relation import EventRelation
 
-__all__ = ["from_relation", "merge", "synthetic", "take"]
-
-
-def from_relation(relation: EventRelation) -> Iterator[Event]:
-    """Replay a stored relation as a stream (already time-ordered)."""
-    return iter(relation)
-
-
-def merge(*streams: Iterable[Event]) -> Iterator[Event]:
-    """Merge several time-ordered streams into one, preserving order.
-
-    Classic k-way merge by timestamp; ties are broken by stream position,
-    keeping the merge stable and deterministic.
-    """
-    return iter(heapq.merge(*streams, key=lambda e: e.ts))
+__all__ = ["synthetic"]
 
 
 def synthetic(kinds: Sequence[str],
@@ -71,13 +54,3 @@ def synthetic(kinds: Sequence[str],
             attrs.update(make_attrs(rng, kind))
         produced += 1
         yield Event(ts=ts, eid=f"x{produced}", attrs=attrs)
-
-
-def take(stream: Iterable[Event], n: int) -> List[Event]:
-    """Materialise the first ``n`` events of a stream."""
-    out: List[Event] = []
-    for event in stream:
-        out.append(event)
-        if len(out) >= n:
-            break
-    return out

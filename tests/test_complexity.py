@@ -8,7 +8,7 @@ from repro import EventRelation, SESPattern
 from repro.complexity import (ComplexityCase, all_pairwise_mutually_exclusive,
                               analyze, are_mutually_exclusive, classify_set,
                               conditions_conflict, pattern_instance_bound,
-                              set_instance_bound, window_size)
+                              set_instance_bound)
 from repro.core.conditions import parse_condition
 from repro.core.variables import group, var
 
@@ -182,7 +182,7 @@ class TestEmpiricalSoundness:
 
 class TestAnalyze:
     def test_report_contents(self, q1, figure1):
-        report = analyze(q1, window_size(figure1, 264))
+        report = analyze(q1, figure1.window_size(264))
         assert report.window == 14
         assert report.mutually_exclusive
         assert report.cases[0] is ComplexityCase.MUTUALLY_EXCLUSIVE

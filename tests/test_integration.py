@@ -2,11 +2,10 @@
 
 from repro import EventRelation, SESPattern
 from repro.baseline import BruteForceMatcher, naive_match
-from repro.data import (CHEMO_SCHEMA, EXPECTED_Q1_EIDS, base_dataset,
-                        query_q1)
+from repro.data import EXPECTED_Q1_EIDS, base_dataset, query_q1
 from repro.lang import parse_pattern, render_pattern
-from repro.storage import Database
-from repro.stream import ContinuousMatcher, from_relation
+from repro.storage import load_relation, save_relation
+from repro.stream import ContinuousMatcher
 
 from conftest import bindings, eids, ev, match
 
@@ -34,17 +33,15 @@ class TestPaperRunningExample:
         assert [eids(m) for m in match(pattern, figure1)] == [
             frozenset(s) for s in EXPECTED_Q1_EIDS]
 
-    def test_through_store(self, q1, figure1):
-        db = Database("hospital")
-        table = db.create_table("Event", CHEMO_SCHEMA, indexes=["ID"])
-        table.insert_many(figure1)
-        result = table.query().match(q1)
+    def test_through_store(self, q1, figure1, tmp_path):
+        save_relation(figure1, tmp_path / "events.csv")
+        result = match(q1, load_relation(tmp_path / "events.csv"))
         assert [eids(m) for m in result] == [frozenset(s)
                                              for s in EXPECTED_Q1_EIDS]
 
     def test_through_stream(self, q1, figure1):
         matcher = ContinuousMatcher(q1)
-        matcher.push_many(from_relation(figure1))
+        matcher.push_many(figure1)
         matcher.close()
         assert [eids(m) for m in matcher.matches] == [
             frozenset(s) for s in EXPECTED_Q1_EIDS]
@@ -78,6 +75,27 @@ class TestEngineAgreement:
         partitioned = match(pattern, relation, partition_by="ID",
                             selection="accepted")
         assert set(plain.accepted) <= set(partitioned.accepted)
+
+    def test_partitioned_paper_selection_is_no_superset(self):
+        """Pinned divergence: the superset above holds for accepted
+        buffers only.  Under the default ``selection="paper"`` the
+        partitioned answer loses two of the global matches: each
+        patient's own run also accepts a buffer binding one earlier P
+        event (s619, s945) that the global run never accepts, and
+        selection reports it in place of the global match."""
+        relation = base_dataset(patients=8, cycles=3)
+        pattern = query_q1()
+        plain = match(pattern, relation)
+        partitioned = match(pattern, relation, partition_by="ID")
+        assert (len(plain), len(partitioned)) == (16, 24)
+        reported = {bindings(m) for m in partitioned}
+        assert [eids(m) for m in plain if bindings(m) not in reported] == [
+            frozenset({"s620", "s621", "s623", "s624", "s625"}),
+            frozenset({"s948", "s949", "s951", "s952", "s953"})]
+        plain_accepted = match(pattern, relation, selection="accepted")
+        part_accepted = match(pattern, relation, partition_by="ID",
+                              selection="accepted")
+        assert set(plain_accepted.accepted) < set(part_accepted.accepted)
 
 
 class TestAlgorithmVsDefinition2:
@@ -197,15 +215,13 @@ class TestAlgorithmVsDefinition2:
 
 
 class TestCrossSubsystem:
-    def test_store_stream_bench_pipeline(self, q1):
+    def test_store_stream_bench_pipeline(self, q1, tmp_path):
         """Generate -> store -> reload -> stream-match, end to end."""
         relation = base_dataset(patients=3, cycles=1)
-        db = Database("pipeline")
-        table = db.create_table("Event", CHEMO_SCHEMA, indexes=["ID", "L"])
-        table.insert_many(relation)
+        save_relation(relation, tmp_path / "pipeline.csv")
 
         matcher = ContinuousMatcher(q1)
-        matcher.push_many(table.scan())
+        matcher.push_many(load_relation(tmp_path / "pipeline.csv"))
         matcher.close()
         batch = match(q1, relation)
         assert ([frozenset(m.bindings) for m in matcher.matches]
@@ -337,6 +353,6 @@ class TestStreamSelectsPerEmissionPoint:
         assert [bindings(m) for m in batch] == [first]
         matcher = ContinuousMatcher(pattern, suppress_overlaps=False)
         emitted = [[bindings(m) for m in matcher.push(event)]
-                   for event in from_relation(relation)]
+                   for event in relation]
         assert emitted == [[], [], [], [], [], [first]]
         assert [bindings(m) for m in matcher.close()] == [second]

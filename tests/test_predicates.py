@@ -337,3 +337,32 @@ class TestOneHTTPServer:
             text=True, check=True,
             env={**os.environ, "PYTHONPATH": str(self.SRC.parent)})
         assert loaded.stdout.split() == []
+
+
+class TestOneStore:
+    """The stored relation has one form, ``EventRelation`` persisted as
+    typed CSV, and Definition 5's window size ``W`` one definition,
+    ``EventRelation.window_size``: no embedded database beside the CSV
+    round trip and no second or third ``W``."""
+
+    SRC = Path(repro.__file__).parent
+
+    def test_storage_exports_the_csv_round_trip_only(self):
+        import repro.storage
+        assert repro.storage.__all__ == ["load_relation", "save_relation"]
+
+    @pytest.mark.parametrize("module", [
+        "repro.storage.catalog", "repro.storage.index",
+        "repro.storage.query", "repro.storage.table", "repro.stream.windows"])
+    def test_the_second_store_and_window_are_gone(self, module):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
+    def test_one_module_defines_window_size(self):
+        defining = []
+        for path in self.SRC.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and node.name == "window_size"):
+                    defining.append(str(path.relative_to(self.SRC)))
+        assert defining == ["core/relation.py"]

@@ -1,12 +1,12 @@
-"""Property-based tests for storage, query pushdown, and streaming."""
+"""Property-based tests for CSV persistence and streaming."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import Event, EventRelation
-from repro.storage import EventTable, load_relation, save_relation
+from repro.storage import load_relation, save_relation
 from repro.core.events import Attribute, EventSchema
-from repro.stream import ContinuousMatcher, from_relation
+from repro.stream import ContinuousMatcher
 
 from conftest import match
 from test_property import simple_patterns, typed_relations
@@ -41,39 +41,6 @@ class TestStorageProperties:
         save_relation(relation, path)
         assert load_relation(path) == relation
 
-    @given(relation=schema_relations())
-    @settings(max_examples=60, deadline=None)
-    def test_table_preserves_relation(self, relation):
-        table = EventTable("T", SCHEMA, indexes=["kind"])
-        table.insert_many(relation)
-        assert table.to_relation() == relation
-
-    @given(relation=schema_relations(), kind=st.sampled_from("ABC"),
-           lo=st.integers(-5, 5))
-    @settings(max_examples=60, deadline=None)
-    def test_query_pushdown_equals_naive_filter(self, relation, kind, lo):
-        """Index-accelerated query == brute-force predicate scan."""
-        table = EventTable("T", SCHEMA, indexes=["kind"])
-        table.insert_many(relation)
-        via_query = (table.query()
-                     .where("kind", "=", kind)
-                     .where("num", ">=", lo)
-                     .execute())
-        naive = [e for e in relation
-                 if e["kind"] == kind and e["num"] >= lo]
-        assert list(via_query) == naive
-
-    @given(relation=schema_relations(), start=st.integers(0, 60),
-           width=st.integers(0, 30))
-    @settings(max_examples=60, deadline=None)
-    def test_time_slice_equals_naive(self, relation, start, width):
-        table = EventTable("T", SCHEMA)
-        table.insert_many(relation)
-        end = start + width
-        via_scan = list(table.scan(start, end))
-        naive = [e for e in relation if start <= e.ts <= end]
-        assert via_scan == naive
-
 
 class TestStreamEqualsBatch:
     @given(pattern=simple_patterns(), relation=typed_relations(max_events=10))
@@ -85,7 +52,7 @@ class TestStreamEqualsBatch:
         suppresses in emission order, which may differ from the batch
         order when several matches expire at the same event."""
         matcher = ContinuousMatcher(pattern, suppress_overlaps=False)
-        matcher.push_many(from_relation(relation))
+        matcher.push_many(relation)
         matcher.close()
         batch = match(pattern, relation, selection="all-starts")
         streamed = sorted((frozenset(m.bindings) for m in matcher.matches),

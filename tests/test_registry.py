@@ -105,6 +105,12 @@ class TestPredicateBank:
         assert len(bank) == 2
         assert bank.refcount(a) == 2
 
+    def test_unknown_operator_rejected(self):
+        bank = PredicateBank()
+        with pytest.raises(ValueError):
+            bank.intern_const("ID", "~", 1)
+        assert len(bank) == 0
+
     def test_release_recycles_slots(self):
         bank = PredicateBank()
         a = bank.intern_const("L", "=", "B")

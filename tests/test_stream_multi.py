@@ -6,7 +6,7 @@ import pytest
 from repro import SESPattern
 from repro.data import base_dataset, figure1_relation, query_q1
 from repro.registry import PatternRegistry
-from repro.stream import PartitionedContinuousMatcher, from_relation
+from repro.stream import PartitionedContinuousMatcher
 
 from conftest import eids, ev, match
 
@@ -66,7 +66,7 @@ class TestMultiPatternMatcher:
             tau=264,
         )
         multi = registry_of({"q1": q1, "singleton": singleton})
-        multi.push_many(from_relation(figure1))
+        multi.push_many(figure1)
         multi.close()
         assert ([frozenset(m.bindings) for m in multi.matches_of("q1")]
                 == [frozenset(m.bindings) for m in match(q1, figure1).matches])
@@ -94,7 +94,7 @@ class TestMultiPatternMatcher:
 class TestPartitionedContinuousMatcher:
     def test_matches_equal_unpartitioned_on_figure1(self, q1, figure1):
         partitioned = PartitionedContinuousMatcher(q1)
-        partitioned.push_many(from_relation(figure1))
+        partitioned.push_many(figure1)
         partitioned.close()
         assert ([eids(m) for m in partitioned.matches]
                 == [eids(m) for m in match(q1, figure1).matches])
@@ -118,7 +118,7 @@ class TestPartitionedContinuousMatcher:
             tau=264,
         )
         partitioned = PartitionedContinuousMatcher(pattern, partition_by="ID")
-        partitioned.push_many(from_relation(figure1))
+        partitioned.push_many(figure1)
         partitioned.close()
         assert len(partitioned.matches) == 2
 
@@ -126,7 +126,7 @@ class TestPartitionedContinuousMatcher:
         partitioned = PartitionedContinuousMatcher(q1)
         seen = []
         partitioned.on_match(lambda key, sub: seen.append(key))
-        partitioned.push_many(from_relation(figure1))
+        partitioned.push_many(figure1)
         partitioned.close()
         assert sorted(seen) == [1, 2]
 
@@ -150,7 +150,7 @@ class TestPartitionedContinuousMatcher:
         plain = match(pattern_p3(), relation, selection="accepted")
         partitioned = PartitionedContinuousMatcher(pattern_p3(),
                                                    suppress_overlaps=False)
-        partitioned.push_many(from_relation(relation))
+        partitioned.push_many(relation)
         partitioned.close()
         # Partitioned streaming reports at least as many distinct matches.
         assert len(partitioned.matches) >= len(plain.matches)
