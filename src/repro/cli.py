@@ -25,8 +25,8 @@ Commands
     ``docs/resilience.md``); ``--max-instances``/``--max-buffer-mb``
     put resource-guard ceilings on executor state.  ``--subscribe``
     additionally serves the push endpoint — backpressured event ingest
-    (framed TCP + ``POST /ingest``) and resumable SSE/WebSocket match
-    subscriptions with slow-consumer policies and graceful drain
+    over framed TCP and resumable SSE match subscriptions with
+    slow-consumer policies and graceful drain
     (``--delivery-wal`` makes resume survive restarts; see
     ``docs/serving.md``).
 ``tail``
@@ -35,8 +35,8 @@ Commands
     across client and server restarts), with ``--patterns``/
     ``--tenants`` filters and a ``--out`` transcript.
 ``push``
-    Send a CSV relation to a push endpoint over the framed protocol
-    (or ``--http``), honouring 429/``slow_down`` backpressure;
+    Send a CSV relation to a push endpoint over the framed protocol,
+    honouring ``slow_down`` backpressure;
     ``--quit`` asks the server to drain afterwards.
 ``registry``
     Client for a running serve process: ``registry add --server URL
@@ -52,10 +52,9 @@ Commands
     ``--analyze`` (requires ``--data``) the query runs over a counting
     automaton and the report carries observed per-transition /
     per-condition counters; the observed selectivities feed the
-    statistics store (see ``docs/explain.md``).
-``analyze``
-    Complexity report (Theorems 1–3) for a query and a data set or an
-    explicit window size.
+    statistics store (see ``docs/explain.md``).  ``--data`` or
+    ``--window N`` adds the complexity report (Theorems 1–3) for that
+    window size W.
 ``lint``
     Static diagnostics for a query (unsatisfiable variables, open join
     graphs, heavy complexity classes).
@@ -87,7 +86,6 @@ from typing import List, Optional
 
 from .automaton.metrics import sparkline
 from .bench.report import format_table
-from .complexity import analyze
 from .core.diagnostics import diagnose
 from .core.rewrite import close_equality_joins
 from .data.chemo import generate_chemo
@@ -204,10 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "--supervise)")
     p_serve.add_argument("--subscribe", nargs="?", const="127.0.0.1:0",
                          metavar="HOST:PORT",
-                         help="also serve the push endpoint: framed/HTTP "
+                         help="also serve the push endpoint: framed "
                               "event ingest with backpressure plus "
-                              "resumable SSE (/subscribe) and WebSocket "
-                              "(/ws) match subscriptions (default bind: "
+                              "resumable SSE (/subscribe) match "
+                              "subscriptions (default bind: "
                               "127.0.0.1 on an ephemeral port, printed "
                               "at startup; see docs/serving.md)")
     p_serve.add_argument("--delivery-wal", type=Path, metavar="PATH",
@@ -231,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="bound on queued unprocessed ingest "
                               "batches; beyond it producers get "
-                              "429/slow_down (default: 64)")
+                              "slow_down (default: 64)")
     p_serve.add_argument("--heartbeat", type=float, default=15.0,
                          metavar="SEC",
                          help="subscriber keep-alive interval "
@@ -278,9 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="slow-consumer policy for this subscriber")
     p_tail.add_argument("--queue", type=int, metavar="N",
                         help="delivery queue bound for this subscriber")
-    p_tail.add_argument("--ws", action="store_true",
-                        help="use a single WebSocket connection instead "
-                             "of resumable SSE")
     p_tail.add_argument("--follow", action="store_true",
                         help="keep reconnecting after a graceful drain "
                              "(ride out server restarts)")
@@ -297,9 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_push.add_argument("--data", required=True, type=Path,
                         help="event relation CSV (typed format)")
     p_push.add_argument("--batch-size", type=int, default=256, metavar="N")
-    p_push.add_argument("--http", action="store_true",
-                        help="use POST /ingest instead of the framed "
-                             "TCP protocol")
     p_push.add_argument("--quit", action="store_true",
                         help="ask the server to drain gracefully after "
                              "the push")
@@ -341,10 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "prefilters, bounds, cache provenance, observed "
                         "counters)")
     _add_query_arguments(p_explain)
-    p_explain.add_argument("--data", type=Path, metavar="CSV",
-                           help="event relation CSV; enables the "
-                                "complexity section and is required by "
-                                "--analyze")
+    window = p_explain.add_mutually_exclusive_group()
+    window.add_argument("--data", type=Path, metavar="CSV",
+                        help="event relation CSV; enables the "
+                             "complexity section (W from the data) and "
+                             "is required by --analyze")
+    window.add_argument("--window", type=int, metavar="N",
+                        help="complexity section for this window size W "
+                             "(Theorems 1-3), without data")
     p_explain.add_argument("--analyze", action="store_true",
                            help="run the query over the data with "
                                 "per-transition counters (EXPLAIN "
@@ -369,15 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--fix-joins", action="store_true",
                         help="print the query with equality joins "
                              "transitively closed")
-
-    p_analyze = sub.add_parser(
-        "analyze", help="complexity report (Theorems 1-3) for a query")
-    _add_query_arguments(p_analyze)
-    group = p_analyze.add_mutually_exclusive_group(required=True)
-    group.add_argument("--data", type=Path,
-                       help="compute the window size W from this CSV")
-    group.add_argument("--window", type=int,
-                       help="use this window size W directly")
 
     p_trace = sub.add_parser(
         "trace", help="run a query with lineage sampling on and render "
@@ -465,7 +452,7 @@ def _load_query(args: argparse.Namespace):
 
 
 def _load_pattern(args: argparse.Namespace):
-    # Commands that analyse the pattern itself (explain/analyze/lint)
+    # Commands that analyse the pattern itself (explain/lint)
     # accept aggregation queries too: the SELECT clause changes what a
     # run returns, not the automaton being analysed.
     pattern, _aggregate = _load_query(args)
@@ -916,7 +903,7 @@ def _cmd_tail(args: argparse.Namespace) -> int:
     server restarts.
     """
     import json
-    from .net import subscribe_sse, subscribe_ws
+    from .net import subscribe_sse
 
     host, port = parse_listen(args.server)
     resume = None
@@ -929,22 +916,12 @@ def _cmd_tail(args: argparse.Namespace) -> int:
             resume = int(text)
     patterns = [p for p in (args.patterns or "").split(",") if p]
     tenants = [t for t in (args.tenants or "").split(",") if t]
-    if args.ws:
-        source = subscribe_ws(host, port, resume=resume,
-                              patterns=patterns, tenants=tenants,
-                              subscriber_id=args.subscriber_id,
-                              policy=args.policy, queue_size=args.queue)
-        stream = (({"event": payload.get("event", "match"),
-                    "id": payload.get("seq"), "data": payload})
-                  for payload in source)
-    else:
-        stream = subscribe_sse(
-            host, port, resume=resume, patterns=patterns, tenants=tenants,
-            subscriber_id=args.subscriber_id, policy=args.policy,
-            queue_size=args.queue, reconnect=True,
-            reconnect_delay=args.reconnect_delay,
-            max_reconnects=args.max_reconnects,
-            stop_on_drain=not args.follow)
+    stream = subscribe_sse(
+        host, port, resume=resume, patterns=patterns, tenants=tenants,
+        subscriber_id=args.subscriber_id, policy=args.policy,
+        queue_size=args.queue, reconnect=True,
+        reconnect_delay=args.reconnect_delay,
+        max_reconnects=args.max_reconnects, stop_on_drain=not args.follow)
     out = None if args.out is None else args.out.open("a", encoding="utf-8")
     matches = 0
     last_id = resume
@@ -975,22 +952,13 @@ def _cmd_tail(args: argparse.Namespace) -> int:
 
 def _cmd_push(args: argparse.Namespace) -> int:
     """``repro push``: feed a relation to a running push endpoint."""
-    from .net import (PushRejected, ServerDraining, http_push, push_events,
-                      request_quit)
+    from .net import PushRejected, ServerDraining, push_events, request_quit
 
     host, port = parse_listen(args.server)
     relation = load_relation(args.data)
     try:
-        if args.http:
-            accepted = 0
-            events = list(relation)
-            for start in range(0, len(events), args.batch_size):
-                response = http_push(host, port,
-                                     events[start:start + args.batch_size])
-                accepted += response.get("accepted", 0)
-        else:
-            accepted = push_events(host, port, relation,
-                                   batch_size=args.batch_size)
+        accepted = push_events(host, port, relation,
+                               batch_size=args.batch_size)
     except (ServerDraining, PushRejected) as exc:
         print(f"push refused: {exc}", file=sys.stderr)
         return 1
@@ -1025,7 +993,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         report = explain_analyze(pattern, relation,
                                  use_filter=not args.no_filter)
     else:
-        report = explain(pattern, relation=relation)
+        report = explain(pattern, window=args.window, relation=relation)
     rendered = report.render(format)
     if args.out is not None:
         args.out.write_text(rendered + "\n", encoding="utf-8")
@@ -1134,18 +1102,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    pattern = _load_pattern(args)
-    if args.window is not None:
-        window = args.window
-    else:
-        relation = load_relation(args.data)
-        window = relation.window_size(pattern.tau)
-        print(f"data: {len(relation)} events")
-    print(analyze(pattern, window).describe())
-    return 0
-
-
 _COMMANDS = {
     "match": _cmd_match,
     "serve": _cmd_serve,
@@ -1154,7 +1110,6 @@ _COMMANDS = {
     "push": _cmd_push,
     "generate": _cmd_generate,
     "explain": _cmd_explain,
-    "analyze": _cmd_analyze,
     "lint": _cmd_lint,
     "stats": _cmd_stats,
     "trace": _cmd_trace,

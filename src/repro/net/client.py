@@ -10,11 +10,7 @@ Stdlib-only counterparts to :mod:`repro.net.server`:
   event and transparently reconnects with ``Last-Event-ID`` after
   connection loss, so a ``kill -9``'d and restarted server resumes the
   stream gap-free (the hub's match-id dedup makes redelivery safe).
-* :func:`subscribe_ws` — the same stream over one WebSocket connection
-  (no auto-reconnect; exercise for transports behind SSE-buffering
-  proxies).
-* :func:`http_push` / :func:`request_quit` — one-shot ``POST /ingest``
-  and graceful-drain helpers.
+* :func:`request_quit` — the one-shot graceful-drain request.
 """
 
 from __future__ import annotations
@@ -25,12 +21,11 @@ import time
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 from urllib.parse import urlencode
 
-from .protocol import (PROTO_VERSION, FrameDecoder, FrameError, WSFrame,
-                       encode_frame, event_to_json, parse_sse_stream,
-                       ws_decode, ws_encode)
+from .protocol import (PROTO_VERSION, FrameDecoder, FrameError,
+                       encode_frame, event_to_json, parse_sse_stream)
 
-__all__ = ["push_events", "http_push", "subscribe_sse", "subscribe_ws",
-           "request_quit", "ServerDraining", "PushRejected"]
+__all__ = ["push_events", "subscribe_sse", "request_quit",
+           "ServerDraining", "PushRejected"]
 
 
 class ServerDraining(RuntimeError):
@@ -101,27 +96,6 @@ def push_events(host: str, port: int, events: Iterable, *,
     return accepted
 
 
-def http_push(host: str, port: int, events: Iterable, *,
-              timeout: float = 10.0) -> Dict[str, Any]:
-    """One ``POST /ingest`` batch; returns the decoded JSON response.
-
-    Raises :exc:`PushRejected` on 429 and :exc:`ServerDraining` on 503
-    so callers see the same backpressure vocabulary as the framed path.
-    """
-    body = json.dumps(
-        {"events": [event_to_json(e) for e in events]}).encode("utf-8")
-    status, _, payload = _http_request(host, port, "POST", "/ingest", body,
-                                       timeout=timeout)
-    decoded = json.loads(payload.decode("utf-8") or "{}")
-    if status == 429:
-        raise PushRejected(f"ingest queue full: {decoded}")
-    if status == 503:
-        raise ServerDraining(str(decoded))
-    if status != 202:
-        raise FrameError(f"ingest failed with HTTP {status}: {decoded}")
-    return decoded
-
-
 def request_quit(host: str, port: int, timeout: float = 5.0) -> Dict[str, Any]:
     """``POST /quitquitquit`` — ask the server to drain gracefully."""
     status, _, payload = _http_request(host, port, "POST", "/quitquitquit",
@@ -156,22 +130,6 @@ def _http_request(host: str, port: int, method: str, path: str,
 # ----------------------------------------------------------------------
 # SSE subscription client
 # ----------------------------------------------------------------------
-def _subscribe_query(patterns, tenants, subscriber_id, policy,
-                     queue_size) -> Dict[str, str]:
-    query: Dict[str, str] = {}
-    if patterns:
-        query["patterns"] = ",".join(patterns)
-    if tenants:
-        query["tenants"] = ",".join(tenants)
-    if subscriber_id:
-        query["id"] = subscriber_id
-    if policy:
-        query["policy"] = policy
-    if queue_size:
-        query["queue"] = str(queue_size)
-    return query
-
-
 def subscribe_sse(host: str, port: int, *, resume: Optional[int] = None,
                   patterns: Iterable[str] = (), tenants: Iterable[str] = (),
                   subscriber_id: Optional[str] = None,
@@ -194,6 +152,11 @@ def subscribe_sse(host: str, port: int, *, resume: Optional[int] = None,
     (the data carries the resume token); a ``disconnect`` notice
     triggers a resumed reconnect rather than ending the stream.
     """
+    query = {key: value for key, value in (
+        ("patterns", ",".join(patterns)), ("tenants", ",".join(tenants)),
+        ("id", subscriber_id), ("policy", policy),
+        ("queue", str(queue_size) if queue_size else None)) if value}
+    target = "/subscribe" + ("?" + urlencode(query) if query else "")
     last_id: Optional[int] = resume
     failures = 0
     while True:
@@ -208,11 +171,6 @@ def subscribe_sse(host: str, port: int, *, resume: Optional[int] = None,
             continue
         try:
             sock.settimeout(read_timeout)
-            query = _subscribe_query(patterns, tenants, subscriber_id,
-                                     policy, queue_size)
-            target = "/subscribe"
-            if query:
-                target += "?" + urlencode(query)
             head = (f"GET {target} HTTP/1.1\r\nHost: {host}:{port}\r\n"
                     f"Accept: text/event-stream\r\n")
             if last_id is not None:
@@ -247,63 +205,3 @@ def subscribe_sse(host: str, port: int, *, resume: Optional[int] = None,
             return
         time.sleep(reconnect_delay)
 
-
-# ----------------------------------------------------------------------
-# WebSocket subscription client (single connection, tests + tail --ws)
-# ----------------------------------------------------------------------
-def subscribe_ws(host: str, port: int, *, resume: Optional[int] = None,
-                 patterns: Iterable[str] = (), tenants: Iterable[str] = (),
-                 subscriber_id: Optional[str] = None,
-                 policy: Optional[str] = None,
-                 queue_size: Optional[int] = None,
-                 read_timeout: float = 60.0,
-                 connect_timeout: float = 5.0) -> Iterator[Dict[str, Any]]:
-    """One WebSocket subscription; yields decoded JSON payload dicts.
-
-    Ends when the server closes (drain or disconnect); no reconnect —
-    resumable tailing is :func:`subscribe_sse`'s job.
-    """
-    query = _subscribe_query(patterns, tenants, subscriber_id, policy,
-                             queue_size)
-    if resume is not None:
-        query["resume"] = str(resume)
-    target = "/ws" + ("?" + urlencode(query) if query else "")
-    with socket.create_connection((host, port),
-                                  timeout=connect_timeout) as sock:
-        sock.sendall((
-            f"GET {target} HTTP/1.1\r\nHost: {host}:{port}\r\n"
-            "Upgrade: websocket\r\nConnection: Upgrade\r\n"
-            "Sec-WebSocket-Key: cmVwcm8tdGFpbC1rZXk=\r\n"
-            "Sec-WebSocket-Version: 13\r\n\r\n").encode("latin-1"))
-        sock.settimeout(read_timeout)
-        buffer = bytearray()
-        while b"\r\n\r\n" not in buffer:
-            chunk = sock.recv(4096)
-            if not chunk:
-                raise ConnectionError("websocket handshake failed")
-            buffer.extend(chunk)
-        head, _, rest = bytes(buffer).partition(b"\r\n\r\n")
-        if b" 101 " not in head.split(b"\r\n", 1)[0]:
-            raise ConnectionError(
-                f"websocket refused: {head.splitlines()[0]!r}")
-        buffer = bytearray(rest)
-        while True:
-            frame = ws_decode(buffer)
-            if frame is None:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    return
-                buffer.extend(chunk)
-                continue
-            if frame.opcode == WSFrame.CLOSE:
-                return
-            if frame.opcode == WSFrame.PING:
-                sock.sendall(ws_encode(frame.payload, WSFrame.PONG,
-                                       mask=True))
-                continue
-            if frame.opcode != WSFrame.TEXT:
-                continue
-            payload = json.loads(frame.payload.decode("utf-8"))
-            yield payload
-            if payload.get("event") == "drain":
-                return

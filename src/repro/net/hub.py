@@ -101,7 +101,7 @@ class DeliveredEntry:
     @property
     def payload_json(self) -> str:
         """:attr:`payload` as JSON text, rendered once: the delivery-log
-        line and every SSE / WebSocket frame splice this in."""
+        line and every SSE frame splice this in."""
         if self._payload_json is None:
             self._payload_json = _render(self.payload)
         return self._payload_json

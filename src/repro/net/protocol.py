@@ -1,10 +1,11 @@
 """Wire formats for the push-delivery front-end (stdlib only).
 
-Three small protocols share this module; all of them move JSON:
+Two small protocols share this module, one each way; both move JSON:
 
-**Length-framed ingest** — the batch protocol ``repro push`` and shard
-routers speak over TCP.  A frame is a 4-byte big-endian length followed
-by that many bytes of UTF-8 JSON.  Client frames::
+**Length-framed ingest** — the one way events come in: the batch
+protocol ``repro push`` and shard routers speak over TCP.  A frame is
+a 4-byte big-endian length followed by that many bytes of UTF-8 JSON.
+Client frames::
 
     {"type": "hello", "proto": 1}
     {"type": "batch", "seq": 3, "events": [{"ts": 1, "eid": "e1",
@@ -18,27 +19,19 @@ Server frames::
     {"type": "slow_down", "seq": 3, "retry_after_ms": 250, ...}
     {"type": "draining"}  {"type": "pong"}  {"type": "error", "error": ...}
 
-``slow_down`` is the framed twin of HTTP 429: the batch was **not**
-enqueued and must be retried after the hinted delay (explicit
-backpressure — the server never buffers beyond its bounded queue).
+``slow_down`` means the batch was **not** enqueued and must be retried
+after the hinted delay (explicit backpressure — the server never
+buffers beyond its bounded queue).
 
-**Server-sent events** — match fan-out for ``GET /subscribe``.  Every
-delivered match is one SSE event whose ``id:`` is the subscriber's
-monotonic cursor, so the standard ``Last-Event-ID`` reconnect header is
-the resume token.  Non-match notices use named event types (``gap``,
+**Server-sent events** — the one way matches go out: the fan-out for
+``GET /subscribe``.  Every delivered match is one SSE event whose
+``id:`` is the subscriber's monotonic cursor, so the standard
+``Last-Event-ID`` reconnect header is the resume token.  Non-match notices use named event types (``gap``,
 ``aggregates``, ``drain``, heartbeat comments).
-
-**WebSocket** — the same payloads as one JSON text frame per delivery,
-for subscribers behind proxies that buffer SSE.  Only the server side
-of RFC 6455 is implemented (plus the masked client frames the tests and
-``repro tail --ws`` need): text/ping/pong/close, no fragmentation, no
-extensions.
 """
 
 from __future__ import annotations
 
-import base64
-import hashlib
 import json
 import struct
 from math import isfinite
@@ -51,7 +44,6 @@ __all__ = [
     "event_to_json", "event_from_json", "events_from_json",
     "encode_frame", "decode_frames", "FrameDecoder", "FrameError",
     "sse_format", "sse_frame", "parse_sse_stream",
-    "ws_accept_key", "ws_encode", "ws_decode", "WSFrame",
 ]
 
 #: Ingest protocol version spoken by both ends' ``hello`` frames.
@@ -62,9 +54,6 @@ PROTO_VERSION = 1
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
-
-#: RFC 6455 §1.3 handshake GUID.
-_WS_GUID = b"258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 
 class FrameError(ValueError):
@@ -224,81 +213,3 @@ def parse_sse_stream(lines: Iterable[str]):
         elif field == "data":
             data_lines.append(value)
 
-
-# ----------------------------------------------------------------------
-# WebSocket (RFC 6455, server side + test client)
-# ----------------------------------------------------------------------
-class WSFrame:
-    """One decoded WebSocket frame."""
-
-    __slots__ = ("opcode", "payload")
-
-    TEXT, CLOSE, PING, PONG = 0x1, 0x8, 0x9, 0xA
-
-    def __init__(self, opcode: int, payload: bytes):
-        self.opcode = opcode
-        self.payload = payload
-
-    def __repr__(self) -> str:
-        return f"WSFrame(opcode=0x{self.opcode:x}, {len(self.payload)}B)"
-
-
-def ws_accept_key(client_key: str) -> str:
-    """``Sec-WebSocket-Accept`` for a handshake's ``Sec-WebSocket-Key``."""
-    digest = hashlib.sha1(client_key.strip().encode("ascii")
-                          + _WS_GUID).digest()
-    return base64.b64encode(digest).decode("ascii")
-
-
-def ws_encode(payload: bytes, opcode: int = WSFrame.TEXT,
-              mask: bool = False) -> bytes:
-    """Encode one unfragmented frame (masked for client→server)."""
-    header = bytearray([0x80 | opcode])
-    length = len(payload)
-    mask_bit = 0x80 if mask else 0
-    if length < 126:
-        header.append(mask_bit | length)
-    elif length < 1 << 16:
-        header.append(mask_bit | 126)
-        header.extend(struct.pack(">H", length))
-    else:
-        header.append(mask_bit | 127)
-        header.extend(struct.pack(">Q", length))
-    if mask:
-        key = b"\x00\x11\x22\x33"  # deterministic; fine for loopback tests
-        header.extend(key)
-        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-    return bytes(header) + payload
-
-
-def ws_decode(buffer: bytearray) -> Optional[WSFrame]:
-    """Pop one complete frame off ``buffer`` (``None`` if incomplete)."""
-    if len(buffer) < 2:
-        return None
-    opcode = buffer[0] & 0x0F
-    masked = bool(buffer[1] & 0x80)
-    length = buffer[1] & 0x7F
-    offset = 2
-    if length == 126:
-        if len(buffer) < 4:
-            return None
-        (length,) = struct.unpack_from(">H", buffer, 2)
-        offset = 4
-    elif length == 127:
-        if len(buffer) < 10:
-            return None
-        (length,) = struct.unpack_from(">Q", buffer, 2)
-        offset = 10
-    key = b""
-    if masked:
-        if len(buffer) < offset + 4:
-            return None
-        key = bytes(buffer[offset:offset + 4])
-        offset += 4
-    if len(buffer) < offset + length:
-        return None
-    payload = bytes(buffer[offset:offset + length])
-    del buffer[:offset + length]
-    if masked:
-        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-    return WSFrame(opcode, payload)

@@ -1,18 +1,16 @@
-"""The asyncio push front-end: backpressured ingest + SSE/WS fan-out.
+"""The asyncio push front-end: backpressured ingest + SSE fan-out.
 
 :class:`PushServer` is the network half of ``repro serve --subscribe``.
 One listener speaks two protocols, sniffed from the first bytes of each
 connection:
 
-* **HTTP/1.1** — ``GET /subscribe`` (SSE match stream, resumable via
-  ``Last-Event-ID``), ``GET /ws`` (the same stream over a WebSocket),
-  ``POST /ingest`` (a JSON event batch; answers ``202`` or ``429`` +
-  ``Retry-After`` when the bounded ingest queue is full), ``GET
-  /healthz``, ``GET /statz``, and ``POST /quitquitquit`` (graceful
-  drain);
-* **length-framed ingest** (:mod:`repro.net.protocol`) — the batch
-  protocol ``repro push`` speaks; a full queue answers ``slow_down``
-  frames instead of buffering (explicit backpressure).
+* **length-framed ingest** (:mod:`repro.net.protocol`) — the one way
+  events come in, the batch protocol ``repro push`` speaks; a full
+  queue answers ``slow_down`` frames instead of buffering (explicit
+  backpressure);
+* **HTTP/1.1** — ``GET /subscribe`` (the one way matches go out: an SSE
+  stream, resumable via ``Last-Event-ID``), ``GET /healthz``, ``GET
+  /statz``, and ``POST /quitquitquit`` (graceful drain).
 
 The server runs its own event loop on a daemon thread (``start()`` /
 ``shutdown()`` from any thread).  Matcher calls are serialised on a
@@ -24,7 +22,7 @@ accept.  Ingested batches flow::
          -> matcher.push_many, once per batch of the run, in order
          -> (on_match callback wired by the caller) -> hub.publish
          -> [end of run: one WAL append + fsync for its matches]
-         -> subscriber queues -> SSE/WS writers, one write per backlog
+         -> subscriber queues -> SSE writers, one write per backlog
 
 The run is the unit of durability, the batch the unit of failure.  A
 run is whatever event batches are queued when the worker comes back for
@@ -36,7 +34,7 @@ together, before any subscriber sees one and before the next run is
 matched; a batch that raises costs that batch alone.
 
 Graceful drain (``shutdown()``, SIGTERM via the CLI, or ``POST
-/quitquitquit``): stop admitting batches (``draining`` frames / 503),
+/quitquitquit``): stop admitting batches (``draining`` frames),
 drain the ingest queue through the matcher, flush the matcher's
 still-open windows, then :meth:`SubscriptionHub.drain` — every
 subscriber receives its backlog plus a terminal ``drain`` event
@@ -58,9 +56,8 @@ from urllib.parse import parse_qs, urlsplit
 
 from .hub import SubscriptionHub, Subscriber
 from .protocol import (MAX_FRAME_BYTES, PROTO_VERSION, FrameDecoder,
-                       FrameError, WSFrame, encode_frame, events_from_json,
-                       sse_format, sse_frame, ws_accept_key, ws_decode,
-                       ws_encode)
+                       FrameError, encode_frame, events_from_json,
+                       sse_format, sse_frame)
 
 __all__ = ["PushServer", "read_http_request", "write_http_response"]
 
@@ -73,7 +70,7 @@ MAX_HTTP_HEAD = 64 * 1024
 #: body, before the connection is closed without a reply.
 HTTP_READ_TIMEOUT = 30.0
 
-#: The delay hinted to backpressured producers (``slow_down``, 429).
+#: The delay a ``slow_down`` frame hints to a backpressured producer.
 RETRY_AFTER_MS = 250
 
 #: ``(method, target, headers, body)`` of one HTTP request.
@@ -140,16 +137,15 @@ async def read_http_request(reader: asyncio.StreamReader, writer,
 
 
 async def write_http_response(writer, status: int, payload,
-                              content_type: str = "application/json",
-                              headers: str = "") -> None:
+                              content_type: str = "application/json") -> None:
     """Write one response (``payload`` as ``bytes``, or a value sent as a
-    line of JSON; ``headers`` as ``Name: value\\r\\n`` lines) and drain."""
+    line of JSON) and drain."""
     if not isinstance(payload, bytes):
         payload = (json.dumps(payload, default=str) + "\n").encode("utf-8")
     head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(payload)}\r\n"
-            f"{headers}Connection: close\r\n\r\n")
+            f"Connection: close\r\n\r\n")
     writer.write(head.encode("latin-1") + payload)
     await writer.drain()
 
@@ -175,8 +171,7 @@ class PushServer:
         :attr:`port` after :meth:`start`).
     ingest_queue:
         Bound on queued-but-unprocessed batches.  A full queue is the
-        backpressure signal: framed clients get ``slow_down``, HTTP
-        clients ``429``.
+        backpressure signal: framed clients get ``slow_down``.
     observability:
         Optional :class:`~repro.obs.Observability` for the
         ``ses_ingest_*`` metrics.
@@ -231,7 +226,7 @@ class PushServer:
                 "ses_ingest_events_total", help="events admitted")
             self._c_backpressure = registry.counter(
                 "ses_ingest_backpressure_total",
-                help="batches refused with 429/slow_down")
+                help="batches refused with slow_down")
             self._g_depth = registry.gauge(
                 "ses_ingest_queue_depth", help="queued unprocessed batches")
         else:
@@ -337,7 +332,7 @@ class PushServer:
         await self._queue.join()
 
     async def _finish(self, grace: float) -> None:
-        # Give SSE/WS writers a beat to flush their terminal notices.
+        # Give SSE writers a beat to flush their terminal notices.
         deadline = time.monotonic() + grace
         while time.monotonic() < deadline:
             if all(s.idle for s in self.hub.subscribers):
@@ -591,25 +586,22 @@ class PushServer:
         request = await read_http_request(reader, writer, initial)
         if request is None:
             return
-        method, target, headers, body = request
+        method, target, headers, _ = request
         parts = urlsplit(target)
         path = parts.path
         query = {key: values[-1]
                  for key, values in parse_qs(parts.query).items()}
         if method == "GET" and path == "/subscribe":
             await self._serve_sse(writer, headers, query)
-        elif method == "GET" and path == "/ws":
-            await self._serve_ws(reader, writer, headers, query)
-        elif method == "POST" and path == "/ingest":
-            await self._serve_ingest(writer, body)
         elif method == "POST" and path == "/quitquitquit":
-            await self._respond(writer, 200, {"quitting": True,
-                                              "resume": self.hub.last_seq})
+            await write_http_response(writer, 200, {
+                "quitting": True, "resume": self.hub.last_seq})
             self.request_drain()
         elif method == "GET" and path == "/healthz":
             healthy, detail = ((True, self.hub.stats())
                                if self._health is None else self._health())
-            await self._respond(writer, 200 if healthy else 503, detail)
+            await write_http_response(writer, 200 if healthy else 503,
+                                      detail)
         elif method == "GET" and path == "/statz":
             stats = self.hub.stats()
             stats["ingest"] = {
@@ -619,34 +611,10 @@ class PushServer:
                 "errors": self._ingest_errors,
                 "runs": self._ingest_runs,
             }
-            await self._respond(writer, 200, stats)
+            await write_http_response(writer, 200, stats)
         else:
-            await self._respond(writer, 404,
-                                {"error": f"unknown route {path!r}"})
-
-    async def _respond(self, writer, status: int, payload: dict) -> None:
-        await write_http_response(
-            writer, status, payload,
-            headers=(f"Retry-After: {RETRY_AFTER_MS / 1000.0:g}\r\n"
-                     if status == 429 else ""))
-
-    async def _serve_ingest(self, writer, body: bytes) -> None:
-        if self._draining:
-            await self._respond(writer, 503, {"error": "draining"})
-            return
-        try:
-            payload = json.loads(body.decode("utf-8") or "null")
-            events = events_from_json((payload or {}).get("events", []))
-        except (ValueError, FrameError, AttributeError) as exc:
-            await self._respond(writer, 400, {"error": f"bad batch: {exc}"})
-            return
-        if not self._admit(events):
-            await self._respond(writer, 429, {
-                "error": "ingest queue full",
-                "retry_after_ms": RETRY_AFTER_MS})
-            return
-        await self._respond(writer, 202, {"accepted": len(events),
-                                          "queue_depth": self._queue.qsize()})
+            await write_http_response(writer, 404,
+                                      {"error": f"unknown route {path!r}"})
 
     # ------------------------------------------------------------------
     # Subscriptions
@@ -666,24 +634,16 @@ class PushServer:
             resume_after=resume_after, queue_size=queue_size,
             policy=query.get("policy"))
 
-    def _wire_wake(self, subscriber: Subscriber) -> asyncio.Event:
-        wake = asyncio.Event()
-        loop = asyncio.get_running_loop()
-
-        def poke() -> None:
-            loop.call_soon_threadsafe(wake.set)
-
-        subscriber.wake = poke
-        return wake
-
     async def _serve_sse(self, writer, headers: Dict[str, str],
                          query: Dict[str, str]) -> None:
         try:
             subscriber = self._attach_from_query(headers, query)
         except ValueError as exc:
-            await self._respond(writer, 400, {"error": str(exc)})
+            await write_http_response(writer, 400, {"error": str(exc)})
             return
-        wake = self._wire_wake(subscriber)
+        wake = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        subscriber.wake = partial(loop.call_soon_threadsafe, wake.set)
         writer.write(b"HTTP/1.1 200 OK\r\n"
                      b"Content-Type: text/event-stream\r\n"
                      b"Cache-Control: no-cache\r\n"
@@ -696,7 +656,7 @@ class PushServer:
             event="hello"))
         await writer.drain()
         try:
-            await self._pump(subscriber, wake, self._sse_chunk, writer)
+            await self._pump(subscriber, wake, writer)
         finally:
             self.hub.detach(subscriber, reason=subscriber.close_reason
                             or "connection closed")
@@ -709,14 +669,13 @@ class PushServer:
         return sse_format(payload, event=kind)
 
     async def _pump(self, subscriber: Subscriber, wake: asyncio.Event,
-                    render: Callable[[str, Any], bytes], writer,
-                    pinger: Optional[Callable[[], bytes]] = None) -> None:
-        """The shared delivery loop: pop, render, write, heartbeat.
+                    writer) -> None:
+        """The delivery loop: pop, render as SSE, write, heartbeat.
 
         A wake-up writes what is queued: every item the subscriber has
-        goes out as one ``write`` + one ``drain`` (frames of both
-        renderings are self-delimiting), cut at :data:`IO_CHUNK_BYTES`
-        and after a terminal ``drain`` notice.
+        goes out as one ``write`` + one ``drain`` (SSE frames are
+        self-delimiting), cut at :data:`IO_CHUNK_BYTES` and after a
+        terminal ``drain`` notice.
         """
         heartbeat = self.hub.heartbeat_seconds
         idle_timeout = self.hub.idle_timeout_seconds
@@ -727,7 +686,7 @@ class PushServer:
             item = subscriber.pop()
             if item is None:
                 if subscriber.closed:
-                    writer.write(render(
+                    writer.write(self._sse_chunk(
                         "disconnect",
                         {"reason": subscriber.close_reason or "detached",
                          "resume": subscriber.cursor}))
@@ -736,7 +695,7 @@ class PushServer:
                 try:
                     await asyncio.wait_for(wake.wait(), timeout=heartbeat)
                 except asyncio.TimeoutError:
-                    writer.write(b": hb\n\n" if pinger is None else pinger())
+                    writer.write(b": hb\n\n")
                     try:
                         await asyncio.wait_for(writer.drain(), idle_timeout)
                     except asyncio.TimeoutError:
@@ -747,7 +706,7 @@ class PushServer:
             size = 0
             while item is not None:
                 kind, payload = item
-                frame = render(kind, payload)
+                frame = self._sse_chunk(kind, payload)
                 frames.append(frame)
                 size += len(frame)
                 if kind == "drain" or size >= IO_CHUNK_BYTES:
@@ -761,76 +720,6 @@ class PushServer:
                 return
             if kind == "drain":
                 return
-
-    # -- WebSocket -----------------------------------------------------
-    async def _serve_ws(self, reader, writer, headers: Dict[str, str],
-                        query: Dict[str, str]) -> None:
-        key = headers.get("sec-websocket-key")
-        if (headers.get("upgrade", "").lower() != "websocket"
-                or key is None):
-            await self._respond(writer, 400,
-                                {"error": "not a websocket handshake"})
-            return
-        try:
-            subscriber = self._attach_from_query(headers, query)
-        except ValueError as exc:
-            await self._respond(writer, 400, {"error": str(exc)})
-            return
-        wake = self._wire_wake(subscriber)
-        writer.write((
-            "HTTP/1.1 101 Switching Protocols\r\n"
-            "Upgrade: websocket\r\nConnection: Upgrade\r\n"
-            f"Sec-WebSocket-Accept: {ws_accept_key(key)}\r\n\r\n"
-        ).encode("latin-1"))
-        writer.write(ws_encode(json.dumps(
-            {"event": "hello", "subscriber": subscriber.subscriber_id,
-             "cursor": subscriber.cursor}).encode("utf-8")))
-        await writer.drain()
-        read_task = asyncio.ensure_future(
-            self._ws_read(reader, writer, subscriber))
-        try:
-            await self._pump(subscriber, wake, self._ws_chunk, writer,
-                             pinger=lambda: ws_encode(b"", WSFrame.PING))
-            writer.write(ws_encode(b"", WSFrame.CLOSE))
-            await writer.drain()
-        finally:
-            read_task.cancel()
-            self.hub.detach(subscriber, reason=subscriber.close_reason
-                            or "connection closed")
-
-    @staticmethod
-    def _ws_chunk(kind: str, payload) -> bytes:
-        if kind == "match":
-            # The entry's one rendering, with the event kind spliced in.
-            text = payload.payload_json[:-1]
-            text += (',' if len(text) > 1 else '') + '"event":"match"}'
-            return ws_encode(text.encode("utf-8"))
-        body = dict(payload)
-        body["event"] = kind
-        return ws_encode(json.dumps(body, default=str).encode("utf-8"))
-
-    async def _ws_read(self, reader, writer, subscriber: Subscriber) -> None:
-        """Consume client frames: answer pings, honour close."""
-        buffer = bytearray()
-        try:
-            while True:
-                data = await reader.read(4096)
-                if not data:
-                    subscriber.close(reason="connection closed")
-                    return
-                buffer.extend(data)
-                while True:
-                    frame = ws_decode(buffer)
-                    if frame is None:
-                        break
-                    if frame.opcode == WSFrame.CLOSE:
-                        subscriber.close(reason="client close")
-                        return
-                    if frame.opcode == WSFrame.PING:
-                        writer.write(ws_encode(frame.payload, WSFrame.PONG))
-                        await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
 
     def __repr__(self) -> str:
         state = ("draining" if self._draining

@@ -24,7 +24,7 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from .exporters import (read_jsonl, to_chrome_trace, to_jsonl, to_otel_spans,
                         to_prometheus, write_chrome_trace, write_jsonl,
@@ -138,13 +138,13 @@ class Observability:
     # Aggregation and export
     # ------------------------------------------------------------------
     def merge(self, other: "Observability") -> "Observability":
-        """Fold another bundle's metrics and stage timings into this one."""
-        self.registry.merge(other.registry)
-        self.spans.merge(other.spans)
-        if (other.lineage is not None
-                and other.lineage is not self.lineage):
-            self.ensure_lineage().absorb(other.lineage.export_record())
-        return self
+        """Fold another live bundle in: :meth:`merge_snapshot` of its
+        snapshot, less its lineage record when both bundles share one
+        recorder (absorbing it would count every record twice)."""
+        snapshot = other.snapshot()
+        if other.lineage is self.lineage:
+            snapshot.pop("repro_lineage", None)
+        return self.merge_snapshot(snapshot)
 
     def ensure_lineage(self) -> LineageRecorder:
         """The lineage recorder, created on demand (used when worker
@@ -154,20 +154,13 @@ class Observability:
                                            registry=self.registry)
         return self.lineage
 
-    @classmethod
-    def merged(cls, bundles: Iterable["Observability"]) -> "Observability":
-        """A fresh bundle aggregating ``bundles`` (per-partition roll-up)."""
-        out = cls()
-        for bundle in bundles:
-            out.merge(bundle)
-        return out
-
     def merge_snapshot(self, snapshot: Dict[str, dict]) -> "Observability":
         """Fold an exported :meth:`snapshot` back into this bundle.
 
-        The cross-process counterpart of :meth:`merge`: worker processes
-        (``repro.parallel``) cannot hand back live registries, so they
-        export ``snapshot()`` dicts and the parent aggregates them here.
+        The one merge path: worker processes (``repro.parallel``) cannot
+        hand back live registries, so they export ``snapshot()`` dicts
+        and the parent aggregates them here; :meth:`merge` feeds a live
+        bundle through the same door.
         Stage records (prefixed ``repro_stage_`` by :meth:`snapshot`) go
         to the tracer, everything else to the registry.
         """

@@ -24,7 +24,7 @@ usual ``if obs is not None`` guard instead.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry",
@@ -88,9 +88,6 @@ class Counter:
         return {"type": self.kind, "help": self.help, "value": self.value,
                 **_label_fields(self)}
 
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
     def __repr__(self) -> str:
         return f"Counter({self.name}={self.value})"
 
@@ -125,17 +122,6 @@ class Gauge:
     def snapshot(self) -> dict:
         return {"type": self.kind, "help": self.help, "value": self.value,
                 "max": self.max_value, **_label_fields(self)}
-
-    def merge(self, other: "Gauge") -> None:
-        """Aggregate a sibling gauge: values add, high-waters add.
-
-        Partition gauges describe disjoint instance populations, so the
-        aggregate population is the sum.  (Summing high-waters
-        over-approximates the true simultaneous peak; it is an upper
-        bound, which is the conservative direction for capacity.)
-        """
-        self.value += other.value
-        self.max_value += other.max_value
 
     def __repr__(self) -> str:
         return f"Gauge({self.name}={self.value}, max={self.max_value})"
@@ -180,14 +166,6 @@ class Histogram:
         """Estimated ``q``-quantile (see :func:`estimate_quantile`);
         ``None`` while the histogram is empty."""
         return estimate_quantile(self.bounds, self.counts, q)
-
-    def merge(self, other: "Histogram") -> None:
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histogram {self.name!r}: bucket bounds differ")
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        self.sum += other.sum
-        self.count += other.count
 
     def __repr__(self) -> str:
         return f"Histogram({self.name}, n={self.count}, sum={self.sum:.6g})"
@@ -296,43 +274,20 @@ class MetricsRegistry:
         return {name: self._metrics[name].snapshot()
                 for name in sorted(self._metrics)}
 
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other``'s metrics into this registry (sum semantics).
-
-        Metrics present only in ``other`` are deep-copied in; metrics
-        present in both are combined per-kind (counters and histograms
-        add, gauges add values and high-waters — see :meth:`Gauge.merge`).
-        Returns ``self`` for chaining.
-        """
-        for name, metric in other._metrics.items():
-            if isinstance(metric, Counter):
-                self.counter(name, help=metric.help, labels=metric.labels,
-                             metric=metric.metric).merge(metric)
-            elif isinstance(metric, Gauge):
-                self.gauge(name, help=metric.help, labels=metric.labels,
-                           metric=metric.metric).merge(metric)
-            elif isinstance(metric, Histogram):
-                self.histogram(name, help=metric.help,
-                               buckets=metric.bounds).merge(metric)
-        return self
-
-    @classmethod
-    def merged(cls, registries: Iterable["MetricsRegistry"]) -> "MetricsRegistry":
-        """A fresh registry holding the sum of ``registries``."""
-        out = cls()
-        for registry in registries:
-            out.merge(registry)
-        return out
-
     def merge_snapshot(self, snapshot: Dict[str, dict]) -> "MetricsRegistry":
-        """Fold an exported :meth:`snapshot` back into this registry.
+        """Fold an exported :meth:`snapshot` into this registry, the one
+        merge path (sum semantics).
 
-        The wire-format counterpart of :meth:`merge`: worker processes
-        cannot share registry objects, so they ship ``snapshot()`` dicts
-        across the process boundary and the parent folds them in here
-        with the same per-kind semantics (counters and histograms add,
-        gauges add values and high-waters).  Records of unknown type
-        (e.g. ``stage`` spans, which belong to the tracer) are ignored.
+        Worker processes ship ``snapshot()`` dicts across the process
+        boundary; in-process bundles merge through their own snapshot
+        (:meth:`repro.obs.Observability.merge`).  Metrics new to this
+        registry are created; per kind, counters and histograms add, and
+        gauges add values and high-waters — partition gauges describe
+        disjoint populations, so the sum is the aggregate population
+        (summed high-waters over-approximate the simultaneous peak: an
+        upper bound, the conservative direction for capacity).  Records
+        of unknown type (e.g. ``stage`` spans, which belong to the
+        tracer) are ignored.
 
         Malformed records — e.g. a *partial* snapshot handed back from a
         crashed worker, with histogram fields missing or truncated —
@@ -455,9 +410,6 @@ class NullRegistry(MetricsRegistry):
 
     def snapshot(self) -> Dict[str, dict]:
         return {}
-
-    def merge(self, other: MetricsRegistry) -> MetricsRegistry:
-        return self
 
     def merge_snapshot(self, snapshot: Dict[str, dict]) -> MetricsRegistry:
         return self

@@ -140,23 +140,12 @@ class SpanTracer:
         stats = self._stages.get(name)
         return stats.total_seconds if stats is not None else 0.0
 
-    def merge(self, other: "SpanTracer") -> "SpanTracer":
-        """Fold another tracer's aggregates into this one."""
-        for name, stats in other._stages.items():
-            mine = self._stages.get(name)
-            if mine is None:
-                self._stages[name] = StageStats(
-                    name, stats.count, stats.total_seconds, stats.self_seconds)
-            else:
-                mine.merge(stats)
-        return self
-
     def merge_snapshot(self, snapshot: Dict[str, dict]) -> "SpanTracer":
         """Fold exported :meth:`snapshot` stage records back in.
 
-        The wire-format counterpart of :meth:`merge`, used to aggregate
-        stage timings reported by worker processes.  Records whose type
-        is not ``"stage"`` are ignored.
+        Aggregates stage timings reported by worker processes or by
+        another in-process bundle.  Records whose type is not
+        ``"stage"`` are ignored.
         """
         for name, record in snapshot.items():
             if record.get("type") != "stage":

@@ -12,6 +12,11 @@ would miss — never fewer.
 Idle partitions can be garbage-collected: a partition whose matcher holds
 no active instances and whose last event is more than τ old can never
 contribute again; :meth:`PartitionedContinuousMatcher.collect` drops them.
+
+Like the registry's matchers, the partitioned matcher keeps no match
+history (its per-key matchers run ``keep_matches=False``): what
+``push``/``push_many``/``close`` return and what ``on_match`` callbacks
+receive is the whole answer, and a collected partition loses nothing.
 """
 
 from __future__ import annotations
@@ -126,7 +131,7 @@ class PartitionedContinuousMatcher:
                 self._plan, use_filter=self._use_filter,
                 suppress_overlaps=self._suppress_overlaps,
                 observability=child_obs, flight=self.flight,
-                guard=self.guard)
+                guard=self.guard, keep_matches=False)
             self._matchers[key] = matcher
             logger.debug("new partition %r (%d live)", key,
                          len(self._matchers))
@@ -305,15 +310,6 @@ class PartitionedContinuousMatcher:
     def active_instances(self) -> int:
         """Total automaton instances across partitions."""
         return sum(m.active_instances for m in self._matchers.values())
-
-    @property
-    def matches(self) -> List[Substitution]:
-        """All matches reported so far, in report order per partition."""
-        out: List[Substitution] = []
-        for matcher in self._matchers.values():
-            out.extend(matcher.matches)
-        out.sort(key=lambda s: s.min_ts())
-        return out
 
     def __repr__(self) -> str:
         return (f"PartitionedContinuousMatcher({self.attribute!r}, "

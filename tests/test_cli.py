@@ -217,25 +217,32 @@ class TestExplainCommand:
 
 
 class TestAnalyzeCommand:
+    """The Theorem 1-3 complexity report is a section of ``repro
+    explain``: W given by ``--window`` or read from ``--data``, never
+    both.  There is no separate ``analyze`` command."""
+
     def test_with_explicit_window(self, capsys):
-        code = main(["analyze", "--window", "50", "--query", Q1_TEXT])
+        code = main(["explain", "--window", "50", "--query", Q1_TEXT])
         out = capsys.readouterr().out
         assert code == 0
         assert "W = 50" in out
         assert "Theorem 1" in out
 
     def test_with_data_file(self, figure1_csv, capsys):
-        code = main(["analyze", "--data", str(figure1_csv),
+        code = main(["explain", "--data", str(figure1_csv),
                      "--query", Q1_TEXT])
         out = capsys.readouterr().out
         assert code == 0
-        assert "14 events" in out
         assert "W = 14" in out
+        assert "Theorem 1" in out
 
-    def test_window_and_data_exclusive(self, figure1_csv):
+    def test_window_and_data_exclusive(self, figure1_csv, capsys):
         with pytest.raises(SystemExit):
-            main(["analyze", "--window", "5", "--data", str(figure1_csv),
+            main(["explain", "--window", "5", "--data", str(figure1_csv),
                   "--query", Q1_TEXT])
+        assert "not allowed with" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["analyze", "--window", "5", "--query", Q1_TEXT])
 
 
 class TestParser:

@@ -342,12 +342,13 @@ class TestStreamLineage:
             JOINED, partition_by="ID", observability=obs)
         seen = []
         matcher.on_match(lambda key, match: seen.append(match))
-        matcher.push_many(keyed_events(n_keys=4))
-        matcher.close()
+        reported = matcher.push_many(keyed_events(n_keys=4))
+        reported += matcher.close()
         assert seen
+        assert [match.substitution for match in seen] == reported
         for match in seen:
             assert match.provenance is not None
-        assert obs.lineage.reconcile(matcher.matches)["ok"]
+        assert obs.lineage.reconcile(reported)["ok"]
         merged = matcher.aggregate()
         assert merged.lineage is obs.lineage
 

@@ -15,13 +15,11 @@ from repro import Event, Substitution
 from repro.core.variables import group, var
 from repro.lang import parse_query_spec
 from repro.net import (MAX_FRAME_BYTES, DeliveredEntry, FrameDecoder,
-                       FrameError, PushServer, SubscriptionHub, WSFrame,
+                       FrameError, PushServer, SubscriptionHub,
                        decode_frames, encode_frame, event_from_json,
-                       event_to_json, events_from_json, http_push,
-                       parse_sse_stream, push_events, request_quit,
-                       sse_format, subscribe_sse, subscribe_ws,
-                       ws_accept_key, ws_decode, ws_encode)
-from repro.net.client import PushRejected, _http_request, _next_frame
+                       event_to_json, events_from_json, parse_sse_stream,
+                       push_events, request_quit, sse_format, subscribe_sse)
+from repro.net.client import PushRejected, _next_frame
 from repro.net.server import IO_CHUNK_BYTES, RUN_EVENTS
 from repro.obs import Observability
 from repro.obs.lineage import LineageRecorder, match_id
@@ -141,27 +139,6 @@ class TestSSE:
     def test_default_event_type_is_message(self):
         parsed = list(parse_sse_stream(["data: {}", ""]))
         assert parsed == [("message", None, {})]
-
-
-class TestWebSocketCodec:
-    def test_accept_key_rfc_vector(self):
-        # RFC 6455 section 1.3 worked example.
-        assert (ws_accept_key("dGhlIHNhbXBsZSBub25jZQ==")
-                == "s3pPLMBiTxaQ9kYGzzhZRbK+xOo=")
-
-    @pytest.mark.parametrize("mask", [False, True])
-    @pytest.mark.parametrize("size", [0, 5, 126, 70000])
-    def test_encode_decode_roundtrip(self, mask, size):
-        payload = bytes(range(256)) * (size // 256) + bytes(range(size % 256))
-        buffer = bytearray(ws_encode(payload, WSFrame.TEXT, mask=mask))
-        frame = ws_decode(buffer)
-        assert frame.opcode == WSFrame.TEXT
-        assert frame.payload == payload
-        assert not buffer  # fully consumed
-
-    def test_partial_buffer_returns_none(self):
-        data = ws_encode(b"hello")
-        assert ws_decode(bytearray(data[:3])) is None
 
 
 # ----------------------------------------------------------------------
@@ -346,8 +323,8 @@ def grouped_sub():
 
 class TestOneRendering:
     """A published match is rendered to JSON once; the delivery-log line
-    and every SSE / WebSocket frame carry that text, and all of them
-    read back as the payload the hub holds."""
+    and every SSE frame carry that text, and all of them read back as
+    the payload the hub holds."""
 
     def test_log_line_and_frames_read_back_as_the_payload(self, tmp_path):
         wal = DeliveryLog(tmp_path / "wal.jsonl")
@@ -365,13 +342,11 @@ class TestOneRendering:
             for field in ("seq", "match_id", "pattern_id", "tenant",
                           "published", "payload"):
                 assert getattr(reread, field) == getattr(entry, field), field
-            # The frames: SSE data and the WebSocket text.
+            # The frame: SSE data.
             (kind, event_id, data), = sse_events(
                 PushServer._sse_chunk("match", entry))
             assert (kind, event_id, data) == ("match", str(entry.seq),
                                               entry.payload)
-            (frame,) = ws_payloads(PushServer._ws_chunk("match", entry))
-            assert frame.pop("event") == "match" and frame == entry.payload
             # An entry read back from the log renders the same frames.
             assert (PushServer._sse_chunk("match", reread)
                     == PushServer._sse_chunk("match", entry))
@@ -393,13 +368,10 @@ class TestOneRendering:
         for subscriber in subscribers:
             (item,) = subscriber.drain_items()
             PushServer._sse_chunk(*item)
-            PushServer._ws_chunk(*item)
         assert rendered == [entry.payload]
 
     def test_an_entry_without_payload_still_frames(self):
         bare = DeliveredEntry.from_record({"seq": 7, "match_id": "m"})
-        assert ws_payloads(PushServer._ws_chunk("match", bare)) \
-            == [{"event": "match"}]
         assert sse_events(PushServer._sse_chunk("match", bare)) \
             == [("match", "7", {})]
 
@@ -811,13 +783,6 @@ class TestPushServerIngest:
         seqs = [int(g["id"]) for g in matches]
         assert seqs == sorted(seqs)
 
-    def test_http_ingest_accepted(self, stack):
-        server, hub, _ = stack
-        response = http_push(server.host, server.port, make_events(40))
-        assert response["accepted"] == 40
-        server.wait_idle(timeout=5)
-        assert hub.last_seq >= 0
-
     def test_statz_and_healthz(self, stack):
         server, hub, _ = stack
         import urllib.request
@@ -827,23 +792,45 @@ class TestPushServerIngest:
         with urllib.request.urlopen(server.url + "/healthz", timeout=5) as r:
             assert r.status == 200
 
-    def test_backpressure_slow_down_and_429(self, tmp_path):
+    def test_backpressure_slow_down(self, tmp_path):
         release = threading.Event()
+        obs = Observability()
         hub = SubscriptionHub()
         server = PushServer(hub, submit=lambda batch: release.wait(10),
-                            ingest_queue=1).start()
+                            ingest_queue=1, observability=obs).start()
         try:
             # First batch occupies the worker, second fills the queue.
-            http_push(server.host, server.port, make_events(1))
+            assert push_events(server.host, server.port, make_events(1)) == 1
             deadline = time.monotonic() + 2
             while server._queue.qsize() and time.monotonic() < deadline:
                 time.sleep(0.01)  # wait for the worker to take batch 1
-            http_push(server.host, server.port, make_events(1))
-            with pytest.raises(PushRejected):
-                http_push(server.host, server.port, make_events(1))
+            assert push_events(server.host, server.port, make_events(1)) == 1
+            decoder, pending = FrameDecoder(), []
+            with socket.create_connection((server.host, server.port),
+                                          timeout=5) as sock:
+                sock.sendall(encode_frame({"type": "hello", "proto": 1}))
+                assert _next_frame(sock, decoder, pending)["type"] == "hello"
+                sock.sendall(encode_frame({
+                    "type": "batch", "seq": 9,
+                    "events": [event_to_json(e) for e in make_events(1)]}))
+                reply = _next_frame(sock, decoder, pending)
+            assert reply["type"] == "slow_down" and reply["seq"] == 9
+            assert reply["retry_after_ms"] > 0
             with pytest.raises(PushRejected):
                 push_events(server.host, server.port, make_events(1),
                             max_retries=1)
+            assert obs.snapshot()[
+                "ses_ingest_backpressure_total"]["value"] == 3
+            # The framed client sleeps the hint out and resends: once the
+            # worker is released the same push goes through.
+            late = []
+            pusher = threading.Thread(target=lambda: late.append(
+                push_events(server.host, server.port, make_events(1))))
+            pusher.start()
+            time.sleep(0.1)
+            release.set()
+            pusher.join(timeout=10)
+            assert late == [1]
         finally:
             release.set()
             server.shutdown(grace=1.0)
@@ -854,9 +841,8 @@ class TestPushServerIngest:
         # Time going backwards is a matcher error, not a server death.
         push_events(server.host, server.port, make_events(4, start_ts=0))
         server.wait_idle(timeout=5)
-        response = http_push(server.host, server.port,
-                             make_events(4, start_ts=200))
-        assert response["accepted"] == 4
+        assert push_events(server.host, server.port,
+                           make_events(4, start_ts=200)) == 4
 
 
 #: Well-framed batches no matcher can digest: each must be refused at
@@ -916,42 +902,44 @@ class TestHostileBatchesStopAtTheDoor:
                     assert call({"type": "ping"})["type"] == "pong"
         self._check_three_matches(server, hub, registry)
 
-    def test_http_400_not_a_reset(self, stack):
-        server, hub, registry = stack
-
-        def post(payload):
-            status, _, body = _http_request(
-                server.host, server.port, "POST", "/ingest",
-                json.dumps(payload).encode(), timeout=5)
-            if status == 400:
-                assert "bad batch" in json.loads(body)["error"]
-            return status
-
-        for hostile in HOSTILE_BATCHES:
-            assert post(hostile) == 400, hostile
+    def _push_three(self, server):
         for i in range(3):
-            assert post({"events": self._valid(i)}) == 202
+            assert push_events(server.host, server.port,
+                               make_events(2, start_ts=20 * i)) == 2
+
+    def test_http_400_not_a_reset(self, stack):
+        """A bad request line or unusable subscription parameters get a
+        typed 400 reply, not a reset, and serving goes on."""
+        server, hub, registry = stack
+        for head in (b"GET /subscribe\r\n\r\n",
+                     b"GET /subscribe?resume=x HTTP/1.1\r\n\r\n",
+                     b"GET /subscribe?queue=x HTTP/1.1\r\n\r\n",
+                     b"GET /subscribe?policy=x HTTP/1.1\r\n\r\n"):
+            status, body = raw_http(server.host, server.port, head)
+            assert status == 400 and body["error"], head
+        assert hub.subscribers == []
+        self._push_three(server)
         self._check_three_matches(server, hub, registry)
 
     def test_non_integer_content_length_is_400(self, stack):
+        # Refused before routing: the quit request is never seen.
         server, hub, registry = stack
         status, body = raw_http(
             server.host, server.port,
-            b"POST /ingest HTTP/1.1\r\nContent-Length: abc\r\n\r\n")
+            b"POST /quitquitquit HTTP/1.1\r\nContent-Length: abc\r\n\r\n")
         assert status == 400
         assert "Content-Length" in body["error"]
+        assert not server._draining
 
     def test_oversized_body_is_413_before_it_is_sent(self, stack):
         server, hub, registry = stack
-        head = (f"POST /ingest HTTP/1.1\r\n"
+        head = (f"POST /quitquitquit HTTP/1.1\r\n"
                 f"Content-Length: {MAX_FRAME_BYTES + 1}\r\n\r\n")
         status, body = raw_http(server.host, server.port, head.encode())
         assert status == 413
         assert str(MAX_FRAME_BYTES) in body["error"]
-        for i in range(3):
-            response = http_push(server.host, server.port,
-                                 make_events(2, start_ts=20 * i))
-            assert response["accepted"] == 2
+        assert not server._draining
+        self._push_three(server)
         self._check_three_matches(server, hub, registry)
 
 
@@ -1277,25 +1265,14 @@ def sse_events(data):
     return list(parse_sse_stream(data.decode().splitlines(keepends=True)))
 
 
-def ws_payloads(data):
-    buffer = bytearray(data)
-    out = []
-    while buffer:
-        frame = ws_decode(buffer)
-        assert frame is not None and frame.opcode == WSFrame.TEXT
-        out.append(json.loads(frame.payload))
-    return out
-
-
 class TestPump:
     """The delivery loop writes what is queued: one ``write`` + one
     ``drain`` per wake-up, not per match."""
 
     @staticmethod
-    def _pump(hub, subscriber, render, writer):
+    def _pump(hub, subscriber, writer):
         server = PushServer(hub, submit=lambda events: None)  # not started
-        asyncio.run(server._pump(subscriber, asyncio.Event(), render,
-                                 writer))
+        asyncio.run(server._pump(subscriber, asyncio.Event(), writer))
         server._matcher_pool.shutdown()
 
     @staticmethod
@@ -1314,7 +1291,7 @@ class TestPump:
         self._publish(hub, 9)
         sub.close()
         writer = RecordingWriter()
-        self._pump(hub, sub, PushServer._sse_chunk, writer)
+        self._pump(hub, sub, writer)
         backlog, notice = writer.writes
         assert writer.drains == 2
         events = sse_events(backlog)
@@ -1329,20 +1306,6 @@ class TestPump:
         assert all("push:s1" in obs.lineage.get(match_id(make_sub(i))).stages
                    for i in range(9))
 
-    def test_ws_backlog_is_one_write(self):
-        hub = SubscriptionHub()
-        sub = hub.attach()
-        self._publish(hub, 9)
-        sub.close()
-        writer = RecordingWriter()
-        self._pump(hub, sub, PushServer._ws_chunk, writer)
-        backlog, notice = writer.writes
-        payloads = ws_payloads(backlog)
-        assert [(p["event"], p["seq"]) for p in payloads] == [
-            ("match", i) for i in range(9)]
-        assert all("bindings" in p for p in payloads)
-        assert [p["event"] for p in ws_payloads(notice)] == ["disconnect"]
-
     def test_gap_notice_keeps_its_place_and_drain_ends_the_write(self):
         hub = SubscriptionHub()
         sub = hub.attach(queue_size=2, policy="shed")
@@ -1350,7 +1313,7 @@ class TestPump:
         hub.drain()
         hub.publish(make_sub(99))  # refused: the hub is draining
         writer = RecordingWriter()
-        self._pump(hub, sub, PushServer._sse_chunk, writer)
+        self._pump(hub, sub, writer)
         (only,) = writer.writes  # the drain notice ended the loop
         assert writer.drains == 1
         events = sse_events(only)
@@ -1369,7 +1332,7 @@ class TestPump:
         # Something queued behind the terminal notice must not ride along.
         sub._queue.append(("match", hub._ring[0]))
         writer = RecordingWriter()
-        self._pump(hub, sub, PushServer._sse_chunk, writer)
+        self._pump(hub, sub, writer)
         (only,) = writer.writes
         assert [kind for kind, _, _ in sse_events(only)] == [
             "match", "match", "match", "drain"]
@@ -1381,7 +1344,7 @@ class TestPump:
         self._publish(hub, 700)
         sub.close()
         writer = RecordingWriter()
-        self._pump(hub, sub, PushServer._sse_chunk, writer)
+        self._pump(hub, sub, writer)
         *chunks, notice = writer.writes
         assert len(chunks) >= 3
         seqs = []
@@ -1403,7 +1366,7 @@ class TestPump:
         sub = hub.attach()
         writer = RecordingWriter(
             on_write=lambda data: data == b": hb\n\n" and sub.close())
-        self._pump(hub, sub, PushServer._sse_chunk, writer)
+        self._pump(hub, sub, writer)
         assert writer.writes[0] == b": hb\n\n"
         assert [kind for kind, _, _ in sse_events(writer.writes[-1])] == [
             "disconnect"]
@@ -1426,25 +1389,6 @@ class TestPushServerSubscriptions:
                                     stop_on_drain=False))
         resumed = [int(g["id"]) for g in second if g["event"] == "match"]
         assert resumed == [s for s in seqs if s > cut]
-
-    def test_ws_subscription_delivers(self, stack):
-        server, hub, _ = stack
-        got = []
-
-        def run():
-            for payload in subscribe_ws(server.host, server.port,
-                                        resume=-1, read_timeout=5):
-                got.append(payload)
-                if len([g for g in got if g.get("event") == "match"]) >= 2:
-                    return
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        time.sleep(0.2)
-        push_events(server.host, server.port, make_events(40))
-        thread.join(timeout=8)
-        matches = [g for g in got if g.get("event") == "match"]
-        assert len(matches) >= 2
-        assert all("bindings" in m for m in matches)
 
     def test_quit_drains_and_sends_terminal_resume_token(self, tmp_path):
         pattern, aggregate = parse_query_spec(QUERY)

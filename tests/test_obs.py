@@ -33,11 +33,11 @@ class TestCounter:
             Counter("events").inc(-1)
 
     def test_merge(self):
-        a, b = Counter("x"), Counter("x")
-        a.inc(2)
-        b.inc(3)
-        a.merge(b)
-        assert a.value == 5
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.counter("x").inc(2)
+        b.counter("x").inc(3)
+        a.merge_snapshot(b.snapshot())
+        assert a.counter("x").value == 5
 
 
 class TestGauge:
@@ -56,12 +56,13 @@ class TestGauge:
         assert g.max_value == 5
 
     def test_merge_sums_values_and_peaks(self):
-        a, b = Gauge("omega"), Gauge("omega")
-        a.set(2)
-        b.set(5)
-        a.merge(b)
-        assert a.value == 7
-        assert a.max_value == 7
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.gauge("omega").set(2)
+        b.gauge("omega").set(5)
+        b.gauge("omega").set(4)
+        a.merge_snapshot(b.snapshot())
+        assert a.gauge("omega").value == 6
+        assert a.gauge("omega").max_value == 7
 
 
 class TestHistogram:
@@ -83,19 +84,23 @@ class TestHistogram:
             Histogram("lat", buckets=(10, 1))
 
     def test_merge_requires_same_bounds(self):
-        a = Histogram("lat", buckets=(1, 2))
-        b = Histogram("lat", buckets=(1, 3))
-        with pytest.raises(ValueError):
-            a.merge(b)
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.histogram("lat", buckets=(1, 2)).observe(0.5)
+        b.histogram("lat", buckets=(1, 3)).observe(0.5)
+        with pytest.raises(ValueError, match="bucket bounds differ"):
+            a.merge_snapshot(b.snapshot())
+        assert a.histogram("lat", buckets=(1, 2)).counts == [1, 0, 0]
 
     def test_merge(self):
-        a = Histogram("lat", buckets=(1, 2))
-        b = Histogram("lat", buckets=(1, 2))
-        a.observe(0.5)
-        b.observe(1.5)
-        a.merge(b)
-        assert a.count == 2
-        assert a.counts == [1, 1, 0]
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.histogram("lat", buckets=(1, 2)).observe(0.5)
+        b.histogram("lat", buckets=(1, 2)).observe(1.5)
+        b.histogram("lat", buckets=(1, 2)).observe(9)
+        a.merge_snapshot(b.snapshot())
+        merged = a.histogram("lat", buckets=(1, 2))
+        assert merged.count == 3
+        assert merged.counts == [1, 1, 1]
+        assert merged.sum == 11.0
 
 
 class TestRegistry:
@@ -122,21 +127,22 @@ class TestRegistry:
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("shared").inc(1)
         b.counter("shared").inc(2)
-        b.counter("only_b").inc(7)
-        a.merge(b)
+        b.counter("only_b", help="b's own").inc(7)
+        a.merge_snapshot(b.snapshot())
         assert a.counter("shared").value == 3
         assert a.counter("only_b").value == 7
-        # merge deep-copies: b's counters are not aliased into a
+        assert a.counter("only_b").help == "b's own"
+        # merge copies: b's counters are not aliased into a
         a.counter("only_b").inc()
         assert b.counter("only_b").value == 7
 
-    def test_merged_classmethod(self):
-        regs = []
+    def test_many_snapshots_fold_into_a_fresh_registry(self):
+        out = MetricsRegistry()
         for _ in range(3):
             r = MetricsRegistry()
             r.counter("n").inc(2)
-            regs.append(r)
-        assert MetricsRegistry.merged(regs).counter("n").value == 6
+            out.merge_snapshot(r.snapshot())
+        assert out.counter("n").value == 6
 
 
 class TestNullRegistry:
@@ -211,7 +217,7 @@ class TestSpanTracer:
             clock.now += 1.0
         with b.span("s"):
             clock.now += 2.0
-        a.merge(b)
+        a.merge_snapshot(b.snapshot())
         assert a.stages()["s"].count == 2
         assert a.stages()["s"].total_seconds == 3.0
 
@@ -445,16 +451,18 @@ class TestObservability:
             "filter", "consume", "select"]
 
     def test_merged(self):
-        bundles = []
+        merged = Observability()
         for _ in range(2):
             obs = Observability()
             obs.omega(3)
             obs.event_seconds(0.001)
-            bundles.append(obs)
-        merged = Observability.merged(bundles)
+            with obs.span("filter"):
+                pass
+            merged.merge(obs)
         assert merged.registry.gauge("ses_omega_instances").max_value == 6
         assert merged.registry.histogram(
             "ses_event_latency_seconds").count == 2
+        assert merged.spans.stages()["filter"].count == 2
 
     def test_snapshot_includes_stages(self):
         obs = Observability()

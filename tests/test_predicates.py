@@ -366,3 +366,51 @@ class TestOneStore:
                         and node.name == "window_size"):
                     defining.append(str(path.relative_to(self.SRC)))
         assert defining == ["core/relation.py"]
+
+
+class TestOneWireEachWay:
+    """Events come in over one protocol, the length-framed ingest with
+    ``slow_down`` backpressure, and matches go out over one transport,
+    resumable SSE: no WebSocket codec, client or route, and no HTTP
+    ingest door, client or CLI flag beside them."""
+
+    def test_the_protocol_defines_no_websocket_codec(self):
+        from repro.net import protocol
+        assert [name for name in vars(protocol)
+                if name.startswith("ws_") or name == "WSFrame"] == []
+
+    def test_the_package_exports_neither_fork(self):
+        import repro.net
+        for name in ("subscribe_ws", "http_push"):
+            assert name not in repro.net.__all__
+            assert not hasattr(repro.net, name)
+
+    def test_a_running_server_answers_the_forks_with_404(self):
+        from conftest import raw_http
+        from repro.net import PushServer, SubscriptionHub
+        server = PushServer(SubscriptionHub(), submit=lambda events: None)
+        server.start()
+        try:
+            for head in (
+                    b"GET /ws HTTP/1.1\r\nUpgrade: websocket\r\n"
+                    b"Connection: Upgrade\r\n"
+                    b"Sec-WebSocket-Key: cmVwcm8tdGFpbC1rZXk=\r\n"
+                    b"Sec-WebSocket-Version: 13\r\n\r\n",
+                    b"POST /ingest HTTP/1.1\r\nContent-Length: 0\r\n\r\n"):
+                status, body = raw_http(server.host, server.port, head)
+                assert status == 404 and "unknown route" in body["error"]
+            assert server.hub.subscribers == []
+            assert server._queue.qsize() == 0
+        finally:
+            server.shutdown(grace=1.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["tail", "--server", "127.0.0.1:1", "--ws"],
+        ["push", "--server", "127.0.0.1:1", "--data", "absent.csv", "--http"],
+    ])
+    def test_the_cli_flags_are_argparse_errors(self, argv, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -3,8 +3,8 @@ matching."""
 
 import pytest
 
-from repro import SESPattern
-from repro.data import base_dataset, figure1_relation, query_q1
+from repro import Event, SESPattern
+from repro.data import base_dataset
 from repro.registry import PatternRegistry
 from repro.stream import PartitionedContinuousMatcher
 
@@ -94,9 +94,9 @@ class TestMultiPatternMatcher:
 class TestPartitionedContinuousMatcher:
     def test_matches_equal_unpartitioned_on_figure1(self, q1, figure1):
         partitioned = PartitionedContinuousMatcher(q1)
-        partitioned.push_many(figure1)
-        partitioned.close()
-        assert ([eids(m) for m in partitioned.matches]
+        reported = partitioned.push_many(figure1) + partitioned.close()
+        reported.sort(key=lambda s: s.min_ts())
+        assert ([eids(m) for m in reported]
                 == [eids(m) for m in match(q1, figure1).matches])
 
     def test_partitions_created_lazily(self, q1, figure1):
@@ -118,9 +118,8 @@ class TestPartitionedContinuousMatcher:
             tau=264,
         )
         partitioned = PartitionedContinuousMatcher(pattern, partition_by="ID")
-        partitioned.push_many(figure1)
-        partitioned.close()
-        assert len(partitioned.matches) == 2
+        reported = partitioned.push_many(figure1) + partitioned.close()
+        assert len(reported) == 2
 
     def test_callback_carries_partition_key(self, q1, figure1):
         partitioned = PartitionedContinuousMatcher(q1)
@@ -144,13 +143,40 @@ class TestPartitionedContinuousMatcher:
         assert dropped == 2
         assert partitioned.partitions == []
 
+    def test_collect_loses_no_reported_match(self, q1):
+        """The partitioned matcher keeps no history: every match is in
+        what ``push_many``/``close`` return, before and after ``collect``
+        drops the partitions that reported them, and a partition's
+        checkpoint carries no archive of reported matches."""
+        relation = base_dataset(patients=8, cycles=3)
+        partitioned = PartitionedContinuousMatcher(q1, partition_by="ID")
+        before = partitioned.push_many(relation)
+        states = partitioned.state_dict()["partitions"]
+        assert len(states) == 8
+        assert all("reported" not in state for state in states.values())
+        before += partitioned.close()
+        assert len(before) == 24
+        assert not hasattr(partitioned, "matches")
+        last = max(event.ts for event in relation)
+        assert partitioned.collect(last + 10 * q1.tau) == 8
+        assert partitioned.partitions == []
+        # A second day, after the first day's partitions were collected.
+        shift = last + 20 * q1.tau
+        after = partitioned.push_many(
+            Event(ts=event.ts + shift, attrs=event.attributes,
+                  eid=f"{event.eid}'")
+            for event in relation)
+        after += partitioned.close()
+        assert ({frozenset(eid[:-1] for eid in eids(m)) for m in after}
+                == {eids(m) for m in before})
+        assert len(after) == 24
+
     def test_superset_recall_on_synthetic(self):
         from repro.data import pattern_p3
         relation = base_dataset(patients=4, cycles=2)
         plain = match(pattern_p3(), relation, selection="accepted")
         partitioned = PartitionedContinuousMatcher(pattern_p3(),
                                                    suppress_overlaps=False)
-        partitioned.push_many(relation)
-        partitioned.close()
+        reported = partitioned.push_many(relation) + partitioned.close()
         # Partitioned streaming reports at least as many distinct matches.
-        assert len(partitioned.matches) >= len(plain.matches)
+        assert len(reported) >= len(plain.matches)
