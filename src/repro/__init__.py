@@ -4,9 +4,10 @@ A complete reproduction of *Sequenced Event Set Pattern Matching*
 (Cadonna, Gamper, Böhlen; EDBT 2011): the SES pattern model, the
 automaton-based evaluation algorithm with event filtering, the brute-force
 baseline, the declarative Definition-2 oracle, executable complexity
-bounds, a PERMUTE query language, an embedded event store, streaming
-execution, parallel partitioned execution over process pools, and the
-full benchmark harness for the paper's experiments.
+bounds, a PERMUTE query language, typed CSV persistence of event
+relations, EXPLAIN, streaming execution, parallel partitioned execution
+over process pools, and the full benchmark harness for the paper's
+experiments.
 
 Quickstart::
 

@@ -10,7 +10,7 @@ the paper too.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 __all__ = ["bar_chart", "series_chart"]
 

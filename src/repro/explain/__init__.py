@@ -18,16 +18,15 @@ The measurement substrate for per-pattern cost accounting:
   evaluate conditions in ascending observed pass-rate order
   (:mod:`repro.explain.order`).
 
-Surfaced through ``repro explain [--analyze] [--format text|json|dot]``,
-the ``/debug/explain`` endpoint and the planner — see
-``docs/explain.md``.
+Surfaced through ``repro explain [--analyze] [--format text|json|dot]``
+and the ``/debug/explain`` endpoint; the store is also read by
+``/varz``/``/metrics`` and :func:`ordered_plan` — see ``docs/explain.md``.
 """
 
 from .analyze import (CountingTransition, counting_automaton,
                       explain_analyze, transition_label)
 from .explain import explain
-from .order import (condition_order_hint, ordered_automaton, ordered_plan,
-                    rank_conditions)
+from .order import ordered_automaton, ordered_plan, rank_conditions
 from .report import ExplainReport
 from .stats import (StatsStore, clear_stats_store, set_stats_path,
                     stats_key, stats_store)
@@ -38,5 +37,4 @@ __all__ = [
     "StatsStore", "stats_store", "clear_stats_store", "set_stats_path",
     "stats_key",
     "ordered_plan", "ordered_automaton", "rank_conditions",
-    "condition_order_hint",
 ]

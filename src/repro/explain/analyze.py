@@ -190,7 +190,7 @@ def explain_analyze(pattern, relation, *, use_filter: bool = True,
     record_stats:
         Feed the observed selectivities into the statistics store
         (``store``, defaulting to the process-global one), closing the
-        runtime → planner loop.
+        runtime → :func:`~repro.explain.order.ordered_plan` loop.
     """
     from .explain import explain  # static section builder (cycle-free)
 

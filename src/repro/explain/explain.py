@@ -121,6 +121,8 @@ def explain(pattern, *, window: Optional[int] = None, relation=None,
         fingerprint=plan.fingerprint,
         pattern=repr(plan.pattern),
         optimizations=list(plan.optimizations),
+        aggregate=(None if plan.aggregate is None
+                   else plan.aggregate.render()),
         rewrites=list(plan.rewrites),
         automaton={
             "states": len(automaton.states),

@@ -24,7 +24,7 @@ comparisons over immutable events).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..automaton.automaton import SESAutomaton
 from ..automaton.transitions import Transition
@@ -114,22 +114,3 @@ def ordered_plan(pattern, store=None) -> PatternPlan:
         rewrites=tuple(rewrites),
     )
 
-
-def condition_order_hint(pattern, store=None) -> Optional[List[str]]:
-    """For the planner: the pattern's conditions ranked by ascending
-    observed pass rate across all transitions, or ``None`` when the
-    store has never seen the pattern."""
-    store = stats_store() if store is None else store
-    plan = as_plan(pattern)
-    fingerprint = stats_key(plan.pattern)
-    record = store.get(fingerprint)
-    if record is None:
-        return None
-
-    def key(indexed):
-        index, condition = indexed
-        rate = store.condition_selectivity(fingerprint, repr(condition))
-        return (rate if rate is not None else 1.0, index)
-
-    return [repr(condition) for _, condition
-            in sorted(enumerate(plan.pattern.conditions), key=key)]

@@ -40,6 +40,8 @@ class ExplainReport:
     pattern: str
     #: Optimizations the plan was compiled with.
     optimizations: List[str] = field(default_factory=list)
+    #: The ``SELECT`` clause an aggregation plan folds, or ``None``.
+    aggregate: Optional[str] = None
     #: Applied compile-time rewrites (trim reports etc.).
     rewrites: List[str] = field(default_factory=list)
     #: Automaton topology summary (states/transitions/start/accepting/tau,
@@ -70,6 +72,7 @@ class ExplainReport:
             "fingerprint": self.fingerprint,
             "pattern": self.pattern,
             "optimizations": list(self.optimizations),
+            "aggregate": self.aggregate,
             "rewrites": list(self.rewrites),
             "automaton": dict(self.automaton),
             "transitions": [dict(t) for t in self.transitions],
@@ -98,6 +101,9 @@ class ExplainReport:
             f"{title} plan {self.fingerprint[:12]} for {self.pattern}",
             f"  optimizations: {', '.join(self.optimizations) or 'none'}",
         ]
+        if self.aggregate is not None:
+            lines.append(f"  aggregate: {self.aggregate} "
+                         "(incremental fold, no match materialisation)")
         for rewrite in self.rewrites:
             lines.append(f"  rewrite: {rewrite}")
         automaton = self.automaton

@@ -1,14 +1,16 @@
-"""Persistent per-pattern runtime statistics (the planner's feedback loop).
+"""Persistent per-pattern runtime statistics (EXPLAIN's feedback loop).
 
 :class:`StatsStore` accumulates *observed* quantities per pattern
 fingerprint — condition pass rates, per-transition fan-out, prefilter
 selectivity, run/event/match cardinalities — and persists them as a JSON
-sidecar so later runs (and the planner) can consult what earlier runs
-measured.  The store is process-global like
-:class:`~repro.plan.cache.PlanCache`; worker processes ship
-:meth:`StatsStore.snapshot` dicts across the process boundary and the
-parent folds them back in with :meth:`StatsStore.merge_snapshot`, the
-same wire-format idiom the metrics registry uses.
+sidecar so later runs can consult what earlier runs measured:
+``repro explain`` prints them, ``/varz``/``/metrics`` publish them and
+:func:`~repro.explain.order.ordered_plan` reorders conditions by them.
+The store is process-global like :class:`~repro.plan.cache.PlanCache`;
+worker processes ship :meth:`StatsStore.snapshot` dicts across the
+process boundary and the parent folds them back in with
+:meth:`StatsStore.merge_snapshot`, the same wire-format idiom the
+metrics registry uses.
 
 Statistics are keyed by the *optimization-independent* pattern
 fingerprint (:func:`stats_key`), so a pattern observed under one

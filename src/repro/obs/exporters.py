@@ -123,19 +123,22 @@ def to_prometheus(snapshot: Dict[str, dict]) -> str:
     every sample with values escaped per the format (``\\``, ``"`` and
     newlines — pattern names are user-controlled).  A labeled record may
     also carry a ``"metric"`` key naming the real metric when the
-    snapshot key had to stay unique (e.g. ``ses_pattern_runs_total[x]``);
-    ``# TYPE``/``# HELP`` headers are emitted once per metric name.
+    snapshot key had to stay unique (e.g. ``ses_stats_runs_total[x]``).
+    Samples are grouped by metric family in first-seen order, each group
+    under one ``# HELP``/``# TYPE`` header (the first record's help), so
+    the series of one family stay contiguous however the snapshot
+    interleaves them, as the format requires.
     """
-    out: List[str] = []
-    typed: set = set()
+    families: Dict[str, List[str]] = {}
 
-    def header(pname: str, kind: str, help_text: str) -> None:
-        if pname in typed:
-            return
-        typed.add(pname)
-        if help_text:
-            out.append(f"# HELP {pname} {_prom_help(help_text)}")
-        out.append(f"# TYPE {pname} {kind}")
+    def emit(pname: str, kind: str, help_text: str, sample: str) -> None:
+        lines = families.get(pname)
+        if lines is None:
+            lines = families[pname] = []
+            if help_text:
+                lines.append(f"# HELP {pname} {_prom_help(help_text)}")
+            lines.append(f"# TYPE {pname} {kind}")
+        lines.append(sample)
 
     for name, record in snapshot.items():
         kind = record.get("type", "gauge")
@@ -146,24 +149,20 @@ def to_prometheus(snapshot: Dict[str, dict]) -> str:
         pname = _prom_name(record.get("metric", name))
         help_text = record.get("help", "")
         labels = _prom_labels(record)
-        if kind == "counter":
-            header(pname, "counter", help_text)
-            out.append(f"{pname}{labels} {_prom_value(record['value'])}")
-        elif kind == "gauge":
-            header(pname, "gauge", help_text)
-            out.append(f"{pname}{labels} {_prom_value(record['value'])}")
-            if "max" in record:
-                header(f"{pname}_max", "gauge", "")
-                out.append(f"{pname}_max{labels} "
-                           f"{_prom_value(record['max'])}")
+        if kind in ("counter", "gauge"):
+            emit(pname, kind, help_text,
+                 f"{pname}{labels} {_prom_value(record['value'])}")
+            if kind == "gauge" and "max" in record:
+                emit(f"{pname}_max", "gauge", "",
+                     f"{pname}_max{labels} {_prom_value(record['max'])}")
         elif kind == "histogram":
-            header(pname, "histogram", help_text)
             cumulative = 0
             for bound, count in record["buckets"]:
                 cumulative += count
                 le = f'le="{_prom_value(float(bound))}"'
-                out.append(f"{pname}_bucket{_prom_labels(record, le)} "
-                           f"{cumulative}")
+                emit(pname, "histogram", help_text,
+                     f"{pname}_bucket{_prom_labels(record, le)} "
+                     f"{cumulative}")
             # Cumulative invariant: the +Inf bucket must equal _count.
             # Derive both from the bucket counts (+ the overflow bucket)
             # so a snapshot whose redundant "count" field disagrees —
@@ -174,18 +173,21 @@ def to_prometheus(snapshot: Dict[str, dict]) -> str:
                 overflow = max(record.get("count", cumulative) - cumulative, 0)
             total = cumulative + overflow
             inf_labels = _prom_labels(record, 'le="+Inf"')
-            out.append(f"{pname}_bucket{inf_labels} {total}")
-            out.append(f"{pname}_sum{labels} {_prom_value(record['sum'])}")
-            out.append(f"{pname}_count{labels} {total}")
+            for sample in (f"{pname}_bucket{inf_labels} {total}",
+                           f"{pname}_sum{labels} "
+                           f"{_prom_value(record['sum'])}",
+                           f"{pname}_count{labels} {total}"):
+                emit(pname, "histogram", help_text, sample)
         elif kind == "stage":
-            header(f"{pname}_seconds_total", "counter", help_text)
-            out.append(f"{pname}_seconds_total{labels} "
-                       f"{_prom_value(record['total_seconds'])}")
-            header(f"{pname}_calls_total", "counter", "")
-            out.append(f"{pname}_calls_total{labels} {record['count']}")
+            emit(f"{pname}_seconds_total", "counter", help_text,
+                 f"{pname}_seconds_total{labels} "
+                 f"{_prom_value(record['total_seconds'])}")
+            emit(f"{pname}_calls_total", "counter", "",
+                 f"{pname}_calls_total{labels} {record['count']}")
         else:  # unknown kinds degrade to a gauge with whatever value exists
-            header(pname, "untyped", help_text)
-            out.append(f"{pname}{labels} {_prom_value(record.get('value', 0))}")
+            emit(pname, "untyped", help_text,
+                 f"{pname}{labels} {_prom_value(record.get('value', 0))}")
+    out = [line for lines in families.values() for line in lines]
     return "\n".join(out) + ("\n" if out else "")
 
 

@@ -338,8 +338,10 @@ def live_snapshot(observability=None) -> Dict[str, dict]:
     ``ses_prefilter_selectivity`` is derived here and nowhere else, from
     the executors' ``ses_events_filtered_total`` /
     ``ses_events_read_total`` counters, so every run shape (serial,
-    streaming, pooled) exposes it alike.  Per-pattern records carry
-    ``labels``/``metric`` keys understood by
+    streaming, pooled) exposes it alike.  The store's per-pattern
+    records are the ``ses_stats_*`` families, labelled ``fingerprint``
+    (the registry's ``ses_pattern_*`` families are labelled by pattern
+    id), and carry ``labels``/``metric`` keys understood by
     :func:`~repro.obs.exporters.to_prometheus`.
     """
     from ..explain.stats import stats_store
@@ -375,21 +377,21 @@ def live_snapshot(observability=None) -> Dict[str, dict]:
         record = store.get(fingerprint)
         if record is None:
             continue
-        labels = {"pattern": fingerprint}
+        labels = {"fingerprint": fingerprint}
         for field, help_text in (
-                ("runs", "observed runs for this pattern"),
-                ("events", "events read for this pattern"),
-                ("matches", "matches reported for this pattern")):
-            snapshot[f"ses_pattern_{field}_total[{fingerprint}]"] = {
+                ("runs", "observed runs per pattern fingerprint"),
+                ("events", "events read per pattern fingerprint"),
+                ("matches", "matches reported per pattern fingerprint")):
+            snapshot[f"ses_stats_{field}_total[{fingerprint}]"] = {
                 "type": "counter", "value": record.get(field, 0),
-                "metric": f"ses_pattern_{field}_total",
+                "metric": f"ses_stats_{field}_total",
                 "labels": labels, "help": help_text}
         selectivity = store.prefilter_selectivity(fingerprint)
         if selectivity is not None:
-            snapshot[f"ses_pattern_prefilter_selectivity[{fingerprint}]"] = {
+            snapshot[f"ses_stats_prefilter_selectivity[{fingerprint}]"] = {
                 "type": "gauge", "value": selectivity,
-                "metric": "ses_pattern_prefilter_selectivity",
+                "metric": "ses_stats_prefilter_selectivity",
                 "labels": labels,
-                "help": "fraction of events the pre-filter rejected "
-                        "for this pattern (persisted statistics)"}
+                "help": "fraction of events the pre-filter rejected, per "
+                        "pattern fingerprint (persisted statistics)"}
     return snapshot

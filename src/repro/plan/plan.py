@@ -4,7 +4,7 @@ A :class:`PatternPlan` bundles everything that is derivable from a SES
 pattern alone — the built automaton with its transition tables trimmed
 (:func:`repro.automaton.minimize.trim`), the Section 4.5 constant-
 condition prefilter compiled to per-attribute predicate vectors for both
-filter modes, the planner's applied rewrites, and the pattern's
+filter modes, the applied compile-time rewrites, and the pattern's
 canonical fingerprint.  Plans are immutable and picklable: parallel
 workers receive the pickled plan instead of rebuilding the automaton,
 and the process-global :class:`~repro.plan.cache.PlanCache` shares one
@@ -233,27 +233,6 @@ class PatternPlan:
     # ------------------------------------------------------------------
     # Introspection and plumbing
     # ------------------------------------------------------------------
-    def describe(self) -> str:
-        """Multi-line summary: fingerprint, sizes, rewrites, prefilter."""
-        automaton = self._automaton
-        lines = [
-            f"plan {self._fingerprint[:12]} for {self._pattern!r}",
-            f"  optimizations: {', '.join(self._optimizations) or 'none'}",
-        ]
-        if self._aggregate is not None:
-            lines.append(
-                f"  aggregate: {self._aggregate.render()} "
-                f"(incremental fold, no match materialisation)")
-        lines += [
-            f"  automaton: {len(automaton.states)} states, "
-            f"{len(automaton.transitions)} transitions",
-        ]
-        for mode in FILTER_MODES:
-            lines.append(f"  prefilter[{mode}]: {self._prefilters[mode]!r}")
-        for rewrite in self._rewrites:
-            lines.append(f"  rewrite: {rewrite}")
-        return "\n".join(lines)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PatternPlan):
             return NotImplemented

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import socket
-from typing import Iterable, List, Sequence
 
 import pytest
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Event, SESPattern
+from repro import Event
 from repro.automaton.automaton import AutomatonError, SESAutomaton
 from repro.automaton.buffer import EQUAL, LEAST, MatchBuffer
 from repro.automaton.builder import build_automaton

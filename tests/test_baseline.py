@@ -8,7 +8,6 @@ from repro import PatternError, SESPattern
 from repro.baseline import (BruteForceMatcher, NaiveMatcher, brute_force_match,
                             enumerate_sequences, naive_match, sequence_count,
                             sequence_pattern)
-from repro.core.variables import var
 
 from conftest import eids, ev, match
 

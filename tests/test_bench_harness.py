@@ -32,7 +32,7 @@ class TestProfiles:
         with pytest.raises(ValueError):
             resolve_profile("galactic")
 
-    def test_profile_relations_deterministic(self):
+    def test_profile_datasets_are_deterministic(self):
         profile = resolve_profile("quick")
         assert profile.exp1_relation().events == profile.exp1_relation().events
         assert len(profile.exp23_base()) > 0

@@ -5,7 +5,7 @@ import pytest
 from repro.complexity import ComplexityCase, classify_set
 from repro.data import (CHEMO_SCHEMA, DEFAULT_TAU, MEDICATION_TYPES,
                         base_dataset, calibrate_patients, duplicated_datasets,
-                        experiment1_pattern, figure1_relation, generate_chemo,
+                        experiment1_pattern, generate_chemo,
                         hours, pattern_p3, pattern_p4, pattern_p5, pattern_p6,
                         query_q1)
 

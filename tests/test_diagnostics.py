@@ -1,7 +1,5 @@
 """Tests for the static pattern linter."""
 
-import pytest
-
 from repro import SESPattern
 from repro.core.diagnostics import diagnose
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Event, EventRelation, SESPattern
+from repro import SESPattern
 from repro.automaton.builder import build_automaton
 from repro.automaton.executor import SESExecutor
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.conditions import Const
 from repro.core.variables import group, var
 from repro.lang import (CompileError, LexError, ParseError, compile_query,
                         parse, parse_pattern, tokenize)

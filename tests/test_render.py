@@ -1,7 +1,5 @@
 """Tests for rendering patterns back to PERMUTE query text."""
 
-import pytest
-
 from repro import SESPattern
 from repro.lang import parse_pattern, render_pattern
 

@@ -1,7 +1,5 @@
 """Tests for semantics-preserving pattern rewrites (join closure)."""
 
-import pytest
-
 from repro import EventRelation, SESPattern
 from repro.baseline import naive_match
 from repro.core.rewrite import close_equality_joins, implied_equalities

@@ -1,6 +1,5 @@
 """Tests for the persistent statistics store and the statistics-informed
-condition ordering it feeds (repro.explain.stats / repro.explain.order /
-the planner's ``condition_order``)."""
+condition ordering it feeds (repro.explain.stats / repro.explain.order)."""
 
 import json
 import multiprocessing
@@ -8,9 +7,10 @@ import multiprocessing
 import pytest
 
 from repro import Event, EventRelation, SESPattern
-from repro.explain import (clear_stats_store, explain_analyze, ordered_plan,
-                           stats_store)
-from repro.explain.order import condition_order_hint, rank_conditions
+from repro.explain import (clear_stats_store, explain, explain_analyze,
+                           ordered_plan, stats_store)
+from repro.explain.analyze import transition_label
+from repro.explain.order import rank_conditions
 from repro.explain.stats import (STATS_DISABLE_ENV, STATS_FORMAT_VERSION,
                                  STATS_PATH_ENV, StatsStore, set_stats_path,
                                  stats_key)
@@ -26,6 +26,20 @@ PATTERN = SESPattern(
                 "a.ID = b.ID", "a.ID = c.ID"],
     tau=50,
 )
+
+
+#: Declares its rarely passing binding condition last, so observed pass
+#: rates move it to the front of its transition.
+MISORDERED = SESPattern(
+    sets=[["a"], ["b"]],
+    conditions=["a.kind = 'A'", "b.kind = 'B'", "a.x <= b.x", "a.y > b.y"],
+    tau=50,
+)
+
+
+def misordered_relation():
+    return EventRelation([Event(ts=ts, eid=f"e{ts}", kind="AB"[ts % 2],
+                                x=ts, y=ts % 3) for ts in range(1, 41)])
 
 
 def make_relation(n_keys=4, reps=2):
@@ -149,19 +163,25 @@ class TestConditionOrdering:
                         record_stats=True)
         return store
 
-    def test_hint_none_without_observations(self):
-        assert condition_order_hint(PATTERN,
-                                    store=StatsStore(autosave=False)) is None
-
-    def test_hint_ranks_selective_first(self, observed_store):
-        hint = condition_order_hint(PATTERN, store=observed_store)
-        assert hint is not None
-        assert len(hint) == len(PATTERN.conditions)
-        fingerprint = stats_key(as_plan(PATTERN).pattern)
-        rates = [observed_store.condition_selectivity(fingerprint, text)
-                 for text in hint]
-        known = [rate for rate in rates if rate is not None]
-        assert known == sorted(known)
+    def test_ordered_plan_ranks_selective_first(self):
+        store = StatsStore(autosave=False)
+        explain_analyze(MISORDERED, misordered_relation(), store=store,
+                        record_stats=True)
+        declared = as_plan(MISORDERED)
+        ordered = ordered_plan(MISORDERED, store=store)
+        first = ordered.automaton.transitions[-1].conditions[0]
+        assert repr(first) == "a.y > b.y"
+        fingerprint = stats_key(declared.pattern)
+        for before, after in zip(declared.automaton.transitions,
+                                 ordered.automaton.transitions):
+            assert sorted(map(repr, after.conditions)) == \
+                sorted(map(repr, before.conditions))
+            label = transition_label(after)
+            rates = [store.transition_condition_selectivity(
+                         fingerprint, label, repr(condition))
+                     for condition in after.conditions]
+            ranked = [1.0 if rate is None else rate for rate in rates]
+            assert ranked == sorted(ranked)
 
     def test_ordered_plan_identity_without_observations(self):
         plan = ordered_plan(PATTERN, store=StatsStore(autosave=False))
@@ -184,25 +204,27 @@ class TestConditionOrdering:
             assert isinstance(label, str) and conditions
 
 
-class TestPlannerIntegration:
-    def test_plan_query_picks_up_stats(self):
-        from repro.planner import plan_query
-        relation = make_relation()
-        explain_analyze(PATTERN, relation)  # records into the global store
-        plan = plan_query(PATTERN, relation)
-        assert plan.condition_order is not None
-        assert "condition order" in plan.explain()
-        # the planned execution still finds the same matches
-        baseline = match(PATTERN, relation)
-        planned = plan.execute(relation)
+class TestGlobalStoreFeedback:
+    """``explain_analyze`` records into the process-global store, and
+    ``ordered_plan`` reads it back without being handed a store."""
+
+    def test_ordered_plan_picks_up_global_stats(self):
+        relation = misordered_relation()
+        explain_analyze(MISORDERED, relation)  # records into the global store
+        ordered = ordered_plan(MISORDERED)
+        assert ordered.fingerprint.endswith(":stats-order")
+        assert list(rank_conditions(MISORDERED)) == ["a --b--> ab"]
+        assert ("rewrite: stats-order: reordered conditions on 1 "
+                "transition(s)") in explain(ordered).render("text")
+        # the ordered execution still finds the same matches
+        baseline = match(MISORDERED, relation)
+        assert baseline.matches
+        planned = ordered.match(relation)
         assert ([s.bindings for s in planned.matches]
                 == [s.bindings for s in baseline.matches])
 
-    def test_plan_query_without_stats_has_no_order(self):
-        from repro.planner import plan_query
-        relation = make_relation()
-        plan = plan_query(PATTERN, relation)
-        assert plan.condition_order is None
+    def test_ordered_plan_without_global_stats_is_the_cached_plan(self):
+        assert ordered_plan(PATTERN) is as_plan(PATTERN)
 
 
 class TestWorkerMerge:

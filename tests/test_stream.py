@@ -4,7 +4,7 @@ from itertools import islice
 
 import pytest
 
-from repro import Event, SESPattern
+from repro import SESPattern
 from repro.stream import ContinuousMatcher, synthetic
 
 from conftest import ev, match
