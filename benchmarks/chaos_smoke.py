@@ -71,8 +71,9 @@ def run_supervised(events, faults, dead_letter):
                                    supervisor=supervisor,
                                    observability=obs)
     with matcher:
-        matcher.push_many(events)
-    return matcher, supervisor, obs
+        reported = matcher.push_many(events)
+        reported += matcher.close()
+    return matcher, reported, supervisor, obs
 
 
 def fail(message):
@@ -88,16 +89,17 @@ def main():
     # Scenario 1: kill each shard once, mid-window.
     dead_letter = DeadLetterQueue()
     faults = FaultPlan().kill(0, 7).kill(1, 5, mode="exit")
-    matcher, supervisor, obs = run_supervised(events, faults, dead_letter)
-    got = match_set(matcher.matches)
-    print(f"kill-each-shard-once: {len(matcher.matches)} matches, "
+    matcher, reported, supervisor, obs = run_supervised(events, faults,
+                                                        dead_letter)
+    got = match_set(reported)
+    print(f"kill-each-shard-once: {len(reported)} matches, "
           f"{supervisor.restarts_total} restarts, "
           f"health={matcher.health()['status']}")
     if got != expected:
         status |= fail(f"kill scenario diverged from serial reference "
                        f"(missing={len(expected - got)}, "
                        f"extra={len(got - expected)})")
-    if len(matcher.matches) != len(expected):
+    if len(reported) != len(expected):
         status |= fail("kill scenario delivered duplicate matches")
     if supervisor.restarts_total != 2:
         status |= fail(f"expected 2 restarts, saw {supervisor.restarts_total}")
@@ -105,10 +107,10 @@ def main():
     # Scenario 2: one poisoned event must be quarantined, the rest of
     # the stream must still match.
     dead_letter = DeadLetterQueue()
-    matcher, supervisor, obs = run_supervised(
+    matcher, reported, supervisor, obs = run_supervised(
         events, FaultPlan().corrupt(0, 4), dead_letter)
     print(f"poison-event: {len(dead_letter)} quarantined, "
-          f"{len(matcher.matches)} matches, "
+          f"{len(reported)} matches, "
           f"health={matcher.health()['status']}")
     dead_letter.write_jsonl("chaos-dead-letter.jsonl")
     if len(dead_letter) != 1:
@@ -123,7 +125,7 @@ def main():
         else:
             status |= fail("quarantined event carried no flight dump")
         survivors = [e for e in events if e.eid != entry.event.eid]
-        if match_set(matcher.matches) != match_set(
+        if match_set(reported) != match_set(
                 serial_reference(survivors)):
             status |= fail("poison scenario lost matches from the "
                            "healthy stream")

@@ -451,14 +451,6 @@ def _load_query(args: argparse.Namespace):
     return parse_query_spec(text)
 
 
-def _load_pattern(args: argparse.Namespace):
-    # Commands that analyse the pattern itself (explain/lint)
-    # accept aggregation queries too: the SELECT clause changes what a
-    # run returns, not the automaton being analysed.
-    pattern, _aggregate = _load_query(args)
-    return pattern
-
-
 def _cmd_match(args: argparse.Namespace) -> int:
     pattern, aggregate = _load_query(args)
     relation = load_relation(args.data)
@@ -571,7 +563,8 @@ def _run_supervised_match(plan, relation, args: argparse.Namespace,
         observability=obs, supervisor=supervisor, guard=guard)
     try:
         with matcher:
-            matcher.push_many(relation)
+            matches = matcher.push_many(relation)
+            matches += matcher.close()
     finally:
         # Always write the file: "exists and empty" is the scriptable
         # signature of a clean run (CI's chaos smoke relies on it).
@@ -582,7 +575,8 @@ def _run_supervised_match(plan, relation, args: argparse.Namespace,
         if supervisor.restarts_total:
             print(f"recovered from {supervisor.restarts_total} shard "
                   f"crash(es)")
-    matches = matcher.matches
+    # Shards report in arrival order; print by start, as the serial run.
+    matches.sort(key=lambda s: s.min_ts())
     aggregates = (matcher.aggregates() if plan.aggregate is not None
                   else None)
     return MatchResult(matches=matches, accepted=list(matches),
@@ -984,15 +978,22 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     from .explain import explain, explain_analyze
-    pattern = _load_pattern(args)
+    pattern, aggregate = _load_query(args)
     format = "dot" if args.dot else args.format
     relation = None if args.data is None else load_relation(args.data)
     if args.analyze:
         if relation is None:
             raise ValueError("--analyze requires --data")
+        if aggregate is not None:
+            raise ValueError("--analyze counts an enumerating run, but a "
+                             "SELECT query folds its matches; drop the "
+                             "SELECT clause to analyze the pattern")
         report = explain_analyze(pattern, relation,
                                  use_filter=not args.no_filter)
     else:
+        # A SELECT query runs as its aggregation plan: explain that.
+        if aggregate is not None:
+            pattern = compile_plan(pattern, aggregate=aggregate)
         report = explain(pattern, window=args.window, relation=relation)
     rendered = report.render(format)
     if args.out is not None:
@@ -1004,7 +1005,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    pattern = _load_pattern(args)
+    pattern, _aggregate = _load_query(args)
     findings = diagnose(pattern)
     if not findings:
         print("no findings")

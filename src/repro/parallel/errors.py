@@ -22,11 +22,10 @@ class WorkerCrashed(RuntimeError):
     worker got the chance to capture one; it is ``None`` for hard
     crashes (``SIGKILL``, ``os._exit``) where no evidence survives.
 
-    ``partial_matches`` carries the matches that other shards had
-    already reported before the crash aborted a
-    :meth:`~repro.parallel.sharded.ShardedStreamMatcher.close` drain —
-    work that was complete and correct, attached instead of discarded.
-    It is an empty list when the crash happened outside a close drain.
+    ``partial_matches`` carries the matches the sharded matcher had
+    read but not yet returned when the crash cut short its ``push``,
+    ``flush`` or ``close`` — work that was complete and correct,
+    attached instead of discarded (the matcher keeps no other copy).
     """
 
     def __init__(self, message: str, flight_dump: Optional[dict] = None,

@@ -21,10 +21,11 @@ Operational properties:
   pushed so far has been fully processed when it returns); :meth:`close`
   flushes end-of-stream state, merges worker metrics, and joins the
   workers;
-* **crash detection** — a dead worker is detected on the next
-  ``push``/``flush``/``close`` and surfaces as
-  :class:`~repro.parallel.errors.WorkerCrashed` with the shard id and
-  exit code, instead of a deadlock on a full or forever-empty queue;
+* **crash detection** — each shard replies on a pipe whose write end
+  only it holds, so its death (error report, ``os._exit``, ``SIGKILL``)
+  is end-of-file there, read on the next ``push``/``flush``/``close``
+  like any message and raised as
+  :class:`~repro.parallel.errors.WorkerCrashed`;
 * **crash recovery** — with a
   :class:`~repro.resilience.supervisor.Supervisor` attached, a dead
   shard is instead respawned from its last checkpoint, the write-ahead
@@ -33,11 +34,13 @@ Operational properties:
   quarantined to a dead-letter queue — see ``docs/resilience.md``.
 
 Wire protocol (parent ↔ shard): every routed event carries a per-shard
-1-based sequence number, parent → worker ``("e", seq, wire)``; with
+1-based sequence number, parent → worker ``("e", seq, wire)`` on the
+shard's bounded input queue; with
 tracing on, sampled events ship the four-element traced wire (the
 trace context rides as ``wire[3]``, WAL entries included, so a replay
 after a supervised restart preserves trace identity).  The
-worker replies ``("m", shard, seq, wires)`` for matches, acks barriers
+worker replies on its own pipe: ``("m", shard, seq, wires)`` for
+matches, acks barriers
 with ``("flushed", shard, flush_seq, last_seq, guard_stats)`` /
 ``("closed", shard, wires, obs_snapshot, last_seq, guard_stats,
 agg_snapshot)``, ships checkpoints as ``("ckpt", shard, seq, payload)``
@@ -52,6 +55,7 @@ from __future__ import annotations
 import logging
 import os
 import queue
+from multiprocessing.connection import wait
 from typing import Callable, List, Optional
 
 from ..agg.result import Match
@@ -72,8 +76,9 @@ logger = logging.getLogger(__name__)
 #: (its ``partition`` field carries the routing key).
 MatchCallback = Callable[[Match], None]
 
-#: Seconds between liveness checks while waiting on a queue.
-_POLL_SECONDS = 0.2
+#: Seconds a put waits on a full input queue between reads of the
+#: shards' pipes.
+_FULL_QUEUE_WAIT = 0.05
 
 #: Events a shard handles between sweeps for idle partitions: a key
 #: silent for more than τ with nothing in flight gives its matcher (and
@@ -88,8 +93,11 @@ _COLLECT_EVERY = 1024
 def _shard_worker(shard_id: int, plan, attribute: str,
                   use_filter: bool, suppress_overlaps: bool,
                   instrument: bool, flight_capacity: int,
-                  in_queue, out_queue, runtime=None) -> None:
+                  in_queue, out, runtime=None) -> None:
     """Shard main loop: consume events until a close message arrives.
+
+    Every reply goes out on ``out``, the write end of the shard's own
+    pipe, whose only copy this process holds.
 
     Receives the parent's pickled plan, seeds the shard's process-global
     plan cache with it, and never rebuilds the automaton.  Runs its own
@@ -169,8 +177,8 @@ def _shard_worker(shard_id: int, plan, attribute: str,
                 current_seq = None
                 events_seen = seq
                 if reported:
-                    out_queue.put(("m", shard_id, seq,
-                                   [encode_substitution(s) for s in reported]))
+                    out.send(("m", shard_id, seq,
+                              [encode_substitution(s) for s in reported]))
                 since_collect += 1
                 since_checkpoint += 1
                 checkpoint = since_checkpoint == checkpoint_every
@@ -181,20 +189,20 @@ def _shard_worker(shard_id: int, plan, attribute: str,
                 if checkpoint:
                     since_checkpoint = 0
                     from ..resilience.checkpoint import snapshot_state
-                    out_queue.put(("ckpt", shard_id, seq,
-                                   snapshot_state(matcher)))
+                    out.send(("ckpt", shard_id, seq,
+                              snapshot_state(matcher)))
             elif kind == "flush":
-                out_queue.put(("flushed", shard_id, message[1], events_seen,
-                               None if guard is None else guard.stats()))
+                out.send(("flushed", shard_id, message[1], events_seen,
+                          None if guard is None else guard.stats()))
             elif kind == "close":
                 reported = matcher.close()
                 aggregate = matcher.aggregate()
                 snapshot = None if aggregate is None else aggregate.snapshot()
-                out_queue.put(("closed", shard_id,
-                               [encode_substitution(s) for s in reported],
-                               snapshot, events_seen,
-                               None if guard is None else guard.stats(),
-                               matcher.aggregate_snapshot()))
+                out.send(("closed", shard_id,
+                          [encode_substitution(s) for s in reported],
+                          snapshot, events_seen,
+                          None if guard is None else guard.stats(),
+                          matcher.aggregate_snapshot()))
                 break
             else:  # pragma: no cover - protocol violation
                 raise RuntimeError(f"unknown shard message {kind!r}")
@@ -205,9 +213,9 @@ def _shard_worker(shard_id: int, plan, attribute: str,
                 flight.note_crash(current_event,
                                   f"{type(exc).__name__}: {exc}")
                 dump = flight.dump()
-            out_queue.put(("error", shard_id,
-                           f"{type(exc).__name__}: {exc}", dump,
-                           current_seq if current_seq is not None else 0))
+            out.send(("error", shard_id,
+                      f"{type(exc).__name__}: {exc}", dump,
+                      current_seq if current_seq is not None else 0))
         finally:
             raise
 
@@ -301,7 +309,9 @@ class ShardedStreamMatcher:
             faults = supervisor.faults
         self.faults = faults
         self._callbacks: List[MatchCallback] = []
-        self._matches: List[Substitution] = []
+        #: Matches read from the shards and not yet returned.
+        self._outbox: List[Substitution] = []
+        self._match_count = 0
         self._agg_snapshot = None
         self._events_routed = [0] * self.n_shards
         self._events_processed = [0] * self.n_shards
@@ -326,15 +336,17 @@ class ShardedStreamMatcher:
             for shard in range(self.n_shards)}
         context = default_context(start_method)
         self._context = context
-        self._in_queues = [context.Queue(maxsize=queue_size)
-                           for _ in range(self.n_shards)]
-        self._out_queue = context.Queue()
         if supervisor is not None:
             self._seq_values = [context.Value("q", 0, lock=False)
                                 for _ in range(self.n_shards)]
             supervisor.bind(self)
         else:
             self._seq_values = [None] * self.n_shards
+        self._in_queues: List = [None] * self.n_shards
+        #: Read end of each shard's result pipe (``None`` once closed or
+        #: dead) and the error report a shard sent before its end-of-file.
+        self._readers: List = [None] * self.n_shards
+        self._last_words: dict = {}
         self._processes: List = [None] * self.n_shards
         for shard_id in range(self.n_shards):
             self._spawn(shard_id)
@@ -347,7 +359,7 @@ class ShardedStreamMatcher:
     # ------------------------------------------------------------------
     def _spawn(self, shard_id: int, state: Optional[bytes] = None,
                start_seq: int = 0) -> None:
-        """Start (or restart) one shard worker process."""
+        """Start (or restart) one shard worker with fresh channels."""
         runtime = None
         if (self.supervisor is not None or self.guard is not None
                 or self._shard_faults.get(shard_id)):
@@ -359,28 +371,27 @@ class ShardedStreamMatcher:
                 seq_value=self._seq_values[shard_id],
                 faults=list(self._shard_faults.get(shard_id, ())),
                 guard=self.guard)
+        in_queue = self._context.Queue(maxsize=self._queue_size)
+        reader, writer = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_shard_worker,
             args=(shard_id, self.plan, self.attribute, self._use_filter,
                   self._suppress_overlaps, self.obs is not None,
-                  self._flight_capacity, self._in_queues[shard_id],
-                  self._out_queue, runtime),
+                  self._flight_capacity, in_queue, writer, runtime),
             daemon=True, name=f"ses-shard-{shard_id}")
         process.start()
+        # The shard now holds the only write end: its exit is end-of-file.
+        writer.close()
+        self._in_queues[shard_id] = in_queue
+        self._readers[shard_id] = reader
         self._processes[shard_id] = process
 
     def _respawn(self, shard_id: int, state: Optional[bytes] = None,
                  start_seq: int = 0) -> None:
-        """Replace a dead shard: fresh input queue, fresh worker.
-
-        Called by the supervisor after the dead process is joined and
-        its stale messages are drained; the old queue (and anything
-        still buffered in it) is abandoned — the WAL replay re-delivers
-        every event the old worker never finished.
-        """
+        """Replace a dead shard the supervisor has joined.  Its old
+        queue is let go: the WAL replay re-delivers what it held."""
         self._fold_guard_stats(shard_id)
-        self._in_queues[shard_id] = self._context.Queue(
-            maxsize=self._queue_size)
+        _let_go(self._in_queues[shard_id])
         if self._seq_values[shard_id] is not None:
             self._seq_values[shard_id].value = 0
         self._spawn(shard_id, state=state, start_seq=start_seq)
@@ -397,11 +408,21 @@ class ShardedStreamMatcher:
     # Feeding
     # ------------------------------------------------------------------
     def push(self, event: Event) -> List[Substitution]:
-        """Route one event to its shard; returns matches drained so far.
+        """Route one event to its shard; returns the matches read so far.
 
         Match delivery is asynchronous: a match produced by this event
         may be returned by a later ``push`` or by :meth:`flush`.
         """
+        return self.push_many((event,))
+
+    def push_many(self, events) -> List[Substitution]:
+        """Feed a batch of events (stream order); returns the matches
+        read meanwhile."""
+        for event in events:
+            self._route(event)
+        return self._take()
+
+    def _route(self, event: Event) -> None:
         self._require_open()
         shard = hash(event.get(self.attribute)) % self.n_shards
         seq = self._events_routed[shard] + 1
@@ -419,64 +440,33 @@ class ShardedStreamMatcher:
             # Write-ahead: the event is recoverable before it is queued.
             self.supervisor.record_event(shard, seq, wire)
         self._put(shard, ("e", seq, wire))
-        return self._drain()
-
-    def push_many(self, events) -> List[Substitution]:
-        """Feed a batch of events (stream order); returns drained matches."""
-        out: List[Substitution] = []
-        for event in events:
-            out.extend(self.push(event))
-        return out
+        self._receive(0)
 
     def flush(self) -> List[Substitution]:
         """Barrier: wait until every pushed event is fully processed.
 
-        Returns the matches reported while waiting.  The stream stays
-        open; push more events afterwards.
+        Returns the matches read while waiting.  The stream stays open;
+        push more events afterwards.
         """
         self._require_open()
         self._flush_seq += 1
-        self._barrier = "flush"
-        self._barrier_pending = set(range(self.n_shards))
-        reported: List[Substitution] = []
-        try:
-            for shard in range(self.n_shards):
-                self._put(shard, ("flush", self._flush_seq))
-            while self._barrier_pending:
-                reported.extend(self._handle(self._get()))
-        finally:
-            self._barrier = None
-            self._barrier_pending = set()
+        self._barrier_round("flush", ("flush", self._flush_seq))
         self._publish_shard_metrics()
-        return reported
+        return self._take()
 
     def close(self) -> List[Substitution]:
         """End-of-stream: flush every shard, join workers, merge metrics.
 
         If a shard crashes (unsupervised) while later shards still owe
         their results, the raised :class:`WorkerCrashed` carries the
-        matches already drained as ``partial_matches`` instead of
-        discarding them.
+        matches read but not yet returned as ``partial_matches`` instead
+        of discarding them.
         """
         if self._closed:
             return []
         self._closed = True
-        self._barrier = "close"
-        self._barrier_pending = set(range(self.n_shards))
-        reported: List[Substitution] = []
-        try:
-            for shard in range(self.n_shards):
-                self._put(shard, ("close",))
-            while self._barrier_pending:
-                reported.extend(self._handle(self._get(closing=True)))
-        except WorkerCrashed as exc:
-            # Don't discard work that other shards completed: hand the
-            # already-drained matches to the caller on the exception.
-            exc.partial_matches = list(reported)
-            raise
-        finally:
-            self._barrier = None
-            self._barrier_pending = set()
+        self._barrier_round("close", ("close",))
+        reported = self._take()
         for process in self._processes:
             process.join(timeout=10.0)
         crashed = [p for p in self._processes
@@ -502,6 +492,11 @@ class ShardedStreamMatcher:
         for process in self._processes:
             if process is not None:
                 process.join(timeout=5.0)
+        for shard_id, reader in enumerate(self._readers):
+            _let_go(self._in_queues[shard_id])
+            if reader is not None:
+                reader.close()
+                self._readers[shard_id] = None
 
     def __enter__(self) -> "ShardedStreamMatcher":
         return self
@@ -516,15 +511,10 @@ class ShardedStreamMatcher:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def matches(self) -> List[Substitution]:
-        """All matches reported so far, ordered by start timestamp."""
-        return sorted(self._matches, key=lambda s: s.min_ts())
-
-    @property
     def match_count(self) -> int:
-        """How many matches were reported so far (``len(matches)``
-        without the sort)."""
-        return len(self._matches)
+        """Matches reported so far (the matcher keeps no copy: use what
+        push/flush/close return, or :meth:`on_match`)."""
+        return self._match_count
 
     def aggregate_snapshot(self):
         """Merged cross-shard partial-aggregate snapshot (``None`` for
@@ -625,7 +615,7 @@ class ShardedStreamMatcher:
 
     def __repr__(self) -> str:
         return (f"ShardedStreamMatcher({self.attribute!r}, "
-                f"{self.n_shards} shards, {len(self._matches)} matches)")
+                f"{self.n_shards} shards, {self._match_count} matches)")
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -635,83 +625,109 @@ class ShardedStreamMatcher:
             raise RuntimeError("stream matcher is closed")
 
     def _put(self, shard: int, message) -> None:
-        """Enqueue with liveness checks so a dead shard cannot hang us.
+        """Enqueue for one shard, reading the pipes while its queue is
+        full (a worker blocked sending its results drains nothing).
 
-        Supervised, a death observed here hands off to the supervisor
-        and then simply returns: events are covered by the WAL replay
-        and barriers are re-issued by the recovery itself, so the
-        message needs no direct retry (re-sending it would deliver it
-        twice).  The queue is re-read every attempt because recovery
-        swaps in a fresh one.
+        A supervised recovery read meanwhile swaps in a fresh queue and
+        re-delivers ``message`` itself (WAL replay, re-issued barrier),
+        so it is not sent again.
         """
-        while True:
-            in_queue = self._in_queues[shard]
+        in_queue = self._in_queues[shard]
+        while self._in_queues[shard] is in_queue:
             try:
-                in_queue.put(message, timeout=_POLL_SECONDS)
+                in_queue.put(message, timeout=_FULL_QUEUE_WAIT)
                 return
             except queue.Full:
                 self._backpressure_waits += 1
-                if not self._processes[shard].is_alive():
-                    if self.supervisor is not None:
-                        self.supervisor.on_crash(shard)
-                        return
-                    self._crashed(shard)
+                self._receive(0)
 
-    def _get(self, closing: bool = False):
-        """Dequeue a result with liveness checks."""
-        while True:
+    def _barrier_round(self, kind: str, message) -> None:
+        """Send ``message`` to every shard and read until each acked
+        (the supervisor re-issues it to a shard that died first)."""
+        self._barrier = kind
+        self._barrier_pending = set(range(self.n_shards))
+        try:
+            for shard in range(self.n_shards):
+                self._put(shard, message)
+            while self._barrier_pending:
+                self._receive()
+        finally:
+            self._barrier = None
+            self._barrier_pending = set()
+
+    def _take(self) -> List[Substitution]:
+        reported, self._outbox = self._outbox, []
+        return reported
+
+    def _receive(self, timeout: Optional[float] = None) -> None:
+        """Handle the shard messages ready within ``timeout`` seconds
+        (``None``: block until one is).  End-of-file on a shard's pipe
+        is its death, and this is the one place a death is read."""
+        readers = {reader: shard for shard, reader in enumerate(self._readers)
+                   if reader is not None}
+        for reader in wait(list(readers), timeout):
+            shard = readers[reader]
+            # A recovery handled earlier in this loop may have replaced
+            # this reader, or read it dry.
+            if self._readers[shard] is not reader or not reader.poll():
+                continue
             try:
-                return self._out_queue.get(timeout=_POLL_SECONDS)
-            except queue.Empty:
-                for shard_id, process in enumerate(self._processes):
-                    if not process.is_alive() and (
-                            not closing or process.exitcode not in (0, None)):
-                        # A shard died with work outstanding; drain any
-                        # last messages (its error report) first.
-                        try:
-                            return self._out_queue.get(timeout=_POLL_SECONDS)
-                        except queue.Empty:
-                            if self.supervisor is not None:
-                                self.supervisor.on_crash(shard_id)
-                                break
-                            self._crashed(shard_id)
+                message = reader.recv()
+            except (EOFError, OSError):
+                # Handled below, outside this handler, so a shard the
+                # recovery respawns does not inherit the exception.
+                message = None
+            if message is None:
+                self._died(shard)
+            else:
+                self._handle(message)
 
-    def _handle(self, message) -> List[Substitution]:
-        """Process a non-ack message from a shard."""
-        kind = message[0]
-        if kind == "m":
-            shard_id, seq = message[1], message[2]
-            if (self.supervisor is not None
-                    and not self.supervisor.should_deliver(shard_id, seq)):
-                return []  # replayed duplicate: already delivered
-            return self._report(message[3], shard=shard_id)
-        if kind == "ckpt":
+    def _died(self, shard: int) -> None:
+        """Recover a dead shard, or stop and raise :class:`WorkerCrashed`
+        carrying the matches read but not yet returned."""
+        self._readers[shard].close()
+        self._readers[shard] = None
+        reason, dump, seq = self._last_words.pop(shard, (None, None, None))
+        try:
             if self.supervisor is not None:
-                self.supervisor.record_checkpoint(
-                    message[1], message[2], message[3])
-            return []
-        if kind == "error":
-            shard_id, reason = message[1], message[2]
-            flight_dump = message[3] if len(message) > 3 else None
-            seq = message[4] if len(message) > 4 else 0
-            if self.supervisor is not None:
-                self.supervisor.on_crash(shard_id, reason, flight_dump, seq)
-                return []
+                self.supervisor.on_crash(shard, reason, dump, seq)
+                return
             self.stop()
+            exitcode = self._processes[shard].exitcode
             raise WorkerCrashed(
-                f"stream shard {shard_id} crashed: {reason}",
-                flight_dump=flight_dump)
-        if kind == "flushed":
+                f"stream shard {shard} crashed: {reason}" if reason else
+                f"stream shard {shard} died (exit code {exitcode}); "
+                f"shutting down the remaining shards", flight_dump=dump)
+        except WorkerCrashed as exc:
+            exc.partial_matches += self._take()
+            raise
+
+    def _handle(self, message) -> None:
+        """Process one message from a shard."""
+        kind, shard_id = message[0], message[1]
+        if kind == "m":
+            # A replayed duplicate was delivered already.
+            if (self.supervisor is None
+                    or self.supervisor.should_deliver(shard_id, message[2])):
+                self._report(message[3], shard_id)
+        elif kind == "ckpt":
+            if self.supervisor is not None:
+                self.supervisor.record_checkpoint(*message[1:])
+        elif kind == "error":
+            # The shard's last words: its end-of-file follows.
+            self._last_words[shard_id] = message[2:]
+        elif kind == "flushed":
             _, shard_id, seq, events_seen, guard_stats = message
             if self._barrier == "flush" and seq == self._flush_seq:
                 self._barrier_pending.discard(shard_id)
             self._events_processed[shard_id] = events_seen
             self._note_guard_stats(shard_id, guard_stats)
-            return []
-        if kind == "closed":
+        elif kind == "closed":
             (_, shard_id, wires, snapshot, events_seen,
-             guard_stats) = message[:6]
-            agg_snapshot = message[6] if len(message) > 6 else None
+             guard_stats, agg_snapshot) = message
+            # The shard exits now: its end-of-file is no death.
+            self._readers[shard_id].close()
+            self._readers[shard_id] = None
             self._barrier_pending.discard(shard_id)
             self._events_processed[shard_id] = events_seen
             self._note_guard_stats(shard_id, guard_stats)
@@ -719,7 +735,7 @@ class ShardedStreamMatcher:
                 from ..agg.engine import merge_snapshots
                 self._agg_snapshot = merge_snapshots(
                     self.plan.aggregate, self._agg_snapshot, agg_snapshot)
-            reported = self._report(wires, shard=shard_id)
+            self._report(wires, shard_id)
             if snapshot is not None and self.obs is not None:
                 self.obs.merge_snapshot(snapshot)
             if snapshot is not None:
@@ -736,21 +752,21 @@ class ShardedStreamMatcher:
                     stats_key(self.pattern), runs=0, events=read,
                     matches=matches, filter_seen=read,
                     filter_admitted=processed)
-            return reported
-        raise WorkerCrashed(f"unexpected shard message {kind!r}")
+        else:  # pragma: no cover - protocol violation
+            raise WorkerCrashed(f"unexpected shard message {kind!r}")
 
-    def _report(self, wires,
-                shard: Optional[int] = None) -> List[Substitution]:
+    def _report(self, wires, shard: int) -> None:
         reported = [decode_substitution(w) for w in wires]
-        self._matches.extend(reported)
+        self._outbox.extend(reported)
+        self._match_count += len(reported)
         lineage = None if self.obs is None else self.obs.lineage
         provenances = None
         if lineage is not None:
             # Parent-side delivery stamp, after the supervisor's
             # exactly-once gate — a replayed duplicate never reaches
             # this point, so a delivered count above 1 is a real bug.
-            by = "parent" if shard is None else f"shard:{shard}"
-            provenances = [lineage.deliver(s, by=by) for s in reported]
+            provenances = [lineage.deliver(s, by=f"shard:{shard}")
+                           for s in reported]
         if self._callbacks:
             for index, substitution in enumerate(reported):
                 events = substitution.events()
@@ -761,24 +777,6 @@ class ShardedStreamMatcher:
                                               else None))
                 for callback in self._callbacks:
                     callback(delivered)
-        return reported
-
-    def _drain(self) -> List[Substitution]:
-        """Collect whatever results are ready without blocking."""
-        reported: List[Substitution] = []
-        while True:
-            try:
-                message = self._out_queue.get_nowait()
-            except queue.Empty:
-                return reported
-            reported.extend(self._handle(message))
-
-    def _crashed(self, shard_id: int) -> None:
-        exitcode = self._processes[shard_id].exitcode
-        self.stop()
-        raise WorkerCrashed(
-            f"stream shard {shard_id} died (exit code {exitcode}); "
-            f"shutting down the remaining shards")
 
     # ------------------------------------------------------------------
     # Guard statistics (workers report plain dicts; parent owns counters)
@@ -845,3 +843,10 @@ class ShardedStreamMatcher:
                 if delta > 0:
                     registry.counter(name, help=help_text).inc(delta)
                     self._guard_published[key] = totals[key]
+
+
+def _let_go(in_queue) -> None:
+    """Close a queue no worker will read again, unjoined at exit: its
+    feeder thread may be blocked for good on a full pipe."""
+    in_queue.cancel_join_thread()
+    in_queue.close()

@@ -14,7 +14,7 @@ Three fault kinds:
 ``kill``
     Terminate the worker just before it processes the event — either a
     hard ``os._exit`` (no error report, no flight dump; the parent
-    detects the death by liveness polling) or a raised
+    reads the death as end-of-file on the shard's pipe) or a raised
     :class:`InjectedFault` (the worker ships its error report and
     flight dump first).  The supervisor strips a kill fault once it has
     fired, so a restarted shard replays past the kill point.

@@ -1,8 +1,8 @@
 """Shard supervision: restart, replay, quarantine.
 
 A :class:`Supervisor` turns :class:`~repro.parallel.sharded.
-ShardedStreamMatcher`'s crash *detection* (liveness polling plus worker
-error reports) into crash *recovery*:
+ShardedStreamMatcher`'s crash *detection* (end-of-file on the shard's
+result pipe) into crash *recovery*:
 
 1. a dead shard is respawned with exponential backoff + deterministic
    jitter, under a bounded per-shard restart budget;
@@ -20,10 +20,10 @@ error reports) into crash *recovery*:
    evidence, and the shard continues without it.
 
 The supervisor binds to exactly one matcher
-(``ShardedStreamMatcher(..., supervisor=Supervisor(...))``) and drives
-recovery from inside the matcher's own queue loops — no background
-thread, so supervision adds zero overhead until something actually
-dies.
+(``ShardedStreamMatcher(..., supervisor=Supervisor(...))``) and the
+matcher calls :meth:`Supervisor.on_crash` from the one place it reads
+a shard's end-of-file — no background thread, so supervision adds zero
+overhead until something actually dies.
 """
 
 from __future__ import annotations
@@ -225,7 +225,6 @@ class Supervisor:
         """
         matcher = self._matcher
         state = self._shards[shard]
-        generation = state.generation
         process = matcher._processes[shard]
         process.join(timeout=5.0)
         if seq is None:
@@ -234,15 +233,6 @@ class Supervisor:
         if reason is None:
             reason = f"worker died (exit code {process.exitcode})"
         logger.warning("shard %d crashed at seq %d: %s", shard, seq, reason)
-
-        # Adopt in-flight messages (other shards' matches, late
-        # checkpoints) before anything is respawned.  The dead worker's
-        # own error report may be among them: handling it recurses into
-        # on_crash with the *authoritative* crash attribution, and the
-        # generation bump tells this frame the recovery already ran.
-        matcher._drain()
-        if state.generation != generation:
-            return
 
         if seq:
             count = state.crash_counts.get(seq, 0) + 1
@@ -288,9 +278,9 @@ class Supervisor:
             len(state.wal.entries_after(start_seq)))
 
         # Replay the WAL on top of the checkpoint.  A crash during
-        # replay recurses into on_crash (via the matcher's liveness
-        # checks), which replays the tail itself — the generation
-        # counter tells this frame to stand down.
+        # replay recurses into on_crash (puts read the pipes while the
+        # queue is full), which replays the tail itself — the
+        # generation counter tells this frame to stand down.
         for entry_seq, wire in state.wal.entries_after(start_seq):
             if entry_seq in state.quarantined:
                 continue

@@ -215,6 +215,34 @@ class TestExplainCommand:
         assert out.startswith("EXPLAIN ANALYZE")
         assert "reconciled with executor counters" in out
 
+    SELECT_TEXT = ("SELECT count(*) AS n FROM PATTERN PERMUTE(a, b) "
+                   "WHERE a.L = 'B' AND b.L = 'P' AND a.ID = b.ID "
+                   "WITHIN 264")
+
+    def test_a_select_query_explains_the_plan_it_runs(self, capsys):
+        import repro
+        from repro.lang import parse_query_spec
+        pattern, aggregate = parse_query_spec(self.SELECT_TEXT)
+        library = repro.explain(repro.compile(pattern, aggregate=aggregate))
+        code = main(["explain", "--query", self.SELECT_TEXT])
+        out = capsys.readouterr().out
+        assert code == 0
+        # Same fingerprint as the library's account of the plan.
+        assert (out.splitlines()[0]
+                == library.render("text").splitlines()[0])
+        assert library.fingerprint.startswith("77c2eee01a2e")
+        assert ("aggregate: SELECT count(*) AS n (incremental fold, "
+                "no match materialisation)") in out
+
+    def test_analyze_refuses_a_select_query_and_says_why(self, figure1_csv,
+                                                         capsys):
+        code = main(["explain", "--query", self.SELECT_TEXT, "--analyze",
+                     "--data", str(figure1_csv)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "SELECT" in captured.err and "folds" in captured.err
+
 
 class TestAnalyzeCommand:
     """The Theorem 1-3 complexity report is a section of ``repro

@@ -365,8 +365,9 @@ class TestShardedLineage:
         delivered = []
         matcher.on_match(delivered.append)
         with matcher:
-            matcher.push_many(events)
-        report = obs.lineage.reconcile(matcher.matches)
+            reported = matcher.push_many(events)
+            reported += matcher.close()
+        report = obs.lineage.reconcile(reported)
         assert report["ok"], report
         assert delivered
         for match in delivered:
@@ -422,9 +423,10 @@ class TestChaosLineage:
         faults = FaultPlan().kill(0, 4).kill(1, 3)
         matcher, supervisor = self._supervised(faults, obs)
         with matcher:
-            matcher.push_many(events)
+            reported = matcher.push_many(events)
+            reported += matcher.close()
         assert supervisor.restarts_total == 2
-        report = obs.lineage.reconcile(matcher.matches)
+        report = obs.lineage.reconcile(reported)
         assert report["ok"], report
         assert obs.lineage.summary()["duplicates"] == 0
 
@@ -436,7 +438,8 @@ class TestChaosLineage:
         faults = FaultPlan().corrupt(0, 2)
         matcher, supervisor = self._supervised(faults, obs)
         with matcher:
-            matcher.push_many(events)
+            reported = matcher.push_many(events)
+            reported += matcher.close()
         assert supervisor.quarantined_total == 1
         quarantined = [r for r in obs.lineage.records()
                        if r.kept == "quarantined"]
@@ -446,7 +449,7 @@ class TestChaosLineage:
         assert record.match_id.startswith("quarantine:")
         assert obs.lineage.summary()["quarantined"] == 1
         # Match reconciliation still holds around the poison event.
-        assert obs.lineage.reconcile(matcher.matches)["ok"]
+        assert obs.lineage.reconcile(reported)["ok"]
 
 
 # ----------------------------------------------------------------------

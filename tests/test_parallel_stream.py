@@ -42,6 +42,15 @@ def match_set(substitutions):
     return {bindings(s) for s in substitutions}
 
 
+def run_to_close(matcher, events):
+    """Every match ``matcher`` returns while pushing ``events`` and
+    closing (it keeps no history of its own)."""
+    with matcher:
+        reported = matcher.push_many(events)
+        reported += matcher.close()
+    return reported
+
+
 def reference_matches(events):
     matcher = PartitionedContinuousMatcher(JOINED, partition_by="ID")
     reported = []
@@ -56,39 +65,35 @@ class TestShardedEquivalence:
     def test_same_matches_as_single_process(self, shards):
         events = stream_events()
         expected = match_set(reference_matches(events))
-        with ShardedStreamMatcher(JOINED, workers=shards) as matcher:
-            assert matcher.attribute == "ID"
-            matcher.push_many(events)
-        assert match_set(matcher.matches) == expected
-        assert len(matcher.matches) == len(expected)
-
-    def test_matches_ordered_by_start_timestamp(self):
-        with ShardedStreamMatcher(JOINED, workers=2) as matcher:
-            matcher.push_many(stream_events())
-        starts = [s.min_ts() for s in matcher.matches]
-        assert starts == sorted(starts)
+        matcher = ShardedStreamMatcher(JOINED, workers=shards)
+        assert matcher.attribute == "ID"
+        reported = run_to_close(matcher, events)
+        assert match_set(reported) == expected
+        assert len(reported) == len(expected)
+        assert matcher.match_count == len(expected)
 
 
 class TestFlushClose:
     def test_flush_is_a_barrier(self):
         events = stream_events()
         matcher = ShardedStreamMatcher(JOINED, workers=3)
+        reported = []
         try:
-            matcher.push_many(events)
-            matcher.flush()
+            reported += matcher.push_many(events)
+            reported += matcher.flush()
             # Every routed event has been processed once flush returns.
             assert sum(matcher.events_routed) == len(events)
             assert sum(matcher._events_processed) == len(events)
             # The stream is still open: more events still match.
             extra_ts = events[-1].ts
-            matcher.push_many([
+            reported += matcher.push_many([
                 Event(ts=extra_ts + 1, eid="xa", kind="A", ID=77),
                 Event(ts=extra_ts + 2, eid="xb", kind="B", ID=77),
                 Event(ts=extra_ts + 3, eid="xc", kind="C", ID=77),
             ])
         finally:
-            matcher.close()
-        assert len(matcher.matches) == len(reference_matches(events)) + 1
+            reported += matcher.close()
+        assert len(reported) == len(reference_matches(events)) + 1
 
     def test_close_is_idempotent_and_seals_the_stream(self):
         matcher = ShardedStreamMatcher(JOINED, workers=2)
@@ -108,10 +113,11 @@ class TestFlushClose:
 
     def test_on_match_callbacks(self):
         seen = []
-        with ShardedStreamMatcher(JOINED, workers=2) as matcher:
-            matcher.on_match(seen.append)
-            matcher.push_many(stream_events(n_keys=3, reps=1))
-        assert match_set(seen) == match_set(matcher.matches)
+        matcher = ShardedStreamMatcher(JOINED, workers=2)
+        matcher.on_match(seen.append)
+        reported = run_to_close(matcher, stream_events(n_keys=3, reps=1))
+        assert reported
+        assert [m.substitution for m in seen] == reported
 
 
 class TestValidation:
@@ -194,11 +200,11 @@ class TestIdlePartitionsAreCollected:
         expected = reference_matches(events)
         assert len(expected) == keys
         obs = Observability()
-        with ShardedStreamMatcher(JOINED, workers=1,
-                                  observability=obs) as matcher:
-            matcher.push_many(events)
-        assert match_set(matcher.matches) == match_set(expected)
-        assert len(matcher.matches) == keys
+        reported = run_to_close(
+            ShardedStreamMatcher(JOINED, workers=1, observability=obs),
+            events)
+        assert match_set(reported) == match_set(expected)
+        assert len(reported) == keys
         snapshot = obs.snapshot()
         assert snapshot["ses_stream_partitions_collected_total"]["value"] > 0
         assert snapshot["ses_stream_partitions"]["value"] < keys

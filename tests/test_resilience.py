@@ -10,7 +10,12 @@ per-shard sequence numbers deterministically.
 
 import json
 import multiprocessing
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -66,6 +71,15 @@ def reference_matches(events, pattern=JOINED):
     return reported
 
 
+def run_to_close(matcher, events):
+    """Every match ``matcher`` returns while pushing ``events`` and
+    closing (it keeps no history of its own)."""
+    with matcher:
+        reported = matcher.push_many(events)
+        reported += matcher.close()
+    return reported
+
+
 def supervised_matcher(faults=None, workers=2, checkpoint_every=4,
                        quarantine_after=2, observability=None, guard=None,
                        max_restarts=5):
@@ -90,12 +104,11 @@ class TestCrashRecovery:
         expected = match_set(reference_matches(events))
         faults = FaultPlan().kill(0, 4).kill(1, 3)
         matcher, supervisor = supervised_matcher(faults)
-        with matcher:
-            matcher.push_many(events)
+        reported = run_to_close(matcher, events)
         assert supervisor.restarts_total == 2
-        assert match_set(matcher.matches) == expected
+        assert match_set(reported) == expected
         # Exactly-once: replay must not duplicate a delivered match.
-        assert len(matcher.matches) == len(expected)
+        assert len(reported) == len(expected)
 
     def test_hard_kill_recovers_via_shared_seq_cell(self):
         # os._exit gives the worker no chance to report; the supervisor
@@ -104,11 +117,10 @@ class TestCrashRecovery:
         expected = match_set(reference_matches(events))
         faults = FaultPlan().kill(0, 5, mode="exit")
         matcher, supervisor = supervised_matcher(faults)
-        with matcher:
-            matcher.push_many(events)
+        reported = run_to_close(matcher, events)
         assert supervisor.restarts_total == 1
-        assert match_set(matcher.matches) == expected
-        assert len(matcher.matches) == len(expected)
+        assert match_set(reported) == expected
+        assert len(reported) == len(expected)
 
     def test_crash_during_flush_barrier(self):
         events = stream_events(n_keys=4)
@@ -117,12 +129,14 @@ class TestCrashRecovery:
         # which is still in flight when flush() raises the barrier.
         faults = FaultPlan().kill(0, 6)
         matcher, supervisor = supervised_matcher(faults)
-        matcher.push_many(events)
-        matcher.flush()  # must recover, re-issue the barrier, and return
+        reported = matcher.push_many(events)
+        # Must recover, re-issue the barrier, and return.
+        reported += matcher.flush()
         assert supervisor.restarts_total == 1
         assert sum(matcher.events_routed) == len(events)
-        matcher.close()
-        assert match_set(matcher.matches) == expected
+        reported += matcher.close()
+        assert match_set(reported) == expected
+        assert len(reported) == len(expected)
 
     def test_crash_between_checkpoints_replays_the_wal(self):
         events = stream_events(n_keys=6, reps=3)
@@ -131,12 +145,11 @@ class TestCrashRecovery:
         # the seq-6 checkpoint; recovery restores and replays the tail.
         faults = FaultPlan().kill(0, 7)
         matcher, supervisor = supervised_matcher(faults, checkpoint_every=2)
-        with matcher:
-            matcher.push_many(events)
+        reported = run_to_close(matcher, events)
         report = supervisor.report()
         assert report["shards"][0]["checkpoint_seq"] >= 2
-        assert match_set(matcher.matches) == expected
-        assert len(matcher.matches) == len(expected)
+        assert match_set(reported) == expected
+        assert len(reported) == len(expected)
 
     def test_restart_budget_exhausted_fails_hard(self):
         # Two kills but a budget of one: the second crash must abort.
@@ -171,8 +184,7 @@ class TestQuarantine:
         # on it again: crash -> restart -> crash -> quarantine.
         faults = FaultPlan().corrupt(0, 2)
         matcher, supervisor = supervised_matcher(faults, observability=obs)
-        with matcher:
-            matcher.push_many(events)
+        reported = run_to_close(matcher, events)
         dead_letter = supervisor.dead_letter
         assert len(dead_letter) == 1
         assert supervisor.restarts_total == 2
@@ -188,7 +200,8 @@ class TestQuarantine:
         # other key still matches.
         expected = match_set(reference_matches(
             [e for e in events if e.eid != entry.event.eid]))
-        assert match_set(matcher.matches) == expected
+        assert match_set(reported) == expected
+        assert len(reported) == len(expected)
         assert obs.snapshot()["ses_quarantined_events"]["value"] == 1
 
         path = tmp_path / "dead.jsonl"
@@ -212,6 +225,165 @@ class TestQuarantine:
         assert len(supervisor.dead_letter) == 1
         assert supervisor.restarts_total == 3  # 2 for poison, 1 for kill
         assert matcher.health()["status"] == "degraded"
+
+
+# ----------------------------------------------------------------------
+# A shard's death is end-of-file on its own pipe
+# ----------------------------------------------------------------------
+#: Shared head of every scenario script below (each runs in a child
+#: interpreter, so a hang fails one test instead of the suite).
+SCENARIO_PRELUDE = """
+import json
+from repro import (Event, FaultPlan, RestartPolicy, SESPattern, Supervisor,
+                   WorkerCrashed)
+from repro.parallel import ShardedStreamMatcher
+from repro.stream import PartitionedContinuousMatcher
+
+
+def joined(tau):
+    return SESPattern(
+        sets=[["a", "b"], ["c"]],
+        conditions=["a.kind = 'A'", "b.kind = 'B'", "c.kind = 'C'",
+                    "a.ID = b.ID", "a.ID = c.ID", "b.ID = c.ID"],
+        tau=tau)
+
+
+def stream_events(n_keys, reps):
+    events, ts = [], 0
+    for _ in range(reps):
+        for key in range(n_keys):
+            for kind in ("A", "B", "C"):
+                ts += 1
+                events.append(Event(ts=ts, eid=f"e{ts}", kind=kind, ID=key))
+    return events
+
+
+def match_keys(substitutions):
+    return sorted(sorted(f"{v!r}/{e.eid}" for v, e in s.bindings)
+                  for s in substitutions)
+
+
+def reference(pattern, events):
+    matcher = PartitionedContinuousMatcher(pattern, partition_by="ID")
+    return matcher.push_many(events) + matcher.close()
+
+
+def supervised(pattern, faults, checkpoint_every):
+    supervisor = Supervisor(restart=RestartPolicy(backoff=0, max_backoff=0),
+                            checkpoint_every=checkpoint_every, faults=faults)
+    matcher = ShardedStreamMatcher(pattern, workers=2, partition_by="ID",
+                                   supervisor=supervisor)
+    return matcher, supervisor
+
+
+def returned(matcher, events):
+    with matcher:
+        reported = matcher.push_many(events)
+        reported += matcher.close()
+    return reported
+"""
+
+
+def run_scenario(script, timeout):
+    """Run ``script`` (after :data:`SCENARIO_PRELUDE`) in a child python
+    of its own session and return its stdout.
+
+    ``communicate`` returns only once every holder of the child's
+    stdout — its shards too — has exited, so a child or a shard still
+    running at ``timeout`` fails the test.  The child's process group is
+    killed either way, so no shard outlives the test.
+    """
+    source = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [source, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.Popen(
+        [sys.executable, "-c", SCENARIO_PRELUDE + textwrap.dedent(script)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True)
+    try:
+        out, err = child.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        out = None
+    finally:
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    if out is None:
+        out, err = child.communicate()
+        pytest.fail(f"scenario still running after {timeout} s; "
+                    f"stdout:\n{out}\nstderr tail:\n{err[-2000:]}")
+    assert child.returncode == 0, err[-2000:]
+    return out
+
+
+class TestShardDeathIsAnEvent:
+    @pytest.mark.parametrize("mode", ["exit", "raise"])
+    def test_a_kill_at_every_sequence_number_returns_every_match_once(
+            self, mode):
+        """Shard 0 holds keys 0, 2 and 4: 18 events.  Killed before each
+        of them in turn, the matches push_many and close *return* are
+        the fault-free set, each once, after exactly one restart."""
+        out = run_scenario(f"""
+            events = stream_events(n_keys=6, reps=2)
+            pattern = joined(tau=50)
+            expected = match_keys(reference(pattern, events))
+            assert len(expected) == 12
+            for seq in range(1, 19):
+                faults = FaultPlan().kill(0, seq, mode={mode!r})
+                matcher, supervisor = supervised(pattern, faults, 1)
+                got = match_keys(returned(matcher, events))
+                print(json.dumps({{"seq": seq, "exact": got == expected,
+                                   "restarts": supervisor.restarts_total}}),
+                      flush=True)
+            """, timeout=90)
+        runs = [json.loads(line) for line in out.splitlines()]
+        assert [run["seq"] for run in runs] == list(range(1, 19))
+        assert all(run["exact"] for run in runs), runs
+        assert all(run["restarts"] == 1 for run in runs), runs
+
+    def test_an_unsupervised_death_behind_a_backlog_raises_and_exits(self):
+        """3 000 fat events queue up behind a shard killed on the first:
+        the death surfaces, and the process can still exit (the dead
+        shard's input queue is let go, not joined)."""
+        out = run_scenario("""
+            pad = "x" * 200
+            matcher = ShardedStreamMatcher(joined(tau=50), workers=2,
+                                           partition_by="ID",
+                                           faults=FaultPlan().kill(0, 1))
+            try:
+                matcher.push_many(Event(ts=ts, eid=f"a{ts}", kind="A", ID=0,
+                                        pad=pad) for ts in range(1, 3001))
+                matcher.close()
+            except WorkerCrashed as exc:
+                print("crashed:", exc, flush=True)
+            """, timeout=60)
+        assert out.startswith("crashed: stream shard 0 died (exit code 23)")
+
+    def test_a_supervised_recovery_behind_a_backlog_exits(self):
+        """400 keys, all on shard 0, each an A and later a B and a C;
+        killed on the first B, one event past the seq-400 checkpoint.
+        Every match comes back once, and the process exits."""
+        out = run_scenario("""
+            pad = "x" * 200
+            keys = range(0, 800, 2)
+            events = [Event(ts=i + 1, eid=f"a{key}", kind="A", ID=key,
+                            pad=pad) for i, key in enumerate(keys)]
+            for key in keys:
+                for kind in ("B", "C"):
+                    events.append(Event(ts=len(events) + 1,
+                                        eid=f"{kind.lower()}{key}",
+                                        kind=kind, ID=key, pad=pad))
+            pattern = joined(tau=10_000)
+            expected = match_keys(reference(pattern, events))
+            matcher, supervisor = supervised(
+                pattern, FaultPlan().kill(0, 401), checkpoint_every=400)
+            got = match_keys(returned(matcher, events))
+            print(json.dumps({"matches": len(got), "exact": got == expected,
+                              "restarts": supervisor.restarts_total}))
+            """, timeout=60)
+        assert json.loads(out) == {"matches": 400, "exact": True,
+                                   "restarts": 1}
 
 
 # ----------------------------------------------------------------------
