@@ -992,9 +992,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                                  use_filter=not args.no_filter)
     else:
         # A SELECT query runs as its aggregation plan: explain that.
-        if aggregate is not None:
-            pattern = compile_plan(pattern, aggregate=aggregate)
-        report = explain(pattern, window=args.window, relation=relation)
+        report = explain(pattern, window=args.window, relation=relation,
+                         aggregate=aggregate)
     rendered = report.render(format)
     if args.out is not None:
         args.out.write_text(rendered + "\n", encoding="utf-8")

@@ -60,7 +60,7 @@ def _unindexed_states(automaton) -> list:
 
 
 def explain(pattern, *, window: Optional[int] = None, relation=None,
-            optimizations=None) -> ExplainReport:
+            optimizations=None, aggregate=None) -> ExplainReport:
     """Build the static :class:`~repro.explain.report.ExplainReport` for
     ``pattern`` (or an already compiled plan).
 
@@ -73,9 +73,10 @@ def explain(pattern, *, window: Optional[int] = None, relation=None,
         The Section 4.4 complexity section needs the window size ``W``;
         pass it directly or supply a relation it is computed from.
         Omitted, the complexity section is left out.
-    optimizations:
+    optimizations / aggregate:
         Forwarded to :func:`repro.compile` when ``pattern`` is not
-        already a plan.
+        already a plan (``aggregate`` explains the aggregation plan a
+        ``SELECT`` query runs as).
     """
     cache = plan_cache()
     if isinstance(pattern, PatternPlan):
@@ -84,12 +85,16 @@ def explain(pattern, *, window: Optional[int] = None, relation=None,
     else:
         # Provenance must be read *before* compiling: compile() inserts
         # on a miss, after which membership always reads True.
-        from ..plan.fingerprint import pattern_fingerprint
+        from ..plan.fingerprint import (aggregate_fingerprint,
+                                        pattern_fingerprint)
         from ..plan.plan import normalise_optimizations
         fingerprint = pattern_fingerprint(
             pattern, normalise_optimizations(optimizations))
+        if aggregate is not None:
+            fingerprint = aggregate_fingerprint(fingerprint, aggregate)
         cached = fingerprint in cache
-        plan = compile_plan(pattern, optimizations=optimizations)
+        plan = compile_plan(pattern, optimizations=optimizations,
+                            aggregate=aggregate)
 
     automaton = plan.automaton
     if window is None and relation is not None:

@@ -10,10 +10,15 @@ delivery.  Matchers publish every reported match exactly once; the hub
   commit loses nothing).  The unit of durability is the **batch**:
   publishes made inside a :meth:`SubscriptionHub.batch` scope — the
   push server opens one around every run of queued ingest batches — are
-  committed on
-  scope exit with one log append (one ``write()``, one ``fsync()``) and
-  only then remembered, added to the ring and offered to subscribers; a
-  publish outside any scope is a batch of one through the same commit;
+  handed, when the scope exits, to the hub's one **log writer** thread.
+  The writer commits everything handed over since its last append with
+  one log append (one ``write()``, one ``fsync()``: runs that queue up
+  behind an fsync share the next one) and only then remembers the
+  entries, adds them to the ring and offers them to subscribers, so the
+  publishing thread goes on matching while the disk syncs.
+  :meth:`SubscriptionHub.sync` waits for the writer; a publish outside
+  any scope is a batch of one that waits for its own commit.  Without a
+  log the commit happens inline, on the publishing thread;
 * keeps a bounded in-memory **replay ring** for fast resume, spilling
   to the delivery log for older cursors — a subscriber reconnecting
   with ``Last-Event-ID: <cursor>`` is backfilled gap-free;
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import threading
 import time
 from collections import deque
@@ -51,6 +57,8 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Tuple)
 
 from ..obs.lineage import match_id as compute_match_id
+
+logger = logging.getLogger(__name__)
 
 __all__ = ["SubscriptionHub", "Subscriber", "DeliveredEntry",
            "POLICIES", "DEFAULT_QUEUE", "DEFAULT_RING"]
@@ -67,6 +75,10 @@ DEFAULT_RING = 1024
 #: Dedup window: published match ids remembered for duplicate
 #: suppression (beyond it, the delivery log is the arbiter of record).
 DEDUP_CAPACITY = 65536
+
+#: Seconds the log writer waits for work before its thread ends (the
+#: next hand-over starts another).
+_WRITER_IDLE_SECONDS = 1.0
 
 #: The one JSON rendering of what the hub publishes (compact; values
 #: JSON has no form for are stringified, as every wire format here does).
@@ -237,12 +249,12 @@ class SubscriptionHub:
         Replay-ring capacity (in-memory resume window).
     wal:
         Optional :class:`~repro.resilience.delivery.DeliveryLog`.  When
-        given, every batch of publishes is persisted before delivery,
-        cursors resume across restarts, and previously delivered
-        matches are deduplicated by (pattern id, match id) on
-        re-publication.  A log object without ``append_many`` (only
-        ``append`` / ``__iter__`` / ``entries_after`` / ``path``) is
-        committed record by record.
+        given, every batch of publishes is persisted, on the log
+        writer's thread, before delivery, cursors resume across
+        restarts, and previously delivered matches are deduplicated by
+        (pattern id, match id) on re-publication.  A log object without
+        ``append_many`` (only ``append`` / ``__iter__`` /
+        ``entries_after`` / ``path``) is committed record by record.
     observability:
         Optional :class:`~repro.obs.Observability` bundle for the
         ``ses_subscribers`` / ``ses_sub_*`` metrics and per-subscriber
@@ -274,12 +286,31 @@ class SubscriptionHub:
         self._seen: "deque[Tuple[Optional[str], str]]" = deque(
             maxlen=DEDUP_CAPACITY)
         self._seen_set: set = set()
-        # First cursor not yet durable; pending entries count up from it.
+        # First cursor not yet durable; in-flight, then pending entries
+        # count up from it.
         self._next_seq = 0
         # Open batch scope: published-but-uncommitted entries by dedup
         # key, in publish order (None outside a scope).
         self._pending: Optional[Dict[Tuple[Optional[str], str],
                                      DeliveredEntry]] = None
+        # Handed to the log writer but not yet durable, by dedup key in
+        # cursor order; and the hand-overs it has not taken yet, each
+        # ``(ticket, owner thread id, entries)``.
+        self._in_flight: Dict[Tuple[Optional[str], str],
+                              DeliveredEntry] = {}
+        self._handed_over: List[Tuple[int, int, List[DeliveredEntry]]] = []
+        self._tickets = 0  # hand-overs made
+        self._settled = 0  # hand-overs durable and offered, or failed
+        # Per owner thread: its last failed hand-over, until sync() or a
+        # later failure takes the slot.
+        self._failed: Dict[int, Tuple[int, BaseException]] = {}
+        # Failed hand-overs no sync() relayed to their owner.
+        self._commit_errors = 0
+        # .ticket: this thread's last hand-over (None: nothing to relay).
+        self._local = threading.local()
+        self._work = threading.Condition(self._lock)
+        self._synced = threading.Condition(self._lock)
+        self._writer: Optional[threading.Thread] = None
         self._draining = False
         self.default_queue = default_queue
         self.default_policy = default_policy
@@ -351,9 +382,11 @@ class SubscriptionHub:
         :class:`~repro.agg.result.Match` or a bare substitution).
         Returns the assigned entry, or ``None`` when the match was a
         duplicate (already delivered, e.g. re-reported by a supervisor
-        replay, or already pending in the open batch) or the hub is
-        draining.  Inside a :meth:`batch` scope the entry is durable and
-        delivered only once the scope exits.
+        replay, or already pending in the open batch or in flight to
+        the log) or the hub is draining.  Inside a :meth:`batch` scope
+        the entry is durable and delivered only after the scope exits;
+        outside one, by the time this returns (a failed append raises
+        here).
         """
         substitution = getattr(match, "substitution", match)
         if pattern_id is None:
@@ -367,29 +400,33 @@ class SubscriptionHub:
             if self._draining:
                 return None
             pending = self._pending
-            if key in self._seen_set or (pending is not None
-                                         and key in pending):
+            if (key in self._seen_set or key in self._in_flight
+                    or (pending is not None and key in pending)):
                 if self._c_duplicates is not None:
                     self._c_duplicates.inc()
                 return None
-            seq = self._next_seq + len(pending or ())
+            seq = self._next_seq + len(self._in_flight) + len(pending or ())
             payload = self._payload(bindings, mid, seq, pattern_id, tenant)
             entry = DeliveredEntry(seq=seq, match_id=mid,
                                    pattern_id=pattern_id, tenant=tenant,
                                    payload=payload, published=time.time())
-            if pending is None:
-                self._commit([entry])
-            else:
+            if pending is not None:
                 pending[key] = entry
-            return entry
+                return entry
+            self._commit({key: entry})
+        self.sync()
+        return entry
 
     @contextmanager
     def batch(self) -> Iterator[None]:
         """Scope making the publishes inside it one unit of durability.
 
         On exit — also when the body raises — everything published in
-        the scope is committed together: one log append, then delivery.
-        A scope opened inside another joins the outer one.
+        the scope is committed together: handed to the log writer (one
+        append, then delivery, while this thread goes on), or delivered
+        inline when the hub has no log.  :meth:`sync` waits for the
+        commit and raises its failure.  A scope opened inside another
+        joins the outer one.
         """
         with self._lock:
             outermost = self._pending is None
@@ -400,36 +437,150 @@ class SubscriptionHub:
         finally:
             if outermost:
                 with self._lock:
-                    entries = list(self._pending.values())
-                    self._pending = None
-                    self._commit(entries)
+                    pending, self._pending = self._pending, None
+                    self._commit(pending)
 
-    def _commit(self, entries: List[DeliveredEntry]) -> None:
-        """Persist ``entries``, then deliver them (under the lock).
-
-        Nothing of the batch is remembered, added to the ring or
-        offered before its fsync returned.  If the append raises, the
-        batch is dropped whole: its cursors were never durable and are
-        assigned again to the next publishes.
-        """
-        if not entries:
-            return
-        if self._wal is not None:
-            append_many = getattr(self._wal, "append_many", None)
-            if append_many is not None:
-                append_many([entry.to_record() for entry in entries])
-            elif len(entries) == 1:
-                self._wal.append(entries[0].to_record())
-            else:  # append-only log: each record is its own commit
-                for entry in entries:
-                    self._commit([entry])
+    def sync(self) -> None:
+        """Wait until everything handed to the log writer is durable and
+        offered; then re-raise the failure of the calling thread's last
+        batch, if its commit failed (once: the failure is relayed here,
+        not counted as lost)."""
+        with self._lock:
+            ticket = getattr(self._local, "ticket", None)
+            self._local.ticket = None
+            target = self._tickets
+            while self._settled < target:
+                self._synced.wait()
+            owner = threading.get_ident()
+            failed = self._failed.get(owner)
+            if ticket is None or failed is None or failed[0] != ticket:
                 return
+            del self._failed[owner]
+            self._commit_errors -= 1
+        raise failed[1]
+
+    def _commit(self, pending: Dict[Tuple[Optional[str], str],
+                                    DeliveredEntry]) -> None:
+        """Commit a closed batch (under the lock): deliver it inline
+        without a log; otherwise hand it to the log writer, starting
+        the writer's thread when none runs."""
+        self._local.ticket = None
+        if not pending:
+            return
+        if self._wal is None:
+            self._deliver(list(pending.values()))
+            return
+        ticket = self._tickets
+        self._tickets += 1
+        self._local.ticket = ticket
+        self._in_flight.update(pending)
+        self._handed_over.append(
+            (ticket, threading.get_ident(), list(pending.values())))
+        if self._writer is None:
+            self._writer = threading.Thread(
+                target=self._write_log, daemon=True, name="repro-hub-log")
+            self._writer.start()
+        self._work.notify()
+
+    def _write_log(self) -> None:
+        """The log writer: take everything handed over since the last
+        append and commit it, until idle for ``_WRITER_IDLE_SECONDS``.
+
+        With ``append_many`` all of it is one append; a log offering
+        only ``append`` is committed record by record, each record
+        delivered after its own append and a failed record dropping the
+        rest of its batch.
+        """
+        append_many = getattr(self._wal, "append_many", None)
+        while True:
+            with self._lock:
+                while not self._handed_over:
+                    if (not self._work.wait(_WRITER_IDLE_SECONDS)
+                            and not self._handed_over):
+                        self._writer = None
+                        return
+                taken, self._handed_over = self._handed_over, []
+            try:
+                if append_many is not None:
+                    entries = [entry for _, _, batch in taken
+                               for entry in batch]
+                    self._persist(taken, entries, append_many)
+                else:
+                    for handover in taken:
+                        for index, entry in enumerate(handover[2]):
+                            if not self._persist([handover], [entry],
+                                                 self._append_one,
+                                                 handover[2][index:]):
+                                break
+            finally:
+                with self._lock:
+                    self._settled += len(taken)
+                    self._synced.notify_all()
+
+    def _append_one(self, records: List[Dict[str, Any]]) -> None:
+        self._wal.append(records[0])
+
+    def _persist(self, handovers, entries: List[DeliveredEntry],
+                 append: Callable[[List[Dict[str, Any]]], None],
+                 dropped: Optional[List[DeliveredEntry]] = None) -> bool:
+        """Append ``entries`` (off the lock), then deliver them; if the
+        append raises, drop ``dropped`` (default: ``entries``) instead.
+        Either failure is the failure of every hand-over in
+        ``handovers``.  Returns whether the append succeeded."""
+        try:
+            append([entry.to_record() for entry in entries])
+        except Exception as exc:  # noqa: BLE001 - relayed by sync()
+            logger.error("delivery log append failed: %d match(es) of %d "
+                         "batch(es) dropped", len(dropped or entries),
+                         len(handovers), exc_info=exc)
+            with self._lock:
+                self._drop(dropped or entries)
+                self._fail(handovers, exc)
+            return False
+        with self._lock:
+            for entry in entries:
+                del self._in_flight[(entry.pattern_id, entry.match_id)]
+            try:
+                self._deliver(entries)
+            except Exception as exc:  # noqa: BLE001 - relayed by sync()
+                logger.error("delivery of %d durable match(es) failed",
+                             len(entries), exc_info=exc)
+                self._fail(handovers, exc)
+        return True
+
+    def _drop(self, entries: List[DeliveredEntry]) -> None:
+        """Forget in-flight entries whose append failed (under the lock):
+        the entries handed over or published since take their cursors,
+        so the sequence stays gap-free and no durable cursor is reused."""
+        for entry in entries:
+            del self._in_flight[(entry.pattern_id, entry.match_id)]
+        seq = self._next_seq
+        for entry in itertools.chain(self._in_flight.values(),
+                                     (self._pending or {}).values()):
+            entry.seq = entry.payload["seq"] = seq
+            entry._payload_json = None
+            seq += 1
+
+    def _fail(self, handovers, exc: BaseException) -> None:
+        """Record each hand-over's failure for its owner's :meth:`sync`
+        (under the lock); until relayed it counts as a lost commit."""
+        for ticket, owner, _ in handovers:
+            if self._failed.get(owner, (None,))[0] != ticket:
+                self._commit_errors += 1
+            self._failed[owner] = (ticket, exc)
+
+    def _deliver(self, entries: List[DeliveredEntry]) -> None:
+        """Remember, ring and offer durable entries, then wake each
+        offered subscriber once (under the lock)."""
         self._next_seq = entries[-1].seq + 1
-        subscribers = list(self._subscribers.values())
-        offered = set()
         for entry in entries:
             self._remember((entry.pattern_id, entry.match_id))
             self._ring.append(entry)
+        if self._c_published is not None:
+            self._c_published.inc(len(entries))
+        subscribers = list(self._subscribers.values())
+        offered = set()
+        for entry in entries:
             for subscriber in subscribers:
                 if not subscriber.closed and subscriber.wants(entry):
                     self._offer(subscriber, entry)
@@ -439,8 +590,6 @@ class SubscriptionHub:
         for subscriber in offered:
             if not subscriber.closed:
                 self._wake(subscriber)
-        if self._c_published is not None:
-            self._c_published.inc(len(entries))
         self._publish_gauges()
 
     @staticmethod
@@ -466,7 +615,7 @@ class SubscriptionHub:
 
     def _offer(self, subscriber: Subscriber, entry: DeliveredEntry) -> None:
         """Enqueue under the lock, applying the slow-consumer policy;
-        :meth:`_commit` wakes the subscriber when the batch is queued."""
+        :meth:`_deliver` wakes the subscriber when the batch is queued."""
         full = (subscriber._degraded is None
                 and len(subscriber._queue) >= subscriber.max_queue)
         if full and subscriber.policy == "disconnect":
@@ -608,8 +757,12 @@ class SubscriptionHub:
     def drain(self) -> int:
         """Stop accepting publishes; queue a terminal ``drain`` notice
         (carrying each subscriber's resume token) behind every backlog.
-        Returns the number of subscribers notified.  Idempotent."""
+        Returns the number of subscribers notified.  Idempotent.  Waits
+        for the log writer first, so the notice follows every match
+        handed to it."""
         with self._lock:
+            while self._settled < self._tickets:
+                self._synced.wait()
             if self._draining:
                 return 0
             self._draining = True
@@ -640,7 +793,7 @@ class SubscriptionHub:
     # ------------------------------------------------------------------
     @property
     def last_seq(self) -> int:
-        """Highest committed cursor (``-1`` before the first commit)."""
+        """Highest durable cursor (``-1`` before the first commit)."""
         return self._next_seq - 1
 
     @property

@@ -21,17 +21,24 @@ accept.  Ingested batches flow::
             batches already queued, up to RUN_EVENTS events
          -> matcher.push_many, once per batch of the run, in order
          -> (on_match callback wired by the caller) -> hub.publish
-         -> [end of run: one WAL append + fsync for its matches]
+         -> [end of run: its matches go to the hub's log writer; the
+             next run is matched meanwhile]
+         -> [log writer: one WAL append + fsync for every run handed
+             over since its last one]
          -> subscriber queues -> SSE writers, one write per backlog
 
-The run is the unit of durability, the batch the unit of failure.  A
+The run is the unit of hand-over, the batch the unit of failure.  A
 run is whatever event batches are queued when the worker comes back for
 more — one batch when the server keeps up, several under load, never
 across a ``submit_call`` barrier.  Each run, each barrier and the
 end-of-stream flush runs inside one :meth:`SubscriptionHub.batch`
 scope, so all matches a run reports are committed to the delivery log
-together, before any subscriber sees one and before the next run is
-matched; a batch that raises costs that batch alone.
+together (with those of any run that queued behind the same fsync),
+before any subscriber sees one; the matcher thread never waits for that
+fsync, except where a barrier or the drain asks for it
+(:meth:`SubscriptionHub.sync`).  A batch that raises costs that batch
+alone; a failed append costs the runs it carried and counts one ingest
+error each.
 
 Graceful drain (``shutdown()``, SIGTERM via the CLI, or ``POST
 /quitquitquit``): stop admitting batches (``draining`` frames),
@@ -314,6 +321,7 @@ class PushServer:
             if self._flush is not None:
                 with self.hub.batch():
                     self._flush()
+                self.hub.sync()
         except Exception:
             logger.exception("matcher flush failed during drain")
         self.hub.drain()
@@ -371,8 +379,9 @@ class PushServer:
 
         Matchers are not thread-safe; barriers like ``flush()`` must
         run where the batches do.  ``fn`` runs as one hub batch; blocks
-        until it returned and the matches it published are committed
-        (an exception from either propagates here, not into the worker).
+        until it returned and the matches it published are committed,
+        with everything handed to the log before them (an exception from
+        either propagates here, not into the worker).
         """
         if self._loop is None:
             raise RuntimeError("push server is not running")
@@ -383,6 +392,7 @@ class PushServer:
             try:
                 with self.hub.batch():
                     value = fn()
+                self.hub.sync()
                 box.append(("ok", value))
             except BaseException as exc:  # noqa: BLE001 - relayed below
                 box.append(("err", exc))
@@ -447,8 +457,10 @@ class PushServer:
             try:
                 await loop.run_in_executor(self._matcher_pool, job)
             except Exception:
-                # Only the commit raises here (batches and barriers
-                # catch their own): nothing of the run was delivered.
+                # Batches and barriers catch their own errors, and a
+                # run's append fails on the hub's log writer: only an
+                # inline commit (no delivery log) failing in delivery
+                # raises here.
                 self._ingest_errors += 1
                 logger.exception("commit failed for a run of %d batch(es)",
                                  taken)
@@ -458,11 +470,12 @@ class PushServer:
 
     def _run_batches(self, run: List[List]) -> None:
         """Match a run of ingest batches as one hub batch: the matches
-        they report share a WAL append + fsync, and are delivered before
-        the next run is matched.  ``submit`` still sees one batch at a
-        time, in arrival order: a batch that raises (out-of-order
-        timestamps, a tripped guard) is counted, logged and skipped
-        without taking the batches queued behind it along."""
+        they report share a WAL append + fsync, made by the hub's log
+        writer while the next run is matched.  ``submit`` still sees one
+        batch at a time, in arrival order: a batch that raises
+        (out-of-order timestamps, a tripped guard) is counted, logged
+        and skipped without taking the batches queued behind it
+        along."""
         with self.hub.batch():
             for events in run:
                 try:
@@ -608,7 +621,9 @@ class PushServer:
                 "queue_depth": self._queue.qsize(),
                 "queue_size": self.ingest_queue_size,
                 "draining": self._draining,
-                "errors": self._ingest_errors,
+                # A failed delivery-log append no barrier relayed is
+                # an ingest error of each run it carried.
+                "errors": self._ingest_errors + self.hub._commit_errors,
                 "runs": self._ingest_runs,
             }
             await write_http_response(writer, 200, stats)

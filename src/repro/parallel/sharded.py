@@ -417,9 +417,11 @@ class ShardedStreamMatcher:
 
     def push_many(self, events) -> List[Substitution]:
         """Feed a batch of events (stream order); returns the matches
-        read meanwhile."""
+        read meanwhile.  The pipes are polled once, after the batch
+        (and by :meth:`_put` whenever a shard's queue is full)."""
         for event in events:
             self._route(event)
+        self._receive(0)
         return self._take()
 
     def _route(self, event: Event) -> None:
@@ -440,7 +442,6 @@ class ShardedStreamMatcher:
             # Write-ahead: the event is recoverable before it is queued.
             self.supervisor.record_event(shard, seq, wire)
         self._put(shard, ("e", seq, wire))
-        self._receive(0)
 
     def flush(self) -> List[Substitution]:
         """Barrier: wait until every pushed event is fully processed.
@@ -625,21 +626,25 @@ class ShardedStreamMatcher:
             raise RuntimeError("stream matcher is closed")
 
     def _put(self, shard: int, message) -> None:
-        """Enqueue for one shard, reading the pipes while its queue is
-        full (a worker blocked sending its results drains nothing).
+        """Enqueue for one shard, reading the pipes before and while
+        waiting on its full queue (a worker blocked sending its results
+        drains nothing, and :meth:`push_many` reads the pipes only once
+        per call).
 
         A supervised recovery read meanwhile swaps in a fresh queue and
         re-delivers ``message`` itself (WAL replay, re-issued barrier),
         so it is not sent again.
         """
         in_queue = self._in_queues[shard]
+        block = False
         while self._in_queues[shard] is in_queue:
             try:
-                in_queue.put(message, timeout=_FULL_QUEUE_WAIT)
+                in_queue.put(message, block, _FULL_QUEUE_WAIT)
                 return
             except queue.Full:
                 self._backpressure_waits += 1
                 self._receive(0)
+                block = True
 
     def _barrier_round(self, kind: str, message) -> None:
         """Send ``message`` to every shard and read until each acked

@@ -36,12 +36,17 @@ as the cursor lies within the retained window.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import IO, Dict, Iterator, List, Optional, Sequence, Union
 
 from .quarantine import atomic_append_lines, rotated_path
 
 __all__ = ["DeliveryLog"]
+
+
+def _identity(stat: os.stat_result):
+    return stat.st_dev, stat.st_ino
 
 
 class DeliveryLog:
@@ -86,24 +91,47 @@ class DeliveryLog:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def _files(self) -> List[Path]:
-        files = []
+    def _open(self) -> List[IO[str]]:
+        """The rotation (when there is one) and the current file, opened
+        as one view.
+
+        An append in another thread or process may rotate the log
+        between the two opens; the rotation slot then no longer names
+        the file opened for it, and both are opened again — an old
+        rotation is never paired with a new current file (which would
+        skip the records in between).
+        """
         rotation = rotated_path(self.path)
-        if rotation.exists():
-            files.append(rotation)
-        if self.path.exists():
-            files.append(self.path)
-        return files
+        while True:
+            handles = []
+            for path in (rotation, self.path):
+                try:
+                    handles.append(open(path, "r", encoding="utf-8"))
+                except FileNotFoundError:
+                    handles.append(None)
+            opened = (None if handles[0] is None
+                      else _identity(os.fstat(handles[0].fileno())))
+            try:
+                now = _identity(os.stat(rotation))
+            except FileNotFoundError:
+                now = None
+            if opened == now:
+                return [handle for handle in handles if handle is not None]
+            for handle in handles:
+                if handle is not None:
+                    handle.close()
 
     def __iter__(self) -> Iterator[Dict]:
         """All retained records in cursor order (rotation first).
 
-        A torn line — the signature of a crash mid-append — is skipped
-        rather than raised: everything before it was fsynced, and
-        appends made after the restart start on the line below it.
+        A torn line — the signature of a crash mid-append, or of an
+        append still being written — is skipped rather than raised:
+        everything before it was fsynced, and appends made after a
+        restart start on the line below it.
         """
-        for path in self._files():
-            with open(path, "r", encoding="utf-8") as handle:
+        handles = self._open()
+        try:
+            for handle in handles:
                 for line in handle:
                     line = line.strip()
                     if not line:
@@ -112,6 +140,9 @@ class DeliveryLog:
                         yield json.loads(line)
                     except json.JSONDecodeError:
                         continue
+        finally:
+            for handle in handles:
+                handle.close()
 
     def load(self) -> List[Dict]:
         """All retained records as a list."""

@@ -234,6 +234,18 @@ class TestExplainCommand:
         assert ("aggregate: SELECT count(*) AS n (incremental fold, "
                 "no match materialisation)") in out
 
+    def test_a_select_query_reads_its_plan_cache_provenance_before_compiling(
+            self, capsys):
+        from repro.plan.cache import clear_plan_cache
+        clear_plan_cache()  # as in a fresh process
+        verdicts = []
+        for _ in range(2):
+            assert main(["explain", "--query", self.SELECT_TEXT]) == 0
+            (line,) = [line for line in capsys.readouterr().out.splitlines()
+                       if "plan cache:" in line]
+            verdicts.append(line.split()[2])
+        assert verdicts == ["miss", "hit"]
+
     def test_analyze_refuses_a_select_query_and_says_why(self, figure1_csv,
                                                          capsys):
         code = main(["explain", "--query", self.SELECT_TEXT, "--analyze",

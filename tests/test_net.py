@@ -3,6 +3,7 @@
 import asyncio
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.request
@@ -214,6 +215,33 @@ class TestDeliveryLog:
         assert seqs == sorted(seqs)
         assert seqs[-1] == 11
 
+    def test_a_rotation_between_the_two_opens_is_read_again(
+            self, tmp_path, monkeypatch):
+        """The hub's writer appends while a resume reads the log: a
+        rotation landing after the reader opened ``<path>.1`` must not
+        pair that old rotation with the new current file."""
+        from repro.resilience import delivery
+        path = tmp_path / "wal.jsonl"
+        log = DeliveryLog(path, max_bytes=200)
+        for first in (0, 5):
+            log.append_many([{"seq": seq, "match_id": f"m{seq}"}
+                             for seq in range(first, first + 5)])
+        assert rotated_path(path).exists()
+        rotated = []
+
+        def rotating_open(file, *args, **kwargs):
+            handle = open(file, *args, **kwargs)
+            if file == rotated_path(path) and not rotated:
+                rotated.append(True)  # seqs 5..9 move to <path>.1
+                log.append_many([{"seq": seq, "match_id": f"m{seq}"}
+                                 for seq in range(10, 15)])
+            return handle
+
+        monkeypatch.setattr(delivery, "open", rotating_open, raising=False)
+        assert rotated == [] and [r["seq"] for r in log] == list(
+            range(5, 15))
+        assert rotated == [True]
+
 
 # ----------------------------------------------------------------------
 # Subscription hub
@@ -332,6 +360,7 @@ class TestOneRendering:
         with hub.batch():
             entries = [hub.publish(make_sub(0), pattern_id="p1", tenant="t"),
                        hub.publish(grouped_sub(), pattern_id="p2")]
+        hub.sync()
         assert isinstance(entries[1].payload["bindings"]["g"], list)
         records = list(wal)
         assert [r["seq"] for r in records] == [0, 1]
@@ -423,6 +452,7 @@ class TestHubBatch:
             # Nothing is visible before the batch's fsync returned.
             assert sub.queue_depth == 0 and hub.last_seq == -1
             assert wal.batches == [] and hub.attach(resume_after=-1).idle
+        hub.sync()
         assert wal.batches == [[0, 1, 2, 3, 4]]
         assert hub.last_seq == 4
         assert [p.seq for k, p in sub.drain_items()] == [0, 1, 2, 3, 4]
@@ -438,6 +468,7 @@ class TestHubBatch:
             with hub.batch():
                 hub.publish(make_sub(0))
                 raise RuntimeError("matcher died mid-batch")
+        hub.sync()
         assert wal.last_seq() == 0
         assert [p.seq for k, p in sub.drain_items()] == [0]
 
@@ -449,6 +480,7 @@ class TestHubBatch:
             with hub.batch():
                 hub.publish(make_sub(1))
             assert wal.batches == []
+        hub.sync()
         assert wal.batches == [[0, 1]]
 
     def test_dedup_sees_pending_entries(self):
@@ -468,10 +500,11 @@ class TestHubBatch:
         wal = FlakyLog(tmp_path / "wal.jsonl", fail=1)
         hub = SubscriptionHub(wal=wal)
         sub = hub.attach()
+        with hub.batch():
+            for i in range(3):
+                hub.publish(make_sub(i))
         with pytest.raises(OSError, match="disk on fire"):
-            with hub.batch():
-                for i in range(3):
-                    hub.publish(make_sub(i))
+            hub.sync()
         # Nothing delivered, remembered, ringed or left assigned.
         assert sub.idle and hub.last_seq == -1
         assert hub.attach(resume_after=-1).idle
@@ -480,6 +513,7 @@ class TestHubBatch:
         # durable cursor: it gets the same, never-persisted ones.
         with hub.batch():
             again = [hub.publish(make_sub(i)) for i in range(3)]
+        hub.sync()
         assert [e.seq for e in again] == [0, 1, 2]
         assert [p.seq for k, p in sub.drain_items()] == [0, 1, 2]
         assert [r["seq"] for r in wal] == [0, 1, 2]
@@ -498,6 +532,7 @@ class TestHubBatch:
             for i in range(4):
                 hub.publish(make_sub(i))
             assert wal.appended == []
+        hub.sync()
         assert wal.appended == [0, 1, 2, 3]
         assert [p.seq for k, p in sub.drain_items()] == [0, 1, 2, 3]
         # Resume beyond the ring still spills to the log.
@@ -628,6 +663,7 @@ class TestSlowConsumerPolicies:
             for i in range(n):
                 hub.publish(make_sub(i),
                             pattern_id=pattern_ids[i % len(pattern_ids)])
+        hub.sync()
 
     def test_burst_disconnect_resumes_gap_free(self, tmp_path):
         hub = SubscriptionHub(ring_size=4,
@@ -989,12 +1025,13 @@ class TestPushServerGroupCommit:
             push_events(server.host, server.port, make_events(24))
             server.wait_idle(timeout=5)
             lost = len(registry.matches)
-            assert lost and server._ingest_errors == 1
+            # The append failed on the log writer: /statz counts it.
+            assert lost and statz_ingest(server)["errors"] == 1
             assert hub.last_seq == -1 and list(wal) == []
             push_events(server.host, server.port,
                         make_events(24, start_ts=24))
             server.wait_idle(timeout=5)
-            assert server._ingest_errors == 1
+            assert statz_ingest(server)["errors"] == 1
             fresh = len(registry.matches) - lost
             assert fresh and hub.last_seq == fresh - 1
             deadline = time.monotonic() + 5
@@ -1026,6 +1063,12 @@ class TestPushServerGroupCommit:
             server.shutdown(grace=2.0)
 
 
+def statz_ingest(server):
+    """The ``ingest`` section of ``GET /statz`` (what the ledger reads)."""
+    with urllib.request.urlopen(server.url + "/statz", timeout=5) as reply:
+        return json.load(reply)["ingest"]
+
+
 def wait_until(predicate, what, timeout=5.0):
     """Block until ``predicate()`` holds (a state, not a duration)."""
     deadline = time.monotonic() + timeout
@@ -1037,21 +1080,22 @@ def wait_until(predicate, what, timeout=5.0):
 class GatedSubmit:
     """``registry.push_many`` whose first call blocks until released:
     with the worker held inside batch 0, whatever is admitted meanwhile
-    is a backlog of known shape.  Records, per call, the batch and how
-    many WAL appends had happened — batches matched under the same
-    count shared a run (every run of these streams reports matches)."""
+    is a backlog of known shape.  Records, per call, the batch and the
+    ``ses_ingest_runs_total`` count — batches matched under the same
+    count shared a run (appends no longer say: runs that queue behind
+    one fsync share the next)."""
 
-    def __init__(self, registry, wal):
+    def __init__(self, registry, obs):
         self._registry = registry
-        self._wal = wal
+        self._runs = obs.registry.counter("ses_ingest_runs_total")
         self.calls = []
-        self.appends_seen = []
+        self.runs_seen = []
         self.entered = threading.Event()
         self.release = threading.Event()
 
     def __call__(self, events):
         self.calls.append(events)
-        self.appends_seen.append(len(self._wal.batches))
+        self.runs_seen.append(self._runs.value)
         if len(self.calls) == 1:
             self.entered.set()
             assert self.release.wait(10), "the test never released batch 0"
@@ -1059,8 +1103,7 @@ class GatedSubmit:
 
     def run_lengths(self):
         """Batches per run, in order."""
-        return [self.appends_seen.count(n)
-                for n in sorted(set(self.appends_seen))]
+        return [self.runs_seen.count(n) for n in sorted(set(self.runs_seen))]
 
 
 class TestPushServerRuns:
@@ -1083,7 +1126,7 @@ class TestPushServerRuns:
             obs = Observability()
             hub = SubscriptionHub(ring_size=4096, wal=wal)
             registry.on_match(lambda pid, m: hub.publish(m, pattern_id=pid))
-            gate = GatedSubmit(registry, wal)
+            gate = GatedSubmit(registry, obs)
             server = PushServer(hub, submit=gate, flush=registry.close,
                                 ingest_queue=64, observability=obs).start()
             made.append((server, hub, gate))
@@ -1117,14 +1160,17 @@ class TestPushServerRuns:
         server.wait_idle(timeout=5)
         assert gate.calls == batches  # once per batch, in arrival order
         # Batch 0 was alone in the queue when it was taken; the five
-        # queued behind it are one run: one append, cursors in order.
+        # queued behind it are one run, handed to the log writer whole:
+        # at most one append per run (two runs share one when the second
+        # is handed over before the writer took the first), cursors in
+        # order.
         assert gate.run_lengths() == [1, 5]
-        first, backlog = wal.batches
-        assert first + backlog == list(range(self._fault_free(16 * 6)))
-        assert len(backlog) > len(first) > 1
-        assert [p.seq for k, p in sub.drain_items()] == first + backlog
-        # The ledger's vocabulary: runs == appends, batches / runs = 3.
-        assert server._ingest_runs == len(wal.batches) == 2
+        seqs = [seq for batch in wal.batches for seq in batch]
+        assert seqs == list(range(self._fault_free(16 * 6)))
+        assert 1 <= len(wal.batches) <= 2
+        assert [p.seq for k, p in sub.drain_items()] == seqs
+        # The ledger's vocabulary: batches / runs = 3.
+        assert server._ingest_runs == 2
         snapshot = obs.snapshot()
         assert snapshot["ses_ingest_runs_total"]["value"] == 2
         assert snapshot["ses_ingest_batches_total"]["value"] == 6
@@ -1140,7 +1186,6 @@ class TestPushServerRuns:
 
         def fn():
             seen["submits"] = len(gate.calls)
-            seen["appends"] = len(wal.batches)
             return hub.publish(make_sub(1000), pattern_id="p1")
 
         def barrier():
@@ -1158,13 +1203,17 @@ class TestPushServerRuns:
         assert not caller.is_alive()
         server.wait_idle(timeout=5)
         # fn ran after batch 0 and exactly the two batches before it,
-        # whose run was committed, and before the batch behind it.
-        assert seen["submits"] == 3 and seen["appends"] == 2
+        # and before the batch behind it.
+        assert seen["submits"] == 3
         assert seen["durable"]
         assert len(gate.calls) == 4
         assert gate.run_lengths() == [1, 2, 1]
-        assert wal.batches[2] == [seen["seq"]]  # a commit of its own
-        assert len(wal.batches) == 4
+        # The barrier's match ends an append (its own, or one it shares
+        # with the runs before it); the run behind the barrier is matched
+        # only once that append returned, so it never shares it.
+        *before, after = wal.batches
+        assert before[-1][-1] == seen["seq"] < after[0]
+        assert len(wal.batches) <= 4
         assert server._ingest_runs == 3  # a barrier is not a run
 
     def test_a_batch_that_raises_costs_that_batch_only(self, served):
@@ -1178,9 +1227,9 @@ class TestPushServerRuns:
         server.wait_idle(timeout=5)
         assert server._ingest_errors == 1
         assert gate.run_lengths() == [1, 3]
-        first, backlog = wal.batches
-        assert first + backlog == list(range(self._fault_free(48)))
-        assert [p.seq for k, p in sub.drain_items()] == first + backlog
+        seqs = [seq for batch in wal.batches for seq in batch]
+        assert seqs == list(range(self._fault_free(48)))
+        assert [p.seq for k, p in sub.drain_items()] == seqs
 
     def test_a_failed_commit_drops_the_run_whole(self, served):
         # Batch 0 releases no match, so the one failing append is the
@@ -1191,14 +1240,14 @@ class TestPushServerRuns:
         server.submit_events(stream[2:], batch_size=16)
         gate.release.set()
         server.wait_idle(timeout=5)
-        assert gate.run_lengths() == [4]  # no append yet: one bucket
+        assert gate.run_lengths() == [1, 3]
         lost = registry.match_count
-        assert lost > 1 and server._ingest_errors == 1
+        assert lost > 1 and statz_ingest(server)["errors"] == 1
         assert sub.idle and hub.last_seq == -1 and list(wal) == []
         server.submit_events(make_events(32, start_ts=len(stream)),
                              batch_size=16)
         server.wait_idle(timeout=5)
-        assert server._ingest_errors == 1
+        assert statz_ingest(server)["errors"] == 1
         fresh = registry.match_count - lost
         seqs = [seq for batch in wal.batches for seq in batch]
         assert seqs == list(range(fresh)) and fresh > 0
@@ -1212,7 +1261,7 @@ class TestPushServerRuns:
         server.wait_idle(timeout=5)
         assert RUN_EVENTS == 256
         assert gate.run_lengths() == [1, 16, 16, 8]
-        assert len(wal.batches) == server._ingest_runs == 4
+        assert len(wal.batches) <= server._ingest_runs == 4
 
     def test_a_run_overshoots_the_cap_by_its_last_batch_at_most(
             self, served):
@@ -1237,11 +1286,285 @@ class TestPushServerRuns:
         stopper.join(timeout=15)
         assert not stopper.is_alive()  # queue.join() was satisfied
         assert len(gate.calls) == 5 and gate.run_lengths() == [1, 4]
-        # Every admitted batch was matched, then the flush: three
-        # appends holding the whole fault-free answer.
-        assert len(wal.batches) == 3
+        # Every admitted batch was matched, then the flush: at most
+        # three appends holding the whole fault-free answer.
+        assert len(wal.batches) <= 3
         assert [r["seq"] for r in wal] == list(range(registry.match_count))
         assert registry.match_count == 16 * 5 // 2
+
+
+class BlockingLog(DeliveryLog):
+    """A delivery log whose appends wait until ``release`` is set, then
+    raise while ``fail`` is positive.  Records the thread and the
+    cursors of every append."""
+
+    def __init__(self, path, fail=0):
+        super().__init__(path)
+        self.fail = fail
+        self.release = threading.Event()
+        self.started = 0
+        self.threads = set()
+        self.batches = []
+
+    def append_many(self, records):
+        self.started += 1
+        self.threads.add(threading.get_ident())
+        assert self.release.wait(10), "the test never released the append"
+        if self.fail:
+            self.fail -= 1
+            raise OSError("disk on fire")
+        self.batches.append([record["seq"] for record in records])
+        super().append_many(records)
+
+
+class TestPipelinedCommit:
+    """The delivery log appends and fsyncs on the hub's writer thread:
+    the matcher goes on while an append is in flight, runs that queue
+    behind it share the next one, and nothing is visible before it is
+    durable."""
+
+    @pytest.fixture
+    def served(self, tmp_path):
+        made = []
+
+        def make(fail=0):
+            log = BlockingLog(tmp_path / "wal.jsonl", fail=fail)
+            pattern, aggregate = parse_query_spec(QUERY)
+            registry = PatternRegistry()
+            registry.register(compile_plan(pattern, aggregate=aggregate),
+                              pattern_id="p1")
+            hub = SubscriptionHub(ring_size=4096, wal=log)
+            registry.on_match(lambda pid, m: hub.publish(m, pattern_id=pid))
+            calls = []  # per submit: (thread, matches reported before it)
+
+            def submit(events):
+                calls.append((threading.get_ident(), registry.match_count))
+                return registry.push_many(events)
+
+            server = PushServer(hub, submit=submit, flush=registry.close,
+                                ingest_queue=64).start()
+            made.append((server, log))
+            return server, hub, registry, log, calls
+
+        yield make
+        for server, log in made:
+            log.release.set()
+            server.shutdown(grace=0.2)
+
+    def test_the_next_run_is_matched_while_an_append_is_in_flight(
+            self, served):
+        server, hub, registry, log, calls = served()
+        sub = hub.attach(queue_size=4096)
+        server.submit_events(make_events(16))
+        wait_until(lambda: log.started == 1, "the first run's append")
+        server.submit_events(make_events(16, start_ts=16))
+        wait_until(lambda: len(calls) == 2, "the second run's submit")
+        # Matched, not durable: nothing is visible yet.
+        assert calls[1][1] > 0 and hub.last_seq == -1
+        assert sub.idle and hub.attach(resume_after=-1).idle
+        assert list(log) == []
+        log.release.set()
+        server.wait_idle(timeout=5)
+        seqs = [p.seq for k, p in sub.drain_items()]
+        assert seqs == list(range(registry.match_count))
+        assert [r["seq"] for r in log] == seqs
+        assert hub.last_seq == seqs[-1]
+        # The matcher thread never appended (so never fsynced).
+        assert log.threads.isdisjoint(thread for thread, _ in calls)
+
+    def test_batches_handed_over_during_one_append_share_the_next(
+            self, tmp_path):
+        log = BlockingLog(tmp_path / "wal.jsonl")
+        hub = SubscriptionHub(wal=log)
+        with hub.batch():
+            hub.publish(make_sub(0))
+            hub.publish(make_sub(1))
+        wait_until(lambda: log.started == 1, "the first append")
+        with hub.batch():
+            hub.publish(make_sub(2))
+        with hub.batch():
+            hub.publish(make_sub(3))
+            hub.publish(make_sub(4))
+        log.release.set()
+        hub.sync()
+        assert log.batches == [[0, 1], [2, 3, 4]]
+        assert log.started == 2 and hub.last_seq == 4
+
+    def test_a_failed_append_drops_the_batches_it_carried(self, tmp_path):
+        log = BlockingLog(tmp_path / "wal.jsonl", fail=1)
+        hub = SubscriptionHub(wal=log)
+        sub = hub.attach()
+        relayed = []
+
+        def owner():
+            with hub.batch():
+                for i in range(3):
+                    hub.publish(make_sub(i))
+            try:
+                hub.sync()
+            except OSError as exc:
+                relayed.append(exc)
+
+        thread = threading.Thread(target=owner, daemon=True)
+        thread.start()
+        wait_until(lambda: log.started == 1, "the failing append")
+        with hub.batch():
+            handed = [hub.publish(make_sub(i)) for i in (3, 4)]
+        assert [e.seq for e in handed] == [3, 4]
+        with hub.batch():
+            still_open = hub.publish(make_sub(5))
+            assert still_open.seq == 5
+            log.release.set()
+            thread.join(timeout=10)
+            assert not thread.is_alive() and len(relayed) == 1
+            wait_until(lambda: hub.last_seq == 1, "the batch handed after")
+            # The freed cursors went to what came after, the open scope
+            # included: gap-free, and no durable cursor is reused.
+            assert [e.seq for e in handed] == [0, 1] and still_open.seq == 2
+            assert [e.payload["seq"] for e in handed] == [0, 1]
+        hub.sync()
+        assert [r["seq"] for r in log] == [0, 1, 2]
+        assert [r["match_id"] for r in log] == [
+            match_id(make_sub(i)) for i in (3, 4, 5)]
+        assert [p.match_id for k, p in sub.drain_items()] == [
+            match_id(make_sub(i)) for i in (3, 4, 5)]
+        assert hub._commit_errors == 0  # relayed to its owner instead
+        # Nothing of the dropped batch was remembered or ringed.
+        assert hub.publish(make_sub(0)).seq == 3
+        assert [p.seq for k, p in hub.attach(
+            resume_after=-1).drain_items()] == [0, 1, 2, 3]
+
+    def test_a_failed_run_is_an_ingest_error_and_a_failed_barrier_raises(
+            self, served):
+        server, hub, registry, log, calls = served(fail=1)
+        sub = hub.attach(queue_size=4096)
+        server.submit_events(make_events(16))
+        wait_until(lambda: log.started == 1, "the first run's append")
+        server.submit_events(make_events(16, start_ts=16))
+        wait_until(lambda: len(calls) == 2, "the second run's submit")
+        log.release.set()
+        server.wait_idle(timeout=5)
+        lost = calls[1][1]  # what the first run reported
+        fresh = registry.match_count - lost
+        assert lost and fresh
+        seqs = [seq for batch in log.batches for seq in batch]
+        assert seqs == list(range(fresh))
+        assert [p.seq for k, p in sub.drain_items()] == seqs
+        assert statz_ingest(server)["errors"] == 1
+        assert server._ingest_errors == 0  # no batch of events raised
+        # A barrier's failed append is relayed to its caller, once.
+        log.fail = 1
+        with pytest.raises(OSError, match="disk on fire"):
+            server.submit_call(
+                lambda: hub.publish(make_sub(1000), pattern_id="p1"),
+                timeout=5)
+        assert statz_ingest(server)["errors"] == 1
+        server.wait_idle(timeout=5)  # the failure is not raised twice
+
+    def test_a_failure_in_delivery_is_relayed_and_nothing_hangs(
+            self, tmp_path):
+        hub = SubscriptionHub(wal=DeliveryLog(tmp_path / "wal.jsonl"))
+        sub = hub.attach()
+
+        def broken():
+            raise RuntimeError("event loop is closed")
+
+        sub.wake = broken
+        with hub.batch():
+            hub.publish(make_sub(0))
+            hub.publish(make_sub(1))
+        with pytest.raises(RuntimeError, match="closed"):
+            hub.sync()
+        # Durable before delivery failed: the cursors are spent.
+        assert hub.last_seq == 1
+        with pytest.raises(RuntimeError, match="closed"):
+            hub.publish(make_sub(2))
+        sub.wake = None
+        assert hub.publish(make_sub(3)).seq == 3
+        assert hub.drain() == 1
+        assert [k for k, _ in sub.drain_items()] == ["match"] * 4 + ["drain"]
+
+    def test_shutdown_during_an_append_sends_drain_after_the_last_match(
+            self, served):
+        server, hub, registry, log, calls = served()
+        sub = hub.attach(queue_size=4096)
+        server.submit_events(make_events(16))
+        wait_until(lambda: log.started == 1, "the run's append")
+        stopper = threading.Thread(target=server.shutdown,
+                                   kwargs={"grace": 0.2}, daemon=True)
+        stopper.start()
+        wait_until(lambda: server._draining, "the drain")
+        assert sub.idle and not hub.draining
+        log.release.set()
+        stopper.join(timeout=15)
+        assert not stopper.is_alive()
+        items = sub.drain_items()
+        assert [k for k, _ in items] == (["match"] * registry.match_count
+                                         + ["drain"])
+        assert items[-1][1] == {"resume": registry.match_count - 1}
+        assert [r["seq"] for r in log] == list(range(registry.match_count))
+
+    def test_concurrent_publishers_keep_cursors_gap_free(self, tmp_path):
+        """More publishing threads than cores, a switch interval of a
+        microsecond, and every third append failing: what the log holds
+        is exactly what publish returned, under cursors 0..n-1, and a
+        subscriber sees the log's sequence."""
+
+        class EveryThirdFails(DeliveryLog):
+            appends = 0
+
+            def append_many(self, records):
+                self.appends += 1  # the writer thread is the one caller
+                if self.appends % 3 == 0:
+                    raise OSError("disk on fire")
+                super().append_many(records)
+
+        log = EveryThirdFails(tmp_path / "wal.jsonl")
+        hub = SubscriptionHub(wal=log, ring_size=4096)
+        sub = hub.attach(queue_size=10_000)
+        kept, lost = [], []
+
+        def publisher(base):
+            for i in range(base, base + 40):
+                try:
+                    kept.append(hub.publish(make_sub(i)))
+                except OSError:
+                    lost.append(i)
+
+        threads = [threading.Thread(target=publisher, args=(100 * n,),
+                                    daemon=True) for n in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert lost and len(kept) + len(lost) == 160
+        records = [(r["seq"], r["match_id"]) for r in log]
+        assert [seq for seq, _ in records] == list(range(len(kept)))
+        assert sorted(records) == sorted((e.seq, e.match_id) for e in kept)
+        delivered = sub.drain_items()
+        assert [(p.seq, p.match_id) for _, p in delivered] == records
+        assert all(p.payload["seq"] == p.seq for _, p in delivered)
+        assert hub._commit_errors == 0 and hub.last_seq == len(kept) - 1
+
+    def test_a_hub_without_a_log_starts_no_thread(self, tmp_path):
+        hub = SubscriptionHub()
+        with hub.batch():
+            hub.publish(make_sub(0))
+        hub.publish(make_sub(1))
+        hub.sync()
+        assert hub._writer is None and hub.last_seq == 1
+        logged = SubscriptionHub(wal=DeliveryLog(tmp_path / "wal.jsonl"))
+        with logged.batch():
+            logged.publish(make_sub(0))
+        assert logged._writer is not None
+        assert logged._writer is not threading.current_thread()
+        logged.sync()
 
 
 class RecordingWriter:
@@ -1492,8 +1815,10 @@ class TestBatchCrashConsistency:
     @staticmethod
     def _publish(hub, indices):
         with hub.batch():
-            return [hub.publish(make_sub(i), pattern_id="p1")
-                    for i in indices]
+            entries = [hub.publish(make_sub(i), pattern_id="p1")
+                       for i in indices]
+        hub.sync()
+        return entries
 
     def _check_every_cut(self, path, start, max_bytes, first, second,
                          ring_size):

@@ -120,6 +120,26 @@ class TestFlushClose:
         assert [m.substitution for m in seen] == reported
 
 
+class TestPipePolling:
+    def test_a_call_reads_the_pipes_once_not_per_event(self):
+        """``push_many`` routes its events, then polls the shards' pipes
+        once (a zero-timeout ``connection.wait`` builds a selector each
+        time); a full queue still reads them in ``_put``."""
+        events = stream_events()
+        matcher = ShardedStreamMatcher(JOINED, workers=2)
+        polls = []
+        receive = matcher._receive
+        matcher._receive = lambda timeout=None: (polls.append(timeout),
+                                                 receive(timeout))
+        reported = []
+        try:
+            reported += matcher.push_many(events)
+            assert polls == [0]
+        finally:
+            reported += matcher.close()
+        assert match_set(reported) == match_set(reference_matches(events))
+
+
 class TestValidation:
     def test_rejects_pattern_without_partition_attribute(self):
         with pytest.raises(ValueError, match="equi-join"):
