@@ -24,8 +24,8 @@ engine so that all engines report results under one semantics.
 from __future__ import annotations
 
 import itertools
-from typing import (Any, Dict, FrozenSet, Iterable, List, Sequence, Set,
-                    Tuple)
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from .events import Event
 from .pattern import SESPattern
@@ -160,29 +160,32 @@ def enumerate_candidates(pattern: SESPattern,
 class _PoolIndex:
     """Conditions 4–5 of Definition 2 over one candidate pool.
 
-    Built in one pass over the pool, then asked once per candidate:
-
-    * ``_bound[v/e][v']`` — the distinct events that any candidate holding
-      the binding ``v/e`` binds to ``v'`` (condition 4's witnesses, merged);
-    * ``_holders[v/e]`` — ``(start, candidate)`` for every candidate
-      holding ``v/e``, the start timestamp computed once (condition 5).
+    ``_holders[v/e]`` lists every candidate holding the binding ``v/e``,
+    built in one pass over the pool.  Condition 4's witness sets — the
+    distinct events the holders of ``v/e`` bind to ``v'`` — are merged
+    from those lists only when a tested candidate first asks for
+    ``(v/e, v')``, so what no tested candidate asks costs nothing more.
     """
 
-    __slots__ = ("_bound", "_holders")
+    __slots__ = ("_holders", "_witnesses")
 
     def __init__(self, pool: Iterable[Substitution]):
-        bound: Dict[Binding, Dict[Variable, Set[Event]]] = {}
-        holders: Dict[Binding, List[Tuple[Any, Substitution]]] = {}
+        holders: Dict[Binding, List[Substitution]] = {}
         for candidate in pool:
-            entry = (candidate.min_ts(), candidate)
-            by_var = [(v, candidate.events_of(v)) for v in candidate.variables]
             for binding in candidate.bindings:
-                holders.setdefault(binding, []).append(entry)
-                per_var = bound.setdefault(binding, {})
-                for variable, events in by_var:
-                    per_var.setdefault(variable, set()).update(events)
-        self._bound = bound
+                holders.setdefault(binding, []).append(candidate)
         self._holders = holders
+        self._witnesses: Dict[Tuple[Binding, Variable], Set[Event]] = {}
+
+    def _bound(self, binding: Binding, variable: Variable) -> Set[Event]:
+        """The events any holder of ``binding`` binds to ``variable``."""
+        key = (binding, variable)
+        events = self._witnesses.get(key)
+        if events is None:
+            events = self._witnesses[key] = set()
+            for holder in self._holders.get(binding, ()):
+                events.update(holder.events_of(variable))
+        return events
 
     def next_match(self, gamma: Substitution) -> bool:
         """Condition 4: no holder of an earlier binding of ``gamma`` binds
@@ -190,14 +193,11 @@ class _PoolIndex:
         latest = [(v, gamma.events_of(v)[-1].ts) for v in gamma.variables]
         consumed = {e for _, e in gamma.bindings}
         for binding in gamma.bindings:
-            per_var = self._bound.get(binding)
-            if per_var is None:
-                continue
             ts = binding[1].ts
             for variable, last in latest:
                 if not ts < last:
                     continue
-                for between in per_var.get(variable, ()):
+                for between in self._bound(binding, variable):
                     if ts < between.ts < last and between not in consumed:
                         return False
         return True
@@ -208,8 +208,8 @@ class _PoolIndex:
         start = gamma.min_ts()
         rarest = min((self._holders.get(b, ()) for b in gamma.bindings),
                      key=len)
-        return not any(other_start == start and gamma < other
-                       for other_start, other in rarest)
+        return not any(gamma < other and other.min_ts() == start
+                       for other in rarest)
 
 
 def satisfies_next_match(gamma: Substitution,
@@ -268,7 +268,8 @@ def _sort_key(gamma: Substitution):
 
 
 def select_matches(candidates: Sequence[Substitution],
-                   overlap: str = "suppress") -> List[Substitution]:
+                   overlap: str = "suppress", *,
+                   used: Optional[Set[Event]] = None) -> List[Substitution]:
     """Apply Definition 2's conditions 4–5 plus result-set selection.
 
     ``candidates`` are substitutions already known to satisfy conditions
@@ -283,6 +284,17 @@ def select_matches(candidates: Sequence[Substitution],
       is not reported again.
     * ``overlap="allow"`` — every surviving substitution is reported, one
       per start position (the raw skip-till-next-match reading).
+
+    One pass in report order (:func:`_sort_key`) does both: under
+    ``suppress`` a candidate sharing an event with an earlier report is
+    skipped before conditions 4–5 are asked, since they cannot change
+    its fate, so the work follows what is reported rather than the pool.
+
+    ``used`` is the overlap window of a caller that selects batch after
+    batch (:class:`~repro.stream.runner.ContinuousMatcher`): events of
+    matches it already reported.  Under ``suppress`` they count as
+    reported here too, and the events of this call's reports are added
+    to it in place; ``allow`` leaves it alone.
     """
     if overlap not in ("suppress", "allow"):
         raise ValueError(f"unknown overlap policy {overlap!r}")
@@ -292,23 +304,26 @@ def select_matches(candidates: Sequence[Substitution],
         if gamma not in seen:
             seen.add(gamma)
             unique.append(gamma)
-    survivors = unique
+    # A pool of one survives conditions 4-5 by construction: its only
+    # witness is itself, whose every in-between event it consumes.
+    index = None
     if len(unique) > 1:
-        # A pool of one survives by construction: its only witness is
-        # itself, whose every in-between event it consumes.
         index = _PoolIndex(unique)
-        survivors = [g for g in unique
-                     if index.next_match(g) and index.maximal(g)]
-    survivors.sort(key=_sort_key)
-    if overlap == "allow":
-        return survivors
+        unique.sort(key=_sort_key)
+    suppress = overlap == "suppress"
+    if suppress and used is None:
+        used = set()
     reported: List[Substitution] = []
-    used: Set[Event] = set()
-    for gamma in survivors:
-        events = set(gamma.events())
-        if events & used:
+    for gamma in unique:
+        if suppress:
+            events = [e for _, e in gamma.bindings]
+            if not used.isdisjoint(events):
+                continue
+        if index is not None and not (index.next_match(gamma)
+                                      and index.maximal(gamma)):
             continue
-        used |= events
+        if suppress:
+            used.update(events)
         reported.append(gamma)
     return reported
 

@@ -533,8 +533,9 @@ class SubscriptionHub:
             logger.error("delivery log append failed: %d match(es) of %d "
                          "batch(es) dropped", len(dropped or entries),
                          len(handovers), exc_info=exc)
+            logged = self._last_logged()
             with self._lock:
-                self._drop(dropped or entries)
+                self._drop(dropped or entries, logged)
                 self._fail(handovers, exc)
             return False
         with self._lock:
@@ -548,13 +549,25 @@ class SubscriptionHub:
                 self._fail(handovers, exc)
         return True
 
-    def _drop(self, entries: List[DeliveredEntry]) -> None:
+    def _last_logged(self) -> int:
+        """Highest cursor the log holds (``-1`` when it holds none or
+        cannot be read); asked after a failed append, off the lock."""
+        try:
+            return max((record.get("seq", -1) for record in self._wal),
+                       default=-1)
+        except Exception:  # noqa: BLE001 - the append's error is reported
+            return -1
+
+    def _drop(self, entries: List[DeliveredEntry], logged: int) -> None:
         """Forget in-flight entries whose append failed (under the lock):
         the entries handed over or published since take their cursors,
-        so the sequence stays gap-free and no durable cursor is reused."""
+        so the sequence stays gap-free.  A failed append normally leaves
+        nothing in the log; when it left records anyway (``logged``, the
+        highest cursor the log holds, reaches them), numbering resumes
+        above them, so no cursor the log holds is reused."""
         for entry in entries:
             del self._in_flight[(entry.pattern_id, entry.match_id)]
-        seq = self._next_seq
+        self._next_seq = seq = max(self._next_seq, logged + 1)
         for entry in itertools.chain(self._in_flight.values(),
                                      (self._pending or {}).values()):
             entry.seq = entry.payload["seq"] = seq

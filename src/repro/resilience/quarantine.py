@@ -95,6 +95,10 @@ def atomic_append_lines(path: Union[str, Path], lines: Iterable[str],
     fragment stays one undecodable line of its own instead of swallowing
     the first new record.
 
+    An append that raises (a failed ``write()`` or ``fsync()``) truncates
+    the file back to its length before the call, so the lines of an
+    append its caller saw fail are not read back as written.
+
     When ``max_bytes`` (default: the ``REPRO_DLQ_MAX_BYTES`` environment
     knob) is set and the append would push the file past the cap, the
     current file is first renamed to ``<path>.1`` — replacing any
@@ -121,9 +125,21 @@ def atomic_append_lines(path: Union[str, Path], lines: Iterable[str],
             handle.seek(size - 1)
             if handle.read(1) != b"\n":
                 data = b"\n" + data
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
+        try:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        except BaseException:
+            # Not durable, so not there: cut the file back to where the
+            # append began, lest a reader count what the caller was told
+            # failed.  A failed cut leaves the lines (the caller's error
+            # stands either way).
+            try:
+                handle.truncate(size)
+                handle.flush()
+            except OSError:
+                pass
+            raise
     return path
 
 

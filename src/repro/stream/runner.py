@@ -227,24 +227,18 @@ class ContinuousMatcher:
         if not accepted:
             return []
         lineage = None if self.obs is None else self.obs.lineage
-        # A pool of one is its own selection: conditions 4-5 compare a
-        # candidate with the others of its emission batch.
-        batch = (accepted if len(accepted) == 1
-                 else select_matches(accepted, overlap="allow"))
-        reported: List[Substitution] = []
-        suppress = self.suppress_overlaps
-        used = self._used_events
+        # Conditions 4-5 compare a candidate with the others of its
+        # emission batch; overlaps also count the window of events
+        # earlier batches reported.
+        if self.suppress_overlaps:
+            batch = select_matches(accepted, used=self._used_events)
+        else:
+            batch = select_matches(accepted, overlap="allow")
         history = self._reported
         for substitution in batch:
-            if suppress:
-                events = [event for _, event in substitution.bindings]
-                if not used.isdisjoint(events):
-                    continue
-                used.update(events)
             if history is not None:
                 history.append(substitution)
             self._match_count += 1
-            reported.append(substitution)
             if self._reported_counter is not None:
                 self._reported_counter.inc()
             provenance = (lineage.deliver(substitution, by="stream")
@@ -254,9 +248,9 @@ class ContinuousMatcher:
                 delivered = Match(substitution, provenance=provenance)
                 for callback in self._callbacks:
                     callback(delivered)
-        if ts is not None and len(used) >= self._prune_at:
+        if ts is not None and len(self._used_events) >= self._prune_at:
             self._prune(ts)
-        return reported
+        return batch
 
     # ------------------------------------------------------------------
     # Introspection

@@ -193,6 +193,31 @@ class TestDeliveryLog:
             log.append_many([{"seq": 10}, {"match_id": "x"}])
         assert log.last_seq() == 9  # validated before anything is written
 
+    def test_a_failed_fsync_leaves_the_file_as_it_was(
+            self, tmp_path, monkeypatch):
+        """The lines reached the file, then ``fsync`` raised: the append
+        is cut back to the length before it, so nothing a reader (or a
+        restarted hub's recovery) counts outlives the failure."""
+        from repro.resilience import quarantine
+        path = tmp_path / "wal.jsonl"
+        log = DeliveryLog(path)
+        log.append({"seq": 0, "match_id": "m0"})
+        with open(path, "a") as handle:
+            handle.write('{"seq": 1, "match_')  # an earlier torn line
+        before = path.read_bytes()
+
+        def failing_fsync(fd):
+            raise OSError("fsync failed")
+
+        monkeypatch.setattr(quarantine.os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="fsync failed"):
+            log.append_many([{"seq": 1, "match_id": "m1"},
+                             {"seq": 2, "match_id": "m2"}])
+        assert path.read_bytes() == before
+        monkeypatch.undo()
+        log.append({"seq": 1, "match_id": "m1"})
+        assert [r["seq"] for r in DeliveryLog(path)] == [0, 1]
+
     def test_batch_rotates_whole(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         log = DeliveryLog(path, max_bytes=200)
@@ -523,6 +548,62 @@ class TestHubBatch:
             hub.publish(make_sub(3))
         assert hub.last_seq == 2 and sub.idle
         assert hub.publish(make_sub(3)).seq == 3
+
+    def test_a_failed_fsync_reuses_only_cursors_nothing_holds(
+            self, tmp_path, monkeypatch):
+        """The append wrote its line and then ``fsync`` raised: the
+        line is cut back, so the dropped cursor is free again and a
+        restarted hub replays only what was delivered."""
+        from repro.resilience import quarantine
+        path = tmp_path / "wal.jsonl"
+        hub = SubscriptionHub(wal=DeliveryLog(path))
+
+        def failing_fsync(fd):
+            raise OSError("fsync failed")
+
+        monkeypatch.setattr(quarantine.os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="fsync failed"):
+            hub.publish(make_sub(0))
+        monkeypatch.undo()
+        assert hub.publish(make_sub(1)).seq == 0
+        assert [(r["seq"], r["match_id"]) for r in DeliveryLog(path)] == [
+            (0, match_id(make_sub(1)))]
+        restarted = SubscriptionHub(wal=DeliveryLog(path))
+        assert [(p.seq, p.match_id) for k, p in restarted.attach(
+            resume_after=-1).drain_items()] == [(0, match_id(make_sub(1)))]
+
+    def test_a_cursor_the_log_holds_is_never_reused(self, tmp_path):
+        """A log whose append raises after its records reached the file
+        (a rollback that failed too, or a log that cannot roll back):
+        what comes after is numbered above every cursor on disk, so no
+        two records share one and a restarted hub replays each once."""
+
+        class WrittenThenFailed(DeliveryLog):
+            fail = 1
+
+            def append_many(self, records):
+                super().append_many(records)
+                if self.fail:
+                    self.fail -= 1
+                    raise OSError("fsync failed")
+
+        path = tmp_path / "wal.jsonl"
+        hub = SubscriptionHub(wal=WrittenThenFailed(path))
+        sub = hub.attach()
+        with hub.batch():
+            for i in range(2):
+                hub.publish(make_sub(i))
+        with pytest.raises(OSError, match="fsync failed"):
+            hub.sync()
+        assert sub.idle
+        assert hub.publish(make_sub(2)).seq == 2
+        seqs = [r["seq"] for r in DeliveryLog(path)]
+        assert seqs == [0, 1, 2] and len(set(seqs)) == len(seqs)
+        assert [p.seq for k, p in sub.drain_items()] == [2]
+        restarted = SubscriptionHub(wal=DeliveryLog(path))
+        assert [p.seq for k, p in restarted.attach(
+            resume_after=-1).drain_items()] == [0, 1, 2]
+        assert restarted.publish(make_sub(3)).seq == 3
 
     def test_append_only_log_commits_record_by_record(self, tmp_path):
         wal = AppendOnlyLog(tmp_path / "wal.jsonl")

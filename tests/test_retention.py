@@ -170,6 +170,29 @@ class TestTheWindowGivesTheSameAnswers:
         assert len(matcher._used_events) < len(oracle._used_events)
 
 
+class TestOneSelectionWalk:
+    @pytest.mark.parametrize("suppress", [True, False])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6))
+    def test_the_walk_reports_what_the_overlap_loop_reported(self, suppress,
+                                                             seed):
+        """``ContinuousMatcher._report`` hands its overlap window to
+        ``select_matches``'s report-order walk; ``UnboundedMatcher``
+        keeps the old ``_report``, which selected with ``allow`` and ran
+        its own overlap loop.  On random streams dense in ties, both
+        report the same matches, call by call, with and without
+        suppression."""
+        plan, events = random_case(random.Random(seed))
+        want, oracle = drive(
+            UnboundedMatcher(plan, suppress_overlaps=suppress), events)
+        got, matcher = drive(
+            ContinuousMatcher(plan, suppress_overlaps=suppress), events)
+        assert got == want
+        assert asdict(matcher.stats) == asdict(oracle.stats)
+        if suppress:
+            assert matcher._used_events <= oracle._used_events
+
+
 class TestTheOverlapSet:
     def test_stays_empty_without_suppression(self):
         """A matcher that never reads the set does not grow it."""

@@ -11,6 +11,9 @@ from repro.core.semantics import (_sort_key, enumerate_candidates,
                                   satisfies_next_match, satisfies_order,
                                   satisfies_window, select_matches)
 from repro.core.variables import group, var
+from repro.data import duplicated_datasets, pattern_p3
+from repro.data.chemo import generate_chemo
+from repro.plan import compile
 
 from conftest import eids, ev
 
@@ -274,6 +277,29 @@ class TestPoolIndex:
                 assert (satisfies_maximality(gamma, candidates)
                         == scan_maximality(gamma, candidates))
 
+    @given(pool=pools(), window=st.sets(st.sampled_from(UNIVERSE),
+                                        max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_a_started_window_equals_the_scan_then_the_filter(self, pool,
+                                                              window):
+        """Started from a streaming matcher's overlap window, the walk
+        reports what the literal scan followed by the old overlap loop
+        reported, and leaves the window holding their events too."""
+        used = set(window)
+        got = select_matches(pool, used=used)
+        want, seen = [], set(window)
+        for gamma in scan_select(pool, "allow"):
+            events = set(gamma.events())
+            if events & seen:
+                continue
+            seen |= events
+            want.append(gamma)
+        assert got == want and used == seen
+        untouched = set(window)
+        assert select_matches(pool, "allow", used=untouched) == scan_select(
+            pool, "allow")
+        assert untouched == set(window)
+
     def test_example4_pool_equals_the_literal_scan(self, q1, figure1):
         cands = enumerate_candidates(q1, figure1.events)
         for overlap in ("suppress", "allow"):
@@ -314,3 +340,41 @@ class TestPoolIndex:
         assert 0 < cost(select_matches, two) <= 2 * cost(select_matches, one)
         # The counter does see a scan when there is one.
         assert cost(scan_select, two) > 3 * cost(scan_select, one)
+
+    def test_conditions_4_5_are_asked_only_of_reportable_candidates(
+            self, monkeypatch):
+        """No wall clock: record whom conditions 4-5 are asked about.  On
+        a D2 pool (P3 over every event twice, 144 accepted buffers for
+        4 reports) under ``suppress``, only candidates sharing no event
+        with an earlier report are asked — the overlap policy decides
+        the rest whatever the conditions would say."""
+        from repro.core import semantics
+        d2 = duplicated_datasets(
+            generate_chemo(patients=2, cycles=2, seed=7), (2,))[2]
+        pool = compile(pattern_p3()).match(
+            d2, selection="accepted").accepted
+        asked = {"next_match": [], "maximal": []}
+        for name in asked:
+            plain = getattr(semantics._PoolIndex, name)
+
+            def wrapper(self, gamma, plain=plain, name=name):
+                asked[name].append(gamma)
+                return plain(self, gamma)
+            monkeypatch.setattr(semantics._PoolIndex, name, wrapper)
+
+        reported = select_matches(pool, "suppress")
+        order = {g: i for i, g in enumerate(sorted(set(pool), key=_sort_key))}
+        for gamma in asked["next_match"] + asked["maximal"]:
+            earlier = [m for m in reported if order[m] < order[gamma]]
+            assert all(set(gamma.events()).isdisjoint(m.events())
+                       for m in earlier)
+        assert len(set(pool)) == 144 and len(reported) == 4
+        assert len(asked["next_match"]) < len(set(pool)) // 4
+        # The answer is the survivors of every candidate, filtered.
+        monkeypatch.undo()
+        want, used = [], set()
+        for gamma in select_matches(pool, "allow"):
+            if used.isdisjoint(gamma.events()):
+                used.update(gamma.events())
+                want.append(gamma)
+        assert reported == want
